@@ -15,8 +15,8 @@ from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      StruveKitError)
 from .routes import calm, struve_m, struve_m_prime
 from .series import bessel_i, struve_l, struve_m_series
-from .quadrature import (calm_dnu, calm_dx, m_deriv, m_from_quadrature,
-                         turanian_il_double_integral)
+from .quadrature import (calm_dnu, calm_dnu_orders, calm_dx, calm_dx_orders,
+                         m_deriv, m_from_quadrature, turanian_il_double_integral)
 from .foxwright import (FoxWrightParams, bilateral_bounds, calm_via_fox_wright,
                         fox_wright_eval, fx4_conditions, norm_form_params)
 from .identities import (IdentityResidual, closed_forms,
@@ -38,8 +38,8 @@ __all__ = [
     "NonConvergenceError", "CancellationError", "EmptyDomainError",
     "struve_m", "calm", "struve_m_prime",
     "bessel_i", "struve_l", "struve_m_series",
-    "calm_dx", "calm_dnu", "m_from_quadrature", "m_deriv",
-    "turanian_il_double_integral",
+    "calm_dx", "calm_dnu", "calm_dx_orders", "calm_dnu_orders",
+    "m_from_quadrature", "m_deriv", "turanian_il_double_integral",
     "FoxWrightParams", "norm_form_params", "fox_wright_eval",
     "calm_via_fox_wright", "fx4_conditions", "bilateral_bounds",
     "IdentityResidual", "ode_residual", "recurrence_residuals",

@@ -71,8 +71,8 @@ def _configs(tol: Optional[float]) -> tuple[SeriesConfig, QuadConfig]:
     machine precision)."""
     if tol is None:
         return SERIES_DEFAULTS, QUAD_DEFAULTS
-    if tol <= 0.0:
-        raise click.BadParameter("tolerance must be positive")
+    if not 0.0 < tol <= 1e-6:
+        raise click.BadParameter("must lie in (0, 1e-6]", param_hint="'--tol'")
     return (SeriesConfig(rel_tol=max(tol, 4e-16)),
             QuadConfig(abs_tol=max(tol, 1e-15)))
 

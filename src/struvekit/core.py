@@ -29,31 +29,6 @@ class EvalPoint:
         if not (math.isfinite(self.nu) and math.isfinite(self.x)):
             raise DomainError("evaluation point must be finite")
 
-    def domain_tags(self) -> frozenset[str]:
-        """Names of the structural domains this point belongs to.
-
-        Tags are used by the verification harness to route evaluations:
-        ``integral-rep`` marks nu > -1/2 (integral representation valid),
-        ``turanian`` marks nu > 1/2 (all three orders nu-1, nu, nu+1 have
-        integral representations), ``ratio-band`` marks -1/2 <= nu <= 0,
-        ``series-i`` / ``series-l`` mark convergent power series for the
-        first-kind companions.
-        """
-        tags = set()
-        if self.nu > -0.5:
-            tags.add("integral-rep")
-        if self.nu > 0.5:
-            tags.add("turanian")
-        if -0.5 <= self.nu <= 0.0:
-            tags.add("ratio-band")
-        if self.nu > -1.0:
-            tags.add("series-i")
-        if self.nu > -1.5:
-            tags.add("series-l")
-        if self.x > 0.0:
-            tags.add("positive-x")
-        return frozenset(tags)
-
 
 @dataclass(frozen=True)
 class FuncValue:
@@ -62,10 +37,6 @@ class FuncValue:
     value: float
     abs_err: float
     method: Method
-
-    def agrees_with(self, other: "FuncValue") -> bool:
-        """True when the two values overlap within combined error bars."""
-        return abs(self.value - other.value) <= self.abs_err + other.abs_err
 
 
 @dataclass(frozen=True)

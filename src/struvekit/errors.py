@@ -32,4 +32,4 @@ class CancellationError(StruveKitError, ArithmeticError):
 
 
 class EmptyDomainError(StruveKitError, ValueError):
-    """A requested grid contains no points inside the case domain."""
+    """No grid point was tested: none lay in the domain, or every one raised."""

@@ -20,7 +20,7 @@ from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError
 from .gammafuncs import SQRT_PI, log_gamma
-from .quadrature import calm_dx, turanian_il_double_integral
+from .quadrature import calm_dx_orders, turanian_il_double_integral
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def ode_residual(p: EvalPoint,
         m1 = closedforms.m_prime_at_pos_half(p.x)
         m2 = closedforms.m_second_at_pos_half(p.x)
     else:
-        c0 = calm_dx(p, 0, quad_cfg).value
-        c1 = calm_dx(p, 1, quad_cfg).value
-        c2 = calm_dx(p, 2, quad_cfg).value
+        c0, c1, c2 = (fv.value for fv in calm_dx_orders(p, range(3), quad_cfg))
         f = math.exp(p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 0.5))
         m = -f * c0
         m1 = -f * ((p.nu / p.x) * c0 + c1)

@@ -31,9 +31,8 @@ from .core import QUAD_DEFAULTS, EvalPoint, QuadConfig
 from .errors import DomainError, EmptyDomainError, StruveKitError
 from .gammafuncs import (SQRT_PI, gamma_ratio, gamma_ratio_h,
                          gamma_ratio_h_prime, log_gamma)
-from .quadrature import calm_dnu
-from .quadrature import calm_dx as quad_calm_dx
-from .routes import cached_calm, cached_calm_dx, cached_m, cached_m_prime
+from .quadrature import calm_dnu_orders, calm_dx_orders
+from .routes import cached_calm, cached_m, cached_m_prime
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -360,21 +359,15 @@ def _sign_margin(value: float, abs_err: float) -> float:
 
 
 def _margin_cm_probe_x(nu, x, y, cfg):
-    p = EvalPoint(nu, x)
-    margins = []
-    for n in range(7):
-        fv = quad_calm_dx(p, n, cfg)
-        margins.append(_sign_margin((-1.0) ** n * fv.value, fv.abs_err))
-    return min(margins), 1.0
+    fvs = calm_dx_orders(EvalPoint(nu, x), range(7), cfg)
+    return min(_sign_margin((-1.0) ** n * fv.value, fv.abs_err)
+               for n, fv in enumerate(fvs)), 1.0
 
 
 def _margin_cm_probe_nu(nu, x, y, cfg):
-    p = EvalPoint(nu, x)
-    margins = []
-    for m in range(5):
-        fv = calm_dnu(p, m, cfg)
-        margins.append(_sign_margin((-1.0) ** m * fv.value, fv.abs_err))
-    return min(margins), 1.0
+    fvs = calm_dnu_orders(EvalPoint(nu, x), range(5), cfg)
+    return min(_sign_margin((-1.0) ** m * fv.value, fv.abs_err)
+               for m, fv in enumerate(fvs)), 1.0
 
 
 def _margin_logconvex_x(nu, x, y, cfg):
@@ -425,11 +418,12 @@ def _margin_neg_m_cm(nu, x, y, cfg):
             vals.append(front * acc)
     else:
         front = math.exp(-nu * math.log(2.0) - log_gamma(nu + 0.5))
+        dx = [fv.value for fv in calm_dx_orders(EvalPoint(nu, x), range(7), cfg)]
         for n in range(7):
             acc = 0.0
             for k in range(n + 1):
                 acc += (math.comb(n, k) * _falling(nu, k)
-                        * x ** (nu - k) * cached_calm_dx(nu, x, n - k))
+                        * x ** (nu - k) * dx[n - k])
             vals.append((-1.0) ** n * front * acc)
     # every summand above is positive by construction, so the sign of
     # each order is certain and a per-order +-1 margin is honest
@@ -650,8 +644,9 @@ def run_case(case: InequalityCase, grid: GridSpec,
     evaluations use the memoized automatic-route values (default
     configurations); cfg is handed to the direct quadrature probes that
     bypass the memoized layer. Evaluation failures are recorded per point
-    and counted as skipped, never fatal. Raises EmptyDomainError when the
-    domain filter leaves nothing to test.
+    and counted as skipped, never fatal. Raises EmptyDomainError when
+    nothing was tested: the domain filter left no point, or every point
+    it kept raised (the message says which, and quotes the first error).
     """
     start = time.perf_counter()
     tested = 0
@@ -684,6 +679,8 @@ def run_case(case: InequalityCase, grid: GridSpec,
             inconclusive.append((point, normalized))
     if tested == 0:
         raise EmptyDomainError(
+            f"all {len(errors)} in-domain grid points of case {case.id} raised; "
+            f"first at {errors[0][0]}: {errors[0][1]}" if errors else
             f"no grid point satisfies the domain of case {case.id}")
     return VerificationReport(
         case_id=case.id,

@@ -17,23 +17,27 @@ integrand column is a single vectorized exp() of
     (nu - 1/2) log(1-t^2) - x t + log w
 
 and stays meaningful far past the point where 1 - t lies below the
-smallest positive float. Refinement halves the step; the error estimate is
-twice the difference between the last two refinements plus an analytic
-bound on the truncated node tail, so a near-boundary nu whose endpoint
-mass the fixed node range cannot see fails loudly instead of silently.
+smallest positive float. One column per level serves every derivative
+order through the level's kernel rows t^n or log(1/(1-t^2))^m, each
+order with its own error estimate and stopping level. Refinement halves
+the step; the error estimate is twice the difference between the last
+two refinements plus an analytic bound on the truncated node tail, so a
+near-boundary nu whose endpoint mass the fixed node range cannot see
+fails loudly instead of silently.
 The requested abs_tol is met whenever double precision can represent it;
 when the result is so large that abs_tol sits below its roundoff floor,
 refinement stops at machine precision and the reported abs_err stays
 honest rather than claiming the impossible.
 
-Node/weight tables per refinement level are computed once and shared
-immutably (safe under concurrent readers).
+Node/weight tables and kernel rows per refinement level are computed
+once and shared immutably (safe under concurrent readers).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -107,46 +111,74 @@ def _log_tail_bound(power: float, log_order: int) -> float:
     return log_tail
 
 
-def _column(level: int, pw: float, x: float, n: int, m: int) -> float:
-    """Sum of the new-node integrand contributions at one level."""
-    t, lg1mt2, lgw = _level_nodes(level)
+@functools.lru_cache(maxsize=64)
+def _level_kernel(level: int, ns: tuple[int, ...],
+                  ms: tuple[int, ...]) -> np.ndarray | None:
+    """Rows t^n log(1/(1-t^2))^m over the nodes new at this level, one per
+    (n, m) of ns, ms; None for a lone row of ones (n = m = 0), so that
+    plain calM, the most frequent call, pays no multiply per level."""
+    if ns == ms == (0,):
+        return None
+    t, lg1mt2, _ = _level_nodes(level)
+    kernel = np.ones((len(ns), len(t)))
     with np.errstate(under="ignore"):
-        col = np.exp(pw * lg1mt2 - x * t + lgw)
-        if n:
-            col = col * t ** n
-        if m:
-            col = col * (-lg1mt2) ** m
-    return float(col.sum())
+        for row, n, m in zip(kernel, ns, ms):
+            if n:
+                row *= t ** n
+            if m:
+                row *= (-lg1mt2) ** m
+    kernel.flags.writeable = False
+    return kernel
 
 
-def _refine(pw: float, x: float, n: int, m: int, abs_tol: float,
-            max_level: int, out_scale: float, what: str) -> tuple[float, float, int]:
-    """Dyadic tanh-sinh refinement of int_0^1 (1-t^2)^pw t^n log(...)^m e^(-xt) dt.
+def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
+            abs_tols: tuple[float, ...], max_level: int, name: str) -> list[FuncValue]:
+    """Dyadic tanh-sinh refinement of every order pair (n, m) of ns, ms:
+    (-1)^(n+m) (2/sqrt(pi)) int_0^1 (1-t^2)^(nu-1/2) t^n log(1/(1-t^2))^m e^(-xt) dt.
 
-    Stops when out_scale * err <= abs_tol, or when the improvable part of
-    the estimate (refinement difference plus truncated tail) has reached
-    the double-precision noise floor of the running sum, whichever comes
-    first; abs_tol below that floor is simply unattainable for a large
-    result and further halving would only burn nodes. The returned err is
-    honest either way and can exceed abs_tol / out_scale in the second
-    case. Returns (sum, err, level). NonConvergenceError therefore means
-    genuinely unresolved endpoint mass, not a big integrand.
+    One exp() column per level serves all orders through the level's
+    kernel rows. Each order keeps its own tail bound and error estimate and
+    freezes at the first level where its scaled err meets its abs_tol, or
+    where the improvable part (refinement difference plus truncated tail)
+    reaches the double-precision noise floor of its sum: below that floor
+    abs_tol is unattainable and halving would only burn nodes, so the
+    honest abs_err can then exceed abs_tol. NonConvergenceError names the
+    first order still open at max_level: genuinely unresolved endpoint
+    mass, not a big integrand.
     """
-    tail = math.exp(_log_tail_bound(pw, m))
-    s = _column(0, pw, x, n, m)
-    prev = s
-    for level in range(1, max_level + 1):
-        h = 0.5 ** level
-        s = 0.5 * s + h * _column(level, pw, x, n, m)
-        improvable = 2.0 * abs(s - prev) + tail
-        err = improvable + 32.0 * _EPS * abs(s)
-        if level >= 2 and (out_scale * err <= abs_tol
-                           or improvable <= 8.0 * _EPS * abs(s)):
-            return s, err, level
-        prev = s
+    pw = p.nu - 0.5
+    tails = [math.exp(_log_tail_bound(pw, m)) for m in ms]
+    frozen: list = [None] * len(ns)
+    errs = [math.inf] * len(ns)
+    with np.errstate(under="ignore"):
+        for level in range(max_level + 1):
+            t, lg1mt2, lgw = _level_nodes(level)
+            col = np.exp(pw * lg1mt2 - p.x * t + lgw)
+            kernel = _level_kernel(level, ns, ms)
+            cols = ([float(col.sum())] if kernel is None
+                    else (kernel * col).sum(axis=1).tolist())
+            if level == 0:
+                sums = cols
+                continue
+            h = 0.5 ** level
+            for i, c in enumerate(cols):
+                s = 0.5 * sums[i] + h * c
+                improvable = 2.0 * abs(s - sums[i]) + tails[i]
+                sums[i] = s
+                if frozen[i] is None:
+                    errs[i] = err = improvable + 32.0 * _EPS * abs(s)
+                    if level >= 2 and (_TWO_OVER_SQRT_PI * err <= abs_tols[i]
+                                       or improvable <= 8.0 * _EPS * abs(s)):
+                        frozen[i] = (s, err)
+            if None not in frozen:
+                return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * _TWO_OVER_SQRT_PI * s,
+                                  _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
+                        for n, m, (s, err) in zip(ns, ms, frozen)]
+    i = frozen.index(None)
     raise NonConvergenceError(
-        f"{what}: tanh-sinh refinement stalled above abs_tol={abs_tol:g} "
-        f"(last error estimate {out_scale * err:.3g})")
+        f"{name}(nu={p.nu:g}, x={p.x:g}), order {ns[i] or ms[i]}: tanh-sinh "
+        f"refinement stalled above abs_tol={abs_tols[i]:g} (last error "
+        f"estimate {_TWO_OVER_SQRT_PI * errs[i]:.3g})")
 
 
 def _check_point(p: EvalPoint) -> None:
@@ -156,6 +188,41 @@ def _check_point(p: EvalPoint) -> None:
         raise DomainError("quadrature route requires x >= 0")
 
 
+def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
+                   cfg: QuadConfig = QUAD_DEFAULTS) -> list[FuncValue]:
+    """x-derivatives of the normalized form for every order in ns, signs
+    included, from one refinement pass; each order in [0, 10].
+
+    d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
+    Every value and abs_err equals the single-order result bit for bit.
+    """
+    _check_point(p)
+    ns = tuple(ns)
+    if not all(0 <= n <= _MAX_DX_ORDER for n in ns):
+        raise DomainError(f"x-derivative order must lie in [0, {_MAX_DX_ORDER}]")
+    abs_tol, max_level = cfg.effective()
+    return _refine(p, ns, (0,) * len(ns), (abs_tol,) * len(ns), max_level,
+                   "calm_dx")
+
+
+def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
+                    cfg: QuadConfig = QUAD_DEFAULTS) -> list[FuncValue]:
+    """nu-derivatives of the normalized form for every order in ms, signs
+    included, from one refinement pass; each order in [0, 6].
+
+    The kernel log(1/(1-t^2))^m sharpens the endpoint singularity, so for
+    nu < 1/2 and m >= 2 the convergence threshold is relaxed to
+    10 * abs_tol (the reported abs_err stays honest).
+    """
+    _check_point(p)
+    ms = tuple(ms)
+    if not all(0 <= m <= _MAX_DNU_ORDER for m in ms):
+        raise DomainError(f"nu-derivative order must lie in [0, {_MAX_DNU_ORDER}]")
+    abs_tol, max_level = cfg.effective()
+    tols = tuple(10.0 * abs_tol if p.nu < 0.5 and m >= 2 else abs_tol for m in ms)
+    return _refine(p, (0,) * len(ms), ms, tols, max_level, "calm_dnu")
+
+
 def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """Normalized form calM_nu(x) by tanh-sinh quadrature. nu > -1/2, x >= 0.
 
@@ -163,47 +230,17 @@ def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     gamma(nu+1/2)/gamma(nu+1), which serves as a built-in self-test of the
     node tables (exercised by the test suite).
     """
-    _check_point(p)
-    abs_tol, max_level = cfg.effective()
-    s, err, _ = _refine(p.nu - 0.5, p.x, 0, 0, abs_tol, max_level,
-                        _TWO_OVER_SQRT_PI, f"calm(nu={p.nu:g}, x={p.x:g})")
-    return FuncValue(_TWO_OVER_SQRT_PI * s, _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
+    return calm_dx_orders(p, (0,), cfg)[0]
 
 
 def calm_dx(p: EvalPoint, n: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
-    """n-th x-derivative of the normalized form, sign included; n in [0, 10].
-
-    d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
-    """
-    _check_point(p)
-    if not 0 <= n <= _MAX_DX_ORDER:
-        raise DomainError(f"x-derivative order must lie in [0, {_MAX_DX_ORDER}]")
-    abs_tol, max_level = cfg.effective()
-    s, err, _ = _refine(p.nu - 0.5, p.x, n, 0, abs_tol, max_level,
-                        _TWO_OVER_SQRT_PI, f"calm_dx(nu={p.nu:g}, x={p.x:g}, n={n})")
-    sign = -1.0 if n % 2 else 1.0
-    return FuncValue(sign * _TWO_OVER_SQRT_PI * s, _TWO_OVER_SQRT_PI * err,
-                     Method.QUADRATURE)
+    """n-th x-derivative of the normalized form, sign included; n in [0, 10]."""
+    return calm_dx_orders(p, (n,), cfg)[0]
 
 
 def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
-    """m-th nu-derivative of the normalized form, sign included; m in [0, 6].
-
-    The kernel log(1/(1-t^2))^m sharpens the endpoint singularity, so for
-    nu < 1/2 and m >= 2 the convergence threshold is relaxed to
-    10 * abs_tol (the reported abs_err stays honest).
-    """
-    _check_point(p)
-    if not 0 <= m <= _MAX_DNU_ORDER:
-        raise DomainError(f"nu-derivative order must lie in [0, {_MAX_DNU_ORDER}]")
-    abs_tol, max_level = cfg.effective()
-    if p.nu < 0.5 and m >= 2:
-        abs_tol *= 10.0
-    s, err, _ = _refine(p.nu - 0.5, p.x, 0, m, abs_tol, max_level,
-                        _TWO_OVER_SQRT_PI, f"calm_dnu(nu={p.nu:g}, x={p.x:g}, m={m})")
-    sign = -1.0 if m % 2 else 1.0
-    return FuncValue(sign * _TWO_OVER_SQRT_PI * s, _TWO_OVER_SQRT_PI * err,
-                     Method.QUADRATURE)
+    """m-th nu-derivative of the normalized form, sign included; m in [0, 6]."""
+    return calm_dnu_orders(p, (m,), cfg)[0]
 
 
 def _m_scale(p: EvalPoint) -> float:
@@ -231,8 +268,7 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     _check_point(p)
     if p.x <= 0.0:
         raise DomainError("m_deriv requires x > 0")
-    c = calm(p, cfg)
-    c1 = calm_dx(p, 1, cfg)
+    c, c1 = calm_dx_orders(p, (0, 1), cfg)
     factor = _m_scale(p)
     value = -factor * ((p.nu / p.x) * c.value + c1.value)
     err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + _EPS * abs(value)

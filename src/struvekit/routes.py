@@ -7,8 +7,10 @@ functions here pick a route automatically (series for x <= 8, quadrature
 beyond, exact elementary expressions at nu = +-1/2) or run exactly the
 route the caller names, so cross-route comparisons stay honest.
 
-The ``cached_*`` helpers memoize scalar values for the verification sweeps,
-where one grid point feeds many inequality cases.
+The three ``cached_*`` helpers memoize scalar values of M, M' and calM at
+the default configs for the verification sweeps, where one grid point
+feeds many inequality cases. Derivative probes do not go through them:
+they take one batched quadrature pass per point at the sweep's config.
 """
 
 from __future__ import annotations
@@ -146,8 +148,3 @@ def cached_calm(nu: float, x: float) -> float:
     """Scalar calM_nu(x) by the automatic route, memoized for grid sweeps."""
     return calm(EvalPoint(nu, x)).value
 
-
-@lru_cache(maxsize=262144)
-def cached_calm_dx(nu: float, x: float, n: int) -> float:
-    """Scalar n-th x-derivative of calM_nu(x), memoized for grid sweeps."""
-    return quadrature.calm_dx(EvalPoint(nu, x), n).value

@@ -73,6 +73,21 @@ def test_eval_rejects_nonpositive_tolerance(runner):
     assert result.exit_code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--nu", "1", "--x", "1"],
+    ["verify", "--case", "gammaineq_left"],
+])
+def test_tolerance_above_range_is_a_usage_error(runner, command):
+    """A tolerance looser than the configs accept names the flag and its
+    range instead of leaking the config's internal message (verify used
+    to crash with a traceback)."""
+    result = runner.invoke(main, command + ["--tol", "1e-3"])
+    assert result.exit_code == EXIT_USAGE
+    text = _all_text(result)
+    assert "'--tol'" in text and "(0, 1e-6]" in text
+    assert "rel_tol" not in text
+
+
 def test_tolerance_env_var_loosens_error_bar(runner):
     tight = runner.invoke(main, ["eval", "--nu", "1", "--x", "10",
                                  "--fn", "calM", "--format", "json"])

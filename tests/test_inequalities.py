@@ -1,7 +1,11 @@
 """Verification harness: catalog integrity, executor behavior, reports."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from struvekit.core import QuadConfig
 from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
                                     GridSpec, _sign_margin, default_grid,
@@ -9,6 +13,10 @@ from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
                                     report_to_json_dict, run_all, run_case)
 
 SMALL = GridSpec(nu_values=(0.75, 2.0, 6.0), x_values=(0.05, 1.0, 10.0))
+
+#: report_to_json_dict of every case of the default sweep, as computed
+#: before the quadrature derivative orders were batched into one pass.
+SWEEP_SNAPSHOT = Path(__file__).parent / "data" / "sweep_snapshot.json"
 
 
 def test_catalog_integrity():
@@ -30,6 +38,24 @@ def test_default_sweep_has_no_violations(default_reports):
         assert report.violations == (), (case_id, report.violations[:3])
         assert report.min_margin is not None
         assert report.min_margin > -INCONCLUSIVE_BAND, case_id
+
+
+def test_default_sweep_matches_snapshot(default_reports):
+    """Speed work must not move a verdict: exact counts, exact violation
+    and inconclusive points, and min margins to 1e-10 relative."""
+    snapshot = json.loads(SWEEP_SNAPSHOT.read_text(encoding="utf-8"))
+    assert {want["case_id"] for want in snapshot} == set(default_reports)
+
+    def points(entries):
+        return [{k: v for k, v in e.items() if k != "margin"} for e in entries]
+
+    for want in snapshot:
+        got = report_to_json_dict(default_reports[want["case_id"]])
+        assert got["points_tested"] == want["points_tested"], want["case_id"]
+        assert got["points_skipped"] == want["points_skipped"], want["case_id"]
+        assert points(got["violations"]) == points(want["violations"])
+        assert points(got["inconclusive"]) == points(want["inconclusive"])
+        assert got["min_margin"] == pytest.approx(want["min_margin"], rel=1e-10)
 
 
 def test_inconclusive_points_stay_inside_band(default_reports):
@@ -63,8 +89,30 @@ def test_flipped_margin_is_negated_pointwise():
 
 def test_empty_domain_raises():
     grid = GridSpec(nu_values=(0.0, 0.3), x_values=(1.0,))
-    with pytest.raises(EmptyDomainError):
+    with pytest.raises(EmptyDomainError, match="no grid point satisfies the domain"):
         run_case(CATALOG["ineqturan_lower"], grid)
+
+
+def test_all_in_domain_points_raising_is_not_called_an_empty_domain():
+    """At a three-level refinement cap every derivative probe stalls; the
+    error counts the points that raised and quotes the first failure."""
+    with pytest.raises(EmptyDomainError) as info:
+        run_case(CATALOG["cm_probe_x"], default_grid("cm_probe_x"),
+                 QuadConfig(max_level=3))
+    message = str(info.value)
+    assert "all 625 in-domain grid points of case cm_probe_x raised" in message
+    assert "first at (-0.49, 0.001): NonConvergenceError" in message
+    assert "satisfies the domain" not in message
+
+
+def test_neg_m_cm_honours_sweep_config():
+    """The -M derivative probe evaluates at the sweep's quadrature config,
+    so a three-level cap makes some of its points raise."""
+    report = run_case(CATALOG["neg_m_cm"], default_grid("neg_m_cm"),
+                      QuadConfig(max_level=3))
+    assert report.errors
+    assert all("NonConvergenceError" in err for _, err in report.errors)
+    assert report.points_tested + report.points_skipped == 625
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():

@@ -2,15 +2,20 @@
 derivative families, the unnormalized function, and the cross-term
 double integral."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from struvekit.core import EvalPoint, QuadConfig
-from struvekit.errors import DomainError
+from struvekit import quadrature
+from struvekit.core import EvalPoint, FuncValue, Method, QuadConfig
+from struvekit.errors import DomainError, NonConvergenceError
 from struvekit.gammafuncs import gamma_ratio
-from struvekit.quadrature import (calm, calm_dnu, calm_dx, m_deriv,
-                                  m_from_quadrature,
+from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dx,
+                                  calm_dx_orders, m_deriv, m_from_quadrature,
                                   turanian_il_double_integral)
 
 from conftest import rel_err
@@ -85,6 +90,90 @@ def test_domain_rejections():
         calm_dx(EvalPoint(1.0, 1.0), 11)
     with pytest.raises(DomainError):
         calm_dnu(EvalPoint(1.0, 1.0), 7)
+
+
+def _seeded_points() -> list[EvalPoint]:
+    """Orders near -1/2, below 1/2 (where nu-derivatives of order >= 2 get
+    the relaxed tolerance) and up to 20; arguments zero or log-uniform."""
+    rng = random.Random(20)
+    pts = []
+    for nu in ([-0.5 + 10.0 ** rng.uniform(-3.0, -1.0) for _ in range(8)]
+               + [rng.uniform(-0.45, 0.45) for _ in range(12)]
+               + [rng.uniform(0.5, 20.0) for _ in range(10)]):
+        x = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.5)
+        pts.append(EvalPoint(nu, x))
+    return pts
+
+
+def _scalar_reference(p: EvalPoint, n: int, m: int, cfg: QuadConfig) -> FuncValue:
+    """The one-order-at-a-time refinement loop that the batched pass
+    replaced, kept as the reference: same node tables and stopping rule,
+    one exp() column per order and level."""
+    abs_tol, max_level = cfg.effective()
+    if p.nu < 0.5 and m >= 2:
+        abs_tol *= 10.0
+    scale = 2.0 / math.sqrt(math.pi)
+    eps = quadrature._EPS
+    pw = p.nu - 0.5
+    tail = math.exp(quadrature._log_tail_bound(pw, m))
+
+    def column(level):
+        t, lg1mt2, lgw = quadrature._level_nodes(level)
+        with np.errstate(under="ignore"):
+            col = np.exp(pw * lg1mt2 - p.x * t + lgw)
+            if n:
+                col = col * t ** n
+            if m:
+                col = col * (-lg1mt2) ** m
+        return float(col.sum())
+
+    s = prev = column(0)
+    for level in range(1, max_level + 1):
+        s = 0.5 * s + 0.5 ** level * column(level)
+        improvable = 2.0 * abs(s - prev) + tail
+        err = improvable + 32.0 * eps * abs(s)
+        if level >= 2 and (scale * err <= abs_tol or improvable <= 8.0 * eps * abs(s)):
+            sign = -1.0 if (n + m) % 2 else 1.0
+            return FuncValue(sign * scale * s, scale * err, Method.QUADRATURE)
+        prev = s
+    raise NonConvergenceError("reference refinement stalled")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonConvergenceError:
+        return NonConvergenceError
+
+
+@pytest.mark.parametrize("batch,single,kind,orders", [
+    (calm_dx_orders, calm_dx, "n", range(11)),
+    (calm_dx_orders, calm_dx, "n", (6, 0, 3)),
+    (calm_dnu_orders, calm_dnu, "m", range(7)),
+    (calm_dnu_orders, calm_dnu, "m", (4, 1)),
+])
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
+def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg):
+    """One refinement pass for a batch of orders returns exactly the
+    values and error bars of the per-order loop and of the single-order
+    calls, and stalls exactly when some order stalls on its own."""
+    for p in _seeded_points():
+        want = _outcome(lambda: [
+            _scalar_reference(p, k if kind == "n" else 0, k if kind == "m" else 0, cfg)
+            for k in orders])
+        assert _outcome(lambda: batch(p, orders, cfg)) == want, p
+        assert _outcome(lambda: [single(p, k, cfg) for k in orders]) == want, p
+
+
+@pytest.mark.parametrize("batch,orders", [
+    (calm_dx_orders, (0, 11, 1)),
+    (calm_dx_orders, (-1,)),
+    (calm_dnu_orders, (2, 7)),
+    (calm_dnu_orders, (0, -1, 3)),
+])
+def test_out_of_range_order_anywhere_in_a_batch_raises(batch, orders):
+    with pytest.raises(DomainError):
+        batch(EvalPoint(1.0, 1.0), orders)
 
 
 def test_oracle_mode_tightens():

@@ -9,8 +9,8 @@ from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_prime_at_pos_half)
 from struvekit.core import EvalPoint, Method
 from struvekit.errors import DomainError
-from struvekit.routes import (cached_calm, cached_calm_dx, cached_m,
-                              cached_m_prime, calm, struve_m, struve_m_prime)
+from struvekit.routes import (cached_calm, cached_m, cached_m_prime, calm,
+                              struve_m, struve_m_prime)
 
 from conftest import rel_err
 from oracles import CALM_TABLE, M_TABLE, MPRIME_TABLE
@@ -121,6 +121,3 @@ def test_cached_wrappers_match_uncached():
     assert cached_m(1.0, 2.0) == struve_m(EvalPoint(1.0, 2.0)).value
     assert cached_m_prime(1.5, 2.0) == struve_m_prime(EvalPoint(1.5, 2.0)).value
     assert cached_calm(1.0, 2.0) == calm(EvalPoint(1.0, 2.0)).value
-    first = cached_calm_dx(1.0, 2.0, 1)
-    assert first == cached_calm_dx(1.0, 2.0, 1)
-    assert first < 0.0
