@@ -212,7 +212,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     Exit 0 only when every tested point of every requested case satisfied
     its claim; 3 when any violation surfaced; 2 for unknown case ids or
-    a grid the case domain rejects entirely.
+    a grid on which a case named on its own tests nothing. Under
+    ``--case all`` such a case is reported with zero points tested.
     """
     try:
         cases = _resolve_cases(cfg)
@@ -221,20 +222,17 @@ def cmd_verify(cfg: RunConfig) -> int:
                      f"known: {', '.join(inequalities.CATALOG)} "
                      f"(+ {', '.join(inequalities.EXTRA_CASES)}), or 'all'")
     _, quad_cfg = _configs(cfg.tol)
-    sweep_all = "all" in (cfg.cases or ("all",))
+    sweep = (inequalities.sweep_case if "all" in (cfg.cases or ("all",))
+             else inequalities.run_case)
     reports: list[VerificationReport] = []
     for case in cases:
         grid = _grid_for_case(cfg, case)
         if cfg.flip:
             case = case.flipped()
         try:
-            reports.append(inequalities.run_case(case, grid, quad_cfg))
+            reports.append(sweep(case, grid, quad_cfg))
         except EmptyDomainError as exc:
-            if not sweep_all:
-                return _fail(str(exc))
-            reports.append(VerificationReport(
-                case_id=case.id, points_tested=0, points_skipped=0,
-                min_margin=None, argmin=None, violations=(), inconclusive=()))
+            return _fail(str(exc))
     if cfg.fmt == "json":
         _emit(cfg, json.dumps(
             [inequalities.report_to_json_dict(r) for r in reports], indent=2))

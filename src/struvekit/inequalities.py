@@ -2,11 +2,14 @@
 
 Every claim about the second-kind function, its normalized form, and the
 associated gamma-function ratios is registered here as an
-:class:`InequalityCase`: a domain predicate plus a margin evaluator
-returning ``(margin, scale)`` oriented so that a positive margin means the
-claim holds. The executor sweeps a grid, normalizes each margin by its
-scale, and classifies points as satisfied, inconclusive (within
-``+-1e-9`` of zero after normalization), or violations.
+:class:`InequalityCase`: the order range the claim is stated on plus a
+margin evaluator returning ``(margin, scale)`` oriented so that a positive
+margin means the claim holds. The range is declared once per case (a lower
+edge, open or closed, and an optional closed upper edge); the case's
+domain predicate and its default sweep grid are both derived from it. The
+executor sweeps a grid, normalizes each margin by its scale, and
+classifies points as satisfied, inconclusive (within ``+-1e-9`` of zero
+after normalization), or violations.
 
 The catalog below (CATALOG) is the canonical set swept by ``run_all``.
 One extra case, ``FX3_raw``, lives in EXTRA_CASES: it extends the
@@ -19,6 +22,7 @@ already fails for the first-kind companion on that order range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -45,21 +49,45 @@ _TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """A named, domain-restricted claim with a margin evaluator.
+    """A named claim on an order range, with a margin evaluator.
+
+    The claim is stated for orders above ``nu_lo`` (from ``nu_lo`` on when
+    ``lo_closed``) up to and including ``nu_hi``, or without an upper edge
+    when ``nu_hi`` is None. Every case needs x > 0 unless ``any_x`` says
+    its margin ignores x, and a two-argument case (``needs_y``) also needs
+    y > 0; :meth:`domain` is the predicate derived from these fields, and
+    :func:`default_grid` spans the same range.
 
     ``margin_fn(nu, x, y, cfg)`` returns ``(margin, scale)``; the margin
     is oriented so positive means the claim holds, and the executor
-    reports ``margin/scale``. ``strict`` records whether the claim is a
-    strict inequality (informational; the inconclusive band applies
-    either way).
+    reports ``margin/scale``.
     """
 
     id: str
-    domain: Callable[..., bool]
     margin_fn: Callable[..., tuple[float, float]]
-    strict: bool = True
+    nu_lo: float
+    lo_closed: bool = False
+    nu_hi: Optional[float] = None
+    any_x: bool = False
     needs_y: bool = False
     note: str = ""
+
+    def domain(self, nu: float, x: float, y: Optional[float] = None) -> bool:
+        """Whether (nu, x[, y]) lies where the claim is stated; a NaN
+        order never does."""
+        return self._nu_ok(nu) and self._x_ok(x) and self._y_ok(y)
+
+    # one condition per axis: the sweep filters each axis once instead of
+    # testing every grid point
+    def _nu_ok(self, nu: float) -> bool:
+        return ((nu >= self.nu_lo if self.lo_closed else nu > self.nu_lo)
+                and (self.nu_hi is None or nu <= self.nu_hi))
+
+    def _x_ok(self, x: float) -> bool:
+        return self.any_x or x > 0.0
+
+    def _y_ok(self, y: Optional[float]) -> bool:
+        return not self.needs_y or (y is not None and y > 0.0)
 
     def flipped(self) -> "InequalityCase":
         """Self-test fixture: the same case claiming the opposite sign.
@@ -439,106 +467,71 @@ def _margin_h_negative_derivative(nu, x, y, cfg):
 
 
 # ---------------------------------------------------------------------------
-# domains
+# catalog
 # ---------------------------------------------------------------------------
 
 
-def _dom_above_neg_half(nu, x, y=None):
-    return nu > -0.5 and x > 0.0
-
-
-def _dom_above_half(nu, x, y=None):
-    return nu > 0.5 and x > 0.0
-
-
-def _dom_ge_neg_half(nu, x, y=None):
-    return nu >= -0.5 and x > 0.0
-
-
-def _dom_ratio_band(nu, x, y=None):
-    return -0.5 <= nu <= 0.0 and x > 0.0
-
-
-def _dom_gamma_only(nu, x, y=None):
-    return nu > -0.5
-
-
-def _dom_fx1(nu, x, y=None):
-    return nu > -0.5 and x > 0.0 and y is not None and y > 0.0
-
-
-def _dom_h(nu, x, y=None):
-    return -1.0 < nu <= 20.0
-
-
-def _dom_fx3_raw(nu, x, y=None):
-    return -1.0 < nu <= -0.5 and x > 0.0
-
-
-def _case(id, domain, margin_fn, **kw) -> InequalityCase:
-    return InequalityCase(id=id, domain=domain, margin_fn=margin_fn, **kw)
-
-
 CATALOG: dict[str, InequalityCase] = {c.id: c for c in (
-    _case("bound0", _dom_above_neg_half, _margin_bound0,
-          note="normalized form stays below its value at zero argument"),
-    _case("ineqturan_lower", _dom_above_half, _margin_ineqturan_lower,
-          note="Turan-type difference is positive"),
-    _case("ineqturan_upper", _dom_above_half, _margin_ineqturan_upper,
-          note="Turan-type difference is below M^2/(nu+1/2)"),
-    _case("quot1", _dom_above_neg_half, _margin_quot1,
-          note="logarithmic-derivative ratio stays below nu"),
-    _case("quot2_left", _dom_above_half, _margin_quot2_left,
-          note="ratio above -sqrt(x^2+nu^2)"),
-    _case("quot2_right", _dom_above_half, _margin_quot2_right,
-          note="ratio below sqrt(x^2+nu^2)"),
-    _case("FX1", _dom_fx1, _margin_fx1, needs_y=True,
-          note="normalized form is super-multiplicative after rescaling"),
-    _case("bound1", _dom_above_neg_half, _margin_bound1,
-          note="comparison with the order-1/2 profile; reverses at nu=1/2"),
-    _case("FX2", _dom_above_half, _margin_fx2,
-          note="order-averaged product comparison; reverses at nu=3/2"),
-    _case("FX3", _dom_above_neg_half, _margin_fx3,
-          note="combined exponential/sinh upper bound"),
-    _case("quot3_left", _dom_ratio_band, _margin_quot3_left,
-          note="quadratic-root lower bound for the ratio"),
-    _case("quot3_right", _dom_ratio_band, _margin_quot3_right,
-          note="quadratic-root upper bound for the ratio"),
-    _case("FX31", _dom_above_half, _margin_fx31,
-          note="derivative of x M'/M stays below x/(nu+1/2)"),
-    _case("theorem4_bilateral", _dom_above_neg_half, _margin_theorem4,
-          note="exponential-decay bracket for the normalized form"),
-    _case("gammaineq_left", _dom_gamma_only, _margin_gammaineq_left,
-          note="gamma ratio below 2/sqrt(pi)"),
-    _case("gammaineq_right", _dom_gamma_only, _margin_gammaineq_right,
-          note="gamma ratio above sqrt(2/(pi(nu+1)))"),
-    _case("remark1", _dom_above_half, _margin_remark1,
-          note="second-kind product bound; reverses at nu=3/2"),
-    _case("remark2_turan_gamma", _dom_gamma_only, _margin_remark2_turan,
-          note="Turan-type gamma-function form of the ratio bound"),
-    _case("remark2_ratio", _dom_gamma_only, _margin_remark2_ratio,
-          note="two-sided bound on gamma(nu+1/2)/gamma(nu+1)"),
-    _case("sign_m", _dom_ge_neg_half, _margin_sign_m,
-          note="second-kind function is negative"),
-    _case("cm_probe_x", _dom_above_neg_half, _margin_cm_probe_x,
-          note="derivative signs alternate in x through order 6"),
-    _case("cm_probe_nu", _dom_above_neg_half, _margin_cm_probe_nu,
-          note="derivative signs alternate in nu through order 4"),
-    _case("logconvex_x", _dom_above_neg_half, _margin_logconvex_x,
-          note="midpoint log-convexity in x"),
-    _case("logconvex_nu", _dom_above_neg_half, _margin_logconvex_nu,
-          note="midpoint log-convexity in nu"),
-    _case("neg_m_cm", _dom_ratio_band, _margin_neg_m_cm,
-          note="-M derivative signs alternate for nu in [-1/2, 0]"),
-    _case("h_negative_derivative", _dom_h, _margin_h_negative_derivative,
-          note="digamma-difference witness is positive and decreasing"),
+    InequalityCase("bound0", _margin_bound0, -0.5,
+                   note="normalized form stays below its value at zero argument"),
+    InequalityCase("ineqturan_lower", _margin_ineqturan_lower, 0.5,
+                   note="Turan-type difference is positive"),
+    InequalityCase("ineqturan_upper", _margin_ineqturan_upper, 0.5,
+                   note="Turan-type difference is below M^2/(nu+1/2)"),
+    InequalityCase("quot1", _margin_quot1, -0.5,
+                   note="logarithmic-derivative ratio stays below nu"),
+    InequalityCase("quot2_left", _margin_quot2_left, 0.5,
+                   note="ratio above -sqrt(x^2+nu^2)"),
+    InequalityCase("quot2_right", _margin_quot2_right, 0.5,
+                   note="ratio below sqrt(x^2+nu^2)"),
+    InequalityCase("FX1", _margin_fx1, -0.5, needs_y=True,
+                   note="normalized form is super-multiplicative after rescaling"),
+    InequalityCase("bound1", _margin_bound1, -0.5,
+                   note="comparison with the order-1/2 profile; reverses at nu=1/2"),
+    InequalityCase("FX2", _margin_fx2, 0.5,
+                   note="order-averaged product comparison; reverses at nu=3/2"),
+    InequalityCase("FX3", _margin_fx3, -0.5,
+                   note="combined exponential/sinh upper bound"),
+    InequalityCase("quot3_left", _margin_quot3_left, -0.5, lo_closed=True, nu_hi=0.0,
+                   note="quadratic-root lower bound for the ratio"),
+    InequalityCase("quot3_right", _margin_quot3_right, -0.5, lo_closed=True, nu_hi=0.0,
+                   note="quadratic-root upper bound for the ratio"),
+    InequalityCase("FX31", _margin_fx31, 0.5,
+                   note="derivative of x M'/M stays below x/(nu+1/2)"),
+    InequalityCase("theorem4_bilateral", _margin_theorem4, -0.5,
+                   note="exponential-decay bracket for the normalized form"),
+    InequalityCase("gammaineq_left", _margin_gammaineq_left, -0.5, any_x=True,
+                   note="gamma ratio below 2/sqrt(pi)"),
+    InequalityCase("gammaineq_right", _margin_gammaineq_right, -0.5, any_x=True,
+                   note="gamma ratio above sqrt(2/(pi(nu+1)))"),
+    InequalityCase("remark1", _margin_remark1, 0.5,
+                   note="second-kind product bound; reverses at nu=3/2"),
+    InequalityCase("remark2_turan_gamma", _margin_remark2_turan, -0.5, any_x=True,
+                   note="Turan-type gamma-function form of the ratio bound"),
+    InequalityCase("remark2_ratio", _margin_remark2_ratio, -0.5, any_x=True,
+                   note="two-sided bound on gamma(nu+1/2)/gamma(nu+1)"),
+    InequalityCase("sign_m", _margin_sign_m, -0.5, lo_closed=True,
+                   note="second-kind function is negative"),
+    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5,
+                   note="derivative signs alternate in x through order 6"),
+    InequalityCase("cm_probe_nu", _margin_cm_probe_nu, -0.5,
+                   note="derivative signs alternate in nu through order 4"),
+    InequalityCase("logconvex_x", _margin_logconvex_x, -0.5,
+                   note="midpoint log-convexity in x"),
+    InequalityCase("logconvex_nu", _margin_logconvex_nu, -0.5,
+                   note="midpoint log-convexity in nu"),
+    InequalityCase("neg_m_cm", _margin_neg_m_cm, -0.5, lo_closed=True, nu_hi=0.0,
+                   note="-M derivative signs alternate for nu in [-1/2, 0]"),
+    InequalityCase("h_negative_derivative", _margin_h_negative_derivative, -1.0,
+                   nu_hi=20.0, any_x=True,
+                   note="digamma-difference witness is positive and decreasing"),
 )}
 
 EXTRA_CASES: dict[str, InequalityCase] = {c.id: c for c in (
-    _case("FX3_raw", _dom_fx3_raw, _margin_fx3_raw,
-          note="series-route extension of the combined bound to orders in "
-               "(-1, -1/2]; violated - the underlying sinh lower bound "
-               "fails there"),
+    InequalityCase("FX3_raw", _margin_fx3_raw, -1.0, nu_hi=-0.5,
+                   note="series-route extension of the combined bound to orders in "
+                        "(-1, -1/2]; violated - the underlying sinh lower bound "
+                        "fails there"),
 )}
 
 
@@ -571,49 +564,23 @@ def _edge_grid(lo: float, hi: float, n: int, closed_lo: bool) -> tuple[float, ..
 
 _X_DEFAULT = _geo(1e-3, 30.0, 25)
 
-_NU_RANGES: dict[str, tuple[float, float, bool]] = {
-    # case id -> (domain lower edge, grid upper end, lower edge closed)
-    "bound0": (-0.5, 20.0, False),
-    "ineqturan_lower": (0.5, 20.0, False),
-    "ineqturan_upper": (0.5, 20.0, False),
-    "quot1": (-0.5, 20.0, False),
-    "quot2_left": (0.5, 20.0, False),
-    "quot2_right": (0.5, 20.0, False),
-    "FX1": (-0.5, 20.0, False),
-    "bound1": (-0.5, 20.0, False),
-    "FX2": (0.5, 20.0, False),
-    "FX3": (-0.5, 20.0, False),
-    "quot3_left": (-0.5, 0.0, True),
-    "quot3_right": (-0.5, 0.0, True),
-    "FX31": (0.5, 20.0, False),
-    "theorem4_bilateral": (-0.5, 20.0, False),
-    "gammaineq_left": (-0.5, 20.0, False),
-    "gammaineq_right": (-0.5, 20.0, False),
-    "remark1": (0.5, 20.0, False),
-    "remark2_turan_gamma": (-0.5, 20.0, False),
-    "remark2_ratio": (-0.5, 20.0, False),
-    "sign_m": (-0.5, 20.0, True),
-    "cm_probe_x": (-0.5, 20.0, False),
-    "cm_probe_nu": (-0.5, 20.0, False),
-    "logconvex_x": (-0.5, 20.0, False),
-    "logconvex_nu": (-0.5, 20.0, False),
-    "neg_m_cm": (-0.5, 0.0, True),
-    "h_negative_derivative": (-1.0, 20.0, False),
-    "FX3_raw": (-1.0, -0.5, False),
-}
+#: Where the default order grid stops for a range without an upper edge.
+_NU_GRID_TOP = 20.0
 
 
 def default_grid(case_id: str) -> GridSpec:
     """The standard sweep grid for a case: 25 orders log-spaced across
-    its domain (open edges approached to distance 1e-2, closed edges
-    included), 25 arguments log-spaced in [1e-3, 30]; the two-argument
-    case uses a 10 x 10 x 6 (x, y, nu) grid."""
-    lo, hi, closed = _NU_RANGES[case_id]
-    if case_id == "FX1":
-        return GridSpec(nu_values=_edge_grid(lo, hi, 6, closed),
+    its order range (open edges approached to distance 1e-2, closed edges
+    included, ending at the upper edge or at nu = 20 when there is none),
+    25 arguments log-spaced in [1e-3, 30]; a two-argument case uses a
+    10 x 10 x 6 (x, y, nu) grid."""
+    case = lookup(case_id)
+    hi = _NU_GRID_TOP if case.nu_hi is None else case.nu_hi
+    if case.needs_y:
+        return GridSpec(nu_values=_edge_grid(case.nu_lo, hi, 6, case.lo_closed),
                         x_values=_geo(1e-3, 30.0, 10),
                         y_values=_geo(1e-3, 30.0, 10))
-    return GridSpec(nu_values=_edge_grid(lo, hi, 25, closed),
+    return GridSpec(nu_values=_edge_grid(case.nu_lo, hi, 25, case.lo_closed),
                     x_values=_X_DEFAULT)
 
 
@@ -622,44 +589,39 @@ def default_grid(case_id: str) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _grid_points(case: InequalityCase, grid: GridSpec):
+def _domain_points(case: InequalityCase, grid: GridSpec):
+    """The grid points inside the case domain, in sweep order, and the
+    number of grid points outside it."""
+    axes = [grid.nu_values, grid.x_values]
     if case.needs_y:
-        if not grid.y_values:
-            raise DomainError(f"case {case.id} needs a y grid")
-        for nu in grid.nu_values:
-            for x in grid.x_values:
-                for y in grid.y_values:
-                    yield (nu, x, y)
-    else:
-        for nu in grid.nu_values:
-            for x in grid.x_values:
-                yield (nu, x)
+        axes.append(grid.y_values or ())
+    kept = [[v for v in axis if ok(v)]
+            for axis, ok in zip(axes, (case._nu_ok, case._x_ok, case._y_ok))]
+    outside = math.prod(map(len, axes)) - math.prod(map(len, kept))
+    return itertools.product(*kept), outside
 
 
-def run_case(case: InequalityCase, grid: GridSpec,
-             cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
+def sweep_case(case: InequalityCase, grid: GridSpec,
+               cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
     """Sweep one case over a grid and classify every point.
 
     Points outside the case domain are skipped and counted. Margin
     evaluations use the memoized automatic-route values (default
     configurations); cfg is handed to the direct quadrature probes that
     bypass the memoized layer. Evaluation failures are recorded per point
-    and counted as skipped, never fatal. Raises EmptyDomainError when
-    nothing was tested: the domain filter left no point, or every point
-    it kept raised (the message says which, and quotes the first error).
+    and counted as skipped, never fatal. When nothing was tested the
+    result is a zero-point report: every grid point counts as skipped, or
+    none when a two-argument case is handed no y grid.
     """
     start = time.perf_counter()
+    points, skipped = _domain_points(case, grid)
     tested = 0
-    skipped = 0
     min_margin: Optional[float] = None
     argmin: Optional[tuple[float, ...]] = None
     violations: list[tuple[tuple[float, ...], float]] = []
     inconclusive: list[tuple[tuple[float, ...], float]] = []
     errors: list[tuple[tuple[float, ...], str]] = []
-    for point in _grid_points(case, grid):
-        if not case.domain(*point):
-            skipped += 1
-            continue
+    for point in points:
         nu, x = point[0], point[1]
         y = point[2] if len(point) > 2 else None
         try:
@@ -677,11 +639,6 @@ def run_case(case: InequalityCase, grid: GridSpec,
             violations.append((point, normalized))
         elif abs(normalized) <= INCONCLUSIVE_BAND:
             inconclusive.append((point, normalized))
-    if tested == 0:
-        raise EmptyDomainError(
-            f"all {len(errors)} in-domain grid points of case {case.id} raised; "
-            f"first at {errors[0][0]}: {errors[0][1]}" if errors else
-            f"no grid point satisfies the domain of case {case.id}")
     return VerificationReport(
         case_id=case.id,
         points_tested=tested,
@@ -695,26 +652,33 @@ def run_case(case: InequalityCase, grid: GridSpec,
     )
 
 
+def run_case(case: InequalityCase, grid: GridSpec,
+             cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
+    """:func:`sweep_case`, refusing a sweep that tested nothing.
+
+    Raises DomainError when a two-argument case is handed no y grid, and
+    EmptyDomainError when nothing was tested: the domain filter left no
+    point, or every point it kept raised (the message says which, and
+    quotes the first error).
+    """
+    if case.needs_y and not grid.y_values:
+        raise DomainError(f"case {case.id} needs a y grid")
+    report = sweep_case(case, grid, cfg)
+    if report.points_tested == 0:
+        errors = report.errors
+        raise EmptyDomainError(
+            f"all {len(errors)} in-domain grid points of case {case.id} raised; "
+            f"first at {errors[0][0]}: {errors[0][1]}" if errors else
+            f"no grid point satisfies the domain of case {case.id}")
+    return report
+
+
 def run_all(grid: Optional[GridSpec] = None,
             cfg: QuadConfig = QUAD_DEFAULTS) -> list[VerificationReport]:
     """Run every catalog case, each on its own default grid unless an
-    explicit grid is given. A case whose domain rejects the entire
-    explicit grid yields an empty report (zero points tested) rather
-    than aborting the run."""
-    reports = []
-    for case in CATALOG.values():
-        case_grid = grid if grid is not None else default_grid(case.id)
-        try:
-            reports.append(run_case(case, case_grid, cfg))
-        except EmptyDomainError:
-            total = sum(1 for _ in _grid_points(case, case_grid)) \
-                if not (case.needs_y and not case_grid.y_values) else 0
-            reports.append(VerificationReport(
-                case_id=case.id, points_tested=0, points_skipped=total,
-                min_margin=None, argmin=None, violations=(), inconclusive=()))
-        except DomainError:
-            # two-argument case handed a grid without y values
-            reports.append(VerificationReport(
-                case_id=case.id, points_tested=0, points_skipped=0,
-                min_margin=None, argmin=None, violations=(), inconclusive=()))
-    return reports
+    explicit grid is given. A case that tests nothing on the explicit
+    grid (its domain rejects every point, every in-domain point raised,
+    or it needs a y grid the grid lacks) yields a zero-point report from
+    :func:`sweep_case` rather than aborting the run."""
+    return [sweep_case(case, grid if grid is not None else default_grid(case.id), cfg)
+            for case in CATALOG.values()]

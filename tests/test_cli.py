@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from struvekit import __version__
 from struvekit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from struvekit.inequalities import GridSpec, run_all
 
 
 @pytest.fixture()
@@ -37,7 +38,7 @@ def test_eval_json_normalized_at_zero(runner):
     assert result.exit_code == EXIT_OK
     payload = json.loads(result.output)
     assert payload["value"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert payload["method"] == "quadrature"
+    assert payload["method"] == "closedform"
     assert payload["abs_err"] < 1e-9
 
 
@@ -138,6 +139,24 @@ def test_verify_empty_domain_exits_2(runner):
         "--nu-min", "0", "--nu-max", "0.3", "--nu-steps", "2",
         "--x-min", "1", "--x-max", "2", "--x-steps", "2"])
     assert result.exit_code == EXIT_USAGE
+
+
+def test_verify_all_counts_match_run_all_on_the_same_grid(runner):
+    """A case whose domain rejects the whole custom grid counts every
+    point as skipped, exactly as run_all reports it. FX1 is left out: the
+    CLI hands it a y axis, run_all's one-point grid has none."""
+    result = runner.invoke(main, [
+        "verify", "--case", "all", "--nu-min", "0.6", "--nu-max", "0.6",
+        "--nu-steps", "1", "--x-min", "1", "--x-max", "1", "--x-steps", "1",
+        "--format", "json"])
+    assert result.exit_code == EXIT_OK
+    got = {r["case_id"]: (r["points_tested"], r["points_skipped"])
+           for r in json.loads(result.output)}
+    want = {r.case_id: (r.points_tested, r.points_skipped)
+            for r in run_all(grid=GridSpec(nu_values=(0.6,), x_values=(1.0,)))}
+    del got["FX1"], want["FX1"]
+    assert got == want
+    assert got["neg_m_cm"] == (0, 1)
 
 
 def test_verify_custom_grid_with_explicit_y(runner):

@@ -1,8 +1,11 @@
 """Verification harness: catalog integrity, executor behavior, reports."""
 
+import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from struvekit.core import QuadConfig
@@ -10,7 +13,8 @@ from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
                                     GridSpec, _sign_margin, default_grid,
                                     lookup, report_from_json_dict,
-                                    report_to_json_dict, run_all, run_case)
+                                    report_to_json_dict, run_all, run_case,
+                                    sweep_case)
 
 SMALL = GridSpec(nu_values=(0.75, 2.0, 6.0), x_values=(0.05, 1.0, 10.0))
 
@@ -68,6 +72,129 @@ def test_two_argument_case_sweeps_three_axes(default_reports):
     report = default_reports["FX1"]
     assert report.argmin is not None and len(report.argmin) == 3
     assert report.points_tested > 100
+
+
+# The domain predicates and grid ranges each case had while they were kept
+# apart from the catalog declarations; the derived ones must match them.
+
+
+def _ref_above_neg_half(nu, x, y=None):
+    return nu > -0.5 and x > 0.0
+
+
+def _ref_above_half(nu, x, y=None):
+    return nu > 0.5 and x > 0.0
+
+
+def _ref_ge_neg_half(nu, x, y=None):
+    return nu >= -0.5 and x > 0.0
+
+
+def _ref_ratio_band(nu, x, y=None):
+    return -0.5 <= nu <= 0.0 and x > 0.0
+
+
+def _ref_gamma_only(nu, x, y=None):
+    return nu > -0.5
+
+
+def _ref_fx1(nu, x, y=None):
+    return nu > -0.5 and x > 0.0 and y is not None and y > 0.0
+
+
+def _ref_h(nu, x, y=None):
+    return -1.0 < nu <= 20.0
+
+
+def _ref_fx3_raw(nu, x, y=None):
+    return -1.0 < nu <= -0.5 and x > 0.0
+
+
+#: case id -> (domain, domain lower edge, grid upper end, lower edge closed)
+REFERENCE_RANGES = {
+    "bound0": (_ref_above_neg_half, -0.5, 20.0, False),
+    "ineqturan_lower": (_ref_above_half, 0.5, 20.0, False),
+    "ineqturan_upper": (_ref_above_half, 0.5, 20.0, False),
+    "quot1": (_ref_above_neg_half, -0.5, 20.0, False),
+    "quot2_left": (_ref_above_half, 0.5, 20.0, False),
+    "quot2_right": (_ref_above_half, 0.5, 20.0, False),
+    "FX1": (_ref_fx1, -0.5, 20.0, False),
+    "bound1": (_ref_above_neg_half, -0.5, 20.0, False),
+    "FX2": (_ref_above_half, 0.5, 20.0, False),
+    "FX3": (_ref_above_neg_half, -0.5, 20.0, False),
+    "quot3_left": (_ref_ratio_band, -0.5, 0.0, True),
+    "quot3_right": (_ref_ratio_band, -0.5, 0.0, True),
+    "FX31": (_ref_above_half, 0.5, 20.0, False),
+    "theorem4_bilateral": (_ref_above_neg_half, -0.5, 20.0, False),
+    "gammaineq_left": (_ref_gamma_only, -0.5, 20.0, False),
+    "gammaineq_right": (_ref_gamma_only, -0.5, 20.0, False),
+    "remark1": (_ref_above_half, 0.5, 20.0, False),
+    "remark2_turan_gamma": (_ref_gamma_only, -0.5, 20.0, False),
+    "remark2_ratio": (_ref_gamma_only, -0.5, 20.0, False),
+    "sign_m": (_ref_ge_neg_half, -0.5, 20.0, True),
+    "cm_probe_x": (_ref_above_neg_half, -0.5, 20.0, False),
+    "cm_probe_nu": (_ref_above_neg_half, -0.5, 20.0, False),
+    "logconvex_x": (_ref_above_neg_half, -0.5, 20.0, False),
+    "logconvex_nu": (_ref_above_neg_half, -0.5, 20.0, False),
+    "neg_m_cm": (_ref_ratio_band, -0.5, 0.0, True),
+    "h_negative_derivative": (_ref_h, -1.0, 20.0, False),
+    "FX3_raw": (_ref_fx3_raw, -1.0, -0.5, False),
+}
+
+
+def _geo(lo, hi, n):
+    return tuple(float(v) for v in np.geomspace(lo, hi, n))
+
+
+def _reference_grid(case_id):
+    _, lo, hi, closed = REFERENCE_RANGES[case_id]
+    n = 6 if case_id == "FX1" else 25
+    if closed:
+        nu_values = (lo,) + tuple(lo + g for g in _geo(1e-2, hi - lo, n - 1))
+    else:
+        nu_values = tuple(lo + g for g in _geo(1e-2, hi - lo, n))
+    if case_id == "FX1":
+        return GridSpec(nu_values=nu_values, x_values=_geo(1e-3, 30.0, 10),
+                        y_values=_geo(1e-3, 30.0, 10))
+    return GridSpec(nu_values=nu_values, x_values=_geo(1e-3, 30.0, 25))
+
+
+NAN, INF = float("nan"), float("inf")
+PROBE_NUS = (-1.5, -1.0, -0.99, -0.75, -0.5, -0.49, 0.0, 0.3, 0.5, 0.51, 1.0,
+             20.0, 20.5, 1e6, NAN, INF, -INF)
+PROBE_XS = (-1.0, 0.0, 1e-3, 1.0, NAN)
+
+
+def test_derived_domains_and_grids_match_the_reference_table():
+    """NaN probes catch a predicate written as ``not (nu < lo)``."""
+    assert set(REFERENCE_RANGES) == set(CATALOG) | set(EXTRA_CASES)
+    for case_id, (domain, *_) in REFERENCE_RANGES.items():
+        case = lookup(case_id)
+        for nu, x, y in itertools.product(PROBE_NUS, PROBE_XS, (None, 0.0, 1.0)):
+            assert case.domain(nu, x, y) == domain(nu, x, y), (case_id, nu, x, y)
+        assert default_grid(case_id) == _reference_grid(case_id), case_id
+
+
+def test_sweep_evaluates_exactly_the_points_the_domain_accepts():
+    """The sweep filters each axis on its own; the points it hands to the
+    margin evaluator, and their order, must be those case.domain accepts."""
+    ys = (0.0, 1.0, NAN)
+    grid = GridSpec(nu_values=PROBE_NUS, x_values=PROBE_XS, y_values=ys)
+    for case_id in REFERENCE_RANGES:
+        case = lookup(case_id)
+        seen = []
+
+        def record(nu, x, y, cfg):
+            seen.append((nu, x) if y is None else (nu, x, y))
+            return 1.0, 1.0
+
+        report = sweep_case(replace(case, margin_fn=record), grid)
+        axes = (PROBE_NUS, PROBE_XS) + ((ys,) if case.needs_y else ())
+        points = list(itertools.product(*axes))
+        want = [p for p in points if case.domain(*p)]
+        assert repr(seen) == repr(want), case_id
+        assert report.points_tested == len(want), case_id
+        assert report.points_skipped == len(points) - len(want), case_id
 
 
 def test_flipped_case_produces_violations():

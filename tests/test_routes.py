@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
@@ -52,7 +53,19 @@ def test_automatic_route_switches_at_argument_threshold():
     assert struve_m(EvalPoint(1.0, 8.1)).method is Method.QUADRATURE
     assert calm(EvalPoint(1.0, 7.9)).method is Method.SERIES
     assert calm(EvalPoint(1.0, 8.1)).method is Method.QUADRATURE
-    assert calm(EvalPoint(1.0, 0.0)).method is Method.QUADRATURE
+    assert calm(EvalPoint(1.0, 0.0)).method is Method.CLOSED_FORM
+
+
+@pytest.mark.parametrize("nu", [-0.4999, -0.4988, -0.49, 0.0, 1.0, 20.0, 1e6])
+def test_normalized_form_at_zero_argument_is_the_gamma_ratio(nu):
+    """At x = 0 the automatic route returns gamma(nu+1/2)/gamma(nu+1)
+    within its error bar, including next to nu = -1/2 where quadrature
+    stalls and at orders where log-gamma rounding dominates the error."""
+    got = calm(EvalPoint(nu, 0.0))
+    assert got.method is Method.CLOSED_FORM
+    with mpmath.workdps(50):
+        ref = mpmath.gamma(mpmath.mpf(nu) + 0.5) / mpmath.gamma(mpmath.mpf(nu) + 1)
+    assert abs(got.value - float(ref)) <= got.abs_err
 
 
 def test_series_route_covers_orders_below_minus_half():
