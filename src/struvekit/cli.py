@@ -89,6 +89,13 @@ def _axis(lo: float, hi: float, steps: int, log: bool) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, steps))
 
 
+def _flag_axis(cfg: RunConfig, flags: tuple, defaults: tuple) -> tuple[float, ...]:
+    """An axis from its (min, max, steps) flags, each None falling back to
+    its default."""
+    lo, hi, steps = (d if f is None else f for f, d in zip(flags, defaults))
+    return _axis(lo, hi, steps, cfg.log_spacing)
+
+
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -166,18 +173,14 @@ def _grid_for_case(cfg: RunConfig, case: inequalities.InequalityCase) -> GridSpe
     base = inequalities.default_grid(case.id)
     if not _custom_grid_requested(cfg):
         return base
-    nu_lo = cfg.nu_min if cfg.nu_min is not None else min(base.nu_values)
-    nu_hi = cfg.nu_max if cfg.nu_max is not None else max(base.nu_values)
-    nu_n = cfg.nu_steps if cfg.nu_steps is not None else len(base.nu_values)
-    x_lo = cfg.x_min if cfg.x_min is not None else min(base.x_values)
-    x_hi = cfg.x_max if cfg.x_max is not None else max(base.x_values)
-    x_n = cfg.x_steps if cfg.x_steps is not None else len(base.x_values)
-    x_values = _axis(x_lo, x_hi, x_n, cfg.log_spacing)
+    nus, xs = base.nu_values, base.x_values
+    x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (min(xs), max(xs), len(xs)))
     y_values = None
     if case.needs_y:
         y_values = cfg.y if cfg.y else x_values
     return GridSpec(
-        nu_values=_axis(nu_lo, nu_hi, nu_n, cfg.log_spacing),
+        nu_values=_flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps),
+                             (min(nus), max(nus), len(nus))),
         x_values=x_values,
         y_values=y_values,
         spacing="log" if cfg.log_spacing else "linear",
@@ -266,14 +269,8 @@ def cmd_identities(cfg: RunConfig) -> int:
     residual per identity."""
     series_cfg, quad_cfg = _configs(cfg.tol)
     if _custom_grid_requested(cfg):
-        nu_values = _axis(cfg.nu_min if cfg.nu_min is not None else 0.6,
-                          cfg.nu_max if cfg.nu_max is not None else 8.0,
-                          cfg.nu_steps if cfg.nu_steps is not None else 7,
-                          cfg.log_spacing)
-        x_values = _axis(cfg.x_min if cfg.x_min is not None else 0.1,
-                         cfg.x_max if cfg.x_max is not None else 20.0,
-                         cfg.x_steps if cfg.x_steps is not None else 7,
-                         cfg.log_spacing)
+        nu_values = _flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps), (0.6, 8.0, 7))
+        x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (0.1, 20.0, 7))
         if min(nu_values) <= 0.5:
             return _fail("identity residuals need orders above 1/2 "
                          "(recurrences and the decomposition are undefined "
@@ -325,14 +322,8 @@ def cmd_table(cfg: RunConfig) -> int:
     """Emit plot-ready CSV: the function, its normalized form and
     derivative, and the two-sided exponential bracket, over a grid."""
     series_cfg, quad_cfg = _configs(cfg.tol)
-    nu_values = _axis(cfg.nu_min if cfg.nu_min is not None else -0.45,
-                      cfg.nu_max if cfg.nu_max is not None else 20.0,
-                      cfg.nu_steps if cfg.nu_steps is not None else 25,
-                      cfg.log_spacing)
-    x_values = _axis(cfg.x_min if cfg.x_min is not None else 1e-3,
-                     cfg.x_max if cfg.x_max is not None else 30.0,
-                     cfg.x_steps if cfg.x_steps is not None else 25,
-                     cfg.log_spacing)
+    nu_values = _flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps), (-0.45, 20.0, 25))
+    x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (1e-3, 30.0, 25))
     if min(nu_values) <= -0.5:
         return _fail("the table needs orders above -1/2 (normalized form "
                      "and bracket are undefined otherwise)")

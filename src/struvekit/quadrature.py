@@ -46,6 +46,7 @@ from .errors import DomainError, NonConvergenceError
 from .gammafuncs import log_gamma
 
 _EPS = 2.220446049250313e-16
+_TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 #: Half-width of the node range in the double-exponential variable u.
@@ -256,7 +257,8 @@ def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValu
     c = calm(p, cfg)
     factor = _m_scale(p)
     value = -factor * c.value
-    return FuncValue(value, factor * c.abs_err + _EPS * abs(value), Method.QUADRATURE)
+    return FuncValue(value, factor * c.abs_err + _EPS * abs(value) + _TINY,
+                     Method.QUADRATURE)
 
 
 def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:

@@ -7,11 +7,11 @@ per-term gamma calls) and accumulated with compensated summation.
 M_nu is the cancellation-prone case: I_nu grows like e^x while M_nu decays
 algebraically (or exponentially at nu = +-1/2), so the merged alternating
 series has condition number ~ 2 I_nu(x) / |M_nu(x)|. The float64 pass
-tracks that condition number; whenever it cannot certify 1e-12 relative
-error the same algorithm is re-run on arbitrary-precision floats with the
-working precision sized from the measured condition. Beyond ~80 working
-digits the evaluation is refused (CancellationError) - the quadrature
-route is the authoritative evaluator in that regime.
+measures it, and struve_m_float returns its value only where that certifies
+1e-12 relative error. struve_m_series re-runs the same algorithm elsewhere
+on arbitrary-precision floats sized from the measured condition, and refuses
+(CancellationError) beyond ~80 working digits; the automatic router asks
+for that escalation only where the quadrature route cannot serve.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .gammafuncs import log_gamma
 
 _EPS = 2.220446049250313e-16
 
-#: Argument beyond which the auto router hands M_nu evaluation to the
-#: quadrature route; the merged series escalates its working precision
-#: around the same region.
+#: Largest argument at which the auto router tries the float64 pass of
+#: the merged series; beyond it the cancellation is too deep to certify.
 X_CANCEL_MAX = 8.0
 
 #: Working-digit ceiling for the escalated path.
@@ -113,12 +112,18 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     return FuncValue(value, err, Method.SERIES)
 
 
-def _merged_float(p: EvalPoint, cfg: SeriesConfig) -> tuple[float, float, float, int]:
-    """One float64 pass over the merged M series.
-
-    Terms are interleaved in increasing powers of x: -i_0, +l_0, -i_1, ...
-    Returns (sum, magnitude_sum, truncation_bound, terms_used).
-    """
+def _merged_float(p: EvalPoint, cfg: SeriesConfig) -> tuple[FuncValue | None, float, float]:
+    """One float64 pass over the merged M series, terms interleaved in
+    increasing powers of x: -i_0, +l_0, -i_1, ... Returns (the sum with its
+    error bar, or None where the bar exceeds 1e-12 relative; the magnitude
+    sum; the scale the bar is relative to). nu > -1, x >= 0."""
+    if p.nu <= -1.0:
+        raise DomainError("struve_m_series requires nu > -1 (I-series domain)")
+    if p.x < 0.0:
+        raise DomainError("struve_m_series requires x >= 0")
+    if p.x == 0.0:
+        limit = 0.0 if p.nu > 0.0 else -1.0 if p.nu == 0.0 else -math.inf
+        return FuncValue(limit, 0.0, Method.SERIES), 0.0, 0.0
     q = 0.25 * p.x * p.x
     lx = math.log(0.5 * p.x)
     i_term = math.exp(p.nu * lx - log_gamma(p.nu + 1.0))
@@ -138,7 +143,11 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig) -> tuple[float, float, float,
         nxt = max(i_term, l_term)
         ratio_cap = q / ((n + 2.0) * (n + p.nu + 2.0))
         if nxt < cfg.rel_tol * abs(acc.total) and ratio_cap < 0.5:
-            return acc.total, smax, 2.0 * (i_term + l_term), 2 * (n + 1)
+            err = 2.0 * (i_term + l_term) + 2 * (n + 1) * _EPS * smax
+            scale = max(abs(acc.total), smax * 1e-18)
+            if err > 1e-12 * scale:
+                return None, smax, scale
+            return FuncValue(acc.total, err, Method.SERIES), smax, scale
     raise NonConvergenceError(
         f"merged series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
 
@@ -163,6 +172,17 @@ def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, flo
             f"merged series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
 
 
+def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue | None:
+    """M_nu(x) from one float64 pass of the merged series where its own
+    measured condition certifies 1e-12 relative error (the value then
+    equals struve_m_series bit for bit); None where the pass cannot
+    certify, does not settle or overflows. nu > -1, x >= 0."""
+    try:
+        return _merged_float(p, cfg)[0]
+    except (CancellationError, NonConvergenceError):
+        return None
+
+
 def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     """Modified Struve function of the second kind M_nu(x) = L_nu(x) - I_nu(x).
 
@@ -173,22 +193,9 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
     Raises CancellationError when even the escalated path would need more
     than 80 working digits (use the quadrature route there).
     """
-    if p.nu <= -1.0:
-        raise DomainError("struve_m_series requires nu > -1 (I-series domain)")
-    if p.x < 0.0:
-        raise DomainError("struve_m_series requires x >= 0")
-    if p.x == 0.0:
-        if p.nu > 0.0:
-            return FuncValue(0.0, 0.0, Method.SERIES)
-        if p.nu == 0.0:
-            return FuncValue(-1.0, 0.0, Method.SERIES)
-        return FuncValue(-math.inf, 0.0, Method.SERIES)
-
-    value, smax, trunc, used = _merged_float(p, cfg)
-    scale = max(abs(value), smax * 1e-18)
-    cancel = used * _EPS * smax
-    if (trunc + cancel) <= 1e-12 * scale:
-        return FuncValue(value, trunc + cancel, Method.SERIES)
+    certified, smax, scale = _merged_float(p, cfg)
+    if certified is not None:
+        return certified
 
     # The float64 sum is cancellation noise at this point, so it cannot size
     # the escalated precision. Each arbitrary-precision pass is instead
@@ -197,10 +204,6 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
     # once that floor sits at least ten digits below |value|. A noise-level
     # result forces a strictly larger d, so the loop either certifies or
     # hits the digit ceiling and refuses.
-    if not math.isfinite(smax):
-        raise CancellationError(
-            f"M series at (nu={p.nu:g}, x={p.x:g}) overflows the merged pass; "
-            "use the quadrature route")
     digits = 16 + max(0, int(math.ceil(math.log10(smax / scale)))) + 10
     while True:
         if digits > _MAX_WORK_DIGITS:
@@ -219,7 +222,12 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
 
 
 def _norm_log_factor(p: EvalPoint) -> float:
-    """log of 2^nu gamma(nu+1/2) x^(-nu), the M -> normalized-form factor."""
+    """log of 2^nu gamma(nu+1/2) x^(-nu), the M -> normalized-form factor,
+    finite for nu > -1/2 and x > 0."""
+    if p.nu <= -0.5:
+        raise DomainError("the normalized form requires nu > -1/2")
+    if p.x <= 0.0:
+        raise DomainError("the normalized-form factor requires x > 0")
     return p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5)
 
 
@@ -228,10 +236,6 @@ def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
 
     Requires nu > -1/2 (gamma factor finite) and x > 0.
     """
-    if p.nu <= -0.5:
-        raise DomainError("the normalized form requires nu > -1/2")
-    if p.x <= 0.0:
-        raise DomainError("calm_from_m requires x > 0")
     factor = math.exp(_norm_log_factor(p))
     value = -m.value * factor
     return FuncValue(value, m.abs_err * factor + _EPS * abs(value), m.method)
@@ -239,10 +243,6 @@ def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
 
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
     """Inverse of calm_from_m: M_nu(x) = -x^nu calM_nu(x) / (2^nu gamma(nu+1/2))."""
-    if p.nu <= -0.5:
-        raise DomainError("the normalized form requires nu > -1/2")
-    if p.x <= 0.0:
-        raise DomainError("m_from_calm requires x > 0")
     factor = math.exp(-_norm_log_factor(p))
     value = -c.value * factor
     return FuncValue(value, c.abs_err * factor + _EPS * abs(value), c.method)

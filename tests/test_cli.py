@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -260,3 +264,28 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == EXIT_OK
     assert result.output.strip() == f"struvekit, version {__version__}"
+
+
+def test_module_entry_point_runs_from_source():
+    """python -m struvekit runs the CLI straight from src/, no install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "struvekit", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.strip() == f"struvekit, version {__version__}"
+
+
+@pytest.mark.parametrize("args", [
+    ["--fn", "M", "--nu", "-0.4995", "--x", "9"],
+    ["--fn", "calM", "--nu", "-0.4995", "--x", "9"],
+    ["--nu", "1e6", "--x", "1"],
+    ["--nu", "1", "--x", "1e-320"],
+])
+def test_eval_serves_points_one_route_cannot(runner, args):
+    """Each of these points stalls or never settles on one route; the
+    automatic chain answers from another one."""
+    result = runner.invoke(main, ["eval", *args, "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    assert math.isfinite(json.loads(result.output)["value"])

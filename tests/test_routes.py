@@ -1,15 +1,18 @@
 """Route dispatch: automatic selection, explicit routes, cross-route agreement."""
 
 import math
+import random
 
 import mpmath
 import pytest
 
+from struvekit import series
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_at_pos_half, m_prime_at_neg_half,
                                    m_prime_at_pos_half)
 from struvekit.core import EvalPoint, Method
 from struvekit.errors import DomainError
+from struvekit.inequalities import run_all
 from struvekit.routes import (cached_calm, cached_m, cached_m_prime, calm,
                               struve_m, struve_m_prime)
 
@@ -49,11 +52,83 @@ def test_half_orders_use_elementary_expressions():
 
 
 def test_automatic_route_switches_at_argument_threshold():
-    assert struve_m(EvalPoint(1.0, 7.9)).method is Method.SERIES
+    """The float64 series serves where it certifies itself; the
+    cancellation strip below x = 8 goes to quadrature; orders at or
+    below -1/2 keep the series at any argument."""
+    assert struve_m(EvalPoint(1.0, 1.0)).method is Method.SERIES
+    assert calm(EvalPoint(1.0, 1.0)).method is Method.SERIES
+    assert struve_m(EvalPoint(1.0, 7.9)).method is Method.QUADRATURE
+    assert calm(EvalPoint(1.0, 7.9)).method is Method.QUADRATURE
     assert struve_m(EvalPoint(1.0, 8.1)).method is Method.QUADRATURE
-    assert calm(EvalPoint(1.0, 7.9)).method is Method.SERIES
     assert calm(EvalPoint(1.0, 8.1)).method is Method.QUADRATURE
+    assert struve_m(EvalPoint(-0.75, 8.5)).method is Method.SERIES
+    assert struve_m(EvalPoint(-0.5 - 1e-9, 12.0)).method is Method.SERIES
     assert calm(EvalPoint(1.0, 0.0)).method is Method.CLOSED_FORM
+
+
+def _mpmath_m(nu, x, dps=50):
+    with mpmath.workdps(dps):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        m = mpmath.struvel(nu, x) - mpmath.besseli(nu, x)
+        return m, -mpmath.mpf(2) ** nu * mpmath.gamma(nu + 0.5) * x ** -nu * m
+
+
+def _strip_points(seed, nu_lo, nu_hi, count):
+    rng = random.Random(seed)
+    return [(rng.uniform(nu_lo, nu_hi), rng.uniform(2.5, 8.0)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("nu, x", _strip_points(20261018, -0.49, 2.0, 40))
+def test_cancellation_strip_values_hold_their_error_bars(nu, x):
+    """Where the float64 series cannot certify itself the automatic route
+    answers from quadrature, and both M and calM stay inside their bars."""
+    m_ref, c_ref = _mpmath_m(nu, x, dps=60)
+    for got, ref in ((struve_m(EvalPoint(nu, x)), m_ref), (calm(EvalPoint(nu, x)), c_ref)):
+        assert abs(got.value - float(ref)) <= got.abs_err, (nu, x, got)
+
+
+@pytest.mark.parametrize("nu, x", _strip_points(7, -0.4999, -0.49, 8))
+def test_orders_next_to_minus_half_keep_the_escalated_series(nu, x):
+    """Within 0.01 of nu = -1/2 quadrature's endpoint rounding outgrows its
+    error bar, so below x = 8 the chain serves such points by the series."""
+    m_ref, c_ref = _mpmath_m(nu, x, dps=60)
+    for got, ref in ((struve_m(EvalPoint(nu, x)), m_ref), (calm(EvalPoint(nu, x)), c_ref)):
+        assert got.method is Method.SERIES
+        assert abs(got.value - float(ref)) <= got.abs_err, (nu, x, got)
+
+
+@pytest.mark.parametrize("fn", [struve_m, calm])
+def test_stalled_quadrature_falls_back_to_the_series(fn):
+    """Next to nu = -1/2 at x > 8 tanh-sinh refinement stalls; the chain
+    then serves the escalated series instead of raising."""
+    m_ref, c_ref = _mpmath_m(-0.4995, 9.0)
+    got = fn(EvalPoint(-0.4995, 9.0))
+    assert got.method is Method.SERIES
+    assert abs(got.value - float(m_ref if fn is struve_m else c_ref)) <= got.abs_err
+
+
+@pytest.mark.parametrize("nu, x", [(1e6, 1.0), (1.0, 1e-320)])
+def test_underflowing_values_come_from_quadrature(nu, x):
+    """The float64 series never settles where its terms underflow; the
+    chain answers from quadrature, whose bar covers the underflow (a
+    reference below 5e-324 rounds to 0 and so counts as within it)."""
+    got = struve_m(EvalPoint(nu, x))
+    assert got.method is Method.QUADRATURE
+    assert math.isfinite(got.value) and got.abs_err > 0.0
+    assert abs(got.value - float(_mpmath_m(nu, x)[0])) <= got.abs_err
+
+
+def test_default_sweep_never_escalates_to_mpmath(monkeypatch):
+    """Every cancellation-strip point of the catalog sweep is served by
+    quadrature, so run_all makes no arbitrary-precision series pass."""
+    passes = []
+    merged_mp = series._merged_mp
+    monkeypatch.setattr(series, "_merged_mp",
+                        lambda *args: passes.append(args) or merged_mp(*args))
+    for cache in (cached_m, cached_m_prime, cached_calm):
+        cache.cache_clear()
+    run_all()
+    assert passes == []
 
 
 @pytest.mark.parametrize("nu", [-0.4999, -0.4988, -0.49, 0.0, 1.0, 20.0, 1e6])
