@@ -176,10 +176,13 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
                                   _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
                         for n, m, (s, err) in zip(ns, ms, frozen)]
     i = frozen.index(None)
+    tail = _TWO_OVER_SQRT_PI * tails[i]
     raise NonConvergenceError(
         f"{name}(nu={p.nu:g}, x={p.x:g}), order {ns[i] or ms[i]}: tanh-sinh "
         f"refinement stalled above abs_tol={abs_tols[i]:g} (last error "
-        f"estimate {_TWO_OVER_SQRT_PI * errs[i]:.3g})")
+        f"estimate {_TWO_OVER_SQRT_PI * errs[i]:.3g})" + (
+            "; the endpoint mass lies beyond the node range for this order "
+            f"(tail bound {tail:.3g})" if tail > abs_tols[i] else ""))
 
 
 def _check_point(p: EvalPoint) -> None:
@@ -213,7 +216,10 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
 
     The kernel log(1/(1-t^2))^m sharpens the endpoint singularity, so for
     nu < 1/2 and m >= 2 the convergence threshold is relaxed to
-    10 * abs_tol (the reported abs_err stays honest).
+    10 * abs_tol (the reported abs_err stays honest). Near nu = -1/2 a high
+    order's endpoint mass can lie past the node range, so that no refinement
+    converges; the error then says so and quotes the tail bound (4e6 at
+    nu = -0.49898, x = 0.179, m = 6).
     """
     _check_point(p)
     ms = tuple(ms)
@@ -244,9 +250,12 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
     return calm_dnu_orders(p, (m,), cfg)[0]
 
 
-def _m_scale(p: EvalPoint) -> float:
-    """(x/2)^nu / gamma(nu+1/2), the normalized-form -> M_nu scale factor."""
-    return math.exp(p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 0.5))
+def _m_scale(p: EvalPoint) -> tuple[float, float]:
+    """(x/2)^nu / gamma(nu+1/2) = exp(L), the normalized-form -> M_nu scale
+    factor, and its rounding: about |L| eps relative, plus a subnormal's."""
+    log_scale = p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 0.5)
+    factor = math.exp(log_scale)
+    return factor, (1.0 + abs(log_scale)) * _EPS * factor + _TINY
 
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -255,9 +264,9 @@ def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValu
     if p.x <= 0.0:
         raise DomainError("m_from_quadrature requires x > 0")
     c = calm(p, cfg)
-    factor = _m_scale(p)
+    factor, factor_err = _m_scale(p)
     value = -factor * c.value
-    return FuncValue(value, factor * c.abs_err + _EPS * abs(value) + _TINY,
+    return FuncValue(value, factor * c.abs_err + factor_err * abs(c.value) + _TINY,
                      Method.QUADRATURE)
 
 
@@ -271,10 +280,10 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     if p.x <= 0.0:
         raise DomainError("m_deriv requires x > 0")
     c, c1 = calm_dx_orders(p, (0, 1), cfg)
-    factor = _m_scale(p)
-    value = -factor * ((p.nu / p.x) * c.value + c1.value)
-    err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + _EPS * abs(value)
-    return FuncValue(value, err, Method.QUADRATURE)
+    factor, factor_err = _m_scale(p)
+    inner = (p.nu / p.x) * c.value + c1.value
+    err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + factor_err * abs(inner) + _TINY
+    return FuncValue(-factor * inner, err, Method.QUADRATURE)
 
 
 def _axis_vectors(level_cap: int, pw: float, x: float,

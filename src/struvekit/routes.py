@@ -13,6 +13,9 @@ that can certify its value:
 4. the mpmath-escalated series: nu in (-1, -1/2], the band step 3 leaves
    out, or where quadrature stalls.
 
+M' takes step 1, then step 2 by the termwise derivative of the same pass
+(nu > -1/2, x > 0), then differentiated quadrature (m_deriv); no step 4.
+
 The ``cached_*`` helpers memoize M, M' and calM at the default configs
 for the verification sweeps, where one grid point feeds many cases.
 """
@@ -81,13 +84,14 @@ def struve_m(p: EvalPoint, method: Method | None = None,
         return quadrature.m_from_quadrature(p, quad_cfg)
     if method is Method.FOX_WRIGHT:
         return series.m_from_calm(p, foxwright.calm_via_fox_wright(p, series_cfg))
+    run = None
     if method is None:
-        if p.x <= series.X_CANCEL_MAX and (m := series.struve_m_float(p, series_cfg)) is not None:
-            return m
+        if p.x <= series.X_CANCEL_MAX and (run := series.struve_m_float(p, series_cfg)) and run[0]:
+            return run[0]
         if p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX):
             with suppress(NonConvergenceError):
                 return quadrature.m_from_quadrature(p, quad_cfg)
-    return series.struve_m_series(p, series_cfg)
+    return series.struve_m_series(p, series_cfg, run)
 
 
 def calm(p: EvalPoint, method: Method | None = None,
@@ -105,6 +109,7 @@ def calm(p: EvalPoint, method: Method | None = None,
         return quadrature.calm(p, quad_cfg)
     if method is Method.FOX_WRIGHT:
         return foxwright.calm_via_fox_wright(p, series_cfg)
+    run = None
     if method is None:
         if p.nu <= -0.5:
             raise DomainError("the normalized form requires nu > -1/2")
@@ -114,12 +119,12 @@ def calm(p: EvalPoint, method: Method | None = None,
         # overflow at large order and tiny argument; quadrature has no such factor
         if (0.0 < p.x <= series.X_CANCEL_MAX
                 and p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0
-                and (m := series.struve_m_float(p, series_cfg)) is not None):
-            return series.calm_from_m(p, m)
+                and (run := series.struve_m_float(p, series_cfg)) and run[0]):
+            return series.calm_from_m(p, run[0])
         if p.nu >= _QUAD_NU_MIN or p.x > series.X_CANCEL_MAX:
             with suppress(NonConvergenceError):
                 return quadrature.calm(p, quad_cfg)
-    return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
+    return series.calm_from_m(p, series.struve_m_series(p, series_cfg, run))
 
 
 def struve_m_prime(p: EvalPoint, method: Method | None = None,
@@ -127,9 +132,8 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
                    quad_cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """First derivative M_nu'(x).
 
-    Automatic selection: elementary expressions at nu = +-1/2, otherwise
-    differentiated quadrature (nu > -1/2, x > 0). The explicit series
-    route goes through the order-lowering relation
+    method=None walks the M' chain of the module docstring. The explicit
+    series route goes through the order-lowering relation
     M_nu' = M_{nu-1} - (nu/x) M_nu and therefore needs nu > 0.
     """
     if (closed := _closed_form("m_prime", p, method)) is not None:
@@ -146,6 +150,9 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
         return FuncValue(value, err, Method.SERIES)
     if method is Method.FOX_WRIGHT:
         raise DomainError("no derivative evaluator is defined for this route")
+    if (method is None and p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
+            and (run := series.struve_m_float(p, series_cfg, order=1)) and run[0]):
+        return run[0]
     return quadrature.m_deriv(p, quad_cfg)
 
 

@@ -7,16 +7,18 @@ per-term gamma calls) and accumulated with compensated summation.
 M_nu is the cancellation-prone case: I_nu grows like e^x while M_nu decays
 algebraically (or exponentially at nu = +-1/2), so the merged alternating
 series has condition number ~ 2 I_nu(x) / |M_nu(x)|. The float64 pass
-measures it, and struve_m_float returns its value only where that certifies
-1e-12 relative error. struve_m_series re-runs the same algorithm elsewhere
-on arbitrary-precision floats sized from the measured condition, and refuses
-(CancellationError) beyond ~80 working digits; the automatic router asks
-for that escalation only where the quadrature route cannot serve.
+measures it, and struve_m_float certifies its value only where that gives
+1e-12 relative error; weighting each term by (2n+p)/x, the same pass sums
+the termwise derivative M_nu' and measures its condition. struve_m_series
+re-runs the M algorithm elsewhere on arbitrary-precision floats sized from
+the measured condition, and refuses (CancellationError) beyond ~80 working
+digits; the automatic router asks for it only where quadrature cannot serve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 
@@ -34,22 +36,6 @@ X_CANCEL_MAX = 8.0
 _MAX_WORK_DIGITS = 80
 
 
-class _Kahan:
-    """Compensated accumulator: error stays O(eps) independent of length."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
 def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float,
                      log_norm: float) -> tuple[float, float]:
     """Sum sum_n (x/2)^(2n+nu+shift) / (Gamma(n+1+a) Gamma(n+nu+1+a)) style
@@ -62,12 +48,16 @@ def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float,
     q = 0.25 * p.x * p.x
     off = 1.0 if shift == 0.0 else 1.5
     term = math.exp(log_norm)
-    acc = _Kahan()
+    total = carry = 0.0
     for n in range(cfg.max_terms):
-        acc.add(term)
+        # compensated sum: error stays O(eps) independent of length
+        y = term - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
         term *= q / ((n + off) * (n + p.nu + off))
-        if term < cfg.rel_tol * acc.total and q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5:
-            return acc.total, 2.0 * term + 4.0 * _EPS * acc.total
+        if term < cfg.rel_tol * total and q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5:
+            return total, 2.0 * term + 4.0 * _EPS * total
     raise NonConvergenceError(
         f"series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
 
@@ -112,44 +102,63 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     return FuncValue(value, err, Method.SERIES)
 
 
-def _merged_float(p: EvalPoint, cfg: SeriesConfig) -> tuple[FuncValue | None, float, float]:
-    """One float64 pass over the merged M series, terms interleaved in
-    increasing powers of x: -i_0, +l_0, -i_1, ... Returns (the sum with its
-    error bar, or None where the bar exceeds 1e-12 relative; the magnitude
-    sum; the scale the bar is relative to). nu > -1, x >= 0."""
-    if p.nu <= -1.0:
+def _merged_float(p: EvalPoint, cfg: SeriesConfig,
+                  order: int = 0) -> tuple[FuncValue | None, float, float]:
+    """One float64 pass over the merged M series (order 0) or its termwise
+    x-derivative (order 1: i_n weighted by (2n+nu)/x, l_n by (2n+nu+1)/x,
+    and the magnitude sum and tail bound taken over the weighted terms),
+    terms in increasing powers of x: -i_0, +l_0, -i_1, ... Returns (the sum
+    with its error bar, or None where the bar exceeds 1e-12 relative; the
+    magnitude sum; the scale the bar is relative to). nu > -1, x >= 0."""
+    nu, x = p.nu, p.x
+    if nu <= -1.0:
         raise DomainError("struve_m_series requires nu > -1 (I-series domain)")
-    if p.x < 0.0:
-        raise DomainError("struve_m_series requires x >= 0")
-    if p.x == 0.0:
-        limit = 0.0 if p.nu > 0.0 else -1.0 if p.nu == 0.0 else -math.inf
+    if x < 0.0 or order and x == 0.0:
+        raise DomainError(f"struve_m_series requires x {'>' if order else '>='} 0")
+    if x == 0.0:
+        limit = 0.0 if nu > 0.0 else -1.0 if nu == 0.0 else -math.inf
         return FuncValue(limit, 0.0, Method.SERIES), 0.0, 0.0
-    q = 0.25 * p.x * p.x
-    lx = math.log(0.5 * p.x)
-    i_term = math.exp(p.nu * lx - log_gamma(p.nu + 1.0))
-    l_term = math.exp((p.nu + 1.0) * lx - log_gamma(1.5) - log_gamma(p.nu + 1.5))
-    acc = _Kahan()
-    smax = 0.0
+    q = 0.25 * x * x
+    lx = math.log(0.5 * x)
+    log_i = nu * lx - log_gamma(nu + 1.0)
+    log_l = (nu + 1.0) * lx - log_gamma(1.5) - log_gamma(nu + 1.5)
+    i_term, l_term = math.exp(log_i), math.exp(log_l)
+    # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result
+    lead_err = ((abs(log_i) + abs(log_l) + 2.0) * _EPS
+                if min(i_term, l_term) >= sys.float_info.min else math.inf)
+    # term n weighs a n + b: 1 for M, its power of x over x for M'
+    a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
+    wi, wl = b_i * i_term, b_l * l_term
+    total = carry = smax = 0.0
     for n in range(cfg.max_terms):
-        acc.add(-i_term)
-        acc.add(l_term)
-        smax += i_term + l_term
+        y = -wi - carry  # compensated, as in _positive_series
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        y = wl - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        smax += abs(wi) + wl
         if smax > 1e307:
             raise CancellationError(
-                f"M series at (nu={p.nu:g}, x={p.x:g}) overflows float64; "
+                f"M series at (nu={nu:g}, x={x:g}) overflows float64; "
                 "use the quadrature route")
-        i_term *= q / ((n + 1.0) * (n + p.nu + 1.0))
-        l_term *= q / ((n + 1.5) * (n + p.nu + 1.5))
-        nxt = max(i_term, l_term)
-        ratio_cap = q / ((n + 2.0) * (n + p.nu + 2.0))
-        if nxt < cfg.rel_tol * abs(acc.total) and ratio_cap < 0.5:
-            err = 2.0 * (i_term + l_term) + 2 * (n + 1) * _EPS * smax
-            scale = max(abs(acc.total), smax * 1e-18)
+        i_term *= q / ((n + 1.0) * (n + nu + 1.0))
+        l_term *= q / ((n + 1.5) * (n + nu + 1.5))
+        w = a * (n + 1) + b_i
+        wi, wl = w * i_term, (a * (n + 1) + b_l) * l_term
+        # stop once both next terms are negligible and the weighted term
+        # ratio, falling from here on, is below 1/2 (tail < twice the next)
+        if wi < cfg.rel_tol * abs(total) > wl and q / ((n + 2.0) * (n + nu + 2.0)) * (
+                (w + a) / w) < 0.5:
+            err = 2.0 * (wi + wl) + (2 * (n + 1) * _EPS + lead_err) * smax
+            scale = max(abs(total), smax * 1e-18)
             if err > 1e-12 * scale:
                 return None, smax, scale
-            return FuncValue(acc.total, err, Method.SERIES), smax, scale
+            return FuncValue(total, err, Method.SERIES), smax, scale
     raise NonConvergenceError(
-        f"merged series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
+        f"merged series for (nu={nu:g}, x={x:g}) did not settle in {cfg.max_terms} terms")
 
 
 def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, float]:
@@ -172,28 +181,32 @@ def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, flo
             f"merged series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
 
 
-def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue | None:
-    """M_nu(x) from one float64 pass of the merged series where its own
-    measured condition certifies 1e-12 relative error (the value then
-    equals struve_m_series bit for bit); None where the pass cannot
-    certify, does not settle or overflows. nu > -1, x >= 0."""
+def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
+                   order: int = 0) -> tuple[FuncValue | None, float, float] | None:
+    """One float64 pass of the merged series for M_nu(x) (order 0) or M_nu'(x)
+    (order 1): (the value where its measured condition certifies 1e-12
+    relative error, else None; the magnitude sum; the scale), which
+    struve_m_series takes to escalate without a second pass; None where the
+    pass does not settle or overflows. nu > -1, x >= 0 (x > 0 for order 1)."""
     try:
-        return _merged_float(p, cfg)[0]
+        return _merged_float(p, cfg, order)
     except (CancellationError, NonConvergenceError):
         return None
 
 
-def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
+def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
+                    float_pass: tuple[FuncValue | None, float, float] | None = None) -> FuncValue:
     """Modified Struve function of the second kind M_nu(x) = L_nu(x) - I_nu(x).
 
     Merged termwise summation of the two ascending series in increasing
     powers of x, compensated; escalates internal precision when the
     measured condition number makes float64 untrustworthy. nu > -1, x >= 0.
 
+    float_pass is this point's struve_m_float result, if already run.
     Raises CancellationError when even the escalated path would need more
     than 80 working digits (use the quadrature route there).
     """
-    certified, smax, scale = _merged_float(p, cfg)
+    certified, smax, scale = float_pass or _merged_float(p, cfg)
     if certified is not None:
         return certified
 
@@ -221,14 +234,15 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
     return FuncValue(mp_value, abs_err, Method.SERIES)
 
 
-def _norm_log_factor(p: EvalPoint) -> float:
-    """log of 2^nu gamma(nu+1/2) x^(-nu), the M -> normalized-form factor,
-    finite for nu > -1/2 and x > 0."""
+def _norm_factor(p: EvalPoint, sign: float) -> tuple[float, float]:
+    """exp(sign L), L = log(2^nu gamma(nu+1/2) x^-nu) the M -> normalized-form
+    factor (nu > -1/2, x > 0), and exp()'s relative rounding, about |L| eps."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x <= 0.0:
         raise DomainError("the normalized-form factor requires x > 0")
-    return p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5)
+    log_factor = p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5)
+    return math.exp(sign * log_factor), (1.0 + abs(log_factor)) * _EPS
 
 
 def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
@@ -236,13 +250,13 @@ def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
 
     Requires nu > -1/2 (gamma factor finite) and x > 0.
     """
-    factor = math.exp(_norm_log_factor(p))
+    factor, rounding = _norm_factor(p, 1.0)
     value = -m.value * factor
-    return FuncValue(value, m.abs_err * factor + _EPS * abs(value), m.method)
+    return FuncValue(value, m.abs_err * factor + rounding * abs(value), m.method)
 
 
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
     """Inverse of calm_from_m: M_nu(x) = -x^nu calM_nu(x) / (2^nu gamma(nu+1/2))."""
-    factor = math.exp(-_norm_log_factor(p))
+    factor, rounding = _norm_factor(p, -1.0)
     value = -c.value * factor
-    return FuncValue(value, c.abs_err * factor + _EPS * abs(value), c.method)
+    return FuncValue(value, c.abs_err * factor + rounding * abs(value), c.method)

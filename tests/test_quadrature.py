@@ -201,3 +201,18 @@ def test_first_derivative_matches_finite_difference(nu, x):
     fd = (calm(EvalPoint(nu, x + h)).value
           - calm(EvalPoint(nu, x - h)).value) / (2.0 * h)
     assert abs(calm_dx(p, 1).value - fd) < 1e-6
+
+
+def test_stall_past_the_node_range_names_its_cause():
+    """Next to nu = -1/2 the sixth nu-derivative's endpoint mass lies past
+    the outermost node: the error says so and quotes the tail bound, alone
+    and inside a batch. A stall the tail bound does not explain (order 1,
+    tail bound about 6e-30) says nothing about the node range."""
+    p = EvalPoint(-0.49898, 0.179)
+    beyond = r"endpoint mass lies beyond the node range for this order \(tail bound 4\.1e\+06\)"
+    with pytest.raises(NonConvergenceError, match=r"order 6: .*" + beyond):
+        calm_dnu(p, 6)
+    with pytest.raises(NonConvergenceError, match=r"order 6: .*" + beyond):
+        calm_dnu_orders(p, (1, 6))
+    with pytest.raises(NonConvergenceError, match=r"order 1: .*estimate [^;]*$"):
+        calm_dnu(EvalPoint(-0.4985, 0.179), 1)

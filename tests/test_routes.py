@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from struvekit import series
+from struvekit import quadrature, series
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_at_pos_half, m_prime_at_neg_half,
                                    m_prime_at_pos_half)
@@ -52,9 +52,9 @@ def test_half_orders_use_elementary_expressions():
 
 
 def test_automatic_route_switches_at_argument_threshold():
-    """The float64 series serves where it certifies itself; the
-    cancellation strip below x = 8 goes to quadrature; orders at or
-    below -1/2 keep the series at any argument."""
+    """The float64 series serves M, calM and M' where it certifies itself;
+    the cancellation strip below x = 8 and everything beyond it go to
+    quadrature; orders at or below -1/2 keep the series at any argument."""
     assert struve_m(EvalPoint(1.0, 1.0)).method is Method.SERIES
     assert calm(EvalPoint(1.0, 1.0)).method is Method.SERIES
     assert struve_m(EvalPoint(1.0, 7.9)).method is Method.QUADRATURE
@@ -64,6 +64,10 @@ def test_automatic_route_switches_at_argument_threshold():
     assert struve_m(EvalPoint(-0.75, 8.5)).method is Method.SERIES
     assert struve_m(EvalPoint(-0.5 - 1e-9, 12.0)).method is Method.SERIES
     assert calm(EvalPoint(1.0, 0.0)).method is Method.CLOSED_FORM
+    assert struve_m_prime(EvalPoint(1.0, 1.0)).method is Method.SERIES
+    assert struve_m_prime(EvalPoint(20.5, 1e-3)).method is Method.SERIES
+    assert struve_m_prime(EvalPoint(1.0, 8.1)).method is Method.QUADRATURE
+    assert struve_m_prime(EvalPoint(0.1, 6.0)).method is Method.QUADRATURE
 
 
 def _mpmath_m(nu, x, dps=50):
@@ -71,6 +75,44 @@ def _mpmath_m(nu, x, dps=50):
         nu, x = mpmath.mpf(nu), mpmath.mpf(x)
         m = mpmath.struvel(nu, x) - mpmath.besseli(nu, x)
         return m, -mpmath.mpf(2) ** nu * mpmath.gamma(nu + 0.5) * x ** -nu * m
+
+
+def _mpmath_m_prime(nu, x, m, dps=60):
+    """M_nu'(x) by the raising recurrence M_nu' = M_{nu+1} + (nu/x) M_nu
+    + (x/2)^nu / (sqrt(pi) gamma(nu+3/2)), which needs no negative order."""
+    with mpmath.workdps(dps):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        m_up = mpmath.struvel(nu + 1, x) - mpmath.besseli(nu + 1, x)
+        return m_up + nu / x * m + (x / 2) ** nu / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + 1.5))
+
+
+def _stream_points(seed, count):
+    """point_stream's distribution: nu uniform in (-0.45, 20], x
+    log-uniform in [1e-3, 30]."""
+    rng = random.Random(seed)
+    return [(20.0 - 20.45 * rng.random(), math.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+            for _ in range(count)]
+
+
+_EDGE_POINTS = ([(nu, 1e-300) for nu in (0.0, 0.25, 1.0, 2.5, 20.0, 40.0)]
+                + [(0.0, x) for x in (1e-3, 0.4, 3.0, 7.5, 25.0)]
+                + [(-0.4999, x) for x in (1e-200, 1e-3, 0.3, 1.0, 2.0)]
+                + [(40.0, x) for x in (1e-3, 1.0, 6.0, 8.0, 30.0)]
+                + [(37.0, 9e-8)])  # exp(L) of the leading term is subnormal
+
+
+@pytest.mark.parametrize("nu, x", _stream_points(20261019, 100) + _EDGE_POINTS)
+def test_automatic_values_hold_their_error_bars(nu, x):
+    """M, calM and M' by the automatic chain lie within their own abs_err
+    of mpmath at 60 digits, whichever route serves them: the bars carry
+    the rounding of every exp(L) prefactor, subnormal ones included, and a
+    value that underflows carries the smallest subnormal."""
+    m_ref, c_ref = _mpmath_m(nu, x, dps=60)
+    d_ref = _mpmath_m_prime(nu, x, m_ref)
+    p = EvalPoint(nu, x)
+    for fn, ref in ((struve_m, m_ref), (calm, c_ref), (struve_m_prime, d_ref)):
+        got = fn(p)
+        assert abs(got.value - float(ref)) <= got.abs_err, (fn.__name__, got, float(ref))
 
 
 def _strip_points(seed, nu_lo, nu_hi, count):
@@ -129,6 +171,37 @@ def test_default_sweep_never_escalates_to_mpmath(monkeypatch):
         cache.cache_clear()
     run_all()
     assert passes == []
+
+
+def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch):
+    """The float64 series serves most of the sweep's M' values, so
+    quadrature m_deriv runs for at most the 684 the sweep measured (3,050
+    when every M' came from quadrature)."""
+    calls = []
+    m_deriv = quadrature.m_deriv
+    monkeypatch.setattr(quadrature, "m_deriv",
+                        lambda *args: calls.append(args) or m_deriv(*args))
+    for cache in (cached_m, cached_m_prime, cached_calm):
+        cache.cache_clear()
+    run_all()
+    assert len(calls) <= 684
+
+
+def test_escalation_reuses_the_float_pass(monkeypatch):
+    """Where the float64 pass cannot certify M and the chain escalates,
+    the pass runs once; the escalated value and bar equal those of an
+    explicit series request, which runs the pass itself."""
+    passes = []
+    merged_float = series._merged_float
+    monkeypatch.setattr(series, "_merged_float",
+                        lambda *args: passes.append(args) or merged_float(*args))
+    for fn, nu, x in ((struve_m, -0.75, 5.0), (struve_m, -0.9, 4.0),
+                      (struve_m, -0.495, 6.0), (calm, -0.495, 6.0)):
+        p = EvalPoint(nu, x)
+        passes.clear()
+        got = fn(p)
+        assert got.method is Method.SERIES and len(passes) == 1, (fn.__name__, nu, x)
+        assert got == fn(p, method=Method.SERIES)
 
 
 @pytest.mark.parametrize("nu", [-0.4999, -0.4988, -0.49, 0.0, 1.0, 20.0, 1e6])
