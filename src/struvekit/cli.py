@@ -224,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return _fail(f"unknown case id {exc.args[0]!r}; "
                      f"known: {', '.join(inequalities.CATALOG)} "
                      f"(+ {', '.join(inequalities.EXTRA_CASES)}), or 'all'")
-    _, quad_cfg = _configs(cfg.tol)
+    series_cfg, quad_cfg = _configs(cfg.tol)
     sweep = (inequalities.sweep_case if "all" in (cfg.cases or ("all",))
              else inequalities.run_case)
     reports: list[VerificationReport] = []
@@ -233,7 +233,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.flip:
             case = case.flipped()
         try:
-            reports.append(sweep(case, grid, quad_cfg))
+            reports.append(sweep(case, grid, series_cfg, quad_cfg))
         except EmptyDomainError as exc:
             return _fail(str(exc))
     if cfg.fmt == "json":
@@ -401,18 +401,15 @@ def main() -> None:
 @main.command("eval")
 @click.option("--nu", type=float, required=True, help="Order.")
 @click.option("--x", type=float, required=True, help="Argument.")
-@click.option("--y", type=float, multiple=True, hidden=True,
-              help="Reserved for two-argument sweeps.")
 @click.option("--fn", type=click.Choice(FN_CHOICES), default="M",
               show_default=True, help="Function to evaluate.")
 @click.option("--method", type=click.Choice(METHOD_CHOICES), default="auto",
               show_default=True, help="Evaluation route.")
 @_apply(_common_options)
-def eval_cmd(nu, x, y, fn, method, tol, fmt, out):
+def eval_cmd(nu, x, fn, method, tol, fmt, out):
     """Evaluate one function at one point."""
-    sys.exit(cmd_eval(RunConfig(command="eval", nu=nu, x=x, y=tuple(y),
-                                fn=fn, method=method, tol=tol, fmt=fmt,
-                                out=out)))
+    sys.exit(cmd_eval(RunConfig(command="eval", nu=nu, x=x, fn=fn,
+                                method=method, tol=tol, fmt=fmt, out=out)))
 
 
 @main.command("verify")

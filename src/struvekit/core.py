@@ -30,9 +30,10 @@ class EvalPoint:
             raise DomainError("evaluation point must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncValue:
-    """A computed value with an honest absolute-error estimate."""
+    """A computed value with an honest absolute-error estimate. Slotted:
+    the sweep memo holds thousands and reads ``value`` on every hit."""
 
     value: float
     abs_err: float
@@ -64,25 +65,17 @@ class QuadConfig:
 
     abs_tol is the target absolute error of the returned value, in
     (0, 1e-6]. max_level caps dyadic step refinements and must lie in
-    [3, 12]. oracle_mode tightens both knobs for use as a reference
-    evaluator inside cross-checks.
+    [3, 12].
     """
 
     abs_tol: float = 1e-12
     max_level: int = 10
-    oracle_mode: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol <= 1e-6):
             raise DomainError("abs_tol must lie in (0, 1e-6]")
         if not (3 <= self.max_level <= 12):
             raise DomainError("max_level must lie in [3, 12]")
-
-    def effective(self) -> tuple[float, int]:
-        """(abs_tol, max_level) actually used, after oracle tightening."""
-        if self.oracle_mode:
-            return min(self.abs_tol, 1e-13), 12
-        return self.abs_tol, self.max_level
 
 
 SERIES_DEFAULTS = SeriesConfig()

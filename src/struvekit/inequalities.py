@@ -24,19 +24,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import foxwright
-from .core import QUAD_DEFAULTS, EvalPoint, QuadConfig
+from . import foxwright, routes
+from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
+                   SeriesConfig)
 from .errors import DomainError, EmptyDomainError, StruveKitError
 from .gammafuncs import (SQRT_PI, gamma_ratio, gamma_ratio_h,
                          gamma_ratio_h_prime, log_gamma)
 from .quadrature import calm_dnu_orders, calm_dx_orders
-from .routes import cached_calm, cached_m, cached_m_prime
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -58,7 +59,8 @@ class InequalityCase:
     y > 0; :meth:`domain` is the predicate derived from these fields, and
     :func:`default_grid` spans the same range.
 
-    ``margin_fn(nu, x, y, cfg)`` returns ``(margin, scale)``; the margin
+    ``margin_fn(nu, x, y, ev)`` returns ``(margin, scale)``, reading
+    function values from ev, the sweep's :class:`routes.Memo`; the margin
     is oriented so positive means the claim holds, and the executor
     reports ``margin/scale``.
     """
@@ -189,9 +191,10 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # margin evaluators
 #
-# Signature: fn(nu, x, y, cfg) -> (margin, scale). Plain function values
-# come from the memoized automatic-route evaluators (default configs);
-# cfg reaches the direct quadrature probes that have no memoized wrapper.
+# Signature: fn(nu, x, y, ev) -> (margin, scale). ev is the routes.Memo of
+# the sweep's (SeriesConfig, QuadConfig) pair: plain function values come
+# from its memoized automatic routes, and the direct quadrature probes and
+# the series-route FX3_raw read its configs.
 # ---------------------------------------------------------------------------
 
 
@@ -200,93 +203,93 @@ def _gr(nu: float) -> float:
     return gamma_ratio(nu + 0.5, nu + 1.0)
 
 
-def _margin_bound0(nu, x, y, cfg):
-    c = cached_calm(nu, x)
+def _margin_bound0(nu, x, y, ev):
+    c = ev.calm(nu, x).value
     g = _gr(nu)
     return g - c, max(g, abs(c), _TINY)
 
 
-def _turanian_parts(nu, x):
-    m_lo = cached_m(nu - 1.0, x)
-    m_md = cached_m(nu, x)
-    m_hi = cached_m(nu + 1.0, x)
+def _turanian_parts(ev, nu, x):
+    m_lo = ev.m(nu - 1.0, x).value
+    m_md = ev.m(nu, x).value
+    m_hi = ev.m(nu + 1.0, x).value
     return m_md * m_md, m_lo * m_hi
 
 
-def _margin_ineqturan_lower(nu, x, y, cfg):
-    sq, prod = _turanian_parts(nu, x)
+def _margin_ineqturan_lower(nu, x, y, ev):
+    sq, prod = _turanian_parts(ev, nu, x)
     return sq - prod, max(sq, abs(prod), _TINY)
 
 
-def _margin_ineqturan_upper(nu, x, y, cfg):
-    sq, prod = _turanian_parts(nu, x)
+def _margin_ineqturan_upper(nu, x, y, ev):
+    sq, prod = _turanian_parts(ev, nu, x)
     cap = sq / (nu + 0.5)
     return cap - (sq - prod), max(cap, abs(sq - prod), _TINY)
 
 
-def _ratio(nu, x):
+def _ratio(ev, nu, x):
     """x M_nu'(x) / M_nu(x); M_nu < 0 on the catalog domains."""
-    return x * cached_m_prime(nu, x) / cached_m(nu, x)
+    return x * ev.m_prime(nu, x).value / ev.m(nu, x).value
 
 
-def _margin_quot1(nu, x, y, cfg):
-    r = _ratio(nu, x)
+def _margin_quot1(nu, x, y, ev):
+    r = _ratio(ev, nu, x)
     return nu - r, max(abs(nu), abs(r), _TINY)
 
 
-def _margin_quot2_left(nu, x, y, cfg):
-    r = _ratio(nu, x)
+def _margin_quot2_left(nu, x, y, ev):
+    r = _ratio(ev, nu, x)
     s = math.hypot(x, nu)
     return r + s, max(abs(r), s, _TINY)
 
 
-def _margin_quot2_right(nu, x, y, cfg):
-    r = _ratio(nu, x)
+def _margin_quot2_right(nu, x, y, ev):
+    r = _ratio(ev, nu, x)
     s = math.hypot(x, nu)
     return s - r, max(abs(r), s, _TINY)
 
 
-def _margin_fx1(nu, x, y, cfg):
-    lhs = cached_calm(nu, x + y)
-    rhs = cached_calm(nu, x) * cached_calm(nu, y) / _gr(nu)
+def _margin_fx1(nu, x, y, ev):
+    lhs = ev.calm(nu, x + y).value
+    rhs = ev.calm(nu, x).value * ev.calm(nu, y).value / _gr(nu)
     return lhs - rhs, max(abs(lhs), abs(rhs), _TINY)
 
 
-def _margin_bound1(nu, x, y, cfg):
-    c = cached_calm(nu, x)
+def _margin_bound1(nu, x, y, ev):
+    c = ev.calm(nu, x).value
     base = _gr(nu) * (-math.expm1(-x)) / x
     orient = 1.0 if nu >= 0.5 else -1.0
     return orient * (c - base), max(abs(c), abs(base), _TINY)
 
 
-def _margin_fx2(nu, x, y, cfg):
-    lhs = cached_calm(nu - 1.0, x) * cached_calm(nu + 1.0, x)
-    rhs = cached_calm(0.5, x) * cached_calm(2.0 * nu - 0.5, x)
+def _margin_fx2(nu, x, y, ev):
+    lhs = ev.calm(nu - 1.0, x).value * ev.calm(nu + 1.0, x).value
+    rhs = ev.calm(0.5, x).value * ev.calm(2.0 * nu - 0.5, x).value
     orient = 1.0 if nu >= 1.5 else -1.0
     return orient * (rhs - lhs), max(abs(lhs), abs(rhs), _TINY)
 
 
-def _margin_fx3(nu, x, y, cfg):
+def _margin_fx3(nu, x, y, ev):
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
         # the exponential side exceeds any normalized-form value by
         # hundreds of orders of magnitude; report a saturated margin
         # instead of overflowing
         return 1.0, 1.0
-    lhs = cached_calm(nu, x)
+    lhs = ev.calm(nu, x).value
     rhs = (_gr(nu) * math.exp(expo)
            - (4.0 / (SQRT_PI * (2.0 * nu + 1.0))) * math.sinh(x / (2.0 * nu + 3.0)))
     return rhs - lhs, max(abs(lhs), abs(rhs), _TINY)
 
 
-def _margin_fx3_raw(nu, x, y, cfg):
+def _margin_fx3_raw(nu, x, y, ev):
     """Series-route form of the combined bound on -M_nu for orders in
     (-1, -1/2], where the normalized form has no integral
     representation. Genuinely violated; kept to document the failure."""
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
         return 1.0, 1.0
-    lhs = -struve_m_series(EvalPoint(nu, x)).value
+    lhs = -struve_m_series(EvalPoint(nu, x), ev.series_cfg).value
     log_half_pow = nu * math.log(0.5 * x)
     i_bound = math.exp(expo + log_half_pow - log_gamma(nu + 1.0))
     l_bound = 2.0 * math.exp(log_half_pow - log_gamma(nu + 1.5)) \
@@ -295,77 +298,66 @@ def _margin_fx3_raw(nu, x, y, cfg):
     return rhs - lhs, max(abs(lhs), abs(rhs), _TINY)
 
 
-def _margin_quot3_left(nu, x, y, cfg):
-    r = _ratio(nu, x)
+def _margin_quot3_left(nu, x, y, ev):
+    r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 - math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
     return r - bound, max(abs(r), abs(bound), _TINY)
 
 
-def _margin_quot3_right(nu, x, y, cfg):
-    r = _ratio(nu, x)
+def _margin_quot3_right(nu, x, y, ev):
+    r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
     return bound - r, max(abs(r), abs(bound), _TINY)
 
 
-def _ratio_derivative_analytic(nu, x):
+def _ratio_derivative_analytic(ev, nu, x):
     """d/dx [x M'/M] through the quadratic identity for the Turanian:
     x [ (1 + nu^2/x^2) M^2 - (M')^2 + (nu+1/2) x^(nu-1) M
         / (sqrt(pi) 2^(nu-1) gamma(nu+3/2)) ] / M^2."""
-    m = cached_m(nu, x)
-    md = cached_m_prime(nu, x)
+    m = ev.m(nu, x).value
+    md = ev.m_prime(nu, x).value
     coef = (nu + 0.5) * math.exp(
         (nu - 1.0) * math.log(0.5 * x) - log_gamma(nu + 1.5)) / SQRT_PI
     bracket = (1.0 + (nu / x) ** 2) * m * m - md * md + coef * m
     return x * bracket / (m * m)
 
 
-def _margin_fx31(nu, x, y, cfg):
-    d_an = _ratio_derivative_analytic(nu, x)
+def _margin_fx31(nu, x, y, ev):
+    d_an = _ratio_derivative_analytic(ev, nu, x)
     h = 1e-5 * max(1.0, x)
-    d_fd = (_ratio(nu, x + h) - _ratio(nu, x - h)) / (2.0 * h)
+    d_fd = (_ratio(ev, nu, x + h) - _ratio(ev, nu, x - h)) / (2.0 * h)
     deriv = max(d_an, d_fd)
     rhs = x / (nu + 0.5)
     return rhs - deriv, max(rhs, abs(d_an), abs(d_fd), _TINY)
 
 
-def _margin_theorem4(nu, x, y, cfg):
+def _margin_theorem4(nu, x, y, ev):
     lower, upper = foxwright.bilateral_bounds(EvalPoint(nu, x))
-    c = cached_calm(nu, x)
+    c = ev.calm(nu, x).value
     n_lo = (c - lower) / max(abs(c), abs(lower), _TINY)
     n_up = (upper - c) / max(abs(c), abs(upper), _TINY)
     return min(n_lo, n_up), 1.0
 
 
-def _margin_gammaineq_left(nu, x, y, cfg):
+def _margin_gammaineq_left(nu, x, y, ev):
     ratio = gamma_ratio(nu + 1.5, nu + 2.0)
     return _TWO_OVER_SQRT_PI - ratio, max(_TWO_OVER_SQRT_PI, ratio, _TINY)
 
 
-def _margin_gammaineq_right(nu, x, y, cfg):
+def _margin_gammaineq_right(nu, x, y, ev):
     ratio = gamma_ratio(nu + 1.5, nu + 2.0)
     bound = math.sqrt(2.0 / (math.pi * (nu + 1.0)))
     return ratio - bound, max(ratio, bound, _TINY)
 
 
-def _margin_remark1(nu, x, y, cfg):
-    lhs = cached_m(nu - 1.0, x) * cached_m(nu + 1.0, x)
-    log_coef = (0.5 * math.log(2.0) + log_gamma(2.0 * nu)
-                - 0.5 * math.log(math.pi * x)
-                - log_gamma(nu - 0.5) - log_gamma(nu + 1.5))
-    coef = math.expm1(-x) * math.exp(log_coef)
-    rhs = coef * cached_m(2.0 * nu - 0.5, x)
-    orient = 1.0 if nu >= 1.5 else -1.0
-    return orient * (rhs - lhs), max(abs(lhs), abs(rhs), _TINY)
-
-
-def _margin_remark2_turan(nu, x, y, cfg):
+def _margin_remark2_turan(nu, x, y, ev):
     val = math.exp(2.0 * log_gamma(nu + 1.5)
                    - log_gamma(nu + 1.0) - log_gamma(nu + 2.0))
     bound = 2.0 / math.pi
     return val - bound, max(val, bound, _TINY)
 
 
-def _margin_remark2_ratio(nu, x, y, cfg):
+def _margin_remark2_ratio(nu, x, y, ev):
     g = _gr(nu)
     upper = _TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
     lower = math.sqrt(2.0 / math.pi) * math.sqrt(nu + 1.0) / (nu + 0.5)
@@ -374,9 +366,11 @@ def _margin_remark2_ratio(nu, x, y, cfg):
     return min(n_up, n_lo), 1.0
 
 
-def _margin_sign_m(nu, x, y, cfg):
-    m = cached_m(nu, x)
-    return -m, max(abs(m), _TINY)
+def _margin_sign_m(nu, x, y, ev):
+    # sign M = -sign calM for nu > -1/2, and calM does not underflow where
+    # M does; the closed edge nu = -1/2 keeps M's closed form
+    neg = ev.calm(nu, x).value if nu > -0.5 else -ev.m(nu, x).value
+    return neg, max(abs(neg), _TINY)
 
 
 def _sign_margin(value: float, abs_err: float) -> float:
@@ -386,45 +380,35 @@ def _sign_margin(value: float, abs_err: float) -> float:
     return value / max(abs(value), abs_err / INCONCLUSIVE_BAND, _TINY)
 
 
-def _margin_cm_probe_x(nu, x, y, cfg):
-    fvs = calm_dx_orders(EvalPoint(nu, x), range(7), cfg)
+def _margin_cm_probe_x(nu, x, y, ev):
+    fvs = calm_dx_orders(EvalPoint(nu, x), range(7), ev.quad_cfg)
     return min(_sign_margin((-1.0) ** n * fv.value, fv.abs_err)
                for n, fv in enumerate(fvs)), 1.0
 
 
-def _margin_cm_probe_nu(nu, x, y, cfg):
-    fvs = calm_dnu_orders(EvalPoint(nu, x), range(5), cfg)
+def _margin_cm_probe_nu(nu, x, y, ev):
+    fvs = calm_dnu_orders(EvalPoint(nu, x), range(5), ev.quad_cfg)
     return min(_sign_margin((-1.0) ** m * fv.value, fv.abs_err)
                for m, fv in enumerate(fvs)), 1.0
 
 
-def _margin_logconvex_x(nu, x, y, cfg):
-    prod = cached_calm(nu, x) * cached_calm(nu, 1.5 * x)
-    mid = cached_calm(nu, 1.25 * x)
+def _margin_logconvex_x(nu, x, y, ev):
+    prod = ev.calm(nu, x).value * ev.calm(nu, 1.5 * x).value
+    mid = ev.calm(nu, 1.25 * x).value
     return prod - mid * mid, max(prod, mid * mid, _TINY)
 
 
-def _margin_logconvex_nu(nu, x, y, cfg):
-    prod = cached_calm(nu, x) * cached_calm(nu + 1.0, x)
-    mid = cached_calm(nu + 0.5, x)
+def _margin_logconvex_nu(nu, x, y, ev):
+    prod = ev.calm(nu, x).value * ev.calm(nu + 1.0, x).value
+    mid = ev.calm(nu + 0.5, x).value
     return prod - mid * mid, max(prod, mid * mid, _TINY)
 
 
-def _falling(nu: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= nu - i
-    return out
+#: (1/2)_k, the rising factorial, for k = 0..6.
+_RISING_HALF = list(itertools.accumulate((0.5 + i for i in range(6)), operator.mul, initial=1.0))
 
 
-def _rising_half(k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= 0.5 + i
-    return out
-
-
-def _margin_neg_m_cm(nu, x, y, cfg):
+def _margin_neg_m_cm(nu, x, y, ev):
     """Sign alternation of the first seven derivatives of -M_nu for
     nu in [-1/2, 0].
 
@@ -441,24 +425,23 @@ def _margin_neg_m_cm(nu, x, y, cfg):
         for n in range(7):
             acc = 0.0
             for k in range(n + 1):
-                acc += (math.comb(n, k) * _rising_half(k)
-                        * x ** (-0.5 - k))
+                acc += math.comb(n, k) * _RISING_HALF[k] * x ** (-0.5 - k)
             vals.append(front * acc)
     else:
         front = math.exp(-nu * math.log(2.0) - log_gamma(nu + 0.5))
-        dx = [fv.value for fv in calm_dx_orders(EvalPoint(nu, x), range(7), cfg)]
+        falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
+        dx = [fv.value for fv in calm_dx_orders(EvalPoint(nu, x), range(7), ev.quad_cfg)]
         for n in range(7):
             acc = 0.0
             for k in range(n + 1):
-                acc += (math.comb(n, k) * _falling(nu, k)
-                        * x ** (nu - k) * dx[n - k])
+                acc += math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
             vals.append((-1.0) ** n * front * acc)
     # every summand above is positive by construction, so the sign of
     # each order is certain and a per-order +-1 margin is honest
     return min(v / max(abs(v), _TINY) for v in vals), 1.0
 
 
-def _margin_h_negative_derivative(nu, x, y, cfg):
+def _margin_h_negative_derivative(nu, x, y, ev):
     hv = gamma_ratio_h(nu)
     hp = gamma_ratio_h_prime(nu)
     n_pos = hv / max(abs(hv), _TINY)
@@ -504,8 +487,9 @@ CATALOG: dict[str, InequalityCase] = {c.id: c for c in (
                    note="gamma ratio below 2/sqrt(pi)"),
     InequalityCase("gammaineq_right", _margin_gammaineq_right, -0.5, any_x=True,
                    note="gamma ratio above sqrt(2/(pi(nu+1)))"),
-    InequalityCase("remark1", _margin_remark1, 0.5,
-                   note="second-kind product bound; reverses at nu=3/2"),
+    InequalityCase("remark1", _margin_fx2, 0.5,
+                   note="second-kind product bound, reverses at nu=3/2; it is FX2 after "
+                        "scaling by 2^(2nu) gamma(nu-1/2) gamma(nu+3/2) x^(-2nu) > 0"),
     InequalityCase("remark2_turan_gamma", _margin_remark2_turan, -0.5, any_x=True,
                    note="Turan-type gamma-function form of the ratio bound"),
     InequalityCase("remark2_ratio", _margin_remark2_ratio, -0.5, any_x=True,
@@ -602,18 +586,20 @@ def _domain_points(case: InequalityCase, grid: GridSpec):
 
 
 def sweep_case(case: InequalityCase, grid: GridSpec,
-               cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
+               series_cfg: SeriesConfig = SERIES_DEFAULTS,
+               quad_cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
     """Sweep one case over a grid and classify every point.
 
-    Points outside the case domain are skipped and counted. Margin
-    evaluations use the memoized automatic-route values (default
-    configurations); cfg is handed to the direct quadrature probes that
-    bypass the memoized layer. Evaluation failures are recorded per point
-    and counted as skipped, never fatal. When nothing was tested the
+    Points outside the case domain are skipped and counted. Every margin
+    evaluation runs at the given configs through the pair's
+    :data:`routes.memo`, resolved once per sweep; its values outlive the
+    sweep. Evaluation failures are recorded per point and counted as
+    skipped, never fatal. When nothing was tested the
     result is a zero-point report: every grid point counts as skipped, or
     none when a two-argument case is handed no y grid.
     """
     start = time.perf_counter()
+    ev = routes.memo(series_cfg, quad_cfg)
     points, skipped = _domain_points(case, grid)
     tested = 0
     min_margin: Optional[float] = None
@@ -625,7 +611,7 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
         nu, x = point[0], point[1]
         y = point[2] if len(point) > 2 else None
         try:
-            margin, scale = case.margin_fn(nu, x, y, cfg)
+            margin, scale = case.margin_fn(nu, x, y, ev)
         except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
             errors.append((point, f"{type(exc).__name__}: {exc}"))
             skipped += 1
@@ -653,7 +639,8 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
 
 
 def run_case(case: InequalityCase, grid: GridSpec,
-             cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
+             series_cfg: SeriesConfig = SERIES_DEFAULTS,
+             quad_cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
     """:func:`sweep_case`, refusing a sweep that tested nothing.
 
     Raises DomainError when a two-argument case is handed no y grid, and
@@ -663,7 +650,7 @@ def run_case(case: InequalityCase, grid: GridSpec,
     """
     if case.needs_y and not grid.y_values:
         raise DomainError(f"case {case.id} needs a y grid")
-    report = sweep_case(case, grid, cfg)
+    report = sweep_case(case, grid, series_cfg, quad_cfg)
     if report.points_tested == 0:
         errors = report.errors
         raise EmptyDomainError(
@@ -674,11 +661,13 @@ def run_case(case: InequalityCase, grid: GridSpec,
 
 
 def run_all(grid: Optional[GridSpec] = None,
-            cfg: QuadConfig = QUAD_DEFAULTS) -> list[VerificationReport]:
-    """Run every catalog case, each on its own default grid unless an
-    explicit grid is given. A case that tests nothing on the explicit
+            series_cfg: SeriesConfig = SERIES_DEFAULTS,
+            quad_cfg: QuadConfig = QUAD_DEFAULTS) -> list[VerificationReport]:
+    """Run every catalog case at the given configs, each on its own default
+    grid unless an explicit grid is given. A case that tests nothing on the explicit
     grid (its domain rejects every point, every in-domain point raised,
     or it needs a y grid the grid lacks) yields a zero-point report from
     :func:`sweep_case` rather than aborting the run."""
-    return [sweep_case(case, grid if grid is not None else default_grid(case.id), cfg)
+    return [sweep_case(case, grid if grid is not None else default_grid(case.id),
+                       series_cfg, quad_cfg)
             for case in CATALOG.values()]

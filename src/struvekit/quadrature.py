@@ -204,8 +204,7 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     ns = tuple(ns)
     if not all(0 <= n <= _MAX_DX_ORDER for n in ns):
         raise DomainError(f"x-derivative order must lie in [0, {_MAX_DX_ORDER}]")
-    abs_tol, max_level = cfg.effective()
-    return _refine(p, ns, (0,) * len(ns), (abs_tol,) * len(ns), max_level,
+    return _refine(p, ns, (0,) * len(ns), (cfg.abs_tol,) * len(ns), cfg.max_level,
                    "calm_dx")
 
 
@@ -225,9 +224,8 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     ms = tuple(ms)
     if not all(0 <= m <= _MAX_DNU_ORDER for m in ms):
         raise DomainError(f"nu-derivative order must lie in [0, {_MAX_DNU_ORDER}]")
-    abs_tol, max_level = cfg.effective()
-    tols = tuple(10.0 * abs_tol if p.nu < 0.5 and m >= 2 else abs_tol for m in ms)
-    return _refine(p, (0,) * len(ms), ms, tols, max_level, "calm_dnu")
+    tols = tuple(10.0 * cfg.abs_tol if p.nu < 0.5 and m >= 2 else cfg.abs_tol for m in ms)
+    return _refine(p, (0,) * len(ms), ms, tols, cfg.max_level, "calm_dnu")
 
 
 def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -349,7 +347,6 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
         raise DomainError("the cross-Turanian double integral requires nu > 1/2")
     if p.x <= 0.0:
         raise DomainError("the cross-Turanian double integral requires x > 0")
-    abs_tol, max_level = cfg.effective()
     pw = p.nu - 1.5
     log_pref = (math.log(4.0) - math.log(math.pi)
                 + 2.0 * p.nu * math.log(0.5 * p.x) - 2.0 * log_gamma(p.nu + 0.5))
@@ -357,7 +354,7 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
 
     tail_axis = math.exp(_log_tail_bound(pw, 0))
     prev = None
-    for level in range(2, max_level + 1):
+    for level in range(2, cfg.max_level + 1):
         t_i, a = _axis_vectors(level, pw, p.x, np.cosh)
         t_j, b = _axis_vectors(level, pw, p.x, np.sinh)
         d = _tensor_sum(t_i, a, t_j, b)
@@ -366,7 +363,7 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
         tail = tail_axis * (math.cosh(p.x) * abs(b.sum()) + math.sinh(p.x) * abs(a.sum()))
         if prev is not None:
             err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * abs(d)
-            if err <= abs_tol * max(abs(d), 1e-300):
+            if err <= cfg.abs_tol * max(abs(d), 1e-300):
                 return FuncValue(pref * d, pref * err, Method.QUADRATURE)
         prev = d
     raise NonConvergenceError(

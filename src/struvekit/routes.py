@@ -14,10 +14,13 @@ that can certify its value:
    out, or where quadrature stalls.
 
 M' takes step 1, then step 2 by the termwise derivative of the same pass
-(nu > -1/2, x > 0), then differentiated quadrature (m_deriv); no step 4.
+(nu > -1/2, x > 0), then differentiated quadrature (m_deriv), and where
+that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
+(sqrt(pi) gamma(nu+3/2)) over the automatic M values.
 
-The ``cached_*`` helpers memoize M, M' and calM at the default configs
-for the verification sweeps, where one grid point feeds many cases.
+:data:`memo` memoizes the automatic M, M' and calM values per
+(SeriesConfig, QuadConfig) pair for the verification sweeps, where one
+grid point feeds many cases.
 """
 
 from __future__ import annotations
@@ -150,26 +153,46 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
         return FuncValue(value, err, Method.SERIES)
     if method is Method.FOX_WRIGHT:
         raise DomainError("no derivative evaluator is defined for this route")
-    if (method is None and p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
-            and (run := series.struve_m_float(p, series_cfg, order=1)) and run[0]):
-        return run[0]
+    if method is None:
+        if (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
+                and (run := series.struve_m_float(p, series_cfg, order=1)) and run[0]):
+            return run[0]
+        with suppress(NonConvergenceError):
+            return quadrature.m_deriv(p, quad_cfg)
+        return _m_prime_by_recurrence(p, series_cfg, quad_cfg)
     return quadrature.m_deriv(p, quad_cfg)
 
 
-@lru_cache(maxsize=262144)
-def cached_m(nu: float, x: float) -> float:
-    """Scalar M_nu(x) by the automatic route, memoized for grid sweeps."""
-    return struve_m(EvalPoint(nu, x)).value
+def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
+                           quad_cfg: QuadConfig) -> FuncValue:
+    """M_nu'(x) = M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi) gamma(nu+3/2)) from the
+    automatic M values, where m_deriv stalls. The bar sums the input bars, the last
+    term's exp(L) rounding and eps times the magnitudes of the three terms."""
+    hi = struve_m(EvalPoint(p.nu + 1.0, p.x), None, series_cfg, quad_cfg)
+    here = struve_m(p, None, series_cfg, quad_cfg)
+    log_last = p.nu * math.log(0.5 * p.x) - 0.5 * math.log(math.pi) - log_gamma(p.nu + 1.5)
+    last = math.exp(log_last)
+    mid = (p.nu / p.x) * here.value
+    err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + (1.0 + abs(log_last)) * _EPS * last
+           + _EPS * (abs(hi.value) + abs(mid) + last))
+    return FuncValue(hi.value + mid + last, err, here.method)
 
 
-@lru_cache(maxsize=262144)
-def cached_m_prime(nu: float, x: float) -> float:
-    """Scalar M_nu'(x) by the automatic route, memoized for grid sweeps."""
-    return struve_m_prime(EvalPoint(nu, x)).value
+class Memo:
+    """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x)."""
+
+    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm")
+
+    def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
+        # positional-only, so that memo's cache key is always the config pair
+        self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
+        memoized = lru_cache(maxsize=262144)
+        self.m = memoized(lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
+        self.m_prime = memoized(
+            lambda nu, x: struve_m_prime(EvalPoint(nu, x), None, series_cfg, quad_cfg))
+        self.calm = memoized(lambda nu, x: calm(EvalPoint(nu, x), None, series_cfg, quad_cfg))
 
 
-@lru_cache(maxsize=262144)
-def cached_calm(nu: float, x: float) -> float:
-    """Scalar calM_nu(x) by the automatic route, memoized for grid sweeps."""
-    return calm(EvalPoint(nu, x)).value
-
+#: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives
+#: the sweeps that read it, so a repeated sweep at the same configs starts warm.
+memo = lru_cache(maxsize=4)(Memo)

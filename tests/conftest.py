@@ -19,3 +19,13 @@ def default_reports():
     """One full catalog sweep shared by every test that needs it."""
     import struvekit as sk
     return {r.case_id: r for r in sk.run_all()}
+
+
+@pytest.fixture
+def cold_memo():
+    """Empty sweep memos, so a sweep evaluates every point afresh and
+    leaves no memo built under a test's monkeypatches."""
+    from struvekit import routes
+    routes.memo.cache_clear()
+    yield
+    routes.memo.cache_clear()

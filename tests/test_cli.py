@@ -163,6 +163,37 @@ def test_verify_all_counts_match_run_all_on_the_same_grid(runner):
     assert got["neg_m_cm"] == (0, 1)
 
 
+def test_verify_sign_m_and_remark1_hold_where_m_underflows(runner):
+    """M_{2nu-1/2} and M_nu underflow to -0.0 at large order and small x;
+    the calM forms of sign_m and remark1 do not, so neither reports a
+    violation or an inconclusive point there."""
+    result = runner.invoke(main, [
+        "verify", "--case", "sign_m", "--case", "remark1", "--grid", "custom",
+        "--nu-min", "0.6", "--nu-max", "200", "--nu-steps", "8", "--x-steps", "8",
+        "--format", "json"])
+    assert result.exit_code == EXIT_OK, result.output
+    reports = json.loads(result.output)
+    assert [r["case_id"] for r in reports] == ["sign_m", "remark1"]
+    for r in reports:
+        assert (r["points_tested"], r["points_skipped"]) == (64, 0), r["case_id"]
+        assert r["violations"] == [] and r["inconclusive"] == [], r["case_id"]
+
+
+def test_eval_derivative_next_to_minus_half(runner):
+    """Automatic M' where differentiated quadrature stalls comes from the
+    raising recurrence instead of failing."""
+    result = runner.invoke(main, ["eval", "--fn", "Mprime", "--nu", "-0.4999",
+                                  "--x", "3", "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    assert math.isfinite(json.loads(result.output)["value"])
+
+
+def test_eval_takes_no_second_argument(runner):
+    result = runner.invoke(main, ["eval", "--nu", "1", "--x", "1", "--y", "2"])
+    assert result.exit_code == EXIT_USAGE
+    assert "--y" in _all_text(result)
+
+
 def test_verify_custom_grid_with_explicit_y(runner):
     result = runner.invoke(main, [
         "verify", "--case", "FX1", "--grid", "custom",

@@ -1,15 +1,21 @@
 """Verification harness: catalog integrity, executor behavior, reports."""
 
+import inspect
 import itertools
 import json
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from struvekit.core import QuadConfig
+from struvekit import quadrature, routes, series
+from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, QuadConfig,
+                            SeriesConfig)
 from struvekit.errors import DomainError, EmptyDomainError
+from struvekit.gammafuncs import log_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
                                     GridSpec, _sign_margin, default_grid,
                                     lookup, report_from_json_dict,
@@ -208,10 +214,88 @@ def test_flipped_case_produces_violations():
 
 def test_flipped_margin_is_negated_pointwise():
     case = CATALOG["bound0"]
-    margin, scale = case.margin_fn(1.0, 2.0, None, None)
-    fmargin, fscale = case.flipped().margin_fn(1.0, 2.0, None, None)
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    margin, scale = case.margin_fn(1.0, 2.0, None, ev)
+    fmargin, fscale = case.flipped().margin_fn(1.0, 2.0, None, ev)
     assert fmargin == -margin
     assert fscale == scale
+
+
+def _remark1_m_form(nu, x, ev):
+    """remark1's margin as the paper states it, on M: the reference that
+    the FX2 form it now shares must reproduce."""
+    lhs = ev.m(nu - 1.0, x).value * ev.m(nu + 1.0, x).value
+    log_coef = (0.5 * math.log(2.0) + log_gamma(2.0 * nu)
+                - 0.5 * math.log(math.pi * x)
+                - log_gamma(nu - 0.5) - log_gamma(nu + 1.5))
+    rhs = math.expm1(-x) * math.exp(log_coef) * ev.m(2.0 * nu - 0.5, x).value
+    orient = 1.0 if nu >= 1.5 else -1.0
+    return orient * (rhs - lhs), max(abs(lhs), abs(rhs), 1e-300)
+
+
+def test_remark1_is_fx2_after_scaling():
+    """Scaling both sides of remark1 by 2^(2nu) gamma(nu-1/2) gamma(nu+3/2)
+    x^(-2nu) > 0 gives FX2: one margin serves both, and it agrees with
+    the M form where M does not underflow."""
+    remark1, fx2 = CATALOG["remark1"], CATALOG["FX2"]
+    assert remark1.margin_fn is fx2.margin_fn
+    assert ((remark1.nu_lo, remark1.lo_closed, remark1.nu_hi)
+            == (fx2.nu_lo, fx2.lo_closed, fx2.nu_hi))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    for nu, x in itertools.product(SMALL.nu_values, SMALL.x_values):
+        margin, scale = remark1.margin_fn(nu, x, None, ev)
+        ref_margin, ref_scale = _remark1_m_form(nu, x, ev)
+        assert abs(margin / scale - ref_margin / ref_scale) <= 1e-12, (nu, x)
+
+
+#: Entry points whose configs the sweep must hand over: every public
+#: function of these modules.
+_CONFIG_MODULES = (routes, quadrature, series)
+
+
+def test_sweep_configs_reach_every_evaluation(monkeypatch, cold_memo):
+    """Under a non-default config pair, every config that reaches a routes,
+    quadrature or series entry point, defaults filled in, is one of the
+    sweep's own, for every catalog and extra case: ``verify --tol`` means
+    what it means in ``eval``."""
+    series_cfg = SeriesConfig(rel_tol=1e-14, max_terms=400)
+    quad_cfg = QuadConfig(abs_tol=1e-11, max_level=11)
+    seen = []
+
+    def recording(fn):
+        sig = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.extend((fn.__name__, v) for v in bound.arguments.values()
+                        if isinstance(v, (SeriesConfig, QuadConfig)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module in _CONFIG_MODULES:
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                wrappers[id(fn)] = recording(fn)
+    for module in [m for name, m in sys.modules.items() if name.startswith("struvekit")]:
+        for name, obj in list(vars(module).items()):
+            if id(obj) in wrappers:
+                monkeypatch.setattr(module, name, wrappers[id(obj)])
+
+    grid = GridSpec(nu_values=(-0.75, -0.5, -0.3, 0.75, 2.0), x_values=(0.5, 3.0, 9.0),
+                    y_values=(1.0,))
+    reached = set()
+    for case in list(CATALOG.values()) + list(EXTRA_CASES.values()):
+        seen.clear()
+        routes.memo.cache_clear()  # each case evaluates its own points
+        report = sweep_case(case, grid, series_cfg, quad_cfg)
+        assert report.points_tested > 0, case.id
+        stray = {(name, cfg) for name, cfg in seen if cfg not in (series_cfg, quad_cfg)}
+        assert not stray, (case.id, stray)
+        reached |= {cfg for _, cfg in seen}
+    assert reached == {series_cfg, quad_cfg}
 
 
 def test_empty_domain_raises():
@@ -225,7 +309,7 @@ def test_all_in_domain_points_raising_is_not_called_an_empty_domain():
     error counts the points that raised and quotes the first failure."""
     with pytest.raises(EmptyDomainError) as info:
         run_case(CATALOG["cm_probe_x"], default_grid("cm_probe_x"),
-                 QuadConfig(max_level=3))
+                 quad_cfg=QuadConfig(max_level=3))
     message = str(info.value)
     assert "all 625 in-domain grid points of case cm_probe_x raised" in message
     assert "first at (-0.49, 0.001): NonConvergenceError" in message
@@ -236,7 +320,7 @@ def test_neg_m_cm_honours_sweep_config():
     """The -M derivative probe evaluates at the sweep's quadrature config,
     so a three-level cap makes some of its points raise."""
     report = run_case(CATALOG["neg_m_cm"], default_grid("neg_m_cm"),
-                      QuadConfig(max_level=3))
+                      quad_cfg=QuadConfig(max_level=3))
     assert report.errors
     assert all("NonConvergenceError" in err for _, err in report.errors)
     assert report.points_tested + report.points_skipped == 625

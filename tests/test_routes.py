@@ -10,11 +10,12 @@ from struvekit import quadrature, series
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_at_pos_half, m_prime_at_neg_half,
                                    m_prime_at_pos_half)
-from struvekit.core import EvalPoint, Method
-from struvekit.errors import DomainError
+from struvekit import routes
+from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
+                            QuadConfig, SeriesConfig)
+from struvekit.errors import DomainError, NonConvergenceError
 from struvekit.inequalities import run_all
-from struvekit.routes import (cached_calm, cached_m, cached_m_prime, calm,
-                              struve_m, struve_m_prime)
+from struvekit.routes import calm, struve_m, struve_m_prime
 
 from conftest import rel_err
 from oracles import CALM_TABLE, M_TABLE, MPRIME_TABLE
@@ -149,6 +150,21 @@ def test_stalled_quadrature_falls_back_to_the_series(fn):
     assert abs(got.value - float(m_ref if fn is struve_m else c_ref)) <= got.abs_err
 
 
+@pytest.mark.parametrize("nu, x", [(-0.4999, 3.0), (-0.4999, 10.0),
+                                   (-0.4995, 8.1), (-0.4995, 30.0)])
+def test_stalled_derivative_quadrature_falls_back_to_the_recurrence(nu, x):
+    """Next to nu = -1/2 differentiated quadrature stalls; automatic M'
+    then comes from M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi)
+    gamma(nu+3/2)) over the automatic M values, within its bar. An
+    explicit quadrature request still raises."""
+    p = EvalPoint(nu, x)
+    with pytest.raises(NonConvergenceError):
+        struve_m_prime(p, Method.QUADRATURE)
+    m_ref, _ = _mpmath_m(nu, x, dps=60)
+    got = struve_m_prime(p)
+    assert abs(got.value - float(_mpmath_m_prime(nu, x, m_ref))) <= got.abs_err, got
+
+
 @pytest.mark.parametrize("nu, x", [(1e6, 1.0), (1.0, 1e-320)])
 def test_underflowing_values_come_from_quadrature(nu, x):
     """The float64 series never settles where its terms underflow; the
@@ -160,20 +176,18 @@ def test_underflowing_values_come_from_quadrature(nu, x):
     assert abs(got.value - float(_mpmath_m(nu, x)[0])) <= got.abs_err
 
 
-def test_default_sweep_never_escalates_to_mpmath(monkeypatch):
+def test_default_sweep_never_escalates_to_mpmath(monkeypatch, cold_memo):
     """Every cancellation-strip point of the catalog sweep is served by
     quadrature, so run_all makes no arbitrary-precision series pass."""
     passes = []
     merged_mp = series._merged_mp
     monkeypatch.setattr(series, "_merged_mp",
                         lambda *args: passes.append(args) or merged_mp(*args))
-    for cache in (cached_m, cached_m_prime, cached_calm):
-        cache.cache_clear()
     run_all()
     assert passes == []
 
 
-def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch):
+def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo):
     """The float64 series serves most of the sweep's M' values, so
     quadrature m_deriv runs for at most the 684 the sweep measured (3,050
     when every M' came from quadrature)."""
@@ -181,8 +195,6 @@ def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch):
     m_deriv = quadrature.m_deriv
     monkeypatch.setattr(quadrature, "m_deriv",
                         lambda *args: calls.append(args) or m_deriv(*args))
-    for cache in (cached_m, cached_m_prime, cached_calm):
-        cache.cache_clear()
     run_all()
     assert len(calls) <= 684
 
@@ -278,7 +290,31 @@ def test_series_derivative_route():
         struve_m_prime(p, method=Method.FOX_WRIGHT)
 
 
-def test_cached_wrappers_match_uncached():
-    assert cached_m(1.0, 2.0) == struve_m(EvalPoint(1.0, 2.0)).value
-    assert cached_m_prime(1.5, 2.0) == struve_m_prime(EvalPoint(1.5, 2.0)).value
-    assert cached_calm(1.0, 2.0) == calm(EvalPoint(1.0, 2.0)).value
+@pytest.mark.parametrize("series_cfg, quad_cfg", [
+    (SERIES_DEFAULTS, QUAD_DEFAULTS),
+    (SeriesConfig(rel_tol=1e-13), QuadConfig(abs_tol=1e-9, max_level=6)),
+])
+def test_memo_matches_unmemoized(cold_memo, series_cfg, quad_cfg):
+    """A memoized value equals the unmemoized call at the memo's configs
+    in value, abs_err and method, also when it is read a second time."""
+    ev = routes.memo(series_cfg, quad_cfg)
+    assert (ev.series_cfg, ev.quad_cfg) == (series_cfg, quad_cfg)
+    for read, route, nu, x in ((ev.m, struve_m, 1.0, 2.0), (ev.m, struve_m, 0.3, 5.0),
+                               (ev.m_prime, struve_m_prime, 1.5, 2.0),
+                               (ev.m_prime, struve_m_prime, 0.3, 9.0),
+                               (ev.calm, calm, 1.0, 2.0), (ev.calm, calm, 0.3, 5.0)):
+        want = route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
+        assert read(nu, x) == want and read(nu, x) == want, (route.__name__, nu, x)
+
+
+def test_memo_is_one_per_config_pair(cold_memo):
+    """Equal config pairs share one memo; different pairs never share an
+    entry, even where their values differ."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    assert routes.memo(SeriesConfig(), QuadConfig()) is ev
+    loose = routes.memo(SERIES_DEFAULTS, QuadConfig(abs_tol=1e-6, max_level=3))
+    assert loose is not ev
+    tight, coarse = ev.calm(0.3, 9.0), loose.calm(0.3, 9.0)
+    assert tight.method is coarse.method is Method.QUADRATURE
+    assert tight.abs_err < coarse.abs_err
+    assert ev.calm(0.3, 9.0) is tight and loose.calm(0.3, 9.0) is coarse
