@@ -118,16 +118,11 @@ def _eval_value(cfg: RunConfig) -> FuncValue:
     p = EvalPoint(cfg.nu, cfg.x)
     series_cfg, quad_cfg = _configs(cfg.tol)
     method = None if cfg.method == "auto" else Method(cfg.method)
-    if cfg.fn == "I":
+    if cfg.fn in ("I", "L"):
         if method not in (None, Method.SERIES):
             raise StruveKitError(
-                "the first-kind function I is evaluated by its series only")
-        return series.bessel_i(p, series_cfg)
-    if cfg.fn == "L":
-        if method not in (None, Method.SERIES):
-            raise StruveKitError(
-                "the first-kind function L is evaluated by its series only")
-        return series.struve_l(p, series_cfg)
+                f"the first-kind function {cfg.fn} is evaluated by its series only")
+        return (series.bessel_i if cfg.fn == "I" else series.struve_l)(p, series_cfg)
     if cfg.fn == "M":
         return routes.struve_m(p, method, series_cfg, quad_cfg)
     if cfg.fn == "calM":
@@ -271,12 +266,6 @@ def cmd_identities(cfg: RunConfig) -> int:
     if _custom_grid_requested(cfg):
         nu_values = _flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps), (0.6, 8.0, 7))
         x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (0.1, 20.0, 7))
-        if min(nu_values) <= 0.5:
-            return _fail("identity residuals need orders above 1/2 "
-                         "(recurrences and the decomposition are undefined "
-                         "at or below it)")
-        if min(x_values) <= 0.0:
-            return _fail("identity residuals need x > 0")
     else:
         nu_values = identities.STANDARD_NU
         x_values = identities.STANDARD_X

@@ -28,7 +28,7 @@ class NonConvergenceError(StruveKitError, RuntimeError):
 
 
 class CancellationError(StruveKitError, ArithmeticError):
-    """Catastrophic cancellation: the result cannot be certified."""
+    """Catastrophic cancellation or float64 overflow: the result cannot be certified."""
 
 
 class EmptyDomainError(StruveKitError, ValueError):

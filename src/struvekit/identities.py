@@ -88,14 +88,21 @@ def ode_residual(p: EvalPoint,
     return IdentityResidual("ode_second_kind", p, residual, scale)
 
 
-def _neighbor_values(p: EvalPoint, series_cfg: SeriesConfig,
-                     quad_cfg: QuadConfig) -> tuple[float, float, float, float]:
-    """(M_{nu-1}, M_nu, M_{nu+1}, M_nu') by the automatic routes."""
-    m_lo = routes.struve_m(EvalPoint(p.nu - 1.0, p.x), None, series_cfg, quad_cfg).value
-    m_md = routes.struve_m(p, None, series_cfg, quad_cfg).value
-    m_hi = routes.struve_m(EvalPoint(p.nu + 1.0, p.x), None, series_cfg, quad_cfg).value
-    m_d = routes.struve_m_prime(p, None, series_cfg, quad_cfg).value
-    return m_lo, m_md, m_hi, m_d
+def _require_turanian_domain(p: EvalPoint, name: str) -> None:
+    if p.nu <= 0.5 or p.x <= 0.0:
+        raise DomainError(f"{name} requires nu > 1/2 and x > 0")
+
+
+_Neighbors = tuple[float, float, float, float]  # (M_{nu-1}, M_nu, M_{nu+1}, M_nu')
+
+
+def _neighbor_values(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
+                     name: str) -> _Neighbors:
+    """_Neighbors by the automatic routes; off nu > 1/2, x > 0 a DomainError names the caller."""
+    _require_turanian_domain(p, name)
+    m_lo, m_md, m_hi = (routes.struve_m(EvalPoint(p.nu + k, p.x), None, series_cfg,
+                                        quad_cfg).value for k in (-1.0, 0.0, 1.0))
+    return m_lo, m_md, m_hi, routes.struve_m_prime(p, None, series_cfg, quad_cfg).value
 
 
 def recurrence_residuals(p: EvalPoint,
@@ -112,11 +119,12 @@ def recurrence_residuals(p: EvalPoint,
         lower_order:     x M_nu' + nu M_nu = x M_{nu-1}
         raise_order:     M_{nu+1} = M_nu' - (nu / x) M_nu - g
     """
-    if p.nu <= 0.5:
-        raise DomainError("recurrence_residuals requires nu > 1/2")
-    if p.x <= 0.0:
-        raise DomainError("recurrence_residuals requires x > 0")
-    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg)
+    return _recurrence_residuals(
+        p, _neighbor_values(p, series_cfg, quad_cfg, "recurrence_residuals"))
+
+
+def _recurrence_residuals(p: EvalPoint, neighbors: _Neighbors) -> tuple[IdentityResidual, ...]:
+    m_lo, m_md, m_hi, m_d = neighbors
     g = _g_term(p)
     ratio = 2.0 * p.nu / p.x
 
@@ -141,11 +149,7 @@ def turanian(p: EvalPoint,
              quad_cfg: QuadConfig = QUAD_DEFAULTS) -> float:
     """The Turan-type quantity Delta_M = M_nu^2 - M_{nu-1} M_{nu+1},
     nu > 1/2, x > 0. Positive on that domain."""
-    if p.nu <= 0.5:
-        raise DomainError("turanian requires nu > 1/2")
-    if p.x <= 0.0:
-        raise DomainError("turanian requires x > 0")
-    m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg)
+    m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg, "turanian")
     return m_md * m_md - m_lo * m_hi
 
 
@@ -166,16 +170,11 @@ def turanian_decomposition(p: EvalPoint,
     (delta_i and delta_l are positive), which the verification suite
     records explicitly. nu > 1/2, x > 0.
     """
-    if p.nu <= 0.5:
-        raise DomainError("turanian_decomposition requires nu > 1/2")
-    if p.x <= 0.0:
-        raise DomainError("turanian_decomposition requires x > 0")
-    i_lo = series.bessel_i(EvalPoint(p.nu - 1.0, p.x), series_cfg).value
-    i_md = series.bessel_i(p, series_cfg).value
-    i_hi = series.bessel_i(EvalPoint(p.nu + 1.0, p.x), series_cfg).value
-    l_lo = series.struve_l(EvalPoint(p.nu - 1.0, p.x), series_cfg).value
-    l_md = series.struve_l(p, series_cfg).value
-    l_hi = series.struve_l(EvalPoint(p.nu + 1.0, p.x), series_cfg).value
+    _require_turanian_domain(p, "turanian_decomposition")
+    i_lo, i_md, i_hi = (series.bessel_i(EvalPoint(p.nu + k, p.x), series_cfg).value
+                        for k in (-1.0, 0.0, 1.0))
+    l_lo, l_md, l_hi = (series.struve_l(EvalPoint(p.nu + k, p.x), series_cfg).value
+                        for k in (-1.0, 0.0, 1.0))
     delta_i = i_md * i_md - i_lo * i_hi
     delta_l = l_md * l_md - l_lo * l_hi
     delta_il = i_lo * l_hi + i_hi * l_lo - 2.0 * i_md * l_md
@@ -194,11 +193,12 @@ def turanian_quadratic_identity(p: EvalPoint,
     which follows from eliminating M_{nu+1} between the recurrence
     relations. nu > 1/2, x > 0.
     """
-    if p.nu <= 0.5:
-        raise DomainError("turanian_quadratic_identity requires nu > 1/2")
-    if p.x <= 0.0:
-        raise DomainError("turanian_quadratic_identity requires x > 0")
-    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg)
+    return _quadratic_residual(
+        p, _neighbor_values(p, series_cfg, quad_cfg, "turanian_quadratic_identity"))
+
+
+def _quadratic_residual(p: EvalPoint, neighbors: _Neighbors) -> IdentityResidual:
+    m_lo, m_md, m_hi, m_d = neighbors
     lhs = m_md * m_md - m_lo * m_hi
     t_sq = (1.0 + (p.nu / p.x) ** 2) * m_md * m_md
     t_dq = m_d * m_d
@@ -220,8 +220,15 @@ def decomposition_residual(p: EvalPoint,
     """Residual of Delta_M = delta_i + delta_l + delta_il, where the left
     side comes from the automatic routes and the parts from independent
     first-kind series. nu > 1/2, x > 0."""
-    lhs = turanian(p, series_cfg, quad_cfg)
-    d_i, d_l, d_il = turanian_decomposition(p, series_cfg)
+    neighbors = _neighbor_values(p, series_cfg, quad_cfg, "decomposition_residual")
+    return _decomposition_residual(p, neighbors, turanian_decomposition(p, series_cfg))
+
+
+def _decomposition_residual(p: EvalPoint, neighbors: _Neighbors,
+                            parts: tuple[float, float, float]) -> IdentityResidual:
+    m_lo, m_md, m_hi, _ = neighbors
+    lhs = m_md * m_md - m_lo * m_hi
+    d_i, d_l, d_il = parts
     residual = abs(lhs - (d_i + d_l + d_il))
     scale = max(abs(lhs), abs(d_i), abs(d_l), abs(d_il))
     return IdentityResidual("turanian_decomposition", p, residual, scale)
@@ -245,7 +252,11 @@ def crossterm_double_integral_residual(p: EvalPoint,
     discrepancy stays visible; the corrected relation is verified
     separately in the test suite.
     """
-    _, _, d_il = turanian_decomposition(p, series_cfg)
+    return _crossterm_residual(p, turanian_decomposition(p, series_cfg)[2], quad_cfg)
+
+
+def _crossterm_residual(p: EvalPoint, d_il: float,
+                        quad_cfg: QuadConfig) -> IdentityResidual:
     d = turanian_il_double_integral(p, quad_cfg).value
     residual = abs(d_il - d)
     scale = max(abs(d_il), abs(d))
@@ -271,17 +282,21 @@ def residual_suite(nu_values: tuple[float, ...] = STANDARD_NU,
     quadratic Turanian residual, and the decomposition residual. The
     direct cross-term-versus-double-integral comparison is opt-in because
     it reports a genuine discrepancy, not numerical error; see
-    crossterm_double_integral_residual. All grid orders must exceed 1/2.
+    crossterm_double_integral_residual.
     """
+    if any(nu <= 0.5 for nu in nu_values) or any(x <= 0.0 for x in x_values):
+        raise DomainError("identity residuals need orders above 1/2 (recurrences and the "
+                          "decomposition are undefined at or below it) and x > 0")
     out: list[IdentityResidual] = []
     for nu in nu_values:
         for x in x_values:
             p = EvalPoint(nu, x)
             out.append(ode_residual(p, quad_cfg))
-            out.extend(recurrence_residuals(p, series_cfg, quad_cfg))
-            out.append(turanian_quadratic_identity(p, series_cfg, quad_cfg))
-            out.append(decomposition_residual(p, series_cfg, quad_cfg))
+            neighbors = _neighbor_values(p, series_cfg, quad_cfg, "residual_suite")
+            parts = turanian_decomposition(p, series_cfg)
+            out.extend(_recurrence_residuals(p, neighbors))
+            out.append(_quadratic_residual(p, neighbors))
+            out.append(_decomposition_residual(p, neighbors, parts))
             if include_cross_term:
-                out.append(crossterm_double_integral_residual(
-                    p, series_cfg, quad_cfg))
+                out.append(_crossterm_residual(p, parts[2], quad_cfg))
     return out

@@ -29,6 +29,10 @@ when the result is so large that abs_tol sits below its roundoff floor,
 refinement stops at machine precision and the reported abs_err stays
 honest rather than claiming the impossible.
 
+The cross-Turanian double integral uses these nodes on both axes; its
+kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
+costs one column over its new nodes, not a product over every node pair.
+
 Node/weight tables and kernel rows per refinement level are computed
 once and shared immutably (safe under concurrent readers).
 """
@@ -42,7 +46,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig
-from .errors import DomainError, NonConvergenceError
+from .errors import CancellationError, DomainError, NonConvergenceError
 from .gammafuncs import log_gamma
 
 _EPS = 2.220446049250313e-16
@@ -284,37 +288,15 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     return FuncValue(-factor * inner, err, Method.QUADRATURE)
 
 
-def _axis_vectors(level_cap: int, pw: float, x: float,
-                  hyperbolic) -> tuple[np.ndarray, np.ndarray]:
-    """Full node set through level_cap: (t, weighted integrand values).
-
-    The union of levels 0..level_cap is the uniform grid with step
-    2^-level_cap, so every node carries that same trapezoid weight (not
-    the step of the level that introduced it).
-    """
-    ts = []
-    vals = []
-    for level in range(level_cap + 1):
-        t, lg1mt2, lgw = _level_nodes(level)
-        with np.errstate(under="ignore"):
-            v = np.exp(pw * lg1mt2 + lgw) * hyperbolic(x * t)
-        ts.append(t)
-        vals.append(v)
-    h = 0.5 ** level_cap
-    return np.concatenate(ts), h * np.concatenate(vals)
-
-
-def _tensor_sum(t_i: np.ndarray, a: np.ndarray, t_j: np.ndarray,
-                b: np.ndarray) -> float:
-    """sum_ij a_i b_j (t_i^2 - t_j^2)^2, chunked; every summand is >= 0."""
-    ti2 = t_i * t_i
-    tj2 = t_j * t_j
-    total = 0.0
-    chunk = max(1, 2 ** 22 // max(len(tj2), 1))
-    for lo in range(0, len(ti2), chunk):
-        diff = ti2[lo:lo + chunk, None] - tj2[None, :]
-        total += float(a[lo:lo + chunk] @ (diff * diff) @ b)
-    return total
+def _centred_moments(columns: list[tuple[np.ndarray, np.ndarray]],
+                     shift: float) -> np.ndarray:
+    """Rows (sum w, sum w u, sum w u^2), u = t^2 - shift, of the cosh and sinh
+    weights w over columns [(t^2, weights) per level], refined as in _refine."""
+    for level, (t2, ab) in enumerate(columns):
+        u = t2 - shift
+        new = ab @ np.stack((np.ones_like(u), u, u * u), axis=1)
+        moments = new if level == 0 else 0.5 * moments + 0.5 ** level * new
+    return moments
 
 
 def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -325,46 +307,59 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
             int int (1-t^2)^(nu-3/2) (1-s^2)^(nu-3/2) (t^2-s^2)^2
                     cosh(xt) sinh(xs) dt ds.
 
-    D > 0 by construction (every summand is nonnegative). Note that D is
-    NOT equal to the signed cross term
-    I_{nu+1} L_{nu-1} + I_{nu-1} L_{nu+1} - 2 I_nu L_nu; carrying the exact
-    gamma-function ratio gamma(nu+3/2) gamma(nu-1/2) / gamma(nu+1/2)^2
-    = (nu+1/2)/(nu-1/2) through the same rearrangement gives the true
-    relation
+    D > 0 by construction (every summand is nonnegative). D is NOT the
+    signed cross term I_{nu+1} L_{nu-1} + I_{nu-1} L_{nu+1} - 2 I_nu L_nu;
+    identities.crossterm_double_integral_residual states the true relation.
 
-        cross term = ((nu - 1/2) D - 2 I_nu(x) L_nu(x)) / (nu + 1/2),
-
-    which the test suite verifies against independent series evaluation
-    (the cross term itself is negative on the sampled domain).
-
-    Evaluated as a tensor product of the 1-D rule without assuming any
-    symmetry of the kernel; every summand is nonnegative, so the double
-    sum is cancellation-free. cfg.abs_tol acts relative to the running
-    estimate because the magnitude spans many orders. Cost is quadratic in
-    the node count, so refinement rarely needs to pass level 7.
+    The product-rule sum sum_ij a_i b_j (t_i^2 - t_j^2)^2 (a the cosh, b the
+    sinh weights) takes linear time from 1-D moments: with u = t^2 - c,
+    A0 = sum a, U_k = sum a u^k, B0 = sum b, V_k = sum b u^k, it equals
+    A0 V2 - 2 U1 V1 + U2 B0. The centre c is kept at the a-weighted mean of
+    t^2 (re-centred whenever U1 V1 grows), so U1 is near zero and the other
+    two terms, both nonnegative, carry a cancellation-free sum. cfg.abs_tol
+    acts relative to the estimate. CancellationError when D (~ e^(2x))
+    overflows float64.
     """
-    if p.nu <= 0.5:
-        raise DomainError("the cross-Turanian double integral requires nu > 1/2")
-    if p.x <= 0.0:
-        raise DomainError("the cross-Turanian double integral requires x > 0")
+    if p.nu <= 0.5 or p.x <= 0.0:
+        raise DomainError("the cross-Turanian double integral requires nu > 1/2, x > 0")
     pw = p.nu - 1.5
-    log_pref = (math.log(4.0) - math.log(math.pi)
-                + 2.0 * p.nu * math.log(0.5 * p.x) - 2.0 * log_gamma(p.nu + 0.5))
-    pref = math.exp(log_pref)
+    log_power = 2.0 * p.nu * math.log(0.5 * p.x)
+    log_gammas = 2.0 * log_gamma(p.nu + 0.5)
+    log_pref = math.log(4.0) - math.log(math.pi) + log_power - log_gammas
+    pref = math.exp(log_pref) if log_pref < 709.78 else math.inf  # math.exp raises past it
+    # exp() turns the absolute rounding of log_pref into relative error: up to
+    # ~2.5 eps per unit of its terms' size (log, lgamma, product, two sums)
+    pref_err = 2.5 * (1.0 + abs(log_power) + abs(log_gammas)) * _EPS * pref + _TINY
 
     tail_axis = math.exp(_log_tail_bound(pw, 0))
-    prev = None
-    for level in range(2, cfg.max_level + 1):
-        t_i, a = _axis_vectors(level, pw, p.x, np.cosh)
-        t_j, b = _axis_vectors(level, pw, p.x, np.sinh)
-        d = _tensor_sum(t_i, a, t_j, b)
-        # (t^2-s^2)^2 <= 1 on the unit square, so each axis tail is bounded
-        # by the 1-D tail times the companion axis mass.
-        tail = tail_axis * (math.cosh(p.x) * abs(b.sum()) + math.sinh(p.x) * abs(a.sum()))
-        if prev is not None:
-            err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * abs(d)
-            if err <= cfg.abs_tol * max(abs(d), 1e-300):
-                return FuncValue(pref * d, pref * err, Method.QUADRATURE)
-        prev = d
+    columns = []
+    shift = prev = 0.0
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for level in range(cfg.max_level + 1):
+            t, lg1mt2, lgw = _level_nodes(level)
+            col = np.exp(pw * lg1mt2 + lgw)
+            columns.append((t * t, np.stack((col * np.cosh(p.x * t), col * np.sinh(p.x * t)))))
+            new = _centred_moments(columns[-1:], shift)
+            moments = new if level == 0 else 0.5 * moments + 0.5 ** level * new
+            (a0, u1, u2), (b0, v1, v2) = moments.tolist()
+            if 4.0 * abs(u1 * v1) > a0 * v2 + u2 * b0:
+                # the centre is off the a-weighted mean of t^2: move it there
+                shift += u1 / a0
+                moments = _centred_moments(columns, shift)
+                (a0, u1, u2), (b0, v1, v2) = moments.tolist()
+            d = a0 * v2 - 2.0 * u1 * v1 + u2 * b0
+            size = a0 * v2 + 2.0 * abs(u1 * v1) + u2 * b0
+            if not math.isfinite(size * pref):
+                raise CancellationError(
+                    f"cross-Turanian double integral at (nu={p.nu:g}, x={p.x:g}) "
+                    "overflows float64")
+            # (t^2-s^2)^2 <= 1, so each axis tail is at most the 1-D tail times the
+            # companion axis mass (tail_axis first: it is 0 where cosh(x) b0 overflows)
+            tail = tail_axis * math.cosh(p.x) * abs(b0) + tail_axis * math.sinh(p.x) * abs(a0)
+            err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * size
+            if level >= 3 and err <= cfg.abs_tol * max(abs(d), 1e-300):
+                return FuncValue(pref * d, pref * err + pref_err * abs(d) + _TINY,
+                                 Method.QUADRATURE)
+            prev = d
     raise NonConvergenceError(
         f"cross-Turanian refinement stalled at (nu={p.nu:g}, x={p.x:g})")

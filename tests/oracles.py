@@ -110,6 +110,9 @@ DOUBLE_INTEGRAL_TABLE = {
     (1.0, 1.0): 0.201975209649926374,
     (1.5, 2.0): 0.600618460360956179,
     (3.0, 0.5): 1.6290219277808341e-7,
+    (1.0, 30.0): 2.244490415415707959062e+24,     # mass at t -> 1
+    (20.0, 0.05): 3.624954655514746281503e-106,   # log prefactor -229
+    (24.06, 2.4e-05): 2.274431405384814451733e-293,  # prefactor rounding ~200 eps
 }
 
 # (nu, z) -> 1Psi1[(1/2,1/2); (nu+1,1/2) | z]

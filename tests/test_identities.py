@@ -136,3 +136,36 @@ def test_residual_suite_shape_and_quality():
     cross = [r for r in with_cross
              if r.id == "turanian_cross_vs_double_integral"]
     assert len(cross) == 1 and cross[0].relative > 0.1
+
+
+def test_residual_suite_matches_the_public_residuals():
+    """Sharing each point's inputs changes no residual: the suite equals
+    the public evaluators called one by one."""
+    for nu, x in SAMPLE_POINTS:
+        p = EvalPoint(nu, x)
+        alone = [ode_residual(p), *recurrence_residuals(p),
+                 turanian_quadratic_identity(p), decomposition_residual(p),
+                 crossterm_double_integral_residual(p)]
+        assert residual_suite((nu,), (x,), include_cross_term=True) == alone
+
+
+def test_residual_suite_computes_each_input_once(monkeypatch):
+    """Per point: four route calls (M at nu-1, nu, nu+1 and M') and six
+    first-kind series calls (I and L at the same three orders)."""
+    from struvekit import routes, series
+    calls = {"routes": 0, "series": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("struve_m", "struve_m_prime"):
+        counted(routes, name, "routes")
+    for name in ("bessel_i", "struve_l"):
+        counted(series, name, "series")
+    residual_suite((0.6, 2.0), (0.5, 5.0), include_cross_term=True)
+    assert calls == {"routes": 4 * 4, "series": 6 * 4}

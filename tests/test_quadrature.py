@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from struvekit import quadrature
 from struvekit.core import EvalPoint, FuncValue, Method, QuadConfig
-from struvekit.errors import DomainError, NonConvergenceError
-from struvekit.gammafuncs import gamma_ratio
+from struvekit.errors import CancellationError, DomainError, NonConvergenceError
+from struvekit.gammafuncs import gamma_ratio, log_gamma
 from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dx,
                                   calm_dx_orders, m_deriv, m_from_quadrature,
                                   turanian_il_double_integral)
@@ -75,6 +75,56 @@ def test_double_integral_table(key, want):
     fv = turanian_il_double_integral(EvalPoint(*key))
     assert rel_err(fv.value, want) < 1e-9
     assert fv.value > 0.0
+
+
+@pytest.mark.parametrize("key,want", sorted(DOUBLE_INTEGRAL_TABLE.items()))
+def test_double_integral_bar_covers_reference(key, want):
+    fv = turanian_il_double_integral(EvalPoint(*key))
+    assert abs(fv.value - want) <= fv.abs_err, (key, fv.value - want, fv.abs_err)
+
+
+def _tensor_double_sum(p: EvalPoint, level: int) -> float:
+    """D from the explicit O(N^2) product-rule sum over every node through
+    `level`: sum_ij a_i b_j (t_i^2 - t_j^2)^2 with cosh weights a and sinh
+    weights b, times the prefactor."""
+    t, lg1mt2, lgw = (np.concatenate(arrays) for arrays in
+                      zip(*(quadrature._level_nodes(lv) for lv in range(level + 1))))
+    col = 0.5 ** level * np.exp((p.nu - 1.5) * lg1mt2 + lgw)
+    a, b = col * np.cosh(p.x * t), col * np.sinh(p.x * t)
+    diff = t[:, None] ** 2 - t[None, :] ** 2
+    log_pref = (math.log(4.0 / math.pi) + 2.0 * p.nu * math.log(0.5 * p.x)
+                - 2.0 * log_gamma(p.nu + 0.5))
+    return math.exp(log_pref) * float(a @ (diff * diff) @ b)
+
+
+@pytest.mark.parametrize("key", [(1.0, 1.0), (0.55, 30.0), (6.5, 30.0), (20.0, 0.05),
+                                 (46.0, 220.0)])
+def test_double_integral_moments_match_tensor_sum(key, monkeypatch):
+    """The linear-time moment pass returns the tensor sum over the same
+    nodes, at the level where it stopped, to rounding. At (46, 220) the
+    integrand peaks between the level-0 nodes, so the moments must be
+    re-centred to stay free of cancellation."""
+    levels = []
+    nodes = quadrature._level_nodes
+    monkeypatch.setattr(quadrature, "_level_nodes",
+                        lambda level: levels.append(level) or nodes(level))
+    p = EvalPoint(*key)
+    fv = turanian_il_double_integral(p)
+    assert rel_err(fv.value, _tensor_double_sum(p, max(levels))) < 1e-13
+
+
+@pytest.mark.parametrize("x", [700.0, 800.0])
+def test_double_integral_overflow_is_named(x):
+    """D grows like e^(2x): past float64 it raises rather than stalling."""
+    with pytest.raises(CancellationError, match="overflows float64"):
+        turanian_il_double_integral(EvalPoint(0.6, x))
+
+
+@pytest.mark.parametrize("key", [(200.0, 1.0), (1.0, 1e-300)])
+def test_double_integral_underflow_keeps_a_bar(key):
+    """D lies below the smallest subnormal here: 0 with a nonzero bar."""
+    fv = turanian_il_double_integral(EvalPoint(*key))
+    assert fv.value == 0.0 < fv.abs_err
 
 
 def test_domain_rejections():
