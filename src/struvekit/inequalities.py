@@ -26,6 +26,7 @@ import itertools
 import math
 import operator
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -37,7 +38,6 @@ from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
 from .errors import DomainError, EmptyDomainError, StruveKitError
 from .gammafuncs import (SQRT_PI, gamma_ratio, gamma_ratio_h,
                          gamma_ratio_h_prime, log_gamma)
-from .quadrature import calm_dnu_orders, calm_dx_orders
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -62,7 +62,9 @@ class InequalityCase:
     ``margin_fn(nu, x, y, ev)`` returns ``(margin, scale)``, reading
     function values from ev, the sweep's :class:`routes.Memo`; the margin
     is oriented so positive means the claim holds, and the executor
-    reports ``margin/scale``.
+    reports ``margin/scale``. A case that reads a row's worth of quadrature
+    derivatives names ``row_fill(ev, nu, xs)``, which the sweep calls with
+    the kept x values before it visits the points of each order nu.
     """
 
     id: str
@@ -73,6 +75,7 @@ class InequalityCase:
     any_x: bool = False
     needs_y: bool = False
     note: str = ""
+    row_fill: Optional[Callable[..., None]] = None
 
     def domain(self, nu: float, x: float, y: Optional[float] = None) -> bool:
         """Whether (nu, x[, y]) lies where the claim is stated; a NaN
@@ -381,15 +384,13 @@ def _sign_margin(value: float, abs_err: float) -> float:
 
 
 def _margin_cm_probe_x(nu, x, y, ev):
-    fvs = calm_dx_orders(EvalPoint(nu, x), range(7), ev.quad_cfg)
     return min(_sign_margin((-1.0) ** n * fv.value, fv.abs_err)
-               for n, fv in enumerate(fvs)), 1.0
+               for n, fv in enumerate(ev.calm_dx(nu, x))), 1.0
 
 
 def _margin_cm_probe_nu(nu, x, y, ev):
-    fvs = calm_dnu_orders(EvalPoint(nu, x), range(5), ev.quad_cfg)
     return min(_sign_margin((-1.0) ** m * fv.value, fv.abs_err)
-               for m, fv in enumerate(fvs)), 1.0
+               for m, fv in enumerate(ev.calm_dnu(nu, x))), 1.0
 
 
 def _margin_logconvex_x(nu, x, y, ev):
@@ -430,7 +431,7 @@ def _margin_neg_m_cm(nu, x, y, ev):
     else:
         front = math.exp(-nu * math.log(2.0) - log_gamma(nu + 0.5))
         falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
-        dx = [fv.value for fv in calm_dx_orders(EvalPoint(nu, x), range(7), ev.quad_cfg)]
+        dx = [fv.value for fv in ev.calm_dx(nu, x)]
         for n in range(7):
             acc = 0.0
             for k in range(n + 1):
@@ -439,6 +440,11 @@ def _margin_neg_m_cm(nu, x, y, ev):
     # every summand above is positive by construction, so the sign of
     # each order is certain and a per-order +-1 margin is honest
     return min(v / max(abs(v), _TINY) for v in vals), 1.0
+
+
+def _fill_calm_dx(ev, nu, xs):
+    if nu != -0.5:  # neg_m_cm's closed-form row reads no quadrature derivative
+        ev.calm_dx.fill(nu, xs)
 
 
 def _margin_h_negative_derivative(nu, x, y, ev):
@@ -496,15 +502,17 @@ CATALOG: dict[str, InequalityCase] = {c.id: c for c in (
                    note="two-sided bound on gamma(nu+1/2)/gamma(nu+1)"),
     InequalityCase("sign_m", _margin_sign_m, -0.5, lo_closed=True,
                    note="second-kind function is negative"),
-    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5,
+    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5, row_fill=_fill_calm_dx,
                    note="derivative signs alternate in x through order 6"),
     InequalityCase("cm_probe_nu", _margin_cm_probe_nu, -0.5,
+                   row_fill=lambda ev, nu, xs: ev.calm_dnu.fill(nu, xs),
                    note="derivative signs alternate in nu through order 4"),
     InequalityCase("logconvex_x", _margin_logconvex_x, -0.5,
                    note="midpoint log-convexity in x"),
     InequalityCase("logconvex_nu", _margin_logconvex_nu, -0.5,
                    note="midpoint log-convexity in nu"),
     InequalityCase("neg_m_cm", _margin_neg_m_cm, -0.5, lo_closed=True, nu_hi=0.0,
+                   row_fill=_fill_calm_dx,
                    note="-M derivative signs alternate for nu in [-1/2, 0]"),
     InequalityCase("h_negative_derivative", _margin_h_negative_derivative, -1.0,
                    nu_hi=20.0, any_x=True,
@@ -573,16 +581,16 @@ def default_grid(case_id: str) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _domain_points(case: InequalityCase, grid: GridSpec):
-    """The grid points inside the case domain, in sweep order, and the
-    number of grid points outside it."""
+def _domain_axes(case: InequalityCase, grid: GridSpec):
+    """The axes of the grid points inside the case domain (their product in
+    sweep order), and the number of grid points outside it."""
     axes = [grid.nu_values, grid.x_values]
     if case.needs_y:
         axes.append(grid.y_values or ())
     kept = [[v for v in axis if ok(v)]
             for axis, ok in zip(axes, (case._nu_ok, case._x_ok, case._y_ok))]
     outside = math.prod(map(len, axes)) - math.prod(map(len, kept))
-    return itertools.product(*kept), outside
+    return kept, outside
 
 
 def sweep_case(case: InequalityCase, grid: GridSpec,
@@ -593,38 +601,44 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     Points outside the case domain are skipped and counted. Every margin
     evaluation runs at the given configs through the pair's
     :data:`routes.memo`, resolved once per sweep; its values outlive the
-    sweep. Evaluation failures are recorded per point and counted as
-    skipped, never fatal. When nothing was tested the
-    result is a zero-point report: every grid point counts as skipped, or
-    none when a two-argument case is handed no y grid.
+    sweep. A case with a ``row_fill`` fills the memo one order row at a
+    time, just before the sweep visits that row's points. Evaluation
+    failures are recorded per point and counted as skipped, never fatal.
+    When nothing was tested the result is a zero-point report: every grid
+    point counts as skipped, or none when a two-argument case is handed no
+    y grid.
     """
     start = time.perf_counter()
     ev = routes.memo(series_cfg, quad_cfg)
-    points, skipped = _domain_points(case, grid)
+    (nus, *rest), skipped = _domain_axes(case, grid)
     tested = 0
     min_margin: Optional[float] = None
     argmin: Optional[tuple[float, ...]] = None
     violations: list[tuple[tuple[float, ...], float]] = []
     inconclusive: list[tuple[tuple[float, ...], float]] = []
     errors: list[tuple[tuple[float, ...], str]] = []
-    for point in points:
-        nu, x = point[0], point[1]
-        y = point[2] if len(point) > 2 else None
-        try:
-            margin, scale = case.margin_fn(nu, x, y, ev)
-        except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
-            errors.append((point, f"{type(exc).__name__}: {exc}"))
-            skipped += 1
-            continue
-        tested += 1
-        normalized = margin / max(scale, _TINY)
-        if min_margin is None or normalized < min_margin:
-            min_margin = normalized
-            argmin = point
-        if normalized < -INCONCLUSIVE_BAND:
-            violations.append((point, normalized))
-        elif abs(normalized) <= INCONCLUSIVE_BAND:
-            inconclusive.append((point, normalized))
+    for nu in nus:
+        if case.row_fill is not None and all(rest):
+            with suppress(DomainError):  # the row's points then raise one by one
+                case.row_fill(ev, nu, rest[0])
+        for point in itertools.product((nu,), *rest):
+            x = point[1]
+            y = point[2] if len(point) > 2 else None
+            try:
+                margin, scale = case.margin_fn(nu, x, y, ev)
+            except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
+                errors.append((point, f"{type(exc).__name__}: {exc}"))
+                skipped += 1
+                continue
+            tested += 1
+            normalized = margin / max(scale, _TINY)
+            if min_margin is None or normalized < min_margin:
+                min_margin = normalized
+                argmin = point
+            if normalized < -INCONCLUSIVE_BAND:
+                violations.append((point, normalized))
+            elif abs(normalized) <= INCONCLUSIVE_BAND:
+                inconclusive.append((point, normalized))
     return VerificationReport(
         case_id=case.id,
         points_tested=tested,

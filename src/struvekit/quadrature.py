@@ -29,6 +29,11 @@ when the result is so large that abs_tol sits below its roundoff floor,
 refinement stops at machine precision and the reported abs_err stays
 honest rather than claiming the impossible.
 
+The node tables serve every point, so calm_dx_row and calm_dnu_row refine
+a whole x row at one nu with one exp() matrix per level, bit for bit the
+one-point _refine per point. _refine stays for lone points (the route
+chain), where the row's array bookkeeping would cost several scalar passes.
+
 The cross-Turanian double integral uses these nodes on both axes; its
 kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
 costs one column over its new nodes, not a product over every node pair.
@@ -176,17 +181,75 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
                                        or improvable <= 8.0 * _EPS * abs(s)):
                         frozen[i] = (s, err)
             if None not in frozen:
-                return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * _TWO_OVER_SQRT_PI * s,
-                                  _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
-                        for n, m, (s, err) in zip(ns, ms, frozen)]
+                return _values(ns, ms, *zip(*frozen))
     i = frozen.index(None)
-    tail = _TWO_OVER_SQRT_PI * tails[i]
-    raise NonConvergenceError(
-        f"{name}(nu={p.nu:g}, x={p.x:g}), order {ns[i] or ms[i]}: tanh-sinh "
-        f"refinement stalled above abs_tol={abs_tols[i]:g} (last error "
-        f"estimate {_TWO_OVER_SQRT_PI * errs[i]:.3g})" + (
+    raise _stall(name, p.nu, p.x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
+
+
+def _values(ns: tuple[int, ...], ms: tuple[int, ...], sums, errs) -> list[FuncValue]:
+    """The signed, scaled FuncValues of the frozen sums and errors per order."""
+    return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * _TWO_OVER_SQRT_PI * s,
+                      _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
+            for n, m, s, err in zip(ns, ms, sums, errs)]
+
+
+def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
+           err: float, tail: float) -> NonConvergenceError:
+    """The error of a refinement whose first open order stalled at max_level,
+    naming the node range when the order's tail bound alone exceeds abs_tol."""
+    tail = _TWO_OVER_SQRT_PI * tail
+    return NonConvergenceError(
+        f"{name}(nu={nu:g}, x={x:g}), order {order}: tanh-sinh "
+        f"refinement stalled above abs_tol={abs_tol:g} (last error "
+        f"estimate {_TWO_OVER_SQRT_PI * err:.3g})" + (
             "; the endpoint mass lies beyond the node range for this order "
-            f"(tail bound {tail:.3g})" if tail > abs_tols[i] else ""))
+            f"(tail bound {tail:.3g})" if tail > abs_tol else ""))
+
+
+def _refine_row(nu: float, xs: tuple[float, ...], ns: tuple[int, ...], ms: tuple[int, ...],
+                abs_tols: tuple[float, ...], max_level: int,
+                name: str) -> list[list[FuncValue] | NonConvergenceError]:
+    """_refine at every x of xs: per point its FuncValues or its stall error.
+
+    Per level one exp() matrix, points x nodes, times the kernel rows, summed
+    over the last axis: numpy's pairwise row sum, as in _refine, so the bits
+    match (a matmul would reorder the sum). Points leave once all orders froze.
+    """
+    pw = nu - 0.5
+    tails = np.array([math.exp(_log_tail_bound(pw, m)) for m in ms])
+    shape = (len(xs), len(ns))
+    sums, errs, frozen = np.zeros(shape), np.full(shape, math.inf), np.zeros(shape, bool)
+    x_col, live = np.array(xs)[:, None], np.arange(len(xs))
+    with np.errstate(under="ignore"):
+        for level in range(max_level + 1):
+            t, lg1mt2, lgw = _level_nodes(level)
+            col = np.exp(pw * lg1mt2 - x_col[live] * t + lgw)
+            kernel = _level_kernel(level, ns, ms)
+            cols = (col.sum(axis=1, keepdims=True) if kernel is None
+                    else (col[:, None, :] * kernel).sum(axis=2))
+            if level == 0:
+                sums[live] = cols
+                continue
+            prev = sums[live]
+            s = 0.5 * prev + 0.5 ** level * cols
+            improvable = 2.0 * np.abs(s - prev) + tails
+            err = improvable + 32.0 * _EPS * np.abs(s)
+            open_ = ~frozen[live]
+            # a frozen order keeps the sum and error it froze with
+            sums[live] = np.where(open_, s, prev)
+            errs[live] = np.where(open_, err, errs[live])
+            if level >= 2:
+                frozen[live] |= open_ & ((_TWO_OVER_SQRT_PI * err <= abs_tols)
+                                         | (improvable <= 8.0 * _EPS * np.abs(s)))
+            live = live[~frozen[live].all(axis=1)]
+            if not live.size:
+                break
+    out = []
+    for x, s, err, done in zip(xs, sums.tolist(), errs.tolist(), frozen.tolist()):
+        i = done.index(False) if False in done else None
+        out.append(_values(ns, ms, s, err) if i is None else
+                   _stall(name, nu, x, ns[i] or ms[i], abs_tols[i], err[i], float(tails[i])))
+    return out
 
 
 def _check_point(p: EvalPoint) -> None:
@@ -194,6 +257,30 @@ def _check_point(p: EvalPoint) -> None:
         raise DomainError("the integral representation requires nu > -1/2")
     if p.x < 0.0:
         raise DomainError("quadrature route requires x >= 0")
+
+
+def _dx_args(ns: Iterable[int], cfg: QuadConfig) -> tuple:
+    """(ns, ms, abs_tols, max_level, name) of the refinement of x-orders ns."""
+    ns = tuple(ns)
+    if not all(0 <= n <= _MAX_DX_ORDER for n in ns):
+        raise DomainError(f"x-derivative order must lie in [0, {_MAX_DX_ORDER}]")
+    return ns, (0,) * len(ns), (cfg.abs_tol,) * len(ns), cfg.max_level, "calm_dx"
+
+
+def _dnu_args(nu: float, ms: Iterable[int], cfg: QuadConfig) -> tuple:
+    """(ns, ms, abs_tols, max_level, name) of the refinement of nu-orders ms."""
+    ms = tuple(ms)
+    if not all(0 <= m <= _MAX_DNU_ORDER for m in ms):
+        raise DomainError(f"nu-derivative order must lie in [0, {_MAX_DNU_ORDER}]")
+    tols = tuple(10.0 * cfg.abs_tol if nu < 0.5 and m >= 2 else cfg.abs_tol for m in ms)
+    return (0,) * len(ms), ms, tols, cfg.max_level, "calm_dnu"
+
+
+def _check_row(nu: float, xs: Iterable[float]) -> tuple[float, ...]:
+    xs = tuple(xs)
+    for x in xs:
+        _check_point(EvalPoint(nu, x))
+    return xs
 
 
 def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
@@ -205,11 +292,7 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     Every value and abs_err equals the single-order result bit for bit.
     """
     _check_point(p)
-    ns = tuple(ns)
-    if not all(0 <= n <= _MAX_DX_ORDER for n in ns):
-        raise DomainError(f"x-derivative order must lie in [0, {_MAX_DX_ORDER}]")
-    return _refine(p, ns, (0,) * len(ns), (cfg.abs_tol,) * len(ns), cfg.max_level,
-                   "calm_dx")
+    return _refine(p, *_dx_args(ns, cfg))
 
 
 def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
@@ -225,11 +308,22 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     nu = -0.49898, x = 0.179, m = 6).
     """
     _check_point(p)
-    ms = tuple(ms)
-    if not all(0 <= m <= _MAX_DNU_ORDER for m in ms):
-        raise DomainError(f"nu-derivative order must lie in [0, {_MAX_DNU_ORDER}]")
-    tols = tuple(10.0 * cfg.abs_tol if p.nu < 0.5 and m >= 2 else cfg.abs_tol for m in ms)
-    return _refine(p, (0,) * len(ms), ms, tols, cfg.max_level, "calm_dnu")
+    return _refine(p, *_dnu_args(p.nu, ms, cfg))
+
+
+def calm_dx_row(nu: float, xs: Iterable[float], ns: Iterable[int],
+                cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
+    """calm_dx_orders at every x of xs for one nu, from one refinement of the
+    whole row: per x its FuncValues, bit for bit, or the NonConvergenceError
+    calm_dx_orders raises there, returned. One point is cheaper through
+    calm_dx_orders."""
+    return _refine_row(nu, _check_row(nu, xs), *_dx_args(ns, cfg))
+
+
+def calm_dnu_row(nu: float, xs: Iterable[float], ms: Iterable[int],
+                 cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
+    """calm_dnu_orders at every x of xs for one nu, as calm_dx_row."""
+    return _refine_row(nu, _check_row(nu, xs), *_dnu_args(nu, ms, cfg))
 
 
 def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -361,5 +455,8 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
                 return FuncValue(pref * d, pref * err + pref_err * abs(d) + _TINY,
                                  Method.QUADRATURE)
             prev = d
+    bound = tail / max(abs(d), 1e-300)
     raise NonConvergenceError(
-        f"cross-Turanian refinement stalled at (nu={p.nu:g}, x={p.x:g})")
+        f"cross-Turanian refinement stalled at (nu={p.nu:g}, x={p.x:g})" + (
+            "; the endpoint mass lies beyond the node range (relative tail bound "
+            f"{bound:.3g})" if bound > cfg.abs_tol else ""))

@@ -20,7 +20,9 @@ that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
 
 :data:`memo` memoizes the automatic M, M' and calM values per
 (SeriesConfig, QuadConfig) pair for the verification sweeps, where one
-grid point feeds many cases.
+grid point feeds many cases, and the sign probes' quadrature derivatives:
+a sweep fills those a whole x row at a time (quadrature.calm_dx_row and
+calm_dnu_row), a lone read a point at a time (calm_dx_orders, calm_dnu_orders).
 """
 
 from __future__ import annotations
@@ -178,19 +180,62 @@ def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
     return FuncValue(hi.value + mid + last, err, here.method)
 
 
-class Memo:
-    """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x)."""
+_MEMO_SIZE = 262144
 
-    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm")
+
+class Memo:
+    """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x),
+    and the sign probes' quadrature derivatives: calm_dx holds calM's x-orders 0-6 and
+    calm_dnu its nu-orders 0-4, each filled a point or a whole x row at a time."""
+
+    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu")
 
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
-        memoized = lru_cache(maxsize=262144)
+        memoized = lru_cache(maxsize=_MEMO_SIZE)
         self.m = memoized(lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
         self.m_prime = memoized(
             lambda nu, x: struve_m_prime(EvalPoint(nu, x), None, series_cfg, quad_cfg))
         self.calm = memoized(lambda nu, x: calm(EvalPoint(nu, x), None, series_cfg, quad_cfg))
+        self.calm_dx = _Derivatives(
+            lambda nu, x: quadrature.calm_dx_orders(EvalPoint(nu, x), range(7), quad_cfg),
+            lambda nu, xs: quadrature.calm_dx_row(nu, xs, range(7), quad_cfg))
+        self.calm_dnu = _Derivatives(
+            lambda nu, x: quadrature.calm_dnu_orders(EvalPoint(nu, x), range(5), quad_cfg),
+            lambda nu, xs: quadrature.calm_dnu_row(nu, xs, range(5), quad_cfg))
+
+
+class _Derivatives:
+    """calM derivative orders memoized on (nu, x): a point's FuncValues, or the
+    NonConvergenceError its pass raised, which every read of the point raises again."""
+
+    def __init__(self, at_point, along_row) -> None:
+        self._at_point, self._along_row, self._store = at_point, along_row, {}
+
+    def __call__(self, nu: float, x: float) -> tuple[FuncValue, ...]:
+        """The orders at (nu, x); a point no row stored takes a one-point pass."""
+        if (nu, x) not in self._store:
+            try:
+                got = self._at_point(nu, x)
+            except NonConvergenceError as exc:
+                got = exc.with_traceback(None)  # keep no frames alive in the store
+            self._put(nu, x, got)
+        got = self._store[nu, x]
+        if isinstance(got, NonConvergenceError):
+            raise NonConvergenceError(*got.args)
+        return got
+
+    def fill(self, nu: float, xs) -> None:
+        """Store every x of xs not yet stored, from one row pass at nu."""
+        missing = [x for x in dict.fromkeys(xs) if (nu, x) not in self._store]
+        for x, got in zip(missing, self._along_row(nu, missing) if missing else ()):
+            self._put(nu, x, got)
+
+    def _put(self, nu: float, x: float, got) -> None:
+        if len(self._store) >= _MEMO_SIZE:  # bounded like the lru caches: drop the oldest
+            del self._store[next(iter(self._store))]
+        self._store[nu, x] = got if isinstance(got, NonConvergenceError) else tuple(got)
 
 
 #: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives

@@ -326,6 +326,16 @@ def test_neg_m_cm_honours_sweep_config():
     assert report.points_tested + report.points_skipped == 625
 
 
+def test_a_row_the_quadrature_rejects_is_left_to_its_points(cold_memo):
+    """A derivative row with a non-finite x cannot be filled; its points are
+    then evaluated one by one, so only the bad point raises."""
+    report = sweep_case(CATALOG["cm_probe_x"], GridSpec(nu_values=(1.0,),
+                                                        x_values=(1.0, math.inf)))
+    assert report.points_tested == 1
+    assert [(point, err.split(":")[0]) for point, err in report.errors] == [
+        ((1.0, math.inf), "DomainError")]
+
+
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():
     """An explicit grid that misses some domains must still yield one report
     per case, with zero-point reports where the domain filter emptied."""

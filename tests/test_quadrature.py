@@ -4,6 +4,7 @@ double integral."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from struvekit import quadrature
 from struvekit.core import EvalPoint, FuncValue, Method, QuadConfig
 from struvekit.errors import CancellationError, DomainError, NonConvergenceError
 from struvekit.gammafuncs import gamma_ratio, log_gamma
-from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dx,
-                                  calm_dx_orders, m_deriv, m_from_quadrature,
-                                  turanian_il_double_integral)
+from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dnu_row,
+                                  calm_dx, calm_dx_orders, calm_dx_row, m_deriv,
+                                  m_from_quadrature, turanian_il_double_integral)
 
 from conftest import rel_err
 from oracles import (CALM_DNU_TABLE, CALM_DX_TABLE, CALM_TABLE,
@@ -120,6 +121,19 @@ def test_double_integral_overflow_is_named(x):
         turanian_il_double_integral(EvalPoint(0.6, x))
 
 
+@pytest.mark.parametrize("key,bound", [((0.5001, 1.0), "190"), ((0.5001, 10.0), "3.7e+03"),
+                                       ((0.5001, 300.0), "3.01e+06"),
+                                       ((0.5005, 1.0), "4.68e-09")])
+def test_double_integral_stall_past_the_node_range_names_its_cause(key, bound):
+    """Next to nu = 1/2 the axis tail bound times the companion mass
+    exceeds the tolerance at every level: the error says so and quotes
+    that bound relative to D."""
+    with pytest.raises(NonConvergenceError, match=(
+            r"stalled at \(nu=%g, x=%g\); the endpoint mass lies beyond the node range "
+            r"\(relative tail bound %s\)$" % (*key, re.escape(bound)))):
+        turanian_il_double_integral(EvalPoint(*key))
+
+
 @pytest.mark.parametrize("key", [(200.0, 1.0), (1.0, 1e-300)])
 def test_double_integral_underflow_keeps_a_bar(key):
     """D lies below the smallest subnormal here: 0 with a nonzero bar."""
@@ -215,15 +229,63 @@ def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg)
         assert _outcome(lambda: [single(p, k, cfg) for k in orders]) == want, p
 
 
+@pytest.mark.parametrize("row,batch,kind,orders", [
+    (calm_dx_row, calm_dx_orders, "n", range(11)),
+    (calm_dx_row, calm_dx_orders, "n", (6, 0, 3)),
+    (calm_dnu_row, calm_dnu_orders, "m", range(7)),
+    (calm_dnu_row, calm_dnu_orders, "m", (4, 1)),
+])
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
+def test_rows_equal_scalar_reference(row, batch, kind, orders, cfg):
+    """A whole x row at one nu returns, at each point, exactly the
+    values and error bars of the per-order loop, or the error the
+    per-point call raises there, message included. The rows start at
+    x = 0 and the orders come within 1e-3 of -1/2."""
+    rng = random.Random(21)
+    for nu in sorted({p.nu for p in _seeded_points()}):
+        xs = (0.0,) + tuple(10.0 ** rng.uniform(-3.0, 1.5) for _ in range(5))
+        for x, got in zip(xs, row(nu, xs, orders, cfg)):
+            p = EvalPoint(nu, x)
+            want = _outcome(lambda: [
+                _scalar_reference(p, k if kind == "n" else 0, k if kind == "m" else 0, cfg)
+                for k in orders])
+            if want is NonConvergenceError:
+                with pytest.raises(NonConvergenceError) as info:
+                    batch(p, orders, cfg)
+                assert isinstance(got, NonConvergenceError), p
+                assert str(got) == str(info.value), p
+            else:
+                assert got == want, p
+
+
+_ROWS = (calm_dx_row, calm_dnu_row)
+
+
 @pytest.mark.parametrize("batch,orders", [
     (calm_dx_orders, (0, 11, 1)),
     (calm_dx_orders, (-1,)),
     (calm_dnu_orders, (2, 7)),
     (calm_dnu_orders, (0, -1, 3)),
+    (calm_dx_row, (0, 11, 1)),
+    (calm_dx_row, (-1,)),
+    (calm_dnu_row, (2, 7)),
+    (calm_dnu_row, (0, -1, 3)),
 ])
 def test_out_of_range_order_anywhere_in_a_batch_raises(batch, orders):
     with pytest.raises(DomainError):
-        batch(EvalPoint(1.0, 1.0), orders)
+        if batch in _ROWS:
+            batch(1.0, (0.5, 1.0), orders)
+        else:
+            batch(EvalPoint(1.0, 1.0), orders)
+
+
+@pytest.mark.parametrize("row", _ROWS)
+@pytest.mark.parametrize("nu,xs", [(-0.5, (1.0,)), (-0.7, (0.5, 1.0)), (1.0, (0.5, -1e-3, 2.0)),
+                                   (1.0, (-1.0,))])
+def test_rows_reject_points_off_the_integral_domain(row, nu, xs):
+    """As at one point: nu <= -1/2, or an x < 0 anywhere in the row, raises."""
+    with pytest.raises(DomainError):
+        row(nu, xs, (0, 1))
 
 
 @given(st.floats(min_value=-0.45, max_value=15.0),
@@ -256,5 +318,10 @@ def test_stall_past_the_node_range_names_its_cause():
         calm_dnu(p, 6)
     with pytest.raises(NonConvergenceError, match=r"order 6: .*" + beyond):
         calm_dnu_orders(p, (1, 6))
+    (got,) = calm_dnu_row(p.nu, (p.x,), (1, 6))
+    assert isinstance(got, NonConvergenceError)
+    with pytest.raises(NonConvergenceError) as info:
+        calm_dnu_orders(p, (1, 6))
+    assert str(got) == str(info.value)
     with pytest.raises(NonConvergenceError, match=r"order 1: .*estimate [^;]*$"):
         calm_dnu(EvalPoint(-0.4985, 0.179), 1)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -14,7 +15,7 @@ from struvekit import routes
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
 from struvekit.errors import DomainError, NonConvergenceError
-from struvekit.inequalities import run_all
+from struvekit.inequalities import default_grid, run_all
 from struvekit.routes import calm, struve_m, struve_m_prime
 
 from conftest import rel_err
@@ -197,6 +198,64 @@ def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo
                         lambda *args: calls.append(args) or m_deriv(*args))
     run_all()
     assert len(calls) <= 684
+
+
+def test_default_sweep_fills_probe_derivatives_by_order_row(monkeypatch, cold_memo):
+    """A cold run_all() fills the sign probes' derivatives in 73 row passes,
+    one per order row: 25 for cm_probe_x, 23 more for neg_m_cm (of its 25
+    rows, the closed-form one at nu = -1/2 reads no derivative and the one
+    at nu = -0.49 is cm_probe_x's) and 25 for cm_probe_nu. No probe runs a
+    per-point pass at its orders. A second run_all() makes no quadrature
+    pass at all."""
+    rows, points = [], []
+
+    def record(name, log, entry):
+        fn = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda *args: log.append(entry(*args)) or fn(*args))
+
+    record("calm_dx_row", rows, lambda nu, *rest: ("calm_dx_row", nu))
+    record("calm_dnu_row", rows, lambda nu, *rest: ("calm_dnu_row", nu))
+    record("calm_dx_orders", points, lambda p, orders, *cfg: tuple(orders))
+    record("calm_dnu_orders", points, lambda p, orders, *cfg: tuple(orders))
+    run_all()
+    nus = {case: set(default_grid(case).nu_values)
+           for case in ("cm_probe_x", "neg_m_cm", "cm_probe_nu")}
+    dx_rows = sorted(nu for name, nu in rows if name == "calm_dx_row")
+    assert dx_rows == sorted(nus["cm_probe_x"] | nus["neg_m_cm"] - {-0.5})
+    assert len(dx_rows) == 48
+    assert sorted(nu for name, nu in rows if name == "calm_dnu_row") == sorted(nus["cm_probe_nu"])
+    assert len(rows) == 73
+    assert tuple(range(7)) not in points
+    assert tuple(range(5)) not in points
+    rows.clear()
+    points.clear()
+    run_all()
+    assert rows == points == []
+
+
+def test_memo_derivatives_match_point_passes(cold_memo):
+    """Derivatives read from a filled row, or from a lone point, equal the
+    per-point pass at the memo's config. A point that stalls stores its
+    error and raises it again, message unchanged, at every read."""
+    for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5)):
+        ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
+        xs = (0.0, 1e-3, 0.5, 7.0, 30.0)
+        ev.calm_dx.fill(1.5, xs)
+        ev.calm_dnu.fill(1.5, xs)
+        for x in xs + (2.0,):
+            p = EvalPoint(1.5, x)
+            assert ev.calm_dx(1.5, x) == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
+            assert ev.calm_dnu(1.5, x) == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    with pytest.raises(NonConvergenceError) as info:
+        quadrature.calm_dnu_orders(EvalPoint(-0.49898, 0.179), range(5))
+    ev.calm_dnu.fill(-0.49898, (0.179,))
+    for read in (ev.calm_dnu, ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu):
+        with pytest.raises(NonConvergenceError, match=re.escape(str(info.value))):
+            read(-0.49898, 0.179)
+    with pytest.raises(NonConvergenceError, match=re.escape(str(info.value))):
+        routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).calm_dnu(-0.49898, 0.179)
 
 
 def test_escalation_reuses_the_float_pass(monkeypatch):
