@@ -9,7 +9,8 @@ edge, open or closed, and an optional closed upper edge); the case's
 domain predicate and its default sweep grid are both derived from it. The
 executor sweeps a grid, normalizes each margin by its scale, and
 classifies points as satisfied, inconclusive (within ``+-1e-9`` of zero
-after normalization), or violations.
+after normalization), or violations. A sweep visits again the points whose
+quadrature the memo deferred, once one batch has filled them all.
 
 The catalog below (CATALOG) is the canonical set swept by ``run_all``.
 One extra case, ``FX3_raw``, lives in EXTRA_CASES: it extends the
@@ -26,7 +27,6 @@ import itertools
 import math
 import operator
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -62,9 +62,9 @@ class InequalityCase:
     ``margin_fn(nu, x, y, ev)`` returns ``(margin, scale)``, reading
     function values from ev, the sweep's :class:`routes.Memo`; the margin
     is oriented so positive means the claim holds, and the executor
-    reports ``margin/scale``. A case that reads a row's worth of quadrature
-    derivatives names ``row_fill(ev, nu, xs)``, which the sweep calls with
-    the kept x values before it visits the points of each order nu.
+    reports ``margin/scale``. Inside a sweep a memo read may defer its
+    quadrature step, so a margin may be called again at the same point; it
+    must read the memo and compute, nothing more.
     """
 
     id: str
@@ -75,7 +75,6 @@ class InequalityCase:
     any_x: bool = False
     needs_y: bool = False
     note: str = ""
-    row_fill: Optional[Callable[..., None]] = None
 
     def domain(self, nu: float, x: float, y: Optional[float] = None) -> bool:
         """Whether (nu, x[, y]) lies where the claim is stated; a NaN
@@ -442,11 +441,6 @@ def _margin_neg_m_cm(nu, x, y, ev):
     return min(v / max(abs(v), _TINY) for v in vals), 1.0
 
 
-def _fill_calm_dx(ev, nu, xs):
-    if nu != -0.5:  # neg_m_cm's closed-form row reads no quadrature derivative
-        ev.calm_dx.fill(nu, xs)
-
-
 def _margin_h_negative_derivative(nu, x, y, ev):
     hv = gamma_ratio_h(nu)
     hp = gamma_ratio_h_prime(nu)
@@ -502,17 +496,15 @@ CATALOG: dict[str, InequalityCase] = {c.id: c for c in (
                    note="two-sided bound on gamma(nu+1/2)/gamma(nu+1)"),
     InequalityCase("sign_m", _margin_sign_m, -0.5, lo_closed=True,
                    note="second-kind function is negative"),
-    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5, row_fill=_fill_calm_dx,
+    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5,
                    note="derivative signs alternate in x through order 6"),
     InequalityCase("cm_probe_nu", _margin_cm_probe_nu, -0.5,
-                   row_fill=lambda ev, nu, xs: ev.calm_dnu.fill(nu, xs),
                    note="derivative signs alternate in nu through order 4"),
     InequalityCase("logconvex_x", _margin_logconvex_x, -0.5,
                    note="midpoint log-convexity in x"),
     InequalityCase("logconvex_nu", _margin_logconvex_nu, -0.5,
                    note="midpoint log-convexity in nu"),
     InequalityCase("neg_m_cm", _margin_neg_m_cm, -0.5, lo_closed=True, nu_hi=0.0,
-                   row_fill=_fill_calm_dx,
                    note="-M derivative signs alternate for nu in [-1/2, 0]"),
     InequalityCase("h_negative_derivative", _margin_h_negative_derivative, -1.0,
                    nu_hi=20.0, any_x=True,
@@ -601,8 +593,9 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     Points outside the case domain are skipped and counted. Every margin
     evaluation runs at the given configs through the pair's
     :data:`routes.memo`, resolved once per sweep; its values outlive the
-    sweep. A case with a ``row_fill`` fills the memo one order row at a
-    time, just before the sweep visits that row's points. Evaluation
+    sweep. A point whose margin met a deferred quadrature miss is visited
+    again once the memo has filled every such miss in one batch; the report
+    keeps grid order and the first argmin in it all the same. Evaluation
     failures are recorded per point and counted as skipped, never fatal.
     When nothing was tested the result is a zero-point report: every grid
     point counts as skipped, or none when a two-argument case is handed no
@@ -611,43 +604,56 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     start = time.perf_counter()
     ev = routes.memo(series_cfg, quad_cfg)
     (nus, *rest), skipped = _domain_axes(case, grid)
+    margin_fn = case.margin_fn
     tested = 0
     min_margin: Optional[float] = None
     argmin: Optional[tuple[float, ...]] = None
-    violations: list[tuple[tuple[float, ...], float]] = []
-    inconclusive: list[tuple[tuple[float, ...], float]] = []
-    errors: list[tuple[tuple[float, ...], str]] = []
-    for nu in nus:
-        if case.row_fill is not None and all(rest):
-            with suppress(DomainError):  # the row's points then raise one by one
-                case.row_fill(ev, nu, rest[0])
-        for point in itertools.product((nu,), *rest):
-            x = point[1]
-            y = point[2] if len(point) > 2 else None
-            try:
-                margin, scale = case.margin_fn(nu, x, y, ev)
-            except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
-                errors.append((point, f"{type(exc).__name__}: {exc}"))
-                skipped += 1
-                continue
-            tested += 1
-            normalized = margin / max(scale, _TINY)
-            if min_margin is None or normalized < min_margin:
-                min_margin = normalized
-                argmin = point
-            if normalized < -INCONCLUSIVE_BAND:
-                violations.append((point, normalized))
-            elif abs(normalized) <= INCONCLUSIVE_BAND:
-                inconclusive.append((point, normalized))
+    violations, inconclusive, errors = [], [], []  # (grid index, point, margin or message)
+    todo = enumerate(itertools.product(nus, *rest))
+    rounds = 0
+    with ev.deferring() as fill:
+        while True:
+            deferred = []
+            low = None
+            for i, point in todo:
+                try:
+                    margin, scale = margin_fn(point[0], point[1],
+                                              point[2] if len(point) > 2 else None, ev)
+                except routes._Deferred:
+                    deferred.append((i, point))
+                    continue
+                except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
+                    errors.append((i, point, f"{type(exc).__name__}: {exc}"))
+                    skipped += 1
+                    continue
+                tested += 1
+                normalized = margin / max(scale, _TINY)
+                if low is None or normalized < low:
+                    low, low_i, low_at = normalized, i, point
+                if normalized < -INCONCLUSIVE_BAND:
+                    violations.append((i, point, normalized))
+                elif abs(normalized) <= INCONCLUSIVE_BAND:
+                    inconclusive.append((i, point, normalized))
+            if low is not None and (min_margin is None
+                                    or (low, low_i) < (min_margin, argmin_i)):
+                min_margin, argmin_i, argmin = low, low_i, low_at
+            if not deferred:
+                break
+            fill()
+            rounds += 1
+            todo = deferred
+    if rounds:  # revisited points were classified late: restore grid order
+        for found in (violations, inconclusive, errors):
+            found.sort(key=operator.itemgetter(0))
     return VerificationReport(
         case_id=case.id,
         points_tested=tested,
         points_skipped=skipped,
         min_margin=min_margin,
         argmin=argmin,
-        violations=tuple(violations),
-        inconclusive=tuple(inconclusive),
-        errors=tuple(errors),
+        violations=tuple((point, m) for _, point, m in violations),
+        inconclusive=tuple((point, m) for _, point, m in inconclusive),
+        errors=tuple((point, err) for _, point, err in errors),
         wall_time=time.perf_counter() - start,
     )
 

@@ -29,10 +29,12 @@ when the result is so large that abs_tol sits below its roundoff floor,
 refinement stops at machine precision and the reported abs_err stays
 honest rather than claiming the impossible.
 
-The node tables serve every point, so calm_dx_row and calm_dnu_row refine
-a whole x row at one nu with one exp() matrix per level, bit for bit the
-one-point _refine per point. _refine stays for lone points (the route
-chain), where the row's array bookkeeping would cost several scalar passes.
+The node tables serve every point and the exp() argument is per point, so
+calm_dx_points and calm_dnu_points refine points at any mix of (nu, x) with
+one exp() matrix per level, bit for bit _refine at each point, each with its
+own tails, tolerances, error estimates and stopping level; the sweep memo
+batches its quadrature misses through them. _refine stays for lone points
+(the single-call route chain), where array bookkeeping would cost more.
 
 The cross-Turanian double integral uses these nodes on both axes; its
 kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
@@ -68,6 +70,10 @@ _LOG_DELTA = math.log(2.0) - math.pi * math.sinh(U_MAX)
 
 _MAX_DX_ORDER = 10
 _MAX_DNU_ORDER = 6
+
+#: Most points x orders one batch refines: its exp() matrix holds at most this
+#: many rows of a level's nodes (44 MB at level 10), whatever the grid.
+_BATCH_CELLS = 512
 
 
 @functools.lru_cache(maxsize=16)
@@ -206,24 +212,35 @@ def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
             f"(tail bound {tail:.3g})" if tail > abs_tol else ""))
 
 
-def _refine_row(nu: float, xs: tuple[float, ...], ns: tuple[int, ...], ms: tuple[int, ...],
-                abs_tols: tuple[float, ...], max_level: int,
-                name: str) -> list[list[FuncValue] | NonConvergenceError]:
-    """_refine at every x of xs: per point its FuncValues or its stall error.
+def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, ...],
+                   abs_tols: list[tuple[float, ...]], max_level: int,
+                   name: str) -> list[list[FuncValue] | NonConvergenceError]:
+    """_refine at every point, each at its own (nu, x) and abs_tols row: per point
+    its FuncValues or its stall error, in batches of at most _BATCH_CELLS points x
+    orders.
 
     Per level one exp() matrix, points x nodes, times the kernel rows, summed
     over the last axis: numpy's pairwise row sum, as in _refine, so the bits
     match (a matmul would reorder the sum). Points leave once all orders froze.
     """
-    pw = nu - 0.5
-    tails = np.array([math.exp(_log_tail_bound(pw, m)) for m in ms])
-    shape = (len(xs), len(ns))
+    step = max(1, _BATCH_CELLS // max(len(ns), 1))
+    if len(points) > step:
+        return [got for i in range(0, len(points), step) for got in _refine_points(
+            points[i:i + step], ns, ms, abs_tols[i:i + step], max_level, name)]
+    if not points:
+        return []
+    pw = [p.nu - 0.5 for p in points]
+    tail_rows = {w: [math.exp(_log_tail_bound(w, m)) for m in ms] for w in set(pw)}
+    tails = np.array([tail_rows[w] for w in pw])
+    abs_tols = np.array(abs_tols)
+    pw, x_col = np.array(pw)[:, None], np.array([p.x for p in points])[:, None]
+    shape = (len(points), len(ns))
     sums, errs, frozen = np.zeros(shape), np.full(shape, math.inf), np.zeros(shape, bool)
-    x_col, live = np.array(xs)[:, None], np.arange(len(xs))
+    live = np.arange(len(points))
     with np.errstate(under="ignore"):
         for level in range(max_level + 1):
             t, lg1mt2, lgw = _level_nodes(level)
-            col = np.exp(pw * lg1mt2 - x_col[live] * t + lgw)
+            col = np.exp(pw[live] * lg1mt2 - x_col[live] * t + lgw)
             kernel = _level_kernel(level, ns, ms)
             cols = (col.sum(axis=1, keepdims=True) if kernel is None
                     else (col[:, None, :] * kernel).sum(axis=2))
@@ -232,31 +249,36 @@ def _refine_row(nu: float, xs: tuple[float, ...], ns: tuple[int, ...], ms: tuple
                 continue
             prev = sums[live]
             s = 0.5 * prev + 0.5 ** level * cols
-            improvable = 2.0 * np.abs(s - prev) + tails
+            improvable = 2.0 * np.abs(s - prev) + tails[live]
             err = improvable + 32.0 * _EPS * np.abs(s)
             open_ = ~frozen[live]
             # a frozen order keeps the sum and error it froze with
             sums[live] = np.where(open_, s, prev)
             errs[live] = np.where(open_, err, errs[live])
             if level >= 2:
-                frozen[live] |= open_ & ((_TWO_OVER_SQRT_PI * err <= abs_tols)
+                frozen[live] |= open_ & ((_TWO_OVER_SQRT_PI * err <= abs_tols[live])
                                          | (improvable <= 8.0 * _EPS * np.abs(s)))
             live = live[~frozen[live].all(axis=1)]
             if not live.size:
                 break
     out = []
-    for x, s, err, done in zip(xs, sums.tolist(), errs.tolist(), frozen.tolist()):
+    for p, s, err, done, tail, tol in zip(points, sums.tolist(), errs.tolist(), frozen.tolist(),
+                                          tails.tolist(), abs_tols.tolist()):
         i = done.index(False) if False in done else None
         out.append(_values(ns, ms, s, err) if i is None else
-                   _stall(name, nu, x, ns[i] or ms[i], abs_tols[i], err[i], float(tails[i])))
+                   _stall(name, p.nu, p.x, ns[i] or ms[i], tol[i], err[i], tail[i]))
     return out
 
 
-def _check_point(p: EvalPoint) -> None:
+def _check_point(p: EvalPoint, m_of: str = "") -> EvalPoint:
+    """p, or DomainError off the domain; the function of M named m_of needs x > 0."""
     if p.nu <= -0.5:
         raise DomainError("the integral representation requires nu > -1/2")
     if p.x < 0.0:
         raise DomainError("quadrature route requires x >= 0")
+    if m_of and p.x == 0.0:
+        raise DomainError(f"{m_of} requires x > 0")
+    return p
 
 
 def _dx_args(ns: Iterable[int], cfg: QuadConfig) -> tuple:
@@ -276,13 +298,6 @@ def _dnu_args(nu: float, ms: Iterable[int], cfg: QuadConfig) -> tuple:
     return (0,) * len(ms), ms, tols, cfg.max_level, "calm_dnu"
 
 
-def _check_row(nu: float, xs: Iterable[float]) -> tuple[float, ...]:
-    xs = tuple(xs)
-    for x in xs:
-        _check_point(EvalPoint(nu, x))
-    return xs
-
-
 def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
                    cfg: QuadConfig = QUAD_DEFAULTS) -> list[FuncValue]:
     """x-derivatives of the normalized form for every order in ns, signs
@@ -291,8 +306,7 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
     Every value and abs_err equals the single-order result bit for bit.
     """
-    _check_point(p)
-    return _refine(p, *_dx_args(ns, cfg))
+    return _refine(_check_point(p), *_dx_args(ns, cfg))
 
 
 def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
@@ -307,23 +321,29 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     converges; the error then says so and quotes the tail bound (4e6 at
     nu = -0.49898, x = 0.179, m = 6).
     """
-    _check_point(p)
-    return _refine(p, *_dnu_args(p.nu, ms, cfg))
+    return _refine(_check_point(p), *_dnu_args(p.nu, ms, cfg))
 
 
-def calm_dx_row(nu: float, xs: Iterable[float], ns: Iterable[int],
-                cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
-    """calm_dx_orders at every x of xs for one nu, from one refinement of the
-    whole row: per x its FuncValues, bit for bit, or the NonConvergenceError
-    calm_dx_orders raises there, returned. One point is cheaper through
-    calm_dx_orders."""
-    return _refine_row(nu, _check_row(nu, xs), *_dx_args(ns, cfg))
+def calm_dx_points(points: Iterable[EvalPoint], ns: Iterable[int],
+                   cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
+    """calm_dx_orders at every point, each at its own (nu, x), from one
+    refinement of the batch: per point its FuncValues, bit for bit, or the
+    NonConvergenceError calm_dx_orders raises there, returned; DomainError for
+    any point off the domain. One point is cheaper through calm_dx_orders."""
+    points = [_check_point(p) for p in points]
+    ns, ms, tols, max_level, name = _dx_args(ns, cfg)
+    return _refine_points(points, ns, ms, [tols] * len(points), max_level, name)
 
 
-def calm_dnu_row(nu: float, xs: Iterable[float], ms: Iterable[int],
-                 cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
-    """calm_dnu_orders at every x of xs for one nu, as calm_dx_row."""
-    return _refine_row(nu, _check_row(nu, xs), *_dnu_args(nu, ms, cfg))
+def calm_dnu_points(points: Iterable[EvalPoint], ms: Iterable[int],
+                    cfg: QuadConfig = QUAD_DEFAULTS
+                    ) -> list[list[FuncValue] | NonConvergenceError]:
+    """calm_dnu_orders at every point, as calm_dx_points; each point keeps its own
+    relaxed threshold for nu < 1/2."""
+    points = [_check_point(p) for p in points]
+    ns, ms, _, max_level, name = _dnu_args(0.5, ms, cfg)
+    tols = {nu: _dnu_args(nu, ms, cfg)[2] for nu in {p.nu for p in points}}
+    return _refine_points(points, ns, ms, [tols[p.nu] for p in points], max_level, name)
 
 
 def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -356,10 +376,12 @@ def _m_scale(p: EvalPoint) -> tuple[float, float]:
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2). nu > -1/2, x > 0."""
-    _check_point(p)
-    if p.x <= 0.0:
-        raise DomainError("m_from_quadrature requires x > 0")
-    c = calm(p, cfg)
+    _check_point(p, "m_from_quadrature")
+    return _m_of(p, calm(p, cfg))
+
+
+def _m_of(p: EvalPoint, c: FuncValue) -> FuncValue:
+    """M_nu(x) from the quadrature value c of calM_nu(x)."""
     factor, factor_err = _m_scale(p)
     value = -factor * c.value
     return FuncValue(value, factor * c.abs_err + factor_err * abs(c.value) + _TINY,
@@ -372,10 +394,12 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     M_nu'(x) = -(x/2)^nu [ (nu/x) calM_nu(x) + calM_nu'(x) ] / gamma(nu+1/2),
     with calM_nu' from differentiated quadrature. nu > -1/2, x > 0.
     """
-    _check_point(p)
-    if p.x <= 0.0:
-        raise DomainError("m_deriv requires x > 0")
-    c, c1 = calm_dx_orders(p, (0, 1), cfg)
+    _check_point(p, "m_deriv")
+    return _m_prime_of(p, *calm_dx_orders(p, (0, 1), cfg))
+
+
+def _m_prime_of(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
+    """M_nu'(x) from the quadrature values c, c1 of calM_nu(x) and calM_nu'(x)."""
     factor, factor_err = _m_scale(p)
     inner = (p.nu / p.x) * c.value + c1.value
     err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + factor_err * abs(inner) + _TINY

@@ -18,18 +18,20 @@ M' takes step 1, then step 2 by the termwise derivative of the same pass
 that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
 (sqrt(pi) gamma(nu+3/2)) over the automatic M values.
 
-:data:`memo` memoizes the automatic M, M' and calM values per
-(SeriesConfig, QuadConfig) pair for the verification sweeps, where one
-grid point feeds many cases, and the sign probes' quadrature derivatives:
-a sweep fills those a whole x row at a time (quadrature.calm_dx_row and
-calm_dnu_row), a lone read a point at a time (calm_dx_orders, calm_dnu_orders).
+Each chain is split at its quadrature step: _m_head, _calm_head and
+_m_prime_head hold the route decision up to it. :data:`memo` memoizes the
+automatic values per (SeriesConfig, QuadConfig) pair for the sweeps, where
+one grid point feeds many cases, and the sign probes' derivatives; inside a
+sweep it defers every quadrature step and runs a round's in one points
+batch per order set, a stalled point taking the single call's fallback.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
-from functools import lru_cache
+from contextlib import contextmanager, suppress
+from functools import lru_cache, partial
+from threading import get_ident
 
 from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
@@ -83,19 +85,32 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     method=None walks the automatic chain of the module docstring; an
     explicit method runs that route or raises DomainError off its domain.
     """
+    if method is None:
+        if (run := _m_head(p, series_cfg)).__class__ is FuncValue:
+            return run
+        with suppress(NonConvergenceError):
+            return quadrature.m_from_quadrature(p, quad_cfg)
+        return series.struve_m_series(p, series_cfg, run)
     if (closed := _closed_form("m", p, method)) is not None:
         return closed
     if method is Method.QUADRATURE:
         return quadrature.m_from_quadrature(p, quad_cfg)
     if method is Method.FOX_WRIGHT:
         return series.m_from_calm(p, foxwright.calm_via_fox_wright(p, series_cfg))
+    return series.struve_m_series(p, series_cfg)
+
+
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig):
+    """Automatic M up to its quadrature step: the closed form or certified float64
+    value, or the escalated series where quadrature does not serve p; else the float
+    pass (None where none ran) that the series fallback after quadrature takes."""
+    if p.nu in (-0.5, 0.5) and (closed := _closed_form("m", p, None)) is not None:
+        return closed
     run = None
-    if method is None:
-        if p.x <= series.X_CANCEL_MAX and (run := series.struve_m_float(p, series_cfg)) and run[0]:
-            return run[0]
-        if p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX):
-            with suppress(NonConvergenceError):
-                return quadrature.m_from_quadrature(p, quad_cfg)
+    if p.x <= series.X_CANCEL_MAX and (run := series.struve_m_float(p, series_cfg)) and run[0]:
+        return run[0]
+    if p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX):
+        return run
     return series.struve_m_series(p, series_cfg, run)
 
 
@@ -108,27 +123,38 @@ def calm(p: EvalPoint, method: Method | None = None,
     series steps are rescaled by the exact power-gamma factor, which
     degenerates at x = 0 (hence the gamma ratio there).
     """
-    if (closed := _closed_form("calm", p, method)) is not None:
-        return closed
-    if method is Method.QUADRATURE:
-        return quadrature.calm(p, quad_cfg)
-    if method is Method.FOX_WRIGHT:
-        return foxwright.calm_via_fox_wright(p, series_cfg)
     run = None
     if method is None:
-        if p.nu <= -0.5:
-            raise DomainError("the normalized form requires nu > -1/2")
-        if p.x == 0.0:
-            return _calm_at_zero(p.nu)
-        # the series->normalized rescale factor 2^nu gamma(nu+1/2) x^-nu can
-        # overflow at large order and tiny argument; quadrature has no such factor
-        if (0.0 < p.x <= series.X_CANCEL_MAX
-                and p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0
-                and (run := series.struve_m_float(p, series_cfg)) and run[0]):
-            return series.calm_from_m(p, run[0])
-        if p.nu >= _QUAD_NU_MIN or p.x > series.X_CANCEL_MAX:
-            with suppress(NonConvergenceError):
-                return quadrature.calm(p, quad_cfg)
+        if (run := _calm_head(p, series_cfg)).__class__ is FuncValue:
+            return run
+        with suppress(NonConvergenceError):
+            return quadrature.calm(p, quad_cfg)
+    elif (closed := _closed_form("calm", p, method)) is not None:
+        return closed
+    elif method is Method.QUADRATURE:
+        return quadrature.calm(p, quad_cfg)
+    elif method is Method.FOX_WRIGHT:
+        return foxwright.calm_via_fox_wright(p, series_cfg)
+    return series.calm_from_m(p, series.struve_m_series(p, series_cfg, run))
+
+
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig):
+    """Automatic calM up to its quadrature step, as _m_head."""
+    if p.nu in (-0.5, 0.5) and (closed := _closed_form("calm", p, None)) is not None:
+        return closed
+    if p.nu <= -0.5:
+        raise DomainError("the normalized form requires nu > -1/2")
+    if p.x == 0.0:
+        return _calm_at_zero(p.nu)
+    run = None
+    # the series->normalized rescale factor 2^nu gamma(nu+1/2) x^-nu can
+    # overflow at large order and tiny argument; quadrature has no such factor
+    if (0.0 < p.x <= series.X_CANCEL_MAX
+            and p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0
+            and (run := series.struve_m_float(p, series_cfg)) and run[0]):
+        return series.calm_from_m(p, run[0])
+    if p.nu >= _QUAD_NU_MIN or p.x > series.X_CANCEL_MAX:
+        return run
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg, run))
 
 
@@ -141,6 +167,13 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     series route goes through the order-lowering relation
     M_nu' = M_{nu-1} - (nu/x) M_nu and therefore needs nu > 0.
     """
+    if method is None:
+        if (got := _m_prime_head(p, series_cfg)) is not None:
+            return got
+        with suppress(NonConvergenceError):
+            return quadrature.m_deriv(p, quad_cfg)
+        return _m_prime_by_recurrence(
+            p, lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
     if (closed := _closed_form("m_prime", p, method)) is not None:
         return closed
     if method is Method.SERIES:
@@ -155,23 +188,25 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
         return FuncValue(value, err, Method.SERIES)
     if method is Method.FOX_WRIGHT:
         raise DomainError("no derivative evaluator is defined for this route")
-    if method is None:
-        if (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
-                and (run := series.struve_m_float(p, series_cfg, order=1)) and run[0]):
-            return run[0]
-        with suppress(NonConvergenceError):
-            return quadrature.m_deriv(p, quad_cfg)
-        return _m_prime_by_recurrence(p, series_cfg, quad_cfg)
     return quadrature.m_deriv(p, quad_cfg)
 
 
-def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
-                           quad_cfg: QuadConfig) -> FuncValue:
+def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
+    """Automatic M' up to its quadrature step: the closed form or the certified
+    float64 value of the termwise derivative, else None."""
+    if p.nu in (-0.5, 0.5) and (closed := _closed_form("m_prime", p, None)) is not None:
+        return closed
+    run = (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
+           and series.struve_m_float(p, series_cfg, order=1))
+    return run[0] if run else None
+
+
+def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
     """M_nu'(x) = M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi) gamma(nu+3/2)) from the
-    automatic M values, where m_deriv stalls. The bar sums the input bars, the last
-    term's exp(L) rounding and eps times the magnitudes of the three terms."""
-    hi = struve_m(EvalPoint(p.nu + 1.0, p.x), None, series_cfg, quad_cfg)
-    here = struve_m(p, None, series_cfg, quad_cfg)
+    automatic M values m(nu, x), where m_deriv stalls. The bar sums the input bars, the
+    last term's exp(L) rounding and eps times the magnitudes of the three terms."""
+    hi = m(p.nu + 1.0, p.x)
+    here = m(p.nu, p.x)
     log_last = p.nu * math.log(0.5 * p.x) - 0.5 * math.log(math.pi) - log_gamma(p.nu + 1.5)
     last = math.exp(log_last)
     mid = (p.nu / p.x) * here.value
@@ -183,59 +218,95 @@ def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
 _MEMO_SIZE = 262144
 
 
+class _Deferred(Exception):
+    """A sweep's memo read left for Memo.fill; no StruveKitError, so no handler catches it."""
+
+
+#: Per memoized function, split at its quadrature step: (its steps before quadrature,
+#: or None; its calM orders; whether they are nu-orders; the step's
+#: value from the point's orders; the function of M whose x > 0 it needs, or ""; the step
+#: after a stalled quadrature, given what the steps before returned, or None to raise).
+_CHAINS = {
+    "m": (_m_head, (0,), False, lambda p, c: quadrature._m_of(p, c[0]), "m_from_quadrature",
+          lambda ev, p, run: series.struve_m_series(p, ev.series_cfg, run)),
+    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda ev, p, run:
+             series.calm_from_m(p, series.struve_m_series(p, ev.series_cfg, run))),
+    "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: quadrature._m_prime_of(p, *c),
+                "m_deriv", lambda ev, p, run: _m_prime_by_recurrence(p, ev.m)),
+    "calm_dx": (None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
+    "calm_dnu": (None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
+}
+
+
 class Memo:
     """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x),
     and the sign probes' quadrature derivatives: calm_dx holds calM's x-orders 0-6 and
-    calm_dnu its nu-orders 0-4, each filled a point or a whole x row at a time."""
+    calm_dnu its nu-orders 0-4. Each is one lru_cache, read as memo.calm(nu, x).
 
-    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu")
+    Inside :meth:`deferring` a miss whose next step is quadrature records its key and
+    raises _Deferred (invalid input still raises); :meth:`fill` runs the recorded steps
+    in one points pass per order set, parked for the repeated read. A deferred miss keeps
+    only its key: more, kept alive among the values cached meanwhile, slows warm reads."""
+
+    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
+                 "_sweeps")
 
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
-        memoized = lru_cache(maxsize=_MEMO_SIZE)
-        self.m = memoized(lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-        self.m_prime = memoized(
-            lambda nu, x: struve_m_prime(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-        self.calm = memoized(lambda nu, x: calm(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-        self.calm_dx = _Derivatives(
-            lambda nu, x: quadrature.calm_dx_orders(EvalPoint(nu, x), range(7), quad_cfg),
-            lambda nu, xs: quadrature.calm_dx_row(nu, xs, range(7), quad_cfg))
-        self.calm_dnu = _Derivatives(
-            lambda nu, x: quadrature.calm_dnu_orders(EvalPoint(nu, x), range(5), quad_cfg),
-            lambda nu, xs: quadrature.calm_dnu_row(nu, xs, range(5), quad_cfg))
+        self._sweeps = {}  # thread id -> (deferred keys, parked outcomes) of its sweep
+        for kind in _CHAINS:
+            setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._read, kind)))
 
-
-class _Derivatives:
-    """calM derivative orders memoized on (nu, x): a point's FuncValues, or the
-    NonConvergenceError its pass raised, which every read of the point raises again."""
-
-    def __init__(self, at_point, along_row) -> None:
-        self._at_point, self._along_row, self._store = at_point, along_row, {}
-
-    def __call__(self, nu: float, x: float) -> tuple[FuncValue, ...]:
-        """The orders at (nu, x); a point no row stored takes a one-point pass."""
-        if (nu, x) not in self._store:
+    def _read(self, kind: str, nu: float, x: float):
+        head, orders, dnu, step, m_of, after = _CHAINS[kind]
+        p = EvalPoint(nu, x)
+        sweep = self._sweeps.get(get_ident())
+        if sweep is not None and (got := sweep[1].get((kind, nu, x))) is not None:
+            if not isinstance(got, NonConvergenceError):
+                return step(p, got)
+            state = head and head(p, self.series_cfg)  # a stall repeats the steps before it
+        else:
+            state = head and head(p, self.series_cfg)
+            if state.__class__ is FuncValue:
+                return state
+            quadrature._check_point(p, m_of)
+            if sweep is not None:
+                sweep[0].append((kind, nu, x))
+                raise _Deferred
+            single = quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders
             try:
-                got = self._at_point(nu, x)
+                return step(p, single(p, orders, self.quad_cfg))
             except NonConvergenceError as exc:
-                got = exc.with_traceback(None)  # keep no frames alive in the store
-            self._put(nu, x, got)
-        got = self._store[nu, x]
-        if isinstance(got, NonConvergenceError):
-            raise NonConvergenceError(*got.args)
-        return got
+                got = exc.with_traceback(None)  # keep no frame of this call alive
+        if after is None:
+            raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
+        return after(self, p, state)
 
-    def fill(self, nu: float, xs) -> None:
-        """Store every x of xs not yet stored, from one row pass at nu."""
-        missing = [x for x in dict.fromkeys(xs) if (nu, x) not in self._store]
-        for x, got in zip(missing, self._along_row(nu, missing) if missing else ()):
-            self._put(nu, x, got)
+    @contextmanager
+    def deferring(self):
+        """Defer this thread's quadrature misses until the block ends; yields fill."""
+        thread = get_ident()
+        self._sweeps[thread] = ([], {})
+        try:
+            yield self.fill
+        finally:
+            del self._sweeps[thread]
 
-    def _put(self, nu: float, x: float, got) -> None:
-        if len(self._store) >= _MEMO_SIZE:  # bounded like the lru caches: drop the oldest
-            del self._store[next(iter(self._store))]
-        self._store[nu, x] = got if isinstance(got, NonConvergenceError) else tuple(got)
+    def fill(self) -> None:
+        """Run every quadrature step this thread's sweep deferred, one points pass per
+        order set, and park each outcome for the read to repeat."""
+        deferred, parked = self._sweeps[get_ident()]
+        passes = {}
+        for key in deferred:
+            passes.setdefault(_CHAINS[key[0]][1:3], {}).setdefault(key[1:], []).append(key)
+        for (orders, dnu), reads in passes.items():
+            points = [EvalPoint(nu, x) for nu, x in reads]
+            batch = quadrature.calm_dnu_points if dnu else quadrature.calm_dx_points
+            for keys, got in zip(reads.values(), batch(points, orders, self.quad_cfg)):
+                for key in keys:
+                    parked[key] = got
+        deferred.clear()
 
 
 #: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives

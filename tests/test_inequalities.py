@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from struvekit import quadrature, routes, series
-from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, QuadConfig,
-                            SeriesConfig)
+from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
+                            QuadConfig, SeriesConfig)
 from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.gammafuncs import log_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
@@ -334,6 +334,81 @@ def test_a_row_the_quadrature_rejects_is_left_to_its_points(cold_memo):
     assert report.points_tested == 1
     assert [(point, err.split(":")[0]) for point, err in report.errors] == [
         ((1.0, math.inf), "DomainError")]
+
+
+def _cold_then_warm(monkeypatch, case, grid):
+    """The case swept cold, with the number of fill rounds it took, then warm."""
+    routes.memo.cache_clear()
+    fills = []
+    fill = routes.Memo.fill
+    monkeypatch.setattr(routes.Memo, "fill", lambda ev: fills.append(1) or fill(ev))
+    cold = sweep_case(case, grid)
+    monkeypatch.setattr(routes.Memo, "fill", fill)
+    return cold, len(fills), sweep_case(case, grid)
+
+
+def _grid_index(grid):
+    return {p: i for i, p in enumerate(itertools.product(grid.nu_values, grid.x_values))}
+
+
+def test_deferred_points_keep_their_grid_order(monkeypatch, cold_memo):
+    """A cold sweep revisits the points whose quadrature the memo deferred, in
+    later rounds. Its report still lists violations, inconclusive points and
+    errors in grid order, with the warm sweep's argmin, byte for byte: the
+    flipped bound0, whose series and quadrature points interleave over
+    x in [1e-3, 30], and the custom grid on which quot1's 8 ZeroDivisionErrors
+    (M underflows at large order and small x) come from deferred points."""
+    custom = GridSpec(nu_values=tuple(float(v) for v in np.geomspace(0.6, 200.0, 8)),
+                      x_values=tuple(float(v) for v in np.geomspace(1e-3, 30.0, 8)))
+    reports = {}
+    for case, grid in ((CATALOG["bound0"].flipped(), default_grid("bound0")),
+                       (CATALOG["quot1"], custom), (CATALOG["ineqturan_lower"], custom)):
+        cold, rounds, warm = _cold_then_warm(monkeypatch, case, grid)
+        assert rounds > 0, case.id
+        assert json.dumps(report_to_json_dict(cold)) == json.dumps(report_to_json_dict(warm))
+        assert cold.errors == warm.errors, case.id
+        index = _grid_index(grid)
+        for found in (cold.violations, cold.inconclusive, cold.errors):
+            order = [index[point] for point, _ in found]
+            assert order == sorted(order), case.id
+        reports[case.id] = cold
+    assert len(reports["bound0_flipped"].violations) == 625
+    assert [err.split(":")[0] for _, err in reports["quot1"].errors] == ["ZeroDivisionError"] * 8
+    assert len(reports["ineqturan_lower"].inconclusive) == 13
+
+
+@pytest.mark.parametrize("xs, argmin", [((0.5, 9.0, 20.0, 1.0), 9.0), ((1.0, 9.0), 1.0)])
+def test_argmin_ties_go_to_the_first_point_in_grid_order(monkeypatch, cold_memo, xs, argmin):
+    """Points at x = 9 and 20 read a quadrature value, so the cold sweep visits
+    them in a later round. Of points tying the minimum, the first in grid order
+    is the argmin, whichever round reached it."""
+    def tie(nu, x, y, ev):
+        ev.calm(nu, x)
+        return (-1.0 if x in (9.0, 1.0) else 0.0), 1.0
+
+    grid = GridSpec(nu_values=(0.3,), x_values=xs)
+    report, rounds, _ = _cold_then_warm(monkeypatch, replace(CATALOG["bound0"], margin_fn=tie),
+                                        grid)
+    assert rounds == 1
+    assert report.argmin == (0.3, argmin) and report.min_margin == -1.0
+    assert [point[1] for point, _ in report.violations] == [x for x in xs if x in (9.0, 1.0)]
+
+
+def test_a_margin_raising_mid_sweep_leaves_the_memo_reading_directly(cold_memo):
+    """An exception the sweep does not record ends the sweep and its deferral:
+    the memo then serves a quadrature miss at once."""
+    def boom(nu, x, y, ev):
+        ev.calm(nu, x)
+        if x > 1.0:
+            raise RuntimeError("boom")
+        return 1.0, 1.0
+
+    grid = GridSpec(nu_values=(0.3,), x_values=(0.5, 9.0, 20.0))
+    with pytest.raises(RuntimeError, match="boom"):
+        sweep_case(replace(CATALOG["bound0"], margin_fn=boom), grid)
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    assert ev.calm(0.3, 25.0) == routes.calm(EvalPoint(0.3, 25.0))
+    assert ev.calm(0.3, 25.0).method is Method.QUADRATURE
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():

@@ -15,8 +15,8 @@ from struvekit import quadrature
 from struvekit.core import EvalPoint, FuncValue, Method, QuadConfig
 from struvekit.errors import CancellationError, DomainError, NonConvergenceError
 from struvekit.gammafuncs import gamma_ratio, log_gamma
-from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dnu_row,
-                                  calm_dx, calm_dx_orders, calm_dx_row, m_deriv,
+from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dnu_points,
+                                  calm_dx, calm_dx_orders, calm_dx_points, m_deriv,
                                   m_from_quadrature, turanian_il_double_integral)
 
 from conftest import rel_err
@@ -229,6 +229,16 @@ def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg)
         assert _outcome(lambda: [single(p, k, cfg) for k in orders]) == want, p
 
 
+def calm_dx_row(nu, xs, ns, cfg=QuadConfig()):
+    """A row: one points batch at a repeated nu."""
+    return calm_dx_points([EvalPoint(nu, x) for x in xs], ns, cfg)
+
+
+def calm_dnu_row(nu, xs, ms, cfg=QuadConfig()):
+    """A row: one points batch at a repeated nu."""
+    return calm_dnu_points([EvalPoint(nu, x) for x in xs], ms, cfg)
+
+
 @pytest.mark.parametrize("row,batch,kind,orders", [
     (calm_dx_row, calm_dx_orders, "n", range(11)),
     (calm_dx_row, calm_dx_orders, "n", (6, 0, 3)),
@@ -237,7 +247,7 @@ def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg)
 ])
 @pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
 def test_rows_equal_scalar_reference(row, batch, kind, orders, cfg):
-    """A whole x row at one nu returns, at each point, exactly the
+    """A whole x row at one nu, as one points batch, returns, at each point, exactly the
     values and error bars of the per-order loop, or the error the
     per-point call raises there, message included. The rows start at
     x = 0 and the orders come within 1e-3 of -1/2."""
@@ -286,6 +296,59 @@ def test_rows_reject_points_off_the_integral_domain(row, nu, xs):
     """As at one point: nu <= -1/2, or an x < 0 anywhere in the row, raises."""
     with pytest.raises(DomainError):
         row(nu, xs, (0, 1))
+
+
+#: Points a mixed batch must carry: x = 0 on both sides of nu = 1/2, orders
+#: either side of 1/2 (nu-orders >= 2 relax their tolerance only below it),
+#: and the stall whose sixth nu-derivative lies past the node range.
+_MIXED_EDGES = (EvalPoint(0.3, 0.0), EvalPoint(0.7, 0.0), EvalPoint(0.4999, 2.0),
+                EvalPoint(0.5001, 2.0), EvalPoint(0.4999, 0.0), EvalPoint(-0.49898, 0.179))
+
+
+@pytest.mark.parametrize("points,single,orders", [
+    (calm_dx_points, calm_dx_orders, range(11)),
+    (calm_dnu_points, calm_dnu_orders, range(7)),
+    (calm_dnu_points, calm_dnu_orders, (1, 6)),
+])
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
+def test_mixed_batches_equal_scalar_reference(points, single, orders, cfg):
+    """One batch over points at many (nu, x) returns, at each point, exactly
+    what the one-point call returns there, or the error it raises, message
+    included; the stall next to nu = -1/2 keeps its node-range message."""
+    rng = random.Random(22)
+    batch = list(_MIXED_EDGES) + [EvalPoint(p.nu, 10.0 ** rng.uniform(-3.0, 1.5))
+                                  for p in _seeded_points() for _ in range(3)]
+    rng.shuffle(batch)
+    results = points(batch, orders, cfg)
+    for p, got in zip(batch, results):
+        try:
+            want = single(p, orders, cfg)
+        except NonConvergenceError as exc:
+            assert isinstance(got, NonConvergenceError), p
+            assert str(got) == str(exc), p
+        else:
+            assert got == want, p
+    if tuple(orders) == (1, 6) and cfg == QuadConfig():  # at max_level 5 order 1 stalls first
+        got = results[batch.index(EvalPoint(-0.49898, 0.179))]
+        assert re.fullmatch(r"calm_dnu\(nu=-0\.49898, x=0\.179\), order 6: .*; the endpoint "
+                            r"mass lies beyond the node range for this order \(tail bound "
+                            r"4\.1e\+06\)", str(got)), str(got)
+
+
+def test_batches_past_the_cap_are_split_without_changing_a_bit(monkeypatch):
+    """A batch holds at most _BATCH_CELLS points x orders; a longer list is
+    refined in several batches, with the same results."""
+    pts = [EvalPoint(nu, x) for nu in (-0.3, 0.5, 4.0) for x in (0.0, 0.5, 9.0)]
+    want = calm_dx_points(pts, (0, 1, 2))
+    sizes = []
+    refine = quadrature._refine_points
+    monkeypatch.setattr(quadrature, "_refine_points",
+                        lambda batch, *args: sizes.append(len(batch)) or refine(batch, *args))
+    monkeypatch.setattr(quadrature, "_BATCH_CELLS", 7)
+    assert calm_dx_points(pts, (0, 1, 2)) == want
+    refined = [n for n in sizes if n * 3 <= 7]  # the batches that refine: at most 2 points
+    assert refined == [2, 2, 2, 2, 1]
+    assert calm_dx_points([], (0, 1, 2)) == []
 
 
 @given(st.floats(min_value=-0.45, max_value=15.0),

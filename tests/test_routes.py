@@ -1,8 +1,11 @@
 """Route dispatch: automatic selection, explicit routes, cross-route agreement."""
 
+import itertools
 import math
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -15,7 +18,7 @@ from struvekit import routes
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
 from struvekit.errors import DomainError, NonConvergenceError
-from struvekit.inequalities import default_grid, run_all
+from struvekit.inequalities import CATALOG, GridSpec, run_all, sweep_case
 from struvekit.routes import calm, struve_m, struve_m_prime
 
 from conftest import rel_err
@@ -200,62 +203,119 @@ def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo
     assert len(calls) <= 684
 
 
-def test_default_sweep_fills_probe_derivatives_by_order_row(monkeypatch, cold_memo):
-    """A cold run_all() fills the sign probes' derivatives in 73 row passes,
-    one per order row: 25 for cm_probe_x, 23 more for neg_m_cm (of its 25
-    rows, the closed-form one at nu = -1/2 reads no derivative and the one
-    at nu = -0.49 is cm_probe_x's) and 25 for cm_probe_nu. No probe runs a
-    per-point pass at its orders. A second run_all() makes no quadrature
-    pass at all."""
-    rows, points = [], []
+def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
+    """A cold run_all() runs every quadrature step of the memo, M, calM and M'
+    as well as the sign probes' derivatives, in 27 batched points passes: one
+    per order set and fill round, (0,) for M and calM, (0, 1) for M', x-orders
+    0-6 and nu-orders 0-4 for the probes. It makes no one-point pass. A second
+    run_all() makes no quadrature pass at all."""
+    points, batches = [], []
 
     def record(name, log, entry):
         fn = getattr(quadrature, name)
-        monkeypatch.setattr(quadrature, name,
-                            lambda *args: log.append(entry(*args)) or fn(*args))
+        monkeypatch.setattr(quadrature, name, lambda *args: log.append(entry(*args)) or fn(*args))
 
-    record("calm_dx_row", rows, lambda nu, *rest: ("calm_dx_row", nu))
-    record("calm_dnu_row", rows, lambda nu, *rest: ("calm_dnu_row", nu))
-    record("calm_dx_orders", points, lambda p, orders, *cfg: tuple(orders))
-    record("calm_dnu_orders", points, lambda p, orders, *cfg: tuple(orders))
+    for name in ("calm", "m_from_quadrature", "m_deriv", "calm_dx_orders", "calm_dnu_orders"):
+        record(name, points, lambda *args, name=name: name)
+    for name in ("calm_dx_points", "calm_dnu_points"):
+        record(name, batches, lambda pts, orders, *cfg, name=name: (name, tuple(orders)))
     run_all()
-    nus = {case: set(default_grid(case).nu_values)
-           for case in ("cm_probe_x", "neg_m_cm", "cm_probe_nu")}
-    dx_rows = sorted(nu for name, nu in rows if name == "calm_dx_row")
-    assert dx_rows == sorted(nus["cm_probe_x"] | nus["neg_m_cm"] - {-0.5})
-    assert len(dx_rows) == 48
-    assert sorted(nu for name, nu in rows if name == "calm_dnu_row") == sorted(nus["cm_probe_nu"])
-    assert len(rows) == 73
-    assert tuple(range(7)) not in points
-    assert tuple(range(5)) not in points
-    rows.clear()
-    points.clear()
+    assert points == []
+    assert Counter(batches) == {("calm_dx_points", (0,)): 18, ("calm_dx_points", (0, 1)): 6,
+                                ("calm_dx_points", tuple(range(7))): 2,
+                                ("calm_dnu_points", tuple(range(5))): 1}
+    batches.clear()
     run_all()
-    assert rows == points == []
+    assert points == batches == []
 
 
 def test_memo_derivatives_match_point_passes(cold_memo):
-    """Derivatives read from a filled row, or from a lone point, equal the
-    per-point pass at the memo's config. A point that stalls stores its
-    error and raises it again, message unchanged, at every read."""
+    """Derivatives read after a fill, or from a lone point, equal the
+    per-point pass at the memo's config. Inside a sweep's deferral a read
+    waits for the fill; a point that stalls parks its error, which every read
+    raises again, message unchanged, as a lone read raises it."""
+    xs = (0.0, 1e-3, 0.5, 7.0, 30.0)
     for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5)):
         ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
-        xs = (0.0, 1e-3, 0.5, 7.0, 30.0)
-        ev.calm_dx.fill(1.5, xs)
-        ev.calm_dnu.fill(1.5, xs)
-        for x in xs + (2.0,):
+        with ev.deferring() as fill:
+            for read in (ev.calm_dx, ev.calm_dnu):
+                for x in xs:
+                    with pytest.raises(routes._Deferred):
+                        read(1.5, x)
+            fill()
+            filled = [(ev.calm_dx(1.5, x), ev.calm_dnu(1.5, x)) for x in xs]
+        for x, (dx, dnu) in zip(xs + (2.0,), filled + [(ev.calm_dx(1.5, 2.0),
+                                                        ev.calm_dnu(1.5, 2.0))]):
             p = EvalPoint(1.5, x)
-            assert ev.calm_dx(1.5, x) == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
-            assert ev.calm_dnu(1.5, x) == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
+            assert dx == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
+            assert dnu == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     with pytest.raises(NonConvergenceError) as info:
         quadrature.calm_dnu_orders(EvalPoint(-0.49898, 0.179), range(5))
-    ev.calm_dnu.fill(-0.49898, (0.179,))
-    for read in (ev.calm_dnu, ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu):
-        with pytest.raises(NonConvergenceError, match=re.escape(str(info.value))):
+    stalled = re.escape(str(info.value))
+    with ev.deferring() as fill:
+        with pytest.raises(routes._Deferred):
+            ev.calm_dnu(-0.49898, 0.179)
+        fill()
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError, match=stalled):
+                ev.calm_dnu(-0.49898, 0.179)
+    for read in (ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu,
+                 routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).calm_dnu):
+        with pytest.raises(NonConvergenceError, match=stalled):
             read(-0.49898, 0.179)
-    with pytest.raises(NonConvergenceError, match=re.escape(str(info.value))):
-        routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).calm_dnu(-0.49898, 0.179)
+
+
+def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_memo):
+    """Next to nu = -1/2 a sweep's batch stalls: calM and M at (-0.4995, 9)
+    and M' at (-0.4999, 3). Those points are deferred into batches that return
+    their stalls, and the memo then takes the single call's fallback (the
+    escalated series, the M' recurrence), so every value it serves equals the
+    automatic single call bit for bit, method included."""
+    outcomes = {}
+    points = quadrature.calm_dx_points
+
+    def recording(pts, orders, *cfg):
+        pts = list(pts)
+        got = points(pts, orders, *cfg)
+        outcomes.update(((p.nu, p.x, tuple(orders)), out) for p, out in zip(pts, got))
+        return got
+
+    monkeypatch.setattr(quadrature, "calm_dx_points", recording)
+    reads = {"calm": calm, "m": struve_m, "m_prime": struve_m_prime}
+
+    def read_all(nu, x, y, ev):
+        return sum(getattr(ev, kind)(nu, x).value for kind in reads), 1.0
+
+    grid = GridSpec(nu_values=(-0.4999, -0.4995), x_values=(3.0, 9.0))
+    report = sweep_case(replace(CATALOG["bound0"], margin_fn=read_all), grid)
+    assert report.points_tested == 4
+    for key in ((-0.4995, 9.0, (0,)), (-0.4999, 3.0, (0, 1))):
+        assert isinstance(outcomes[key], NonConvergenceError), key
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    for nu, x in itertools.product(grid.nu_values, grid.x_values):
+        for kind, single in reads.items():
+            assert getattr(ev, kind)(nu, x) == single(EvalPoint(nu, x)), (kind, nu, x)
+    assert ev.m(-0.4995, 9.0).method is ev.calm(-0.4995, 9.0).method is Method.SERIES
+
+
+def test_invalid_reads_raise_at_the_read_inside_a_sweep(cold_memo):
+    """A read whose quadrature step would reject its input raises that
+    DomainError at the read, as the single call does, instead of joining a
+    batch: calM at x < 0, and M' at x = 0."""
+    def reads(nu, x, y, ev):
+        return ev.calm(nu, x).value + ev.m_prime(nu, x).value, 1.0
+
+    grid = GridSpec(nu_values=(0.3,), x_values=(-1.0, 0.0, 9.0))
+    report = sweep_case(replace(CATALOG["bound0"], margin_fn=reads, any_x=True), grid)
+    want = []
+    for x in grid.x_values:
+        try:
+            calm(EvalPoint(0.3, x)), struve_m_prime(EvalPoint(0.3, x))
+        except DomainError as exc:
+            want.append(((0.3, x), f"DomainError: {exc}"))
+    assert report.points_tested == 1 and len(want) == 2
+    assert report.errors == tuple(want)
 
 
 def test_escalation_reuses_the_float_pass(monkeypatch):
