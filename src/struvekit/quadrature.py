@@ -368,10 +368,11 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
 
 def _m_scale(p: EvalPoint) -> tuple[float, float]:
     """(x/2)^nu / gamma(nu+1/2) = exp(L), the normalized-form -> M_nu scale
-    factor, and its rounding: about |L| eps relative, plus a subnormal's."""
-    log_scale = p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 0.5)
-    factor = math.exp(log_scale)
-    return factor, (1.0 + abs(log_scale)) * _EPS * factor + _TINY
+    factor, and its rounding, plus a subnormal's: L's absolute rounding follows
+    the size of its two terms, not |L|, as in turanian_il_double_integral."""
+    log_power, log_gam = p.nu * math.log(0.5 * p.x), log_gamma(p.nu + 0.5)
+    factor = math.exp(log_power - log_gam)
+    return factor, 2.5 * (1.0 + abs(log_power) + abs(log_gam)) * _EPS * factor + _TINY
 
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:

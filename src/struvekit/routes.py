@@ -18,18 +18,19 @@ M' takes step 1, then step 2 by the termwise derivative of the same pass
 that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
 (sqrt(pi) gamma(nu+3/2)) over the automatic M values.
 
-Each chain is split at its quadrature step: _m_head, _calm_head and
-_m_prime_head hold the route decision up to it. :data:`memo` memoizes the
-automatic values per (SeriesConfig, QuadConfig) pair for the sweeps, where
-one grid point feeds many cases, and the sign probes' derivatives; inside a
-sweep it defers every quadrature step and runs a round's in one points
-batch per order set, a stalled point taking the single call's fallback.
+One walker, _auto, takes each chain for the single calls and :data:`memo`
+alike: the closed form, the chain's head (_m_head, _calm_head, _m_prime_head:
+the route decision up to quadrature), the quadrature step, and on a stall the
+fallback. The memo keeps the automatic values per (SeriesConfig, QuadConfig)
+pair for the sweeps, where one grid point feeds many cases, and the sign
+probes' derivatives; inside a sweep the walker defers every quadrature step,
+which the memo runs a round at a time in one points batch per order set.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import lru_cache, partial
 from threading import get_ident
 
@@ -52,19 +53,14 @@ _CLOSED_FORMS = {("m", -0.5): closedforms.m_at_neg_half, ("m", 0.5): closedforms
                  ("m_prime", 0.5): closedforms.m_prime_at_pos_half}
 
 
-def _closed_form(fn: str, p: EvalPoint, method: Method | None) -> FuncValue | None:
-    """fn at p from the table, or None where another route serves. The
-    automatic route takes the table only for x > 0 (any x for calM)."""
-    if not (method is Method.CLOSED_FORM or method is None and p.nu in (-0.5, 0.5)):
-        return None
+def _closed_form(fn: str, p: EvalPoint) -> FuncValue:
+    """fn at p from the table, or DomainError at an order off it."""
     form = _CLOSED_FORMS.get((fn, p.nu))
-    if method is Method.CLOSED_FORM and form is None:
+    if form is None:
         raise DomainError("the normalized form has a closed form only at nu = 1/2" if fn == "calm"
                           else "closed forms exist only at nu = -1/2 and nu = 1/2")
-    if method is Method.CLOSED_FORM or (form and (p.x > 0.0 or fn == "calm")):
-        value = form(p.x)
-        return FuncValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM)
-    return None
+    value = form(p.x)
+    return FuncValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM)
 
 
 def _calm_at_zero(nu: float) -> FuncValue:
@@ -86,13 +82,9 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     explicit method runs that route or raises DomainError off its domain.
     """
     if method is None:
-        if (run := _m_head(p, series_cfg)).__class__ is FuncValue:
-            return run
-        with suppress(NonConvergenceError):
-            return quadrature.m_from_quadrature(p, quad_cfg)
-        return series.struve_m_series(p, series_cfg, run)
-    if (closed := _closed_form("m", p, method)) is not None:
-        return closed
+        return _auto("m", p, series_cfg, quad_cfg)
+    if method is Method.CLOSED_FORM:
+        return _closed_form("m", p)
     if method is Method.QUADRATURE:
         return quadrature.m_from_quadrature(p, quad_cfg)
     if method is Method.FOX_WRIGHT:
@@ -101,11 +93,9 @@ def struve_m(p: EvalPoint, method: Method | None = None,
 
 
 def _m_head(p: EvalPoint, series_cfg: SeriesConfig):
-    """Automatic M up to its quadrature step: the closed form or certified float64
-    value, or the escalated series where quadrature does not serve p; else the float
-    pass (None where none ran) that the series fallback after quadrature takes."""
-    if p.nu in (-0.5, 0.5) and (closed := _closed_form("m", p, None)) is not None:
-        return closed
+    """Automatic M up to its quadrature step: the certified float64 value, or the
+    escalated series where quadrature does not serve p; else the float pass (None
+    where none ran) that the series fallback after quadrature takes."""
     run = None
     if p.x <= series.X_CANCEL_MAX and (run := series.struve_m_float(p, series_cfg)) and run[0]:
         return run[0]
@@ -123,39 +113,31 @@ def calm(p: EvalPoint, method: Method | None = None,
     series steps are rescaled by the exact power-gamma factor, which
     degenerates at x = 0 (hence the gamma ratio there).
     """
-    run = None
     if method is None:
-        if (run := _calm_head(p, series_cfg)).__class__ is FuncValue:
-            return run
-        with suppress(NonConvergenceError):
-            return quadrature.calm(p, quad_cfg)
-    elif (closed := _closed_form("calm", p, method)) is not None:
-        return closed
-    elif method is Method.QUADRATURE:
+        return _auto("calm", p, series_cfg, quad_cfg)
+    if method is Method.CLOSED_FORM:
+        return _closed_form("calm", p)
+    if method is Method.QUADRATURE:
         return quadrature.calm(p, quad_cfg)
-    elif method is Method.FOX_WRIGHT:
+    if method is Method.FOX_WRIGHT:
         return foxwright.calm_via_fox_wright(p, series_cfg)
-    return series.calm_from_m(p, series.struve_m_series(p, series_cfg, run))
+    return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
 def _calm_head(p: EvalPoint, series_cfg: SeriesConfig):
-    """Automatic calM up to its quadrature step, as _m_head."""
-    if p.nu in (-0.5, 0.5) and (closed := _closed_form("calm", p, None)) is not None:
-        return closed
+    """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
+    if p.x < 0.0:
+        raise DomainError("the normalized form requires x >= 0")
     if p.x == 0.0:
         return _calm_at_zero(p.nu)
-    run = None
-    # the series->normalized rescale factor 2^nu gamma(nu+1/2) x^-nu can
-    # overflow at large order and tiny argument; quadrature has no such factor
-    if (0.0 < p.x <= series.X_CANCEL_MAX
-            and p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0
-            and (run := series.struve_m_float(p, series_cfg)) and run[0]):
-        return series.calm_from_m(p, run[0])
-    if p.nu >= _QUAD_NU_MIN or p.x > series.X_CANCEL_MAX:
-        return run
-    return series.calm_from_m(p, series.struve_m_series(p, series_cfg, run))
+    # the series->normalized rescale factor 2^nu gamma(nu+1/2) x^-nu can overflow at
+    # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
+    if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
+        return None
+    run = _m_head(p, series_cfg)
+    return series.calm_from_m(p, run) if run.__class__ is FuncValue else run
 
 
 def struve_m_prime(p: EvalPoint, method: Method | None = None,
@@ -168,14 +150,9 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     M_nu' = M_{nu-1} - (nu/x) M_nu and therefore needs nu > 0.
     """
     if method is None:
-        if (got := _m_prime_head(p, series_cfg)) is not None:
-            return got
-        with suppress(NonConvergenceError):
-            return quadrature.m_deriv(p, quad_cfg)
-        return _m_prime_by_recurrence(
-            p, lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-    if (closed := _closed_form("m_prime", p, method)) is not None:
-        return closed
+        return _auto("m_prime", p, series_cfg, quad_cfg)
+    if method is Method.CLOSED_FORM:
+        return _closed_form("m_prime", p)
     if method is Method.SERIES:
         if p.nu <= 0.0:
             raise DomainError("series derivative uses the lower order nu-1 and needs nu > 0")
@@ -192,10 +169,8 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
 
 
 def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
-    """Automatic M' up to its quadrature step: the closed form or the certified
-    float64 value of the termwise derivative, else None."""
-    if p.nu in (-0.5, 0.5) and (closed := _closed_form("m_prime", p, None)) is not None:
-        return closed
+    """Automatic M' up to its quadrature step: the certified float64 value of the
+    termwise derivative, else None."""
     run = (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
            and series.struve_m_float(p, series_cfg, order=1))
     return run[0] if run else None
@@ -222,20 +197,46 @@ class _Deferred(Exception):
     """A sweep's memo read left for Memo.fill; no StruveKitError, so no handler catches it."""
 
 
-#: Per memoized function, split at its quadrature step: (its steps before quadrature,
-#: or None; its calM orders; whether they are nu-orders; the step's
-#: value from the point's orders; the function of M whose x > 0 it needs, or ""; the step
-#: after a stalled quadrature, given what the steps before returned, or None to raise).
+#: Per automatic chain, split at its quadrature step: (its head, or None; its calM orders;
+#: whether they are nu-orders; the step's value from the point's orders; the function of
+#: M whose x > 0 it needs, or ""; the fallback after a stalled quadrature, given the
+#: series config, what the head returned and M as m(nu, x), or None to raise).
 _CHAINS = {
     "m": (_m_head, (0,), False, lambda p, c: quadrature._m_of(p, c[0]), "m_from_quadrature",
-          lambda ev, p, run: series.struve_m_series(p, ev.series_cfg, run)),
-    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda ev, p, run:
-             series.calm_from_m(p, series.struve_m_series(p, ev.series_cfg, run))),
+          lambda p, cfg, run, m: series.struve_m_series(p, cfg, run)),
+    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda p, cfg, run, m:
+             series.calm_from_m(p, series.struve_m_series(p, cfg, run))),
     "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: quadrature._m_prime_of(p, *c),
-                "m_deriv", lambda ev, p, run: _m_prime_by_recurrence(p, ev.m)),
+                "m_deriv", lambda p, cfg, run, m: _m_prime_by_recurrence(p, m)),
     "calm_dx": (None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
     "calm_dnu": (None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
 }
+
+
+def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
+          m=None, deferred: list | None = None):
+    """The automatic chain of kind at p: the closed form (x > 0, any x for calM), the
+    head, the quadrature step at p's orders, and on a stall the fallback, which reads M
+    through m(nu, x) (default: the single call). Inside a sweep, deferred is its key
+    list: a quadrature step records p's key there and raises _Deferred instead."""
+    head, orders, dnu, step, m_of, after = _CHAINS[kind]
+    if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
+        return _closed_form(kind, p)
+    state = head and head(p, series_cfg)
+    if state.__class__ is FuncValue:
+        return state
+    quadrature._check_point(p, m_of)
+    if deferred is not None:
+        deferred.append((kind, p.nu, p.x))
+        raise _Deferred
+    single = quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders
+    try:
+        return step(p, single(p, orders, quad_cfg))
+    except NonConvergenceError:
+        if after is None:
+            raise
+    return after(p, series_cfg, state, m or (
+        lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg)))
 
 
 class Memo:
@@ -259,29 +260,15 @@ class Memo:
             setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._read, kind)))
 
     def _read(self, kind: str, nu: float, x: float):
-        head, orders, dnu, step, m_of, after = _CHAINS[kind]
-        p = EvalPoint(nu, x)
-        sweep = self._sweeps.get(get_ident())
-        if sweep is not None and (got := sweep[1].get((kind, nu, x))) is not None:
-            if not isinstance(got, NonConvergenceError):
-                return step(p, got)
-            state = head and head(p, self.series_cfg)  # a stall repeats the steps before it
-        else:
-            state = head and head(p, self.series_cfg)
-            if state.__class__ is FuncValue:
-                return state
-            quadrature._check_point(p, m_of)
-            if sweep is not None:
-                sweep[0].append((kind, nu, x))
-                raise _Deferred
-            single = quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders
-            try:
-                return step(p, single(p, orders, self.quad_cfg))
-            except NonConvergenceError as exc:
-                got = exc.with_traceback(None)  # keep no frame of this call alive
+        p, sweep = EvalPoint(nu, x), self._sweeps.get(get_ident())
+        if (got := sweep and sweep[1].get((kind, nu, x))) is None:
+            return _auto(kind, p, self.series_cfg, self.quad_cfg, self.m, sweep and sweep[0])
+        head, _, _, step, _, after = _CHAINS[kind]
+        if not isinstance(got, NonConvergenceError):
+            return step(p, got)
         if after is None:
             raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
-        return after(self, p, state)
+        return after(p, self.series_cfg, head(p, self.series_cfg), self.m)  # head runs again
 
     @contextmanager
     def deferring(self):

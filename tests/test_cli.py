@@ -60,6 +60,14 @@ def test_eval_domain_error_exits_2(runner):
     assert "nu > -1/2" in _all_text(result)
 
 
+@pytest.mark.parametrize("nu", ["-0.4995", "0.3"])
+def test_eval_normalized_form_at_negative_argument_exits_2(runner, nu):
+    """calM at x < 0 fails with one message next to nu = -1/2 and away from it."""
+    result = runner.invoke(main, ["eval", "--nu", nu, "--x", "-1", "--fn", "calM"])
+    assert result.exit_code == EXIT_USAGE
+    assert "error: the normalized form requires x >= 0" in _all_text(result)
+
+
 def test_eval_first_kind_rejects_foreign_route(runner):
     result = runner.invoke(main, ["eval", "--nu", "1", "--x", "2",
                                   "--fn", "I", "--method", "quadrature"])

@@ -17,7 +17,7 @@ from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
 from struvekit import routes
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
-from struvekit.errors import DomainError, NonConvergenceError
+from struvekit.errors import DomainError, NonConvergenceError, StruveKitError
 from struvekit.inequalities import CATALOG, GridSpec, run_all, sweep_case
 from struvekit.routes import calm, struve_m, struve_m_prime
 
@@ -103,7 +103,10 @@ _EDGE_POINTS = ([(nu, 1e-300) for nu in (0.0, 0.25, 1.0, 2.5, 20.0, 40.0)]
                 + [(0.0, x) for x in (1e-3, 0.4, 3.0, 7.5, 25.0)]
                 + [(-0.4999, x) for x in (1e-200, 1e-3, 0.3, 1.0, 2.0)]
                 + [(40.0, x) for x in (1e-3, 1.0, 6.0, 8.0, 30.0)]
-                + [(37.0, 9e-8)])  # exp(L) of the leading term is subnormal
+                + [(37.0, 9e-8)]  # exp(L) of the leading term is subnormal
+                # quadrature's exp(L) with terms near 85 each: L's rounding follows their size
+                + [(30.839385406907052, 33.05575825259971), (37.63956530976668, 66.68470936001509),
+                   (35.120675727926724, 25.314005178631973)])
 
 
 @pytest.mark.parametrize("nu, x", _stream_points(20261019, 100) + _EDGE_POINTS)
@@ -394,6 +397,20 @@ def test_normalized_form_domain():
         calm(EvalPoint(-0.75, 1.0))
 
 
+@pytest.mark.parametrize("nu", [-0.4995, 0.3, 0.5])
+def test_normalized_form_rejects_negative_arguments_alike(cold_memo, nu):
+    """calM at x < 0 raises one DomainError at every order, in the band next to
+    -1/2 and at the closed form too, from the single call and the memo alike."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    message = "^the normalized form requires x >= 0$"
+    with pytest.raises(DomainError, match=message):
+        calm(EvalPoint(nu, -1.0))
+    with pytest.raises(DomainError, match=message):
+        ev.calm(nu, -1.0)
+    with ev.deferring(), pytest.raises(DomainError, match=message):
+        ev.calm(nu, -1.0)
+
+
 def test_series_derivative_route():
     p = EvalPoint(1.5, 2.0)
     via_series = struve_m_prime(p, method=Method.SERIES)
@@ -415,15 +432,28 @@ def test_series_derivative_route():
 ])
 def test_memo_matches_unmemoized(cold_memo, series_cfg, quad_cfg):
     """A memoized value equals the unmemoized call at the memo's configs
-    in value, abs_err and method, also when it is read a second time."""
+    in value, abs_err and method, also when it is read a second time, on every
+    branch of the chains; an invalid read raises what the single call raises."""
     ev = routes.memo(series_cfg, quad_cfg)
     assert (ev.series_cfg, ev.quad_cfg) == (series_cfg, quad_cfg)
-    for read, route, nu, x in ((ev.m, struve_m, 1.0, 2.0), (ev.m, struve_m, 0.3, 5.0),
-                               (ev.m_prime, struve_m_prime, 1.5, 2.0),
-                               (ev.m_prime, struve_m_prime, 0.3, 9.0),
-                               (ev.calm, calm, 1.0, 2.0), (ev.calm, calm, 0.3, 5.0)):
+    m, m_prime, cm = (ev.m, struve_m), (ev.m_prime, struve_m_prime), (ev.calm, calm)
+    for (read, route), nu, x in (
+            (m, 1.0, 2.0), (m, 0.3, 5.0), (m_prime, 1.5, 2.0), (m_prime, 0.3, 9.0),
+            (cm, 1.0, 2.0), (cm, 0.3, 5.0),
+            (m, -0.5, 2.0), (m, 0.5, 2.0), (cm, 0.5, 2.0), (m_prime, -0.5, 2.0),
+            (m_prime, 0.5, 2.0),  # closed forms
+            (cm, 1.0, 0.0), (m, -0.4995, 3.0), (cm, -0.4995, 3.0),  # gamma ratio, band
+            (m, -0.4995, 9.0), (cm, -0.4995, 9.0), (m_prime, -0.4999, 3.0),  # stalls
+            (cm, 80.0, 1e-4), (m, -0.75, 5.0)):  # rescale overflow, below -1/2
         want = route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
         assert read(nu, x) == want and read(nu, x) == want, (route.__name__, nu, x)
+    for (read, route), nu, x in ((m, 1.0, -1.0), (m_prime, 1.0, 0.0), (cm, -0.5, 1.0)):
+        with pytest.raises(StruveKitError) as single:
+            route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
+        with pytest.raises(StruveKitError) as memoized:
+            read(nu, x)
+        assert (type(memoized.value), str(memoized.value)) == (
+            type(single.value), str(single.value)), (route.__name__, nu, x)
 
 
 def test_memo_is_one_per_config_pair(cold_memo):
