@@ -15,6 +15,7 @@ differences here.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -34,8 +35,12 @@ def m_at_neg_half(x: float) -> float:
 
 
 def m_at_pos_half(x: float) -> float:
-    """M at order +1/2: sqrt(2/(pi x)) (e^(-x) - 1), computed via expm1."""
+    """M at order +1/2: sqrt(2/(pi x)) (e^(-x) - 1), computed via expm1; at a
+    subnormal x, where the product with expm1 would round to few digits, its
+    limit -sqrt(2x/pi)."""
     _check_x(x)
+    if x < sys.float_info.min:
+        return -_SQRT_2_OVER_PI * math.sqrt(x)
     return _SQRT_2_OVER_PI * math.expm1(-x) / math.sqrt(x)
 
 
@@ -65,9 +70,9 @@ def m_second_at_pos_half(x: float) -> float:
 
 def calm_at_pos_half(x: float) -> float:
     """Normalized form at nu = 1/2: (2/sqrt(pi)) (1 - e^(-x)) / x; value at
-    x = 0 is the continuous limit 2/sqrt(pi)."""
+    x = 0, and at a subnormal x, is the continuous limit 2/sqrt(pi)."""
     if x < 0.0:
         raise DomainError("the normalized form requires x >= 0")
-    if x == 0.0:
+    if x < sys.float_info.min:  # (1 - e^(-x))/x = 1 to within x
         return _TWO_OVER_SQRT_PI
     return _TWO_OVER_SQRT_PI * (-math.expm1(-x)) / x

@@ -6,14 +6,22 @@ suite) behind explicit domain contracts. digamma and trigamma are
 implemented here directly: recurrence shift into the asymptotic region
 followed by the Bernoulli-number tail. Ratios of gamma values are always
 formed in log space so they stay finite long after gamma itself would
-overflow.
+overflow. The two log-space helpers every route shares sit here too:
+log_half, log(x/2) down to the smallest subnormal x, and exp_rounded,
+exp(L) with the rounding it carries from the terms L was summed from.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, PoleError
+
+_EPS = 2.220446049250313e-16
+_TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
+_LN2 = math.log(2.0)
+_HALF_NORMAL = 2.0 * sys.float_info.min  # from here on x/2 is a normal float, exact
 
 #: Euler-Mascheroni constant, gamma = lim (H_n - ln n).
 EULER_GAMMA = 0.5772156649015328606
@@ -65,6 +73,23 @@ def log_gamma(z: float) -> float:
 def gamma_ratio(a: float, b: float) -> float:
     """gamma(a) / gamma(b) for a, b > 0, formed in log space."""
     return math.exp(log_gamma(a) - log_gamma(b))
+
+
+def log_half(x: float) -> float:
+    """log(x/2) for x > 0. Below twice the smallest normal float x/2 rounds (to 0
+    at x = 5e-324), so log x - log 2 serves there; above, log(x/2) as written."""
+    return math.log(0.5 * x) if x >= _HALF_NORMAL else math.log(x) - _LN2
+
+
+def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[float, float]:
+    """exp(L) for L = log_value, summed from the terms a, b and c, and a bound on
+    its absolute rounding. L's absolute rounding follows the size of its terms, not
+    |L|: at nu = 32, x = 31, nu log(x/2) and lgamma(nu+1/2) are each about 85 while
+    L is about 8. So the bound is 2.5 (1 + |a| + |b| + |c|) eps exp(L), plus the
+    smallest subnormal, which covers a subnormal exp(L) that keeps only part of its
+    digits."""
+    value = math.exp(log_value)
+    return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * _EPS * value + _TINY
 
 
 def digamma(z: float) -> float:

@@ -60,7 +60,8 @@ class InequalityCase:
     :func:`default_grid` spans the same range.
 
     ``margin_fn(nu, x, y, ev)`` returns ``(margin, scale)``, reading
-    function values from ev, the sweep's :class:`routes.Memo`; the margin
+    function values, and what it derives from them at the point
+    (``ev.derived``), from ev, the sweep's :class:`routes.Memo`; the margin
     is oriented so positive means the claim holds, and the executor
     reports ``margin/scale``. Inside a sweep a memo read may defer its
     quadrature step, so a margin may be called again at the same point; it
@@ -195,8 +196,9 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 #
 # Signature: fn(nu, x, y, ev) -> (margin, scale). ev is the routes.Memo of
 # the sweep's (SeriesConfig, QuadConfig) pair: plain function values come
-# from its memoized automatic routes, and the direct quadrature probes and
-# the series-route FX3_raw read its configs.
+# from its memoized automatic routes, the values a margin derives at a point
+# (-M's derivatives, the Theorem 4 bounds, h and h') from ev.derived, and the
+# series-route FX3_raw reads its series config.
 # ---------------------------------------------------------------------------
 
 
@@ -333,8 +335,12 @@ def _margin_fx31(nu, x, y, ev):
     return rhs - deriv, max(rhs, abs(d_an), abs(d_fd), _TINY)
 
 
+def _bilateral(ev, nu, x):
+    return foxwright.bilateral_bounds(EvalPoint(nu, x))
+
+
 def _margin_theorem4(nu, x, y, ev):
-    lower, upper = foxwright.bilateral_bounds(EvalPoint(nu, x))
+    lower, upper = ev.derived(_bilateral, nu, x)
     c = ev.calm(nu, x).value
     n_lo = (c - lower) / max(abs(c), abs(lower), _TINY)
     n_up = (upper - c) / max(abs(c), abs(upper), _TINY)
@@ -408,9 +414,9 @@ def _margin_logconvex_nu(nu, x, y, ev):
 _RISING_HALF = list(itertools.accumulate((0.5 + i for i in range(6)), operator.mul, initial=1.0))
 
 
-def _margin_neg_m_cm(nu, x, y, ev):
-    """Sign alternation of the first seven derivatives of -M_nu for
-    nu in [-1/2, 0].
+def _neg_m_derivatives(ev, nu, x):
+    """(-1)^n d^n/dx^n of -M_nu at x, n = 0..6, for nu in [-1/2, 0]: all
+    positive where -M_nu is completely monotone.
 
     At nu = -1/2 the derivatives of the elementary form
     sqrt(2/pi) x^(-1/2) e^(-x) expand into an all-positive sum; elsewhere
@@ -436,14 +442,23 @@ def _margin_neg_m_cm(nu, x, y, ev):
             for k in range(n + 1):
                 acc += math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
             vals.append((-1.0) ** n * front * acc)
-    # every summand above is positive by construction, so the sign of
-    # each order is certain and a per-order +-1 margin is honest
-    return min(v / max(abs(v), _TINY) for v in vals), 1.0
+    return tuple(vals)
+
+
+def _margin_neg_m_cm(nu, x, y, ev):
+    """Sign alternation of the first seven derivatives of -M_nu for
+    nu in [-1/2, 0]."""
+    # every summand of a derivative is positive by construction, so the sign
+    # of each order is certain and a per-order +-1 margin is honest
+    return min(v / max(abs(v), _TINY) for v in ev.derived(_neg_m_derivatives, nu, x)), 1.0
+
+
+def _h_pair(ev, nu, x):
+    return gamma_ratio_h(nu), gamma_ratio_h_prime(nu)
 
 
 def _margin_h_negative_derivative(nu, x, y, ev):
-    hv = gamma_ratio_h(nu)
-    hp = gamma_ratio_h_prime(nu)
+    hv, hp = ev.derived(_h_pair, nu, 0.0)  # h does not depend on x: one entry per order
     n_pos = hv / max(abs(hv), _TINY)
     n_dec = -hp / max(abs(hp), _TINY)
     return min(n_pos, n_dec), 1.0

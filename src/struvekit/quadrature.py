@@ -54,11 +54,12 @@ import numpy as np
 
 from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import log_gamma
+from .gammafuncs import exp_rounded, log_gamma, log_half
 
 _EPS = 2.220446049250313e-16
 _TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_LN2 = math.log(2.0)
 
 #: Half-width of the node range in the double-exponential variable u.
 #: Contributions decay like exp(-(nu+1/2) pi sinh u), so this range covers
@@ -368,11 +369,9 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
 
 def _m_scale(p: EvalPoint) -> tuple[float, float]:
     """(x/2)^nu / gamma(nu+1/2) = exp(L), the normalized-form -> M_nu scale
-    factor, and its rounding, plus a subnormal's: L's absolute rounding follows
-    the size of its two terms, not |L|, as in turanian_il_double_integral."""
-    log_power, log_gam = p.nu * math.log(0.5 * p.x), log_gamma(p.nu + 0.5)
-    factor = math.exp(log_power - log_gam)
-    return factor, 2.5 * (1.0 + abs(log_power) + abs(log_gam)) * _EPS * factor + _TINY
+    factor, and its rounding."""
+    log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
+    return exp_rounded(log_power - log_gam, log_power, log_gam)
 
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -404,7 +403,30 @@ def _m_prime_of(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
     factor, factor_err = _m_scale(p)
     inner = (p.nu / p.x) * c.value + c1.value
     err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + factor_err * abs(inner) + _TINY
-    return FuncValue(-factor * inner, err, Method.QUADRATURE)
+    value = -factor * inner
+    if not (math.isfinite(value) and math.isfinite(err)):
+        value, err = _m_prime_at_tiny_x(p, c, c1, factor, factor_err)
+    return FuncValue(value, err, Method.QUADRATURE)
+
+
+def _m_prime_at_tiny_x(p: EvalPoint, c: FuncValue, c1: FuncValue,
+                       factor: float, factor_err: float) -> tuple[float, float]:
+    """M_nu'(x) and its bar where the product form overflows or gives NaN (nu/x
+    overflows, x below about 1e-290): the scale factor over x,
+    exp((nu-1) log(x/2) - log 2 - lgamma(nu+1/2)), is formed in log space.
+    CancellationError where M' itself overflows float64."""
+    log_power, log_gam = (p.nu - 1.0) * log_half(p.x), log_gamma(p.nu + 0.5)
+    log_over_x = log_power - _LN2 - log_gam
+    if log_over_x < 709.0:  # math.exp raises past 709.78
+        over_x, over_x_err = exp_rounded(log_over_x, log_power, _LN2, log_gam)
+        lead = over_x * p.nu * c.value
+        value = -(lead + factor * c1.value)
+        err = (over_x * abs(p.nu) * c.abs_err + over_x_err * abs(p.nu * c.value)
+               + factor * c1.abs_err + factor_err * abs(c1.value)
+               + _EPS * (abs(lead) + abs(value)) + _TINY)
+        if math.isfinite(value) and math.isfinite(err):
+            return value, err
+    raise CancellationError(f"M' at (nu={p.nu:g}, x={p.x:g}) overflows float64")
 
 
 def _centred_moments(columns: list[tuple[np.ndarray, np.ndarray]],
@@ -442,7 +464,7 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     if p.nu <= 0.5 or p.x <= 0.0:
         raise DomainError("the cross-Turanian double integral requires nu > 1/2, x > 0")
     pw = p.nu - 1.5
-    log_power = 2.0 * p.nu * math.log(0.5 * p.x)
+    log_power = 2.0 * p.nu * log_half(p.x)
     log_gammas = 2.0 * log_gamma(p.nu + 0.5)
     log_pref = math.log(4.0) - math.log(math.pi) + log_power - log_gammas
     pref = math.exp(log_pref) if log_pref < 709.78 else math.inf  # math.exp raises past it

@@ -25,6 +25,12 @@ fallback. The memo keeps the automatic values per (SeriesConfig, QuadConfig)
 pair for the sweeps, where one grid point feeds many cases, and the sign
 probes' derivatives; inside a sweep the walker defers every quadrature step,
 which the memo runs a round at a time in one points batch per order set.
+Its derived cache, memo.derived(fn, nu, x), keeps what a margin computes at
+a point from those values (-M's derivatives, the Theorem 4 bounds, h and h'),
+so a warm sweep reads them too; margins and verdicts are computed afresh.
+
+Where M' overflows float64 (small order and tiny x) the routes raise
+CancellationError rather than return an infinite value.
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ from threading import get_ident
 from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
                    Method, QuadConfig, SeriesConfig)
-from .errors import DomainError, NonConvergenceError
-from .gammafuncs import log_gamma
+from .errors import CancellationError, DomainError, NonConvergenceError
+from .gammafuncs import exp_rounded, log_gamma, log_half
 
 _EPS = 2.220446049250313e-16
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -60,7 +67,15 @@ def _closed_form(fn: str, p: EvalPoint) -> FuncValue:
         raise DomainError("the normalized form has a closed form only at nu = 1/2" if fn == "calm"
                           else "closed forms exist only at nu = -1/2 and nu = 1/2")
     value = form(p.x)
-    return FuncValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM)
+    return _finite(FuncValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM), p)
+
+
+def _finite(fv: FuncValue, p: EvalPoint) -> FuncValue:
+    """fv, or CancellationError where its value or bar overflows float64 (M' at
+    small order and tiny x: at nu = -1/2 below x ~ 1e-206)."""
+    if math.isfinite(fv.value) and math.isfinite(fv.abs_err):
+        return fv
+    raise CancellationError(f"the value at (nu={p.nu:g}, x={p.x:g}) overflows float64")
 
 
 def _calm_at_zero(nu: float) -> FuncValue:
@@ -162,7 +177,7 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
         here = series.struve_m_series(p, series_cfg)
         value = lower.value - (p.nu / p.x) * here.value
         err = lower.abs_err + abs(p.nu / p.x) * here.abs_err + _EPS * abs(value)
-        return FuncValue(value, err, Method.SERIES)
+        return _finite(FuncValue(value, err, Method.SERIES), p)
     if method is Method.FOX_WRIGHT:
         raise DomainError("no derivative evaluator is defined for this route")
     return quadrature.m_deriv(p, quad_cfg)
@@ -182,12 +197,13 @@ def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
     last term's exp(L) rounding and eps times the magnitudes of the three terms."""
     hi = m(p.nu + 1.0, p.x)
     here = m(p.nu, p.x)
-    log_last = p.nu * math.log(0.5 * p.x) - 0.5 * math.log(math.pi) - log_gamma(p.nu + 1.5)
-    last = math.exp(log_last)
+    log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 1.5)
+    last, last_err = exp_rounded(log_power - _LOG_SQRT_PI - log_gam,
+                                 log_power, _LOG_SQRT_PI, log_gam)
     mid = (p.nu / p.x) * here.value
-    err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + (1.0 + abs(log_last)) * _EPS * last
+    err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + last_err
            + _EPS * (abs(hi.value) + abs(mid) + last))
-    return FuncValue(hi.value + mid + last, err, here.method)
+    return _finite(FuncValue(hi.value + mid + last, err, here.method), p)
 
 
 _MEMO_SIZE = 262144
@@ -243,6 +259,9 @@ class Memo:
     """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x),
     and the sign probes' quadrature derivatives: calm_dx holds calM's x-orders 0-6 and
     calm_dnu its nu-orders 0-4. Each is one lru_cache, read as memo.calm(nu, x).
+    derived(fn, nu, x) holds fn(memo, nu, x), a value a margin derives at the point
+    from the memo's reads or from nothing else; fn, a module-level function, is part of
+    the key. An exception, _Deferred included, leaves no entry, as in every cache here.
 
     Inside :meth:`deferring` a miss whose next step is quadrature records its key and
     raises _Deferred (invalid input still raises); :meth:`fill` runs the recorded steps
@@ -250,7 +269,7 @@ class Memo:
     only its key: more, kept alive among the values cached meanwhile, slows warm reads."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
-                 "_sweeps")
+                 "derived", "_sweeps")
 
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
@@ -258,6 +277,7 @@ class Memo:
         self._sweeps = {}  # thread id -> (deferred keys, parked outcomes) of its sweep
         for kind in _CHAINS:
             setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._read, kind)))
+        self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
     def _read(self, kind: str, nu: float, x: float):
         p, sweep = EvalPoint(nu, x), self._sweeps.get(get_ident())

@@ -24,9 +24,11 @@ import mpmath as mp
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import log_gamma
+from .gammafuncs import exp_rounded, log_gamma, log_half
 
 _EPS = 2.220446049250313e-16
+_LN2 = math.log(2.0)
+_TWO_OVER_MAX = 2.0 / sys.float_info.max
 
 #: Largest argument at which the auto router tries the float64 pass of
 #: the merged series; beyond it the cancellation is too deep to certify.
@@ -76,7 +78,7 @@ def bessel_i(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
         if p.nu == 0.0:
             return FuncValue(1.0, 0.0, Method.SERIES)
         return FuncValue(0.0 if p.nu > 0 else math.inf, 0.0, Method.SERIES)
-    log_first = p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 1.0)
+    log_first = p.nu * log_half(p.x) - log_gamma(p.nu + 1.0)
     value, err = _positive_series(p, cfg, 0.0, log_first)
     return FuncValue(value, err, Method.SERIES)
 
@@ -97,9 +99,14 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
         if p.nu == -1.0:
             return FuncValue(2.0 / math.pi, 0.0, Method.SERIES)
         return FuncValue(math.inf, 0.0, Method.SERIES)
-    log_first = (p.nu + 1.0) * math.log(0.5 * p.x) - log_gamma(1.5) - log_gamma(p.nu + 1.5)
+    log_first = (p.nu + 1.0) * log_half(p.x) - log_gamma(1.5) - log_gamma(p.nu + 1.5)
     value, err = _positive_series(p, cfg, 1.0, log_first)
     return FuncValue(value, err, Method.SERIES)
+
+
+def _overflow(nu: float, x: float) -> CancellationError:
+    return CancellationError(f"M series at (nu={nu:g}, x={x:g}) overflows float64; "
+                             "use the quadrature route")
 
 
 def _merged_float(p: EvalPoint, cfg: SeriesConfig,
@@ -119,13 +126,16 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
         limit = 0.0 if nu > 0.0 else -1.0 if nu == 0.0 else -math.inf
         return FuncValue(limit, 0.0, Method.SERIES), 0.0, 0.0
     q = 0.25 * x * x
-    lx = math.log(0.5 * x)
+    lx = log_half(x)
     log_i = nu * lx - log_gamma(nu + 1.0)
     log_l = (nu + 1.0) * lx - log_gamma(1.5) - log_gamma(nu + 1.5)
+    if max(log_i, log_l) > 709.0:  # math.exp raises past 709.78
+        raise _overflow(nu, x)
     i_term, l_term = math.exp(log_i), math.exp(log_l)
-    # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result
+    # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result;
+    # a subnormal x/2 (log x - log 2 above) adds a rounding of L that this leaves out
     lead_err = ((abs(log_i) + abs(log_l) + 2.0) * _EPS
-                if min(i_term, l_term) >= sys.float_info.min else math.inf)
+                if min(i_term, l_term, 0.5 * x) >= sys.float_info.min else math.inf)
     # term n weighs a n + b: 1 for M, its power of x over x for M'
     a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
     wi, wl = b_i * i_term, b_l * l_term
@@ -141,9 +151,7 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
         total = t
         smax += abs(wi) + wl
         if smax > 1e307:
-            raise CancellationError(
-                f"M series at (nu={nu:g}, x={x:g}) overflows float64; "
-                "use the quadrature route")
+            raise _overflow(nu, x)
         i_term *= q / ((n + 1.0) * (n + nu + 1.0))
         l_term *= q / ((n + 1.5) * (n + nu + 1.5))
         w = a * (n + 1) + b_i
@@ -236,13 +244,15 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
 
 def _norm_factor(p: EvalPoint, sign: float) -> tuple[float, float]:
     """exp(sign L), L = log(2^nu gamma(nu+1/2) x^-nu) the M -> normalized-form
-    factor (nu > -1/2, x > 0), and exp()'s relative rounding, about |L| eps."""
+    factor (nu > -1/2, x > 0), and its absolute rounding. Below x = 2/DBL_MAX,
+    where 2/x overflows, log(2/x) is log 2 - log x."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x <= 0.0:
         raise DomainError("the normalized-form factor requires x > 0")
-    log_factor = p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5)
-    return math.exp(sign * log_factor), (1.0 + abs(log_factor)) * _EPS
+    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else _LN2 - math.log(p.x))
+    log_gam = log_gamma(p.nu + 0.5)
+    return exp_rounded(sign * (power + log_gam), power, log_gam)
 
 
 def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
@@ -251,12 +261,10 @@ def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
     Requires nu > -1/2 (gamma factor finite) and x > 0.
     """
     factor, rounding = _norm_factor(p, 1.0)
-    value = -m.value * factor
-    return FuncValue(value, m.abs_err * factor + rounding * abs(value), m.method)
+    return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
 
 
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
     """Inverse of calm_from_m: M_nu(x) = -x^nu calM_nu(x) / (2^nu gamma(nu+1/2))."""
     factor, rounding = _norm_factor(p, -1.0)
-    value = -c.value * factor
-    return FuncValue(value, c.abs_err * factor + rounding * abs(value), c.method)
+    return FuncValue(-c.value * factor, c.abs_err * factor + rounding * abs(c.value), c.method)

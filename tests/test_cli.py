@@ -60,6 +60,20 @@ def test_eval_domain_error_exits_2(runner):
     assert "nu > -1/2" in _all_text(result)
 
 
+def test_eval_at_the_smallest_subnormal_argument(runner):
+    """M_1(5e-324) is about -x/2: a finite value within its bar, where log(x/2)
+    once raised a bare ValueError (exit 1). M' at nu = -1/2 and x = 1e-300,
+    about 4e449, overflows float64 and exits 2 with the reason."""
+    result = runner.invoke(main, ["eval", "--fn", "M", "--nu", "1", "--x", "5e-324",
+                                  "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    payload = json.loads(result.output)
+    assert abs(payload["value"] + 2.5e-324) <= payload["abs_err"]
+    result = runner.invoke(main, ["eval", "--fn", "Mprime", "--nu", "-0.5", "--x", "1e-300"])
+    assert result.exit_code == EXIT_USAGE
+    assert "overflows float64" in _all_text(result)
+
+
 @pytest.mark.parametrize("nu", ["-0.4995", "0.3"])
 def test_eval_normalized_form_at_negative_argument_exits_2(runner, nu):
     """calM at x < 0 fails with one message next to nu = -1/2 and away from it."""

@@ -46,3 +46,43 @@ def test_module_level_names_are_referenced(module):
                     or (not is_import and name.startswith("_") and not name.startswith("__")
                         and name not in read and name not in ATTRIBUTES))
     assert unread == [], f"{module}: nothing reads {unread}"
+
+
+#: The module-level function caches the package may keep: quadrature's node and
+#: kernel tables, which depend on no evaluation config, and the per-config memo.
+MODULE_CACHES = {("quadrature", "_level_nodes"), ("quadrature", "_level_kernel"),
+                 ("routes", "memo")}
+
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _is_cache(node) -> bool:
+    """Whether node is functools' lru_cache or cache, bare, called or as an attribute."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in _CACHE_DECORATORS
+
+
+def _module_caches(tree):
+    """Names the module body binds to a function cache: a decorated function, or an
+    assignment of a cache wrapper such as ``memo = lru_cache(maxsize=4)(Memo)``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_cache(d) for d in node.decorator_list):
+                yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if any(isinstance(call, ast.Call) and _is_cache(call.func)
+                   for call in ast.walk(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_per_point_caches_live_in_the_config_scoped_memo():
+    """No module keeps a module-level function cache beyond the node and kernel
+    tables and routes.memo: a value computed at a point is cached in the memo of
+    its config pair, which the cold_memo fixture clears, never in a global cache
+    that ignores the config or outlives a test's monkeypatches."""
+    found = {(module, name) for module, tree in TREES.items() for name in _module_caches(tree)}
+    assert found == MODULE_CACHES

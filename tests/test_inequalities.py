@@ -5,13 +5,14 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from struvekit import quadrature, routes, series
+from struvekit import foxwright, inequalities, quadrature, routes, series
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
 from struvekit.errors import DomainError, EmptyDomainError
@@ -409,6 +410,29 @@ def test_a_margin_raising_mid_sweep_leaves_the_memo_reading_directly(cold_memo):
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     assert ev.calm(0.3, 25.0) == routes.calm(EvalPoint(0.3, 25.0))
     assert ev.calm(0.3, 25.0).method is Method.QUADRATURE
+
+
+def test_warm_sweep_reads_derived_values_from_the_memo(monkeypatch, cold_memo):
+    """A cold run_all() computes -M's derivatives (the Leibniz sums of neg_m_cm)
+    and the Theorem 4 bounds once per point that completes them, and h, h' once
+    per order (h ignores x); a read whose calm_dx deferred re-enters the Leibniz
+    function after the fill. A warm run_all() calls none of them."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
+
+    count(inequalities, "_neg_m_derivatives")
+    count(foxwright, "bilateral_bounds")
+    count(inequalities, "gamma_ratio_h")
+    count(inequalities, "gamma_ratio_h_prime")
+    run_all()
+    assert calls == {"_neg_m_derivatives": 625 + 575, "bilateral_bounds": 625,
+                     "gamma_ratio_h": 25, "gamma_ratio_h_prime": 25}
+    calls.clear()
+    run_all()
+    assert calls == {}
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():

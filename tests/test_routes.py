@@ -4,20 +4,23 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import mpmath
 import pytest
 
-from struvekit import quadrature, series
+from struvekit import inequalities, quadrature, series
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_at_pos_half, m_prime_at_neg_half,
-                                   m_prime_at_pos_half)
+                                   m_prime_at_pos_half, m_second_at_neg_half)
 from struvekit import routes
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
 from struvekit.errors import DomainError, NonConvergenceError, StruveKitError
+from struvekit.foxwright import bilateral_bounds
+from struvekit.gammafuncs import gamma_ratio_h, gamma_ratio_h_prime
 from struvekit.inequalities import CATALOG, GridSpec, run_all, sweep_case
 from struvekit.routes import calm, struve_m, struve_m_prime
 
@@ -121,6 +124,31 @@ def test_automatic_values_hold_their_error_bars(nu, x):
     for fn, ref in ((struve_m, m_ref), (calm, c_ref), (struve_m_prime, d_ref)):
         got = fn(p)
         assert abs(got.value - float(ref)) <= got.abs_err, (fn.__name__, got, float(ref))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300])
+@pytest.mark.parametrize("nu", [-0.95, -0.75, -0.5, -0.4999, -0.3, 0.0, 0.3, 0.5, 0.7, 1.0,
+                                2.5, 20.0, 80.0])
+def test_tiny_arguments_give_a_value_within_its_bar_or_a_struvekit_error(nu, x):
+    """At a subnormal or tiny x, automatic M, calM and M' return a finite value
+    within its bar of mpmath, and raise a StruveKitError exactly where the
+    function is off its order range (calM and M' at nu < -1/2) or its value
+    overflows float64 (M' at small order, ~1e449 at nu = -1/2, x = 1e-300)."""
+    p = EvalPoint(nu, x)
+    with mpmath.workdps(60):
+        m_ref = mpmath.struvel(nu, x) - mpmath.besseli(nu, x)
+        refs = {struve_m: m_ref,
+                calm: (-mpmath.mpf(2) ** nu * mpmath.gamma(nu + 0.5) * mpmath.mpf(x) ** -nu
+                       * m_ref) if nu > -0.5 else None,
+                struve_m_prime: _mpmath_m_prime(nu, x, m_ref) if nu >= -0.5 else None}
+    for fn, ref in refs.items():
+        if ref is None or abs(ref) > sys.float_info.max:
+            with pytest.raises(StruveKitError):
+                fn(p)
+            continue
+        got = fn(p)
+        assert math.isfinite(got.value) and math.isfinite(got.abs_err), (fn.__name__, got)
+        assert abs(mpmath.mpf(got.value) - ref) <= got.abs_err, (fn.__name__, got, ref)
 
 
 def _strip_points(seed, nu_lo, nu_hi, count):
@@ -467,3 +495,52 @@ def test_memo_is_one_per_config_pair(cold_memo):
     assert tight.method is coarse.method is Method.QUADRATURE
     assert tight.abs_err < coarse.abs_err
     assert ev.calm(0.3, 9.0) is tight and loose.calm(0.3, 9.0) is coarse
+
+
+@pytest.mark.parametrize("nu, x", [(-0.5, 0.7), (-0.5, 12.0), (-0.3, 0.7), (-0.3, 12.0),
+                                   (0.0, 2.0)])
+def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
+    """memo.derived(fn, nu, x) is fn(memo, nu, x), computed once and then read: -M's
+    x-derivatives (the closed form's at nu = -1/2, the Leibniz sum over calm_dx
+    elsewhere), the Theorem 4 bounds and (h, h'). The derivatives agree with
+    independent evaluations: orders 0-2 with the closed forms at nu = -1/2,
+    orders 0-1 with the automatic M and M' elsewhere."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    p = EvalPoint(nu, x)
+    direct = {inequalities._neg_m_derivatives: inequalities._neg_m_derivatives(ev, nu, x),
+              inequalities._h_pair: (gamma_ratio_h(nu), gamma_ratio_h_prime(nu))}
+    if nu > -0.5:
+        direct[inequalities._bilateral] = bilateral_bounds(p)
+    for fn, want in direct.items():
+        got = ev.derived(fn, nu, x)
+        assert got == want and ev.derived(fn, nu, x) is got, fn.__name__
+    assert ev.derived.cache_info().currsize == len(direct)
+    vals = direct[inequalities._neg_m_derivatives]
+    assert len(vals) == 7 and min(vals) > 0.0
+    # vals[n] = (-1)^n d^n(-M)/dx^n
+    if nu == -0.5:
+        checks = (-m_at_neg_half(x), m_prime_at_neg_half(x), -m_second_at_neg_half(x))
+    else:
+        checks = (-struve_m(p).value, struve_m_prime(p).value)
+    for n, want in enumerate(checks):
+        assert rel_err(vals[n], want) < 1e-12, (n, vals[n], want)
+
+
+def test_a_derived_read_that_defers_or_raises_caches_nothing(cold_memo):
+    """Inside a sweep's deferral, a derived read whose calm_dx read defers raises
+    _Deferred and leaves no entry; after the fill it equals the value read
+    without deferral. A read that raises a StruveKitError leaves none either."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    leibniz = inequalities._neg_m_derivatives
+    with ev.deferring() as fill:
+        for _ in range(2):
+            with pytest.raises(routes._Deferred):
+                ev.derived(leibniz, -0.3, 0.7)
+        assert ev.derived.cache_info().currsize == 0
+        with pytest.raises(DomainError):
+            ev.derived(inequalities._bilateral, -0.7, 0.7)
+        assert ev.derived.cache_info().currsize == 0
+        fill()
+        got = ev.derived(leibniz, -0.3, 0.7)
+    assert ev.derived.cache_info().currsize == 1
+    assert got == leibniz(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS), -0.3, 0.7)
