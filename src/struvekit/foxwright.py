@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      NonConvergenceError, PoleError)
-from .gammafuncs import SQRT_PI, gamma, gamma_ratio, log_gamma
+from .gammafuncs import SQRT_PI, exp_rounded, gamma, gamma_ratio, log_gamma
 
 _EPS = 2.220446049250313e-16
 
@@ -112,10 +112,12 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
     carry = 0.0
     peak = 0.0
     term_abs = 0.0
+    rounding = 0.0
     log_abs_z = math.log(abs(z)) if z != 0.0 else -math.inf
     sign_z = -1.0 if z < 0.0 else 1.0
     for n in range(cfg.max_terms):
         lg = -log_gamma(n + 1.0)
+        size = abs(lg)  # the sum of the magnitudes of the terms lg is summed from
         sign = 1.0
         for a, alpha in params.upper:
             arg = a + alpha * n
@@ -125,9 +127,11 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
                         f"gamma argument {arg:g} is a non-positive integer")
                 g = gamma(arg)
                 sign *= math.copysign(1.0, g)
-                lg += math.log(abs(g))
+                part = math.log(abs(g))
             else:
-                lg += log_gamma(arg)
+                part = log_gamma(arg)
+            lg += part
+            size += abs(part)
         for b, beta in params.lower:
             arg = b + beta * n
             if arg <= 0.0:
@@ -136,12 +140,16 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
                         f"gamma argument {arg:g} is a non-positive integer")
                 g = gamma(arg)
                 sign /= math.copysign(1.0, g)
-                lg -= math.log(abs(g))
+                part = math.log(abs(g))
             else:
-                lg -= log_gamma(arg)
+                part = log_gamma(arg)
+            lg -= part
+            size += abs(part)
         if n > 0 and log_abs_z == -math.inf:
             break
-        term_abs = math.exp(lg) if n == 0 else math.exp(lg + n * log_abs_z)
+        log_power = n * log_abs_z if n else 0.0  # 0 * -inf is NaN at z = 0
+        term_abs, term_err = exp_rounded(lg + log_power, size, log_power)
+        rounding += term_err
         term = sign * (sign_z ** n) * term_abs
         y = term - carry
         t = total + y
@@ -150,8 +158,10 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
         peak = max(peak, abs(total), term_abs)
         if n >= 4 and term_abs <= cfg.rel_tol * max(abs(total), 1e-300):
             # superalgebraically decaying tail: bound it by a geometric
-            # series with the observed ratio, conservatively 2x last term
-            err = 2.0 * term_abs + 4.0 * _EPS * peak * (n + 1)
+            # series with the observed ratio, conservatively 2x last term;
+            # then each term's exp() rounding, which follows the size of its
+            # log-gamma sum (about 150 per gamma at nu = 50), and the summation's
+            err = 2.0 * term_abs + rounding + 4.0 * _EPS * peak * (n + 1)
             if z < 0.0 and peak / max(abs(total), 1e-300) > CONDITION_LIMIT:
                 raise CancellationError(
                     "alternating series loses more than 8 digits "
@@ -175,10 +185,12 @@ def calm_via_fox_wright(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> Fu
     if p.x < 0.0:
         raise DomainError("the series argument requires x >= 0")
     base = fox_wright_eval(norm_form_params(p.nu), -p.x, cfg)
-    factor = math.exp(log_gamma(p.nu + 0.5)) / SQRT_PI
+    log_gam = log_gamma(p.nu + 0.5)
+    power, power_err = exp_rounded(log_gam, log_gam, 0.0)
+    factor = power / SQRT_PI
     value = factor * base.value
-    return FuncValue(value, factor * base.abs_err + _EPS * abs(value),
-                     Method.FOX_WRIGHT)
+    return FuncValue(value, factor * base.abs_err + power_err / SQRT_PI * abs(base.value)
+                     + _EPS * abs(value), Method.FOX_WRIGHT)
 
 
 def fx4_conditions(params: FoxWrightParams) -> tuple[bool, bool]:

@@ -33,8 +33,15 @@ The node tables serve every point and the exp() argument is per point, so
 calm_dx_points and calm_dnu_points refine points at any mix of (nu, x) with
 one exp() matrix per level, bit for bit _refine at each point, each with its
 own tails, tolerances, error estimates and stopping level; the sweep memo
-batches its quadrature misses through them. _refine stays for lone points
-(the single-call route chain), where array bookkeeping would cost more.
+batches its quadrature misses through them. _refine serves lone points (the
+single-call route chain), where a one-point batch's array bookkeeping would
+cost several times the refinement. Lone points freeze at level 4, so _refine
+takes levels 0-4 in one pass over their joined nodes: one exp(), one kernel
+product, then numpy's pairwise sum over each level's slice, which sees the
+values of a per-level pass in the same order and so keeps every bit.
+
+The route serves x up to X_MAX, the limit a scan of its error bars against
+the integral's asymptotic series set (see X_MAX).
 
 The cross-Turanian double integral uses these nodes on both axes; its
 kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
@@ -60,6 +67,7 @@ _EPS = 2.220446049250313e-16
 _TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _LN2 = math.log(2.0)
+_LOG_MAX = 709.78  # math.exp overflows float64 past log(DBL_MAX) = 709.7827
 
 #: Half-width of the node range in the double-exponential variable u.
 #: Contributions decay like exp(-(nu+1/2) pi sinh u), so this range covers
@@ -69,6 +77,17 @@ U_MAX = 10.5
 #: log of the distance from t = 1 to the outermost node.
 _LOG_DELTA = math.log(2.0) - math.pi * math.sinh(U_MAX)
 
+#: Largest argument the quadrature route serves. The mass of e^(-xt) sits at t ~ 1/x;
+#: once a value falls below abs_tol the refinement may stop at level 2 on two levels
+#: that agree before they resolve it. Against the asymptotic series of the integral
+#: (x-orders 0-10, nu-orders 0-6, nu in [-0.45, 80], 6-8 x per decade), calM and calM'
+#: (the orders behind M, calM and M') hold their bars through x = 1e4 at abs_tol 1e-12,
+#: 1e-9 and 1e-6 (at most 0.4 of the bar); they first breach at x = 3.6e4 (abs_tol
+#: 1e-9) and 6.3e5 (1e-12), calM by 2.5x from x = 1e12 on. Higher orders, whose values
+#: drop below abs_tol sooner, breach from x = 200 on (x-order 4 by 33x at nu = 80,
+#: x = 356); this limit does not cover them.
+X_MAX = 1e4
+
 _MAX_DX_ORDER = 10
 _MAX_DNU_ORDER = 6
 
@@ -77,14 +96,30 @@ _MAX_DNU_ORDER = 6
 _BATCH_CELLS = 512
 
 
-@functools.lru_cache(maxsize=16)
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, log(1-t^2), log weight) for the nodes new at this level.
+#: Last level of the span that _refine takes in one exp() pass: levels 0-4 (337
+#: nodes) share one exp(), one kernel product and a pairwise sum per level's slice,
+#: and each later level takes a pass of its own. Lone points freeze at level 4 (all
+#: 2,523 one-point refinements of a 6,000-point replay of perfbench's point_stream
+#: did), and there five small passes cost more in numpy call overhead than one.
+_JOINED_LAST = 4
+
+
+@functools.lru_cache(maxsize=32)
+def _level_nodes(level: int, last: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, log(1-t^2), log weight) for the nodes new at this level; with last, for
+    the nodes new at levels level..last, joined in level order.
 
     Level 0 holds all integer multiples of h = 1; level L >= 1 holds the
     odd multiples of h = 2^-L, so the union over levels 0..L is the full
     step-2^-L grid.
     """
+    if last is not None:
+        joined = tuple(np.concatenate(arrays) for arrays in
+                       zip(*map(_level_nodes, range(level, last + 1))))
+        for arr in joined:
+            arr.flags.writeable = False
+        return joined
     if level == 0:
         h = 1.0
         k = np.arange(-int(U_MAX), int(U_MAX) + 1, dtype=np.float64)
@@ -128,15 +163,15 @@ def _log_tail_bound(power: float, log_order: int) -> float:
     return log_tail
 
 
-@functools.lru_cache(maxsize=64)
-def _level_kernel(level: int, ns: tuple[int, ...],
-                  ms: tuple[int, ...]) -> np.ndarray | None:
-    """Rows t^n log(1/(1-t^2))^m over the nodes new at this level, one per
-    (n, m) of ns, ms; None for a lone row of ones (n = m = 0), so that
+@functools.lru_cache(maxsize=128)
+def _level_kernel(level: int, ns: tuple[int, ...], ms: tuple[int, ...],
+                  last: int | None = None) -> np.ndarray | None:
+    """Rows t^n log(1/(1-t^2))^m over the nodes _level_nodes(level, last) holds, one
+    per (n, m) of ns, ms; None for a lone row of ones (n = m = 0), so that
     plain calM, the most frequent call, pays no multiply per level."""
     if ns == ms == (0,):
         return None
-    t, lg1mt2, _ = _level_nodes(level)
+    t, lg1mt2, _ = _level_nodes(level, last)
     kernel = np.ones((len(ns), len(t)))
     with np.errstate(under="ignore"):
         for row, n, m in zip(kernel, ns, ms):
@@ -153,9 +188,11 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
     """Dyadic tanh-sinh refinement of every order pair (n, m) of ns, ms:
     (-1)^(n+m) (2/sqrt(pi)) int_0^1 (1-t^2)^(nu-1/2) t^n log(1/(1-t^2))^m e^(-xt) dt.
 
-    One exp() column per level serves all orders through the level's
-    kernel rows. Each order keeps its own tail bound and error estimate and
-    freezes at the first level where its scaled err meets its abs_tol, or
+    One exp() column per span of levels (0.._JOINED_LAST joined, then one level
+    each) serves all orders through the span's kernel rows; each level's sum is
+    numpy's pairwise sum over its slice, so every bit is that of a pass per level.
+    Each order keeps its own tail bound and error estimate and freezes at the
+    first level where its scaled err meets its abs_tol, or
     where the improvable part (refinement difference plus truncated tail)
     reaches the double-precision noise floor of its sum: below that floor
     abs_tol is unattainable and halving would only burn nodes, so the
@@ -167,28 +204,35 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
     tails = [math.exp(_log_tail_bound(pw, m)) for m in ms]
     frozen: list = [None] * len(ns)
     errs = [math.inf] * len(ns)
+    joined = min(_JOINED_LAST, max_level)
+    spans = [(0, joined)] + [(level, level) for level in range(joined + 1, max_level + 1)]
     with np.errstate(under="ignore"):
-        for level in range(max_level + 1):
-            t, lg1mt2, lgw = _level_nodes(level)
+        for first, last in spans:
+            t, lg1mt2, lgw = _level_nodes(first, last)
             col = np.exp(pw * lg1mt2 - p.x * t + lgw)
-            kernel = _level_kernel(level, ns, ms)
-            cols = ([float(col.sum())] if kernel is None
-                    else (kernel * col).sum(axis=1).tolist())
-            if level == 0:
-                sums = cols
-                continue
-            h = 0.5 ** level
-            for i, c in enumerate(cols):
-                s = 0.5 * sums[i] + h * c
-                improvable = 2.0 * abs(s - sums[i]) + tails[i]
-                sums[i] = s
-                if frozen[i] is None:
-                    errs[i] = err = improvable + 32.0 * _EPS * abs(s)
-                    if level >= 2 and (_TWO_OVER_SQRT_PI * err <= abs_tols[i]
-                                       or improvable <= 8.0 * _EPS * abs(s)):
-                        frozen[i] = (s, err)
-            if None not in frozen:
-                return _values(ns, ms, *zip(*frozen))
+            kernel = _level_kernel(first, ns, ms, last)
+            if kernel is not None:
+                col = kernel * col
+            stop = 0
+            for level in range(first, last + 1):
+                start, stop = stop, stop + len(_level_nodes(level)[0])
+                cols = ([float(col[start:stop].sum())] if kernel is None
+                        else col[:, start:stop].sum(axis=1).tolist())
+                if level == 0:
+                    sums = cols
+                    continue
+                h = 0.5 ** level
+                for i, c in enumerate(cols):
+                    s = 0.5 * sums[i] + h * c
+                    improvable = 2.0 * abs(s - sums[i]) + tails[i]
+                    sums[i] = s
+                    if frozen[i] is None:
+                        errs[i] = err = improvable + 32.0 * _EPS * abs(s)
+                        if level >= 2 and (_TWO_OVER_SQRT_PI * err <= abs_tols[i]
+                                           or improvable <= 8.0 * _EPS * abs(s)):
+                            frozen[i] = (s, err)
+                if None not in frozen:
+                    return _values(ns, ms, *zip(*frozen))
     i = frozen.index(None)
     raise _stall(name, p.nu, p.x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
 
@@ -277,6 +321,9 @@ def _check_point(p: EvalPoint, m_of: str = "") -> EvalPoint:
         raise DomainError("the integral representation requires nu > -1/2")
     if p.x < 0.0:
         raise DomainError("quadrature route requires x >= 0")
+    if p.x > X_MAX:
+        raise DomainError(f"quadrature route requires x <= {X_MAX:g}: past it its "
+                          "error bars are not certified")
     if m_of and p.x == 0.0:
         raise DomainError(f"{m_of} requires x > 0")
     return p
@@ -369,9 +416,28 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
 
 def _m_scale(p: EvalPoint) -> tuple[float, float]:
     """(x/2)^nu / gamma(nu+1/2) = exp(L), the normalized-form -> M_nu scale
-    factor, and its rounding."""
+    factor, and its rounding; OverflowError where exp(L) overflows float64."""
     log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
     return exp_rounded(log_power - log_gam, log_power, log_gam)
+
+
+def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
+    """The scale factor exp(L) times y, and the bar exp(L) y_err plus exp(L)'s
+    rounding times |y|. Where exp(L) overflows float64 (large order and argument:
+    L is 713 at nu = 161, x = 1e4) both are formed in log space, exp(L + log|y|), as
+    _m_prime_at_tiny_x forms its factor; (inf, inf) where they overflow too."""
+    try:
+        factor, factor_err = _m_scale(p)
+    except OverflowError:  # math.exp raises past log(DBL_MAX)
+        log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
+        log_y = math.log(abs(y)) if y else -math.inf
+        log_value = log_power - log_gam + log_y
+        log_err = log_power - log_gam + math.log(y_err)
+        if max(log_value, log_err) >= _LOG_MAX:
+            return math.inf, math.inf
+        value, value_err = exp_rounded(log_value, log_power, log_gam, log_y) if y else (0.0, 0.0)
+        return math.copysign(value, y), math.exp(log_err) + value_err
+    return factor * y, factor * y_err + factor_err * abs(y) + _TINY
 
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -381,11 +447,12 @@ def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValu
 
 
 def _m_of(p: EvalPoint, c: FuncValue) -> FuncValue:
-    """M_nu(x) from the quadrature value c of calM_nu(x)."""
-    factor, factor_err = _m_scale(p)
-    value = -factor * c.value
-    return FuncValue(value, factor * c.abs_err + factor_err * abs(c.value) + _TINY,
-                     Method.QUADRATURE)
+    """M_nu(x) from the quadrature value c of calM_nu(x); CancellationError where M
+    overflows float64."""
+    value, err = _scaled(p, c.value, c.abs_err)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise CancellationError(f"M at (nu={p.nu:g}, x={p.x:g}) overflows float64")
+    return FuncValue(-value, err, Method.QUADRATURE)
 
 
 def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -400,24 +467,22 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
 
 def _m_prime_of(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
     """M_nu'(x) from the quadrature values c, c1 of calM_nu(x) and calM_nu'(x)."""
-    factor, factor_err = _m_scale(p)
     inner = (p.nu / p.x) * c.value + c1.value
-    err = factor * (abs(p.nu / p.x) * c.abs_err + c1.abs_err) + factor_err * abs(inner) + _TINY
-    value = -factor * inner
+    value, err = _scaled(p, inner, abs(p.nu / p.x) * c.abs_err + c1.abs_err)
     if not (math.isfinite(value) and math.isfinite(err)):
-        value, err = _m_prime_at_tiny_x(p, c, c1, factor, factor_err)
-    return FuncValue(value, err, Method.QUADRATURE)
+        return FuncValue(*_m_prime_at_tiny_x(p, c, c1), Method.QUADRATURE)
+    return FuncValue(-value, err, Method.QUADRATURE)
 
 
-def _m_prime_at_tiny_x(p: EvalPoint, c: FuncValue, c1: FuncValue,
-                       factor: float, factor_err: float) -> tuple[float, float]:
+def _m_prime_at_tiny_x(p: EvalPoint, c: FuncValue, c1: FuncValue) -> tuple[float, float]:
     """M_nu'(x) and its bar where the product form overflows or gives NaN (nu/x
     overflows, x below about 1e-290): the scale factor over x,
     exp((nu-1) log(x/2) - log 2 - lgamma(nu+1/2)), is formed in log space.
-    CancellationError where M' itself overflows float64."""
+    CancellationError where M' itself overflows float64, at tiny x or large."""
     log_power, log_gam = (p.nu - 1.0) * log_half(p.x), log_gamma(p.nu + 0.5)
     log_over_x = log_power - _LN2 - log_gam
-    if log_over_x < 709.0:  # math.exp raises past 709.78
+    if p.x < 1.0 and log_over_x < 709.0:  # math.exp raises past 709.78
+        factor, factor_err = _m_scale(p)  # below x = 1 at most exp(372)
         over_x, over_x_err = exp_rounded(log_over_x, log_power, _LN2, log_gam)
         lead = over_x * p.nu * c.value
         value = -(lead + factor * c1.value)
@@ -467,7 +532,7 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     log_power = 2.0 * p.nu * log_half(p.x)
     log_gammas = 2.0 * log_gamma(p.nu + 0.5)
     log_pref = math.log(4.0) - math.log(math.pi) + log_power - log_gammas
-    pref = math.exp(log_pref) if log_pref < 709.78 else math.inf  # math.exp raises past it
+    pref = math.exp(log_pref) if log_pref < _LOG_MAX else math.inf
     # exp() turns the absolute rounding of log_pref into relative error: up to
     # ~2.5 eps per unit of its terms' size (log, lgamma, product, two sums)
     pref_err = 2.5 * (1.0 + abs(log_power) + abs(log_gammas)) * _EPS * pref + _TINY

@@ -6,8 +6,9 @@ by definitions independent of the package under test:
 * M values as struvel(nu, x) - besseli(nu, x) (mpmath's own series).
 * calM values as -2^nu gamma(nu+1/2) x^(-nu) M_nu(x).
 * Derivatives by mpmath's numerical differentiation of those forms.
-* The cross-term double integral by mpmath adaptive double quadrature
-  of its defining kernel.
+* The cross-term double integral D from the corrected relation
+  (nu + 1/2) cross = (nu - 1/2) D - 2 I_nu L_nu over mpmath's besseli and
+  struvel at 60 digits.
 * The Fox-Wright values by direct nsum of
   sum_n gamma(1/2 + n/2) / gamma(nu + 1 + n/2) * z^n / n!.
 * Gamma-function helpers straight from mpmath.
@@ -188,18 +189,19 @@ def _regenerate() -> None:
          [(k, mp.struvel(mp.mpf(str(k[0])), mp.mpf(str(k[1]))))
           for k in STRUVE_L_TABLE])
 
-    mp.mp.dps = 40
+    mp.mp.dps = 60
 
     def d_val(nu, x):
+        # the corrected relation (nu + 1/2) cross = (nu - 1/2) D - 2 I_nu L_nu that
+        # identities.crossterm_double_integral_residual states, with
+        # cross = I_{nu-1} L_{nu+1} + I_{nu+1} L_{nu-1} - 2 I_nu L_nu; a nested
+        # mp.quad of the kernel raised ZeroDivisionError at (0.55, 30)
         nu, x = mp.mpf(str(nu)), mp.mpf(str(x))
-        pref = 4 * (x / 2) ** (2 * nu) / (mp.pi * mp.gamma(nu + mp.mpf(1) / 2) ** 2)
-
-        def inner(t):
-            return mp.quad(lambda s: (1 - t ** 2) ** (nu - mp.mpf(3) / 2)
-                           * (1 - s ** 2) ** (nu - mp.mpf(3) / 2)
-                           * (t ** 2 - s ** 2) ** 2
-                           * mp.cosh(x * t) * mp.sinh(x * s), [0, 1])
-        return pref * mp.quad(inner, [0, 1])
+        i_lo, i_md, i_hi = (mp.besseli(nu + k, x) for k in (-1, 0, 1))
+        l_lo, l_md, l_hi = (mp.struvel(nu + k, x) for k in (-1, 0, 1))
+        cross = i_lo * l_hi + i_hi * l_lo - 2 * i_md * l_md
+        half = mp.mpf(1) / 2
+        return ((nu + half) * cross + 2 * i_md * l_md) / (nu - half)
 
     emit("DOUBLE_INTEGRAL_TABLE",
          [(k, d_val(*k)) for k in DOUBLE_INTEGRAL_TABLE])

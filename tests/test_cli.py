@@ -74,6 +74,21 @@ def test_eval_at_the_smallest_subnormal_argument(runner):
     assert "overflows float64" in _all_text(result)
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["--fn", "M", "--nu", "40", "--x", "1e11"], "requires x <= 10000"),
+    (["--fn", "Mprime", "--nu", "40", "--x", "1e11"], "requires x <= 10000"),
+    (["--fn", "M", "--nu", "20", "--x", "1e20"], "requires x <= 10000"),
+    (["--fn", "M", "--nu", "165", "--x", "1e4"], "overflows float64"),
+])
+def test_eval_at_large_order_and_argument_exits_2(runner, args, reason):
+    """Each of these once ended in a bare OverflowError (exit 1); each now exits 2
+    and names its reason: the argument is past the quadrature route's limit, or M
+    overflows float64."""
+    result = runner.invoke(main, ["eval", *args])
+    assert result.exit_code == EXIT_USAGE, _all_text(result)
+    assert reason in _all_text(result)
+
+
 @pytest.mark.parametrize("nu", ["-0.4995", "0.3"])
 def test_eval_normalized_form_at_negative_argument_exits_2(runner, nu):
     """calM at x < 0 fails with one message next to nu = -1/2 and away from it."""

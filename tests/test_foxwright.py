@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import pytest
 
-from struvekit.core import EvalPoint, SeriesConfig
+from struvekit import routes
+from struvekit.core import EvalPoint, Method, SeriesConfig
 from struvekit.errors import (CancellationError, ConvergenceDomainError,
                               DomainError, PoleError)
 from struvekit.foxwright import (FoxWrightParams, bilateral_bounds,
@@ -34,6 +36,24 @@ def test_normalized_form_matches_reference_at_moderate_x():
         assert rel_err(got.value, want) < 1e-10, (nu, x)
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("fn, nu, x", [
+    ("calM", 51.11361046424727, 1.088046025867304),
+    ("M", 38.595514595094336, 7.3487931249898315),
+])
+def test_bar_covers_the_value_at_large_order(fn, nu, x):
+    """At large order every term's log-gamma sum runs to the hundreds (lgamma(nu+1/2)
+    is about 150 at nu = 51), and exp() turns its absolute rounding into relative
+    error: the bars charge each term and the Gamma(nu+1/2)/sqrt(pi) factor by that
+    size. calM here was 6.1x outside its old bar of eps |value| for the factor."""
+    with mpmath.workdps(80):
+        nu_, x_ = mpmath.mpf(nu), mpmath.mpf(x)
+        m = mpmath.struvel(nu_, x_) - mpmath.besseli(nu_, x_)
+        ref = m if fn == "M" else -(2 ** nu_) * mpmath.gamma(nu_ + 0.5) * x_ ** -nu_ * m
+    evaluate = routes.struve_m if fn == "M" else routes.calm
+    got = evaluate(EvalPoint(nu, x), Method.FOX_WRIGHT)
+    assert abs(mpmath.mpf(got.value) - ref) <= got.abs_err, (got, ref)
 
 
 def test_argument_zero_returns_leading_coefficient():

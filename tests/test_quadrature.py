@@ -19,7 +19,7 @@ from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dnu_poin
                                   calm_dx, calm_dx_orders, calm_dx_points, m_deriv,
                                   m_from_quadrature, turanian_il_double_integral)
 
-from conftest import rel_err
+from conftest import large_x_calm_dx, rel_err
 from oracles import (CALM_DNU_TABLE, CALM_DX_TABLE, CALM_TABLE,
                      DOUBLE_INTEGRAL_TABLE, MPRIME_TABLE, M_TABLE)
 
@@ -141,6 +141,20 @@ def test_double_integral_underflow_keeps_a_bar(key):
     assert fv.value == 0.0 < fv.abs_err
 
 
+@pytest.mark.parametrize("nu", [-0.45, 2.0, 40.0])
+def test_arguments_past_x_max_are_refused(nu):
+    """Up to X_MAX calM keeps its bar; past it every quadrature entry point refuses
+    x with a DomainError that names the limit, where calM once came back 2.5x
+    outside its bar (x = 1e12) or 0 +- 0 (x = 1e290)."""
+    fv = calm(EvalPoint(nu, quadrature.X_MAX))
+    assert abs(fv.value - large_x_calm_dx(nu, quadrature.X_MAX)) <= fv.abs_err
+    for x in (1.001 * quadrature.X_MAX, 1e12, 1e290):
+        for fn in (calm, m_from_quadrature, m_deriv, lambda p: calm_dnu(p, 1),
+                   lambda p: calm_dx_points([p], (0,))):
+            with pytest.raises(DomainError, match=r"requires x <= 10000"):
+                fn(EvalPoint(nu, x))
+
+
 def test_domain_rejections():
     with pytest.raises(DomainError):
         calm(EvalPoint(-0.5, 1.0))
@@ -216,7 +230,8 @@ def _outcome(fn):
     (calm_dnu_orders, calm_dnu, "m", range(7)),
     (calm_dnu_orders, calm_dnu, "m", (4, 1)),
 ])
-@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5),
+                                 QuadConfig(max_level=3)])
 def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg):
     """One refinement pass for a batch of orders returns exactly the
     values and error bars of the per-order loop and of the single-order
@@ -310,7 +325,8 @@ _MIXED_EDGES = (EvalPoint(0.3, 0.0), EvalPoint(0.7, 0.0), EvalPoint(0.4999, 2.0)
     (calm_dnu_points, calm_dnu_orders, range(7)),
     (calm_dnu_points, calm_dnu_orders, (1, 6)),
 ])
-@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5)])
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(abs_tol=1e-9, max_level=5),
+                                 QuadConfig(max_level=3)])
 def test_mixed_batches_equal_scalar_reference(points, single, orders, cfg):
     """One batch over points at many (nu, x) returns, at each point, exactly
     what the one-point call returns there, or the error it raises, message
@@ -333,6 +349,26 @@ def test_mixed_batches_equal_scalar_reference(points, single, orders, cfg):
         assert re.fullmatch(r"calm_dnu\(nu=-0\.49898, x=0\.179\), order 6: .*; the endpoint "
                             r"mass lies beyond the node range for this order \(tail bound "
                             r"4\.1e\+06\)", str(got)), str(got)
+
+
+def test_a_lone_point_refines_levels_0_to_4_in_one_exp_pass(monkeypatch):
+    """A one-point refinement that freezes at level 4, as lone calls do, takes one
+    exp() over the joined nodes of levels 0-4 (337), not one per level; one that
+    stalls (the first nu-derivative next to nu = -1/2) takes one more per level."""
+    joined = sum(len(quadrature._level_nodes(level)[0]) for level in range(5))
+    later = [len(quadrature._level_nodes(level)[0]) for level in range(5, 11)]
+    lone, stall = EvalPoint(1.3, 12.0), EvalPoint(-0.4985, 0.179)
+    calm_dx_orders(lone, (0, 1))  # fills the node and kernel tables
+    with pytest.raises(NonConvergenceError):
+        calm_dnu(stall, 1)
+    exp, sizes = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda arg: sizes.append(arg.size) or exp(arg))
+    calm_dx_orders(lone, (0, 1))
+    assert sizes == [joined] == [337]
+    sizes.clear()
+    with pytest.raises(NonConvergenceError):
+        calm_dnu(stall, 1)
+    assert sizes == [joined] + later
 
 
 def test_batches_past_the_cap_are_split_without_changing_a_bit(monkeypatch):

@@ -18,13 +18,14 @@ from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
 from struvekit import routes
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
                             QuadConfig, SeriesConfig)
-from struvekit.errors import DomainError, NonConvergenceError, StruveKitError
+from struvekit.errors import (CancellationError, DomainError, NonConvergenceError,
+                              StruveKitError)
 from struvekit.foxwright import bilateral_bounds
 from struvekit.gammafuncs import gamma_ratio_h, gamma_ratio_h_prime
 from struvekit.inequalities import CATALOG, GridSpec, run_all, sweep_case
 from struvekit.routes import calm, struve_m, struve_m_prime
 
-from conftest import rel_err
+from conftest import large_x_calm_dx, rel_err
 from oracles import CALM_TABLE, M_TABLE, MPRIME_TABLE
 
 
@@ -149,6 +150,42 @@ def test_tiny_arguments_give_a_value_within_its_bar_or_a_struvekit_error(nu, x):
         got = fn(p)
         assert math.isfinite(got.value) and math.isfinite(got.abs_err), (fn.__name__, got)
         assert abs(mpmath.mpf(got.value) - ref) <= got.abs_err, (fn.__name__, got, ref)
+
+
+def _integral_m_and_m_prime(nu, x):
+    """M_nu(x) and M_nu'(x) from calM and calM' as integrals at 40 digits: mpmath's
+    struvel and besseli would need thousands of digits at x = 1e4."""
+    c, c1 = large_x_calm_dx(nu, x), large_x_calm_dx(nu, x, 1)
+    with mpmath.workdps(40):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        scale = (x / 2) ** nu / mpmath.gamma(nu + 0.5)
+        return -scale * c, -scale * (nu / x * c + c1)
+
+
+@pytest.mark.parametrize("nu", [161.0, 162.5])
+def test_m_and_m_prime_where_only_the_scale_factor_overflows(nu):
+    """At x = 1e4 the scale factor (x/2)^nu / gamma(nu+1/2) passes float64 from
+    nu = 160 on while M and M' stay finite up to nu ~ 162.6: both come out of log
+    space within their bars, where math.exp once raised a bare OverflowError."""
+    p = EvalPoint(nu, 1e4)
+    for fn, ref in zip((struve_m, struve_m_prime), _integral_m_and_m_prime(nu, 1e4)):
+        got = fn(p)
+        assert got.method is Method.QUADRATURE and math.isfinite(got.abs_err)
+        assert abs(mpmath.mpf(got.value) - ref) <= got.abs_err, (fn.__name__, got, ref)
+
+
+@pytest.mark.parametrize("fn, nu, x, error", [
+    (struve_m, 165.0, 1e4, CancellationError), (struve_m_prime, 165.0, 1e4, CancellationError),
+    (struve_m, 40.0, 1e11, DomainError), (struve_m_prime, 40.0, 1e11, DomainError),
+    (struve_m, 20.0, 1e20, DomainError)])
+def test_large_order_and_argument_raise_a_struvekit_error(fn, nu, x, error):
+    """Where M or M' overflows float64 the route says so; past quadrature.X_MAX the
+    quadrature route refuses x. Each of these raised a bare OverflowError."""
+    with pytest.raises(error, match="overflows float64" if error is CancellationError
+                       else "requires x <= 10000"):
+        fn(EvalPoint(nu, x))
+    with pytest.raises(error):
+        fn(EvalPoint(nu, x), Method.QUADRATURE)
 
 
 def _strip_points(seed, nu_lo, nu_hi, count):
