@@ -443,15 +443,14 @@ def identities_cmd(grid, nu_min, nu_max, nu_steps, x_min, x_max, x_steps,
 
 
 @main.command("table")
-@_apply(_grid_options)
-@_apply(_common_options)
-def table_cmd(grid, nu_min, nu_max, nu_steps, x_min, x_max, x_steps,
-              log_spacing, tol, fmt, out):
-    """CSV table of M, calM, M' and the two-sided bracket."""
+@_apply(_grid_options[1:])  # the axis flags: the table has no default grid
+@_apply(_common_options[::2])  # --tol and --out: the table is always CSV
+def table_cmd(nu_min, nu_max, nu_steps, x_min, x_max, x_steps, log_spacing, tol, out):
+    """CSV table of M, calM, M' and the two-sided bracket over the axis flags."""
     sys.exit(cmd_table(RunConfig(
-        command="table", grid=grid, nu_min=nu_min, nu_max=nu_max,
+        command="table", nu_min=nu_min, nu_max=nu_max,
         nu_steps=nu_steps, x_min=x_min, x_max=x_max, x_steps=x_steps,
-        log_spacing=log_spacing, tol=tol, fmt=fmt, out=out)))
+        log_spacing=log_spacing, tol=tol, out=out)))
 
 
 if __name__ == "__main__":

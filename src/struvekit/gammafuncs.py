@@ -6,9 +6,10 @@ suite) behind explicit domain contracts. digamma and trigamma are
 implemented here directly: recurrence shift into the asymptotic region
 followed by the Bernoulli-number tail. Ratios of gamma values are always
 formed in log space so they stay finite long after gamma itself would
-overflow. The two log-space helpers every route shares sit here too:
-log_half, log(x/2) down to the smallest subnormal x, and exp_rounded,
-exp(L) with the rounding it carries from the terms L was summed from.
+overflow. The log-space helpers every route shares sit here too: log_half,
+log(x/2) down to the smallest subnormal x; exp_rounded, exp(L) with the
+rounding of the terms L was summed from; and power_gamma, (x/2)^p / Gamma(a),
+the prefactor of the M <-> calM normalization and of the recurrences.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, PoleError
+from .errors import CancellationError, DomainError, PoleError
 
 _EPS = 2.220446049250313e-16
 _TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
 _LN2 = math.log(2.0)
 _HALF_NORMAL = 2.0 * sys.float_info.min  # from here on x/2 is a normal float, exact
+LOG_MAX = 709.78  # math.exp overflows float64 past log(DBL_MAX) = 709.7827
 
 #: Euler-Mascheroni constant, gamma = lim (H_n - ln n).
 EULER_GAMMA = 0.5772156649015328606
 
 SQRT_PI = math.sqrt(math.pi)
+LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 # Asymptotic digamma tail: psi(z) ~ ln z - 1/(2z) - sum c_k z^(-2k),
 # c_k = B_{2k}/(2k). Terms through B_14 keep the truncation error below
@@ -90,6 +93,17 @@ def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[f
     digits."""
     value = math.exp(log_value)
     return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * _EPS * value + _TINY
+
+
+def power_gamma(power: float, x: float, a: float, log_c: float = 0.0) -> tuple[float, float]:
+    """(x/2)^power / (e^log_c gamma(a)) for x > 0, a > 0, and its rounding as
+    exp_rounded charges it; CancellationError where it overflows float64."""
+    log_power, log_gam = power * log_half(x), log_gamma(a)
+    try:
+        return exp_rounded((log_power - log_c) - log_gam, log_power, log_c, log_gam)
+    except OverflowError:  # math.exp raises past log(DBL_MAX)
+        raise CancellationError(f"(x/2)^{power:g} / gamma({a:g}) at x = {x:g} overflows "
+                                "float64") from None
 
 
 def digamma(z: float) -> float:

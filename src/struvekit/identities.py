@@ -12,14 +12,13 @@ from differentiated quadrature, not from the ODE itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import closedforms, routes, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError
-from .gammafuncs import SQRT_PI, log_gamma
+from .gammafuncs import LOG_SQRT_PI, power_gamma
 from .quadrature import calm_dx_orders, turanian_il_double_integral
 
 
@@ -39,10 +38,8 @@ class IdentityResidual:
 
 
 def _g_term(p: EvalPoint) -> float:
-    """(x/2)^nu / (sqrt(pi) gamma(nu+3/2)), the inhomogeneous term shared
-    by the recurrence relations."""
-    return math.exp(p.nu * math.log(0.5 * p.x)
-                    - log_gamma(p.nu + 1.5)) / SQRT_PI
+    """(x/2)^nu / (sqrt(pi) gamma(nu+3/2)), the recurrences' inhomogeneous term."""
+    return power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)[0]
 
 
 def ode_residual(p: EvalPoint,
@@ -52,7 +49,8 @@ def ode_residual(p: EvalPoint,
     nu >= -1/2, x > 0. At nu = +-1/2 the three derivatives come from the
     elementary expressions; elsewhere M, M', M'' are assembled from the
     normalized form and its first two quadrature derivatives through the
-    product rule, which keeps the test independent of the ODE itself.
+    product rule, which keeps the test independent of the ODE itself. M'' is
+    -(x/2)^(nu-2) (nu (nu-1) calM + 2 nu x calM' + x^2 calM'') / (4 gamma(nu+1/2)).
     """
     if p.nu < -0.5:
         raise DomainError("ode_residual requires nu >= -1/2")
@@ -67,19 +65,15 @@ def ode_residual(p: EvalPoint,
         m1 = closedforms.m_prime_at_pos_half(p.x)
         m2 = closedforms.m_second_at_pos_half(p.x)
     else:
-        c0, c1, c2 = (fv.value for fv in calm_dx_orders(p, range(3), quad_cfg))
-        f = math.exp(p.nu * math.log(0.5 * p.x) - log_gamma(p.nu + 0.5))
-        m = -f * c0
-        m1 = -f * ((p.nu / p.x) * c0 + c1)
-        m2 = -f * ((p.nu * (p.nu - 1.0) / (p.x * p.x)) * c0
-                   + (2.0 * p.nu / p.x) * c1 + c2)
-    if p.nu == -0.5:
-        # 1/gamma(0) = 0: the equation is homogeneous at this order
-        rhs = 0.0
-    else:
-        rhs = math.exp((p.nu + 1.0) * math.log(p.x)
-                       - (p.nu - 1.0) * math.log(2.0)
-                       - log_gamma(p.nu + 0.5)) / SQRT_PI
+        c0, c1, c2 = calm_dx_orders(p, range(3), quad_cfg)
+        m = series.m_from_calm(p, c0).value
+        m1 = series.m_prime_from_calm(p, c0, c1).value
+        m2 = -0.25 * power_gamma(p.nu - 2.0, p.x, p.nu + 0.5)[0] * (
+            p.nu * (p.nu - 1.0) * c0.value + 2.0 * p.nu * p.x * c1.value
+            + p.x * p.x * c2.value)
+    # 4 (x/2)^(nu+1) / (sqrt(pi) gamma(nu+1/2)); 1/gamma(0) = 0: homogeneous at -1/2
+    rhs = 0.0 if p.nu == -0.5 else 4.0 * power_gamma(p.nu + 1.0, p.x, p.nu + 0.5,
+                                                      LOG_SQRT_PI)[0]
     t_second = p.x * p.x * m2
     t_first = p.x * m1
     t_zeroth = (p.x * p.x + p.nu * p.nu) * m
@@ -126,16 +120,16 @@ def recurrence_residuals(p: EvalPoint,
 def _recurrence_residuals(p: EvalPoint, neighbors: _Neighbors) -> tuple[IdentityResidual, ...]:
     m_lo, m_md, m_hi, m_d = neighbors
     g = _g_term(p)
-    ratio = 2.0 * p.nu / p.x
+    mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
 
-    r0 = abs(m_lo - m_hi - ratio * m_md - g)
-    s0 = max(abs(m_lo), abs(m_hi), abs(ratio * m_md), g)
+    r0 = abs(m_lo - m_hi - mid - g)
+    s0 = max(abs(m_lo), abs(m_hi), abs(mid), g)
     r1 = abs(m_lo + m_hi - 2.0 * m_d + g)
     s1 = max(abs(m_lo), abs(m_hi), 2.0 * abs(m_d), g)
     r2 = abs(p.x * m_d + p.nu * m_md - p.x * m_lo)
     s2 = max(abs(p.x * m_d), abs(p.nu * m_md), abs(p.x * m_lo))
-    r3 = abs(m_hi - m_d + (0.5 * ratio) * m_md + g)
-    s3 = max(abs(m_hi), abs(m_d), abs(0.5 * ratio * m_md), g)
+    r3 = abs(m_hi - m_d + 0.5 * mid + g)
+    s3 = max(abs(m_hi), abs(m_d), abs(0.5 * mid), g)
     return (
         IdentityResidual("recurrence_three_term", p, r0, s0),
         IdentityResidual("recurrence_derivative_sum", p, r1, s1),
@@ -200,7 +194,8 @@ def turanian_quadratic_identity(p: EvalPoint,
 def _quadratic_residual(p: EvalPoint, neighbors: _Neighbors) -> IdentityResidual:
     m_lo, m_md, m_hi, m_d = neighbors
     lhs = m_md * m_md - m_lo * m_hi
-    t_sq = (1.0 + (p.nu / p.x) ** 2) * m_md * m_md
+    nu_m = p.nu * m_md / p.x
+    t_sq = m_md * m_md + nu_m * nu_m  # (1 + nu^2/x^2) M^2, finite where M underflows
     t_dq = m_d * m_d
     t_g = _g_term(p) * m_lo
     residual = abs(lhs - (t_sq - t_dq + t_g))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -37,7 +38,7 @@ from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError, EmptyDomainError, StruveKitError
 from .gammafuncs import (SQRT_PI, gamma_ratio, gamma_ratio_h,
-                         gamma_ratio_h_prime, log_gamma)
+                         gamma_ratio_h_prime, log_gamma, log_half)
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -261,7 +262,8 @@ def _margin_fx1(nu, x, y, ev):
 
 def _margin_bound1(nu, x, y, ev):
     c = ev.calm(nu, x).value
-    base = _gr(nu) * (-math.expm1(-x)) / x
+    # (1 - e^(-x))/x is 1 to within x; at a subnormal x the product would round first
+    base = _gr(nu) if x < sys.float_info.min else _gr(nu) * (-math.expm1(-x)) / x
     orient = 1.0 if nu >= 0.5 else -1.0
     return orient * (c - base), max(abs(c), abs(base), _TINY)
 
@@ -294,7 +296,7 @@ def _margin_fx3_raw(nu, x, y, ev):
     if expo > 700.0:
         return 1.0, 1.0
     lhs = -struve_m_series(EvalPoint(nu, x), ev.series_cfg).value
-    log_half_pow = nu * math.log(0.5 * x)
+    log_half_pow = nu * log_half(x)
     i_bound = math.exp(expo + log_half_pow - log_gamma(nu + 1.0))
     l_bound = 2.0 * math.exp(log_half_pow - log_gamma(nu + 1.5)) \
         * math.sinh(x / (2.0 * nu + 3.0)) / SQRT_PI
@@ -321,7 +323,7 @@ def _ratio_derivative_analytic(ev, nu, x):
     m = ev.m(nu, x).value
     md = ev.m_prime(nu, x).value
     coef = (nu + 0.5) * math.exp(
-        (nu - 1.0) * math.log(0.5 * x) - log_gamma(nu + 1.5)) / SQRT_PI
+        (nu - 1.0) * log_half(x) - log_gamma(nu + 1.5)) / SQRT_PI
     bracket = (1.0 + (nu / x) ** 2) * m * m - md * md + coef * m
     return x * bracket / (m * m)
 

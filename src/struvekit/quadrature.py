@@ -1,4 +1,6 @@
-"""Tanh-sinh quadrature route for the normalized form and its derivatives.
+"""Tanh-sinh quadrature route for the normalized form and its derivatives. The
+module computes calM only: its M and M' wrappers, m_from_quadrature and m_deriv,
+convert through series.m_from_calm and series.m_prime_from_calm.
 
 For nu > -1/2 the normalized form has the integral representation
 
@@ -59,15 +61,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from . import series
 from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import exp_rounded, log_gamma, log_half
+from .gammafuncs import LOG_MAX, exp_rounded, log_gamma, log_half
 
 _EPS = 2.220446049250313e-16
 _TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_LN2 = math.log(2.0)
-_LOG_MAX = 709.78  # math.exp overflows float64 past log(DBL_MAX) = 709.7827
 
 #: Half-width of the node range in the double-exponential variable u.
 #: Contributions decay like exp(-(nu+1/2) pi sinh u), so this range covers
@@ -414,84 +415,16 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
     return calm_dnu_orders(p, (m,), cfg)[0]
 
 
-def _m_scale(p: EvalPoint) -> tuple[float, float]:
-    """(x/2)^nu / gamma(nu+1/2) = exp(L), the normalized-form -> M_nu scale
-    factor, and its rounding; OverflowError where exp(L) overflows float64."""
-    log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
-    return exp_rounded(log_power - log_gam, log_power, log_gam)
-
-
-def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
-    """The scale factor exp(L) times y, and the bar exp(L) y_err plus exp(L)'s
-    rounding times |y|. Where exp(L) overflows float64 (large order and argument:
-    L is 713 at nu = 161, x = 1e4) both are formed in log space, exp(L + log|y|), as
-    _m_prime_at_tiny_x forms its factor; (inf, inf) where they overflow too."""
-    try:
-        factor, factor_err = _m_scale(p)
-    except OverflowError:  # math.exp raises past log(DBL_MAX)
-        log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
-        log_y = math.log(abs(y)) if y else -math.inf
-        log_value = log_power - log_gam + log_y
-        log_err = log_power - log_gam + math.log(y_err)
-        if max(log_value, log_err) >= _LOG_MAX:
-            return math.inf, math.inf
-        value, value_err = exp_rounded(log_value, log_power, log_gam, log_y) if y else (0.0, 0.0)
-        return math.copysign(value, y), math.exp(log_err) + value_err
-    return factor * y, factor * y_err + factor_err * abs(y) + _TINY
-
-
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
-    """M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2). nu > -1/2, x > 0."""
+    """M_nu(x) by series.m_from_calm from the quadrature calM_nu(x). nu > -1/2, x > 0."""
     _check_point(p, "m_from_quadrature")
-    return _m_of(p, calm(p, cfg))
-
-
-def _m_of(p: EvalPoint, c: FuncValue) -> FuncValue:
-    """M_nu(x) from the quadrature value c of calM_nu(x); CancellationError where M
-    overflows float64."""
-    value, err = _scaled(p, c.value, c.abs_err)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise CancellationError(f"M at (nu={p.nu:g}, x={p.x:g}) overflows float64")
-    return FuncValue(-value, err, Method.QUADRATURE)
+    return series.m_from_calm(p, calm(p, cfg))
 
 
 def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
-    """First x-derivative of M_nu, by the product rule on the scaled form.
-
-    M_nu'(x) = -(x/2)^nu [ (nu/x) calM_nu(x) + calM_nu'(x) ] / gamma(nu+1/2),
-    with calM_nu' from differentiated quadrature. nu > -1/2, x > 0.
-    """
+    """M_nu'(x) by series.m_prime_from_calm from the quadrature calM_nu, calM_nu'."""
     _check_point(p, "m_deriv")
-    return _m_prime_of(p, *calm_dx_orders(p, (0, 1), cfg))
-
-
-def _m_prime_of(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
-    """M_nu'(x) from the quadrature values c, c1 of calM_nu(x) and calM_nu'(x)."""
-    inner = (p.nu / p.x) * c.value + c1.value
-    value, err = _scaled(p, inner, abs(p.nu / p.x) * c.abs_err + c1.abs_err)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        return FuncValue(*_m_prime_at_tiny_x(p, c, c1), Method.QUADRATURE)
-    return FuncValue(-value, err, Method.QUADRATURE)
-
-
-def _m_prime_at_tiny_x(p: EvalPoint, c: FuncValue, c1: FuncValue) -> tuple[float, float]:
-    """M_nu'(x) and its bar where the product form overflows or gives NaN (nu/x
-    overflows, x below about 1e-290): the scale factor over x,
-    exp((nu-1) log(x/2) - log 2 - lgamma(nu+1/2)), is formed in log space.
-    CancellationError where M' itself overflows float64, at tiny x or large."""
-    log_power, log_gam = (p.nu - 1.0) * log_half(p.x), log_gamma(p.nu + 0.5)
-    log_over_x = log_power - _LN2 - log_gam
-    if p.x < 1.0 and log_over_x < 709.0:  # math.exp raises past 709.78
-        factor, factor_err = _m_scale(p)  # below x = 1 at most exp(372)
-        over_x, over_x_err = exp_rounded(log_over_x, log_power, _LN2, log_gam)
-        lead = over_x * p.nu * c.value
-        value = -(lead + factor * c1.value)
-        err = (over_x * abs(p.nu) * c.abs_err + over_x_err * abs(p.nu * c.value)
-               + factor * c1.abs_err + factor_err * abs(c1.value)
-               + _EPS * (abs(lead) + abs(value)) + _TINY)
-        if math.isfinite(value) and math.isfinite(err):
-            return value, err
-    raise CancellationError(f"M' at (nu={p.nu:g}, x={p.x:g}) overflows float64")
+    return series.m_prime_from_calm(p, *calm_dx_orders(p, (0, 1), cfg))
 
 
 def _centred_moments(columns: list[tuple[np.ndarray, np.ndarray]],
@@ -532,10 +465,8 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     log_power = 2.0 * p.nu * log_half(p.x)
     log_gammas = 2.0 * log_gamma(p.nu + 0.5)
     log_pref = math.log(4.0) - math.log(math.pi) + log_power - log_gammas
-    pref = math.exp(log_pref) if log_pref < _LOG_MAX else math.inf
-    # exp() turns the absolute rounding of log_pref into relative error: up to
-    # ~2.5 eps per unit of its terms' size (log, lgamma, product, two sums)
-    pref_err = 2.5 * (1.0 + abs(log_power) + abs(log_gammas)) * _EPS * pref + _TINY
+    pref, pref_err = (exp_rounded(log_pref, log_power, log_gammas) if log_pref < LOG_MAX
+                      else (math.inf, math.inf))
 
     tail_axis = math.exp(_log_tail_bound(pw, 0))
     columns = []

@@ -44,10 +44,9 @@ from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
                    Method, QuadConfig, SeriesConfig)
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import exp_rounded, log_gamma, log_half
+from .gammafuncs import LOG_SQRT_PI, log_gamma, power_gamma
 
 _EPS = 2.220446049250313e-16
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -197,9 +196,7 @@ def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
     last term's exp(L) rounding and eps times the magnitudes of the three terms."""
     hi = m(p.nu + 1.0, p.x)
     here = m(p.nu, p.x)
-    log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 1.5)
-    last, last_err = exp_rounded(log_power - _LOG_SQRT_PI - log_gam,
-                                 log_power, _LOG_SQRT_PI, log_gam)
+    last, last_err = power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)
     mid = (p.nu / p.x) * here.value
     err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + last_err
            + _EPS * (abs(hi.value) + abs(mid) + last))
@@ -218,11 +215,11 @@ class _Deferred(Exception):
 #: M whose x > 0 it needs, or ""; the fallback after a stalled quadrature, given the
 #: series config, what the head returned and M as m(nu, x), or None to raise).
 _CHAINS = {
-    "m": (_m_head, (0,), False, lambda p, c: quadrature._m_of(p, c[0]), "m_from_quadrature",
+    "m": (_m_head, (0,), False, lambda p, c: series.m_from_calm(p, c[0]), "m_from_quadrature",
           lambda p, cfg, run, m: series.struve_m_series(p, cfg, run)),
     "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda p, cfg, run, m:
              series.calm_from_m(p, series.struve_m_series(p, cfg, run))),
-    "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: quadrature._m_prime_of(p, *c),
+    "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
                 "m_deriv", lambda p, cfg, run, m: _m_prime_by_recurrence(p, m)),
     "calm_dx": (None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
     "calm_dnu": (None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),

@@ -13,6 +13,10 @@ the termwise derivative M_nu' and measures its condition. struve_m_series
 re-runs the M algorithm elsewhere on arbitrary-precision floats sized from
 the measured condition, and refuses (CancellationError) beyond ~80 working
 digits; the automatic router asks for it only where quadrature cannot serve.
+
+The module owns the normalization M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2):
+calm_from_m, and m_from_calm and m_prime_from_calm, through which every route
+that computes calM (quadrature, Fox-Wright) returns M and M'.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import mpmath as mp
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import exp_rounded, log_gamma, log_half
+from .gammafuncs import _TINY, LOG_MAX, exp_rounded, log_gamma, log_half, power_gamma
 
 _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
@@ -45,11 +49,17 @@ def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float,
 
     shift is 0 for I_nu (denominators Gamma(n+1) Gamma(n+nu+1)) and 1 for
     L_nu (denominators Gamma(n+3/2) Gamma(n+nu+3/2)). log_norm is the log
-    of the first term. Returns (value, abs_err).
+    of the first term. Returns (value, abs_err): (0, smallest subnormal) where the first
+    term underflows and so does the sum, at most that term times exp(q / (nu + off));
+    CancellationError where it underflows and the sum need not, or the sum overflows.
     """
     q = 0.25 * p.x * p.x
     off = 1.0 if shift == 0.0 else 1.5
-    term = math.exp(log_norm)
+    term = math.exp(log_norm) if log_norm < LOG_MAX else math.inf
+    if not term:  # I_2(1e-300) is about 1.25e-601
+        if log_norm + q / (p.nu + off) < math.log(_TINY):
+            return 0.0, _TINY
+        raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) underflows float64")
     total = carry = 0.0
     for n in range(cfg.max_terms):
         # compensated sum: error stays O(eps) independent of length
@@ -58,8 +68,12 @@ def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float,
         carry = (t - total) - y
         total = t
         term *= q / ((n + off) * (n + p.nu + off))
-        if term < cfg.rel_tol * total and q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5:
-            return total, 2.0 * term + 4.0 * _EPS * total
+        # <=: at a subnormal total both sides reach 0
+        if term <= cfg.rel_tol * total and q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5:
+            return total, 2.0 * term + 4.0 * _EPS * total + _TINY
+    # so does an overflowing first term: where the stop test holds at n = 0 it is < e^2
+    if not math.isfinite(total):
+        raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) overflows float64")
     raise NonConvergenceError(
         f"series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
 
@@ -242,29 +256,76 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
     return FuncValue(mp_value, abs_err, Method.SERIES)
 
 
-def _norm_factor(p: EvalPoint, sign: float) -> tuple[float, float]:
-    """exp(sign L), L = log(2^nu gamma(nu+1/2) x^-nu) the M -> normalized-form
-    factor (nu > -1/2, x > 0), and its absolute rounding. Below x = 2/DBL_MAX,
-    where 2/x overflows, log(2/x) is log 2 - log x."""
+def _check_normalized(p: EvalPoint) -> None:
+    """DomainError off nu > -1/2, x > 0, where M and calM convert."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x <= 0.0:
         raise DomainError("the normalized-form factor requires x > 0")
-    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else _LN2 - math.log(p.x))
-    log_gam = log_gamma(p.nu + 0.5)
-    return exp_rounded(sign * (power + log_gam), power, log_gam)
 
 
 def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
     """Normalized form calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x).
 
-    Requires nu > -1/2 (gamma factor finite) and x > 0.
+    Requires nu > -1/2 (gamma factor finite) and x > 0. Below x = 2/DBL_MAX,
+    where 2/x overflows, log(2/x) is log 2 - log x.
     """
-    factor, rounding = _norm_factor(p, 1.0)
+    _check_normalized(p)
+    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else _LN2 - math.log(p.x))
+    log_gam = log_gamma(p.nu + 0.5)
+    factor, rounding = exp_rounded(power + log_gam, power, log_gam)
     return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
 
 
+def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
+    """(x/2)^nu / gamma(nu+1/2) = exp(L) times y, and its bar. Where exp(L) overflows
+    (L is 713 at nu = 161, x = 1e4) both are formed as exp(L + log|y|); (inf, inf)
+    where they overflow too."""
+    try:
+        factor, factor_err = power_gamma(p.nu, p.x, p.nu + 0.5)
+    except CancellationError:
+        log_power, log_gam = p.nu * log_half(p.x), log_gamma(p.nu + 0.5)
+        log_y = math.log(abs(y)) if y else -math.inf
+        log_value = log_power - log_gam + log_y
+        log_err = log_power - log_gam + math.log(y_err)
+        if max(log_value, log_err) >= LOG_MAX:
+            return math.inf, math.inf
+        value, value_err = exp_rounded(log_value, log_power, log_gam, log_y) if y else (0.0, 0.0)
+        return math.copysign(value, y), math.exp(log_err) + value_err
+    return factor * y, factor * y_err + factor_err * abs(y) + _TINY
+
+
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
-    """Inverse of calm_from_m: M_nu(x) = -x^nu calM_nu(x) / (2^nu gamma(nu+1/2))."""
-    factor, rounding = _norm_factor(p, -1.0)
-    return FuncValue(-c.value * factor, c.abs_err * factor + rounding * abs(c.value), c.method)
+    """Inverse of calm_from_m: M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2).
+    nu > -1/2, x > 0; CancellationError where M overflows float64."""
+    _check_normalized(p)
+    value, err = _scaled(p, c.value, c.abs_err)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise CancellationError(f"M at (nu={p.nu:g}, x={p.x:g}) overflows float64")
+    return FuncValue(-value, err, c.method)
+
+
+def m_prime_from_calm(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
+    """M_nu'(x) = -(x/2)^nu [(nu/x) calM_nu(x) + calM_nu'(x)] / gamma(nu+1/2) from
+    calM_nu(x) and calM_nu'(x), nu > -1/2, x > 0. Where nu/x overflows or gives NaN
+    (x below about 1e-290) the factor over x, (x/2)^(nu-1) / (2 gamma(nu+1/2)),
+    serves. CancellationError where M' overflows float64, at tiny x or large."""
+    _check_normalized(p)
+    inner = (p.nu / p.x) * c.value + c1.value
+    value, err = _scaled(p, inner, abs(p.nu / p.x) * c.abs_err + c1.abs_err)
+    if math.isfinite(value) and math.isfinite(err):
+        return FuncValue(-value, err, c.method)
+    if p.x < 1.0:  # where the factor is at most exp(372)
+        factor, factor_err = power_gamma(p.nu, p.x, p.nu + 0.5)
+        try:
+            over_x, over_x_err = power_gamma(p.nu - 1.0, p.x, p.nu + 0.5, _LN2)
+        except CancellationError:
+            over_x = over_x_err = math.inf
+        lead = over_x * p.nu * c.value
+        value = -(lead + factor * c1.value)
+        err = (over_x * abs(p.nu) * c.abs_err + over_x_err * abs(p.nu * c.value)
+               + factor * c1.abs_err + factor_err * abs(c1.value)
+               + _EPS * (abs(lead) + abs(value)) + _TINY)
+        if math.isfinite(value) and math.isfinite(err):
+            return FuncValue(value, err, c.method)
+    raise CancellationError(f"M' at (nu={p.nu:g}, x={p.x:g}) overflows float64")

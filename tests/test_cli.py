@@ -79,14 +79,42 @@ def test_eval_at_the_smallest_subnormal_argument(runner):
     (["--fn", "Mprime", "--nu", "40", "--x", "1e11"], "requires x <= 10000"),
     (["--fn", "M", "--nu", "20", "--x", "1e20"], "requires x <= 10000"),
     (["--fn", "M", "--nu", "165", "--x", "1e4"], "overflows float64"),
+    (["--fn", "I", "--nu", "300", "--x", "5000"], "overflows float64"),
+    (["--fn", "L", "--nu", "300", "--x", "5000"], "overflows float64"),
 ])
 def test_eval_at_large_order_and_argument_exits_2(runner, args, reason):
     """Each of these once ended in a bare OverflowError (exit 1); each now exits 2
     and names its reason: the argument is past the quadrature route's limit, or M
-    overflows float64."""
+    (or the first-kind series' leading term) overflows float64."""
     result = runner.invoke(main, ["eval", *args])
     assert result.exit_code == EXIT_USAGE, _all_text(result)
     assert reason in _all_text(result)
+
+
+def _grid(nu: str, x_min: str, x_max: str | None = None, x_steps: str = "1") -> list[str]:
+    """Custom-grid flags for one order and an x axis (one point without x_max)."""
+    return ["--grid", "custom", "--nu-min", nu, "--nu-max", nu, "--nu-steps", "1",
+            "--x-min", x_min, "--x-max", x_max or x_min, "--x-steps", x_steps]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["identities", *_grid("300", "5000")], EXIT_USAGE),
+    (["identities", *_grid("300", "5e-324")], EXIT_OK),
+    (["identities", *_grid("300", "1e-300")], EXIT_OK),
+    (["verify", "--case", "FX31", *_grid("1", "5e-324")], EXIT_USAGE),
+    (["verify", "--case", "all", *_grid("1", "5e-324")], EXIT_OK),
+    (["verify", "--case", "FX3_raw", *_grid("-0.7", "5e-324")], EXIT_OK),
+    (["verify", "--case", "bound1", *_grid("1", "5e-324", "1e-300", "4")], EXIT_OK),
+    (["eval", "--fn", "M", "--method", "foxwright", "--nu", "1", "--x", "0"], EXIT_USAGE),
+])
+def test_extreme_arguments_exit_with_a_code_not_a_traceback(runner, args, code):
+    """At large order and argument or at a subnormal x each of these once crashed
+    (exit 1: OverflowError, a ValueError from log(x/2), a ZeroDivisionError from
+    the x^2 divisor of M''), and bound1 at x = 5e-324 reported a false violation
+    (exit 3). The Fox-Wright M at x = 0 stays a domain error."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, _all_text(result)
+    assert not isinstance(result.exception, Exception), result.exception
 
 
 @pytest.mark.parametrize("nu", ["-0.4995", "0.3"])
@@ -324,6 +352,14 @@ def test_table_rejects_bad_domains(runner):
     result = runner.invoke(main, ["table", "--x-min", "0", "--x-max", "1",
                                   "--x-steps", "2"])
     assert result.exit_code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("option", [["--grid", "custom"], ["--format", "json"]])
+def test_table_has_no_grid_or_format_option(runner, option):
+    """table builds its grid from the axis flags and always writes CSV."""
+    result = runner.invoke(main, ["table", *option])
+    assert result.exit_code == EXIT_USAGE
+    assert "No such option" in _all_text(result)
 
 
 def test_version_flag(runner):

@@ -2,14 +2,16 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from struvekit.gammafuncs import (EULER_GAMMA, SQRT_PI, digamma, gamma,
+from struvekit.errors import CancellationError
+from struvekit.gammafuncs import (EULER_GAMMA, LOG_SQRT_PI, SQRT_PI, digamma, gamma,
                                   gamma_ratio, gamma_ratio_f, gamma_ratio_g,
                                   gamma_ratio_h, gamma_ratio_h_prime,
-                                  log_gamma, trigamma)
+                                  log_gamma, power_gamma, trigamma)
 
 from conftest import rel_err
 from oracles import DIGAMMA_TABLE, GAMMA_TABLE, TRIGAMMA_TABLE
@@ -40,6 +42,23 @@ def test_trigamma_table(a, want):
        st.floats(min_value=0.05, max_value=30.0))
 def test_gamma_ratio_matches_quotient(a, b):
     assert rel_err(gamma_ratio(a, b), gamma(a) / gamma(b)) < 1e-12
+
+
+@pytest.mark.parametrize("power, x, a, log_c", [
+    (1.0, 3.0, 1.5, 0.0), (32.0, 31.0, 32.5, 0.0), (150.0, 1e4, 150.5, 0.0),
+    (20.0, 1e-300, 21.5, LOG_SQRT_PI), (-0.4, 5e-324, 0.1, 0.0), (2.0, 5e-324, 1.0, 0.0)])
+def test_power_gamma_within_its_charge(power, x, a, log_c):
+    """(x/2)^power / (e^log_c gamma(a)) against mpmath, subnormal x and a result
+    that underflows to 0 included."""
+    value, err = power_gamma(power, x, a, log_c)
+    with mp.workdps(50):
+        want = (mp.mpf(x) / 2) ** power / (mp.exp(log_c) * mp.gamma(a))
+    assert abs(mp.mpf(value) - want) <= err
+
+
+def test_power_gamma_overflow_is_a_struvekit_error():
+    with pytest.raises(CancellationError):
+        power_gamma(161.0, 1e4, 161.5)
 
 
 def test_gamma_ratio_handles_large_arguments():

@@ -3,14 +3,15 @@ the normalized-form conversion."""
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from struvekit.core import EvalPoint, SeriesConfig
+from struvekit.core import EvalPoint, FuncValue, Method, SeriesConfig
 from struvekit.errors import CancellationError, DomainError
-from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m,
-                              m_from_calm, struve_l, struve_m_series)
+from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m, m_from_calm,
+                              m_prime_from_calm, struve_l, struve_m_series)
 
 from conftest import rel_err
 from oracles import BESSEL_I_TABLE, CALM_TABLE, M_TABLE, STRUVE_L_TABLE
@@ -69,6 +70,29 @@ def test_domain_rejections():
         struve_m_series(EvalPoint(-1.0, 1.0))
     with pytest.raises(DomainError):
         struve_m_series(EvalPoint(1.0, -1.0))
+    c = FuncValue(1.0, 0.0, Method.QUADRATURE)
+    for p in (EvalPoint(-0.5, 1.0), EvalPoint(1.0, 0.0), EvalPoint(1.0, -1.0)):
+        with pytest.raises(DomainError):
+            m_from_calm(p, c)
+        with pytest.raises(DomainError):
+            m_prime_from_calm(p, c, c)
+
+
+@pytest.mark.parametrize("fn, subnormal_at", [(bessel_i, 1e-161), (struve_l, 6e-107)])
+def test_first_kind_series_past_the_float64_range(fn, subnormal_at):
+    """A leading term that underflows, with a sum below the smallest subnormal
+    (I_2(1e-300) ~ 1.25e-601), gives 0 with that subnormal for its bar; one that
+    overflows, or underflows while the sum need not (nu = 1e4 near the Laplace limit
+    x = 0.6627 nu), or whose sum overflows (x = 1e4), raises CancellationError; a
+    subnormal one settles."""
+    assert fn(EvalPoint(2.0, 1e-300)) == FuncValue(0.0, 5e-324, Method.SERIES)
+    for p in (EvalPoint(300.0, 5000.0), EvalPoint(1e4, 6628.0), EvalPoint(1.0, 1e4)):
+        with pytest.raises(CancellationError):
+            fn(p)
+    p = EvalPoint(2.0, subnormal_at)
+    fv = fn(p)
+    want = float(mp.besseli(2, mp.mpf(p.x)) if fn is bessel_i else mp.struvel(2, mp.mpf(p.x)))
+    assert 0.0 < fv.value < 1e-308 and abs(fv.value - want) <= fv.abs_err
 
 
 def test_cutoff_constant_is_sane():
