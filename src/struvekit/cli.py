@@ -12,7 +12,6 @@ round-trips through the report parser bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from typing import Optional
@@ -32,36 +31,6 @@ EXIT_VIOLATIONS = 3
 
 FN_CHOICES = ("I", "L", "M", "calM", "Mprime")
 METHOD_CHOICES = ("auto", "series", "quadrature", "foxwright", "closedform")
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything one subcommand invocation needs, flags already parsed.
-
-    The command handlers take this instead of raw click state so they can
-    be driven directly from tests.
-    """
-
-    command: str
-    nu: Optional[float] = None
-    x: Optional[float] = None
-    y: tuple[float, ...] = ()
-    fn: str = "M"
-    method: str = "auto"
-    cases: tuple[str, ...] = ("all",)
-    grid: str = "default"
-    nu_min: Optional[float] = None
-    nu_max: Optional[float] = None
-    nu_steps: Optional[int] = None
-    x_min: Optional[float] = None
-    x_max: Optional[float] = None
-    x_steps: Optional[int] = None
-    log_spacing: bool = True
-    tol: Optional[float] = None
-    fmt: str = "human"
-    out: Optional[str] = None
-    flip: bool = False
-    cross_term: bool = True
 
 
 def _configs(tol: Optional[float]) -> tuple[SeriesConfig, QuadConfig]:
@@ -89,16 +58,31 @@ def _axis(lo: float, hi: float, steps: int, log: bool) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, steps))
 
 
-def _flag_axis(cfg: RunConfig, flags: tuple, defaults: tuple) -> tuple[float, ...]:
-    """An axis from its (min, max, steps) flags, each None falling back to
-    its default."""
-    lo, hi, steps = (d if f is None else f for f, d in zip(flags, defaults))
-    return _axis(lo, hi, steps, cfg.log_spacing)
+def _span(values: tuple[float, ...]) -> tuple[float, float, int]:
+    """(min, max, count) of a default axis, the defaults of its flags."""
+    return min(values), max(values), len(values)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _flag_axes(axes: dict, log_spacing: bool, nu_default: tuple,
+               x_default: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (nu, x) axes of a custom grid from the axis flags in axes
+    (nu_min ... x_steps), each None falling back to its axis's (min, max,
+    steps) default."""
+    def axis(name: str, default: tuple) -> tuple[float, ...]:
+        flags = (axes[f"{name}_min"], axes[f"{name}_max"], axes[f"{name}_steps"])
+        lo, hi, steps = (d if f is None else f for f, d in zip(flags, default))
+        return _axis(lo, hi, steps, log_spacing)
+    return axis("nu", nu_default), axis("x", x_default)
+
+
+def _custom(axes: dict) -> bool:
+    """Whether any axis flag was given: then a command builds a custom grid."""
+    return any(v is not None for v in axes.values())
+
+
+def _emit(out: Optional[str], text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
@@ -114,39 +98,41 @@ def _fail(message: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_value(cfg: RunConfig) -> FuncValue:
-    p = EvalPoint(cfg.nu, cfg.x)
-    series_cfg, quad_cfg = _configs(cfg.tol)
-    method = None if cfg.method == "auto" else Method(cfg.method)
-    if cfg.fn in ("I", "L"):
-        if method not in (None, Method.SERIES):
+def _eval_value(nu: float, x: float, fn: str, method: str,
+                tol: Optional[float]) -> FuncValue:
+    p = EvalPoint(nu, x)
+    series_cfg, quad_cfg = _configs(tol)
+    route = None if method == "auto" else Method(method)
+    if fn in ("I", "L"):
+        if route not in (None, Method.SERIES):
             raise StruveKitError(
-                f"the first-kind function {cfg.fn} is evaluated by its series only")
-        return (series.bessel_i if cfg.fn == "I" else series.struve_l)(p, series_cfg)
-    if cfg.fn == "M":
-        return routes.struve_m(p, method, series_cfg, quad_cfg)
-    if cfg.fn == "calM":
-        return routes.calm(p, method, series_cfg, quad_cfg)
-    return routes.struve_m_prime(p, method, series_cfg, quad_cfg)
+                f"the first-kind function {fn} is evaluated by its series only")
+        return (series.bessel_i if fn == "I" else series.struve_l)(p, series_cfg)
+    if fn == "M":
+        return routes.struve_m(p, route, series_cfg, quad_cfg)
+    if fn == "calM":
+        return routes.calm(p, route, series_cfg, quad_cfg)
+    return routes.struve_m_prime(p, route, series_cfg, quad_cfg)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(nu: float, x: float, fn: str, method: str, tol: Optional[float],
+             fmt: str, out: Optional[str]) -> int:
     """Evaluate one function at one point and print value, error bound,
     and the route that produced it."""
     try:
-        fv = _eval_value(cfg)
+        fv = _eval_value(nu, x, fn, method, tol)
     except StruveKitError as exc:
         return _fail(str(exc))
-    payload = {"nu": cfg.nu, "x": cfg.x, "value": fv.value,
+    payload = {"nu": nu, "x": x, "value": fv.value,
                "abs_err": fv.abs_err, "method": fv.method.value}
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(payload))
-    elif cfg.fmt == "csv":
-        _emit(cfg, "nu,x,value,abs_err,method\n"
-              + f"{cfg.nu:.17g},{cfg.x:.17g},{fv.value:.17g},"
+    if fmt == "json":
+        _emit(out, json.dumps(payload))
+    elif fmt == "csv":
+        _emit(out, "nu,x,value,abs_err,method\n"
+              + f"{nu:.17g},{x:.17g},{fv.value:.17g},"
               + f"{fv.abs_err:.3g},{fv.method.value}")
     else:
-        _emit(cfg, f"{cfg.fn}(nu={cfg.nu:g}, x={cfg.x:g}) = {fv.value:.17g}"
+        _emit(out, f"{fn}(nu={nu:g}, x={x:g}) = {fv.value:.17g}"
               f"   [abs err <= {fv.abs_err:.3g}, {fv.method.value}]")
     return EXIT_OK
 
@@ -156,42 +142,23 @@ def cmd_eval(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _custom_grid_requested(cfg: RunConfig) -> bool:
-    return cfg.grid == "custom" or any(
-        v is not None for v in (cfg.nu_min, cfg.nu_max, cfg.nu_steps,
-                                cfg.x_min, cfg.x_max, cfg.x_steps))
-
-
-def _grid_for_case(cfg: RunConfig, case: inequalities.InequalityCase) -> GridSpec:
-    """Default grid for the case, or a custom grid where every flag that
-    was given overrides the matching default-axis parameter."""
+def _grid_for_case(case: inequalities.InequalityCase, y: tuple[float, ...],
+                   log_spacing: bool, axes: dict) -> GridSpec:
+    """Default grid for the case, or, when an axis flag or --y was given, a
+    custom grid where every flag given overrides the matching default-axis
+    parameter."""
     base = inequalities.default_grid(case.id)
-    if not _custom_grid_requested(cfg):
+    if not (y or _custom(axes)):
         return base
-    nus, xs = base.nu_values, base.x_values
-    x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (min(xs), max(xs), len(xs)))
-    y_values = None
-    if case.needs_y:
-        y_values = cfg.y if cfg.y else x_values
-    return GridSpec(
-        nu_values=_flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps),
-                             (min(nus), max(nus), len(nus))),
-        x_values=x_values,
-        y_values=y_values,
-        spacing="log" if cfg.log_spacing else "linear",
-    )
+    nu_values, x_values = _flag_axes(axes, log_spacing, _span(base.nu_values),
+                                     _span(base.x_values))
+    return GridSpec(nu_values, x_values, (y or x_values) if case.needs_y else None)
 
 
-def _resolve_cases(cfg: RunConfig) -> list[inequalities.InequalityCase]:
-    requested = cfg.cases or ("all",)
-    if "all" in requested:
-        out = list(inequalities.CATALOG.values())
-        extras = [c for c in requested if c != "all"]
-    else:
-        out, extras = [], list(requested)
-    for case_id in extras:
-        out.append(inequalities.lookup(case_id))
-    return out
+def _resolve_cases(requested: tuple[str, ...]) -> list[inequalities.InequalityCase]:
+    """The whole catalog under 'all', then each case named, in order."""
+    out = list(inequalities.CATALOG.values()) if "all" in requested else []
+    return out + [inequalities.lookup(case_id) for case_id in requested if case_id != "all"]
 
 
 def _human_report(r: VerificationReport) -> str:
@@ -205,8 +172,11 @@ def _human_report(r: VerificationReport) -> str:
             f"violations={len(r.violations)} inconclusive={len(r.inconclusive)}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    """Sweep the requested inequality cases and report margins.
+def cmd_verify(cases: tuple[str, ...], y: tuple[float, ...], log_spacing: bool,
+               tol: Optional[float], fmt: str, out: Optional[str], flip: bool,
+               **axes) -> int:
+    """Sweep the requested inequality cases and report margins; axes holds
+    the axis flags nu_min ... x_steps.
 
     Exit 0 only when every tested point of every requested case satisfied
     its claim; 3 when any violation surfaced; 2 for unknown case ids or
@@ -214,41 +184,40 @@ def cmd_verify(cfg: RunConfig) -> int:
     ``--case all`` such a case is reported with zero points tested.
     """
     try:
-        cases = _resolve_cases(cfg)
+        resolved = _resolve_cases(cases)
     except KeyError as exc:
         return _fail(f"unknown case id {exc.args[0]!r}; "
                      f"known: {', '.join(inequalities.CATALOG)} "
                      f"(+ {', '.join(inequalities.EXTRA_CASES)}), or 'all'")
-    series_cfg, quad_cfg = _configs(cfg.tol)
-    sweep = (inequalities.sweep_case if "all" in (cfg.cases or ("all",))
-             else inequalities.run_case)
+    series_cfg, quad_cfg = _configs(tol)
+    sweep = inequalities.sweep_case if "all" in cases else inequalities.run_case
     reports: list[VerificationReport] = []
-    for case in cases:
-        grid = _grid_for_case(cfg, case)
-        if cfg.flip:
+    for case in resolved:
+        grid = _grid_for_case(case, y, log_spacing, axes)
+        if flip:
             case = case.flipped()
         try:
             reports.append(sweep(case, grid, series_cfg, quad_cfg))
         except EmptyDomainError as exc:
             return _fail(str(exc))
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(
+    if fmt == "json":
+        _emit(out, json.dumps(
             [inequalities.report_to_json_dict(r) for r in reports], indent=2))
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         lines = ["case_id,points_tested,points_skipped,min_margin,"
                  "violations,inconclusive"]
         for r in reports:
             mm = "" if r.min_margin is None else f"{r.min_margin:.17g}"
             lines.append(f"{r.case_id},{r.points_tested},{r.points_skipped},"
                          f"{mm},{len(r.violations)},{len(r.inconclusive)}")
-        _emit(cfg, "\n".join(lines))
+        _emit(out, "\n".join(lines))
     else:
         lines = [_human_report(r) for r in reports]
         total_v = sum(len(r.violations) for r in reports)
         total_i = sum(len(r.inconclusive) for r in reports)
         lines.append(f"-- {len(reports)} case(s): {total_v} violation(s), "
                      f"{total_i} inconclusive")
-        _emit(cfg, "\n".join(lines))
+        _emit(out, "\n".join(lines))
     if any(r.violations for r in reports):
         return EXIT_VIOLATIONS
     return EXIT_OK
@@ -259,47 +228,48 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_identities(cfg: RunConfig) -> int:
-    """Run the identity-residual suite and summarize the worst relative
-    residual per identity."""
-    series_cfg, quad_cfg = _configs(cfg.tol)
-    if _custom_grid_requested(cfg):
-        nu_values = _flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps), (0.6, 8.0, 7))
-        x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (0.1, 20.0, 7))
-    else:
-        nu_values = identities.STANDARD_NU
-        x_values = identities.STANDARD_X
-    try:
-        rows = identities.residual_suite(nu_values, x_values, series_cfg,
-                                         quad_cfg,
-                                         include_cross_term=cfg.cross_term)
-    except StruveKitError as exc:
-        return _fail(str(exc))
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps([{
+def cmd_identities(log_spacing: bool, tol: Optional[float], fmt: str,
+                   out: Optional[str], cross_term: bool, **axes) -> int:
+    """Run the identity residuals one grid point at a time and summarize the
+    worst relative residual per identity; axes holds the axis flags. A
+    point that raises is named on stderr, the others are reported, and the
+    exit code is then 2."""
+    series_cfg, quad_cfg = _configs(tol)
+    nu_values, x_values = identities.STANDARD_NU, identities.STANDARD_X
+    if _custom(axes):
+        nu_values, x_values = _flag_axes(axes, log_spacing, _span(nu_values),
+                                         _span(x_values))
+    rows: list[identities.IdentityResidual] = []
+    code = EXIT_OK
+    for nu in nu_values:
+        for x in x_values:
+            try:
+                rows += identities.residual_suite((nu,), (x,), series_cfg, quad_cfg,
+                                                  include_cross_term=cross_term)
+            except StruveKitError as exc:
+                code = _fail(f"at (nu={nu:g}, x={x:g}): {exc}")
+    if fmt == "json":
+        _emit(out, json.dumps([{
             "id": r.id, "nu": r.point.nu, "x": r.point.x,
             "residual": r.residual, "scale": r.scale, "relative": r.relative,
         } for r in rows], indent=2))
-        return EXIT_OK
-    if cfg.fmt == "csv":
+    elif fmt == "csv":
         lines = ["id,nu,x,residual,scale,relative"]
         lines += [f"{r.id},{r.point.nu:.17g},{r.point.x:.17g},"
                   f"{r.residual:.17g},{r.scale:.17g},{r.relative:.17g}"
                   for r in rows]
-        _emit(cfg, "\n".join(lines))
-        return EXIT_OK
-    worst: dict[str, identities.IdentityResidual] = {}
-    for r in rows:
-        if r.id not in worst or r.relative > worst[r.id].relative:
-            worst[r.id] = r
-    lines = []
-    for rid, r in worst.items():
-        lines.append(f"{rid:<36} max relative residual {r.relative:.3e} "
-                     f"at (nu={r.point.nu:g}, x={r.point.x:g})")
-    lines.append(f"-- {len(rows)} residuals over {len(nu_values)}x"
-                 f"{len(x_values)} grid")
-    _emit(cfg, "\n".join(lines))
-    return EXIT_OK
+        _emit(out, "\n".join(lines))
+    else:
+        worst: dict[str, identities.IdentityResidual] = {}
+        for r in rows:
+            if r.id not in worst or r.relative > worst[r.id].relative:
+                worst[r.id] = r
+        lines = [f"{rid:<36} max relative residual {r.relative:.3e} "
+                 f"at (nu={r.point.nu:g}, x={r.point.x:g})" for rid, r in worst.items()]
+        lines.append(f"-- {len(rows)} residuals over {len(nu_values)}x"
+                     f"{len(x_values)} grid")
+        _emit(out, "\n".join(lines))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +277,13 @@ def cmd_identities(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(log_spacing: bool, tol: Optional[float], out: Optional[str],
+              **axes) -> int:
     """Emit plot-ready CSV: the function, its normalized form and
-    derivative, and the two-sided exponential bracket, over a grid."""
-    series_cfg, quad_cfg = _configs(cfg.tol)
-    nu_values = _flag_axis(cfg, (cfg.nu_min, cfg.nu_max, cfg.nu_steps), (-0.45, 20.0, 25))
-    x_values = _flag_axis(cfg, (cfg.x_min, cfg.x_max, cfg.x_steps), (1e-3, 30.0, 25))
+    derivative, and the two-sided exponential bracket, over the grid of
+    the axis flags in axes."""
+    series_cfg, quad_cfg = _configs(tol)
+    nu_values, x_values = _flag_axes(axes, log_spacing, (-0.45, 20.0, 25), (1e-3, 30.0, 25))
     if min(nu_values) <= -0.5:
         return _fail("the table needs orders above -1/2 (normalized form "
                      "and bracket are undefined otherwise)")
@@ -332,7 +303,7 @@ def cmd_table(cfg: RunConfig) -> int:
     except StruveKitError as exc:
         return _fail(str(exc))
     try:
-        _emit(cfg, "\n".join(lines))
+        _emit(out, "\n".join(lines))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
     return EXIT_OK
@@ -344,10 +315,6 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 _grid_options = [
-    click.option("--grid", type=click.Choice(["default", "custom"]),
-                 default="default", show_default=True,
-                 help="Use each case's standard grid, or build one from "
-                      "the axis flags."),
     click.option("--nu-min", type=float, default=None, help="Order axis start."),
     click.option("--nu-max", type=float, default=None, help="Order axis end."),
     click.option("--nu-steps", type=int, default=None, help="Order axis points."),
@@ -395,10 +362,9 @@ def main() -> None:
 @click.option("--method", type=click.Choice(METHOD_CHOICES), default="auto",
               show_default=True, help="Evaluation route.")
 @_apply(_common_options)
-def eval_cmd(nu, x, fn, method, tol, fmt, out):
+def eval_cmd(**params):
     """Evaluate one function at one point."""
-    sys.exit(cmd_eval(RunConfig(command="eval", nu=nu, x=x, fn=fn,
-                                method=method, tol=tol, fmt=fmt, out=out)))
+    sys.exit(cmd_eval(**params))
 
 
 @main.command("verify")
@@ -406,22 +372,18 @@ def eval_cmd(nu, x, fn, method, tol, fmt, out):
               show_default=True,
               help="Case id (repeatable) or 'all' for the full catalog.")
 @click.option("--y", type=float, multiple=True,
-              help="Explicit second-argument values for two-argument cases "
-                   "under a custom grid (default: reuse the x axis).")
+              help="Explicit second-argument values for two-argument cases; "
+                   "selects a custom grid (default: reuse the x axis).")
 @_apply(_grid_options)
 @_apply(_common_options)
 @click.option("--self-test-flip", "flip", is_flag=True, default=False,
               hidden=True,
               help="Negate every margin before sweeping; a healthy harness "
                    "must then report violations and exit 3.")
-def verify_cmd(cases, y, grid, nu_min, nu_max, nu_steps, x_min, x_max,
-               x_steps, log_spacing, tol, fmt, out, flip):
-    """Sweep inequality cases over a grid and report margins."""
-    sys.exit(cmd_verify(RunConfig(
-        command="verify", cases=tuple(cases), y=tuple(y), grid=grid,
-        nu_min=nu_min, nu_max=nu_max, nu_steps=nu_steps, x_min=x_min,
-        x_max=x_max, x_steps=x_steps, log_spacing=log_spacing, tol=tol,
-        fmt=fmt, out=out, flip=flip)))
+def verify_cmd(**params):
+    """Sweep inequality cases and report margins, on each case's default
+    grid or, when any axis flag or --y is given, on a custom grid."""
+    sys.exit(cmd_verify(**params))
 
 
 @main.command("identities")
@@ -431,26 +393,19 @@ def verify_cmd(cases, y, grid, nu_min, nu_max, nu_steps, x_min, x_max,
               show_default=True,
               help="Include the direct cross-term-versus-double-integral "
                    "comparison (reports a genuine discrepancy).")
-def identities_cmd(grid, nu_min, nu_max, nu_steps, x_min, x_max, x_steps,
-                   log_spacing, tol, fmt, out, cross_term):
+def identities_cmd(**params):
     """Residuals of the differential equation, recurrences, and
-    Turan-type identities over a grid."""
-    sys.exit(cmd_identities(RunConfig(
-        command="identities", grid=grid, nu_min=nu_min, nu_max=nu_max,
-        nu_steps=nu_steps, x_min=x_min, x_max=x_max, x_steps=x_steps,
-        log_spacing=log_spacing, tol=tol, fmt=fmt, out=out,
-        cross_term=cross_term)))
+    Turan-type identities over the standard grid, or a custom grid when
+    any axis flag is given."""
+    sys.exit(cmd_identities(**params))
 
 
 @main.command("table")
-@_apply(_grid_options[1:])  # the axis flags: the table has no default grid
+@_apply(_grid_options)
 @_apply(_common_options[::2])  # --tol and --out: the table is always CSV
-def table_cmd(nu_min, nu_max, nu_steps, x_min, x_max, x_steps, log_spacing, tol, out):
+def table_cmd(**params):
     """CSV table of M, calM, M' and the two-sided bracket over the axis flags."""
-    sys.exit(cmd_table(RunConfig(
-        command="table", nu_min=nu_min, nu_max=nu_max,
-        nu_steps=nu_steps, x_min=x_min, x_max=x_max, x_steps=x_steps,
-        log_spacing=log_spacing, tol=tol, out=out)))
+    sys.exit(cmd_table(**params))
 
 
 if __name__ == "__main__":

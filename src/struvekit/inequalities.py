@@ -114,17 +114,14 @@ class InequalityCase:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid: order values, argument values, optional second
-    argument values for two-argument claims, and how they were spaced."""
+    """Evaluation grid: order values, argument values, and optional second
+    argument values for two-argument claims."""
 
     nu_values: tuple[float, ...]
     x_values: tuple[float, ...]
     y_values: Optional[tuple[float, ...]] = None
-    spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if self.spacing not in ("linear", "log"):
-            raise DomainError("spacing must be 'linear' or 'log'")
         if not self.nu_values or not self.x_values:
             raise DomainError("grid must have at least one nu and one x value")
 

@@ -106,16 +106,12 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig):
-    """Automatic M up to its quadrature step: the certified float64 value, or the
-    escalated series where quadrature does not serve p; else the float pass (None
-    where none ran) that the series fallback after quadrature takes."""
-    run = None
-    if p.x <= series.X_CANCEL_MAX and (run := series.struve_m_float(p, series_cfg)) and run[0]:
-        return run[0]
-    if p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX):
-        return run
-    return series.struve_m_series(p, series_cfg, run)
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
+    """Automatic M up to its quadrature step: the series where quadrature does not
+    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None."""
+    if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
+        return series.struve_m_series(p, series_cfg)
+    return series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
 
 
 def calm(p: EvalPoint, method: Method | None = None,
@@ -138,7 +134,7 @@ def calm(p: EvalPoint, method: Method | None = None,
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
-def _calm_head(p: EvalPoint, series_cfg: SeriesConfig):
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
     """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
@@ -150,8 +146,8 @@ def _calm_head(p: EvalPoint, series_cfg: SeriesConfig):
     # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
     if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
         return None
-    run = _m_head(p, series_cfg)
-    return series.calm_from_m(p, run) if run.__class__ is FuncValue else run
+    m = _m_head(p, series_cfg)
+    return m and series.calm_from_m(p, m)
 
 
 def struve_m_prime(p: EvalPoint, method: Method | None = None,
@@ -185,9 +181,8 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
 def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
     """Automatic M' up to its quadrature step: the certified float64 value of the
     termwise derivative, else None."""
-    run = (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
-           and series.struve_m_float(p, series_cfg, order=1))
-    return run[0] if run else None
+    serves = p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
+    return series.struve_m_float(p, series_cfg, order=1) if serves else None
 
 
 def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
@@ -213,14 +208,14 @@ class _Deferred(Exception):
 #: Per automatic chain, split at its quadrature step: (its head, or None; its calM orders;
 #: whether they are nu-orders; the step's value from the point's orders; the function of
 #: M whose x > 0 it needs, or ""; the fallback after a stalled quadrature, given the
-#: series config, what the head returned and M as m(nu, x), or None to raise).
+#: series config and M as m(nu, x), or None to raise).
 _CHAINS = {
     "m": (_m_head, (0,), False, lambda p, c: series.m_from_calm(p, c[0]), "m_from_quadrature",
-          lambda p, cfg, run, m: series.struve_m_series(p, cfg, run)),
-    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda p, cfg, run, m:
-             series.calm_from_m(p, series.struve_m_series(p, cfg, run))),
+          lambda p, cfg, m: series.struve_m_series(p, cfg)),
+    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda p, cfg, m:
+             series.calm_from_m(p, series.struve_m_series(p, cfg))),
     "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
-                "m_deriv", lambda p, cfg, run, m: _m_prime_by_recurrence(p, m)),
+                "m_deriv", lambda p, cfg, m: _m_prime_by_recurrence(p, m)),
     "calm_dx": (None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
     "calm_dnu": (None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
 }
@@ -235,9 +230,8 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
     head, orders, dnu, step, m_of, after = _CHAINS[kind]
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
-    state = head and head(p, series_cfg)
-    if state.__class__ is FuncValue:
-        return state
+    if head and (fv := head(p, series_cfg)) is not None:
+        return fv
     quadrature._check_point(p, m_of)
     if deferred is not None:
         deferred.append((kind, p.nu, p.x))
@@ -248,7 +242,7 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
     except NonConvergenceError:
         if after is None:
             raise
-    return after(p, series_cfg, state, m or (
+    return after(p, series_cfg, m or (
         lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg)))
 
 
@@ -280,12 +274,12 @@ class Memo:
         p, sweep = EvalPoint(nu, x), self._sweeps.get(get_ident())
         if (got := sweep and sweep[1].get((kind, nu, x))) is None:
             return _auto(kind, p, self.series_cfg, self.quad_cfg, self.m, sweep and sweep[0])
-        head, _, _, step, _, after = _CHAINS[kind]
+        _, _, _, step, _, after = _CHAINS[kind]
         if not isinstance(got, NonConvergenceError):
             return step(p, got)
         if after is None:
             raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
-        return after(p, self.series_cfg, head(p, self.series_cfg), self.m)  # head runs again
+        return after(p, self.series_cfg, self.m)
 
     @contextmanager
     def deferring(self):

@@ -42,40 +42,46 @@ X_CANCEL_MAX = 8.0
 _MAX_WORK_DIGITS = 80
 
 
-def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float,
-                     log_norm: float) -> tuple[float, float]:
+def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float, log_power: float,
+                     log_gam: float, log_gam2: float = 0.0) -> tuple[float, float]:
     """Sum sum_n (x/2)^(2n+nu+shift) / (Gamma(n+1+a) Gamma(n+nu+1+a)) style
     series with all-positive terms.
 
     shift is 0 for I_nu (denominators Gamma(n+1) Gamma(n+nu+1)) and 1 for
-    L_nu (denominators Gamma(n+3/2) Gamma(n+nu+3/2)). log_norm is the log
-    of the first term. Returns (value, abs_err): (0, smallest subnormal) where the first
-    term underflows and so does the sum, at most that term times exp(q / (nu + off));
-    CancellationError where it underflows and the sum need not, or the sum overflows.
-    """
+    L_nu (denominators Gamma(n+3/2) Gamma(n+nu+3/2)); the first term is
+    exp(log_power - log_gam - log_gam2). The terms peak near n = x/2, so up to x/2
+    terms past cfg.max_terms run. Returns (value, abs_err), the bar charging the tail,
+    the first term's exp() rounding and 5 eps per term of the recurrence: (0, smallest
+    subnormal) where the first term underflows and so does the sum, at most that term
+    times exp(q / (nu + off)); CancellationError where it underflows and the sum need
+    not, or the sum overflows."""
     q = 0.25 * p.x * p.x
     off = 1.0 if shift == 0.0 else 1.5
-    term = math.exp(log_norm) if log_norm < LOG_MAX else math.inf
+    log_norm = log_power - log_gam - log_gam2
+    term, lead_err = (exp_rounded(log_norm, log_power, log_gam, log_gam2) if log_norm < LOG_MAX
+                      else (math.inf, 0.0))
     if not term:  # I_2(1e-300) is about 1.25e-601
         if log_norm + q / (p.nu + off) < math.log(_TINY):
             return 0.0, _TINY
         raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) underflows float64")
+    lead_rel = lead_err / term
     total = carry = 0.0
-    for n in range(cfg.max_terms):
+    budget = cfg.max_terms + int(0.5 * p.x)
+    for n in range(budget):
         # compensated sum: error stays O(eps) independent of length
         y = term - carry
         t = total + y
         carry = (t - total) - y
         total = t
         term *= q / ((n + off) * (n + p.nu + off))
-        # <=: at a subnormal total both sides reach 0
-        if term <= cfg.rel_tol * total and q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5:
-            return total, 2.0 * term + 4.0 * _EPS * total + _TINY
-    # so does an overflowing first term: where the stop test holds at n = 0 it is < e^2
-    if not math.isfinite(total):
-        raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) overflows float64")
+        # not >: at a subnormal total both sides reach 0, and an overflowed (NaN) total stops
+        if not term > cfg.rel_tol * total and (
+                q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5 or total != total):
+            if not math.isfinite(total):
+                raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) overflows float64")
+            return total, 2.0 * term + (lead_rel + 5.0 * (n + 1) * _EPS) * total + _TINY
     raise NonConvergenceError(
-        f"series for (nu={p.nu:g}, x={p.x:g}) did not settle in {cfg.max_terms} terms")
+        f"series for (nu={p.nu:g}, x={p.x:g}) did not settle in {budget} terms")
 
 
 def bessel_i(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
@@ -92,8 +98,7 @@ def bessel_i(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
         if p.nu == 0.0:
             return FuncValue(1.0, 0.0, Method.SERIES)
         return FuncValue(0.0 if p.nu > 0 else math.inf, 0.0, Method.SERIES)
-    log_first = p.nu * log_half(p.x) - log_gamma(p.nu + 1.0)
-    value, err = _positive_series(p, cfg, 0.0, log_first)
+    value, err = _positive_series(p, cfg, 0.0, p.nu * log_half(p.x), log_gamma(p.nu + 1.0))
     return FuncValue(value, err, Method.SERIES)
 
 
@@ -113,8 +118,8 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
         if p.nu == -1.0:
             return FuncValue(2.0 / math.pi, 0.0, Method.SERIES)
         return FuncValue(math.inf, 0.0, Method.SERIES)
-    log_first = (p.nu + 1.0) * log_half(p.x) - log_gamma(1.5) - log_gamma(p.nu + 1.5)
-    value, err = _positive_series(p, cfg, 1.0, log_first)
+    value, err = _positive_series(p, cfg, 1.0, (p.nu + 1.0) * log_half(p.x), log_gamma(1.5),
+                                  log_gamma(p.nu + 1.5))
     return FuncValue(value, err, Method.SERIES)
 
 
@@ -204,31 +209,28 @@ def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, flo
 
 
 def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
-                   order: int = 0) -> tuple[FuncValue | None, float, float] | None:
+                   order: int = 0) -> FuncValue | None:
     """One float64 pass of the merged series for M_nu(x) (order 0) or M_nu'(x)
-    (order 1): (the value where its measured condition certifies 1e-12
-    relative error, else None; the magnitude sum; the scale), which
-    struve_m_series takes to escalate without a second pass; None where the
-    pass does not settle or overflows. nu > -1, x >= 0 (x > 0 for order 1)."""
+    (order 1): the value where its measured condition certifies 1e-12 relative
+    error; None elsewhere, and where the pass does not settle or overflows.
+    nu > -1, x >= 0 (x > 0 for order 1)."""
     try:
-        return _merged_float(p, cfg, order)
+        return _merged_float(p, cfg, order)[0]
     except (CancellationError, NonConvergenceError):
         return None
 
 
-def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
-                    float_pass: tuple[FuncValue | None, float, float] | None = None) -> FuncValue:
+def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     """Modified Struve function of the second kind M_nu(x) = L_nu(x) - I_nu(x).
 
     Merged termwise summation of the two ascending series in increasing
     powers of x, compensated; escalates internal precision when the
     measured condition number makes float64 untrustworthy. nu > -1, x >= 0.
 
-    float_pass is this point's struve_m_float result, if already run.
     Raises CancellationError when even the escalated path would need more
     than 80 working digits (use the quadrature route there).
     """
-    certified, smax, scale = float_pass or _merged_float(p, cfg)
+    certified, smax, scale = _merged_float(p, cfg)
     if certified is not None:
         return certified
 

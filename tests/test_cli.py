@@ -93,7 +93,7 @@ def test_eval_at_large_order_and_argument_exits_2(runner, args, reason):
 
 def _grid(nu: str, x_min: str, x_max: str | None = None, x_steps: str = "1") -> list[str]:
     """Custom-grid flags for one order and an x axis (one point without x_max)."""
-    return ["--grid", "custom", "--nu-min", nu, "--nu-max", nu, "--nu-steps", "1",
+    return ["--nu-min", nu, "--nu-max", nu, "--nu-steps", "1",
             "--x-min", x_min, "--x-max", x_max or x_min, "--x-steps", x_steps]
 
 
@@ -204,7 +204,7 @@ def test_verify_flip_self_test_exits_3(runner):
 
 def test_verify_empty_domain_exits_2(runner):
     result = runner.invoke(main, [
-        "verify", "--case", "ineqturan_lower", "--grid", "custom",
+        "verify", "--case", "ineqturan_lower",
         "--nu-min", "0", "--nu-max", "0.3", "--nu-steps", "2",
         "--x-min", "1", "--x-max", "2", "--x-steps", "2"])
     assert result.exit_code == EXIT_USAGE
@@ -233,7 +233,7 @@ def test_verify_sign_m_and_remark1_hold_where_m_underflows(runner):
     the calM forms of sign_m and remark1 do not, so neither reports a
     violation or an inconclusive point there."""
     result = runner.invoke(main, [
-        "verify", "--case", "sign_m", "--case", "remark1", "--grid", "custom",
+        "verify", "--case", "sign_m", "--case", "remark1",
         "--nu-min", "0.6", "--nu-max", "200", "--nu-steps", "8", "--x-steps", "8",
         "--format", "json"])
     assert result.exit_code == EXIT_OK, result.output
@@ -261,7 +261,7 @@ def test_eval_takes_no_second_argument(runner):
 
 def test_verify_custom_grid_with_explicit_y(runner):
     result = runner.invoke(main, [
-        "verify", "--case", "FX1", "--grid", "custom",
+        "verify", "--case", "FX1",
         "--nu-min", "0.5", "--nu-max", "1", "--nu-steps", "2",
         "--x-min", "0.5", "--x-max", "1", "--x-steps", "2",
         "--y", "0.5", "--y", "1.0", "--format", "json"])
@@ -292,7 +292,7 @@ def test_verify_out_file(runner, tmp_path):
 
 def test_identities_small_grid_json(runner):
     result = runner.invoke(main, [
-        "identities", "--grid", "custom",
+        "identities",
         "--nu-min", "0.8", "--nu-max", "2", "--nu-steps", "2",
         "--x-min", "0.5", "--x-max", "2", "--x-steps", "2",
         "--format", "json"])
@@ -308,7 +308,7 @@ def test_identities_small_grid_json(runner):
 
 def test_identities_cross_term_opt_out(runner):
     result = runner.invoke(main, [
-        "identities", "--grid", "custom",
+        "identities",
         "--nu-min", "0.8", "--nu-max", "2", "--nu-steps", "2",
         "--x-min", "0.5", "--x-max", "2", "--x-steps", "2",
         "--no-cross-term", "--format", "json"])
@@ -319,7 +319,7 @@ def test_identities_cross_term_opt_out(runner):
 
 
 def test_identities_reject_low_orders(runner):
-    result = runner.invoke(main, ["identities", "--grid", "custom",
+    result = runner.invoke(main, ["identities",
                                   "--nu-min", "0.3", "--nu-max", "2",
                                   "--nu-steps", "2"])
     assert result.exit_code == EXIT_USAGE
@@ -360,6 +360,53 @@ def test_table_has_no_grid_or_format_option(runner, option):
     result = runner.invoke(main, ["table", *option])
     assert result.exit_code == EXIT_USAGE
     assert "No such option" in _all_text(result)
+
+
+def test_each_command_takes_exactly_its_options():
+    """The option set of every subcommand, so that a new option changes this
+    test on purpose. Any axis flag, or --y, selects a custom grid; no
+    --grid option repeats that."""
+    grid = {"nu_min", "nu_max", "nu_steps", "x_min", "x_max", "x_steps", "log_spacing"}
+    want = {
+        "eval": {"nu", "x", "fn", "method", "tol", "fmt", "out"},
+        "verify": {"cases", "y", *grid, "tol", "fmt", "out", "flip"},
+        "identities": {*grid, "tol", "fmt", "out", "cross_term"},
+        "table": {*grid, "tol", "out"},
+    }
+    assert {name: {p.name for p in cmd.params}
+            for name, cmd in main.commands.items()} == want
+
+
+def test_verify_second_argument_alone_selects_a_custom_grid(runner):
+    """--y alone replaces FX1's 10 default y values: 6 x 10 x 1 points."""
+    result = runner.invoke(main, ["verify", "--case", "FX1", "--y", "0.5",
+                                  "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    report = json.loads(result.output)[0]
+    assert report["points_tested"] + report["points_skipped"] == 60
+    assert report["argmin"]["y"] == 0.5
+
+
+def test_identities_report_every_point_that_evaluates(runner):
+    """M'' at (0.6, 1e-300) overflows float64: that point is named on stderr
+    and the command exits 2, while the other 8 points report their rows."""
+    result = runner.invoke(main, [
+        "identities", "--nu-min", "0.6", "--nu-max", "8", "--nu-steps", "3",
+        "--x-min", "1e-300", "--x-max", "1", "--x-steps", "3", "--format", "json"])
+    assert result.exit_code == EXIT_USAGE
+    assert "at (nu=0.6, x=1e-300)" in _all_text(result)
+    rows = json.loads(result.stdout)
+    assert len(rows) == 8 * 8
+    assert (0.6, 1e-300) not in {(r["nu"], r["x"]) for r in rows}
+
+
+@pytest.mark.parametrize("fn", ["I", "L"])
+def test_eval_first_kind_where_the_terms_peak_late(runner, fn):
+    """I_1(710) = 3.34e306 needs about 560 terms, past max_terms = 500."""
+    result = runner.invoke(main, ["eval", "--fn", fn, "--nu", "1", "--x", "710",
+                                  "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    assert json.loads(result.output)["value"] == pytest.approx(3.3429778585e306, rel=1e-9)
 
 
 def test_version_flag(runner):

@@ -452,8 +452,6 @@ def test_gridspec_validation():
         GridSpec(nu_values=(), x_values=(1.0,))
     with pytest.raises(DomainError):
         GridSpec(nu_values=(1.0,), x_values=())
-    with pytest.raises(DomainError):
-        GridSpec(nu_values=(1.0,), x_values=(1.0,), spacing="cubic")
 
 
 def test_two_argument_case_requires_y_grid():

@@ -95,6 +95,22 @@ def test_first_kind_series_past_the_float64_range(fn, subnormal_at):
     assert 0.0 < fv.value < 1e-308 and abs(fv.value - want) <= fv.abs_err
 
 
+@pytest.mark.parametrize("fn, nu, x", [
+    (bessel_i, 39.13, 617.1), (bessel_i, 15.86036688476029, 0.04396987649080479),
+    (struve_l, 26.82, 0.005), (struve_l, 17.101108916544185, 0.011535359186916975),
+    (bessel_i, 1.0, 710.0), (struve_l, 1.0, 710.0), (bessel_i, -0.9, 713.5),
+])
+def test_first_kind_values_hold_their_error_bars(fn, nu, x):
+    """Each value lies within its bar of mpmath at 50 digits. The first four lay 34x,
+    22x, 10x and 44x outside a bar that left out the first term's exp() rounding and
+    the term recurrence's. Near x = 710 the terms peak past max_terms = 500
+    (I_1(710) = 3.34e306), so the sum runs up to x/2 more terms."""
+    fv = fn(EvalPoint(nu, x))
+    with mp.workdps(50):
+        want = (mp.besseli if fn is bessel_i else mp.struvel)(nu, x)
+        assert abs(mp.mpf(fv.value) - want) <= fv.abs_err
+
+
 def test_cutoff_constant_is_sane():
     assert 0.0 < X_CANCEL_MAX <= 16.0
 
