@@ -18,6 +18,7 @@ from typing import Optional
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, foxwright, identities, inequalities, routes, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
@@ -76,8 +77,10 @@ def _flag_axes(axes: dict, log_spacing: bool, nu_default: tuple,
 
 
 def _custom(axes: dict) -> bool:
-    """Whether any axis flag was given: then a command builds a custom grid."""
-    return any(v is not None for v in axes.values())
+    """Whether any axis flag or --log-spacing/--no-log-spacing was given: then a
+    command builds a custom grid."""
+    return (any(v is not None for v in axes.values()) or click.get_current_context()
+            .get_parameter_source("log_spacing") is ParameterSource.COMMANDLINE)
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -144,8 +147,8 @@ def cmd_eval(nu: float, x: float, fn: str, method: str, tol: Optional[float],
 
 def _grid_for_case(case: inequalities.InequalityCase, y: tuple[float, ...],
                    log_spacing: bool, axes: dict) -> GridSpec:
-    """Default grid for the case, or, when an axis flag or --y was given, a
-    custom grid where every flag given overrides the matching default-axis
+    """Default grid for the case, or, when an axis or spacing flag or --y was
+    given, a custom grid where every flag given overrides the matching default-axis
     parameter."""
     base = inequalities.default_grid(case.id)
     if not (y or _custom(axes)):
@@ -324,7 +327,8 @@ _grid_options = [
     click.option("--log-spacing/--no-log-spacing", default=True,
                  show_default=True,
                  help="Log-spaced axes (linear fallback when an endpoint "
-                      "is not positive)."),
+                      "is not positive); given alone, selects a custom grid "
+                      "over the default axes' ranges."),
 ]
 
 
@@ -382,7 +386,7 @@ def eval_cmd(**params):
                    "must then report violations and exit 3.")
 def verify_cmd(**params):
     """Sweep inequality cases and report margins, on each case's default
-    grid or, when any axis flag or --y is given, on a custom grid."""
+    grid or, when any axis or spacing flag or --y is given, on a custom grid."""
     sys.exit(cmd_verify(**params))
 
 
@@ -396,7 +400,7 @@ def verify_cmd(**params):
 def identities_cmd(**params):
     """Residuals of the differential equation, recurrences, and
     Turan-type identities over the standard grid, or a custom grid when
-    any axis flag is given."""
+    any axis or spacing flag is given."""
     sys.exit(cmd_identities(**params))
 
 

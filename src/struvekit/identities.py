@@ -114,12 +114,12 @@ def recurrence_residuals(p: EvalPoint,
         raise_order:     M_{nu+1} = M_nu' - (nu / x) M_nu - g
     """
     return _recurrence_residuals(
-        p, _neighbor_values(p, series_cfg, quad_cfg, "recurrence_residuals"))
+        p, _neighbor_values(p, series_cfg, quad_cfg, "recurrence_residuals"), _g_term(p))
 
 
-def _recurrence_residuals(p: EvalPoint, neighbors: _Neighbors) -> tuple[IdentityResidual, ...]:
+def _recurrence_residuals(p: EvalPoint, neighbors: _Neighbors,
+                          g: float) -> tuple[IdentityResidual, ...]:
     m_lo, m_md, m_hi, m_d = neighbors
-    g = _g_term(p)
     mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
 
     r0 = abs(m_lo - m_hi - mid - g)
@@ -188,16 +188,17 @@ def turanian_quadratic_identity(p: EvalPoint,
     relations. nu > 1/2, x > 0.
     """
     return _quadratic_residual(
-        p, _neighbor_values(p, series_cfg, quad_cfg, "turanian_quadratic_identity"))
+        p, _neighbor_values(p, series_cfg, quad_cfg, "turanian_quadratic_identity"),
+        _g_term(p))
 
 
-def _quadratic_residual(p: EvalPoint, neighbors: _Neighbors) -> IdentityResidual:
+def _quadratic_residual(p: EvalPoint, neighbors: _Neighbors, g: float) -> IdentityResidual:
     m_lo, m_md, m_hi, m_d = neighbors
     lhs = m_md * m_md - m_lo * m_hi
     nu_m = p.nu * m_md / p.x
     t_sq = m_md * m_md + nu_m * nu_m  # (1 + nu^2/x^2) M^2, finite where M underflows
     t_dq = m_d * m_d
-    t_g = _g_term(p) * m_lo
+    t_g = g * m_lo
     residual = abs(lhs - (t_sq - t_dq + t_g))
     scale = max(abs(m_md * m_md), abs(m_lo * m_hi), abs(t_sq), t_dq, abs(t_g))
     return IdentityResidual("turanian_quadratic", p, residual, scale)
@@ -289,8 +290,9 @@ def residual_suite(nu_values: tuple[float, ...] = STANDARD_NU,
             out.append(ode_residual(p, quad_cfg))
             neighbors = _neighbor_values(p, series_cfg, quad_cfg, "residual_suite")
             parts = turanian_decomposition(p, series_cfg)
-            out.extend(_recurrence_residuals(p, neighbors))
-            out.append(_quadratic_residual(p, neighbors))
+            g = _g_term(p)
+            out.extend(_recurrence_residuals(p, neighbors, g))
+            out.append(_quadratic_residual(p, neighbors, g))
             out.append(_decomposition_residual(p, neighbors, parts))
             if include_cross_term:
                 out.append(_crossterm_residual(p, parts[2], quad_cfg))

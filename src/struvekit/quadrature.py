@@ -48,6 +48,12 @@ the integral's asymptotic series set (see X_MAX).
 The cross-Turanian double integral uses these nodes on both axes; its
 kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
 costs one column over its new nodes, not a product over every node pair.
+It stops at level 3 at the earliest (at 4 or 5 on perfbench's identity_grid),
+so it too takes levels 0-4 in one pass over their joined nodes: one exp(),
+cosh() and sinh() and one (1, t^2, t^4) basis, then per level the product of
+its slices of the weights and the basis, the same 2 x n by n x 3 product a
+per-level pass takes, so every bit is kept. Only a re-centring recomputes
+moments, through _centred_moments.
 
 Node/weight tables and kernel rows per refinement level are computed
 once and shared immutably (safe under concurrent readers).
@@ -97,11 +103,13 @@ _MAX_DNU_ORDER = 6
 _BATCH_CELLS = 512
 
 
-#: Last level of the span that _refine takes in one exp() pass: levels 0-4 (337
-#: nodes) share one exp(), one kernel product and a pairwise sum per level's slice,
-#: and each later level takes a pass of its own. Lone points freeze at level 4 (all
-#: 2,523 one-point refinements of a 6,000-point replay of perfbench's point_stream
-#: did), and there five small passes cost more in numpy call overhead than one.
+#: Last level of the span that _refine and turanian_il_double_integral take in one
+#: pass: levels 0-4 (337 nodes) share one exp() (and, in the double integral, one
+#: cosh() and sinh()), each level reads its slice, and each later level takes a pass
+#: of its own. Lone points freeze at level 4 (all 2,523 one-point refinements of a
+#: 6,000-point replay of perfbench's point_stream did), and the double integral
+#: stops at level 4 or 5 on perfbench's identity_grid; there five small passes cost
+#: more in numpy call overhead than one.
 _JOINED_LAST = 4
 
 
@@ -430,12 +438,20 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
 def _centred_moments(columns: list[tuple[np.ndarray, np.ndarray]],
                      shift: float) -> np.ndarray:
     """Rows (sum w, sum w u, sum w u^2), u = t^2 - shift, of the cosh and sinh
-    weights w over columns [(t^2, weights) per level], refined as in _refine."""
+    weights w over columns [(t^2, weights) per level from 0], refined as in
+    _refine: the moments of a re-centred double integral, or of one level past
+    a re-centring."""
     for level, (t2, ab) in enumerate(columns):
         u = t2 - shift
         new = ab @ np.stack((np.ones_like(u), u, u * u), axis=1)
         moments = new if level == 0 else 0.5 * moments + 0.5 ** level * new
     return moments
+
+
+def _overflow(p: EvalPoint) -> CancellationError:
+    """The error of a double integral that overflows float64."""
+    return CancellationError(
+        f"cross-Turanian double integral at (nu={p.nu:g}, x={p.x:g}) overflows float64")
 
 
 def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -458,6 +474,9 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     two terms, both nonnegative, carry a cancellation-free sum. cfg.abs_tol
     acts relative to the estimate. CancellationError when D (~ e^(2x))
     overflows float64.
+
+    Levels 0.._JOINED_LAST take one pass over their joined nodes, each later
+    level a pass of its own (see the module docstring).
     """
     if p.nu <= 0.5 or p.x <= 0.0:
         raise DomainError("the cross-Turanian double integral requires nu > 1/2, x > 0")
@@ -468,36 +487,54 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     pref, pref_err = (exp_rounded(log_pref, log_power, log_gammas) if log_pref < LOG_MAX
                       else (math.inf, math.inf))
 
+    # (t^2-s^2)^2 <= 1, so each axis tail is at most the 1-D tail times the companion
+    # axis mass: tail_cosh |B0| + tail_sinh |A0| (tail_axis first: it is 0 where
+    # cosh(x) B0 overflows)
     tail_axis = math.exp(_log_tail_bound(pw, 0))
-    columns = []
+    try:
+        tail_cosh, tail_sinh = tail_axis * math.cosh(p.x), tail_axis * math.sinh(p.x)
+    except OverflowError:
+        # cosh(x t) overflows too at the level-0 nodes where t rounds to 1, so level 0's
+        # moments would not be finite either
+        raise _overflow(p) from None
+    columns = []  # (t^2, weights) per level, for a re-centring
     shift = prev = 0.0
+    joined = min(_JOINED_LAST, cfg.max_level)
+    spans = [(0, joined)] + [(level, level) for level in range(joined + 1, cfg.max_level + 1)]
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        for level in range(cfg.max_level + 1):
-            t, lg1mt2, lgw = _level_nodes(level)
+        for first, last in spans:
+            t, lg1mt2, lgw = _level_nodes(first, last)
             col = np.exp(pw * lg1mt2 + lgw)
-            columns.append((t * t, np.stack((col * np.cosh(p.x * t), col * np.sinh(p.x * t)))))
-            new = _centred_moments(columns[-1:], shift)
-            moments = new if level == 0 else 0.5 * moments + 0.5 ** level * new
-            (a0, u1, u2), (b0, v1, v2) = moments.tolist()
-            if 4.0 * abs(u1 * v1) > a0 * v2 + u2 * b0:
-                # the centre is off the a-weighted mean of t^2: move it there
-                shift += u1 / a0
-                moments = _centred_moments(columns, shift)
-                (a0, u1, u2), (b0, v1, v2) = moments.tolist()
-            d = a0 * v2 - 2.0 * u1 * v1 + u2 * b0
-            size = a0 * v2 + 2.0 * abs(u1 * v1) + u2 * b0
-            if not math.isfinite(size * pref):
-                raise CancellationError(
-                    f"cross-Turanian double integral at (nu={p.nu:g}, x={p.x:g}) "
-                    "overflows float64")
-            # (t^2-s^2)^2 <= 1, so each axis tail is at most the 1-D tail times the
-            # companion axis mass (tail_axis first: it is 0 where cosh(x) b0 overflows)
-            tail = tail_axis * math.cosh(p.x) * abs(b0) + tail_axis * math.sinh(p.x) * abs(a0)
-            err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * size
-            if level >= 3 and err <= cfg.abs_tol * max(abs(d), 1e-300):
-                return FuncValue(pref * d, pref * err + pref_err * abs(d) + _TINY,
-                                 Method.QUADRATURE)
-            prev = d
+            xt, t2 = p.x * t, t * t
+            ab = np.stack((col * np.cosh(xt), col * np.sinh(xt)))
+            basis = np.stack((np.ones_like(t2), t2, t2 * t2), axis=1)
+            stop = 0
+            for level in range(first, last + 1):
+                start, stop = stop, stop + len(_level_nodes(level)[0])
+                columns.append((t2[start:stop], ab[:, start:stop]))
+                new = (ab[:, start:stop] @ basis[start:stop] if shift == 0.0
+                       else _centred_moments(columns[-1:], shift)).ravel().tolist()
+                if level == 0:
+                    moments = new
+                else:
+                    h = 0.5 ** level
+                    moments = [0.5 * m + h * n for m, n in zip(moments, new)]
+                a0, u1, u2, b0, v1, v2 = moments
+                if 4.0 * abs(u1 * v1) > a0 * v2 + u2 * b0:
+                    # the centre is off the a-weighted mean of t^2: move it there
+                    shift += u1 / a0
+                    moments = _centred_moments(columns, shift).ravel().tolist()
+                    a0, u1, u2, b0, v1, v2 = moments
+                d = a0 * v2 - 2.0 * u1 * v1 + u2 * b0
+                size = a0 * v2 + 2.0 * abs(u1 * v1) + u2 * b0
+                if not math.isfinite(size * pref):
+                    raise _overflow(p)
+                tail = tail_cosh * abs(b0) + tail_sinh * abs(a0)
+                err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * size
+                if level >= 3 and err <= cfg.abs_tol * max(abs(d), 1e-300):
+                    return FuncValue(pref * d, pref * err + pref_err * abs(d) + _TINY,
+                                     Method.QUADRATURE)
+                prev = d
     bound = tail / max(abs(d), 1e-300)
     raise NonConvergenceError(
         f"cross-Turanian refinement stalled at (nu={p.nu:g}, x={p.x:g})" + (

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from struvekit import __version__
 from struvekit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
-from struvekit.inequalities import GridSpec, run_all
+from struvekit.inequalities import GridSpec, default_grid, run_all
 
 
 @pytest.fixture()
@@ -316,6 +317,37 @@ def test_identities_cross_term_opt_out(runner):
     rows = json.loads(result.output)
     assert len(rows) == 4 * 7
     assert all(r["id"] != "turanian_cross_vs_double_integral" for r in rows)
+
+
+_SPACINGS = [("--no-log-spacing", np.linspace), ("--log-spacing", np.geomspace)]
+
+
+@pytest.mark.parametrize("flag,spaced", _SPACINGS)
+def test_identities_spacing_flag_alone_selects_a_custom_grid(runner, flag, spaced):
+    """A spacing flag alone spans the standard grid's (min, max, count) with that
+    spacing; the standard orders (0.6, 1, 1.5, ...) are neither spacing."""
+    result = runner.invoke(main, ["identities", flag, "--no-cross-term", "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    rows = json.loads(result.output)
+    assert sorted({r["nu"] for r in rows}) == spaced(0.6, 8.0, 7).tolist()
+    assert sorted({r["x"] for r in rows}) == spaced(0.1, 20.0, 7).tolist()
+
+
+@pytest.mark.parametrize("flag,spaced", _SPACINGS)
+def test_verify_spacing_flag_alone_selects_a_custom_grid(runner, flag, spaced):
+    """A spacing flag alone spans each default axis's (min, max, count) with that
+    spacing; remark1's default orders crowd its open edge at nu = 1/2. Flipped,
+    every point tested is a violation, so the report lists the grid."""
+    result = runner.invoke(main, ["verify", "--case", "remark1", flag, "--self-test-flip",
+                                  "--format", "json"])
+    assert result.exit_code == EXIT_VIOLATIONS, _all_text(result)
+    report = json.loads(result.output)[0]
+    assert report["points_tested"] == 25 * 25
+    points = report["violations"] + report["inconclusive"]
+    grid = default_grid("remark1")
+    for name, values in (("nu", grid.nu_values), ("x", grid.x_values)):
+        want = spaced(min(values), max(values), len(values)).tolist()
+        assert sorted({pt[name] for pt in points}) == want, name
 
 
 def test_identities_reject_low_orders(runner):

@@ -93,25 +93,65 @@ def _tensor_double_sum(p: EvalPoint, level: int) -> float:
     col = 0.5 ** level * np.exp((p.nu - 1.5) * lg1mt2 + lgw)
     a, b = col * np.cosh(p.x * t), col * np.sinh(p.x * t)
     diff = t[:, None] ** 2 - t[None, :] ** 2
+    diff *= diff  # in place: 58 MB at level 7
     log_pref = (math.log(4.0 / math.pi) + 2.0 * p.nu * math.log(0.5 * p.x)
                 - 2.0 * log_gamma(p.nu + 0.5))
-    return math.exp(log_pref) * float(a @ (diff * diff) @ b)
+    return math.exp(log_pref) * float(a @ diff @ b)
 
 
-@pytest.mark.parametrize("key", [(1.0, 1.0), (0.55, 30.0), (6.5, 30.0), (20.0, 0.05),
-                                 (46.0, 220.0)])
+def _double_integral_stop_level(p: EvalPoint, monkeypatch) -> int:
+    """The level where turanian_il_double_integral(p) stops: the deepest level whose
+    nodes it reads. A first call builds every node table it needs, so the second
+    reads tables only, through calls whose first argument is a level it refines."""
+    turanian_il_double_integral(p)
+    levels = []
+    nodes = quadrature._level_nodes
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_level_nodes",
+                      lambda level, *args: levels.append(level) or nodes(level, *args))
+        turanian_il_double_integral(p)
+    return max(levels)
+
+
+# (nu, x, stop level); levels 0-4 form one joined pass, and a re-centring moves the
+# moments of every level refined so far (at (20, 0.05) the centre never moves)
+@pytest.mark.parametrize("key", [
+    (1.0, 1.0, 4),          # stops in the joined span, re-centred at level 0
+    (0.55, 30.0, 5),        # re-centred at level 0
+    (6.5, 30.0, 5),         # re-centred at level 1
+    (20.0, 0.05, 5),        # never re-centred: slices of the span's (1, t^2, t^4) rows
+    (46.0, 220.0, 6),       # re-centred at levels 0 and 1
+    (26.285, 0.519, 5),     # re-centred at level 1
+    (169.6, 192.9, 6),      # re-centred at level 4, the last of the joined span
+    (139.5, 286.3, 7)])     # re-centred at levels 0, 2 and 3
 def test_double_integral_moments_match_tensor_sum(key, monkeypatch):
     """The linear-time moment pass returns the tensor sum over the same
     nodes, at the level where it stopped, to rounding. At (46, 220) the
     integrand peaks between the level-0 nodes, so the moments must be
     re-centred to stay free of cancellation."""
-    levels = []
-    nodes = quadrature._level_nodes
-    monkeypatch.setattr(quadrature, "_level_nodes",
-                        lambda level: levels.append(level) or nodes(level))
-    p = EvalPoint(*key)
+    nu, x, stop = key
+    p = EvalPoint(nu, x)
+    assert _double_integral_stop_level(p, monkeypatch) == stop
     fv = turanian_il_double_integral(p)
-    assert rel_err(fv.value, _tensor_double_sum(p, max(levels))) < 1e-13
+    assert rel_err(fv.value, _tensor_double_sum(p, stop)) < 1e-13
+
+
+@pytest.mark.parametrize("key,stop", [((1.0, 1.0), 4), ((139.5, 286.3), 7)])
+def test_double_integral_refines_levels_0_to_4_in_one_pass(key, stop, monkeypatch):
+    """D takes one exp(), cosh() and sinh() over the joined nodes of levels 0-4
+    (337), then one of each per later level; a re-centring takes none."""
+    p = EvalPoint(*key)
+    assert _double_integral_stop_level(p, monkeypatch) == stop  # also builds the tables
+    joined = sum(len(quadrature._level_nodes(level)[0]) for level in range(5))
+    later = [len(quadrature._level_nodes(level)[0]) for level in range(5, stop + 1)]
+    sizes = {name: [] for name in ("exp", "cosh", "sinh")}
+    for name, calls in sizes.items():
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda arg, fn=fn, calls=calls:
+                            calls.append(arg.size) or fn(arg))
+    turanian_il_double_integral(p)
+    assert sizes == {name: [joined] + later for name in sizes}
+    assert joined == 337
 
 
 @pytest.mark.parametrize("x", [700.0, 800.0])
