@@ -18,9 +18,9 @@ import math
 import sys
 
 from .errors import DomainError
+from .gammafuncs import TWO_OVER_SQRT_PI
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _check_x(x: float) -> None:
@@ -74,5 +74,5 @@ def calm_at_pos_half(x: float) -> float:
     if x < 0.0:
         raise DomainError("the normalized form requires x >= 0")
     if x < sys.float_info.min:  # (1 - e^(-x))/x = 1 to within x
-        return _TWO_OVER_SQRT_PI
-    return _TWO_OVER_SQRT_PI * (-math.expm1(-x)) / x
+        return TWO_OVER_SQRT_PI
+    return TWO_OVER_SQRT_PI * (-math.expm1(-x)) / x

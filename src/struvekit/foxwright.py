@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      NonConvergenceError, PoleError)
-from .gammafuncs import SQRT_PI, exp_rounded, gamma, gamma_ratio, log_gamma
-
-_EPS = 2.220446049250313e-16
+from .gammafuncs import EPS, SQRT_PI, exp_rounded, gamma, gamma_ratio, log_gamma
 
 #: Alternating sums are refused when sum|term| / |sum term| exceeds this.
 CONDITION_LIMIT = 1e8
@@ -161,14 +159,14 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
             # series with the observed ratio, conservatively 2x last term;
             # then each term's exp() rounding, which follows the size of its
             # log-gamma sum (about 150 per gamma at nu = 50), and the summation's
-            err = 2.0 * term_abs + rounding + 4.0 * _EPS * peak * (n + 1)
+            err = 2.0 * term_abs + rounding + 4.0 * EPS * peak * (n + 1)
             if z < 0.0 and peak / max(abs(total), 1e-300) > CONDITION_LIMIT:
                 raise CancellationError(
                     "alternating series loses more than 8 digits "
                     f"(condition {peak / abs(total):.3g})")
             return FuncValue(total, err, Method.FOX_WRIGHT)
     if log_abs_z == -math.inf:
-        return FuncValue(total, _EPS * abs(total), Method.FOX_WRIGHT)
+        return FuncValue(total, EPS * abs(total), Method.FOX_WRIGHT)
     raise NonConvergenceError(
         f"series did not settle within {cfg.max_terms} terms")
 
@@ -190,7 +188,7 @@ def calm_via_fox_wright(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> Fu
     factor = power / SQRT_PI
     value = factor * base.value
     return FuncValue(value, factor * base.abs_err + power_err / SQRT_PI * abs(base.value)
-                     + _EPS * abs(value), Method.FOX_WRIGHT)
+                     + EPS * abs(value), Method.FOX_WRIGHT)
 
 
 def fx4_conditions(params: FoxWrightParams) -> tuple[bool, bool]:

@@ -19,9 +19,11 @@ import sys
 
 from .errors import CancellationError, DomainError, PoleError
 
-_EPS = 2.220446049250313e-16
-_TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
-_LN2 = math.log(2.0)
+#: Machine epsilon of float64, the unit of every rounding charge.
+EPS = 2.220446049250313e-16
+#: The smallest subnormal: the rounding floor of an underflowing value.
+TINY = 5e-324
+LN2 = math.log(2.0)
 _HALF_NORMAL = 2.0 * sys.float_info.min  # from here on x/2 is a normal float, exact
 LOG_MAX = 709.78  # math.exp overflows float64 past log(DBL_MAX) = 709.7827
 
@@ -30,6 +32,7 @@ EULER_GAMMA = 0.5772156649015328606
 
 SQRT_PI = math.sqrt(math.pi)
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
+TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 
 # Asymptotic digamma tail: psi(z) ~ ln z - 1/(2z) - sum c_k z^(-2k),
 # c_k = B_{2k}/(2k). Terms through B_14 keep the truncation error below
@@ -81,7 +84,7 @@ def gamma_ratio(a: float, b: float) -> float:
 def log_half(x: float) -> float:
     """log(x/2) for x > 0. Below twice the smallest normal float x/2 rounds (to 0
     at x = 5e-324), so log x - log 2 serves there; above, log(x/2) as written."""
-    return math.log(0.5 * x) if x >= _HALF_NORMAL else math.log(x) - _LN2
+    return math.log(0.5 * x) if x >= _HALF_NORMAL else math.log(x) - LN2
 
 
 def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[float, float]:
@@ -92,7 +95,7 @@ def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[f
     smallest subnormal, which covers a subnormal exp(L) that keeps only part of its
     digits."""
     value = math.exp(log_value)
-    return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * _EPS * value + _TINY
+    return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * EPS * value + TINY
 
 
 def power_gamma(power: float, x: float, a: float, log_c: float = 0.0) -> tuple[float, float]:

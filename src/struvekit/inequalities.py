@@ -3,14 +3,14 @@
 Every claim about the second-kind function, its normalized form, and the
 associated gamma-function ratios is registered here as an
 :class:`InequalityCase`: the order range the claim is stated on plus a
-margin evaluator returning ``(margin, scale)`` oriented so that a positive
-margin means the claim holds. The range is declared once per case (a lower
-edge, open or closed, and an optional closed upper edge); the case's
-domain predicate and its default sweep grid are both derived from it. The
-executor sweeps a grid, normalizes each margin by its scale, and
-classifies points as satisfied, inconclusive (within ``+-1e-9`` of zero
-after normalization), or violations. A sweep visits again the points whose
-quadrature the memo deferred, once one batch has filled them all.
+margin evaluator returning the normalized margin, oriented so that a
+positive margin means the claim holds. The range is declared once per case
+(a lower edge, open or closed, and an optional closed upper edge); the
+case's domain predicate and its default sweep grid are both derived from
+it. The executor runs the margin over a grid's in-domain points through
+the memo's :meth:`routes.Memo.map`, which batches their quadrature, and
+classifies each point in grid order as satisfied, inconclusive (within
+``+-1e-9`` of zero), or a violation.
 
 The catalog below (CATALOG) is the canonical set swept by ``run_all``.
 One extra case, ``FX3_raw``, lives in EXTRA_CASES: it extends the
@@ -36,8 +36,8 @@ import numpy as np
 from . import foxwright, routes
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
-from .errors import DomainError, EmptyDomainError, StruveKitError
-from .gammafuncs import (SQRT_PI, gamma_ratio, gamma_ratio_h,
+from .errors import DomainError, EmptyDomainError
+from .gammafuncs import (SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio, gamma_ratio_h,
                          gamma_ratio_h_prime, log_gamma, log_half)
 from .series import struve_m_series
 
@@ -45,8 +45,8 @@ from .series import struve_m_series
 #: violations: numerical noise must not manufacture counterexamples.
 INCONCLUSIVE_BAND = 1e-9
 
-_TINY = 1e-300
-_TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
+#: Floor of a margin's scale max(|a|, |b|): two zero sides divide by it, not by 0.
+_SCALE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,18 @@ class InequalityCase:
     y > 0; :meth:`domain` is the predicate derived from these fields, and
     :func:`default_grid` spans the same range.
 
-    ``margin_fn(nu, x, y, ev)`` returns ``(margin, scale)``, reading
-    function values, and what it derives from them at the point
-    (``ev.derived``), from ev, the sweep's :class:`routes.Memo`; the margin
-    is oriented so positive means the claim holds, and the executor
-    reports ``margin/scale``. Inside a sweep a memo read may defer its
+    ``margin_fn(ev, nu, x, y=None)`` returns the normalized margin, which
+    the executor reports as it is: the claim's two sides a, b as
+    ``(a - b) / max(|a|, |b|, 1e-300)``, oriented so positive means the
+    claim holds. It reads function values, and what it derives from them
+    at the point (``ev.derived``), from ev, the sweep's
+    :class:`routes.Memo`. Inside a sweep a memo read may defer its
     quadrature step, so a margin may be called again at the same point; it
     must read the memo and compute, nothing more.
     """
 
     id: str
-    margin_fn: Callable[..., tuple[float, float]]
+    margin_fn: Callable[..., float]
     nu_lo: float
     lo_closed: bool = False
     nu_hi: Optional[float] = None
@@ -104,12 +105,7 @@ class InequalityCase:
         something).
         """
         orig = self.margin_fn
-
-        def negated(*args, **kwargs):
-            margin, scale = orig(*args, **kwargs)
-            return -margin, scale
-
-        return replace(self, id=self.id + "_flipped", margin_fn=negated)
+        return replace(self, id=self.id + "_flipped", margin_fn=lambda *args: -orig(*args))
 
 
 @dataclass(frozen=True)
@@ -192,11 +188,14 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # margin evaluators
 #
-# Signature: fn(nu, x, y, ev) -> (margin, scale). ev is the routes.Memo of
-# the sweep's (SeriesConfig, QuadConfig) pair: plain function values come
-# from its memoized automatic routes, the values a margin derives at a point
-# (-M's derivatives, the Theorem 4 bounds, h and h') from ev.derived, and the
-# series-route FX3_raw reads its series config.
+# Signature: fn(ev, nu, x, y=None) -> float, the normalized margin: the
+# claim's two sides a, b enter as (a - b) / max(|a|, |b|, _SCALE_FLOOR),
+# written out in each margin, or a min of such terms for a claim with several
+# parts. ev is the routes.Memo of the sweep's (SeriesConfig, QuadConfig)
+# pair: plain function values come from its memoized automatic routes, the
+# values a margin derives at a point (-M's derivatives, the Theorem 4
+# bounds, h and h') from ev.derived, and the series-route FX3_raw reads its
+# series config.
 # ---------------------------------------------------------------------------
 
 
@@ -205,10 +204,10 @@ def _gr(nu: float) -> float:
     return gamma_ratio(nu + 0.5, nu + 1.0)
 
 
-def _margin_bound0(nu, x, y, ev):
+def _margin_bound0(ev, nu, x, y=None):
     c = ev.calm(nu, x).value
     g = _gr(nu)
-    return g - c, max(g, abs(c), _TINY)
+    return (g - c) / max(g, abs(c), _SCALE_FLOOR)
 
 
 def _turanian_parts(ev, nu, x):
@@ -218,15 +217,15 @@ def _turanian_parts(ev, nu, x):
     return m_md * m_md, m_lo * m_hi
 
 
-def _margin_ineqturan_lower(nu, x, y, ev):
+def _margin_ineqturan_lower(ev, nu, x, y=None):
     sq, prod = _turanian_parts(ev, nu, x)
-    return sq - prod, max(sq, abs(prod), _TINY)
+    return (sq - prod) / max(sq, abs(prod), _SCALE_FLOOR)
 
 
-def _margin_ineqturan_upper(nu, x, y, ev):
+def _margin_ineqturan_upper(ev, nu, x, y=None):
     sq, prod = _turanian_parts(ev, nu, x)
     cap = sq / (nu + 0.5)
-    return cap - (sq - prod), max(cap, abs(sq - prod), _TINY)
+    return (cap - (sq - prod)) / max(cap, abs(sq - prod), _SCALE_FLOOR)
 
 
 def _ratio(ev, nu, x):
@@ -234,83 +233,83 @@ def _ratio(ev, nu, x):
     return x * ev.m_prime(nu, x).value / ev.m(nu, x).value
 
 
-def _margin_quot1(nu, x, y, ev):
+def _margin_quot1(ev, nu, x, y=None):
     r = _ratio(ev, nu, x)
-    return nu - r, max(abs(nu), abs(r), _TINY)
+    return (nu - r) / max(abs(nu), abs(r), _SCALE_FLOOR)
 
 
-def _margin_quot2_left(nu, x, y, ev):
-    r = _ratio(ev, nu, x)
-    s = math.hypot(x, nu)
-    return r + s, max(abs(r), s, _TINY)
-
-
-def _margin_quot2_right(nu, x, y, ev):
+def _margin_quot2_left(ev, nu, x, y=None):
     r = _ratio(ev, nu, x)
     s = math.hypot(x, nu)
-    return s - r, max(abs(r), s, _TINY)
+    return (r + s) / max(abs(r), s, _SCALE_FLOOR)
 
 
-def _margin_fx1(nu, x, y, ev):
+def _margin_quot2_right(ev, nu, x, y=None):
+    r = _ratio(ev, nu, x)
+    s = math.hypot(x, nu)
+    return (s - r) / max(abs(r), s, _SCALE_FLOOR)
+
+
+def _margin_fx1(ev, nu, x, y=None):
     lhs = ev.calm(nu, x + y).value
     rhs = ev.calm(nu, x).value * ev.calm(nu, y).value / _gr(nu)
-    return lhs - rhs, max(abs(lhs), abs(rhs), _TINY)
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
 
 
-def _margin_bound1(nu, x, y, ev):
+def _margin_bound1(ev, nu, x, y=None):
     c = ev.calm(nu, x).value
     # (1 - e^(-x))/x is 1 to within x; at a subnormal x the product would round first
     base = _gr(nu) if x < sys.float_info.min else _gr(nu) * (-math.expm1(-x)) / x
     orient = 1.0 if nu >= 0.5 else -1.0
-    return orient * (c - base), max(abs(c), abs(base), _TINY)
+    return orient * (c - base) / max(abs(c), abs(base), _SCALE_FLOOR)
 
 
-def _margin_fx2(nu, x, y, ev):
+def _margin_fx2(ev, nu, x, y=None):
     lhs = ev.calm(nu - 1.0, x).value * ev.calm(nu + 1.0, x).value
     rhs = ev.calm(0.5, x).value * ev.calm(2.0 * nu - 0.5, x).value
     orient = 1.0 if nu >= 1.5 else -1.0
-    return orient * (rhs - lhs), max(abs(lhs), abs(rhs), _TINY)
+    return orient * (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
 
 
-def _margin_fx3(nu, x, y, ev):
+def _margin_fx3(ev, nu, x, y=None):
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
         # the exponential side exceeds any normalized-form value by
         # hundreds of orders of magnitude; report a saturated margin
         # instead of overflowing
-        return 1.0, 1.0
+        return 1.0
     lhs = ev.calm(nu, x).value
     rhs = (_gr(nu) * math.exp(expo)
            - (4.0 / (SQRT_PI * (2.0 * nu + 1.0))) * math.sinh(x / (2.0 * nu + 3.0)))
-    return rhs - lhs, max(abs(lhs), abs(rhs), _TINY)
+    return (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
 
 
-def _margin_fx3_raw(nu, x, y, ev):
+def _margin_fx3_raw(ev, nu, x, y=None):
     """Series-route form of the combined bound on -M_nu for orders in
     (-1, -1/2], where the normalized form has no integral
     representation. Genuinely violated; kept to document the failure."""
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
-        return 1.0, 1.0
+        return 1.0
     lhs = -struve_m_series(EvalPoint(nu, x), ev.series_cfg).value
     log_half_pow = nu * log_half(x)
     i_bound = math.exp(expo + log_half_pow - log_gamma(nu + 1.0))
     l_bound = 2.0 * math.exp(log_half_pow - log_gamma(nu + 1.5)) \
         * math.sinh(x / (2.0 * nu + 3.0)) / SQRT_PI
     rhs = i_bound - l_bound
-    return rhs - lhs, max(abs(lhs), abs(rhs), _TINY)
+    return (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
 
 
-def _margin_quot3_left(nu, x, y, ev):
+def _margin_quot3_left(ev, nu, x, y=None):
     r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 - math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return r - bound, max(abs(r), abs(bound), _TINY)
+    return (r - bound) / max(abs(r), abs(bound), _SCALE_FLOOR)
 
 
-def _margin_quot3_right(nu, x, y, ev):
+def _margin_quot3_right(ev, nu, x, y=None):
     r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return bound - r, max(abs(r), abs(bound), _TINY)
+    return (bound - r) / max(abs(r), abs(bound), _SCALE_FLOOR)
 
 
 def _ratio_derivative_analytic(ev, nu, x):
@@ -325,88 +324,88 @@ def _ratio_derivative_analytic(ev, nu, x):
     return x * bracket / (m * m)
 
 
-def _margin_fx31(nu, x, y, ev):
+def _margin_fx31(ev, nu, x, y=None):
     d_an = _ratio_derivative_analytic(ev, nu, x)
     h = 1e-5 * max(1.0, x)
     d_fd = (_ratio(ev, nu, x + h) - _ratio(ev, nu, x - h)) / (2.0 * h)
     deriv = max(d_an, d_fd)
     rhs = x / (nu + 0.5)
-    return rhs - deriv, max(rhs, abs(d_an), abs(d_fd), _TINY)
+    return (rhs - deriv) / max(rhs, abs(d_an), abs(d_fd), _SCALE_FLOOR)
 
 
 def _bilateral(ev, nu, x):
     return foxwright.bilateral_bounds(EvalPoint(nu, x))
 
 
-def _margin_theorem4(nu, x, y, ev):
+def _margin_theorem4(ev, nu, x, y=None):
     lower, upper = ev.derived(_bilateral, nu, x)
     c = ev.calm(nu, x).value
-    n_lo = (c - lower) / max(abs(c), abs(lower), _TINY)
-    n_up = (upper - c) / max(abs(c), abs(upper), _TINY)
-    return min(n_lo, n_up), 1.0
+    n_lo = (c - lower) / max(abs(c), abs(lower), _SCALE_FLOOR)
+    n_up = (upper - c) / max(abs(c), abs(upper), _SCALE_FLOOR)
+    return min(n_lo, n_up)
 
 
-def _margin_gammaineq_left(nu, x, y, ev):
+def _margin_gammaineq_left(ev, nu, x, y=None):
     ratio = gamma_ratio(nu + 1.5, nu + 2.0)
-    return _TWO_OVER_SQRT_PI - ratio, max(_TWO_OVER_SQRT_PI, ratio, _TINY)
+    return (TWO_OVER_SQRT_PI - ratio) / max(TWO_OVER_SQRT_PI, ratio, _SCALE_FLOOR)
 
 
-def _margin_gammaineq_right(nu, x, y, ev):
+def _margin_gammaineq_right(ev, nu, x, y=None):
     ratio = gamma_ratio(nu + 1.5, nu + 2.0)
     bound = math.sqrt(2.0 / (math.pi * (nu + 1.0)))
-    return ratio - bound, max(ratio, bound, _TINY)
+    return (ratio - bound) / max(ratio, bound, _SCALE_FLOOR)
 
 
-def _margin_remark2_turan(nu, x, y, ev):
+def _margin_remark2_turan(ev, nu, x, y=None):
     val = math.exp(2.0 * log_gamma(nu + 1.5)
                    - log_gamma(nu + 1.0) - log_gamma(nu + 2.0))
     bound = 2.0 / math.pi
-    return val - bound, max(val, bound, _TINY)
+    return (val - bound) / max(val, bound, _SCALE_FLOOR)
 
 
-def _margin_remark2_ratio(nu, x, y, ev):
+def _margin_remark2_ratio(ev, nu, x, y=None):
     g = _gr(nu)
-    upper = _TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
+    upper = TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
     lower = math.sqrt(2.0 / math.pi) * math.sqrt(nu + 1.0) / (nu + 0.5)
-    n_up = (upper - g) / max(upper, g, _TINY)
-    n_lo = (g - lower) / max(g, lower, _TINY)
-    return min(n_up, n_lo), 1.0
+    n_up = (upper - g) / max(upper, g, _SCALE_FLOOR)
+    n_lo = (g - lower) / max(g, lower, _SCALE_FLOOR)
+    return min(n_up, n_lo)
 
 
-def _margin_sign_m(nu, x, y, ev):
+def _margin_sign_m(ev, nu, x, y=None):
     # sign M = -sign calM for nu > -1/2, and calM does not underflow where
     # M does; the closed edge nu = -1/2 keeps M's closed form
     neg = ev.calm(nu, x).value if nu > -0.5 else -ev.m(nu, x).value
-    return neg, max(abs(neg), _TINY)
+    return neg / max(abs(neg), _SCALE_FLOOR)
 
 
 def _sign_margin(value: float, abs_err: float) -> float:
     """Normalized margin of a single positivity claim: close to +-1 when
     the sign is numerically certain, and graded into the inconclusive
     band once the value drops below its reported error bar."""
-    return value / max(abs(value), abs_err / INCONCLUSIVE_BAND, _TINY)
+    return value / max(abs(value), abs_err / INCONCLUSIVE_BAND, _SCALE_FLOOR)
 
 
-def _margin_cm_probe_x(nu, x, y, ev):
+def _margin_cm_probe_x(ev, nu, x, y=None):
     return min(_sign_margin((-1.0) ** n * fv.value, fv.abs_err)
-               for n, fv in enumerate(ev.calm_dx(nu, x))), 1.0
+               for n, fv in enumerate(ev.calm_dx(nu, x)))
 
 
-def _margin_cm_probe_nu(nu, x, y, ev):
+def _margin_cm_probe_nu(ev, nu, x, y=None):
     return min(_sign_margin((-1.0) ** m * fv.value, fv.abs_err)
-               for m, fv in enumerate(ev.calm_dnu(nu, x))), 1.0
+               for m, fv in enumerate(ev.calm_dnu(nu, x)))
 
 
-def _margin_logconvex_x(nu, x, y, ev):
+def _margin_logconvex_x(ev, nu, x, y=None):
     prod = ev.calm(nu, x).value * ev.calm(nu, 1.5 * x).value
     mid = ev.calm(nu, 1.25 * x).value
-    return prod - mid * mid, max(prod, mid * mid, _TINY)
+    return (prod - mid * mid) / max(prod, mid * mid, _SCALE_FLOOR)
 
 
-def _margin_logconvex_nu(nu, x, y, ev):
+def _margin_logconvex_nu(ev, nu, x, y=None):
     prod = ev.calm(nu, x).value * ev.calm(nu + 1.0, x).value
     mid = ev.calm(nu + 0.5, x).value
-    return prod - mid * mid, max(prod, mid * mid, _TINY)
+    return (prod - mid * mid) / max(prod, mid * mid, _SCALE_FLOOR)
 
 
 #: (1/2)_k, the rising factorial, for k = 0..6.
@@ -444,23 +443,23 @@ def _neg_m_derivatives(ev, nu, x):
     return tuple(vals)
 
 
-def _margin_neg_m_cm(nu, x, y, ev):
+def _margin_neg_m_cm(ev, nu, x, y=None):
     """Sign alternation of the first seven derivatives of -M_nu for
     nu in [-1/2, 0]."""
     # every summand of a derivative is positive by construction, so the sign
     # of each order is certain and a per-order +-1 margin is honest
-    return min(v / max(abs(v), _TINY) for v in ev.derived(_neg_m_derivatives, nu, x)), 1.0
+    return min(v / max(abs(v), _SCALE_FLOOR) for v in ev.derived(_neg_m_derivatives, nu, x))
 
 
 def _h_pair(ev, nu, x):
     return gamma_ratio_h(nu), gamma_ratio_h_prime(nu)
 
 
-def _margin_h_negative_derivative(nu, x, y, ev):
+def _margin_h_negative_derivative(ev, nu, x, y=None):
     hv, hp = ev.derived(_h_pair, nu, 0.0)  # h does not depend on x: one entry per order
-    n_pos = hv / max(abs(hv), _TINY)
-    n_dec = -hp / max(abs(hp), _TINY)
-    return min(n_pos, n_dec), 1.0
+    n_pos = hv / max(abs(hv), _SCALE_FLOOR)
+    n_dec = -hp / max(abs(hp), _SCALE_FLOOR)
+    return min(n_pos, n_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -604,70 +603,41 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
                quad_cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
     """Sweep one case over a grid and classify every point.
 
-    Points outside the case domain are skipped and counted. Every margin
-    evaluation runs at the given configs through the pair's
-    :data:`routes.memo`, resolved once per sweep; its values outlive the
-    sweep. A point whose margin met a deferred quadrature miss is visited
-    again once the memo has filled every such miss in one batch; the report
-    keeps grid order and the first argmin in it all the same. Evaluation
-    failures are recorded per point and counted as skipped, never fatal.
-    When nothing was tested the result is a zero-point report: every grid
-    point counts as skipped, or none when a two-argument case is handed no
-    y grid.
+    Points outside the case domain are skipped and counted. The margin runs
+    over the rest at the given configs through :meth:`routes.Memo.map` of the
+    pair's :data:`routes.memo`, whose values outlive the sweep; the report
+    lists its points in grid order, and the argmin is the first point that
+    attains the minimum. Evaluation failures are recorded per point and
+    counted as skipped, never fatal. When nothing was tested the result is
+    a zero-point report: every grid point counts as skipped, or none when a
+    two-argument case is handed no y grid.
     """
     start = time.perf_counter()
-    ev = routes.memo(series_cfg, quad_cfg)
     (nus, *rest), skipped = _domain_axes(case, grid)
-    margin_fn = case.margin_fn
-    tested = 0
+    points = list(itertools.product(nus, *rest))
+    outcomes = routes.memo(series_cfg, quad_cfg).map(case.margin_fn, points)
     min_margin: Optional[float] = None
     argmin: Optional[tuple[float, ...]] = None
-    violations, inconclusive, errors = [], [], []  # (grid index, point, margin or message)
-    todo = enumerate(itertools.product(nus, *rest))
-    rounds = 0
-    with ev.deferring() as fill:
-        while True:
-            deferred = []
-            low = None
-            for i, point in todo:
-                try:
-                    margin, scale = margin_fn(point[0], point[1],
-                                              point[2] if len(point) > 2 else None, ev)
-                except routes._Deferred:
-                    deferred.append((i, point))
-                    continue
-                except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
-                    errors.append((i, point, f"{type(exc).__name__}: {exc}"))
-                    skipped += 1
-                    continue
-                tested += 1
-                normalized = margin / max(scale, _TINY)
-                if low is None or normalized < low:
-                    low, low_i, low_at = normalized, i, point
-                if normalized < -INCONCLUSIVE_BAND:
-                    violations.append((i, point, normalized))
-                elif abs(normalized) <= INCONCLUSIVE_BAND:
-                    inconclusive.append((i, point, normalized))
-            if low is not None and (min_margin is None
-                                    or (low, low_i) < (min_margin, argmin_i)):
-                min_margin, argmin_i, argmin = low, low_i, low_at
-            if not deferred:
-                break
-            fill()
-            rounds += 1
-            todo = deferred
-    if rounds:  # revisited points were classified late: restore grid order
-        for found in (violations, inconclusive, errors):
-            found.sort(key=operator.itemgetter(0))
+    violations, inconclusive, errors = [], [], []
+    for point, margin in zip(points, outcomes):
+        if isinstance(margin, Exception):
+            errors.append((point, f"{type(margin).__name__}: {margin}"))
+            continue
+        if min_margin is None or margin < min_margin:
+            min_margin, argmin = margin, point
+        if margin < -INCONCLUSIVE_BAND:
+            violations.append((point, margin))
+        elif abs(margin) <= INCONCLUSIVE_BAND:
+            inconclusive.append((point, margin))
     return VerificationReport(
         case_id=case.id,
-        points_tested=tested,
-        points_skipped=skipped,
+        points_tested=len(points) - len(errors),
+        points_skipped=skipped + len(errors),
         min_margin=min_margin,
         argmin=argmin,
-        violations=tuple((point, m) for _, point, m in violations),
-        inconclusive=tuple((point, m) for _, point, m in inconclusive),
-        errors=tuple((point, err) for _, point, err in errors),
+        violations=tuple(violations),
+        inconclusive=tuple(inconclusive),
+        errors=tuple(errors),
         wall_time=time.perf_counter() - start,
     )
 

@@ -70,11 +70,9 @@ import numpy as np
 from . import series
 from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import LOG_MAX, exp_rounded, log_gamma, log_half
+from .gammafuncs import (EPS, LN2, LOG_MAX, LOG_SQRT_PI, TINY, TWO_OVER_SQRT_PI,
+                         exp_rounded, log_gamma, log_half)
 
-_EPS = 2.220446049250313e-16
-_TINY = 5e-324  # smallest subnormal: the rounding floor of an underflowing value
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 #: Half-width of the node range in the double-exponential variable u.
 #: Contributions decay like exp(-(nu+1/2) pi sinh u), so this range covers
@@ -236,9 +234,9 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
                     improvable = 2.0 * abs(s - sums[i]) + tails[i]
                     sums[i] = s
                     if frozen[i] is None:
-                        errs[i] = err = improvable + 32.0 * _EPS * abs(s)
-                        if level >= 2 and (_TWO_OVER_SQRT_PI * err <= abs_tols[i]
-                                           or improvable <= 8.0 * _EPS * abs(s)):
+                        errs[i] = err = improvable + 32.0 * EPS * abs(s)
+                        if level >= 2 and (TWO_OVER_SQRT_PI * err <= abs_tols[i]
+                                           or improvable <= 8.0 * EPS * abs(s)):
                             frozen[i] = (s, err)
                 if None not in frozen:
                     return _values(ns, ms, *zip(*frozen))
@@ -248,8 +246,8 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
 
 def _values(ns: tuple[int, ...], ms: tuple[int, ...], sums, errs) -> list[FuncValue]:
     """The signed, scaled FuncValues of the frozen sums and errors per order."""
-    return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * _TWO_OVER_SQRT_PI * s,
-                      _TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
+    return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * TWO_OVER_SQRT_PI * s,
+                      TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
             for n, m, s, err in zip(ns, ms, sums, errs)]
 
 
@@ -257,11 +255,11 @@ def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
            err: float, tail: float) -> NonConvergenceError:
     """The error of a refinement whose first open order stalled at max_level,
     naming the node range when the order's tail bound alone exceeds abs_tol."""
-    tail = _TWO_OVER_SQRT_PI * tail
+    tail = TWO_OVER_SQRT_PI * tail
     return NonConvergenceError(
         f"{name}(nu={nu:g}, x={x:g}), order {order}: tanh-sinh "
         f"refinement stalled above abs_tol={abs_tol:g} (last error "
-        f"estimate {_TWO_OVER_SQRT_PI * err:.3g})" + (
+        f"estimate {TWO_OVER_SQRT_PI * err:.3g})" + (
             "; the endpoint mass lies beyond the node range for this order "
             f"(tail bound {tail:.3g})" if tail > abs_tol else ""))
 
@@ -304,14 +302,14 @@ def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, 
             prev = sums[live]
             s = 0.5 * prev + 0.5 ** level * cols
             improvable = 2.0 * np.abs(s - prev) + tails[live]
-            err = improvable + 32.0 * _EPS * np.abs(s)
+            err = improvable + 32.0 * EPS * np.abs(s)
             open_ = ~frozen[live]
             # a frozen order keeps the sum and error it froze with
             sums[live] = np.where(open_, s, prev)
             errs[live] = np.where(open_, err, errs[live])
             if level >= 2:
-                frozen[live] |= open_ & ((_TWO_OVER_SQRT_PI * err <= abs_tols[live])
-                                         | (improvable <= 8.0 * _EPS * np.abs(s)))
+                frozen[live] |= open_ & ((TWO_OVER_SQRT_PI * err <= abs_tols[live])
+                                         | (improvable <= 8.0 * EPS * np.abs(s)))
             live = live[~frozen[live].all(axis=1)]
             if not live.size:
                 break
@@ -324,7 +322,7 @@ def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, 
     return out
 
 
-def _check_point(p: EvalPoint, m_of: str = "") -> EvalPoint:
+def check_point(p: EvalPoint, m_of: str = "") -> EvalPoint:
     """p, or DomainError off the domain; the function of M named m_of needs x > 0."""
     if p.nu <= -0.5:
         raise DomainError("the integral representation requires nu > -1/2")
@@ -363,7 +361,7 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
     Every value and abs_err equals the single-order result bit for bit.
     """
-    return _refine(_check_point(p), *_dx_args(ns, cfg))
+    return _refine(check_point(p), *_dx_args(ns, cfg))
 
 
 def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
@@ -378,7 +376,7 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     converges; the error then says so and quotes the tail bound (4e6 at
     nu = -0.49898, x = 0.179, m = 6).
     """
-    return _refine(_check_point(p), *_dnu_args(p.nu, ms, cfg))
+    return _refine(check_point(p), *_dnu_args(p.nu, ms, cfg))
 
 
 def calm_dx_points(points: Iterable[EvalPoint], ns: Iterable[int],
@@ -387,7 +385,7 @@ def calm_dx_points(points: Iterable[EvalPoint], ns: Iterable[int],
     refinement of the batch: per point its FuncValues, bit for bit, or the
     NonConvergenceError calm_dx_orders raises there, returned; DomainError for
     any point off the domain. One point is cheaper through calm_dx_orders."""
-    points = [_check_point(p) for p in points]
+    points = [check_point(p) for p in points]
     ns, ms, tols, max_level, name = _dx_args(ns, cfg)
     return _refine_points(points, ns, ms, [tols] * len(points), max_level, name)
 
@@ -397,7 +395,7 @@ def calm_dnu_points(points: Iterable[EvalPoint], ms: Iterable[int],
                     ) -> list[list[FuncValue] | NonConvergenceError]:
     """calm_dnu_orders at every point, as calm_dx_points; each point keeps its own
     relaxed threshold for nu < 1/2."""
-    points = [_check_point(p) for p in points]
+    points = [check_point(p) for p in points]
     ns, ms, _, max_level, name = _dnu_args(0.5, ms, cfg)
     tols = {nu: _dnu_args(nu, ms, cfg)[2] for nu in {p.nu for p in points}}
     return _refine_points(points, ns, ms, [tols[p.nu] for p in points], max_level, name)
@@ -425,13 +423,13 @@ def calm_dnu(p: EvalPoint, m: int, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue
 
 def m_from_quadrature(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """M_nu(x) by series.m_from_calm from the quadrature calM_nu(x). nu > -1/2, x > 0."""
-    _check_point(p, "m_from_quadrature")
+    check_point(p, "m_from_quadrature")
     return series.m_from_calm(p, calm(p, cfg))
 
 
 def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """M_nu'(x) by series.m_prime_from_calm from the quadrature calM_nu, calM_nu'."""
-    _check_point(p, "m_deriv")
+    check_point(p, "m_deriv")
     return series.m_prime_from_calm(p, *calm_dx_orders(p, (0, 1), cfg))
 
 
@@ -473,7 +471,9 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     t^2 (re-centred whenever U1 V1 grows), so U1 is near zero and the other
     two terms, both nonnegative, carry a cancellation-free sum. cfg.abs_tol
     acts relative to the estimate. CancellationError when D (~ e^(2x))
-    overflows float64.
+    overflows float64. Where cosh(x) overflows but the bound
+    pref (B(1/2, nu-1/2)/2)^2 cosh(x) sinh(x) on D lies below the smallest
+    subnormal (large order), D is 0 to within that subnormal.
 
     Levels 0.._JOINED_LAST take one pass over their joined nodes, each later
     level a pass of its own (see the module docstring).
@@ -494,8 +494,13 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     try:
         tail_cosh, tail_sinh = tail_axis * math.cosh(p.x), tail_axis * math.sinh(p.x)
     except OverflowError:
-        # cosh(x t) overflows too at the level-0 nodes where t rounds to 1, so level 0's
-        # moments would not be finite either
+        # D <= pref mu0^2 cosh(x) sinh(x) <= pref mu0^2 e^(2x) / 4, mu0 = B(1/2, nu-1/2)/2
+        # the mass of one axis: below the smallest subnormal D is 0 to within it
+        log_mu0 = LOG_SQRT_PI - LN2 + log_gamma(p.nu - 0.5) - log_gamma(p.nu)
+        if log_pref + 2.0 * (log_mu0 + p.x - LN2) < math.log(TINY):
+            return FuncValue(0.0, TINY, Method.QUADRATURE)
+        # else cosh(x t) overflows too at the level-0 nodes where t rounds to 1, so level
+        # 0's moments would not be finite either
         raise _overflow(p) from None
     columns = []  # (t^2, weights) per level, for a re-centring
     shift = prev = 0.0
@@ -530,9 +535,9 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
                 if not math.isfinite(size * pref):
                     raise _overflow(p)
                 tail = tail_cosh * abs(b0) + tail_sinh * abs(a0)
-                err = 2.0 * abs(d - prev) + tail + 32.0 * _EPS * size
+                err = 2.0 * abs(d - prev) + tail + 32.0 * EPS * size
                 if level >= 3 and err <= cfg.abs_tol * max(abs(d), 1e-300):
-                    return FuncValue(pref * d, pref * err + pref_err * abs(d) + _TINY,
+                    return FuncValue(pref * d, pref * err + pref_err * abs(d) + TINY,
                                      Method.QUADRATURE)
                 prev = d
     bound = tail / max(abs(d), 1e-300)

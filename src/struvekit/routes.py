@@ -23,11 +23,13 @@ alike: the closed form, the chain's head (_m_head, _calm_head, _m_prime_head:
 the route decision up to quadrature), the quadrature step, and on a stall the
 fallback. The memo keeps the automatic values per (SeriesConfig, QuadConfig)
 pair for the sweeps, where one grid point feeds many cases, and the sign
-probes' derivatives; inside a sweep the walker defers every quadrature step,
-which the memo runs a round at a time in one points batch per order set.
-Its derived cache, memo.derived(fn, nu, x), keeps what a margin computes at
-a point from those values (-M's derivatives, the Theorem 4 bounds, h and h'),
-so a warm sweep reads them too; margins and verdicts are computed afresh.
+probes' derivatives. A sweep runs its margin over the grid with Memo.map,
+inside which the walker defers every quadrature step; map runs them a round
+at a time in one points batch per order set and hands back each point's
+margin or error in grid order. The derived cache, memo.derived(fn, nu, x),
+keeps what a margin computes at a point from those values (-M's derivatives,
+the Theorem 4 bounds, h and h'), so a warm sweep reads them too; margins and
+verdicts are computed afresh.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -36,17 +38,14 @@ CancellationError rather than return an infinite value.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import lru_cache, partial
 from threading import get_ident
 
 from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
                    Method, QuadConfig, SeriesConfig)
-from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import LOG_SQRT_PI, log_gamma, power_gamma
-
-_EPS = 2.220446049250313e-16
+from .errors import CancellationError, DomainError, NonConvergenceError, StruveKitError
+from .gammafuncs import EPS, LOG_SQRT_PI, log_gamma, power_gamma
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -66,7 +65,7 @@ def _closed_form(fn: str, p: EvalPoint) -> FuncValue:
         raise DomainError("the normalized form has a closed form only at nu = 1/2" if fn == "calm"
                           else "closed forms exist only at nu = -1/2 and nu = 1/2")
     value = form(p.x)
-    return _finite(FuncValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM), p)
+    return _finite(FuncValue(value, 4.0 * EPS * abs(value), Method.CLOSED_FORM), p)
 
 
 def _finite(fv: FuncValue, p: EvalPoint) -> FuncValue:
@@ -83,7 +82,7 @@ def _calm_at_zero(nu: float) -> FuncValue:
     |lgamma(nu+1)| + 1) relative, and the bar reports 8 x 4.6 eps of that form."""
     lg_a, lg_b = log_gamma(nu + 0.5), log_gamma(nu + 1.0)
     value = math.exp(lg_a - lg_b)
-    err = 8.0 * 4.6 * _EPS * (abs(lg_a) + abs(lg_b) + 1.0) * value
+    err = 8.0 * 4.6 * EPS * (abs(lg_a) + abs(lg_b) + 1.0) * value
     return FuncValue(value, err, Method.CLOSED_FORM)
 
 
@@ -171,7 +170,7 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
         lower = series.struve_m_series(EvalPoint(p.nu - 1.0, p.x), series_cfg)
         here = series.struve_m_series(p, series_cfg)
         value = lower.value - (p.nu / p.x) * here.value
-        err = lower.abs_err + abs(p.nu / p.x) * here.abs_err + _EPS * abs(value)
+        err = lower.abs_err + abs(p.nu / p.x) * here.abs_err + EPS * abs(value)
         return _finite(FuncValue(value, err, Method.SERIES), p)
     if method is Method.FOX_WRIGHT:
         raise DomainError("no derivative evaluator is defined for this route")
@@ -194,7 +193,7 @@ def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
     last, last_err = power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)
     mid = (p.nu / p.x) * here.value
     err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + last_err
-           + _EPS * (abs(hi.value) + abs(mid) + last))
+           + EPS * (abs(hi.value) + abs(mid) + last))
     return _finite(FuncValue(hi.value + mid + last, err, here.method), p)
 
 
@@ -202,7 +201,7 @@ _MEMO_SIZE = 262144
 
 
 class _Deferred(Exception):
-    """A sweep's memo read left for Memo.fill; no StruveKitError, so no handler catches it."""
+    """A memo read left for Memo._fill; no StruveKitError, so no handler catches it."""
 
 
 #: Per automatic chain, split at its quadrature step: (its head, or None; its calM orders;
@@ -225,14 +224,14 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
           m=None, deferred: list | None = None):
     """The automatic chain of kind at p: the closed form (x > 0, any x for calM), the
     head, the quadrature step at p's orders, and on a stall the fallback, which reads M
-    through m(nu, x) (default: the single call). Inside a sweep, deferred is its key
+    through m(nu, x) (default: the single call). Inside Memo.map, deferred is its key
     list: a quadrature step records p's key there and raises _Deferred instead."""
     head, orders, dnu, step, m_of, after = _CHAINS[kind]
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
     if head and (fv := head(p, series_cfg)) is not None:
         return fv
-    quadrature._check_point(p, m_of)
+    quadrature.check_point(p, m_of)
     if deferred is not None:
         deferred.append((kind, p.nu, p.x))
         raise _Deferred
@@ -252,12 +251,14 @@ class Memo:
     calm_dnu its nu-orders 0-4. Each is one lru_cache, read as memo.calm(nu, x).
     derived(fn, nu, x) holds fn(memo, nu, x), a value a margin derives at the point
     from the memo's reads or from nothing else; fn, a module-level function, is part of
-    the key. An exception, _Deferred included, leaves no entry, as in every cache here.
+    the key. An exception leaves no entry, as in every cache here.
 
-    Inside :meth:`deferring` a miss whose next step is quadrature records its key and
-    raises _Deferred (invalid input still raises); :meth:`fill` runs the recorded steps
-    in one points pass per order set, parked for the repeated read. A deferred miss keeps
-    only its key: more, kept alive among the values cached meanwhile, slows warm reads."""
+    :meth:`map` runs a function of the memo over many points and batches their
+    quadrature: inside it a miss whose next step is quadrature records its key and
+    leaves the point for a later round (invalid input still raises at the read), and
+    each round's misses run in one points pass per order set, parked for the repeated
+    read. A deferred miss keeps only its key: more, kept alive among the values cached
+    meanwhile, slows warm reads."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
                  "derived", "_sweeps")
@@ -265,7 +266,7 @@ class Memo:
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
-        self._sweeps = {}  # thread id -> (deferred keys, parked outcomes) of its sweep
+        self._sweeps = {}  # thread id -> (deferred keys, parked outcomes) of its map
         for kind in _CHAINS:
             setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._read, kind)))
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
@@ -281,18 +282,34 @@ class Memo:
             raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
         return after(p, self.series_cfg, self.m)
 
-    @contextmanager
-    def deferring(self):
-        """Defer this thread's quadrature misses until the block ends; yields fill."""
+    def map(self, fn, points) -> list:
+        """fn(memo, *point) at every point, in input order: its value, or the
+        StruveKitError, OverflowError or ZeroDivisionError it raised. A point whose reads
+        met a quadrature miss is visited again once the round's misses are filled, so fn
+        must read the memo and compute, nothing more. Any other exception propagates."""
         thread = get_ident()
         self._sweeps[thread] = ([], {})
+        todo = list(enumerate(points))
+        outcomes = [None] * len(todo)
         try:
-            yield self.fill
+            while todo:
+                deferred = []
+                for i, point in todo:
+                    try:
+                        outcomes[i] = fn(self, *point)
+                    except _Deferred:
+                        deferred.append((i, point))
+                    except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
+                        outcomes[i] = exc
+                if deferred:
+                    self._fill()
+                todo = deferred
         finally:
             del self._sweeps[thread]
+        return outcomes
 
-    def fill(self) -> None:
-        """Run every quadrature step this thread's sweep deferred, one points pass per
+    def _fill(self) -> None:
+        """Run every quadrature step this thread's map deferred, one points pass per
         order set, and park each outcome for the read to repeat."""
         deferred, parked = self._sweeps[get_ident()]
         passes = {}

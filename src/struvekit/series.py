@@ -28,10 +28,9 @@ import mpmath as mp
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import _TINY, LOG_MAX, exp_rounded, log_gamma, log_half, power_gamma
+from .gammafuncs import (EPS, LN2, LOG_MAX, TINY, exp_rounded, log_gamma, log_half,
+                         power_gamma)
 
-_EPS = 2.220446049250313e-16
-_LN2 = math.log(2.0)
 _TWO_OVER_MAX = 2.0 / sys.float_info.max
 
 #: Largest argument at which the auto router tries the float64 pass of
@@ -61,8 +60,8 @@ def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float, log_power: f
     term, lead_err = (exp_rounded(log_norm, log_power, log_gam, log_gam2) if log_norm < LOG_MAX
                       else (math.inf, 0.0))
     if not term:  # I_2(1e-300) is about 1.25e-601
-        if log_norm + q / (p.nu + off) < math.log(_TINY):
-            return 0.0, _TINY
+        if log_norm + q / (p.nu + off) < math.log(TINY):
+            return 0.0, TINY
         raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) underflows float64")
     lead_rel = lead_err / term
     total = carry = 0.0
@@ -79,7 +78,7 @@ def _positive_series(p: EvalPoint, cfg: SeriesConfig, shift: float, log_power: f
                 q / ((n + 1 + off) * (n + 1 + p.nu + off)) < 0.5 or total != total):
             if not math.isfinite(total):
                 raise CancellationError(f"series for (nu={p.nu:g}, x={p.x:g}) overflows float64")
-            return total, 2.0 * term + (lead_rel + 5.0 * (n + 1) * _EPS) * total + _TINY
+            return total, 2.0 * term + (lead_rel + 5.0 * (n + 1) * EPS) * total + TINY
     raise NonConvergenceError(
         f"series for (nu={p.nu:g}, x={p.x:g}) did not settle in {budget} terms")
 
@@ -153,7 +152,7 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
     i_term, l_term = math.exp(log_i), math.exp(log_l)
     # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result;
     # a subnormal x/2 (log x - log 2 above) adds a rounding of L that this leaves out
-    lead_err = ((abs(log_i) + abs(log_l) + 2.0) * _EPS
+    lead_err = ((abs(log_i) + abs(log_l) + 2.0) * EPS
                 if min(i_term, l_term, 0.5 * x) >= sys.float_info.min else math.inf)
     # term n weighs a n + b: 1 for M, its power of x over x for M'
     a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
@@ -179,7 +178,7 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
         # ratio, falling from here on, is below 1/2 (tail < twice the next)
         if wi < cfg.rel_tol * abs(total) > wl and q / ((n + 2.0) * (n + nu + 2.0)) * (
                 (w + a) / w) < 0.5:
-            err = 2.0 * (wi + wl) + (2 * (n + 1) * _EPS + lead_err) * smax
+            err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
             scale = max(abs(total), smax * 1e-18)
             if err > 1e-12 * scale:
                 return None, smax, scale
@@ -273,7 +272,7 @@ def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
     where 2/x overflows, log(2/x) is log 2 - log x.
     """
     _check_normalized(p)
-    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else _LN2 - math.log(p.x))
+    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else LN2 - math.log(p.x))
     log_gam = log_gamma(p.nu + 0.5)
     factor, rounding = exp_rounded(power + log_gam, power, log_gam)
     return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
@@ -294,7 +293,7 @@ def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
             return math.inf, math.inf
         value, value_err = exp_rounded(log_value, log_power, log_gam, log_y) if y else (0.0, 0.0)
         return math.copysign(value, y), math.exp(log_err) + value_err
-    return factor * y, factor * y_err + factor_err * abs(y) + _TINY
+    return factor * y, factor * y_err + factor_err * abs(y) + TINY
 
 
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
@@ -320,14 +319,14 @@ def m_prime_from_calm(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:
     if p.x < 1.0:  # where the factor is at most exp(372)
         factor, factor_err = power_gamma(p.nu, p.x, p.nu + 0.5)
         try:
-            over_x, over_x_err = power_gamma(p.nu - 1.0, p.x, p.nu + 0.5, _LN2)
+            over_x, over_x_err = power_gamma(p.nu - 1.0, p.x, p.nu + 0.5, LN2)
         except CancellationError:
             over_x = over_x_err = math.inf
         lead = over_x * p.nu * c.value
         value = -(lead + factor * c1.value)
         err = (over_x * abs(p.nu) * c.abs_err + over_x_err * abs(p.nu * c.value)
                + factor * c1.abs_err + factor_err * abs(c1.value)
-               + _EPS * (abs(lead) + abs(value)) + _TINY)
+               + EPS * (abs(lead) + abs(value)) + TINY)
         if math.isfinite(value) and math.isfinite(err):
             return FuncValue(value, err, c.method)
     raise CancellationError(f"M' at (nu={p.nu:g}, x={p.x:g}) overflows float64")

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package keeps a name nothing reads.
+"""Source hygiene: no module of the package keeps a name nothing reads, or
+reads another module's private names.
 
-No linter runs with the suite, so this AST check stands in for its
+No linter runs with the suite, so these AST checks stand in for its
 unused-import and dead-code rules: every module-level import and every
 private module-level name of a module must be read somewhere in the package,
 an import in its own module, a private name there or as ``module._name``.
@@ -46,6 +47,27 @@ def test_module_level_names_are_referenced(module):
                     or (not is_import and name.startswith("_") and not name.startswith("__")
                         and name not in read and name not in ATTRIBUTES))
     assert unread == [], f"{module}: nothing reads {unread}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module's private names are its own: no package module imports one from
+    another (``from .m import _x``) or reads one as ``m._x``. A name two modules
+    share is public where it is defined."""
+    crossings = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in TREES:
+                crossings += [f"{module}: from .{node.module} import {alias.name}"
+                              for alias in node.names if _private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in TREES and node.value.id != module
+                  and _private(node.attr)):
+                crossings.append(f"{module}: {node.value.id}.{node.attr}")
+    assert crossings == []
 
 
 #: The module-level function caches the package may keep: quadrature's node and

@@ -191,9 +191,9 @@ def test_sweep_evaluates_exactly_the_points_the_domain_accepts():
         case = lookup(case_id)
         seen = []
 
-        def record(nu, x, y, cfg):
+        def record(ev, nu, x, y=None):
             seen.append((nu, x) if y is None else (nu, x, y))
-            return 1.0, 1.0
+            return 1.0
 
         report = sweep_case(replace(case, margin_fn=record), grid)
         axes = (PROBE_NUS, PROBE_XS) + ((ys,) if case.needs_y else ())
@@ -216,10 +216,9 @@ def test_flipped_case_produces_violations():
 def test_flipped_margin_is_negated_pointwise():
     case = CATALOG["bound0"]
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    margin, scale = case.margin_fn(1.0, 2.0, None, ev)
-    fmargin, fscale = case.flipped().margin_fn(1.0, 2.0, None, ev)
-    assert fmargin == -margin
-    assert fscale == scale
+    margin = case.margin_fn(ev, 1.0, 2.0)
+    assert margin != 0.0
+    assert case.flipped().margin_fn(ev, 1.0, 2.0) == -margin
 
 
 def _remark1_m_form(nu, x, ev):
@@ -231,7 +230,7 @@ def _remark1_m_form(nu, x, ev):
                 - log_gamma(nu - 0.5) - log_gamma(nu + 1.5))
     rhs = math.expm1(-x) * math.exp(log_coef) * ev.m(2.0 * nu - 0.5, x).value
     orient = 1.0 if nu >= 1.5 else -1.0
-    return orient * (rhs - lhs), max(abs(lhs), abs(rhs), 1e-300)
+    return orient * (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def test_remark1_is_fx2_after_scaling():
@@ -244,9 +243,7 @@ def test_remark1_is_fx2_after_scaling():
             == (fx2.nu_lo, fx2.lo_closed, fx2.nu_hi))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for nu, x in itertools.product(SMALL.nu_values, SMALL.x_values):
-        margin, scale = remark1.margin_fn(nu, x, None, ev)
-        ref_margin, ref_scale = _remark1_m_form(nu, x, ev)
-        assert abs(margin / scale - ref_margin / ref_scale) <= 1e-12, (nu, x)
+        assert abs(remark1.margin_fn(ev, nu, x) - _remark1_m_form(nu, x, ev)) <= 1e-12, (nu, x)
 
 
 #: Entry points whose configs the sweep must hand over: every public
@@ -341,10 +338,10 @@ def _cold_then_warm(monkeypatch, case, grid):
     """The case swept cold, with the number of fill rounds it took, then warm."""
     routes.memo.cache_clear()
     fills = []
-    fill = routes.Memo.fill
-    monkeypatch.setattr(routes.Memo, "fill", lambda ev: fills.append(1) or fill(ev))
+    fill = routes.Memo._fill
+    monkeypatch.setattr(routes.Memo, "_fill", lambda ev: fills.append(1) or fill(ev))
     cold = sweep_case(case, grid)
-    monkeypatch.setattr(routes.Memo, "fill", fill)
+    monkeypatch.setattr(routes.Memo, "_fill", fill)
     return cold, len(fills), sweep_case(case, grid)
 
 
@@ -383,9 +380,9 @@ def test_argmin_ties_go_to_the_first_point_in_grid_order(monkeypatch, cold_memo,
     """Points at x = 9 and 20 read a quadrature value, so the cold sweep visits
     them in a later round. Of points tying the minimum, the first in grid order
     is the argmin, whichever round reached it."""
-    def tie(nu, x, y, ev):
+    def tie(ev, nu, x, y=None):
         ev.calm(nu, x)
-        return (-1.0 if x in (9.0, 1.0) else 0.0), 1.0
+        return -1.0 if x in (9.0, 1.0) else 0.0
 
     grid = GridSpec(nu_values=(0.3,), x_values=xs)
     report, rounds, _ = _cold_then_warm(monkeypatch, replace(CATALOG["bound0"], margin_fn=tie),
@@ -398,11 +395,11 @@ def test_argmin_ties_go_to_the_first_point_in_grid_order(monkeypatch, cold_memo,
 def test_a_margin_raising_mid_sweep_leaves_the_memo_reading_directly(cold_memo):
     """An exception the sweep does not record ends the sweep and its deferral:
     the memo then serves a quadrature miss at once."""
-    def boom(nu, x, y, ev):
+    def boom(ev, nu, x, y=None):
         ev.calm(nu, x)
         if x > 1.0:
             raise RuntimeError("boom")
-        return 1.0, 1.0
+        return 1.0
 
     grid = GridSpec(nu_values=(0.3,), x_values=(0.5, 9.0, 20.0))
     with pytest.raises(RuntimeError, match="boom"):

@@ -161,6 +161,17 @@ def test_double_integral_overflow_is_named(x):
         turanian_il_double_integral(EvalPoint(0.6, x))
 
 
+@pytest.mark.parametrize("x", [710.475860073944, 800.0])
+def test_double_integral_underflow_past_cosh_overflow_is_zero(x):
+    """From x = 710.475860073944 on cosh(x) overflows float64. At nu = 1e4 D's
+    bound pref (B(1/2, nu-1/2)/2)^2 cosh(x) sinh(x) still lies below the smallest
+    subnormal, so D is 0 within it; at nu = 1.5 D itself overflows."""
+    assert turanian_il_double_integral(EvalPoint(1e4, x)) == FuncValue(
+        0.0, 5e-324, Method.QUADRATURE)
+    with pytest.raises(CancellationError, match="overflows float64"):
+        turanian_il_double_integral(EvalPoint(1.5, x))
+
+
 @pytest.mark.parametrize("key,bound", [((0.5001, 1.0), "190"), ((0.5001, 10.0), "3.7e+03"),
                                        ((0.5001, 300.0), "3.01e+06"),
                                        ((0.5005, 1.0), "4.68e-09")])
@@ -231,7 +242,7 @@ def _scalar_reference(p: EvalPoint, n: int, m: int, cfg: QuadConfig) -> FuncValu
     if p.nu < 0.5 and m >= 2:
         abs_tol *= 10.0
     scale = 2.0 / math.sqrt(math.pi)
-    eps = quadrature._EPS
+    eps = quadrature.EPS
     pw = p.nu - 0.5
     tail = math.exp(quadrature._log_tail_bound(pw, m))
 

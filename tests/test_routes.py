@@ -297,41 +297,104 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
     assert points == batches == []
 
 
-def test_memo_derivatives_match_point_passes(cold_memo):
-    """Derivatives read after a fill, or from a lone point, equal the
-    per-point pass at the memo's config. Inside a sweep's deferral a read
-    waits for the fill; a point that stalls parks its error, which every read
-    raises again, message unchanged, as a lone read raises it."""
+def _both_derivatives(ev, nu, x):
+    return ev.calm_dx(nu, x), ev.calm_dnu(nu, x)
+
+
+def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
+    """Derivatives read inside Memo.map, or from a lone point, equal the
+    per-point pass at the memo's config. Inside map a read waits for its
+    round's batch, so no per-point pass runs; a point that stalls parks its
+    error, which every read raises again, message unchanged, as a lone read
+    raises it."""
     xs = (0.0, 1e-3, 0.5, 7.0, 30.0)
-    for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5)):
-        ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
-        with ev.deferring() as fill:
-            for read in (ev.calm_dx, ev.calm_dnu):
-                for x in xs:
-                    with pytest.raises(routes._Deferred):
-                        read(1.5, x)
-            fill()
-            filled = [(ev.calm_dx(1.5, x), ev.calm_dnu(1.5, x)) for x in xs]
-        for x, (dx, dnu) in zip(xs + (2.0,), filled + [(ev.calm_dx(1.5, 2.0),
-                                                        ev.calm_dnu(1.5, 2.0))]):
-            p = EvalPoint(1.5, x)
-            assert dx == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
-            assert dnu == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     with pytest.raises(NonConvergenceError) as info:
         quadrature.calm_dnu_orders(EvalPoint(-0.49898, 0.179), range(5))
     stalled = re.escape(str(info.value))
-    with ev.deferring() as fill:
-        with pytest.raises(routes._Deferred):
-            ev.calm_dnu(-0.49898, 0.179)
-        fill()
-        for _ in range(2):
-            with pytest.raises(NonConvergenceError, match=stalled):
-                ev.calm_dnu(-0.49898, 0.179)
+    singles = []
+    with monkeypatch.context() as patch:
+        for name in ("calm_dx_orders", "calm_dnu_orders"):
+            single = getattr(quadrature, name)
+            patch.setattr(quadrature, name,
+                          lambda *args, single=single: singles.append(args) or single(*args))
+        filled = {quad_cfg: routes.memo(SERIES_DEFAULTS, quad_cfg).map(
+                      _both_derivatives, [(1.5, x) for x in xs])
+                  for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5))}
+        stalls = ev.map(lambda ev, nu, x: ev.calm_dnu(nu, x), [(-0.49898, 0.179)] * 2)
+    assert singles == []
+    for quad_cfg, outcomes in filled.items():
+        ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
+        for x, (dx, dnu) in zip(xs + (2.0,), outcomes + [_both_derivatives(ev, 1.5, 2.0)]):
+            p = EvalPoint(1.5, x)
+            assert dx == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
+            assert dnu == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
+    for got in stalls:
+        assert isinstance(got, NonConvergenceError) and re.search(stalled, str(got))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for read in (ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu,
                  routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).calm_dnu):
         with pytest.raises(NonConvergenceError, match=stalled):
             read(-0.49898, 0.179)
+
+
+#: What _map_probe reads at each x of its points (nu = 0.3): calM is served by
+#: quadrature from x = 9 on, M' (x-orders 0 and 1) from x = 12 on.
+_MAP_READS = {9.0: "calm", 0.5: "calm", 12.0: "m_prime", -1.0: "calm", 20.0: "m_prime",
+              15.0: "calm"}
+
+
+def _map_probe(ev, nu, x):
+    value = getattr(ev, _MAP_READS[x])(nu, x).value
+    if x == 0.5:
+        return math.exp(1e3 / value)  # OverflowError, in the first round
+    if x == 20.0:
+        return value / 0.0  # ZeroDivisionError, after the fill
+    return value
+
+
+def test_memo_map_keeps_input_order_and_batches_each_round(monkeypatch, cold_memo):
+    """Memo.map returns, in input order, each point's value or the StruveKitError,
+    OverflowError or ZeroDivisionError it raised, whichever round reached it. The
+    round's quadrature misses reach calm_dx_points as one pass per order set, and
+    no per-point pass runs. Any other exception propagates and ends the deferral:
+    the memo then serves a quadrature miss at once."""
+    batches, singles = [], []
+    points_pass, single = quadrature.calm_dx_points, quadrature.calm_dx_orders
+
+    def recording(pts, orders, *cfg):
+        pts = list(pts)
+        batches.append((tuple(orders), [(p.nu, p.x) for p in pts]))
+        return points_pass(pts, orders, *cfg)
+
+    monkeypatch.setattr(quadrature, "calm_dx_points", recording)
+    monkeypatch.setattr(quadrature, "calm_dx_orders",
+                        lambda *args: singles.append(args) or single(*args))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    got = ev.map(_map_probe, [(0.3, x) for x in _MAP_READS])
+    assert singles == []
+    assert sorted(batches) == [((0,), [(0.3, 9.0), (0.3, 15.0)]),
+                               ((0, 1), [(0.3, 12.0), (0.3, 20.0)])]
+    assert [type(out) for out in got] == [float, OverflowError, float, DomainError,
+                                          ZeroDivisionError, float]
+    for x, out in zip(_MAP_READS, got):
+        if isinstance(out, float):
+            single_call = calm if _MAP_READS[x] == "calm" else struve_m_prime
+            assert out == single_call(EvalPoint(0.3, x)).value, x
+    assert str(got[3]) == "the normalized form requires x >= 0"
+
+    def rejects(ev, nu, x):
+        if x == 30.0:
+            raise TypeError("not a margin")
+        return ev.calm(nu, x).value
+
+    batches.clear()
+    with pytest.raises(TypeError, match="not a margin"):
+        ev.map(rejects, [(0.3, 28.0), (0.3, 30.0)])
+    assert batches == []
+    assert ev.calm(0.3, 28.0) == calm(EvalPoint(0.3, 28.0))
+    assert ev.calm(0.3, 28.0).method is Method.QUADRATURE
+    assert ev.map(rejects, [(0.3, 25.0)]) == [calm(EvalPoint(0.3, 25.0)).value]
 
 
 def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_memo):
@@ -352,8 +415,8 @@ def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_mem
     monkeypatch.setattr(quadrature, "calm_dx_points", recording)
     reads = {"calm": calm, "m": struve_m, "m_prime": struve_m_prime}
 
-    def read_all(nu, x, y, ev):
-        return sum(getattr(ev, kind)(nu, x).value for kind in reads), 1.0
+    def read_all(ev, nu, x, y=None):
+        return sum(getattr(ev, kind)(nu, x).value for kind in reads)
 
     grid = GridSpec(nu_values=(-0.4999, -0.4995), x_values=(3.0, 9.0))
     report = sweep_case(replace(CATALOG["bound0"], margin_fn=read_all), grid)
@@ -371,8 +434,8 @@ def test_invalid_reads_raise_at_the_read_inside_a_sweep(cold_memo):
     """A read whose quadrature step would reject its input raises that
     DomainError at the read, as the single call does, instead of joining a
     batch: calM at x < 0, and M' at x = 0."""
-    def reads(nu, x, y, ev):
-        return ev.calm(nu, x).value + ev.m_prime(nu, x).value, 1.0
+    def reads(ev, nu, x, y=None):
+        return ev.calm(nu, x).value + ev.m_prime(nu, x).value
 
     grid = GridSpec(nu_values=(0.3,), x_values=(-1.0, 0.0, 9.0))
     report = sweep_case(replace(CATALOG["bound0"], margin_fn=reads, any_x=True), grid)
@@ -472,8 +535,8 @@ def test_normalized_form_rejects_negative_arguments_alike(cold_memo, nu):
         calm(EvalPoint(nu, -1.0))
     with pytest.raises(DomainError, match=message):
         ev.calm(nu, -1.0)
-    with ev.deferring(), pytest.raises(DomainError, match=message):
-        ev.calm(nu, -1.0)
+    [got] = ev.map(lambda ev, nu, x: ev.calm(nu, x), [(nu, -1.0)])
+    assert isinstance(got, DomainError) and re.search(message, str(got))
 
 
 def test_series_derivative_route():
@@ -564,20 +627,22 @@ def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
 
 
 def test_a_derived_read_that_defers_or_raises_caches_nothing(cold_memo):
-    """Inside a sweep's deferral, a derived read whose calm_dx read defers raises
-    _Deferred and leaves no entry; after the fill it equals the value read
-    without deferral. A read that raises a StruveKitError leaves none either."""
+    """Inside Memo.map, a derived read whose calm_dx read defers leaves no entry,
+    at both points that make it; after the fill it equals the value read without
+    deferral. A read that raises a StruveKitError leaves none either."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     leibniz = inequalities._neg_m_derivatives
-    with ev.deferring() as fill:
-        for _ in range(2):
-            with pytest.raises(routes._Deferred):
-                ev.derived(leibniz, -0.3, 0.7)
-        assert ev.derived.cache_info().currsize == 0
-        with pytest.raises(DomainError):
-            ev.derived(inequalities._bilateral, -0.7, 0.7)
-        assert ev.derived.cache_info().currsize == 0
-        fill()
-        got = ev.derived(leibniz, -0.3, 0.7)
+    sizes = []  # the derived cache's size at each visit of a point
+
+    def read(ev, fn, nu, x):
+        sizes.append(ev.derived.cache_info().currsize)
+        return ev.derived(fn, nu, x)
+
+    got = ev.map(read, [(leibniz, -0.3, 0.7), (leibniz, -0.3, 0.7),
+                        (inequalities._bilateral, -0.7, 0.7)])
+    # round one: both leibniz reads defer, the bilateral read raises; round two
+    # fills the first leibniz read, and the second reads its entry
+    assert sizes == [0, 0, 0, 0, 1]
+    assert isinstance(got[2], DomainError)
     assert ev.derived.cache_info().currsize == 1
-    assert got == leibniz(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS), -0.3, 0.7)
+    assert got[0] == got[1] == leibniz(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS), -0.3, 0.7)
