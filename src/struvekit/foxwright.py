@@ -117,32 +117,20 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
         lg = -log_gamma(n + 1.0)
         size = abs(lg)  # the sum of the magnitudes of the terms lg is summed from
         sign = 1.0
-        for a, alpha in params.upper:
-            arg = a + alpha * n
-            if arg <= 0.0:
-                if arg == math.floor(arg):
-                    raise PoleError(
-                        f"gamma argument {arg:g} is a non-positive integer")
-                g = gamma(arg)
-                sign *= math.copysign(1.0, g)
-                part = math.log(abs(g))
-            else:
-                part = log_gamma(arg)
-            lg += part
-            size += abs(part)
-        for b, beta in params.lower:
-            arg = b + beta * n
-            if arg <= 0.0:
-                if arg == math.floor(arg):
-                    raise PoleError(
-                        f"gamma argument {arg:g} is a non-positive integer")
-                g = gamma(arg)
-                sign /= math.copysign(1.0, g)
-                part = math.log(abs(g))
-            else:
-                part = log_gamma(arg)
-            lg -= part
-            size += abs(part)
+        for pairs, side in ((params.upper, 1.0), (params.lower, -1.0)):
+            for a, alpha in pairs:
+                arg = a + alpha * n
+                if arg <= 0.0:
+                    if arg == math.floor(arg):
+                        raise PoleError(
+                            f"gamma argument {arg:g} is a non-positive integer")
+                    g = gamma(arg)
+                    sign *= math.copysign(1.0, g)
+                    part = math.log(abs(g))
+                else:
+                    part = log_gamma(arg)
+                lg += side * part
+                size += abs(part)
         if n > 0 and log_abs_z == -math.inf:
             break
         log_power = n * log_abs_z if n else 0.0  # 0 * -inf is NaN at z = 0

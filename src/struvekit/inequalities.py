@@ -37,8 +37,9 @@ from . import foxwright, routes
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError, EmptyDomainError
-from .gammafuncs import (SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio, gamma_ratio_h,
-                         gamma_ratio_h_prime, log_gamma, log_half)
+from .gammafuncs import (LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
+                         gamma_ratio_h, gamma_ratio_h_prime, log_gamma, log_half,
+                         power_gamma)
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -314,23 +315,19 @@ def _margin_quot3_right(ev, nu, x, y=None):
 
 def _ratio_derivative_analytic(ev, nu, x):
     """d/dx [x M'/M] through the quadratic identity for the Turanian:
-    x [ (1 + nu^2/x^2) M^2 - (M')^2 + (nu+1/2) x^(nu-1) M
-        / (sqrt(pi) 2^(nu-1) gamma(nu+3/2)) ] / M^2."""
+    x [ (1 + nu^2/x^2) M^2 - (M')^2 + (nu+1/2) (x/2)^(nu-1) M
+        / (sqrt(pi) gamma(nu+3/2)) ] / M^2."""
     m = ev.m(nu, x).value
     md = ev.m_prime(nu, x).value
-    coef = (nu + 0.5) * math.exp(
-        (nu - 1.0) * log_half(x) - log_gamma(nu + 1.5)) / SQRT_PI
+    coef = (nu + 0.5) * power_gamma(nu - 1.0, x, nu + 1.5, LOG_SQRT_PI)[0]
     bracket = (1.0 + (nu / x) ** 2) * m * m - md * md + coef * m
     return x * bracket / (m * m)
 
 
 def _margin_fx31(ev, nu, x, y=None):
-    d_an = _ratio_derivative_analytic(ev, nu, x)
-    h = 1e-5 * max(1.0, x)
-    d_fd = (_ratio(ev, nu, x + h) - _ratio(ev, nu, x - h)) / (2.0 * h)
-    deriv = max(d_an, d_fd)
+    deriv = _ratio_derivative_analytic(ev, nu, x)
     rhs = x / (nu + 0.5)
-    return (rhs - deriv) / max(rhs, abs(d_an), abs(d_fd), _SCALE_FLOOR)
+    return (rhs - deriv) / max(rhs, abs(deriv), _SCALE_FLOOR)
 
 
 def _bilateral(ev, nu, x):

@@ -221,26 +221,31 @@ _CHAINS = {
 
 
 def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-          m=None, deferred: list | None = None):
+          m=None, sweep: tuple | None = None):
     """The automatic chain of kind at p: the closed form (x > 0, any x for calM), the
     head, the quadrature step at p's orders, and on a stall the fallback, which reads M
-    through m(nu, x) (default: the single call). Inside Memo.map, deferred is its key
-    list: a quadrature step records p's key there and raises _Deferred instead."""
+    through m(nu, x) (default: the single call). Inside Memo.map, sweep is its
+    (deferred keys, parked outcomes) pair: the step takes p's parked outcome, or records
+    p's key and raises _Deferred."""
     head, orders, dnu, step, m_of, after = _CHAINS[kind]
-    if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
-        return _closed_form(kind, p)
-    if head and (fv := head(p, series_cfg)) is not None:
-        return fv
-    quadrature.check_point(p, m_of)
-    if deferred is not None:
-        deferred.append((kind, p.nu, p.x))
-        raise _Deferred
-    single = quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders
-    try:
-        return step(p, single(p, orders, quad_cfg))
-    except NonConvergenceError:
-        if after is None:
-            raise
+    if sweep is None or (got := sweep[1].get((kind, p.nu, p.x))) is None:
+        if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
+            return _closed_form(kind, p)
+        if head and (fv := head(p, series_cfg)) is not None:
+            return fv
+        quadrature.check_point(p, m_of)
+        if sweep is not None:
+            sweep[0].append((kind, p.nu, p.x))
+            raise _Deferred
+        try:
+            got = (quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders)(
+                p, orders, quad_cfg)
+        except NonConvergenceError as exc:
+            got = exc
+    if not isinstance(got, NonConvergenceError):
+        return step(p, got)
+    if after is None:
+        raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
     return after(p, series_cfg, m or (
         lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg)))
 
@@ -272,15 +277,8 @@ class Memo:
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
     def _read(self, kind: str, nu: float, x: float):
-        p, sweep = EvalPoint(nu, x), self._sweeps.get(get_ident())
-        if (got := sweep and sweep[1].get((kind, nu, x))) is None:
-            return _auto(kind, p, self.series_cfg, self.quad_cfg, self.m, sweep and sweep[0])
-        _, _, _, step, _, after = _CHAINS[kind]
-        if not isinstance(got, NonConvergenceError):
-            return step(p, got)
-        if after is None:
-            raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
-        return after(p, self.series_cfg, self.m)
+        return _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m,
+                     self._sweeps.get(get_ident()))
 
     def map(self, fn, points) -> list:
         """fn(memo, *point) at every point, in input order: its value, or the

@@ -5,7 +5,8 @@ by definitions independent of the package under test:
 
 * M values as struvel(nu, x) - besseli(nu, x) (mpmath's own series).
 * calM values as -2^nu gamma(nu+1/2) x^(-nu) M_nu(x).
-* Derivatives by mpmath's numerical differentiation of those forms.
+* Derivatives by mpmath's numerical differentiation of those forms; the
+  FX31 slope differentiates x M_nu'/M_nu with M_nu' = M_{nu-1} - (nu/x) M_nu.
 * The cross-term double integral D from the corrected relation
   (nu + 1/2) cross = (nu - 1/2) D - 2 I_nu L_nu over mpmath's besseli and
   struvel at 60 digits.
@@ -61,6 +62,16 @@ MPRIME_TABLE = {
     (2.0, 3.0): -0.2250538611320514785474,
     (5.0, 6.0): -0.5193238218993095943929,
     (1.5, 12.0): -0.05998001633844776306783,
+}
+
+# (nu, x) -> d/dx [x M_nu'(x) / M_nu(x)], the slope FX31 bounds by x/(nu+1/2)
+FX31_SLOPE_TABLE = {
+    (0.51, 30.0): -0.000003045586684002824348121,
+    (0.6, 0.001): -0.481558048239772751123,
+    (2.5, 0.7): -0.2532644891700140211182,
+    (5.0, 8.0): -0.0322205137839797444877,
+    (20.0, 0.001): -0.1238342715514855353246,
+    (12.0, 1e-05): -0.157989245837761709675,
 }
 
 # (nu, x, n) -> d^n/dx^n calM_nu(x)
@@ -176,6 +187,14 @@ def _regenerate() -> None:
     emit("MPRIME_TABLE",
          [(k, mp.diff(lambda t, _nu=mp.mpf(str(k[0])): m_val(_nu, t),
                       mp.mpf(str(k[1])))) for k in MPRIME_TABLE])
+
+    def slope_val(nu, x):
+        # d/dt [t M_nu'(t) / M_nu(t)] with M_nu' = M_{nu-1} - (nu/t) M_nu
+        nu = mp.mpf(str(nu))
+        return mp.diff(lambda t: t * (m_val(nu - 1, t) - nu / t * m_val(nu, t)) / m_val(nu, t),
+                       mp.mpf(str(x)))
+
+    emit("FX31_SLOPE_TABLE", [(k, slope_val(*k)) for k in FX31_SLOPE_TABLE])
     emit("CALM_DX_TABLE",
          [(k, mp.diff(lambda t, _nu=mp.mpf(str(k[0])): calm_val(_nu, t),
                       mp.mpf(str(k[1])), k[2])) for k in CALM_DX_TABLE])

@@ -245,6 +245,18 @@ def test_verify_sign_m_and_remark1_hold_where_m_underflows(runner):
         assert r["violations"] == [] and r["inconclusive"] == [], r["case_id"]
 
 
+def test_verify_fx31_tests_every_point_below_x_1e_5(runner):
+    """FX31 reads M and M' at its own point only, so x <= 1e-5 is tested
+    like any other x, not skipped for a read at x <= 0."""
+    result = runner.invoke(main, [
+        "verify", "--case", "FX31", "--nu-min", "1", "--nu-max", "3", "--nu-steps", "3",
+        "--x-min", "1e-7", "--x-max", "1e-3", "--x-steps", "5", "--format", "json"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    (report,) = json.loads(result.output)
+    assert (report["points_tested"], report["points_skipped"]) == (15, 0)
+    assert report["violations"] == [] and report["inconclusive"] == []
+
+
 def test_eval_derivative_next_to_minus_half(runner):
     """Automatic M' where differentiated quadrature stalls comes from the
     raising recurrence instead of failing."""

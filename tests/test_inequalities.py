@@ -18,10 +18,12 @@ from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
 from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.gammafuncs import log_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
-                                    GridSpec, _sign_margin, default_grid,
-                                    lookup, report_from_json_dict,
-                                    report_to_json_dict, run_all, run_case,
-                                    sweep_case)
+                                    GridSpec, _ratio_derivative_analytic,
+                                    _sign_margin, default_grid, lookup,
+                                    report_from_json_dict, report_to_json_dict,
+                                    run_all, run_case, sweep_case)
+
+from oracles import FX31_SLOPE_TABLE
 
 SMALL = GridSpec(nu_values=(0.75, 2.0, 6.0), x_values=(0.05, 1.0, 10.0))
 
@@ -430,6 +432,28 @@ def test_warm_sweep_reads_derived_values_from_the_memo(monkeypatch, cold_memo):
     calls.clear()
     run_all()
     assert calls == {}
+
+
+@pytest.mark.parametrize("nu, x", sorted(FX31_SLOPE_TABLE))
+def test_fx31_slope_matches_the_reference(nu, x):
+    """FX31's slope d/dx [x M'/M], from the quadratic identity, against mpmath's
+    derivative of x M'/M. The margin cannot catch a wrong slope: the slope is
+    negative on the default grid, so the margin stays in [1, 2]. The identity
+    cancels (to 6e-9 relative at (0.51, 30)), so the tolerance follows the size of
+    its terms, x ((1 + nu^2/x^2) M^2 + M'^2) / M^2."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    m, md = ev.m(nu, x).value, ev.m_prime(nu, x).value
+    size = x * ((1.0 + (nu / x) ** 2) * m * m + md * md) / (m * m)
+    got = _ratio_derivative_analytic(ev, nu, x)
+    assert abs(got - FX31_SLOPE_TABLE[nu, x]) <= 1e-12 * size
+
+
+def test_fx31_reads_m_and_m_prime_only_at_its_own_points(cold_memo):
+    """A sweep of FX31 alone leaves one M and one M' entry per grid point (625
+    each), so its margin reads no other point."""
+    sweep_case(CATALOG["FX31"], default_grid("FX31"))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    assert ev.m.cache_info().currsize == ev.m_prime.cache_info().currsize == 625
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():

@@ -273,10 +273,10 @@ def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo
 
 def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
     """A cold run_all() runs every quadrature step of the memo, M, calM and M'
-    as well as the sign probes' derivatives, in 27 batched points passes: one
-    per order set and fill round, (0,) for M and calM, (0, 1) for M', x-orders
-    0-6 and nu-orders 0-4 for the probes. It makes no one-point pass. A second
-    run_all() makes no quadrature pass at all."""
+    as well as the sign probes' derivatives, in 22 batched points passes: one
+    per order set and fill round, (0,) for M and calM (16), (0, 1) for M' (3),
+    x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no
+    one-point pass. A second run_all() makes no quadrature pass at all."""
     points, batches = [], []
 
     def record(name, log, entry):
@@ -289,7 +289,7 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
         record(name, batches, lambda pts, orders, *cfg, name=name: (name, tuple(orders)))
     run_all()
     assert points == []
-    assert Counter(batches) == {("calm_dx_points", (0,)): 18, ("calm_dx_points", (0, 1)): 6,
+    assert Counter(batches) == {("calm_dx_points", (0,)): 16, ("calm_dx_points", (0, 1)): 3,
                                 ("calm_dx_points", tuple(range(7))): 2,
                                 ("calm_dnu_points", tuple(range(5))): 1}
     batches.clear()
