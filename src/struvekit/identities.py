@@ -8,6 +8,11 @@ of the largest participating term, so callers can assess the residual
 relatively. Nothing here rearranges the identity being tested to produce
 its own inputs; in particular the ODE residual gets its second derivative
 from differentiated quadrature, not from the ODE itself.
+
+The residuals of nu > 1/2 read M_{nu-1}, M_nu, M_{nu+1} and M_nu' through
+``routes.memo(series_cfg, quad_cfg)``, and the first-kind parts of the
+Turanian through its ``derived`` cache, so the residuals at one point share
+one evaluation of each input and a repeated call reads them back.
 """
 
 from __future__ import annotations
@@ -87,16 +92,14 @@ def _require_turanian_domain(p: EvalPoint, name: str) -> None:
         raise DomainError(f"{name} requires nu > 1/2 and x > 0")
 
 
-_Neighbors = tuple[float, float, float, float]  # (M_{nu-1}, M_nu, M_{nu+1}, M_nu')
-
-
 def _neighbor_values(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-                     name: str) -> _Neighbors:
-    """_Neighbors by the automatic routes; off nu > 1/2, x > 0 a DomainError names the caller."""
+                     name: str) -> tuple[float, float, float, float]:
+    """(M_{nu-1}, M_nu, M_{nu+1}, M_nu') from the config pair's memo; off nu > 1/2,
+    x > 0 a DomainError names the caller."""
     _require_turanian_domain(p, name)
-    m_lo, m_md, m_hi = (routes.struve_m(EvalPoint(p.nu + k, p.x), None, series_cfg,
-                                        quad_cfg).value for k in (-1.0, 0.0, 1.0))
-    return m_lo, m_md, m_hi, routes.struve_m_prime(p, None, series_cfg, quad_cfg).value
+    ev = routes.memo(series_cfg, quad_cfg)
+    m_lo, m_md, m_hi = (ev.m(p.nu + k, p.x).value for k in (-1.0, 0.0, 1.0))
+    return m_lo, m_md, m_hi, ev.m_prime(p.nu, p.x).value
 
 
 def recurrence_residuals(p: EvalPoint,
@@ -113,13 +116,9 @@ def recurrence_residuals(p: EvalPoint,
         lower_order:     x M_nu' + nu M_nu = x M_{nu-1}
         raise_order:     M_{nu+1} = M_nu' - (nu / x) M_nu - g
     """
-    return _recurrence_residuals(
-        p, _neighbor_values(p, series_cfg, quad_cfg, "recurrence_residuals"), _g_term(p))
-
-
-def _recurrence_residuals(p: EvalPoint, neighbors: _Neighbors,
-                          g: float) -> tuple[IdentityResidual, ...]:
-    m_lo, m_md, m_hi, m_d = neighbors
+    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg,
+                                             "recurrence_residuals")
+    g = _g_term(p)
     mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
 
     r0 = abs(m_lo - m_hi - mid - g)
@@ -175,6 +174,11 @@ def turanian_decomposition(p: EvalPoint,
     return delta_i, delta_l, delta_il
 
 
+def _decomposition(ev: routes.Memo, nu: float, x: float) -> tuple[float, float, float]:
+    """turanian_decomposition at the memo's series config, read through ev.derived."""
+    return turanian_decomposition(EvalPoint(nu, x), ev.series_cfg)
+
+
 def turanian_quadratic_identity(p: EvalPoint,
                                 series_cfg: SeriesConfig = SERIES_DEFAULTS,
                                 quad_cfg: QuadConfig = QUAD_DEFAULTS
@@ -187,18 +191,13 @@ def turanian_quadratic_identity(p: EvalPoint,
     which follows from eliminating M_{nu+1} between the recurrence
     relations. nu > 1/2, x > 0.
     """
-    return _quadratic_residual(
-        p, _neighbor_values(p, series_cfg, quad_cfg, "turanian_quadratic_identity"),
-        _g_term(p))
-
-
-def _quadratic_residual(p: EvalPoint, neighbors: _Neighbors, g: float) -> IdentityResidual:
-    m_lo, m_md, m_hi, m_d = neighbors
+    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg,
+                                             "turanian_quadratic_identity")
     lhs = m_md * m_md - m_lo * m_hi
     nu_m = p.nu * m_md / p.x
     t_sq = m_md * m_md + nu_m * nu_m  # (1 + nu^2/x^2) M^2, finite where M underflows
     t_dq = m_d * m_d
-    t_g = g * m_lo
+    t_g = _g_term(p) * m_lo
     residual = abs(lhs - (t_sq - t_dq + t_g))
     scale = max(abs(m_md * m_md), abs(m_lo * m_hi), abs(t_sq), t_dq, abs(t_g))
     return IdentityResidual("turanian_quadratic", p, residual, scale)
@@ -216,15 +215,10 @@ def decomposition_residual(p: EvalPoint,
     """Residual of Delta_M = delta_i + delta_l + delta_il, where the left
     side comes from the automatic routes and the parts from independent
     first-kind series. nu > 1/2, x > 0."""
-    neighbors = _neighbor_values(p, series_cfg, quad_cfg, "decomposition_residual")
-    return _decomposition_residual(p, neighbors, turanian_decomposition(p, series_cfg))
-
-
-def _decomposition_residual(p: EvalPoint, neighbors: _Neighbors,
-                            parts: tuple[float, float, float]) -> IdentityResidual:
-    m_lo, m_md, m_hi, _ = neighbors
+    m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg,
+                                           "decomposition_residual")
     lhs = m_md * m_md - m_lo * m_hi
-    d_i, d_l, d_il = parts
+    d_i, d_l, d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)
     residual = abs(lhs - (d_i + d_l + d_il))
     scale = max(abs(lhs), abs(d_i), abs(d_l), abs(d_il))
     return IdentityResidual("turanian_decomposition", p, residual, scale)
@@ -248,11 +242,7 @@ def crossterm_double_integral_residual(p: EvalPoint,
     discrepancy stays visible; the corrected relation is verified
     separately in the test suite.
     """
-    return _crossterm_residual(p, turanian_decomposition(p, series_cfg)[2], quad_cfg)
-
-
-def _crossterm_residual(p: EvalPoint, d_il: float,
-                        quad_cfg: QuadConfig) -> IdentityResidual:
+    d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)[2]
     d = turanian_il_double_integral(p, quad_cfg).value
     residual = abs(d_il - d)
     scale = max(abs(d_il), abs(d))
@@ -288,12 +278,9 @@ def residual_suite(nu_values: tuple[float, ...] = STANDARD_NU,
         for x in x_values:
             p = EvalPoint(nu, x)
             out.append(ode_residual(p, quad_cfg))
-            neighbors = _neighbor_values(p, series_cfg, quad_cfg, "residual_suite")
-            parts = turanian_decomposition(p, series_cfg)
-            g = _g_term(p)
-            out.extend(_recurrence_residuals(p, neighbors, g))
-            out.append(_quadratic_residual(p, neighbors, g))
-            out.append(_decomposition_residual(p, neighbors, parts))
+            out.extend(recurrence_residuals(p, series_cfg, quad_cfg))
+            out.append(turanian_quadratic_identity(p, series_cfg, quad_cfg))
+            out.append(decomposition_residual(p, series_cfg, quad_cfg))
             if include_cross_term:
-                out.append(_crossterm_residual(p, parts[2], quad_cfg))
+                out.append(crossterm_double_integral_residual(p, series_cfg, quad_cfg))
     return out

@@ -38,8 +38,7 @@ from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError, EmptyDomainError
 from .gammafuncs import (LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
-                         gamma_ratio_h, gamma_ratio_h_prime, log_gamma, log_half,
-                         power_gamma)
+                         gamma_ratio_h, gamma_ratio_h_prime, log_gamma, power_gamma)
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -293,10 +292,9 @@ def _margin_fx3_raw(ev, nu, x, y=None):
     if expo > 700.0:
         return 1.0
     lhs = -struve_m_series(EvalPoint(nu, x), ev.series_cfg).value
-    log_half_pow = nu * log_half(x)
-    i_bound = math.exp(expo + log_half_pow - log_gamma(nu + 1.0))
-    l_bound = 2.0 * math.exp(log_half_pow - log_gamma(nu + 1.5)) \
-        * math.sinh(x / (2.0 * nu + 3.0)) / SQRT_PI
+    i_bound = power_gamma(nu, x, nu + 1.0)[0] * math.exp(expo)
+    l_bound = 2.0 * power_gamma(nu, x, nu + 1.5, LOG_SQRT_PI)[0] \
+        * math.sinh(x / (2.0 * nu + 3.0))
     rhs = i_bound - l_bound
     return (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
 
