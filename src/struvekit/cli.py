@@ -13,6 +13,7 @@ round-trips through the report parser bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional
 
@@ -52,6 +53,8 @@ def _axis(lo: float, hi: float, steps: int, log: bool) -> tuple[float, ...]:
     falls back to linear otherwise (order ranges often straddle zero)."""
     if steps < 1:
         raise click.BadParameter("grid axes need at least one step")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.BadParameter(f"axis endpoints must be finite, got {lo:g} and {hi:g}")
     if steps == 1:
         return (float(lo),)
     if log and lo > 0.0 and hi > 0.0:
@@ -83,12 +86,18 @@ def _custom(axes: dict) -> bool:
             .get_parameter_source("log_spacing") is ParameterSource.COMMANDLINE)
 
 
-def _emit(out: Optional[str], text: str) -> None:
-    if out:
+def _emit(out: Optional[str], text: str) -> int:
+    """Write text to the file out, or to stdout when out is None: EXIT_OK, or
+    EXIT_USAGE with the reason when the file cannot be written."""
+    if not out:
+        click.echo(text)
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        click.echo(text)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
+    return EXIT_OK
 
 
 def _fail(message: str) -> int:
@@ -129,15 +138,13 @@ def cmd_eval(nu: float, x: float, fn: str, method: str, tol: Optional[float],
     payload = {"nu": nu, "x": x, "value": fv.value,
                "abs_err": fv.abs_err, "method": fv.method.value}
     if fmt == "json":
-        _emit(out, json.dumps(payload))
-    elif fmt == "csv":
-        _emit(out, "nu,x,value,abs_err,method\n"
-              + f"{nu:.17g},{x:.17g},{fv.value:.17g},"
-              + f"{fv.abs_err:.3g},{fv.method.value}")
-    else:
-        _emit(out, f"{fn}(nu={nu:g}, x={x:g}) = {fv.value:.17g}"
-              f"   [abs err <= {fv.abs_err:.3g}, {fv.method.value}]")
-    return EXIT_OK
+        return _emit(out, json.dumps(payload))
+    if fmt == "csv":
+        return _emit(out, "nu,x,value,abs_err,method\n"
+                     + f"{nu:.17g},{x:.17g},{fv.value:.17g},"
+                     + f"{fv.abs_err:.3g},{fv.method.value}")
+    return _emit(out, f"{fn}(nu={nu:g}, x={x:g}) = {fv.value:.17g}"
+                 f"   [abs err <= {fv.abs_err:.3g}, {fv.method.value}]")
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +211,7 @@ def cmd_verify(cases: tuple[str, ...], y: tuple[float, ...], log_spacing: bool,
         except EmptyDomainError as exc:
             return _fail(str(exc))
     if fmt == "json":
-        _emit(out, json.dumps(
-            [inequalities.report_to_json_dict(r) for r in reports], indent=2))
+        text = json.dumps([inequalities.report_to_json_dict(r) for r in reports], indent=2)
     elif fmt == "csv":
         lines = ["case_id,points_tested,points_skipped,min_margin,"
                  "violations,inconclusive"]
@@ -213,17 +219,17 @@ def cmd_verify(cases: tuple[str, ...], y: tuple[float, ...], log_spacing: bool,
             mm = "" if r.min_margin is None else f"{r.min_margin:.17g}"
             lines.append(f"{r.case_id},{r.points_tested},{r.points_skipped},"
                          f"{mm},{len(r.violations)},{len(r.inconclusive)}")
-        _emit(out, "\n".join(lines))
+        text = "\n".join(lines)
     else:
         lines = [_human_report(r) for r in reports]
         total_v = sum(len(r.violations) for r in reports)
         total_i = sum(len(r.inconclusive) for r in reports)
         lines.append(f"-- {len(reports)} case(s): {total_v} violation(s), "
                      f"{total_i} inconclusive")
-        _emit(out, "\n".join(lines))
-    if any(r.violations for r in reports):
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+        text = "\n".join(lines)
+    # a failed write outranks the violations: the report never reached its reader
+    return _emit(out, text) or (EXIT_VIOLATIONS if any(r.violations for r in reports)
+                                else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +258,16 @@ def cmd_identities(log_spacing: bool, tol: Optional[float], fmt: str,
             except StruveKitError as exc:
                 code = _fail(f"at (nu={nu:g}, x={x:g}): {exc}")
     if fmt == "json":
-        _emit(out, json.dumps([{
+        text = json.dumps([{
             "id": r.id, "nu": r.point.nu, "x": r.point.x,
             "residual": r.residual, "scale": r.scale, "relative": r.relative,
-        } for r in rows], indent=2))
+        } for r in rows], indent=2)
     elif fmt == "csv":
         lines = ["id,nu,x,residual,scale,relative"]
         lines += [f"{r.id},{r.point.nu:.17g},{r.point.x:.17g},"
                   f"{r.residual:.17g},{r.scale:.17g},{r.relative:.17g}"
                   for r in rows]
-        _emit(out, "\n".join(lines))
+        text = "\n".join(lines)
     else:
         worst: dict[str, identities.IdentityResidual] = {}
         for r in rows:
@@ -271,8 +277,8 @@ def cmd_identities(log_spacing: bool, tol: Optional[float], fmt: str,
                  f"at (nu={r.point.nu:g}, x={r.point.x:g})" for rid, r in worst.items()]
         lines.append(f"-- {len(rows)} residuals over {len(nu_values)}x"
                      f"{len(x_values)} grid")
-        _emit(out, "\n".join(lines))
-    return code
+        text = "\n".join(lines)
+    return _emit(out, text) or code
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +311,7 @@ def cmd_table(log_spacing: bool, tol: Optional[float], out: Optional[str],
                                       (nu, x, m, c, md, lo, up)))
     except StruveKitError as exc:
         return _fail(str(exc))
-    try:
-        _emit(out, "\n".join(lines))
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
-    return EXIT_OK
+    return _emit(out, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

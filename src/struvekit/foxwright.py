@@ -97,7 +97,8 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
 
     Stops once the term magnitude falls below rel_tol times the running
     sum and keeps falling; term coefficients go through log-gamma so large
-    parameters cannot overflow intermediate factors. For z < 0 the partial
+    parameters cannot overflow intermediate factors, and a term that
+    overflows float64 raises CancellationError. For z < 0 the partial
     sums alternate, so the running peak-to-sum ratio is tracked and the
     evaluation refuses (CancellationError) when it passes CONDITION_LIMIT,
     the same pathology guard the merged series route uses.
@@ -134,7 +135,11 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
         if n > 0 and log_abs_z == -math.inf:
             break
         log_power = n * log_abs_z if n else 0.0  # 0 * -inf is NaN at z = 0
-        term_abs, term_err = exp_rounded(lg + log_power, size, log_power)
+        try:
+            term_abs, term_err = exp_rounded(lg + log_power, size, log_power)
+        except OverflowError:  # math.exp raises past log(DBL_MAX)
+            raise CancellationError(f"term {n} of the series at z = {z:g} overflows "
+                                    "float64") from None
         rounding += term_err
         term = sign * (sign_z ** n) * term_abs
         y = term - carry
@@ -153,8 +158,8 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
                     "alternating series loses more than 8 digits "
                     f"(condition {peak / abs(total):.3g})")
             return FuncValue(total, err, Method.FOX_WRIGHT)
-    if log_abs_z == -math.inf:
-        return FuncValue(total, EPS * abs(total), Method.FOX_WRIGHT)
+    if log_abs_z == -math.inf:  # z = 0: the leading term alone, with its exp() rounding
+        return FuncValue(total, rounding, Method.FOX_WRIGHT)
     raise NonConvergenceError(
         f"series did not settle within {cfg.max_terms} terms")
 
@@ -164,15 +169,19 @@ def calm_via_fox_wright(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> Fu
 
     Multiplies the 1Psi1 value at z = -x by Gamma(nu+1/2)/sqrt(pi). This
     is the third independent evaluation route; its cancellation guard
-    inherits from fox_wright_eval.
+    inherits from fox_wright_eval. CancellationError where the factor (from
+    nu = 171.6 on) or a term of the sum overflows float64.
     """
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x < 0.0:
         raise DomainError("the series argument requires x >= 0")
-    base = fox_wright_eval(norm_form_params(p.nu), -p.x, cfg)
     log_gam = log_gamma(p.nu + 0.5)
-    power, power_err = exp_rounded(log_gam, log_gam, 0.0)
+    try:
+        power, power_err = exp_rounded(log_gam, log_gam, 0.0)
+    except OverflowError:  # math.exp raises past log(DBL_MAX)
+        raise CancellationError(f"gamma({p.nu + 0.5:g}) overflows float64") from None
+    base = fox_wright_eval(norm_form_params(p.nu), -p.x, cfg)
     factor = power / SQRT_PI
     value = factor * base.value
     return FuncValue(value, factor * base.abs_err + power_err / SQRT_PI * abs(base.value)

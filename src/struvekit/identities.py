@@ -3,11 +3,13 @@ satisfies in this toolkit.
 
 Each evaluator computes its inputs by the independent evaluation routes
 (quadrature derivatives, merged series, elementary expressions at
-nu = +-1/2) and returns the absolute residual together with the magnitude
-of the largest participating term, so callers can assess the residual
-relatively. Nothing here rearranges the identity being tested to produce
-its own inputs; in particular the ODE residual gets its second derivative
-from differentiated quadrature, not from the ODE itself.
+nu = +-1/2), writes the identity as terms that sum to zero, and returns
+through _residual the residual |sum of terms| with the scale max |term|,
+so callers can assess the residual relatively (residual over scale). A
+residual is finite: where a term leaves the float64 range the evaluator
+raises CancellationError. Nothing here rearranges the identity being tested
+to produce its own inputs; in particular the ODE residual gets its second
+derivative from differentiated quadrature, not from the ODE itself.
 
 The residuals of nu > 1/2 read M_{nu-1}, M_nu, M_{nu+1} and M_nu' through
 ``routes.memo(series_cfg, quad_cfg)``, and the first-kind parts of the
@@ -17,12 +19,13 @@ one evaluation of each input and a repeated call reads them back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import closedforms, routes, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
-from .errors import DomainError
+from .errors import CancellationError, DomainError
 from .gammafuncs import LOG_SQRT_PI, power_gamma
 from .quadrature import calm_dx_orders, turanian_il_double_integral
 
@@ -40,6 +43,15 @@ class IdentityResidual:
     @property
     def relative(self) -> float:
         return self.residual / max(self.scale, 1e-300)
+
+
+def _residual(rid: str, p: EvalPoint, *terms: float) -> IdentityResidual:
+    """The residual rid at p of the identity sum(terms) = 0: |sum(terms)|, with the
+    scale max |term|; CancellationError where either is not finite."""
+    residual, scale = abs(sum(terms)), max(map(abs, terms))
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise CancellationError(f"{rid} at (nu={p.nu:g}, x={p.x:g}) overflows float64")
+    return IdentityResidual(rid, p, residual, scale)
 
 
 def _g_term(p: EvalPoint) -> float:
@@ -61,30 +73,30 @@ def ode_residual(p: EvalPoint,
         raise DomainError("ode_residual requires nu >= -1/2")
     if p.x <= 0.0:
         raise DomainError("ode_residual requires x > 0")
-    if p.nu == -0.5:
-        m = closedforms.m_at_neg_half(p.x)
-        m1 = closedforms.m_prime_at_neg_half(p.x)
-        m2 = closedforms.m_second_at_neg_half(p.x)
-    elif p.nu == 0.5:
-        m = closedforms.m_at_pos_half(p.x)
-        m1 = closedforms.m_prime_at_pos_half(p.x)
-        m2 = closedforms.m_second_at_pos_half(p.x)
-    else:
-        c0, c1, c2 = calm_dx_orders(p, range(3), quad_cfg)
-        m = series.m_from_calm(p, c0).value
-        m1 = series.m_prime_from_calm(p, c0, c1).value
-        m2 = -0.25 * power_gamma(p.nu - 2.0, p.x, p.nu + 0.5)[0] * (
-            p.nu * (p.nu - 1.0) * c0.value + 2.0 * p.nu * p.x * c1.value
-            + p.x * p.x * c2.value)
+    try:
+        if p.nu == -0.5:
+            m = closedforms.m_at_neg_half(p.x)
+            m1 = closedforms.m_prime_at_neg_half(p.x)
+            m2 = closedforms.m_second_at_neg_half(p.x)
+        elif p.nu == 0.5:
+            m = closedforms.m_at_pos_half(p.x)
+            m1 = closedforms.m_prime_at_pos_half(p.x)
+            m2 = closedforms.m_second_at_pos_half(p.x)
+        else:
+            c0, c1, c2 = calm_dx_orders(p, range(3), quad_cfg)
+            m = series.m_from_calm(p, c0).value
+            m1 = series.m_prime_from_calm(p, c0, c1).value
+            m2 = -0.25 * power_gamma(p.nu - 2.0, p.x, p.nu + 0.5)[0] * (
+                p.nu * (p.nu - 1.0) * c0.value + 2.0 * p.nu * p.x * c1.value
+                + p.x * p.x * c2.value)
+    except (OverflowError, ZeroDivisionError):  # at nu = +-1/2: x^-2 overflows, x * x is 0
+        raise CancellationError(f"M'' at (nu={p.nu:g}, x={p.x:g}) leaves the float64 "
+                                "range") from None
     # 4 (x/2)^(nu+1) / (sqrt(pi) gamma(nu+1/2)); 1/gamma(0) = 0: homogeneous at -1/2
     rhs = 0.0 if p.nu == -0.5 else 4.0 * power_gamma(p.nu + 1.0, p.x, p.nu + 0.5,
                                                       LOG_SQRT_PI)[0]
-    t_second = p.x * p.x * m2
-    t_first = p.x * m1
     t_zeroth = (p.x * p.x + p.nu * p.nu) * m
-    residual = abs(t_second + t_first - t_zeroth - rhs)
-    scale = max(abs(t_second), abs(t_first), abs(t_zeroth), abs(rhs))
-    return IdentityResidual("ode_second_kind", p, residual, scale)
+    return _residual("ode_second_kind", p, p.x * p.x * m2, p.x * m1, -t_zeroth, -rhs)
 
 
 def _require_turanian_domain(p: EvalPoint, name: str) -> None:
@@ -121,19 +133,11 @@ def recurrence_residuals(p: EvalPoint,
     g = _g_term(p)
     mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
 
-    r0 = abs(m_lo - m_hi - mid - g)
-    s0 = max(abs(m_lo), abs(m_hi), abs(mid), g)
-    r1 = abs(m_lo + m_hi - 2.0 * m_d + g)
-    s1 = max(abs(m_lo), abs(m_hi), 2.0 * abs(m_d), g)
-    r2 = abs(p.x * m_d + p.nu * m_md - p.x * m_lo)
-    s2 = max(abs(p.x * m_d), abs(p.nu * m_md), abs(p.x * m_lo))
-    r3 = abs(m_hi - m_d + 0.5 * mid + g)
-    s3 = max(abs(m_hi), abs(m_d), abs(0.5 * mid), g)
     return (
-        IdentityResidual("recurrence_three_term", p, r0, s0),
-        IdentityResidual("recurrence_derivative_sum", p, r1, s1),
-        IdentityResidual("recurrence_lower_order", p, r2, s2),
-        IdentityResidual("recurrence_raise_order", p, r3, s3),
+        _residual("recurrence_three_term", p, m_lo, -m_hi, -mid, -g),
+        _residual("recurrence_derivative_sum", p, m_lo, m_hi, -2.0 * m_d, g),
+        _residual("recurrence_lower_order", p, p.x * m_d, p.nu * m_md, -p.x * m_lo),
+        _residual("recurrence_raise_order", p, m_hi, -m_d, 0.5 * mid, g),
     )
 
 
@@ -161,17 +165,21 @@ def turanian_decomposition(p: EvalPoint,
     come from the all-positive ascending series, so each product is fully
     accurate; the cross part delta_il is negative on the sampled domain
     (delta_i and delta_l are positive), which the verification suite
-    records explicitly. nu > 1/2, x > 0.
+    records explicitly. nu > 1/2, x > 0. CancellationError where a product
+    overflows float64 (at nu = 1 from x = 358.4 on) while its factors do not.
     """
     _require_turanian_domain(p, "turanian_decomposition")
     i_lo, i_md, i_hi = (series.bessel_i(EvalPoint(p.nu + k, p.x), series_cfg).value
                         for k in (-1.0, 0.0, 1.0))
     l_lo, l_md, l_hi = (series.struve_l(EvalPoint(p.nu + k, p.x), series_cfg).value
                         for k in (-1.0, 0.0, 1.0))
-    delta_i = i_md * i_md - i_lo * i_hi
-    delta_l = l_md * l_md - l_lo * l_hi
-    delta_il = i_lo * l_hi + i_hi * l_lo - 2.0 * i_md * l_md
-    return delta_i, delta_l, delta_il
+    parts = (i_md * i_md - i_lo * i_hi,
+             l_md * l_md - l_lo * l_hi,
+             i_lo * l_hi + i_hi * l_lo - 2.0 * i_md * l_md)
+    if not all(map(math.isfinite, parts)):
+        raise CancellationError(f"the Turanian's first-kind parts at (nu={p.nu:g}, "
+                                f"x={p.x:g}) overflow float64")
+    return parts
 
 
 def _decomposition(ev: routes.Memo, nu: float, x: float) -> tuple[float, float, float]:
@@ -193,14 +201,10 @@ def turanian_quadratic_identity(p: EvalPoint,
     """
     m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg,
                                              "turanian_quadratic_identity")
-    lhs = m_md * m_md - m_lo * m_hi
     nu_m = p.nu * m_md / p.x
     t_sq = m_md * m_md + nu_m * nu_m  # (1 + nu^2/x^2) M^2, finite where M underflows
-    t_dq = m_d * m_d
-    t_g = _g_term(p) * m_lo
-    residual = abs(lhs - (t_sq - t_dq + t_g))
-    scale = max(abs(m_md * m_md), abs(m_lo * m_hi), abs(t_sq), t_dq, abs(t_g))
-    return IdentityResidual("turanian_quadratic", p, residual, scale)
+    return _residual("turanian_quadratic", p, m_md * m_md, -(m_lo * m_hi), -t_sq,
+                     m_d * m_d, -(_g_term(p) * m_lo))
 
 
 def closed_forms(x: float) -> tuple[float, float]:
@@ -217,11 +221,9 @@ def decomposition_residual(p: EvalPoint,
     first-kind series. nu > 1/2, x > 0."""
     m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg,
                                            "decomposition_residual")
-    lhs = m_md * m_md - m_lo * m_hi
     d_i, d_l, d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)
-    residual = abs(lhs - (d_i + d_l + d_il))
-    scale = max(abs(lhs), abs(d_i), abs(d_l), abs(d_il))
-    return IdentityResidual("turanian_decomposition", p, residual, scale)
+    return _residual("turanian_decomposition", p, m_md * m_md - m_lo * m_hi,
+                     -d_i, -d_l, -d_il)
 
 
 def crossterm_double_integral_residual(p: EvalPoint,
@@ -244,10 +246,7 @@ def crossterm_double_integral_residual(p: EvalPoint,
     """
     d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)[2]
     d = turanian_il_double_integral(p, quad_cfg).value
-    residual = abs(d_il - d)
-    scale = max(abs(d_il), abs(d))
-    return IdentityResidual("turanian_cross_vs_double_integral",
-                            p, residual, scale)
+    return _residual("turanian_cross_vs_double_integral", p, d_il, -d)
 
 
 #: Order values of the standard identity-residual grid.

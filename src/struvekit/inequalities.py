@@ -61,9 +61,10 @@ class InequalityCase:
     :func:`default_grid` spans the same range.
 
     ``margin_fn(ev, nu, x, y=None)`` returns the normalized margin, which
-    the executor reports as it is: the claim's two sides a, b as
-    ``(a - b) / max(|a|, |b|, 1e-300)``, oriented so positive means the
-    claim holds. It reads function values, and what it derives from them
+    the executor reports as it is: ``_rel(a, b)`` of the claim's two sides,
+    ``(a - b) / max(|a|, |b|, 1e-300)`` for the claim a >= b, so positive
+    means the claim holds; a claim with several parts returns their min.
+    It reads function values, and what it derives from them
     at the point (``ev.derived``), from ev, the sweep's
     :class:`routes.Memo`. Inside a sweep a memo read may defer its
     quadrature step, so a margin may be called again at the same point; it
@@ -188,15 +189,23 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # margin evaluators
 #
-# Signature: fn(ev, nu, x, y=None) -> float, the normalized margin: the
-# claim's two sides a, b enter as (a - b) / max(|a|, |b|, _SCALE_FLOOR),
-# written out in each margin, or a min of such terms for a claim with several
-# parts. ev is the routes.Memo of the sweep's (SeriesConfig, QuadConfig)
+# Signature: fn(ev, nu, x, y=None) -> float, the normalized margin: _rel(a, b)
+# of the claim a >= b, the min of those of its parts for a claim with several,
+# negated where the claim reverses (bound1, FX2). A sign claim v > 0 is
+# _rel(v, 0.0), +-1 unless v is 0, except where the value carries an error bar
+# that can make its sign uncertain (cm_probe_x, cm_probe_nu): _sign_margin
+# grades those. ev is the routes.Memo of the sweep's (SeriesConfig, QuadConfig)
 # pair: plain function values come from its memoized automatic routes, the
 # values a margin derives at a point (-M's derivatives, the Theorem 4
 # bounds, h and h') from ev.derived, and the series-route FX3_raw reads its
 # series config.
 # ---------------------------------------------------------------------------
+
+
+def _rel(a: float, b: float) -> float:
+    """Normalized margin of the claim a >= b: (a - b) / max(|a|, |b|, _SCALE_FLOOR),
+    in [-2, 2] for finite sides, positive where the claim holds, 0 where both sides are."""
+    return (a - b) / max(abs(a), abs(b), _SCALE_FLOOR)
 
 
 def _gr(nu: float) -> float:
@@ -206,8 +215,7 @@ def _gr(nu: float) -> float:
 
 def _margin_bound0(ev, nu, x, y=None):
     c = ev.calm(nu, x).value
-    g = _gr(nu)
-    return (g - c) / max(g, abs(c), _SCALE_FLOOR)
+    return _rel(_gr(nu), c)
 
 
 def _turanian_parts(ev, nu, x):
@@ -219,13 +227,12 @@ def _turanian_parts(ev, nu, x):
 
 def _margin_ineqturan_lower(ev, nu, x, y=None):
     sq, prod = _turanian_parts(ev, nu, x)
-    return (sq - prod) / max(sq, abs(prod), _SCALE_FLOOR)
+    return _rel(sq, prod)
 
 
 def _margin_ineqturan_upper(ev, nu, x, y=None):
     sq, prod = _turanian_parts(ev, nu, x)
-    cap = sq / (nu + 0.5)
-    return (cap - (sq - prod)) / max(cap, abs(sq - prod), _SCALE_FLOOR)
+    return _rel(sq / (nu + 0.5), sq - prod)
 
 
 def _ratio(ev, nu, x):
@@ -234,26 +241,21 @@ def _ratio(ev, nu, x):
 
 
 def _margin_quot1(ev, nu, x, y=None):
-    r = _ratio(ev, nu, x)
-    return (nu - r) / max(abs(nu), abs(r), _SCALE_FLOOR)
+    return _rel(nu, _ratio(ev, nu, x))
 
 
 def _margin_quot2_left(ev, nu, x, y=None):
-    r = _ratio(ev, nu, x)
-    s = math.hypot(x, nu)
-    return (r + s) / max(abs(r), s, _SCALE_FLOOR)
+    return _rel(_ratio(ev, nu, x), -math.hypot(x, nu))
 
 
 def _margin_quot2_right(ev, nu, x, y=None):
-    r = _ratio(ev, nu, x)
-    s = math.hypot(x, nu)
-    return (s - r) / max(abs(r), s, _SCALE_FLOOR)
+    return _rel(math.hypot(x, nu), _ratio(ev, nu, x))
 
 
 def _margin_fx1(ev, nu, x, y=None):
     lhs = ev.calm(nu, x + y).value
     rhs = ev.calm(nu, x).value * ev.calm(nu, y).value / _gr(nu)
-    return (lhs - rhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
+    return _rel(lhs, rhs)
 
 
 def _margin_bound1(ev, nu, x, y=None):
@@ -261,14 +263,14 @@ def _margin_bound1(ev, nu, x, y=None):
     # (1 - e^(-x))/x is 1 to within x; at a subnormal x the product would round first
     base = _gr(nu) if x < sys.float_info.min else _gr(nu) * (-math.expm1(-x)) / x
     orient = 1.0 if nu >= 0.5 else -1.0
-    return orient * (c - base) / max(abs(c), abs(base), _SCALE_FLOOR)
+    return orient * _rel(c, base)
 
 
 def _margin_fx2(ev, nu, x, y=None):
     lhs = ev.calm(nu - 1.0, x).value * ev.calm(nu + 1.0, x).value
     rhs = ev.calm(0.5, x).value * ev.calm(2.0 * nu - 0.5, x).value
     orient = 1.0 if nu >= 1.5 else -1.0
-    return orient * (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
+    return orient * _rel(rhs, lhs)
 
 
 def _margin_fx3(ev, nu, x, y=None):
@@ -281,7 +283,7 @@ def _margin_fx3(ev, nu, x, y=None):
     lhs = ev.calm(nu, x).value
     rhs = (_gr(nu) * math.exp(expo)
            - (4.0 / (SQRT_PI * (2.0 * nu + 1.0))) * math.sinh(x / (2.0 * nu + 3.0)))
-    return (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
+    return _rel(rhs, lhs)
 
 
 def _margin_fx3_raw(ev, nu, x, y=None):
@@ -295,20 +297,17 @@ def _margin_fx3_raw(ev, nu, x, y=None):
     i_bound = power_gamma(nu, x, nu + 1.0)[0] * math.exp(expo)
     l_bound = 2.0 * power_gamma(nu, x, nu + 1.5, LOG_SQRT_PI)[0] \
         * math.sinh(x / (2.0 * nu + 3.0))
-    rhs = i_bound - l_bound
-    return (rhs - lhs) / max(abs(lhs), abs(rhs), _SCALE_FLOOR)
+    return _rel(i_bound - l_bound, lhs)
 
 
 def _margin_quot3_left(ev, nu, x, y=None):
-    r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 - math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return (r - bound) / max(abs(r), abs(bound), _SCALE_FLOOR)
+    return _rel(_ratio(ev, nu, x), bound)
 
 
 def _margin_quot3_right(ev, nu, x, y=None):
-    r = _ratio(ev, nu, x)
     bound = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return (bound - r) / max(abs(r), abs(bound), _SCALE_FLOOR)
+    return _rel(bound, _ratio(ev, nu, x))
 
 
 def _ratio_derivative_analytic(ev, nu, x):
@@ -323,9 +322,7 @@ def _ratio_derivative_analytic(ev, nu, x):
 
 
 def _margin_fx31(ev, nu, x, y=None):
-    deriv = _ratio_derivative_analytic(ev, nu, x)
-    rhs = x / (nu + 0.5)
-    return (rhs - deriv) / max(rhs, abs(deriv), _SCALE_FLOOR)
+    return _rel(x / (nu + 0.5), _ratio_derivative_analytic(ev, nu, x))
 
 
 def _bilateral(ev, nu, x):
@@ -335,43 +332,35 @@ def _bilateral(ev, nu, x):
 def _margin_theorem4(ev, nu, x, y=None):
     lower, upper = ev.derived(_bilateral, nu, x)
     c = ev.calm(nu, x).value
-    n_lo = (c - lower) / max(abs(c), abs(lower), _SCALE_FLOOR)
-    n_up = (upper - c) / max(abs(c), abs(upper), _SCALE_FLOOR)
-    return min(n_lo, n_up)
+    return min(_rel(c, lower), _rel(upper, c))
 
 
 def _margin_gammaineq_left(ev, nu, x, y=None):
-    ratio = gamma_ratio(nu + 1.5, nu + 2.0)
-    return (TWO_OVER_SQRT_PI - ratio) / max(TWO_OVER_SQRT_PI, ratio, _SCALE_FLOOR)
+    return _rel(TWO_OVER_SQRT_PI, gamma_ratio(nu + 1.5, nu + 2.0))
 
 
 def _margin_gammaineq_right(ev, nu, x, y=None):
-    ratio = gamma_ratio(nu + 1.5, nu + 2.0)
-    bound = math.sqrt(2.0 / (math.pi * (nu + 1.0)))
-    return (ratio - bound) / max(ratio, bound, _SCALE_FLOOR)
+    return _rel(gamma_ratio(nu + 1.5, nu + 2.0), math.sqrt(2.0 / (math.pi * (nu + 1.0))))
 
 
 def _margin_remark2_turan(ev, nu, x, y=None):
     val = math.exp(2.0 * log_gamma(nu + 1.5)
                    - log_gamma(nu + 1.0) - log_gamma(nu + 2.0))
-    bound = 2.0 / math.pi
-    return (val - bound) / max(val, bound, _SCALE_FLOOR)
+    return _rel(val, 2.0 / math.pi)
 
 
 def _margin_remark2_ratio(ev, nu, x, y=None):
     g = _gr(nu)
     upper = TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
     lower = math.sqrt(2.0 / math.pi) * math.sqrt(nu + 1.0) / (nu + 0.5)
-    n_up = (upper - g) / max(upper, g, _SCALE_FLOOR)
-    n_lo = (g - lower) / max(g, lower, _SCALE_FLOOR)
-    return min(n_up, n_lo)
+    return min(_rel(upper, g), _rel(g, lower))
 
 
 def _margin_sign_m(ev, nu, x, y=None):
     # sign M = -sign calM for nu > -1/2, and calM does not underflow where
     # M does; the closed edge nu = -1/2 keeps M's closed form
     neg = ev.calm(nu, x).value if nu > -0.5 else -ev.m(nu, x).value
-    return neg / max(abs(neg), _SCALE_FLOOR)
+    return _rel(neg, 0.0)
 
 
 def _sign_margin(value: float, abs_err: float) -> float:
@@ -394,13 +383,13 @@ def _margin_cm_probe_nu(ev, nu, x, y=None):
 def _margin_logconvex_x(ev, nu, x, y=None):
     prod = ev.calm(nu, x).value * ev.calm(nu, 1.5 * x).value
     mid = ev.calm(nu, 1.25 * x).value
-    return (prod - mid * mid) / max(prod, mid * mid, _SCALE_FLOOR)
+    return _rel(prod, mid * mid)
 
 
 def _margin_logconvex_nu(ev, nu, x, y=None):
     prod = ev.calm(nu, x).value * ev.calm(nu + 1.0, x).value
     mid = ev.calm(nu + 0.5, x).value
-    return (prod - mid * mid) / max(prod, mid * mid, _SCALE_FLOOR)
+    return _rel(prod, mid * mid)
 
 
 #: (1/2)_k, the rising factorial, for k = 0..6.
@@ -443,7 +432,7 @@ def _margin_neg_m_cm(ev, nu, x, y=None):
     nu in [-1/2, 0]."""
     # every summand of a derivative is positive by construction, so the sign
     # of each order is certain and a per-order +-1 margin is honest
-    return min(v / max(abs(v), _SCALE_FLOOR) for v in ev.derived(_neg_m_derivatives, nu, x))
+    return min(_rel(v, 0.0) for v in ev.derived(_neg_m_derivatives, nu, x))
 
 
 def _h_pair(ev, nu, x):
@@ -452,9 +441,7 @@ def _h_pair(ev, nu, x):
 
 def _margin_h_negative_derivative(ev, nu, x, y=None):
     hv, hp = ev.derived(_h_pair, nu, 0.0)  # h does not depend on x: one entry per order
-    n_pos = hv / max(abs(hv), _SCALE_FLOOR)
-    n_dec = -hp / max(abs(hp), _SCALE_FLOOR)
-    return min(n_pos, n_dec)
+    return min(_rel(hv, 0.0), _rel(0.0, hp))
 
 
 # ---------------------------------------------------------------------------

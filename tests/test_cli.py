@@ -82,6 +82,9 @@ def test_eval_at_the_smallest_subnormal_argument(runner):
     (["--fn", "M", "--nu", "165", "--x", "1e4"], "overflows float64"),
     (["--fn", "I", "--nu", "300", "--x", "5000"], "overflows float64"),
     (["--fn", "L", "--nu", "300", "--x", "5000"], "overflows float64"),
+    (["--fn", "calM", "--method", "foxwright", "--nu", "200", "--x", "1"], "overflows float64"),
+    (["--fn", "M", "--method", "foxwright", "--nu", "200", "--x", "1"], "overflows float64"),
+    (["--fn", "calM", "--method", "foxwright", "--nu", "1", "--x", "1000"], "overflows float64"),
 ])
 def test_eval_at_large_order_and_argument_exits_2(runner, args, reason):
     """Each of these once ended in a bare OverflowError (exit 1); each now exits 2
@@ -107,12 +110,14 @@ def _grid(nu: str, x_min: str, x_max: str | None = None, x_steps: str = "1") -> 
     (["verify", "--case", "FX3_raw", *_grid("-0.7", "5e-324")], EXIT_OK),
     (["verify", "--case", "bound1", *_grid("1", "5e-324", "1e-300", "4")], EXIT_OK),
     (["eval", "--fn", "M", "--method", "foxwright", "--nu", "1", "--x", "0"], EXIT_USAGE),
+    (["identities", "--no-cross-term", *_grid("1", "400", "600", "2")], EXIT_USAGE),
 ])
 def test_extreme_arguments_exit_with_a_code_not_a_traceback(runner, args, code):
     """At large order and argument or at a subnormal x each of these once crashed
     (exit 1: OverflowError, a ValueError from log(x/2), a ZeroDivisionError from
     the x^2 divisor of M''), and bound1 at x = 5e-324 reported a false violation
-    (exit 3). The Fox-Wright M at x = 0 stays a domain error."""
+    (exit 3). The Fox-Wright M at x = 0 stays a domain error. The identities at
+    x = 400 and 600 once reported a NaN decomposition residual and exited 0."""
     result = runner.invoke(main, args)
     assert result.exit_code == code, _all_text(result)
     assert not isinstance(result.exception, Exception), result.exception
@@ -301,6 +306,47 @@ def test_verify_out_file(runner, tmp_path):
     assert result.exit_code == EXIT_OK
     reports = json.loads(target.read_text(encoding="utf-8"))
     assert reports[0]["case_id"] == "gammaineq_left"
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--nu", "1", "--x", "1"],
+    ["verify", "--case", "gammaineq_left"],
+    ["verify", "--case", "bound0", "--self-test-flip"],
+    ["identities", *_grid("1", "1")],
+    ["table", *_grid("1", "1")],
+])
+def test_unwritable_output_exits_2(runner, tmp_path, args):
+    """Every command reports a file it cannot write and exits 2, verify also when
+    it found violations (the flipped case): the report never reached its reader.
+    eval, verify and identities once crashed with FileNotFoundError (exit 1)."""
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "missing" / "out.txt")])
+    assert result.exit_code == EXIT_USAGE, _all_text(result)
+    assert "cannot write output" in _all_text(result)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--case", "bound0", "--nu-min", "nan", "--nu-steps", "2"],
+    ["identities", "--x-max", "inf"],
+    ["table", "--nu-max", "-inf"],
+])
+def test_axis_endpoints_must_be_finite(runner, args):
+    """A NaN or infinite axis endpoint is a usage error; verify once counted a NaN
+    row as skipped and exited 0."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_USAGE, _all_text(result)
+    assert "axis endpoints must be finite" in _all_text(result)
+
+
+def test_identities_csv_format(runner):
+    result = runner.invoke(main, ["identities", *_grid("1", "1"), "--format", "csv"])
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    header, *lines = result.output.splitlines()
+    assert header == "id,nu,x,residual,scale,relative"
+    assert len(lines) == 8
+    for line in lines:
+        rid, nu, x, residual, scale, relative = line.split(",")
+        assert (float(nu), float(x)) == (1.0, 1.0)
+        assert float(relative) == float(residual) / float(scale), rid
 
 
 def test_identities_small_grid_json(runner):

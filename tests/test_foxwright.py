@@ -1,6 +1,7 @@
 """Fox-Wright series route: reference values, guard rails, bound machinery."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -61,6 +62,47 @@ def test_argument_zero_returns_leading_coefficient():
     got = fox_wright_eval(params, 0.0)
     assert got.value == pytest.approx(psi_m(params, 0), rel=1e-15)
     assert got.abs_err <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [1.0, 50.0, 100.0])
+def test_argument_zero_bar_covers_the_leading_coefficient(nu):
+    """At z = 0 the sum is its leading term Gamma(1/2)/Gamma(nu+1), whose exp()
+    rounding follows its log-gamma sum; a bar of eps |value| left it 1.3x, 42x and
+    125x outside here."""
+    got = fox_wright_eval(norm_form_params(nu), 0.0)
+    with mpmath.workdps(50):
+        want = mpmath.gamma(0.5) / mpmath.gamma(mpmath.mpf(nu) + 1)
+    assert abs(mpmath.mpf(got.value) - want) <= got.abs_err, (got, want)
+
+
+def test_normalized_form_bar_at_zero_argument():
+    """calM_nu(0) = Gamma(nu+1/2)/Gamma(nu+1) lies within the route's bar at 400
+    seeded orders; leaving out the leading term's rounding put one 1.25x outside."""
+    rng = random.Random(2)
+    for nu in (rng.uniform(-0.5, 171.0) for _ in range(400)):
+        got = calm_via_fox_wright(EvalPoint(nu, 0.0))
+        with mpmath.workdps(50):
+            want = mpmath.gamma(mpmath.mpf(nu) + 0.5) / mpmath.gamma(mpmath.mpf(nu) + 1)
+        assert abs(mpmath.mpf(got.value) - want) <= got.abs_err, nu
+
+
+def test_overflow_is_refused():
+    """Gamma(nu+1/2) overflows float64 from nu = 171.6 at any x, and at nu = 1,
+    x = 1000 a term of the sum does: each raises CancellationError, where a bare
+    OverflowError once escaped. Over 700 seeded points in nu in [-0.49, 600],
+    x in {0} and [1e-3, 25], every value is finite or refused."""
+    for nu, x in ((171.7, 0.0), (200.0, 1.0), (1.0, 1000.0)):
+        with pytest.raises(CancellationError, match="overflows float64"):
+            calm_via_fox_wright(EvalPoint(nu, x))
+    rng = random.Random(0)
+    for _ in range(700):
+        p = EvalPoint(rng.uniform(-0.49, 600.0),
+                      0.0 if rng.random() < 0.2 else rng.uniform(1e-3, 25.0))
+        try:
+            fv = calm_via_fox_wright(p)
+        except CancellationError:
+            continue
+        assert math.isfinite(fv.value) and math.isfinite(fv.abs_err), p
 
 
 def test_convergence_index_gate():

@@ -8,8 +8,8 @@ import pytest
 from struvekit import routes, series
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                             SeriesConfig)
-from struvekit.errors import DomainError
-from struvekit.identities import (closed_forms, crossterm_double_integral_residual,
+from struvekit.errors import CancellationError, DomainError
+from struvekit.identities import (_residual, closed_forms, crossterm_double_integral_residual,
                                   decomposition_residual, ode_residual,
                                   recurrence_residuals, residual_suite,
                                   turanian, turanian_decomposition,
@@ -35,6 +35,33 @@ def test_ode_residual_at_half_orders():
         for x in (0.2, 1.0, 5.0, 15.0):
             r = ode_residual(EvalPoint(nu, x))
             assert r.relative < 1e-12, (nu, x, r.relative)
+
+
+def test_residual_is_the_sum_of_terms_over_the_largest():
+    r = _residual("id", EvalPoint(1.0, 1.0), 3.0, -4.0, 0.5)
+    assert (r.residual, r.scale, r.relative) == (0.5, 4.0, 0.125)
+    with pytest.raises(CancellationError, match=r"id at \(nu=1, x=1\) overflows"):
+        _residual("id", EvalPoint(1.0, 1.0), math.inf, 1.0)
+
+
+@pytest.mark.parametrize("nu, x", [(-0.5, 1e-130), (-0.5, 1e-300), (-0.5, 5e-324),
+                                   (0.5, 1e-300)])
+def test_ode_residual_refuses_where_the_elementary_m2_leaves_float64(nu, x):
+    """At nu = +-1/2 and tiny x the elementary M'' overflows (x^-2.5 at -1/2) or
+    divides by x * x = 0. Each of these once returned an infinite residual or
+    raised a bare OverflowError or ZeroDivisionError."""
+    with pytest.raises(CancellationError):
+        ode_residual(EvalPoint(nu, x))
+
+
+@pytest.mark.parametrize("x", [358.5, 400.0, 700.0])
+def test_decomposition_refuses_where_its_products_overflow(x):
+    """I_nu^2 and I_nu L_nu overflow float64 from x = 358.4 at nu = 1 while every
+    factor is finite; the parts were once -inf and NaN, and the residual NaN."""
+    with pytest.raises(CancellationError, match="overflow float64"):
+        turanian_decomposition(EvalPoint(1.0, x))
+    with pytest.raises(CancellationError):
+        decomposition_residual(EvalPoint(1.0, x))
 
 
 def test_recurrence_residuals_small_on_samples():

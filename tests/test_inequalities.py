@@ -18,7 +18,7 @@ from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
 from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.gammafuncs import log_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
-                                    GridSpec, _ratio_derivative_analytic,
+                                    GridSpec, _ratio_derivative_analytic, _rel,
                                     _sign_margin, default_grid, lookup,
                                     report_from_json_dict, report_to_json_dict,
                                     run_all, run_case, sweep_case)
@@ -515,6 +515,21 @@ def test_bound_at_zero_argument_is_sharp(default_reports):
     report = default_reports["bound0"]
     assert report.argmin[1] == pytest.approx(1e-3)
     assert 0.0 < report.min_margin < 1e-3
+
+
+def test_rel_is_the_normalized_margin_of_a_ge_b():
+    assert _rel(0.0, 0.0) == 0.0  # the scale floor, not 0/0
+    assert _rel(1.5, 1.5) == 0.0
+    assert _rel(3.0, 1.0) == pytest.approx(2.0 / 3.0)
+    assert _rel(1.0, 3.0) == -_rel(3.0, 1.0)
+    assert _rel(-2.0, 0.0) == -1.0 and _rel(0.0, -2.0) == 1.0
+
+
+def test_fx3_saturates_where_its_exponential_side_overflows():
+    """At nu = -0.49, x = 60 the exponent x^2 / (4 (nu+1)) is 1765: the bound
+    exceeds every normalized-form value, and the margin is 1 without evaluating it."""
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    assert CATALOG["FX3"].margin_fn(ev, -0.49, 60.0) == 1.0
 
 
 def test_sign_margin_grading():

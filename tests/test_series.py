@@ -56,6 +56,14 @@ def test_value_at_zero_argument_by_order_sign():
     assert struve_m_series(EvalPoint(-0.5, 0.0)).value == -math.inf
 
 
+@pytest.mark.parametrize("fn, nu, want", [
+    (bessel_i, 0.0, 1.0), (bessel_i, 1.5, 0.0), (bessel_i, -0.5, math.inf),
+    (struve_l, 0.5, 0.0), (struve_l, -1.0, 2.0 / math.pi), (struve_l, -1.25, math.inf),
+])
+def test_first_kind_limits_at_zero_argument(fn, nu, want):
+    assert fn(EvalPoint(nu, 0.0)) == FuncValue(want, 0.0, Method.SERIES)
+
+
 def test_cancellation_refused_when_uncertifiable():
     with pytest.raises(CancellationError):
         struve_m_series(EvalPoint(1.0, 500.0))
