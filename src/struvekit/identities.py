@@ -96,7 +96,9 @@ def ode_residual(p: EvalPoint,
     rhs = 0.0 if p.nu == -0.5 else 4.0 * power_gamma(p.nu + 1.0, p.x, p.nu + 0.5,
                                                       LOG_SQRT_PI)[0]
     t_zeroth = (p.x * p.x + p.nu * p.nu) * m
-    return _residual("ode_second_kind", p, p.x * p.x * m2, p.x * m1, -t_zeroth, -rhs)
+    # x (x M''), not (x * x) M'': x * x is subnormal below x ~ 1.5e-154, where M'' at
+    # nu = 1/2 is of order x^-1.5
+    return _residual("ode_second_kind", p, p.x * (p.x * m2), p.x * m1, -t_zeroth, -rhs)
 
 
 def _require_turanian_domain(p: EvalPoint, name: str) -> None:

@@ -7,10 +7,10 @@ margin evaluator returning the normalized margin, oriented so that a
 positive margin means the claim holds. The range is declared once per case
 (a lower edge, open or closed, and an optional closed upper edge); the
 case's domain predicate and its default sweep grid are both derived from
-it. The executor runs the margin over a grid's in-domain points through
-the memo's :meth:`routes.Memo.map`, which batches their quadrature, and
-classifies each point in grid order as satisfied, inconclusive (within
-``+-1e-9`` of zero), or a violation.
+it. The executor runs the margin once over a grid's in-domain points, as
+arrays whose reads (:class:`Reads`) the config pair's routes memo answers in
+bulk, and classifies each point in grid order as satisfied, inconclusive
+(within ``+-1e-9`` of zero), or a violation.
 
 The catalog below (CATALOG) is the canonical set swept by ``run_all``.
 One extra case, ``FX3_raw``, lives in EXTRA_CASES: it extends the
@@ -29,6 +29,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial, partialmethod
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from . import foxwright, routes
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError, EmptyDomainError
-from .gammafuncs import (LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
+from .gammafuncs import (LN2, LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
                          gamma_ratio_h, gamma_ratio_h_prime, log_gamma, power_gamma)
 from .series import struve_m_series
 
@@ -60,15 +61,17 @@ class InequalityCase:
     y > 0; :meth:`domain` is the predicate derived from these fields, and
     :func:`default_grid` spans the same range.
 
-    ``margin_fn(ev, nu, x, y=None)`` returns the normalized margin, which
-    the executor reports as it is: ``_rel(a, b)`` of the claim's two sides,
+    ``margin_fn(ev, nu, x, y=None)`` is one numpy expression over the
+    sweep's in-domain points: nu, x and y are equal-length arrays of them in
+    grid order. It returns the normalized margin at each, which the executor
+    reports as it is: ``_rel(a, b)`` of the claim's two sides,
     ``(a - b) / max(|a|, |b|, 1e-300)`` for the claim a >= b, so positive
-    means the claim holds; a claim with several parts returns their min.
-    It reads function values, and what it derives from them
-    at the point (``ev.derived``), from ev, the sweep's
-    :class:`routes.Memo`. Inside a sweep a memo read may defer its
-    quadrature step, so a margin may be called again at the same point; it
-    must read the memo and compute, nothing more.
+    means the claim holds; a claim with several parts returns their _min.
+    It reads function values from ev, the sweep's :class:`Reads`, as arrays,
+    one read per function kind (``ev.m(np.stack((nu - 1.0, nu, nu + 1.0)),
+    x)``); ``ev.each`` and ``ev.derived`` run scalar functions per point. A
+    point where a read raised is recorded with its error, and so is a point
+    whose margin is not finite.
     """
 
     id: str
@@ -189,39 +192,97 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # margin evaluators
 #
-# Signature: fn(ev, nu, x, y=None) -> float, the normalized margin: _rel(a, b)
-# of the claim a >= b, the min of those of its parts for a claim with several,
-# negated where the claim reverses (bound1, FX2). A sign claim v > 0 is
-# _rel(v, 0.0), +-1 unless v is 0, except where the value carries an error bar
-# that can make its sign uncertain (cm_probe_x, cm_probe_nu): _sign_margin
-# grades those. ev is the routes.Memo of the sweep's (SeriesConfig, QuadConfig)
-# pair: plain function values come from its memoized automatic routes, the
-# values a margin derives at a point (-M's derivatives, the Theorem 4
-# bounds, h and h') from ev.derived, and the series-route FX3_raw reads its
-# series config.
+# Signature: fn(ev, nu, x, y=None) -> array, the normalized margin at every point
+# of the coordinate arrays: _rel(a, b) of the claim a >= b, the _min of those of
+# its parts for a claim with several, negated where the claim reverses (bound1,
+# FX2). A sign claim v > 0 is _rel(v, 0.0), +-1 unless v is 0, except where the
+# value's error bar can make its sign uncertain (cm_probe_x, cm_probe_nu):
+# _sign_margin grades those. ev is the sweep's Reads: ev.calm(nu, x) and its
+# siblings read the automatic values as arrays, one read per function kind, with
+# leading axes for neighbouring orders or arguments; a NaN coordinate reads
+# nothing, which is how a margin skips the points a read does not serve.
+# ev.each runs math's exp, expm1, sinh and hypot, Python's ** and the scalar
+# routes per point (numpy's would move bits), _per_order a function of the order.
 # ---------------------------------------------------------------------------
 
 
-def _rel(a: float, b: float) -> float:
+class Reads:
+    """A sweep's reads of the routes.Memo of its config pair: Memo.read's arrays, and
+    per point (the last axis of every read) the first error a read or each raised."""
+
+    __slots__ = ("memo", "series_cfg", "errors")
+
+    def __init__(self, memo: routes.Memo) -> None:
+        self.memo, self.series_cfg, self.errors = memo, memo.series_cfg, {}
+
+    def _note(self, errors: dict, shape: tuple) -> None:
+        for i, exc in errors.items():
+            self.errors.setdefault(i % (shape[-1] if shape else 1), exc)
+
+    def _read(self, kind: str, nu, x) -> routes.Values:
+        got = self.memo.read(kind, nu, x)
+        self._note(got.errors, np.broadcast(nu, x).shape)
+        return got
+
+    m = partialmethod(_read, "m")
+    m_prime = partialmethod(_read, "m_prime")
+    calm = partialmethod(_read, "calm")
+    calm_dx = partialmethod(_read, "calm_dx")
+    calm_dnu = partialmethod(_read, "calm_dnu")
+
+    def derived(self, fn, nu, x) -> np.ndarray:
+        """each over memo.derived(fn, nu, x): fn(memo, nu, x) once per point."""
+        return self.each(partial(self.memo.derived, fn), nu, x)
+
+    def each(self, fn, *args) -> np.ndarray:
+        """fn at every point of the broadcast args: its values (stacked first where it
+        returns several), NaN where it raised a routes.RECORDED error, kept for the point."""
+        shape = np.broadcast(*args).shape
+        got, errors = [], {}
+        for i, point in enumerate(zip(*(np.broadcast_to(a, shape).ravel().tolist()
+                                        for a in args))):
+            try:
+                got.append(fn(*point))
+            except routes.RECORDED as exc:
+                got.append(None)
+                errors[i] = exc
+        self._note(errors, shape)
+        blank = np.full(np.shape(next((v for v in got if v is not None), 0.0)), math.nan)
+        values = np.array([blank if v is None else v for v in got], float)
+        return np.moveaxis(values.reshape(shape + blank.shape), -1, 0) if blank.ndim else (
+            values.reshape(shape))
+
+
+def _rel(a, b):
     """Normalized margin of the claim a >= b: (a - b) / max(|a|, |b|, _SCALE_FLOOR),
     in [-2, 2] for finite sides, positive where the claim holds, 0 where both sides are."""
-    return (a - b) / max(abs(a), abs(b), _SCALE_FLOOR)
+    return (a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), _SCALE_FLOOR)
 
 
-def _gr(nu: float) -> float:
+def _min(first, *rest):
+    """Python's min(first, *rest) at every point, but NaN where a part is NaN."""
+    for part in rest:
+        first = np.where((part < first) | np.isnan(part), part, first)
+    return first
+
+
+def _per_order(fn, nu):
+    """fn(order) at every point of nu, one call per distinct order."""
+    orders, index = np.unique(nu, return_inverse=True)
+    return np.array([fn(v) for v in orders.tolist()])[index].reshape(np.shape(nu))
+
+
+def _gr(nu):
     """gamma(nu+1/2)/gamma(nu+1), the x -> 0 value of the normalized form."""
-    return gamma_ratio(nu + 0.5, nu + 1.0)
+    return _per_order(lambda v: gamma_ratio(v + 0.5, v + 1.0), nu)
 
 
 def _margin_bound0(ev, nu, x, y=None):
-    c = ev.calm(nu, x).value
-    return _rel(_gr(nu), c)
+    return _rel(_gr(nu), ev.calm(nu, x).value)
 
 
 def _turanian_parts(ev, nu, x):
-    m_lo = ev.m(nu - 1.0, x).value
-    m_md = ev.m(nu, x).value
-    m_hi = ev.m(nu + 1.0, x).value
+    m_lo, m_md, m_hi = ev.m(np.stack((nu - 1.0, nu, nu + 1.0)), x).value
     return m_md * m_md, m_lo * m_hi
 
 
@@ -245,69 +306,77 @@ def _margin_quot1(ev, nu, x, y=None):
 
 
 def _margin_quot2_left(ev, nu, x, y=None):
-    return _rel(_ratio(ev, nu, x), -math.hypot(x, nu))
+    return _rel(_ratio(ev, nu, x), -ev.each(math.hypot, x, nu))
 
 
 def _margin_quot2_right(ev, nu, x, y=None):
-    return _rel(math.hypot(x, nu), _ratio(ev, nu, x))
+    return _rel(ev.each(math.hypot, x, nu), _ratio(ev, nu, x))
 
 
 def _margin_fx1(ev, nu, x, y=None):
-    lhs = ev.calm(nu, x + y).value
-    rhs = ev.calm(nu, x).value * ev.calm(nu, y).value / _gr(nu)
-    return _rel(lhs, rhs)
+    lhs, at_x, at_y = ev.calm(nu, np.stack((x + y, x, y))).value
+    return _rel(lhs, at_x * at_y / _gr(nu))
 
 
 def _margin_bound1(ev, nu, x, y=None):
     c = ev.calm(nu, x).value
+    gr = _gr(nu)
     # (1 - e^(-x))/x is 1 to within x; at a subnormal x the product would round first
-    base = _gr(nu) if x < sys.float_info.min else _gr(nu) * (-math.expm1(-x)) / x
-    orient = 1.0 if nu >= 0.5 else -1.0
-    return orient * _rel(c, base)
+    base = np.where(x < sys.float_info.min, gr, gr * -ev.each(math.expm1, -x) / x)
+    return np.where(nu >= 0.5, 1.0, -1.0) * _rel(c, base)
 
 
 def _margin_fx2(ev, nu, x, y=None):
-    lhs = ev.calm(nu - 1.0, x).value * ev.calm(nu + 1.0, x).value
-    rhs = ev.calm(0.5, x).value * ev.calm(2.0 * nu - 0.5, x).value
-    orient = 1.0 if nu >= 1.5 else -1.0
-    return orient * _rel(rhs, lhs)
+    lo, hi, half, twice = ev.calm(
+        np.stack((nu - 1.0, nu + 1.0, np.full(np.shape(nu), 0.5), 2.0 * nu - 0.5)), x).value
+    return np.where(nu >= 1.5, 1.0, -1.0) * _rel(half * twice, lo * hi)
 
 
 def _margin_fx3(ev, nu, x, y=None):
+    # past expo = 700 the exponential side exceeds any normalized-form value by
+    # hundreds of orders of magnitude: the margin saturates at 1, evaluating nothing
     expo = x * x / (4.0 * (nu + 1.0))
-    if expo > 700.0:
-        # the exponential side exceeds any normalized-form value by
-        # hundreds of orders of magnitude; report a saturated margin
-        # instead of overflowing
-        return 1.0
-    lhs = ev.calm(nu, x).value
-    rhs = (_gr(nu) * math.exp(expo)
-           - (4.0 / (SQRT_PI * (2.0 * nu + 1.0))) * math.sinh(x / (2.0 * nu + 3.0)))
-    return _rel(rhs, lhs)
+    saturated = expo > 700.0
+    lhs = ev.calm(np.where(saturated, math.nan, nu), x).value
+    rhs = (_gr(nu) * ev.each(math.exp, np.where(saturated, math.nan, expo))
+           - (4.0 / (SQRT_PI * (2.0 * nu + 1.0)))
+           * ev.each(math.sinh, np.where(saturated, math.nan, x / (2.0 * nu + 3.0))))
+    return np.where(saturated, 1.0, _rel(rhs, lhs))
 
 
-def _margin_fx3_raw(ev, nu, x, y=None):
-    """Series-route form of the combined bound on -M_nu for orders in
-    (-1, -1/2], where the normalized form has no integral
-    representation. Genuinely violated; kept to document the failure."""
+def _fx3_raw_at(series_cfg, nu, x):
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
         return 1.0
-    lhs = -struve_m_series(EvalPoint(nu, x), ev.series_cfg).value
+    lhs = -struve_m_series(EvalPoint(nu, x), series_cfg).value
     i_bound = power_gamma(nu, x, nu + 1.0)[0] * math.exp(expo)
     l_bound = 2.0 * power_gamma(nu, x, nu + 1.5, LOG_SQRT_PI)[0] \
         * math.sinh(x / (2.0 * nu + 3.0))
     return _rel(i_bound - l_bound, lhs)
 
 
+def _margin_fx3_raw(ev, nu, x, y=None):
+    """Series-route form of the combined bound on -M_nu for orders in (-1, -1/2], where
+    the normalized form has no integral representation. Genuinely violated; kept to
+    document the failure."""
+    return ev.each(partial(_fx3_raw_at, ev.series_cfg), nu, x)
+
+
+def _quot3_root(nu, x, side):
+    """The root (-1 + side sqrt(1 + 4 (x^2 + nu^2))) / 2, side = +-1."""
+    return 0.5 * (-1.0 + side * np.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
+
+
 def _margin_quot3_left(ev, nu, x, y=None):
-    bound = 0.5 * (-1.0 - math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return _rel(_ratio(ev, nu, x), bound)
+    return _rel(_ratio(ev, nu, x), _quot3_root(nu, x, -1.0))
 
 
 def _margin_quot3_right(ev, nu, x, y=None):
-    bound = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
-    return _rel(bound, _ratio(ev, nu, x))
+    return _rel(_quot3_root(nu, x, 1.0), _ratio(ev, nu, x))
+
+
+def _fx31_coef(nu, x):
+    return power_gamma(nu - 1.0, x, nu + 1.5, LOG_SQRT_PI)[0]
 
 
 def _ratio_derivative_analytic(ev, nu, x):
@@ -316,8 +385,8 @@ def _ratio_derivative_analytic(ev, nu, x):
         / (sqrt(pi) gamma(nu+3/2)) ] / M^2."""
     m = ev.m(nu, x).value
     md = ev.m_prime(nu, x).value
-    coef = (nu + 0.5) * power_gamma(nu - 1.0, x, nu + 1.5, LOG_SQRT_PI)[0]
-    bracket = (1.0 + (nu / x) ** 2) * m * m - md * md + coef * m
+    coef = (nu + 0.5) * ev.each(_fx31_coef, nu, x)
+    bracket = (1.0 + ev.each(pow, nu / x, 2.0)) * m * m - md * md + coef * m
     return x * bracket / (m * m)
 
 
@@ -332,64 +401,73 @@ def _bilateral(ev, nu, x):
 def _margin_theorem4(ev, nu, x, y=None):
     lower, upper = ev.derived(_bilateral, nu, x)
     c = ev.calm(nu, x).value
-    return min(_rel(c, lower), _rel(upper, c))
+    return _min(_rel(c, lower), _rel(upper, c))
 
 
 def _margin_gammaineq_left(ev, nu, x, y=None):
-    return _rel(TWO_OVER_SQRT_PI, gamma_ratio(nu + 1.5, nu + 2.0))
+    return _rel(TWO_OVER_SQRT_PI, _per_order(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu))
 
 
 def _margin_gammaineq_right(ev, nu, x, y=None):
-    return _rel(gamma_ratio(nu + 1.5, nu + 2.0), math.sqrt(2.0 / (math.pi * (nu + 1.0))))
+    return _rel(_per_order(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu),
+                np.sqrt(2.0 / (math.pi * (nu + 1.0))))
 
 
 def _margin_remark2_turan(ev, nu, x, y=None):
-    val = math.exp(2.0 * log_gamma(nu + 1.5)
-                   - log_gamma(nu + 1.0) - log_gamma(nu + 2.0))
+    val = _per_order(lambda v: math.exp(2.0 * log_gamma(v + 1.5)
+                                        - log_gamma(v + 1.0) - log_gamma(v + 2.0)), nu)
     return _rel(val, 2.0 / math.pi)
 
 
 def _margin_remark2_ratio(ev, nu, x, y=None):
     g = _gr(nu)
     upper = TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
-    lower = math.sqrt(2.0 / math.pi) * math.sqrt(nu + 1.0) / (nu + 0.5)
-    return min(_rel(upper, g), _rel(g, lower))
+    lower = math.sqrt(2.0 / math.pi) * np.sqrt(nu + 1.0) / (nu + 0.5)
+    return _min(_rel(upper, g), _rel(g, lower))
 
 
 def _margin_sign_m(ev, nu, x, y=None):
     # sign M = -sign calM for nu > -1/2, and calM does not underflow where
     # M does; the closed edge nu = -1/2 keeps M's closed form
-    neg = ev.calm(nu, x).value if nu > -0.5 else -ev.m(nu, x).value
-    return _rel(neg, 0.0)
+    above = nu > -0.5
+    return _rel(np.where(above, ev.calm(np.where(above, nu, math.nan), x).value,
+                         -ev.m(np.where(above, math.nan, nu), x).value), 0.0)
 
 
-def _sign_margin(value: float, abs_err: float) -> float:
+def _sign_margin(value, abs_err):
     """Normalized margin of a single positivity claim: close to +-1 when
     the sign is numerically certain, and graded into the inconclusive
     band once the value drops below its reported error bar."""
-    return value / max(abs(value), abs_err / INCONCLUSIVE_BAND, _SCALE_FLOOR)
+    return value / np.maximum(np.maximum(np.abs(value), abs_err / INCONCLUSIVE_BAND),
+                              _SCALE_FLOOR)
+
+
+def _alternating_signs(read):
+    """The min over orders n of _sign_margin of (-1)^n times the read's order-n value."""
+    return _min(*(_sign_margin((-1.0) ** n * value, err)
+                  for n, (value, err) in enumerate(zip(read.value, read.abs_err))))
 
 
 def _margin_cm_probe_x(ev, nu, x, y=None):
-    return min(_sign_margin((-1.0) ** n * fv.value, fv.abs_err)
-               for n, fv in enumerate(ev.calm_dx(nu, x)))
+    return _alternating_signs(ev.calm_dx(nu, x))
 
 
 def _margin_cm_probe_nu(ev, nu, x, y=None):
-    return min(_sign_margin((-1.0) ** m * fv.value, fv.abs_err)
-               for m, fv in enumerate(ev.calm_dnu(nu, x)))
+    return _alternating_signs(ev.calm_dnu(nu, x))
+
+
+#: Factors of x at which logconvex_x reads calM: its two ends, then their midpoint.
+_LOGCONVEX_X = np.array([[1.0], [1.5], [1.25]])
 
 
 def _margin_logconvex_x(ev, nu, x, y=None):
-    prod = ev.calm(nu, x).value * ev.calm(nu, 1.5 * x).value
-    mid = ev.calm(nu, 1.25 * x).value
-    return _rel(prod, mid * mid)
+    c, c_far, c_mid = ev.calm(nu, x * _LOGCONVEX_X).value
+    return _rel(c * c_far, c_mid * c_mid)
 
 
 def _margin_logconvex_nu(ev, nu, x, y=None):
-    prod = ev.calm(nu, x).value * ev.calm(nu + 1.0, x).value
-    mid = ev.calm(nu + 0.5, x).value
-    return _rel(prod, mid * mid)
+    c, c_far, c_mid = ev.calm(np.stack((nu, nu + 1.0, nu + 0.5)), x).value
+    return _rel(c * c_far, c_mid * c_mid)
 
 
 #: (1/2)_k, the rising factorial, for k = 0..6.
@@ -405,26 +483,23 @@ def _neg_m_derivatives(ev, nu, x):
     the Leibniz rule on -M = x^nu calM_nu / (2^nu gamma(nu+1/2)) keeps
     every term positive as well (falling factorials of nu <= 0 alternate
     against the alternating normalized-form derivatives), so the
-    evaluation is cancellation-free.
+    evaluation is cancellation-free. Only the signs reach the margin, so
+    numpy's exp and ** serve.
     """
+    half = nu == -0.5
+    calm_nu = np.where(half, math.nan, nu)  # nu = -1/2 reads no calM
+    dx = ev.calm_dx(calm_nu, x).value
+    front = np.exp(-calm_nu * LN2 - _per_order(log_gamma, calm_nu + 0.5))
+    falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
     vals = []
-    if nu == -0.5:
-        front = math.sqrt(2.0 / math.pi) * math.exp(-x)
-        for n in range(7):
-            acc = 0.0
-            for k in range(n + 1):
-                acc += math.comb(n, k) * _RISING_HALF[k] * x ** (-0.5 - k)
-            vals.append(front * acc)
-    else:
-        front = math.exp(-nu * math.log(2.0) - log_gamma(nu + 0.5))
-        falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
-        dx = [fv.value for fv in ev.calm_dx(nu, x)]
-        for n in range(7):
-            acc = 0.0
-            for k in range(n + 1):
-                acc += math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
-            vals.append((-1.0) ** n * front * acc)
-    return tuple(vals)
+    for n in range(7):
+        leibniz = sum(math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
+                      for k in range(n + 1))
+        elementary = sum(math.comb(n, k) * _RISING_HALF[k] * x ** (-0.5 - k)
+                         for k in range(n + 1))
+        vals.append(np.where(half, math.sqrt(2.0 / math.pi) * np.exp(-x) * elementary,
+                             (-1.0) ** n * front * leibniz))
+    return vals
 
 
 def _margin_neg_m_cm(ev, nu, x, y=None):
@@ -432,16 +507,12 @@ def _margin_neg_m_cm(ev, nu, x, y=None):
     nu in [-1/2, 0]."""
     # every summand of a derivative is positive by construction, so the sign
     # of each order is certain and a per-order +-1 margin is honest
-    return min(_rel(v, 0.0) for v in ev.derived(_neg_m_derivatives, nu, x))
-
-
-def _h_pair(ev, nu, x):
-    return gamma_ratio_h(nu), gamma_ratio_h_prime(nu)
+    return _min(*(_rel(v, 0.0) for v in _neg_m_derivatives(ev, nu, x)))
 
 
 def _margin_h_negative_derivative(ev, nu, x, y=None):
-    hv, hp = ev.derived(_h_pair, nu, 0.0)  # h does not depend on x: one entry per order
-    return min(_rel(hv, 0.0), _rel(0.0, hp))
+    return _min(_rel(_per_order(gamma_ratio_h, nu), 0.0),
+                _rel(0.0, _per_order(gamma_ratio_h_prime, nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,43 +656,62 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
                quad_cfg: QuadConfig = QUAD_DEFAULTS) -> VerificationReport:
     """Sweep one case over a grid and classify every point.
 
-    Points outside the case domain are skipped and counted. The margin runs
-    over the rest at the given configs through :meth:`routes.Memo.map` of the
-    pair's :data:`routes.memo`, whose values outlive the sweep; the report
-    lists its points in grid order, and the argmin is the first point that
-    attains the minimum. Evaluation failures are recorded per point and
-    counted as skipped, never fatal. When nothing was tested the result is
-    a zero-point report: every grid point counts as skipped, or none when a
-    two-argument case is handed no y grid.
+    Points outside the case domain are skipped and counted. The margin runs once over
+    the rest, as arrays, reading the pair's :data:`routes.memo`, whose values outlive
+    the sweep. The report lists its points in grid order, and the argmin is the first
+    point that attains the minimum. A point where a read or ev.each raised is recorded
+    with that error, else one whose margin is not finite with its arithmetic's
+    (_arithmetic_error), and counted as skipped, never fatal. When nothing was tested
+    the result is a zero-point report: every grid point counts as skipped, or none when
+    a two-argument case is handed no y grid.
     """
     start = time.perf_counter()
-    (nus, *rest), skipped = _domain_axes(case, grid)
-    points = list(itertools.product(nus, *rest))
-    outcomes = routes.memo(series_cfg, quad_cfg).map(case.margin_fn, points)
-    min_margin: Optional[float] = None
-    argmin: Optional[tuple[float, ...]] = None
-    violations, inconclusive, errors = [], [], []
-    for point, margin in zip(points, outcomes):
-        if isinstance(margin, Exception):
-            errors.append((point, f"{type(margin).__name__}: {margin}"))
-            continue
-        if min_margin is None or margin < min_margin:
-            min_margin, argmin = margin, point
-        if margin < -INCONCLUSIVE_BAND:
-            violations.append((point, margin))
-        elif abs(margin) <= INCONCLUSIVE_BAND:
-            inconclusive.append((point, margin))
+    axes, skipped = _domain_axes(case, grid)
+    cols = [c.ravel() for c in np.meshgrid(*map(np.array, axes), indexing="ij")]
+    coords = [c.tolist() for c in cols]
+    size = math.prod(map(len, axes))
+    ev = Reads(routes.memo(series_cfg, quad_cfg))
+    with np.errstate(all="ignore"):
+        margins = np.broadcast_to(case.margin_fn(ev, *cols) if size else (), size)
+    errors = ev.errors
+    for i in np.flatnonzero(~np.isfinite(margins)).tolist():
+        errors.setdefault(i, _arithmetic_error(case, ev.memo, [c[i] for c in coords]))
+    tested = np.ones(size, bool)
+    tested[list(errors)] = False
+    kept = np.flatnonzero(tested)
+    margin = margins[kept]
+    low = kept[np.argmin(margin)] if kept.size else None
+
+    def listed(where):
+        return tuple((tuple(c[i] for c in coords), m) for i, m in zip(
+            kept[where].tolist(), margin[where].tolist()))
+
     return VerificationReport(
         case_id=case.id,
-        points_tested=len(points) - len(errors),
+        points_tested=kept.size,
         points_skipped=skipped + len(errors),
-        min_margin=min_margin,
-        argmin=argmin,
-        violations=tuple(violations),
-        inconclusive=tuple(inconclusive),
-        errors=tuple(errors),
+        min_margin=None if low is None else float(margins[low]),
+        argmin=None if low is None else tuple(c[low] for c in coords),
+        violations=listed(margin < -INCONCLUSIVE_BAND),
+        inconclusive=listed(np.abs(margin) <= INCONCLUSIVE_BAND),
+        errors=tuple((tuple(c[i] for c in coords), f"{type(exc).__name__}: {exc}")
+                     for i, exc in sorted(errors.items())),
         wall_time=time.perf_counter() - start,
     )
+
+
+def _arithmetic_error(case: InequalityCase, memo: routes.Memo, point: tuple) -> ArithmeticError:
+    """ZeroDivisionError or OverflowError, for the first floating-point fault of the
+    margin run again at point alone, its reads now hits (a fault in a branch that
+    np.where discards counts too)."""
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            case.margin_fn(Reads(memo), *(np.array([v]) for v in point))
+        except FloatingPointError as exc:
+            if "divide" in str(exc):
+                return ZeroDivisionError("float division by zero")
+            return OverflowError(str(exc))
+    return OverflowError("the margin is not finite")
 
 
 def run_case(case: InequalityCase, grid: GridSpec,

@@ -36,8 +36,8 @@ calm_dx_points and calm_dnu_points refine points at any mix of (nu, x) with
 one exp() matrix per level, bit for bit _refine at each point, each with its
 own tails, tolerances, error estimates and stopping level; the sweep memo
 batches its quadrature misses through them. _refine serves lone points (the
-single-call route chain), where a one-point batch's array bookkeeping would
-cost several times the refinement. Lone points freeze at level 4, so _refine
+single-call route chain, and a batch of one), where a one-point batch's array
+bookkeeping would cost several times the refinement. Lone points freeze at level 4, so _refine
 takes levels 0-4 in one pass over their joined nodes: one exp(), one kernel
 product, then numpy's pairwise sum over each level's slice, which sees the
 values of a per-level pass in the same order and so keeps every bit.
@@ -269,12 +269,17 @@ def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, 
                    name: str) -> list[list[FuncValue] | NonConvergenceError]:
     """_refine at every point, each at its own (nu, x) and abs_tols row: per point
     its FuncValues or its stall error, in batches of at most _BATCH_CELLS points x
-    orders.
+    orders; a lone point takes _refine itself.
 
     Per level one exp() matrix, points x nodes, times the kernel rows, summed
     over the last axis: numpy's pairwise row sum, as in _refine, so the bits
     match (a matmul would reorder the sum). Points leave once all orders froze.
     """
+    if len(points) == 1:  # a lone point is cheaper through _refine (see the docstring)
+        try:
+            return [_refine(points[0], ns, ms, abs_tols[0], max_level, name)]
+        except NonConvergenceError as exc:
+            return [exc]
     step = max(1, _BATCH_CELLS // max(len(ns), 1))
     if len(points) > step:
         return [got for i in range(0, len(points), step) for got in _refine_points(
@@ -384,7 +389,7 @@ def calm_dx_points(points: Iterable[EvalPoint], ns: Iterable[int],
     """calm_dx_orders at every point, each at its own (nu, x), from one
     refinement of the batch: per point its FuncValues, bit for bit, or the
     NonConvergenceError calm_dx_orders raises there, returned; DomainError for
-    any point off the domain. One point is cheaper through calm_dx_orders."""
+    any point off the domain."""
     points = [check_point(p) for p in points]
     ns, ms, tols, max_level, name = _dx_args(ns, cfg)
     return _refine_points(points, ns, ms, [tols] * len(points), max_level, name)

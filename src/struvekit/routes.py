@@ -16,20 +16,17 @@ that can certify its value:
 M' takes step 1, then step 2 by the termwise derivative of the same pass
 (nu > -1/2, x > 0), then differentiated quadrature (m_deriv), and where
 that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
-(sqrt(pi) gamma(nu+3/2)) over the automatic M values.
+(sqrt(pi) gamma(nu+3/2)) over the automatic M values. The recurrence also
+replaces m_deriv in step 3's band, nu < _QUAD_NU_MIN at x <= X_CANCEL_MAX.
 
-One walker, _auto, takes each chain for the single calls and :data:`memo`
-alike: the closed form, the chain's head (_m_head, _calm_head, _m_prime_head:
-the route decision up to quadrature), the quadrature step, and on a stall the
-fallback. The memo keeps the automatic values per (SeriesConfig, QuadConfig)
-pair for the sweeps, where one grid point feeds many cases, and the sign
-probes' derivatives. A sweep runs its margin over the grid with Memo.map,
-inside which the walker defers every quadrature step; map runs them a round
-at a time in one points batch per order set and hands back each point's
-margin or error in grid order. The derived cache, memo.derived(fn, nu, x),
-keeps what a margin computes at a point from those values (-M's derivatives,
-the Theorem 4 bounds, h and h'), so a warm sweep reads them too; margins and
-verdicts are computed afresh.
+Each chain is split at its quadrature step: _head takes the closed form or the
+chain's head (_m_head, _calm_head, _m_prime_head), _tail the step's value or, after
+a stall, the fallback; _auto runs them for a single call. :data:`memo` keeps the
+automatic values per (SeriesConfig, QuadConfig) pair, one store per function kind,
+for the sweeps and the identities. Its array read, Memo.read, answers its misses in
+three bulk steps: one float64 series pass (series.struve_m_float_points, the single
+pass bit for bit), one quadrature points pass per order set over what the heads
+leave to it, and per point the step or the fallback.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -37,9 +34,13 @@ CancellationError rather than return an infinite value.
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache, partial
-from threading import get_ident
+from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
@@ -105,12 +106,14 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
     """Automatic M up to its quadrature step: the series where quadrature does not
-    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None."""
+    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None. Each
+    head takes its float64 pass as float_at(p, series_cfg, order), struve_m_float's
+    signature, and M as m(nu, x)."""
     if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
         return series.struve_m_series(p, series_cfg)
-    return series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
+    return float_at(p, series_cfg, 0) if p.x <= series.X_CANCEL_MAX else None
 
 
 def calm(p: EvalPoint, method: Method | None = None,
@@ -133,7 +136,7 @@ def calm(p: EvalPoint, method: Method | None = None,
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
-def _calm_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
     """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
@@ -145,8 +148,8 @@ def _calm_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
     # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
     if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
         return None
-    m = _m_head(p, series_cfg)
-    return m and series.calm_from_m(p, m)
+    fv = _m_head(p, series_cfg, float_at, m)
+    return fv and series.calm_from_m(p, fv)
 
 
 def struve_m_prime(p: EvalPoint, method: Method | None = None,
@@ -177,11 +180,16 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     return quadrature.m_deriv(p, quad_cfg)
 
 
-def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig) -> FuncValue | None:
+def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
     """Automatic M' up to its quadrature step: the certified float64 value of the
-    termwise derivative, else None."""
-    serves = p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX
-    return series.struve_m_float(p, series_cfg, order=1) if serves else None
+    termwise derivative, else in the band quadrature leaves to the series (nu below
+    _QUAD_NU_MIN, x <= X_CANCEL_MAX) the recurrence over M, else None."""
+    if not (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX):
+        return None
+    fv = float_at(p, series_cfg, 1)
+    # differentiated quadrature lies outside its bar there (3.8x at nu = -0.499, x in
+    # [4, 8]); the recurrence over the escalated-series M holds its bar
+    return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(p, m)
 
 
 def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
@@ -199,127 +207,182 @@ def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
 
 _MEMO_SIZE = 262144
 
+#: Error-free array reads a Memo keeps whole (a catalog sweep makes about 30).
+_ARRAY_READS = 256
 
-class _Deferred(Exception):
-    """A memo read left for Memo._fill; no StruveKitError, so no handler catches it."""
+#: An array read's entry where it read nothing: a NaN coordinate, or an error.
+_BLANK = FuncValue(math.nan, math.nan, None)
 
-
-#: Per automatic chain, split at its quadrature step: (its head, or None; its calM orders;
-#: whether they are nu-orders; the step's value from the point's orders; the function of
-#: M whose x > 0 it needs, or ""; the fallback after a stalled quadrature, given the
-#: series config and M as m(nu, x), or None to raise).
+#: Per automatic chain, split at its quadrature step: (its head, or None; the order of
+#: its float64 series pass; its calM orders; whether they are nu-orders; the step's
+#: value from the point's orders; the function of M whose x > 0 it needs, or ""; the
+#: fallback after a stalled quadrature, given the series config and M as m(nu, x), or
+#: None to raise).
 _CHAINS = {
-    "m": (_m_head, (0,), False, lambda p, c: series.m_from_calm(p, c[0]), "m_from_quadrature",
-          lambda p, cfg, m: series.struve_m_series(p, cfg)),
-    "calm": (_calm_head, (0,), False, lambda p, c: c[0], "", lambda p, cfg, m:
+    "m": (_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
+          "m_from_quadrature", lambda p, cfg, m: series.struve_m_series(p, cfg)),
+    "calm": (_calm_head, 0, (0,), False, lambda p, c: c[0], "", lambda p, cfg, m:
              series.calm_from_m(p, series.struve_m_series(p, cfg))),
-    "m_prime": (_m_prime_head, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
+    "m_prime": (_m_prime_head, 1, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
                 "m_deriv", lambda p, cfg, m: _m_prime_by_recurrence(p, m)),
-    "calm_dx": (None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
-    "calm_dnu": (None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
+    "calm_dx": (None, None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
+    "calm_dnu": (None, None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
 }
 
+#: The errors a sweep records at a point, a read's or a margin's.
+RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
-def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-          m=None, sweep: tuple | None = None):
-    """The automatic chain of kind at p: the closed form (x > 0, any x for calM), the
-    head, the quadrature step at p's orders, and on a stall the fallback, which reads M
-    through m(nu, x) (default: the single call). Inside Memo.map, sweep is its
-    (deferred keys, parked outcomes) pair: the step takes p's parked outcome, or records
-    p's key and raises _Deferred."""
-    head, orders, dnu, step, m_of, after = _CHAINS[kind]
-    if sweep is None or (got := sweep[1].get((kind, p.nu, p.x))) is None:
-        if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
-            return _closed_form(kind, p)
-        if head and (fv := head(p, series_cfg)) is not None:
-            return fv
-        quadrature.check_point(p, m_of)
-        if sweep is not None:
-            sweep[0].append((kind, p.nu, p.x))
-            raise _Deferred
-        try:
-            got = (quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders)(
-                p, orders, quad_cfg)
-        except NonConvergenceError as exc:
-            got = exc
+
+def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, m,
+          float_at=series.struve_m_float) -> FuncValue | tuple | None:
+    """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
+    the chain's head; else None, once the quadrature step accepts p."""
+    if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
+        return _closed_form(kind, p)
+    head = _CHAINS[kind][0]
+    if head and (fv := head(p, series_cfg, float_at, m)) is not None:
+        return fv
+    quadrature.check_point(p, _CHAINS[kind][5])
+    return None
+
+
+def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, m):
+    """kind at p from its quadrature outcome got: the step's value, or after a stall
+    (got is the NonConvergenceError) the chain's fallback."""
+    step, _, after = _CHAINS[kind][4:]
     if not isinstance(got, NonConvergenceError):
         return step(p, got)
     if after is None:
-        raise NonConvergenceError(*got.args)  # afresh: a parked error keeps no frames
-    return after(p, series_cfg, m or (
-        lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg)))
+        raise NonConvergenceError(*got.args)  # afresh: a batch's error keeps no frames
+    return after(p, series_cfg, m)
+
+
+def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m=None):
+    """The automatic chain of kind at p, one point: _head, the quadrature step at p's
+    orders, then _tail. The chain reads M through m(nu, x) (default: the single call)."""
+    m = m or (lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
+    fv = _head(kind, p, series_cfg, m)
+    if fv is not None:
+        return fv
+    orders, dnu = _CHAINS[kind][2:4]
+    try:
+        got = (quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders)(
+            p, orders, quad_cfg)
+    except NonConvergenceError as exc:
+        got = exc
+    return _tail(kind, p, got, series_cfg, m)
+
+
+def _keep(store: dict, got: dict, size: int) -> None:
+    """Add got to store, dropping its oldest entries past size (pop: another thread
+    may drop one first)."""
+    store.update(got)
+    for key in list(itertools.islice(store, max(len(store) - size, 0))):
+        store.pop(key, None)
+
+
+class Values(NamedTuple):
+    """An array read: values and bars in the read's shape (the order axis first for
+    calm_dx and calm_dnu), NaN where it read nothing, and its errors by flat index."""
+
+    value: np.ndarray
+    abs_err: np.ndarray
+    errors: dict
 
 
 class Memo:
-    """Automatic-route M, M' and calM FuncValues at one config pair, memoized on (nu, x),
-    and the sign probes' quadrature derivatives: calm_dx holds calM's x-orders 0-6 and
-    calm_dnu its nu-orders 0-4. Each is one lru_cache, read as memo.calm(nu, x).
-    derived(fn, nu, x) holds fn(memo, nu, x), a value a margin derives at the point
-    from the memo's reads or from nothing else; fn, a module-level function, is part of
-    the key. An exception leaves no entry, as in every cache here.
-
-    :meth:`map` runs a function of the memo over many points and batches their
-    quadrature: inside it a miss whose next step is quadrature records its key and
-    leaves the point for a later round (invalid input still raises at the read), and
-    each round's misses run in one points pass per order set, parked for the repeated
-    read. A deferred miss keeps only its key: more, kept alive among the values cached
-    meanwhile, slows warm reads."""
+    """Automatic-route M, M', calM and the sign probes' quadrature derivatives (calm_dx:
+    calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair, one store per
+    kind, ``memo.stores[kind]``: a dict on (nu, x) that keeps its newest _MEMO_SIZE
+    entries and no exception. ``memo.calm(nu, x)`` reads one point, on a miss by the
+    single call's chain. :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest
+    error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at
+    the point from its coordinates or the memo's reads (the Theorem 4 bounds, the
+    identities' first-kind parts); fn, a module-level function, is part of the key."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
-                 "derived", "_sweeps")
+                 "derived", "stores", "arrays")
 
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
-        self._sweeps = {}  # thread id -> (deferred keys, parked outcomes) of its map
-        for kind in _CHAINS:
-            setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._read, kind)))
+        self.stores, self.arrays = {kind: {} for kind in _CHAINS}, {}
+        for kind, store in self.stores.items():
+            setattr(self, kind, self._single(kind, store))
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
-    def _read(self, kind: str, nu: float, x: float):
-        return _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m,
-                     self._sweeps.get(get_ident()))
+    def _single(self, kind: str, store: dict):
+        def read(nu: float, x: float):
+            try:
+                return store[nu, x]
+            except KeyError:
+                fv = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
+                _keep(store, {(nu, x): fv}, _MEMO_SIZE)
+                return fv
+        return read
 
-    def map(self, fn, points) -> list:
-        """fn(memo, *point) at every point, in input order: its value, or the
-        StruveKitError, OverflowError or ZeroDivisionError it raised. A point whose reads
-        met a quadrature miss is visited again once the round's misses are filled, so fn
-        must read the memo and compute, nothing more. Any other exception propagates."""
-        thread = get_ident()
-        self._sweeps[thread] = ([], {})
-        todo = list(enumerate(points))
-        outcomes = [None] * len(todo)
-        try:
-            while todo:
-                deferred = []
-                for i, point in todo:
-                    try:
-                        outcomes[i] = fn(self, *point)
-                    except _Deferred:
-                        deferred.append((i, point))
-                    except (StruveKitError, OverflowError, ZeroDivisionError) as exc:
-                        outcomes[i] = exc
-                if deferred:
-                    self._fill()
-                todo = deferred
-        finally:
-            del self._sweeps[thread]
-        return outcomes
+    def read(self, kind: str, nu, x) -> Values:
+        """kind at every point of the broadcast nu and x arrays; a NaN coordinate reads
+        nothing. Its misses, each once, take _compute's three bulk steps."""
+        nu, x = np.broadcast_arrays(np.asarray(nu, float), np.asarray(x, float))
+        whole = (kind, nu.shape, nu.tobytes(), x.tobytes())
+        if (values := self.arrays.get(whole)) is not None:
+            return values
+        keys = list(zip(nu.ravel().tolist(), x.ravel().tolist()))
+        got = list(map(self.stores[kind].get, keys))
+        missing = [k for k, fv in zip(keys, got) if fv is None and k[0] == k[0] and k[1] == k[1]]
+        done = self._compute(kind, list(dict.fromkeys(missing))) if missing else {}
+        _keep(self.stores[kind], {k: v for k, v in done.items() if not isinstance(v, Exception)},
+              _MEMO_SIZE)
+        got = [done.get(k) if fv is None else fv for k, fv in zip(keys, got)]
+        errors = {i: fv for i, fv in enumerate(got) if isinstance(fv, Exception)}
+        orders = () if _CHAINS[kind][0] else (len(_CHAINS[kind][2]),)  # the probes' kinds
+        blank = (_BLANK,) * orders[0] if orders else _BLANK
+        got = [blank if fv is None or isinstance(fv, Exception) else fv for fv in got]
+        if orders:
+            got = list(itertools.chain.from_iterable(got))
 
-    def _fill(self) -> None:
-        """Run every quadrature step this thread's map deferred, one points pass per
-        order set, and park each outcome for the read to repeat."""
-        deferred, parked = self._sweeps[get_ident()]
-        passes = {}
-        for key in deferred:
-            passes.setdefault(_CHAINS[key[0]][1:3], {}).setdefault(key[1:], []).append(key)
-        for (orders, dnu), reads in passes.items():
-            points = [EvalPoint(nu, x) for nu, x in reads]
-            batch = quadrature.calm_dnu_points if dnu else quadrature.calm_dx_points
-            for keys, got in zip(reads.values(), batch(points, orders, self.quad_cfg)):
-                for key in keys:
-                    parked[key] = got
-        deferred.clear()
+        def array(name):  # read-only: memo.arrays hands it to every later read
+            flat = np.fromiter(map(attrgetter(name), got), float, len(got))
+            flat.flags.writeable = False
+            return np.moveaxis(flat.reshape(nu.shape + orders), -1, 0) if orders else (
+                flat.reshape(nu.shape))
+        values = Values(array("value"), array("abs_err"), errors)
+        if not errors:
+            _keep(self.arrays, {whole: values}, _ARRAY_READS)
+        return values
+
+    def _compute(self, kind: str, keys: list) -> dict:
+        """kind at each (nu, x) of keys, or the RECORDED error raised there, in three
+        bulk steps: one float64 series pass (struve_m_float_points) over the keys its
+        head may take, then the heads, one quadrature points pass over the points they
+        leave to it, and per point the step or the stall's fallback."""
+        order, orders, dnu = _CHAINS[kind][1:4]
+        fit = [k for k in keys if k[0] > -1.0 and 0.0 < k[1] <= series.X_CANCEL_MAX]
+        floats = dict(zip(fit, series.struve_m_float_points(
+            *np.array(fit).T, self.series_cfg, order))) if order is not None and fit else {}
+
+        def float_at(p, cfg, order):
+            key = (p.nu, p.x)
+            return floats[key] if key in floats else series.struve_m_float(p, cfg, order)
+        done, quad = {}, []
+        for key in keys:
+            try:
+                p = EvalPoint(*key)
+                fv = _head(kind, p, self.series_cfg, self.m, float_at)
+            except RECORDED as exc:
+                fv = exc
+            if fv is None:
+                quad.append(p)
+            else:
+                done[key] = fv
+        batch = quadrature.calm_dnu_points if dnu else quadrature.calm_dx_points
+        for p, got in zip(quad, batch(quad, orders, self.quad_cfg) if quad else ()):
+            try:
+                done[p.nu, p.x] = _tail(kind, p, got, self.series_cfg, self.m)
+            except RECORDED as exc:
+                done[p.nu, p.x] = exc
+        return done
 
 
 #: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives

@@ -25,6 +25,7 @@ import math
 import sys
 
 import mpmath as mp
+import numpy as np
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
@@ -217,6 +218,63 @@ def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
         return _merged_float(p, cfg, order)[0]
     except (CancellationError, NonConvergenceError):
         return None
+
+
+def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
+                          order: int = 0) -> list[FuncValue | None]:
+    """struve_m_float at every (nu[i], x[i]), nu > -1 and x > 0, from one float64 pass
+    over all the points: _merged_float's operations per point, in its order, on arrays
+    (numpy's +, -, *, / and abs round as Python's), with the logs and lead terms from
+    math per point, so every value and bar is struve_m_float's bit for bit. Points
+    leave the pass as they stop, overflow or run out of terms."""
+    nu, x = np.asarray(nu, float), np.asarray(x, float)
+    out: list[FuncValue | None] = [None] * nu.size
+    lx = np.array([log_half(v) for v in x.tolist()])
+    log_i = nu * lx - np.array([log_gamma(v) for v in (nu + 1.0).tolist()])
+    log_l = ((nu + 1.0) * lx - log_gamma(1.5)) - np.array(
+        [log_gamma(v) for v in (nu + 1.5).tolist()])
+    live = np.flatnonzero(np.maximum(log_i, log_l) <= 709.0)  # math.exp raises past 709.78
+    nu, x, log_i, log_l = nu[live], x[live], log_i[live], log_l[live]
+    i_term = np.array([math.exp(v) for v in log_i.tolist()])
+    l_term = np.array([math.exp(v) for v in log_l.tolist()])
+    lead_err = np.where(np.minimum(np.minimum(i_term, l_term), 0.5 * x) >= sys.float_info.min,
+                        (np.abs(log_i) + np.abs(log_l) + 2.0) * EPS, math.inf)
+    with np.errstate(all="ignore"):  # Python's float operations do not warn
+        q = 0.25 * x * x
+        a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
+        wi, wl = b_i * i_term, b_l * l_term
+        total = carry = smax = np.zeros(live.size)
+        state = (live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax)
+        for n in range(cfg.max_terms):
+            live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax = state
+            if not live.size:
+                break
+            y = -wi - carry  # compensated, as in _merged_float
+            t = total + y
+            carry = (t - total) - y
+            total = t
+            y = wl - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+            smax = smax + (np.abs(wi) + wl)
+            i_term = i_term * (q / ((n + 1.0) * (n + nu + 1.0)))
+            l_term = l_term * (q / ((n + 1.5) * (n + nu + 1.5)))
+            w = a * (n + 1) + b_i
+            wi, wl = w * i_term, (a * (n + 1) + b_l) * l_term
+            bound = cfg.rel_tol * np.abs(total)
+            over = smax > 1e307
+            stop = ~over & (wi < bound) & (bound > wl) & (
+                q / ((n + 2.0) * (n + nu + 2.0)) * ((w + a) / w) < 0.5)
+            state = (live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax)
+            if stop.any() or over.any():
+                err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
+                ok = stop & ~(err > 1e-12 * np.maximum(np.abs(total), smax * 1e-18))
+                for i, value, bar in zip(live[ok].tolist(), total[ok].tolist(), err[ok].tolist()):
+                    out[i] = FuncValue(value, bar, Method.SERIES)
+                keep = ~(stop | over)
+                state = tuple(c[keep] if isinstance(c, np.ndarray) else c for c in state)
+    return out
 
 
 def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:

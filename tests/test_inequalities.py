@@ -18,7 +18,7 @@ from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
 from struvekit.errors import DomainError, EmptyDomainError
 from struvekit.gammafuncs import log_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
-                                    GridSpec, _ratio_derivative_analytic, _rel,
+                                    GridSpec, Reads, _ratio_derivative_analytic, _rel,
                                     _sign_margin, default_grid, lookup,
                                     report_from_json_dict, report_to_json_dict,
                                     run_all, run_case, sweep_case)
@@ -194,8 +194,8 @@ def test_sweep_evaluates_exactly_the_points_the_domain_accepts():
         seen = []
 
         def record(ev, nu, x, y=None):
-            seen.append((nu, x) if y is None else (nu, x, y))
-            return 1.0
+            seen.extend(zip(*(c.tolist() for c in (nu, x, y) if c is not None)))
+            return np.ones(len(nu))
 
         report = sweep_case(replace(case, margin_fn=record), grid)
         axes = (PROBE_NUS, PROBE_XS) + ((ys,) if case.needs_y else ())
@@ -217,7 +217,7 @@ def test_flipped_case_produces_violations():
 
 def test_flipped_margin_is_negated_pointwise():
     case = CATALOG["bound0"]
-    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     margin = case.margin_fn(ev, 1.0, 2.0)
     assert margin != 0.0
     assert case.flipped().margin_fn(ev, 1.0, 2.0) == -margin
@@ -243,9 +243,10 @@ def test_remark1_is_fx2_after_scaling():
     assert remark1.margin_fn is fx2.margin_fn
     assert ((remark1.nu_lo, remark1.lo_closed, remark1.nu_hi)
             == (fx2.nu_lo, fx2.lo_closed, fx2.nu_hi))
-    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     for nu, x in itertools.product(SMALL.nu_values, SMALL.x_values):
-        assert abs(remark1.margin_fn(ev, nu, x) - _remark1_m_form(nu, x, ev)) <= 1e-12, (nu, x)
+        assert abs(remark1.margin_fn(ev, nu, x) - _remark1_m_form(nu, x, ev.memo)) <= 1e-12, (
+            nu, x)
 
 
 #: Entry points whose configs the sweep must hand over: every public
@@ -336,35 +337,24 @@ def test_a_row_the_quadrature_rejects_is_left_to_its_points(cold_memo):
         ((1.0, math.inf), "DomainError")]
 
 
-def _cold_then_warm(monkeypatch, case, grid):
-    """The case swept cold, with the number of fill rounds it took, then warm."""
-    routes.memo.cache_clear()
-    fills = []
-    fill = routes.Memo._fill
-    monkeypatch.setattr(routes.Memo, "_fill", lambda ev: fills.append(1) or fill(ev))
-    cold = sweep_case(case, grid)
-    monkeypatch.setattr(routes.Memo, "_fill", fill)
-    return cold, len(fills), sweep_case(case, grid)
-
-
 def _grid_index(grid):
     return {p: i for i, p in enumerate(itertools.product(grid.nu_values, grid.x_values))}
 
 
-def test_deferred_points_keep_their_grid_order(monkeypatch, cold_memo):
-    """A cold sweep revisits the points whose quadrature the memo deferred, in
-    later rounds. Its report still lists violations, inconclusive points and
-    errors in grid order, with the warm sweep's argmin, byte for byte: the
-    flipped bound0, whose series and quadrature points interleave over
-    x in [1e-3, 30], and the custom grid on which quot1's 8 ZeroDivisionErrors
-    (M underflows at large order and small x) come from deferred points."""
+def test_cold_sweep_lists_points_in_grid_order(cold_memo):
+    """A cold sweep lists violations, inconclusive points and errors in grid order,
+    and its report equals the warm sweep's, argmin included, byte for byte: the
+    flipped bound0, whose series and quadrature points interleave over x in
+    [1e-3, 30], and the custom grid on which quot1's 8 ZeroDivisionErrors (M
+    underflows at large order and small x) and ineqturan_lower's 13 inconclusive
+    points lie."""
     custom = GridSpec(nu_values=tuple(float(v) for v in np.geomspace(0.6, 200.0, 8)),
                       x_values=tuple(float(v) for v in np.geomspace(1e-3, 30.0, 8)))
     reports = {}
     for case, grid in ((CATALOG["bound0"].flipped(), default_grid("bound0")),
                        (CATALOG["quot1"], custom), (CATALOG["ineqturan_lower"], custom)):
-        cold, rounds, warm = _cold_then_warm(monkeypatch, case, grid)
-        assert rounds > 0, case.id
+        routes.memo.cache_clear()
+        cold, warm = sweep_case(case, grid), sweep_case(case, grid)
         assert json.dumps(report_to_json_dict(cold)) == json.dumps(report_to_json_dict(warm))
         assert cold.errors == warm.errors, case.id
         index = _grid_index(grid)
@@ -373,62 +363,73 @@ def test_deferred_points_keep_their_grid_order(monkeypatch, cold_memo):
             assert order == sorted(order), case.id
         reports[case.id] = cold
     assert len(reports["bound0_flipped"].violations) == 625
-    assert [err.split(":")[0] for _, err in reports["quot1"].errors] == ["ZeroDivisionError"] * 8
+    assert [err for _, err in reports["quot1"].errors] == [
+        "ZeroDivisionError: float division by zero"] * 8
     assert len(reports["ineqturan_lower"].inconclusive) == 13
 
 
 @pytest.mark.parametrize("xs, argmin", [((0.5, 9.0, 20.0, 1.0), 9.0), ((1.0, 9.0), 1.0)])
-def test_argmin_ties_go_to_the_first_point_in_grid_order(monkeypatch, cold_memo, xs, argmin):
-    """Points at x = 9 and 20 read a quadrature value, so the cold sweep visits
-    them in a later round. Of points tying the minimum, the first in grid order
-    is the argmin, whichever round reached it."""
+def test_argmin_ties_go_to_the_first_point_in_grid_order(cold_memo, xs, argmin):
+    """Points at x = 9 and 20 read a quadrature value, the others a series value. Of
+    points tying the minimum, the first in grid order is the argmin, cold and warm."""
     def tie(ev, nu, x, y=None):
         ev.calm(nu, x)
-        return -1.0 if x in (9.0, 1.0) else 0.0
+        return np.where((x == 9.0) | (x == 1.0), -1.0, 0.0)
 
     grid = GridSpec(nu_values=(0.3,), x_values=xs)
-    report, rounds, _ = _cold_then_warm(monkeypatch, replace(CATALOG["bound0"], margin_fn=tie),
-                                        grid)
-    assert rounds == 1
-    assert report.argmin == (0.3, argmin) and report.min_margin == -1.0
-    assert [point[1] for point, _ in report.violations] == [x for x in xs if x in (9.0, 1.0)]
+    case = replace(CATALOG["bound0"], margin_fn=tie)
+    for report in (sweep_case(case, grid), sweep_case(case, grid)):
+        assert report.argmin == (0.3, argmin) and report.min_margin == -1.0
+        assert [point[1] for point, _ in report.violations] == [
+            x for x in xs if x in (9.0, 1.0)]
 
 
-def test_a_margin_raising_mid_sweep_leaves_the_memo_reading_directly(cold_memo):
-    """An exception the sweep does not record ends the sweep and its deferral:
-    the memo then serves a quadrature miss at once."""
+def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(cold_memo):
+    """An exception the sweep does not record propagates out of it. The values the
+    margin read stay in the memo, each equal to the single call's."""
     def boom(ev, nu, x, y=None):
         ev.calm(nu, x)
-        if x > 1.0:
-            raise RuntimeError("boom")
-        return 1.0
+        raise RuntimeError("boom")
 
     grid = GridSpec(nu_values=(0.3,), x_values=(0.5, 9.0, 20.0))
     with pytest.raises(RuntimeError, match="boom"):
         sweep_case(replace(CATALOG["bound0"], margin_fn=boom), grid)
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    assert ev.calm(0.3, 25.0) == routes.calm(EvalPoint(0.3, 25.0))
-    assert ev.calm(0.3, 25.0).method is Method.QUADRATURE
+    assert set(ev.stores["calm"]) == {(0.3, x) for x in grid.x_values}
+    for x in grid.x_values:
+        assert ev.stores["calm"][0.3, x] == routes.calm(EvalPoint(0.3, x))
+    assert ev.calm(0.3, 20.0).method is Method.QUADRATURE
+
+
+def test_a_non_finite_margin_is_recorded_as_the_error_of_its_arithmetic(cold_memo):
+    """A margin that divides by zero or overflows at a point records a ZeroDivisionError
+    or an OverflowError there, never a tested non-finite margin, and numpy warns of
+    neither; a read's error at the point comes first."""
+    def faults(ev, nu, x, y=None):
+        c = ev.calm(nu, x).value
+        return c / (x - 1.0) * np.where(x == 2.0, 1e308, 1.0) * 1e308 * 1e-308
+
+    grid = GridSpec(nu_values=(0.3,), x_values=(-1.0, 1.0, 2.0, 3.0))
+    report = sweep_case(replace(CATALOG["bound0"], margin_fn=faults, any_x=True), grid)
+    assert [(point[1], err.split(":")[0]) for point, err in report.errors] == [
+        (-1.0, "DomainError"), (1.0, "ZeroDivisionError"), (2.0, "OverflowError")]
+    assert report.points_tested == 1 and report.argmin == (0.3, 3.0)
 
 
 def test_warm_sweep_reads_derived_values_from_the_memo(monkeypatch, cold_memo):
-    """A cold run_all() computes -M's derivatives (the Leibniz sums of neg_m_cm)
-    and the Theorem 4 bounds once per point that completes them, and h, h' once
-    per order (h ignores x); a read whose calm_dx deferred re-enters the Leibniz
-    function after the fill. A warm run_all() calls none of them."""
+    """A cold run_all() computes the Theorem 4 bounds once per point, through
+    memo.derived, and every automatic value once. A warm run_all() reads them all
+    back: it runs no chain and calls bilateral_bounds at no point."""
     calls = Counter()
 
-    def count(module, name):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
+    def count(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or fn(*args))
 
-    count(inequalities, "_neg_m_derivatives")
     count(foxwright, "bilateral_bounds")
-    count(inequalities, "gamma_ratio_h")
-    count(inequalities, "gamma_ratio_h_prime")
+    count(routes.Memo, "_compute")
     run_all()
-    assert calls == {"_neg_m_derivatives": 625 + 575, "bilateral_bounds": 625,
-                     "gamma_ratio_h": 25, "gamma_ratio_h_prime": 25}
+    assert calls["bilateral_bounds"] == 625 and calls["_compute"] > 0
     calls.clear()
     run_all()
     assert calls == {}
@@ -444,7 +445,7 @@ def test_fx31_slope_matches_the_reference(nu, x):
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     m, md = ev.m(nu, x).value, ev.m_prime(nu, x).value
     size = x * ((1.0 + (nu / x) ** 2) * m * m + md * md) / (m * m)
-    got = _ratio_derivative_analytic(ev, nu, x)
+    got = _ratio_derivative_analytic(Reads(ev), nu, x)
     assert abs(got - FX31_SLOPE_TABLE[nu, x]) <= 1e-12 * size
 
 
@@ -453,7 +454,7 @@ def test_fx31_reads_m_and_m_prime_only_at_its_own_points(cold_memo):
     each), so its margin reads no other point."""
     sweep_case(CATALOG["FX31"], default_grid("FX31"))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    assert ev.m.cache_info().currsize == ev.m_prime.cache_info().currsize == 625
+    assert len(ev.stores["m"]) == len(ev.stores["m_prime"]) == 625
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():
@@ -528,8 +529,9 @@ def test_rel_is_the_normalized_margin_of_a_ge_b():
 def test_fx3_saturates_where_its_exponential_side_overflows():
     """At nu = -0.49, x = 60 the exponent x^2 / (4 (nu+1)) is 1765: the bound
     exceeds every normalized-form value, and the margin is 1 without evaluating it."""
-    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    ev = Reads(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     assert CATALOG["FX3"].margin_fn(ev, -0.49, 60.0) == 1.0
+    assert not ev.memo.stores["calm"]
 
 
 def test_sign_margin_grading():

@@ -5,10 +5,12 @@ import math
 import random
 import re
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from struvekit import inequalities, quadrature, series
@@ -237,6 +239,26 @@ def test_stalled_derivative_quadrature_falls_back_to_the_recurrence(nu, x):
     assert abs(got.value - float(_mpmath_m_prime(nu, x, m_ref))) <= got.abs_err, got
 
 
+def test_derivative_next_to_minus_half_comes_from_the_recurrence():
+    """Within 0.01 of nu = -1/2 differentiated quadrature lies outside its bar
+    (10 of these 12 points, up to 3.8x), so below x = 8 automatic M' is the
+    recurrence over automatic M, where the float64 series does not certify it.
+    Against M_{nu-1} - (nu/x) M_nu at 80 digits each value lies within its bar,
+    the worst at 0.057 of it, and the memo serves the same values."""
+    nu, worst = -0.499, 0.0
+    ev = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    for x in (4.0 + 4.0 * k / 11 for k in range(12)):
+        with mpmath.workdps(80):
+            n, z = mpmath.mpf(nu), mpmath.mpf(x)
+            ref = (mpmath.struvel(n - 1, z) - mpmath.besseli(n - 1, z)
+                   - n / z * (mpmath.struvel(n, z) - mpmath.besseli(n, z)))
+        got = struve_m_prime(EvalPoint(nu, x))
+        assert got.method is Method.SERIES and ev.m_prime(nu, x) == got, x
+        assert ev.read("m_prime", nu, [x]).value[0] == got.value, x
+        worst = max(worst, float(abs(got.value - ref)) / got.abs_err)
+    assert worst <= 0.06
+
+
 @pytest.mark.parametrize("nu, x", [(1e6, 1.0), (1.0, 1e-320)])
 def test_underflowing_values_come_from_quadrature(nu, x):
     """The float64 series never settles where its terms underflow; the
@@ -272,41 +294,64 @@ def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo
 
 
 def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
-    """A cold run_all() runs every quadrature step of the memo, M, calM and M'
-    as well as the sign probes' derivatives, in 22 batched points passes: one
-    per order set and fill round, (0,) for M and calM (16), (0, 1) for M' (3),
-    x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no
-    one-point pass. A second run_all() makes no quadrature pass at all."""
+    """A cold run_all() runs every quadrature step of the memo, M, calM and M' as well
+    as the sign probes' derivatives, in 15 batched points passes over 4,057 rows, one
+    per array read with a quadrature miss: (0,) for M and calM (9), (0, 1) for M' (3),
+    x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no one-point pass
+    and no per-point pass, and its 12 float64 series passes are array passes. A second
+    run_all() makes no series pass and no quadrature pass at all."""
     points, batches = [], []
 
-    def record(name, log, entry):
-        fn = getattr(quadrature, name)
-        monkeypatch.setattr(quadrature, name, lambda *args: log.append(entry(*args)) or fn(*args))
+    def record(module, name, log, entry):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: log.append(entry(*args)) or fn(*args))
 
     for name in ("calm", "m_from_quadrature", "m_deriv", "calm_dx_orders", "calm_dnu_orders"):
-        record(name, points, lambda *args, name=name: name)
+        record(quadrature, name, points, lambda *args, name=name: name)
+    for name in ("_merged_float", "struve_m_float", "struve_m_series"):
+        record(series, name, points, lambda *args, name=name: name)
     for name in ("calm_dx_points", "calm_dnu_points"):
-        record(name, batches, lambda pts, orders, *cfg, name=name: (name, tuple(orders)))
+        record(quadrature, name, batches,
+               lambda pts, orders, *cfg, name=name: (name, tuple(orders), len(pts)))
+    record(series, "struve_m_float_points", batches, lambda nu, *args: ("series", len(nu)))
     run_all()
     assert points == []
-    assert Counter(batches) == {("calm_dx_points", (0,)): 16, ("calm_dx_points", (0, 1)): 3,
-                                ("calm_dx_points", tuple(range(7))): 2,
-                                ("calm_dnu_points", tuple(range(5))): 1}
+    quad = [entry for entry in batches if entry[0] != "series"]
+    assert Counter(entry[:2] for entry in quad) == {
+        ("calm_dx_points", (0,)): 9, ("calm_dx_points", (0, 1)): 3,
+        ("calm_dx_points", tuple(range(7))): 2, ("calm_dnu_points", tuple(range(5))): 1}
+    assert sum(entry[2] for entry in quad) == 4057 and min(entry[2] for entry in quad) > 1
+    assert len(batches) - len(quad) == 12
     batches.clear()
     run_all()
     assert points == batches == []
 
 
-def _both_derivatives(ev, nu, x):
-    return ev.calm_dx(nu, x), ev.calm_dnu(nu, x)
+def test_the_array_series_pass_equals_the_single_pass_on_a_cold_sweep(monkeypatch, cold_memo):
+    """Every point of every float64 series pass of a cold run_all() gets, from
+    struve_m_float_points, struve_m_float's value and bar bit for bit, and None where
+    that gives None."""
+    seen = []
+    points = series.struve_m_float_points
+
+    def recording(nu, x, cfg, order):
+        got = points(nu, x, cfg, order)
+        seen.extend(zip(nu.tolist(), x.tolist(), [order] * len(got), got))
+        return got
+
+    monkeypatch.setattr(series, "struve_m_float_points", recording)
+    run_all()
+    assert len(seen) == 8969
+    for nu, x, order, got in seen:
+        assert got == series.struve_m_float(EvalPoint(nu, x), SERIES_DEFAULTS, order), (
+            nu, x, order)
 
 
 def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
-    """Derivatives read inside Memo.map, or from a lone point, equal the
-    per-point pass at the memo's config. Inside map a read waits for its
-    round's batch, so no per-point pass runs; a point that stalls parks its
-    error, which every read raises again, message unchanged, as a lone read
-    raises it."""
+    """Derivatives from an array read, or from a lone point, equal the per-point pass
+    at the memo's config, value, bar and method. An array read's misses go through
+    one points pass, so no per-point pass runs; a point that stalls returns its error,
+    message unchanged, at every index where it is read, as a lone read raises it."""
     xs = (0.0, 1e-3, 0.5, 7.0, 30.0)
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     with pytest.raises(NonConvergenceError) as info:
@@ -318,18 +363,25 @@ def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
             single = getattr(quadrature, name)
             patch.setattr(quadrature, name,
                           lambda *args, single=single: singles.append(args) or single(*args))
-        filled = {quad_cfg: routes.memo(SERIES_DEFAULTS, quad_cfg).map(
-                      _both_derivatives, [(1.5, x) for x in xs])
-                  for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5))}
-        stalls = ev.map(lambda ev, nu, x: ev.calm_dnu(nu, x), [(-0.49898, 0.179)] * 2)
+        for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5)):
+            for kind in ("calm_dx", "calm_dnu"):
+                routes.memo(SERIES_DEFAULTS, quad_cfg).read(kind, 1.5, xs)
+        stalls = ev.read("calm_dnu", -0.49898, [0.179, 0.179])
     assert singles == []
-    for quad_cfg, outcomes in filled.items():
+    for quad_cfg in (QUAD_DEFAULTS, QuadConfig(abs_tol=1e-9, max_level=5)):
         ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
-        for x, (dx, dnu) in zip(xs + (2.0,), outcomes + [_both_derivatives(ev, 1.5, 2.0)]):
+        for x in xs + (2.0,):
             p = EvalPoint(1.5, x)
-            assert dx == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
-            assert dnu == tuple(quadrature.calm_dnu_orders(p, range(5), quad_cfg))
-    for got in stalls:
+            assert ev.calm_dx(1.5, x) == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
+            assert ev.calm_dnu(1.5, x) == tuple(
+                quadrature.calm_dnu_orders(p, range(5), quad_cfg))
+        got = ev.read("calm_dx", 1.5, xs)
+        assert got.value.shape == got.abs_err.shape == (7, len(xs)) and not got.errors
+        for i, x in enumerate(xs):
+            assert [(fv.value, fv.abs_err) for fv in ev.calm_dx(1.5, x)] == list(
+                zip(got.value[:, i].tolist(), got.abs_err[:, i].tolist()))
+    assert list(stalls.errors) == [0, 1] and np.isnan(stalls.value).all()
+    for got in stalls.errors.values():
         assert isinstance(got, NonConvergenceError) and re.search(stalled, str(got))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for read in (ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu,
@@ -338,27 +390,11 @@ def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
             read(-0.49898, 0.179)
 
 
-#: What _map_probe reads at each x of its points (nu = 0.3): calM is served by
-#: quadrature from x = 9 on, M' (x-orders 0 and 1) from x = 12 on.
-_MAP_READS = {9.0: "calm", 0.5: "calm", 12.0: "m_prime", -1.0: "calm", 20.0: "m_prime",
-              15.0: "calm"}
-
-
-def _map_probe(ev, nu, x):
-    value = getattr(ev, _MAP_READS[x])(nu, x).value
-    if x == 0.5:
-        return math.exp(1e3 / value)  # OverflowError, in the first round
-    if x == 20.0:
-        return value / 0.0  # ZeroDivisionError, after the fill
-    return value
-
-
-def test_memo_map_keeps_input_order_and_batches_each_round(monkeypatch, cold_memo):
-    """Memo.map returns, in input order, each point's value or the StruveKitError,
-    OverflowError or ZeroDivisionError it raised, whichever round reached it. The
-    round's quadrature misses reach calm_dx_points as one pass per order set, and
-    no per-point pass runs. Any other exception propagates and ends the deferral:
-    the memo then serves a quadrature miss at once."""
+def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_memo):
+    """Memo.read returns each point's value in input order, each distinct miss read
+    once, with NaN and the chain's error at the points that raised; a NaN coordinate
+    reads nothing. Its quadrature misses reach calm_dx_points as one pass per order
+    set, and no per-point pass runs. An error-free read is kept whole."""
     batches, singles = [], []
     points_pass, single = quadrature.calm_dx_points, quadrature.calm_dx_orders
 
@@ -371,38 +407,37 @@ def test_memo_map_keeps_input_order_and_batches_each_round(monkeypatch, cold_mem
     monkeypatch.setattr(quadrature, "calm_dx_orders",
                         lambda *args: singles.append(args) or single(*args))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    got = ev.map(_map_probe, [(0.3, x) for x in _MAP_READS])
+    xs = [9.0, 0.5, -1.0, 15.0, math.nan, 9.0]
+    got = ev.read("calm", 0.3, xs)
+    primes = ev.read("m_prime", [[0.3], [0.4]], [12.0, 20.0, 0.5])
     assert singles == []
-    assert sorted(batches) == [((0,), [(0.3, 9.0), (0.3, 15.0)]),
-                               ((0, 1), [(0.3, 12.0), (0.3, 20.0)])]
-    assert [type(out) for out in got] == [float, OverflowError, float, DomainError,
-                                          ZeroDivisionError, float]
-    for x, out in zip(_MAP_READS, got):
-        if isinstance(out, float):
-            single_call = calm if _MAP_READS[x] == "calm" else struve_m_prime
-            assert out == single_call(EvalPoint(0.3, x)).value, x
-    assert str(got[3]) == "the normalized form requires x >= 0"
-
-    def rejects(ev, nu, x):
-        if x == 30.0:
-            raise TypeError("not a margin")
-        return ev.calm(nu, x).value
-
+    assert batches == [((0,), [(0.3, 9.0), (0.3, 15.0)]),
+                       ((0, 1), [(0.3, 12.0), (0.3, 20.0), (0.4, 12.0), (0.4, 20.0)])]
+    assert list(got.errors) == [2] and isinstance(got.errors[2], DomainError)
+    assert str(got.errors[2]) == "the normalized form requires x >= 0"
+    for i, x in enumerate(xs):
+        if i in (2, 4):
+            assert math.isnan(got.value[i]) and math.isnan(got.abs_err[i])
+        else:
+            want = calm(EvalPoint(0.3, x))
+            assert (got.value[i], got.abs_err[i]) == (want.value, want.abs_err), x
+    assert primes.value.shape == (2, 3) and not primes.errors
+    for (i, nu), (j, x) in itertools.product(enumerate((0.3, 0.4)),
+                                             enumerate((12.0, 20.0, 0.5))):
+        assert primes.value[i, j] == struve_m_prime(EvalPoint(nu, x)).value
     batches.clear()
-    with pytest.raises(TypeError, match="not a margin"):
-        ev.map(rejects, [(0.3, 28.0), (0.3, 30.0)])
+    assert ev.read("calm", 0.3, xs).errors.keys() == {2}
+    assert ev.read("m_prime", [[0.3], [0.4]], [12.0, 20.0, 0.5]) is primes
     assert batches == []
-    assert ev.calm(0.3, 28.0) == calm(EvalPoint(0.3, 28.0))
-    assert ev.calm(0.3, 28.0).method is Method.QUADRATURE
-    assert ev.map(rejects, [(0.3, 25.0)]) == [calm(EvalPoint(0.3, 25.0)).value]
 
 
 def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_memo):
-    """Next to nu = -1/2 a sweep's batch stalls: calM and M at (-0.4995, 9)
-    and M' at (-0.4999, 3). Those points are deferred into batches that return
-    their stalls, and the memo then takes the single call's fallback (the
-    escalated series, the M' recurrence), so every value it serves equals the
-    automatic single call bit for bit, method included."""
+    """Next to nu = -1/2 a sweep's batch stalls: calM, M and M' at (-0.4995, 9).
+    Their points return their stalls from the batch, and the memo then takes the
+    single call's fallback (the escalated series, the M' recurrence), so every value
+    it serves equals the automatic single call bit for bit, method included. M' at
+    (-0.4999, 3) never reaches quadrature: in the band next to -1/2 the recurrence
+    serves it at once."""
     outcomes = {}
     points = quadrature.calm_dx_points
 
@@ -421,8 +456,9 @@ def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_mem
     grid = GridSpec(nu_values=(-0.4999, -0.4995), x_values=(3.0, 9.0))
     report = sweep_case(replace(CATALOG["bound0"], margin_fn=read_all), grid)
     assert report.points_tested == 4
-    for key in ((-0.4995, 9.0, (0,)), (-0.4999, 3.0, (0, 1))):
+    for key in ((-0.4995, 9.0, (0,)), (-0.4995, 9.0, (0, 1))):
         assert isinstance(outcomes[key], NonConvergenceError), key
+    assert (-0.4999, 3.0, (0, 1)) not in outcomes
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for nu, x in itertools.product(grid.nu_values, grid.x_values):
         for kind, single in reads.items():
@@ -535,8 +571,8 @@ def test_normalized_form_rejects_negative_arguments_alike(cold_memo, nu):
         calm(EvalPoint(nu, -1.0))
     with pytest.raises(DomainError, match=message):
         ev.calm(nu, -1.0)
-    [got] = ev.map(lambda ev, nu, x: ev.calm(nu, x), [(nu, -1.0)])
-    assert isinstance(got, DomainError) and re.search(message, str(got))
+    got = ev.read("calm", nu, [-1.0])
+    assert isinstance(got.errors[0], DomainError) and re.search(message, str(got.errors[0]))
 
 
 def test_series_derivative_route():
@@ -600,22 +636,16 @@ def test_memo_is_one_per_config_pair(cold_memo):
 @pytest.mark.parametrize("nu, x", [(-0.5, 0.7), (-0.5, 12.0), (-0.3, 0.7), (-0.3, 12.0),
                                    (0.0, 2.0)])
 def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
-    """memo.derived(fn, nu, x) is fn(memo, nu, x), computed once and then read: -M's
+    """What margins derive at a point equals its direct computation. -M's
     x-derivatives (the closed form's at nu = -1/2, the Leibniz sum over calm_dx
-    elsewhere), the Theorem 4 bounds and (h, h'). The derivatives agree with
-    independent evaluations: orders 0-2 with the closed forms at nu = -1/2,
-    orders 0-1 with the automatic M and M' elsewhere."""
+    elsewhere) agree with independent evaluations: orders 0-2 with the closed forms
+    at nu = -1/2, orders 0-1 with the automatic M and M' elsewhere. memo.derived(fn,
+    nu, x) is fn(memo, nu, x), computed once and then read, as the Theorem 4 bounds
+    and their array read are."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     p = EvalPoint(nu, x)
-    direct = {inequalities._neg_m_derivatives: inequalities._neg_m_derivatives(ev, nu, x),
-              inequalities._h_pair: (gamma_ratio_h(nu), gamma_ratio_h_prime(nu))}
-    if nu > -0.5:
-        direct[inequalities._bilateral] = bilateral_bounds(p)
-    for fn, want in direct.items():
-        got = ev.derived(fn, nu, x)
-        assert got == want and ev.derived(fn, nu, x) is got, fn.__name__
-    assert ev.derived.cache_info().currsize == len(direct)
-    vals = direct[inequalities._neg_m_derivatives]
+    vals = [v.item() for v in inequalities._neg_m_derivatives(
+        inequalities.Reads(ev), np.array([nu]), np.array([x]))]
     assert len(vals) == 7 and min(vals) > 0.0
     # vals[n] = (-1)^n d^n(-M)/dx^n
     if nu == -0.5:
@@ -624,25 +654,56 @@ def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
         checks = (-struve_m(p).value, struve_m_prime(p).value)
     for n, want in enumerate(checks):
         assert rel_err(vals[n], want) < 1e-12, (n, vals[n], want)
+    if nu > -0.5:
+        got = ev.derived(inequalities._bilateral, nu, x)
+        assert got == bilateral_bounds(p) and ev.derived(inequalities._bilateral, nu, x) is got
+        lower, upper = inequalities.Reads(ev).derived(inequalities._bilateral, [nu, nu], x)
+        assert (lower.tolist(), upper.tolist()) == ([got[0]] * 2, [got[1]] * 2)
+        assert ev.derived.cache_info().currsize == 1
 
 
-def test_a_derived_read_that_defers_or_raises_caches_nothing(cold_memo):
-    """Inside Memo.map, a derived read whose calm_dx read defers leaves no entry,
-    at both points that make it; after the fill it equals the value read without
-    deferral. A read that raises a StruveKitError leaves none either."""
+def test_a_derived_read_that_raises_caches_nothing(cold_memo):
+    """A derived read that raises a StruveKitError leaves no entry. In a sweep's
+    Reads the point keeps the error and reads NaN, and the other points their values."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    leibniz = inequalities._neg_m_derivatives
-    sizes = []  # the derived cache's size at each visit of a point
-
-    def read(ev, fn, nu, x):
-        sizes.append(ev.derived.cache_info().currsize)
-        return ev.derived(fn, nu, x)
-
-    got = ev.map(read, [(leibniz, -0.3, 0.7), (leibniz, -0.3, 0.7),
-                        (inequalities._bilateral, -0.7, 0.7)])
-    # round one: both leibniz reads defer, the bilateral read raises; round two
-    # fills the first leibniz read, and the second reads its entry
-    assert sizes == [0, 0, 0, 0, 1]
-    assert isinstance(got[2], DomainError)
+    reads = inequalities.Reads(ev)
+    lower, upper = reads.derived(inequalities._bilateral, [-0.7, 0.7], 0.7)
+    assert list(reads.errors) == [0] and isinstance(reads.errors[0], DomainError)
+    assert math.isnan(lower[0]) and math.isnan(upper[0])
+    assert (lower[1], upper[1]) == bilateral_bounds(EvalPoint(0.7, 0.7))
     assert ev.derived.cache_info().currsize == 1
-    assert got[0] == got[1] == leibniz(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS), -0.3, 0.7)
+
+
+def test_concurrent_sweeps_share_the_memo(monkeypatch, cold_memo):
+    """Sweeps in six threads at once, switching threads every microsecond, read and
+    fill one memo whose stores keep only 64 entries each, so that entries are dropped
+    while other threads read them. Every report equals the one a lone sweep gives."""
+    cases = [CATALOG[cid] for cid in ("bound0", "quot1", "cm_probe_x", "logconvex_x")]
+    grid = GridSpec(nu_values=(0.3, 1.0, 2.5), x_values=(0.5, 3.0, 9.0, 20.0))
+    want = [inequalities.report_to_json_dict(sweep_case(case, grid)) for case in cases]
+    routes.memo.cache_clear()
+    monkeypatch.setattr(routes, "_MEMO_SIZE", 64)
+    monkeypatch.setattr(routes, "_ARRAY_READS", 2)
+    got, failures = [], []
+
+    def sweep_all():
+        try:
+            for _ in range(3):
+                got.append([inequalities.report_to_json_dict(sweep_case(case, grid))
+                            for case in cases])
+        except Exception as exc:  # reported below, with the thread's traceback lost
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep_all) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(got) == 18
+    assert all(reports == want for reports in got)

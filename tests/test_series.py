@@ -5,13 +5,14 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from struvekit.core import EvalPoint, FuncValue, Method, SeriesConfig
 from struvekit.errors import CancellationError, DomainError
 from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m, m_from_calm,
-                              m_prime_from_calm, struve_l, struve_m_series)
+                              m_prime_from_calm, struve_l, struve_m_float,
+                              struve_m_float_points, struve_m_series)
 
 from conftest import rel_err
 from oracles import BESSEL_I_TABLE, CALM_TABLE, M_TABLE, STRUVE_L_TABLE
@@ -149,3 +150,23 @@ def test_merged_series_equals_difference_of_parts(nu, x):
 def test_tight_tolerance_config_respected():
     fv = struve_m_series(EvalPoint(1.0, 1.0), SeriesConfig(rel_tol=1e-9))
     assert rel_err(fv.value, M_TABLE[(1.0, 1.0)]) < 1e-8
+
+
+#: Orders in (-1, 40] and arguments in [5e-324, X_CANCEL_MAX], subnormal ones included.
+_FLOAT_PASS_POINTS = st.lists(st.tuples(
+    st.floats(min_value=-1.0, max_value=40.0, exclude_min=True),
+    st.one_of(st.floats(min_value=5e-324, max_value=X_CANCEL_MAX),
+              st.floats(min_value=5e-324, max_value=1e-300))), min_size=1, max_size=40)
+
+
+@given(_FLOAT_PASS_POINTS, st.sampled_from([0, 1]))
+@example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 0)
+@example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 1)
+def test_array_float_pass_equals_the_single_pass(points, order):
+    """struve_m_float_points gives at every point struve_m_float's value and bar bit
+    for bit, and None where that gives None: the points it does not certify (0.1,
+    7.9 and -0.9, 4 above) and those whose terms overflow or underflow."""
+    nu, x = zip(*points)
+    got = struve_m_float_points(nu, x, SeriesConfig(), order)
+    for p, fv in zip(points, got):
+        assert fv == struve_m_float(EvalPoint(*p), SeriesConfig(), order), p
