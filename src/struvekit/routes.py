@@ -234,13 +234,14 @@ RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 
 def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, m,
-          float_at=series.struve_m_float) -> FuncValue | tuple | None:
+          float_at=None) -> FuncValue | tuple | None:
     """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
-    the chain's head; else None, once the quadrature step accepts p."""
+    the chain's head (its float64 pass float_at, default series.struve_m_float); else
+    None, once the quadrature step accepts p."""
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
     head = _CHAINS[kind][0]
-    if head and (fv := head(p, series_cfg, float_at, m)) is not None:
+    if head and (fv := head(p, series_cfg, float_at or series.struve_m_float, m)) is not None:
         return fv
     quadrature.check_point(p, _CHAINS[kind][5])
     return None

@@ -225,8 +225,8 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
     """struve_m_float at every (nu[i], x[i]), nu > -1 and x > 0, from one float64 pass
     over all the points: _merged_float's operations per point, in its order, on arrays
     (numpy's +, -, *, / and abs round as Python's), with the logs and lead terms from
-    math per point, so every value and bar is struve_m_float's bit for bit. Points
-    leave the pass as they stop, overflow or run out of terms."""
+    math per point, so every value and bar is struve_m_float's bit for bit. A point is
+    read as it stops; one that overflows or runs out of terms stays None."""
     nu, x = np.asarray(nu, float), np.asarray(x, float)
     out: list[FuncValue | None] = [None] * nu.size
     lx = np.array([log_half(v) for v in x.tolist()])
@@ -244,11 +244,8 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
         a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
         wi, wl = b_i * i_term, b_l * l_term
         total = carry = smax = np.zeros(live.size)
-        state = (live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax)
+        open_ = np.ones(live.size, bool)
         for n in range(cfg.max_terms):
-            live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax = state
-            if not live.size:
-                break
             y = -wi - carry  # compensated, as in _merged_float
             t = total + y
             carry = (t - total) - y
@@ -263,17 +260,17 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
             w = a * (n + 1) + b_i
             wi, wl = w * i_term, (a * (n + 1) + b_l) * l_term
             bound = cfg.rel_tol * np.abs(total)
-            over = smax > 1e307
-            stop = ~over & (wi < bound) & (bound > wl) & (
+            over = open_ & (smax > 1e307)
+            stop = open_ & ~over & (wi < bound) & (bound > wl) & (
                 q / ((n + 2.0) * (n + nu + 2.0)) * ((w + a) / w) < 0.5)
-            state = (live, nu, q, lead_err, a, b_i, b_l, i_term, l_term, wi, wl, total, carry, smax)
-            if stop.any() or over.any():
+            if stop.any():
                 err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
                 ok = stop & ~(err > 1e-12 * np.maximum(np.abs(total), smax * 1e-18))
                 for i, value, bar in zip(live[ok].tolist(), total[ok].tolist(), err[ok].tolist()):
                     out[i] = FuncValue(value, bar, Method.SERIES)
-                keep = ~(stop | over)
-                state = tuple(c[keep] if isinstance(c, np.ndarray) else c for c in state)
+            open_ &= ~(stop | over)
+            if not open_.any():
+                break
     return out
 
 
