@@ -106,11 +106,12 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+            m) -> FuncValue | None:
     """Automatic M up to its quadrature step: the series where quadrature does not
     serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None. Each
     head takes its float64 pass as float_at(p, series_cfg, order), struve_m_float's
-    signature, and M as m(nu, x)."""
+    signature, and M as m(nu, x), or None for the single call's."""
     if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
         return series.struve_m_series(p, series_cfg)
     return float_at(p, series_cfg, 0) if p.x <= series.X_CANCEL_MAX else None
@@ -136,7 +137,8 @@ def calm(p: EvalPoint, method: Method | None = None,
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
-def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+               m) -> FuncValue | None:
     """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
@@ -148,7 +150,7 @@ def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue
     # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
     if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
         return None
-    fv = _m_head(p, series_cfg, float_at, m)
+    fv = _m_head(p, series_cfg, quad_cfg, float_at, m)
     return fv and series.calm_from_m(p, fv)
 
 
@@ -180,7 +182,8 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     return quadrature.m_deriv(p, quad_cfg)
 
 
-def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncValue | None:
+def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+                  m) -> FuncValue | None:
     """Automatic M' up to its quadrature step: the certified float64 value of the
     termwise derivative, else in the band quadrature leaves to the series (nu below
     _QUAD_NU_MIN, x <= X_CANCEL_MAX) the recurrence over M, else None."""
@@ -189,13 +192,17 @@ def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, float_at, m) -> FuncVa
     fv = float_at(p, series_cfg, 1)
     # differentiated quadrature lies outside its bar there (3.8x at nu = -0.499, x in
     # [4, 8]); the recurrence over the escalated-series M holds its bar
-    return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(p, m)
+    return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(
+        p, series_cfg, quad_cfg, m)
 
 
-def _m_prime_by_recurrence(p: EvalPoint, m) -> FuncValue:
+def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
+                           m=None) -> FuncValue:
     """M_nu'(x) = M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi) gamma(nu+3/2)) from the
-    automatic M values m(nu, x), where m_deriv stalls. The bar sums the input bars, the
-    last term's exp(L) rounding and eps times the magnitudes of the three terms."""
+    automatic M values m(nu, x) (default: the single call), where m_deriv stalls or lies
+    outside its bar. The bar sums the input bars, the last term's exp(L) rounding and
+    eps times the magnitudes of the three terms."""
+    m = m or (lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
     hi = m(p.nu + 1.0, p.x)
     here = m(p.nu, p.x)
     last, last_err = power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)
@@ -216,15 +223,15 @@ _BLANK = FuncValue(math.nan, math.nan, None)
 #: Per automatic chain, split at its quadrature step: (its head, or None; the order of
 #: its float64 series pass; its calM orders; whether they are nu-orders; the step's
 #: value from the point's orders; the function of M whose x > 0 it needs, or ""; the
-#: fallback after a stalled quadrature, given the series config and M as m(nu, x), or
+#: fallback after a stalled quadrature, given the configs and M as m(nu, x) or None, or
 #: None to raise).
 _CHAINS = {
     "m": (_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
-          "m_from_quadrature", lambda p, cfg, m: series.struve_m_series(p, cfg)),
-    "calm": (_calm_head, 0, (0,), False, lambda p, c: c[0], "", lambda p, cfg, m:
+          "m_from_quadrature", lambda p, cfg, q, m: series.struve_m_series(p, cfg)),
+    "calm": (_calm_head, 0, (0,), False, lambda p, c: c[0], "", lambda p, cfg, q, m:
              series.calm_from_m(p, series.struve_m_series(p, cfg))),
     "m_prime": (_m_prime_head, 1, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
-                "m_deriv", lambda p, cfg, m: _m_prime_by_recurrence(p, m)),
+                "m_deriv", _m_prime_by_recurrence),
     "calm_dx": (None, None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
     "calm_dnu": (None, None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
 }
@@ -233,7 +240,7 @@ _CHAINS = {
 RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 
-def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, m,
+def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m,
           float_at=None) -> FuncValue | tuple | None:
     """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
     the chain's head (its float64 pass float_at, default series.struve_m_float); else
@@ -241,13 +248,14 @@ def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, m,
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
     head = _CHAINS[kind][0]
-    if head and (fv := head(p, series_cfg, float_at or series.struve_m_float, m)) is not None:
+    if head and (fv := head(p, series_cfg, quad_cfg, float_at or series.struve_m_float,
+                            m)) is not None:
         return fv
     quadrature.check_point(p, _CHAINS[kind][5])
     return None
 
 
-def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, m):
+def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m):
     """kind at p from its quadrature outcome got: the step's value, or after a stall
     (got is the NonConvergenceError) the chain's fallback."""
     step, _, after = _CHAINS[kind][4:]
@@ -255,14 +263,13 @@ def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, m):
         return step(p, got)
     if after is None:
         raise NonConvergenceError(*got.args)  # afresh: a batch's error keeps no frames
-    return after(p, series_cfg, m)
+    return after(p, series_cfg, quad_cfg, m)
 
 
 def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m=None):
     """The automatic chain of kind at p, one point: _head, the quadrature step at p's
     orders, then _tail. The chain reads M through m(nu, x) (default: the single call)."""
-    m = m or (lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-    fv = _head(kind, p, series_cfg, m)
+    fv = _head(kind, p, series_cfg, quad_cfg, m)
     if fv is not None:
         return fv
     orders, dnu = _CHAINS[kind][2:4]
@@ -271,7 +278,7 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
             p, orders, quad_cfg)
     except NonConvergenceError as exc:
         got = exc
-    return _tail(kind, p, got, series_cfg, m)
+    return _tail(kind, p, got, series_cfg, quad_cfg, m)
 
 
 def _keep(store: dict, got: dict, size: int) -> None:
@@ -370,7 +377,7 @@ class Memo:
         for key in keys:
             try:
                 p = EvalPoint(*key)
-                fv = _head(kind, p, self.series_cfg, self.m, float_at)
+                fv = _head(kind, p, self.series_cfg, self.quad_cfg, self.m, float_at)
             except RECORDED as exc:
                 fv = exc
             if fv is None:
@@ -380,7 +387,7 @@ class Memo:
         batch = quadrature.calm_dnu_points if dnu else quadrature.calm_dx_points
         for p, got in zip(quad, batch(quad, orders, self.quad_cfg) if quad else ()):
             try:
-                done[p.nu, p.x] = _tail(kind, p, got, self.series_cfg, self.m)
+                done[p.nu, p.x] = _tail(kind, p, got, self.series_cfg, self.quad_cfg, self.m)
             except RECORDED as exc:
                 done[p.nu, p.x] = exc
         return done
