@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -285,8 +285,9 @@ def _keep(store: dict, got: dict, size: int) -> None:
     """Add got to store, dropping its oldest entries past size (pop: another thread
     may drop one first)."""
     store.update(got)
-    for key in list(itertools.islice(store, max(len(store) - size, 0))):
-        store.pop(key, None)
+    if len(store) > size:
+        for key in list(itertools.islice(store, len(store) - size)):
+            store.pop(key, None)
 
 
 class Values(NamedTuple):
@@ -302,8 +303,9 @@ class Memo:
     """Automatic-route M, M', calM and the sign probes' quadrature derivatives (calm_dx:
     calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair, one store per
     kind, ``memo.stores[kind]``: a dict on (nu, x) that keeps its newest _MEMO_SIZE
-    entries and no exception. ``memo.calm(nu, x)`` reads one point, on a miss by the
-    single call's chain. :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest
+    entries and no exception. ``memo.calm(nu, x)`` reads one point: an lru_cache answers
+    its repeats, and a miss reads the store, else runs the single call's chain.
+    :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest
     error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at
     the point from its coordinates or the memo's reads (the Theorem 4 bounds, the
     identities' first-kind parts); fn, a module-level function, is part of the key."""
@@ -315,19 +317,18 @@ class Memo:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
         self.stores, self.arrays = {kind: {} for kind in _CHAINS}, {}
-        for kind, store in self.stores.items():
-            setattr(self, kind, self._single(kind, store))
+        for kind in _CHAINS:
+            setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._single, kind)))
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
-    def _single(self, kind: str, store: dict):
-        def read(nu: float, x: float):
-            try:
-                return store[nu, x]
-            except KeyError:
-                fv = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
-                _keep(store, {(nu, x): fv}, _MEMO_SIZE)
-                return fv
-        return read
+    def _single(self, kind: str, nu: float, x: float):
+        """memo.kind(nu, x) past its lru_cache: the store's value, else the single
+        call's chain, kept in the store."""
+        fv = self.stores[kind].get((nu, x))
+        if fv is None:
+            fv = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
+            _keep(self.stores[kind], {(nu, x): fv}, _MEMO_SIZE)
+        return fv
 
     def read(self, kind: str, nu, x) -> Values:
         """kind at every point of the broadcast nu and x arrays; a NaN coordinate reads
