@@ -5,6 +5,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -38,6 +41,16 @@ class FuncValue:
     value: float
     abs_err: float
     method: Method
+
+
+class Values(NamedTuple):
+    """Values and bars at many points: arrays (the order axis first where a read has
+    several orders), NaN where nothing was read, and the errors raised, by flat point
+    index."""
+
+    value: np.ndarray
+    abs_err: np.ndarray
+    errors: dict
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ formed in log space so they stay finite long after gamma itself would
 overflow. The log-space helpers every route shares sit here too: log_half,
 log(x/2) down to the smallest subnormal x; exp_rounded, exp(L) with the
 rounding of the terms L was summed from; and power_gamma, (x/2)^p / Gamma(a),
-the prefactor of the M <-> calM normalization and of the recurrences.
+the prefactor of the M <-> calM normalization and of the recurrences. per_value
+and exp_points apply math's functions over arrays (numpy's log and exp may round
+differently), so that the array forms of those conversions keep every bit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 from .errors import CancellationError, DomainError, PoleError
 
@@ -87,14 +91,28 @@ def log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= _HALF_NORMAL else math.log(x) - LN2
 
 
+def per_value(fn, a) -> np.ndarray:
+    """fn at every point of the array a, one call per distinct value."""
+    values, index = np.unique(a, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[index].reshape(np.shape(a))
+
+
+def exp_points(log_value: np.ndarray) -> np.ndarray:
+    """math.exp at every point of the array; inf from LOG_MAX on, where it may
+    overflow float64."""
+    return np.array([math.exp(v) if not v >= LOG_MAX else math.inf
+                     for v in np.ravel(log_value).tolist()]).reshape(np.shape(log_value))
+
+
 def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[float, float]:
     """exp(L) for L = log_value, summed from the terms a, b and c, and a bound on
     its absolute rounding. L's absolute rounding follows the size of its terms, not
     |L|: at nu = 32, x = 31, nu log(x/2) and lgamma(nu+1/2) are each about 85 while
     L is about 8. So the bound is 2.5 (1 + |a| + |b| + |c|) eps exp(L), plus the
     smallest subnormal, which covers a subnormal exp(L) that keeps only part of its
-    digits."""
-    value = math.exp(log_value)
+    digits. On arrays, exp_points serves, so that the result is inf where
+    math.exp would raise OverflowError."""
+    value = exp_points(log_value) if isinstance(log_value, np.ndarray) else math.exp(log_value)
     return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * EPS * value + TINY
 
 

@@ -39,7 +39,8 @@ from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import DomainError, EmptyDomainError
 from .gammafuncs import (LN2, LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
-                         gamma_ratio_h, gamma_ratio_h_prime, log_gamma, power_gamma)
+                         gamma_ratio_h, gamma_ratio_h_prime, log_gamma, per_value,
+                         power_gamma)
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -202,7 +203,7 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # leading axes for neighbouring orders or arguments; a NaN coordinate reads
 # nothing, which is how a margin skips the points a read does not serve.
 # ev.each runs math's exp, expm1, sinh and hypot, Python's ** and the scalar
-# routes per point (numpy's would move bits), _per_order a function of the order.
+# routes per point (numpy's would move bits), per_value a function of the order.
 # ---------------------------------------------------------------------------
 
 
@@ -266,15 +267,9 @@ def _min(first, *rest):
     return first
 
 
-def _per_order(fn, nu):
-    """fn(order) at every point of nu, one call per distinct order."""
-    orders, index = np.unique(nu, return_inverse=True)
-    return np.array([fn(v) for v in orders.tolist()])[index].reshape(np.shape(nu))
-
-
 def _gr(nu):
     """gamma(nu+1/2)/gamma(nu+1), the x -> 0 value of the normalized form."""
-    return _per_order(lambda v: gamma_ratio(v + 0.5, v + 1.0), nu)
+    return per_value(lambda v: gamma_ratio(v + 0.5, v + 1.0), nu)
 
 
 def _margin_bound0(ev, nu, x, y=None):
@@ -297,8 +292,12 @@ def _margin_ineqturan_upper(ev, nu, x, y=None):
 
 
 def _ratio(ev, nu, x):
-    """x M_nu'(x) / M_nu(x); M_nu < 0 on the catalog domains."""
-    return x * ev.m_prime(nu, x).value / ev.m(nu, x).value
+    """x M_nu'(x) / M_nu(x); M_nu < 0 on the catalog domains. Where M_{-1/2} reads 0
+    (e^(-x) underflows past x ~ 745), the closed forms' exact ratio -(x + 1/2)."""
+    m_prime = ev.m_prime(nu, x).value
+    m = ev.m(nu, x).value
+    edge = (nu == -0.5) & (m == 0.0)
+    return np.where(edge, -(x + 0.5), x * m_prime / np.where(edge, 1.0, m))
 
 
 def _margin_quot1(ev, nu, x, y=None):
@@ -405,16 +404,16 @@ def _margin_theorem4(ev, nu, x, y=None):
 
 
 def _margin_gammaineq_left(ev, nu, x, y=None):
-    return _rel(TWO_OVER_SQRT_PI, _per_order(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu))
+    return _rel(TWO_OVER_SQRT_PI, per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu))
 
 
 def _margin_gammaineq_right(ev, nu, x, y=None):
-    return _rel(_per_order(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu),
+    return _rel(per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu),
                 np.sqrt(2.0 / (math.pi * (nu + 1.0))))
 
 
 def _margin_remark2_turan(ev, nu, x, y=None):
-    val = _per_order(lambda v: math.exp(2.0 * log_gamma(v + 1.5)
+    val = per_value(lambda v: math.exp(2.0 * log_gamma(v + 1.5)
                                         - log_gamma(v + 1.0) - log_gamma(v + 2.0)), nu)
     return _rel(val, 2.0 / math.pi)
 
@@ -475,31 +474,33 @@ _RISING_HALF = list(itertools.accumulate((0.5 + i for i in range(6)), operator.m
 
 
 def _neg_m_derivatives(ev, nu, x):
-    """(-1)^n d^n/dx^n of -M_nu at x, n = 0..6, for nu in [-1/2, 0]: all
+    """(-1)^n d^n/dx^n of -M_nu at x, n = 0..6, for nu in [-1/2, 0], as (scale, sums):
+    the order-n derivative is scale * sums[n] with scale > 0, and all of them are
     positive where -M_nu is completely monotone.
 
     At nu = -1/2 the derivatives of the elementary form
-    sqrt(2/pi) x^(-1/2) e^(-x) expand into an all-positive sum; elsewhere
-    the Leibniz rule on -M = x^nu calM_nu / (2^nu gamma(nu+1/2)) keeps
-    every term positive as well (falling factorials of nu <= 0 alternate
-    against the alternating normalized-form derivatives), so the
-    evaluation is cancellation-free. Only the signs reach the margin, so
-    numpy's exp and ** serve.
+    sqrt(2/pi) x^(-1/2) e^(-x) expand into an all-positive sum (scale
+    sqrt(2/pi) e^(-x)); elsewhere the Leibniz rule on -M = x^nu calM_nu /
+    (2^nu gamma(nu+1/2)) keeps every term positive as well (falling factorials
+    of nu <= 0 alternate against the alternating normalized-form derivatives),
+    so the evaluation is cancellation-free. Only the signs reach the margin, so
+    numpy's exp and ** serve, and the margin reads the sums: scale underflows to
+    0 at nu = -1/2 past x ~ 745, where the sums keep their sign.
     """
     half = nu == -0.5
     calm_nu = np.where(half, math.nan, nu)  # nu = -1/2 reads no calM
     dx = ev.calm_dx(calm_nu, x).value
-    front = np.exp(-calm_nu * LN2 - _per_order(log_gamma, calm_nu + 0.5))
+    scale = np.where(half, math.sqrt(2.0 / math.pi) * np.exp(-x),
+                     np.exp(-calm_nu * LN2 - per_value(log_gamma, calm_nu + 0.5)))
     falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
-    vals = []
+    sums = []
     for n in range(7):
         leibniz = sum(math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
                       for k in range(n + 1))
         elementary = sum(math.comb(n, k) * _RISING_HALF[k] * x ** (-0.5 - k)
                          for k in range(n + 1))
-        vals.append(np.where(half, math.sqrt(2.0 / math.pi) * np.exp(-x) * elementary,
-                             (-1.0) ** n * front * leibniz))
-    return vals
+        sums.append(np.where(half, elementary, (-1.0) ** n * leibniz))
+    return scale, sums
 
 
 def _margin_neg_m_cm(ev, nu, x, y=None):
@@ -507,12 +508,12 @@ def _margin_neg_m_cm(ev, nu, x, y=None):
     nu in [-1/2, 0]."""
     # every summand of a derivative is positive by construction, so the sign
     # of each order is certain and a per-order +-1 margin is honest
-    return _min(*(_rel(v, 0.0) for v in _neg_m_derivatives(ev, nu, x)))
+    return _min(*(_rel(s, 0.0) for s in _neg_m_derivatives(ev, nu, x)[1]))
 
 
 def _margin_h_negative_derivative(ev, nu, x, y=None):
-    return _min(_rel(_per_order(gamma_ratio_h, nu), 0.0),
-                _rel(0.0, _per_order(gamma_ratio_h_prime, nu)))
+    return _min(_rel(per_value(gamma_ratio_h, nu), 0.0),
+                _rel(0.0, per_value(gamma_ratio_h_prime, nu)))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import series
-from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig
+from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig, Values
 from .errors import CancellationError, DomainError, NonConvergenceError
 from .gammafuncs import (EPS, LN2, LOG_MAX, LOG_SQRT_PI, TINY, TWO_OVER_SQRT_PI,
                          exp_rounded, log_gamma, log_half)
@@ -156,18 +156,20 @@ def _level_nodes(level: int, last: int | None = None
     return t, lg1mt2, lgw
 
 
-def _log_tail_bound(power: float, log_order: int) -> float:
+def _log_tail_bound(power: float, log_order: int, x: float = 0.0) -> float:
     """log of a bound on the integral mass beyond the outermost node.
 
-    Bounds int_0^delta s^power log(1/s)^log_order ds (s = 1 - t), with the
-    (1+t)^power factor bounded by max(1, 2^power) and e^(-xt) by 1.
+    Bounds int_0^delta s^power log(1/s)^log_order e^(-xt) ds (s = 1 - t), with the
+    (1+t)^power factor bounded by max(1, 2^power) and e^(-xt) by e^(-x(1-delta))
+    on [1 - delta, 1]: delta = e^(-57,000) underflows, so that is e^(-x). The double
+    integral, whose kernel is cosh/sinh(xt), passes no x.
     """
     p1 = power + 1.0
     log_tail = p1 * _LOG_DELTA - math.log(p1) + math.log(2.0)
     if log_order:
         log_tail += log_order * math.log(-_LOG_DELTA)
     log_tail += max(power, 0.0) * math.log(2.0)
-    return log_tail
+    return log_tail - x
 
 
 @functools.lru_cache(maxsize=128)
@@ -190,8 +192,8 @@ def _level_kernel(level: int, ns: tuple[int, ...], ms: tuple[int, ...],
     return kernel
 
 
-def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
-            abs_tols: tuple[float, ...], max_level: int, name: str) -> list[FuncValue]:
+def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
+            abs_tols: tuple[float, ...], max_level: int, name: str) -> tuple[tuple, tuple]:
     """Dyadic tanh-sinh refinement of every order pair (n, m) of ns, ms:
     (-1)^(n+m) (2/sqrt(pi)) int_0^1 (1-t^2)^(nu-1/2) t^n log(1/(1-t^2))^m e^(-xt) dt.
 
@@ -205,10 +207,11 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
     abs_tol is unattainable and halving would only burn nodes, so the
     honest abs_err can then exceed abs_tol. NonConvergenceError names the
     first order still open at max_level: genuinely unresolved endpoint
-    mass, not a big integrand.
+    mass, not a big integrand. Returns the frozen sums and errors per order,
+    unsigned and unscaled (_values signs and scales them).
     """
-    pw = p.nu - 0.5
-    tails = [math.exp(_log_tail_bound(pw, m)) for m in ms]
+    pw = nu - 0.5
+    tails = [math.exp(_log_tail_bound(pw, m, x)) for m in ms]
     frozen: list = [None] * len(ns)
     errs = [math.inf] * len(ns)
     joined = min(_JOINED_LAST, max_level)
@@ -216,7 +219,7 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
     with np.errstate(under="ignore"):
         for first, last in spans:
             t, lg1mt2, lgw = _level_nodes(first, last)
-            col = np.exp(pw * lg1mt2 - p.x * t + lgw)
+            col = np.exp(pw * lg1mt2 - x * t + lgw)
             kernel = _level_kernel(first, ns, ms, last)
             if kernel is not None:
                 col = kernel * col
@@ -239,16 +242,20 @@ def _refine(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
                                            or improvable <= 8.0 * EPS * abs(s)):
                             frozen[i] = (s, err)
                 if None not in frozen:
-                    return _values(ns, ms, *zip(*frozen))
+                    return tuple(zip(*frozen))
     i = frozen.index(None)
-    raise _stall(name, p.nu, p.x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
+    raise _stall(name, nu, x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
+
+
+def _sign(n: int, m: int) -> float:
+    """(-1)^(n+m), the sign of the order pair's derivative."""
+    return -1.0 if (n + m) % 2 else 1.0
 
 
 def _values(ns: tuple[int, ...], ms: tuple[int, ...], sums, errs) -> list[FuncValue]:
     """The signed, scaled FuncValues of the frozen sums and errors per order."""
-    return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * TWO_OVER_SQRT_PI * s,
-                      TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
-            for n, m, s, err in zip(ns, ms, sums, errs)]
+    return [FuncValue(_sign(n, m) * TWO_OVER_SQRT_PI * s, TWO_OVER_SQRT_PI * err,
+                      Method.QUADRATURE) for n, m, s, err in zip(ns, ms, sums, errs)]
 
 
 def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
@@ -264,36 +271,54 @@ def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
             f"(tail bound {tail:.3g})" if tail > abs_tol else ""))
 
 
-def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, ...],
-                   abs_tols: list[tuple[float, ...]], max_level: int,
-                   name: str) -> list[list[FuncValue] | NonConvergenceError]:
-    """_refine at every point, each at its own (nu, x) and abs_tols row: per point
-    its FuncValues or its stall error, in batches of at most _BATCH_CELLS points x
-    orders; a lone point takes _refine itself.
+def _refine_points(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple[int, ...],
+                   abs_tols: np.ndarray, max_level: int, name: str) -> Values:
+    """_refine at every point (nu[i], x[i]) with its row of abs_tols: the signed, scaled
+    values and bars, one row per order (orders x points), NaN at the points that stall
+    and their errors by index. Batches hold at most _BATCH_CELLS points x orders; a
+    lone point takes _refine itself (see the module docstring)."""
+    shape = (nu.size, len(ns))
+    sums, errs, stalls = np.zeros(shape), np.zeros(shape), {}
+    if nu.size == 1:
+        try:
+            sums[0], errs[0] = _refine(nu.item(), x.item(), ns, ms, tuple(abs_tols[0].tolist()),
+                                       max_level, name)
+        except NonConvergenceError as exc:
+            stalls[0] = exc
+    else:
+        step = max(1, _BATCH_CELLS // max(len(ns), 1))
+        for start in range(0, nu.size, step):
+            batch = slice(start, start + step)
+            got = _refine_batch(nu[batch], x[batch], ns, ms, abs_tols[batch], max_level,
+                                name, sums[batch], errs[batch])
+            stalls.update((start + i, exc) for i, exc in got.items())
+    sign = np.array([_sign(n, m) for n, m in zip(ns, ms)])
+    value, abs_err = (sign * TWO_OVER_SQRT_PI) * sums, TWO_OVER_SQRT_PI * errs
+    value[list(stalls)] = abs_err[list(stalls)] = math.nan
+    return Values(value.T, abs_err.T, stalls)
+
+
+def _refine_batch(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple[int, ...],
+                  abs_tols: np.ndarray, max_level: int, name: str,
+                  sums: np.ndarray, errs: np.ndarray) -> dict:
+    """One batch of _refine_points: fills sums and errs (points x orders) with each
+    point's frozen sums and errors, and returns the stall errors by index.
 
     Per level one exp() matrix, points x nodes, times the kernel rows, summed
     over the last axis: numpy's pairwise row sum, as in _refine, so the bits
     match (a matmul would reorder the sum). Points leave once all orders froze.
+    Each point's tails are _refine's, per (nu, x).
     """
-    if len(points) == 1:  # a lone point is cheaper through _refine (see the docstring)
-        try:
-            return [_refine(points[0], ns, ms, abs_tols[0], max_level, name)]
-        except NonConvergenceError as exc:
-            return [exc]
-    step = max(1, _BATCH_CELLS // max(len(ns), 1))
-    if len(points) > step:
-        return [got for i in range(0, len(points), step) for got in _refine_points(
-            points[i:i + step], ns, ms, abs_tols[i:i + step], max_level, name)]
-    if not points:
-        return []
-    pw = [p.nu - 0.5 for p in points]
-    tail_rows = {w: [math.exp(_log_tail_bound(w, m)) for m in ms] for w in set(pw)}
-    tails = np.array([tail_rows[w] for w in pw])
-    abs_tols = np.array(abs_tols)
-    pw, x_col = np.array(pw)[:, None], np.array([p.x for p in points])[:, None]
-    shape = (len(points), len(ns))
-    sums, errs, frozen = np.zeros(shape), np.full(shape, math.inf), np.zeros(shape, bool)
-    live = np.arange(len(points))
+    pw = nu - 0.5
+    log_rows = {w: [_log_tail_bound(w, m) for m in ms] for w in set(pw.tolist())}
+    log_tails = np.array([log_rows[w] for w in pw.tolist()]) - x[:, None]
+    tails = np.zeros(log_tails.shape)
+    near = np.flatnonzero(log_tails > -746.0)  # below, math.exp gives 0
+    tails.flat[near] = [math.exp(v) for v in log_tails.flat[near].tolist()]
+    pw, x_col = pw[:, None], x[:, None]
+    errs.fill(math.inf)
+    frozen = np.zeros(sums.shape, bool)
+    live = np.arange(nu.size)
     with np.errstate(under="ignore"):
         for level in range(max_level + 1):
             t, lg1mt2, lgw = _level_nodes(level)
@@ -318,13 +343,12 @@ def _refine_points(points: list[EvalPoint], ns: tuple[int, ...], ms: tuple[int, 
             live = live[~frozen[live].all(axis=1)]
             if not live.size:
                 break
-    out = []
-    for p, s, err, done, tail, tol in zip(points, sums.tolist(), errs.tolist(), frozen.tolist(),
-                                          tails.tolist(), abs_tols.tolist()):
-        i = done.index(False) if False in done else None
-        out.append(_values(ns, ms, s, err) if i is None else
-                   _stall(name, p.nu, p.x, ns[i] or ms[i], tol[i], err[i], tail[i]))
-    return out
+    stalls = {}
+    for i in live.tolist():
+        j = frozen[i].tolist().index(False)
+        stalls[i] = _stall(name, nu.item(i), x.item(i), ns[j] or ms[j], abs_tols.item(i, j),
+                           errs.item(i, j), tails.item(i, j))
+    return stalls
 
 
 def check_point(p: EvalPoint, m_of: str = "") -> EvalPoint:
@@ -366,7 +390,9 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
     Every value and abs_err equals the single-order result bit for bit.
     """
-    return _refine(check_point(p), *_dx_args(ns, cfg))
+    check_point(p)
+    ns, ms, *rest = _dx_args(ns, cfg)
+    return _values(ns, ms, *_refine(p.nu, p.x, ns, ms, *rest))
 
 
 def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
@@ -378,32 +404,46 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     nu < 1/2 and m >= 2 the convergence threshold is relaxed to
     10 * abs_tol (the reported abs_err stays honest). Near nu = -1/2 a high
     order's endpoint mass can lie past the node range, so that no refinement
-    converges; the error then says so and quotes the tail bound (4e6 at
+    converges; the error then says so and quotes the tail bound (3.4e6 at
     nu = -0.49898, x = 0.179, m = 6).
     """
-    return _refine(check_point(p), *_dnu_args(p.nu, ms, cfg))
+    check_point(p)
+    ns, ms, *rest = _dnu_args(p.nu, ms, cfg)
+    return _values(ns, ms, *_refine(p.nu, p.x, ns, ms, *rest))
 
 
-def calm_dx_points(points: Iterable[EvalPoint], ns: Iterable[int],
-                   cfg: QuadConfig = QUAD_DEFAULTS) -> list[list[FuncValue] | NonConvergenceError]:
-    """calm_dx_orders at every point, each at its own (nu, x), from one
-    refinement of the batch: per point its FuncValues, bit for bit, or the
-    NonConvergenceError calm_dx_orders raises there, returned; DomainError for
-    any point off the domain."""
-    points = [check_point(p) for p in points]
+def _points(nu, x) -> tuple[np.ndarray, np.ndarray]:
+    """The flat float arrays of a points pass, or the DomainError check_point raises at
+    the first point off the domain."""
+    nu, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(nu, float),
+                                                     np.asarray(x, float)))
+    ok = np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x >= 0.0) & (x <= X_MAX)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        check_point(EvalPoint(nu.item(i), x.item(i)))
+    return nu, x
+
+
+def calm_dx_points(nu, x, ns: Iterable[int], cfg: QuadConfig = QUAD_DEFAULTS) -> Values:
+    """calm_dx_orders at every point (nu[i], x[i]) of the broadcast arrays, from one
+    refinement of the batch: values and bars, one row per order (orders x points),
+    each calm_dx_orders' bit for bit, NaN at the points where calm_dx_orders raises
+    NonConvergenceError, and those errors by point index; DomainError for any point
+    off the domain."""
+    nu, x = _points(nu, x)
     ns, ms, tols, max_level, name = _dx_args(ns, cfg)
-    return _refine_points(points, ns, ms, [tols] * len(points), max_level, name)
+    return _refine_points(nu, x, ns, ms, np.broadcast_to(tols, (nu.size, len(ns))),
+                          max_level, name)
 
 
-def calm_dnu_points(points: Iterable[EvalPoint], ms: Iterable[int],
-                    cfg: QuadConfig = QUAD_DEFAULTS
-                    ) -> list[list[FuncValue] | NonConvergenceError]:
+def calm_dnu_points(nu, x, ms: Iterable[int], cfg: QuadConfig = QUAD_DEFAULTS) -> Values:
     """calm_dnu_orders at every point, as calm_dx_points; each point keeps its own
     relaxed threshold for nu < 1/2."""
-    points = [check_point(p) for p in points]
+    nu, x = _points(nu, x)
     ns, ms, _, max_level, name = _dnu_args(0.5, ms, cfg)
-    tols = {nu: _dnu_args(nu, ms, cfg)[2] for nu in {p.nu for p in points}}
-    return _refine_points(points, ns, ms, [tols[p.nu] for p in points], max_level, name)
+    rows = {v: _dnu_args(v, ms, cfg)[2] for v in set(nu.tolist())}
+    tols = np.array([rows[v] for v in nu.tolist()]).reshape(nu.size, len(ms))
+    return _refine_points(nu, x, ns, ms, tols, max_level, name)
 
 
 def calm(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:

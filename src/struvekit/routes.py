@@ -36,17 +36,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from functools import lru_cache, partial
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
-                   Method, QuadConfig, SeriesConfig)
+                   Method, QuadConfig, SeriesConfig, Values)
 from .errors import CancellationError, DomainError, NonConvergenceError, StruveKitError
-from .gammafuncs import EPS, LOG_SQRT_PI, log_gamma, power_gamma
+from .gammafuncs import EPS, LOG_SQRT_PI, exp_points, log_gamma, per_value, power_gamma
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -106,15 +106,14 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
             m) -> FuncValue | None:
     """Automatic M up to its quadrature step: the series where quadrature does not
     serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None. Each
-    head takes its float64 pass as float_at(p, series_cfg, order), struve_m_float's
-    signature, and M as m(nu, x), or None for the single call's."""
+    head takes M as m(nu, x), or None for the single call's."""
     if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
         return series.struve_m_series(p, series_cfg)
-    return float_at(p, series_cfg, 0) if p.x <= series.X_CANCEL_MAX else None
+    return series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
 
 
 def calm(p: EvalPoint, method: Method | None = None,
@@ -137,7 +136,7 @@ def calm(p: EvalPoint, method: Method | None = None,
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
-def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
                m) -> FuncValue | None:
     """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
@@ -150,7 +149,7 @@ def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, flo
     # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
     if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
         return None
-    fv = _m_head(p, series_cfg, quad_cfg, float_at, m)
+    fv = _m_head(p, series_cfg, quad_cfg, m)
     return fv and series.calm_from_m(p, fv)
 
 
@@ -182,14 +181,14 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     return quadrature.m_deriv(p, quad_cfg)
 
 
-def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, float_at,
+def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
                   m) -> FuncValue | None:
     """Automatic M' up to its quadrature step: the certified float64 value of the
     termwise derivative, else in the band quadrature leaves to the series (nu below
     _QUAD_NU_MIN, x <= X_CANCEL_MAX) the recurrence over M, else None."""
     if not (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX):
         return None
-    fv = float_at(p, series_cfg, 1)
+    fv = series.struve_m_float(p, series_cfg, 1)
     # differentiated quadrature lies outside its bar there (3.8x at nu = -0.499, x in
     # [4, 8]); the recurrence over the escalated-series M holds its bar
     return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(
@@ -217,53 +216,73 @@ _MEMO_SIZE = 262144
 #: Error-free array reads a Memo keeps whole (a catalog sweep makes about 30).
 _ARRAY_READS = 256
 
-#: An array read's entry where it read nothing: a NaN coordinate, or an error.
-_BLANK = FuncValue(math.nan, math.nan, None)
 
-#: Per automatic chain, split at its quadrature step: (its head, or None; the order of
-#: its float64 series pass; its calM orders; whether they are nu-orders; the step's
-#: value from the point's orders; the function of M whose x > 0 it needs, or ""; the
-#: fallback after a stalled quadrature, given the configs and M as m(nu, x) or None, or
-#: None to raise).
+class _Chain(NamedTuple):
+    """An automatic chain, split at its quadrature step."""
+
+    #: Its head, or None.
+    head: Callable | None
+    #: The order of its float64 series pass, or None.
+    order: int | None
+    #: Its calM orders, and whether they are nu-orders.
+    orders: tuple
+    dnu: bool
+    #: The step's value at p from the point's orders c, a list of FuncValues.
+    step: Callable
+    #: The step at every point of arrays, from the orders' values and bars (orders x
+    #: points): its values and bars, NaN where step serves or raises.
+    points_step: Callable
+    #: The function of M whose x > 0 it needs, or "".
+    m_of: str
+    #: The fallback after a stalled quadrature, given the configs and M as m(nu, x)
+    #: or None, or None to raise.
+    after: Callable | None
+
+
 _CHAINS = {
-    "m": (_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
-          "m_from_quadrature", lambda p, cfg, q, m: series.struve_m_series(p, cfg)),
-    "calm": (_calm_head, 0, (0,), False, lambda p, c: c[0], "", lambda p, cfg, q, m:
-             series.calm_from_m(p, series.struve_m_series(p, cfg))),
-    "m_prime": (_m_prime_head, 1, (0, 1), False, lambda p, c: series.m_prime_from_calm(p, *c),
-                "m_deriv", _m_prime_by_recurrence),
-    "calm_dx": (None, None, tuple(range(7)), False, lambda p, c: tuple(c), "", None),
-    "calm_dnu": (None, None, tuple(range(5)), True, lambda p, c: tuple(c), "", None),
+    "m": _Chain(_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
+                lambda nu, x, c, e: series.m_from_calm_points(nu, x, c[0], e[0]),
+                "m_from_quadrature", lambda p, cfg, q, m: series.struve_m_series(p, cfg)),
+    "calm": _Chain(_calm_head, 0, (0,), False, lambda p, c: c[0],
+                   lambda nu, x, c, e: (c[0], e[0]), "", lambda p, cfg, q, m:
+                   series.calm_from_m(p, series.struve_m_series(p, cfg))),
+    "m_prime": _Chain(_m_prime_head, 1, (0, 1), False,
+                      lambda p, c: series.m_prime_from_calm(p, *c),
+                      lambda nu, x, c, e: series.m_prime_from_calm_points(nu, x, c[0], e[0],
+                                                                          c[1], e[1]),
+                      "m_deriv", _m_prime_by_recurrence),
+    "calm_dx": _Chain(None, None, tuple(range(7)), False, lambda p, c: tuple(c),
+                      lambda nu, x, c, e: (c.T, e.T), "", None),
+    "calm_dnu": _Chain(None, None, tuple(range(5)), True, lambda p, c: tuple(c),
+                       lambda nu, x, c, e: (c.T, e.T), "", None),
 }
 
 #: The errors a sweep records at a point, a read's or a margin's.
 RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 
-def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m,
-          float_at=None) -> FuncValue | tuple | None:
+def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
+          m) -> FuncValue | tuple | None:
     """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
-    the chain's head (its float64 pass float_at, default series.struve_m_float); else
-    None, once the quadrature step accepts p."""
+    the chain's head; else None, once the quadrature step accepts p."""
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
-    head = _CHAINS[kind][0]
-    if head and (fv := head(p, series_cfg, quad_cfg, float_at or series.struve_m_float,
-                            m)) is not None:
+    head = _CHAINS[kind].head
+    if head and (fv := head(p, series_cfg, quad_cfg, m)) is not None:
         return fv
-    quadrature.check_point(p, _CHAINS[kind][5])
+    quadrature.check_point(p, _CHAINS[kind].m_of)
     return None
 
 
 def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m):
     """kind at p from its quadrature outcome got: the step's value, or after a stall
     (got is the NonConvergenceError) the chain's fallback."""
-    step, _, after = _CHAINS[kind][4:]
+    chain = _CHAINS[kind]
     if not isinstance(got, NonConvergenceError):
-        return step(p, got)
-    if after is None:
+        return chain.step(p, got)
+    if chain.after is None:
         raise NonConvergenceError(*got.args)  # afresh: a batch's error keeps no frames
-    return after(p, series_cfg, quad_cfg, m)
+    return chain.after(p, series_cfg, quad_cfg, m)
 
 
 def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m=None):
@@ -272,13 +291,47 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
     fv = _head(kind, p, series_cfg, quad_cfg, m)
     if fv is not None:
         return fv
-    orders, dnu = _CHAINS[kind][2:4]
+    chain = _CHAINS[kind]
     try:
-        got = (quadrature.calm_dnu_orders if dnu else quadrature.calm_dx_orders)(
-            p, orders, quad_cfg)
+        got = (quadrature.calm_dnu_orders if chain.dnu else quadrature.calm_dx_orders)(
+            p, chain.orders, quad_cfg)
     except NonConvergenceError as exc:
         got = exc
     return _tail(kind, p, got, series_cfg, quad_cfg, m)
+
+
+def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
+    """The masks of a bulk computation over the points (nu[i], x[i]): (bulk, the points
+    its array steps serve; passes, those of its float64 series pass; zero, calM's
+    x = 0). They follow _head: the closed forms, the domain errors, the band next to
+    nu = -1/2 where the escalated series or the M' recurrence serves, and x past
+    quadrature.X_MAX stay out of bulk."""
+    with np.errstate(invalid="ignore"):
+        bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
+                & (x > 0.0 if _CHAINS[kind].m_of else x >= 0.0))
+    none = np.zeros(nu.shape, bool)
+    if _CHAINS[kind].head is None:
+        return bulk, none, none
+    bulk &= nu != 0.5
+    band = (nu < _QUAD_NU_MIN) & (x > 0.0) & (x <= series.X_CANCEL_MAX)
+    passes = bulk & (x > 0.0) & (x <= series.X_CANCEL_MAX)
+    if kind == "calm":  # _calm_head's overflow guard sends the rest to quadrature
+        at = np.flatnonzero(passes | (bulk & band))
+        with np.errstate(invalid="ignore"):
+            guard = none.copy()
+            guard[at] = nu[at] * per_value(lambda v: math.log(2.0 / v), x[at]) + per_value(
+                log_gamma, nu[at] + 0.5) <= 700.0
+        band &= guard
+        passes &= guard
+    bulk &= ~band
+    return bulk, passes & bulk, bulk & (x == 0.0)
+
+
+def _calm_at_zero_points(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_calm_at_zero's values and bars at every order of the array, bit for bit."""
+    lg_a, lg_b = per_value(log_gamma, nu + 0.5), per_value(log_gamma, nu + 1.0)
+    value = exp_points(lg_a - lg_b)
+    return value, 8.0 * 4.6 * EPS * (np.abs(lg_a) + np.abs(lg_b) + 1.0) * value
 
 
 def _keep(store: dict, got: dict, size: int) -> None:
@@ -290,24 +343,38 @@ def _keep(store: dict, got: dict, size: int) -> None:
             store.pop(key, None)
 
 
-class Values(NamedTuple):
-    """An array read: values and bars in the read's shape (the order axis first for
-    calm_dx and calm_dnu), NaN where it read nothing, and its errors by flat index."""
+class _Rows:
+    """The rows of one bulk computation, to which the store's entries point: per point
+    (nu, x) of index its row of value and abs_err (one per order, for calm_dx and
+    calm_dnu) and its method."""
 
-    value: np.ndarray
-    abs_err: np.ndarray
-    errors: dict
+    __slots__ = ("index", "value", "abs_err", "method")
+
+    def __init__(self, keys: list, value: np.ndarray, abs_err: np.ndarray,
+                 method: np.ndarray) -> None:
+        self.index = dict(zip(keys, range(len(keys))))
+        self.value, self.abs_err, self.method = value, abs_err, method
+
+    def funcvalue(self, key: tuple):
+        """key's FuncValue, or for calm_dx and calm_dnu its tuple of one per order."""
+        i = self.index[key]
+        value, abs_err, method = self.value[i].tolist(), self.abs_err[i].tolist(), self.method[i]
+        if isinstance(value, list):
+            return tuple(FuncValue(v, e, method) for v, e in zip(value, abs_err))
+        return FuncValue(value, abs_err, method)
 
 
 class Memo:
     """Automatic-route M, M', calM and the sign probes' quadrature derivatives (calm_dx:
     calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair, one store per
     kind, ``memo.stores[kind]``: a dict on (nu, x) that keeps its newest _MEMO_SIZE
-    entries and no exception. ``memo.calm(nu, x)`` reads one point: an lru_cache answers
-    its repeats, and a miss reads the store, else runs the single call's chain.
-    :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest
-    error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at
-    the point from its coordinates or the memo's reads (the Theorem 4 bounds, the
+    entries and no exception. An entry is the _Rows of the bulk computation that gave
+    the point, or the FuncValue (a tuple of them for calm_dx and calm_dnu) of a single
+    call. ``memo.calm(nu, x)`` reads one point: an lru_cache answers its repeats, and a
+    miss builds its FuncValue from the store's entry, else runs the single call's
+    chain. :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest error-free
+    reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the
+    point from its coordinates or the memo's reads (the Theorem 4 bounds, the
     identities' first-kind parts); fn, a module-level function, is part of the key."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
@@ -322,76 +389,114 @@ class Memo:
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
     def _single(self, kind: str, nu: float, x: float):
-        """memo.kind(nu, x) past its lru_cache: the store's value, else the single
+        """memo.kind(nu, x) past its lru_cache: from the store's entry, else the single
         call's chain, kept in the store."""
-        fv = self.stores[kind].get((nu, x))
-        if fv is None:
-            fv = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
-            _keep(self.stores[kind], {(nu, x): fv}, _MEMO_SIZE)
-        return fv
+        entry = self.stores[kind].get((nu, x))
+        if entry is None:
+            entry = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
+            _keep(self.stores[kind], {(nu, x): entry}, _MEMO_SIZE)
+        return entry.funcvalue((nu, x)) if type(entry) is _Rows else entry
 
     def read(self, kind: str, nu, x) -> Values:
         """kind at every point of the broadcast nu and x arrays; a NaN coordinate reads
-        nothing. Its misses, each once, take _compute's three bulk steps."""
+        nothing. Its misses, each once, take _compute's bulk steps."""
         nu, x = np.broadcast_arrays(np.asarray(nu, float), np.asarray(x, float))
         whole = (kind, nu.shape, nu.tobytes(), x.tobytes())
         if (values := self.arrays.get(whole)) is not None:
             return values
         keys = list(zip(nu.ravel().tolist(), x.ravel().tolist()))
         got = list(map(self.stores[kind].get, keys))
-        missing = [k for k, fv in zip(keys, got) if fv is None and k[0] == k[0] and k[1] == k[1]]
-        done = self._compute(kind, list(dict.fromkeys(missing))) if missing else {}
-        _keep(self.stores[kind], {k: v for k, v in done.items() if not isinstance(v, Exception)},
-              _MEMO_SIZE)
-        got = [done.get(k) if fv is None else fv for k, fv in zip(keys, got)]
-        errors = {i: fv for i, fv in enumerate(got) if isinstance(fv, Exception)}
-        orders = () if _CHAINS[kind][0] else (len(_CHAINS[kind][2]),)  # the probes' kinds
-        blank = (_BLANK,) * orders[0] if orders else _BLANK
-        got = [blank if fv is None or isinstance(fv, Exception) else fv for fv in got]
-        if orders:
-            got = list(itertools.chain.from_iterable(got))
-
-        def array(name):  # read-only: memo.arrays hands it to every later read
-            flat = np.fromiter(map(attrgetter(name), got), float, len(got))
-            flat.flags.writeable = False
-            return np.moveaxis(flat.reshape(nu.shape + orders), -1, 0) if orders else (
-                flat.reshape(nu.shape))
-        values = Values(array("value"), array("abs_err"), errors)
+        missing = list(dict.fromkeys(k for k, entry in zip(keys, got) if entry is None
+                                     and k[0] == k[0] and k[1] == k[1]))
+        failed, fresh = {}, {}
+        if missing:
+            rows, raised = self._compute(kind, missing)
+            failed = {missing[i]: exc for i, exc in raised.items()}
+            fresh = {k: rows for k in missing if k not in failed}
+            _keep(self.stores[kind], fresh, _MEMO_SIZE)
+        orders = () if _CHAINS[kind].head else (len(_CHAINS[kind].orders),)
+        value, abs_err = np.full((len(keys),) + orders, math.nan), np.full(
+            (len(keys),) + orders, math.nan)
+        errors, groups = {}, {}
+        for i, (key, entry) in enumerate(zip(keys, got)):
+            entry = entry or fresh.get(key)
+            if type(entry) is _Rows:
+                groups.setdefault(entry, []).append(i)
+            elif entry is None:
+                if key in failed:
+                    errors[i] = failed[key]
+            elif orders:  # a single call's FuncValues
+                value[i], abs_err[i] = [fv.value for fv in entry], [fv.abs_err for fv in entry]
+            else:
+                value[i], abs_err[i] = entry.value, entry.abs_err
+        for rows, at in groups.items():
+            index = [rows.index[keys[i]] for i in at]
+            value[at], abs_err[at] = rows.value[index], rows.abs_err[index]
+        for array in (value, abs_err):  # read-only: memo.arrays hands it to every later read
+            array.flags.writeable = False
+        values = Values(*(np.moveaxis(a.reshape(nu.shape + orders), -1, 0) if orders
+                          else a.reshape(nu.shape) for a in (value, abs_err)), errors)
         if not errors:
             _keep(self.arrays, {whole: values}, _ARRAY_READS)
         return values
 
-    def _compute(self, kind: str, keys: list) -> dict:
-        """kind at each (nu, x) of keys, or the RECORDED error raised there, in three
-        bulk steps: one float64 series pass (struve_m_float_points) over the keys its
-        head may take, then the heads, one quadrature points pass over the points they
-        leave to it, and per point the step or the stall's fallback."""
-        order, orders, dnu = _CHAINS[kind][1:4]
-        fit = [k for k in keys if k[0] > -1.0 and 0.0 < k[1] <= series.X_CANCEL_MAX]
-        floats = dict(zip(fit, series.struve_m_float_points(
-            *np.array(fit).T, self.series_cfg, order))) if order is not None and fit else {}
+    def _compute(self, kind: str, keys: list) -> tuple[_Rows, dict]:
+        """kind at each distinct (nu, x) of keys: their _Rows, and the RECORDED errors
+        raised, by row. The points _plan picks take the bulk steps: one float64 series
+        pass (struve_m_float_points), one quadrature points pass over what it does not
+        certify, and the chain's conversions as array expressions. The rest take _auto
+        per point, and so does the chain's tail where the arrays cannot serve it: a
+        step whose array form is NaN (it overflows or raises), or a stall's fallback."""
+        chain = _CHAINS[kind]
+        nu, x = np.array(keys).T
+        shape = (len(keys),) + (() if chain.head else (len(chain.orders),))
+        value, abs_err = np.full(shape, math.nan), np.full(shape, math.nan)
+        method = np.full(len(keys), Method.QUADRATURE, object)
+        errors = {}
 
-        def float_at(p, cfg, order):
-            key = (p.nu, p.x)
-            return floats[key] if key in floats else series.struve_m_float(p, cfg, order)
-        done, quad = {}, []
-        for key in keys:
+        def settle(i, run):
             try:
-                p = EvalPoint(*key)
-                fv = _head(kind, p, self.series_cfg, self.quad_cfg, self.m, float_at)
+                fv = run()
             except RECORDED as exc:
-                fv = exc
-            if fv is None:
-                quad.append(p)
+                errors[i] = exc
+                return
+            if chain.head:
+                value[i], abs_err[i], method[i] = fv.value, fv.abs_err, fv.method
             else:
-                done[key] = fv
-        batch = quadrature.calm_dnu_points if dnu else quadrature.calm_dx_points
-        for p, got in zip(quad, batch(quad, orders, self.quad_cfg) if quad else ()):
-            try:
-                done[p.nu, p.x] = _tail(kind, p, got, self.series_cfg, self.quad_cfg, self.m)
-            except RECORDED as exc:
-                done[p.nu, p.x] = exc
-        return done
+                value[i], abs_err[i] = [f.value for f in fv], [f.abs_err for f in fv]
+
+        bulk, passes, zero = _plan(kind, nu, x)
+        per_point = ~bulk
+        if passes.any():
+            at = np.flatnonzero(passes)
+            got, got_err = series.struve_m_float_points(nu[at], x[at], self.series_cfg,
+                                                        chain.order)
+            served = at[~np.isnan(got)]
+            if kind == "calm":
+                got, got_err = series.calm_from_m_points(nu[at], x[at], got, got_err)
+            value[at], abs_err[at] = got, got_err
+            method[served] = Method.SERIES
+            per_point[served] = np.isnan(value[served])
+            bulk[served] = False
+        if zero.any():
+            value[zero], abs_err[zero] = _calm_at_zero_points(nu[zero])
+            method[zero] = Method.CLOSED_FORM
+            bulk &= ~zero
+        if bulk.any():
+            at = np.flatnonzero(bulk)
+            batch = quadrature.calm_dnu_points if chain.dnu else quadrature.calm_dx_points
+            c = batch(nu[at], x[at], chain.orders, self.quad_cfg)
+            value[at], abs_err[at] = chain.points_step(nu[at], x[at], c.value, c.abs_err)
+            for j in np.flatnonzero(np.isnan(value[at].reshape(at.size, -1)[:, 0])).tolist():
+                p = EvalPoint(nu.item(at[j]), x.item(at[j]))
+                got = c.errors.get(j) or [FuncValue(v, e, Method.QUADRATURE) for v, e in zip(
+                    c.value[:, j].tolist(), c.abs_err[:, j].tolist())]
+                settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg, self.quad_cfg,
+                                      self.m))
+        for i in np.flatnonzero(per_point).tolist():
+            settle(i, lambda: _auto(kind, EvalPoint(*keys[i]), self.series_cfg,
+                                    self.quad_cfg, self.m))
+        return _Rows(keys, value, abs_err, method), errors
 
 
 #: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives

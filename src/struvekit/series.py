@@ -17,6 +17,13 @@ digits; the automatic router asks for it only where quadrature cannot serve.
 The module owns the normalization M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2):
 calm_from_m, and m_from_calm and m_prime_from_calm, through which every route
 that computes calM (quadrature, Fox-Wright) returns M and M'.
+
+The array forms serve the sweep memo's bulk reads and keep every bit of the
+scalar functions: struve_m_float_points, one float64 pass over many points
+(value and bar arrays, NaN where struve_m_float gives None), and
+calm_from_m_points, m_from_calm_points and m_prime_from_calm_points, NaN at the
+points where the scalar function takes another branch or raises, which the
+caller leaves to it.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ import numpy as np
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import (EPS, LN2, LOG_MAX, TINY, exp_rounded, log_gamma, log_half,
-                         power_gamma)
+from .gammafuncs import (EPS, LN2, LOG_MAX, TINY, exp_points, exp_rounded, log_gamma,
+                         log_half, per_value, power_gamma)
 
 _TWO_OVER_MAX = 2.0 / sys.float_info.max
 
@@ -221,22 +228,22 @@ def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
 
 
 def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
-                          order: int = 0) -> list[FuncValue | None]:
+                          order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """struve_m_float at every (nu[i], x[i]), nu > -1 and x > 0, from one float64 pass
-    over all the points: _merged_float's operations per point, in its order, on arrays
-    (numpy's +, -, *, / and abs round as Python's), with the logs and lead terms from
-    math per point, so every value and bar is struve_m_float's bit for bit. A point is
-    read as it stops; one that overflows or runs out of terms stays None."""
+    over all the points: its value and bar arrays, NaN where it gives None (the pass
+    does not certify, overflows or runs out of terms). _merged_float's operations run
+    per point, in its order, on arrays (numpy's +, -, *, / and abs round as Python's),
+    with the logs per distinct argument and order and the lead terms per point from
+    math, so every value and bar is struve_m_float's bit for bit. A point is read as
+    it stops."""
     nu, x = np.asarray(nu, float), np.asarray(x, float)
-    out: list[FuncValue | None] = [None] * nu.size
-    lx = np.array([log_half(v) for v in x.tolist()])
-    log_i = nu * lx - np.array([log_gamma(v) for v in (nu + 1.0).tolist()])
-    log_l = ((nu + 1.0) * lx - log_gamma(1.5)) - np.array(
-        [log_gamma(v) for v in (nu + 1.5).tolist()])
+    value, abs_err = np.full(nu.size, math.nan), np.full(nu.size, math.nan)
+    lx = per_value(log_half, x)
+    log_i = nu * lx - per_value(log_gamma, nu + 1.0)
+    log_l = ((nu + 1.0) * lx - log_gamma(1.5)) - per_value(log_gamma, nu + 1.5)
     live = np.flatnonzero(np.maximum(log_i, log_l) <= 709.0)  # math.exp raises past 709.78
     nu, x, log_i, log_l = nu[live], x[live], log_i[live], log_l[live]
-    i_term = np.array([math.exp(v) for v in log_i.tolist()])
-    l_term = np.array([math.exp(v) for v in log_l.tolist()])
+    i_term, l_term = exp_points(log_i), exp_points(log_l)
     lead_err = np.where(np.minimum(np.minimum(i_term, l_term), 0.5 * x) >= sys.float_info.min,
                         (np.abs(log_i) + np.abs(log_l) + 2.0) * EPS, math.inf)
     with np.errstate(all="ignore"):  # Python's float operations do not warn
@@ -266,12 +273,11 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
             if stop.any():
                 err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
                 ok = stop & ~(err > 1e-12 * np.maximum(np.abs(total), smax * 1e-18))
-                for i, value, bar in zip(live[ok].tolist(), total[ok].tolist(), err[ok].tolist()):
-                    out[i] = FuncValue(value, bar, Method.SERIES)
+                value[live[ok]], abs_err[live[ok]] = total[ok], err[ok]
             open_ &= ~(stop | over)
             if not open_.any():
                 break
-    return out
+    return value, abs_err
 
 
 def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
@@ -320,17 +326,39 @@ def _check_normalized(p: EvalPoint) -> None:
         raise DomainError("the normalized-form factor requires x > 0")
 
 
+def _log_two_over(x: float) -> float:
+    """log(2/x), x > 0; below x = 2/DBL_MAX, where 2/x overflows, log 2 - log x."""
+    return math.log(2.0 / x) if x > _TWO_OVER_MAX else LN2 - math.log(x)
+
+
 def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
     """Normalized form calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x).
 
-    Requires nu > -1/2 (gamma factor finite) and x > 0. Below x = 2/DBL_MAX,
-    where 2/x overflows, log(2/x) is log 2 - log x.
+    Requires nu > -1/2 (gamma factor finite) and x > 0.
     """
     _check_normalized(p)
-    power = p.nu * (math.log(2.0 / p.x) if p.x > _TWO_OVER_MAX else LN2 - math.log(p.x))
+    power = p.nu * _log_two_over(p.x)
     log_gam = log_gamma(p.nu + 0.5)
     factor, rounding = exp_rounded(power + log_gam, power, log_gam)
     return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
+
+
+def _finite(value: np.ndarray, abs_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """value and abs_err, NaN at the points where either is not finite."""
+    bad = ~(np.isfinite(value) & np.isfinite(abs_err))
+    return np.where(bad, math.nan, value), np.where(bad, math.nan, abs_err)
+
+
+def calm_from_m_points(nu, x, value, abs_err) -> tuple[np.ndarray, np.ndarray]:
+    """calm_from_m at every point of the arrays, nu > -1/2 and x > 0: its value and bar
+    bit for bit (logs per distinct argument and order, exp per point, from math); NaN
+    where they are not finite or the factor's exp may overflow, where calm_from_m
+    serves or raises."""
+    with np.errstate(all="ignore"):
+        power = nu * per_value(_log_two_over, x)
+        log_gam = per_value(log_gamma, nu + 0.5)
+        factor, rounding = exp_rounded(power + log_gam, power, log_gam)
+        return _finite(-value * factor, abs_err * factor + rounding * np.abs(value))
 
 
 def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
@@ -359,6 +387,27 @@ def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
     if not (math.isfinite(value) and math.isfinite(err)):
         raise CancellationError(f"M at (nu={p.nu:g}, x={p.x:g}) overflows float64")
     return FuncValue(-value, err, c.method)
+
+
+def m_from_calm_points(nu, x, c, c_err) -> tuple[np.ndarray, np.ndarray]:
+    """m_from_calm at every point of the arrays, nu > -1/2 and x > 0, from calM's values
+    c and bars c_err: its value and bar bit for bit (logs per distinct argument and
+    order, exp per point, from math); NaN where they are not finite or exp(L) may
+    overflow, where m_from_calm takes its log-space branch or raises."""
+    with np.errstate(all="ignore"):
+        log_power = nu * per_value(log_half, x)
+        log_gam = per_value(log_gamma, nu + 0.5)
+        factor, factor_err = exp_rounded((log_power - 0.0) - log_gam, log_power, 0.0, log_gam)
+        return _finite(-(factor * c), factor * c_err + factor_err * np.abs(c) + TINY)
+
+
+def m_prime_from_calm_points(nu, x, c, c_err, c1, c1_err) -> tuple[np.ndarray, np.ndarray]:
+    """m_prime_from_calm at every point of the arrays, nu > -1/2 and x > 0, from calM and
+    calM' (values and bars): its value and bar bit for bit; NaN where m_prime_from_calm
+    takes its log-space or tiny-x branch or raises."""
+    with np.errstate(all="ignore"):
+        ratio = nu / x
+        return m_from_calm_points(nu, x, ratio * c + c1, np.abs(ratio) * c_err + c1_err)
 
 
 def m_prime_from_calm(p: EvalPoint, c: FuncValue, c1: FuncValue) -> FuncValue:

@@ -519,8 +519,8 @@ def test_module_entry_point_runs_from_source():
 
 
 @pytest.mark.parametrize("args", [
-    ["--fn", "M", "--nu", "-0.4995", "--x", "9"],
-    ["--fn", "calM", "--nu", "-0.4995", "--x", "9"],
+    ["--fn", "M", "--nu", "-0.4999", "--x", "9"],
+    ["--fn", "calM", "--nu", "-0.4999", "--x", "9"],
     ["--nu", "1e6", "--x", "1"],
     ["--nu", "1", "--x", "1e-320"],
 ])

@@ -384,9 +384,10 @@ def test_argmin_ties_go_to_the_first_point_in_grid_order(cold_memo, xs, argmin):
             x for x in xs if x in (9.0, 1.0)]
 
 
-def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(cold_memo):
+def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(monkeypatch, cold_memo):
     """An exception the sweep does not record propagates out of it. The values the
-    margin read stay in the memo, each equal to the single call's."""
+    margin read stay in the memo: a single read then builds each from the store, equal
+    to the single call's, and runs no chain."""
     def boom(ev, nu, x, y=None):
         ev.calm(nu, x)
         raise RuntimeError("boom")
@@ -396,8 +397,10 @@ def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(cold_memo):
         sweep_case(replace(CATALOG["bound0"], margin_fn=boom), grid)
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     assert set(ev.stores["calm"]) == {(0.3, x) for x in grid.x_values}
+    want = {x: routes.calm(EvalPoint(0.3, x)) for x in grid.x_values}
+    monkeypatch.setattr(routes, "_auto", None)
     for x in grid.x_values:
-        assert ev.stores["calm"][0.3, x] == routes.calm(EvalPoint(0.3, x))
+        assert ev.calm(0.3, x) == want[x]
     assert ev.calm(0.3, 20.0).method is Method.QUADRATURE
 
 
@@ -524,6 +527,27 @@ def test_rel_is_the_normalized_margin_of_a_ge_b():
     assert _rel(3.0, 1.0) == pytest.approx(2.0 / 3.0)
     assert _rel(1.0, 3.0) == -_rel(3.0, 1.0)
     assert _rel(-2.0, 0.0) == -1.0 and _rel(0.0, -2.0) == 1.0
+
+
+def test_minus_half_edge_past_the_underflow_of_m(cold_memo):
+    """At nu = -1/2 past x ~ 745 the closed-form M and M' underflow to 0. quot3_left
+    and quot3_right then take the closed forms' exact ratio x M'/M = -(x + 1/2)
+    instead of recording 0/0 as a ZeroDivisionError, and neg_m_cm reads the signs of
+    -M's derivatives from their all-positive sums, not from the underflowed values
+    (an exact-zero, inconclusive margin)."""
+    grid = GridSpec(nu_values=(-0.5,), x_values=(1.0, 800.0, 2e4))
+    reports = {cid: sweep_case(CATALOG[cid], grid)
+               for cid in ("quot3_left", "quot3_right", "neg_m_cm")}
+    for report in reports.values():
+        assert report.points_tested == 3 and not report.errors and not report.violations
+    assert reports["neg_m_cm"].min_margin == 1.0 and not reports["neg_m_cm"].inconclusive
+    ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
+    nu, x = np.array([-0.5, -0.5]), np.array([800.0, 2e4])
+    assert (ev.m(nu, x).value == 0.0).all()
+    assert inequalities._ratio(ev, nu, x).tolist() == [-800.5, -20000.5]
+    root = inequalities._quot3_root(nu, x, -1.0)
+    assert CATALOG["quot3_left"].margin_fn(ev, nu, x).tolist() == _rel(
+        -(x + 0.5), root).tolist()
 
 
 def test_fx3_saturates_where_its_exponential_side_overflows():

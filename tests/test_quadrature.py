@@ -201,7 +201,7 @@ def test_arguments_past_x_max_are_refused(nu):
     assert abs(fv.value - large_x_calm_dx(nu, quadrature.X_MAX)) <= fv.abs_err
     for x in (1.001 * quadrature.X_MAX, 1e12, 1e290):
         for fn in (calm, m_from_quadrature, m_deriv, lambda p: calm_dnu(p, 1),
-                   lambda p: calm_dx_points([p], (0,))):
+                   lambda p: calm_dx_points(p.nu, p.x, (0,))):
             with pytest.raises(DomainError, match=r"requires x <= 10000"):
                 fn(EvalPoint(nu, x))
 
@@ -244,7 +244,7 @@ def _scalar_reference(p: EvalPoint, n: int, m: int, cfg: QuadConfig) -> FuncValu
     scale = 2.0 / math.sqrt(math.pi)
     eps = quadrature.EPS
     pw = p.nu - 0.5
-    tail = math.exp(quadrature._log_tail_bound(pw, m))
+    tail = math.exp(quadrature._log_tail_bound(pw, m, p.x))
 
     def column(level):
         t, lg1mt2, lgw = quadrature._level_nodes(level)
@@ -295,14 +295,29 @@ def test_batched_orders_equal_scalar_reference(batch, single, kind, orders, cfg)
         assert _outcome(lambda: [single(p, k, cfg) for k in orders]) == want, p
 
 
+def per_point(got):
+    """A points pass's outcome at each point: its FuncValues per order, as the one-point
+    call returns them, or its stall error, where its values and bars are NaN."""
+    assert got.value.shape == got.abs_err.shape
+    out = []
+    for i, (values, bars) in enumerate(zip(got.value.T.tolist(), got.abs_err.T.tolist())):
+        if i in got.errors:
+            assert np.isnan(values + bars).all()
+            out.append(got.errors[i])
+        else:
+            out.append([FuncValue(v, e, Method.QUADRATURE) for v, e in zip(values, bars)])
+    assert set(got.errors) <= set(range(len(out)))
+    return out
+
+
 def calm_dx_row(nu, xs, ns, cfg=QuadConfig()):
-    """A row: one points batch at a repeated nu."""
-    return calm_dx_points([EvalPoint(nu, x) for x in xs], ns, cfg)
+    """A row: one points batch at a repeated nu, per point."""
+    return per_point(calm_dx_points(nu, xs, ns, cfg))
 
 
 def calm_dnu_row(nu, xs, ms, cfg=QuadConfig()):
-    """A row: one points batch at a repeated nu."""
-    return calm_dnu_points([EvalPoint(nu, x) for x in xs], ms, cfg)
+    """A row: one points batch at a repeated nu, per point."""
+    return per_point(calm_dnu_points(nu, xs, ms, cfg))
 
 
 @pytest.mark.parametrize("row,batch,kind,orders", [
@@ -386,7 +401,8 @@ def test_mixed_batches_equal_scalar_reference(points, single, orders, cfg):
     batch = list(_MIXED_EDGES) + [EvalPoint(p.nu, 10.0 ** rng.uniform(-3.0, 1.5))
                                   for p in _seeded_points() for _ in range(3)]
     rng.shuffle(batch)
-    results = points(batch, orders, cfg)
+    results = per_point(points([p.nu for p in batch], [p.x for p in batch], orders, cfg))
+    assert len(results) == len(batch)
     for p, got in zip(batch, results):
         try:
             want = single(p, orders, cfg)
@@ -399,7 +415,7 @@ def test_mixed_batches_equal_scalar_reference(points, single, orders, cfg):
         got = results[batch.index(EvalPoint(-0.49898, 0.179))]
         assert re.fullmatch(r"calm_dnu\(nu=-0\.49898, x=0\.179\), order 6: .*; the endpoint "
                             r"mass lies beyond the node range for this order \(tail bound "
-                            r"4\.1e\+06\)", str(got)), str(got)
+                            r"3\.43e\+06\)", str(got)), str(got)
 
 
 def test_a_lone_point_refines_levels_0_to_4_in_one_exp_pass(monkeypatch):
@@ -424,18 +440,22 @@ def test_a_lone_point_refines_levels_0_to_4_in_one_exp_pass(monkeypatch):
 
 def test_batches_past_the_cap_are_split_without_changing_a_bit(monkeypatch):
     """A batch holds at most _BATCH_CELLS points x orders; a longer list is
-    refined in several batches, with the same results."""
-    pts = [EvalPoint(nu, x) for nu in (-0.3, 0.5, 4.0) for x in (0.0, 0.5, 9.0)]
-    want = calm_dx_points(pts, (0, 1, 2))
+    refined in several batches, with the same results. An empty list gives
+    empty arrays, one row per order."""
+    nu, x = np.repeat([-0.3, 0.5, 4.0], 3), np.tile([0.0, 0.5, 9.0], 3)
+    want = calm_dx_points(nu, x, (0, 1, 2))
     sizes = []
-    refine = quadrature._refine_points
-    monkeypatch.setattr(quadrature, "_refine_points",
+    refine = quadrature._refine_batch
+    monkeypatch.setattr(quadrature, "_refine_batch",
                         lambda batch, *args: sizes.append(len(batch)) or refine(batch, *args))
     monkeypatch.setattr(quadrature, "_BATCH_CELLS", 7)
-    assert calm_dx_points(pts, (0, 1, 2)) == want
-    refined = [n for n in sizes if n * 3 <= 7]  # the batches that refine: at most 2 points
-    assert refined == [2, 2, 2, 2, 1]
-    assert calm_dx_points([], (0, 1, 2)) == []
+    got = calm_dx_points(nu, x, (0, 1, 2))
+    assert got.errors == want.errors == {} and got.value.shape == (3, 9)
+    assert got.value.tolist() == want.value.tolist()
+    assert got.abs_err.tolist() == want.abs_err.tolist()
+    assert sizes == [2, 2, 2, 2, 1]  # at most 2 points x 3 orders each
+    empty = calm_dx_points([], [], (0, 1, 2))
+    assert empty.value.shape == empty.abs_err.shape == (3, 0) and empty.errors == {}
 
 
 @given(st.floats(min_value=-0.45, max_value=15.0),
@@ -461,9 +481,9 @@ def test_stall_past_the_node_range_names_its_cause():
     """Next to nu = -1/2 the sixth nu-derivative's endpoint mass lies past
     the outermost node: the error says so and quotes the tail bound, alone
     and inside a batch. A stall the tail bound does not explain (order 1,
-    tail bound about 6e-30) says nothing about the node range."""
+    tail bound about 5e-30) says nothing about the node range."""
     p = EvalPoint(-0.49898, 0.179)
-    beyond = r"endpoint mass lies beyond the node range for this order \(tail bound 4\.1e\+06\)"
+    beyond = r"endpoint mass lies beyond the node range for this order \(tail bound 3\.43e\+06\)"
     with pytest.raises(NonConvergenceError, match=r"order 6: .*" + beyond):
         calm_dnu(p, 6)
     with pytest.raises(NonConvergenceError, match=r"order 6: .*" + beyond):

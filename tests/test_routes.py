@@ -12,6 +12,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from struvekit import inequalities, quadrature, series
 from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
@@ -218,14 +220,14 @@ def test_orders_next_to_minus_half_keep_the_escalated_series(nu, x):
 def test_stalled_quadrature_falls_back_to_the_series(fn):
     """Next to nu = -1/2 at x > 8 tanh-sinh refinement stalls; the chain
     then serves the escalated series instead of raising."""
-    m_ref, c_ref = _mpmath_m(-0.4995, 9.0)
-    got = fn(EvalPoint(-0.4995, 9.0))
+    m_ref, c_ref = _mpmath_m(-0.4999, 9.0)
+    got = fn(EvalPoint(-0.4999, 9.0))
     assert got.method is Method.SERIES
     assert abs(got.value - float(m_ref if fn is struve_m else c_ref)) <= got.abs_err
 
 
 @pytest.mark.parametrize("nu, x", [(-0.4999, 3.0), (-0.4999, 10.0),
-                                   (-0.4995, 8.1), (-0.4995, 30.0)])
+                                   (-0.4999, 8.1), (-0.4999, 30.0)])
 def test_stalled_derivative_quadrature_falls_back_to_the_recurrence(nu, x):
     """Next to nu = -1/2 differentiated quadrature stalls; automatic M'
     then comes from M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi)
@@ -297,10 +299,12 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
     """A cold run_all() runs every quadrature step of the memo, M, calM and M' as well
     as the sign probes' derivatives, in 15 batched points passes over 4,057 rows, one
     per array read with a quadrature miss: (0,) for M and calM (9), (0, 1) for M' (3),
-    x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no one-point pass
-    and no per-point pass, and its 12 float64 series passes are array passes. A second
-    run_all() makes no series pass and no quadrature pass at all."""
-    points, batches = [], []
+    x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no one-point pass,
+    and its 12 float64 series passes are array passes. A chain step runs per point
+    only at the 75 closed-form misses (nu = +-1/2), and no chain tail runs per point:
+    the conversions of every other miss are array expressions. A second run_all()
+    makes no series pass and no quadrature pass at all."""
+    points, batches, chains = [], [], []
 
     def record(module, name, log, entry):
         fn = getattr(module, name)
@@ -312,8 +316,10 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
         record(series, name, points, lambda *args, name=name: name)
     for name in ("calm_dx_points", "calm_dnu_points"):
         record(quadrature, name, batches,
-               lambda pts, orders, *cfg, name=name: (name, tuple(orders), len(pts)))
+               lambda nu, x, orders, *cfg, name=name: (name, tuple(orders), len(nu)))
     record(series, "struve_m_float_points", batches, lambda nu, *args: ("series", len(nu)))
+    record(routes, "_auto", chains, lambda kind, p, *args: (kind, p.nu))
+    record(routes, "_tail", chains, lambda kind, p, *args: ("tail", kind))
     run_all()
     assert points == []
     quad = [entry for entry in batches if entry[0] != "series"]
@@ -322,29 +328,85 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
         ("calm_dx_points", tuple(range(7))): 2, ("calm_dnu_points", tuple(range(5))): 1}
     assert sum(entry[2] for entry in quad) == 4057 and min(entry[2] for entry in quad) > 1
     assert len(batches) - len(quad) == 12
+    assert len(chains) == 75 and {nu for _, nu in chains} == {-0.5, 0.5}
     batches.clear()
+    chains.clear()
     run_all()
-    assert points == batches == []
+    assert points == batches == chains == []
 
 
 def test_the_array_series_pass_equals_the_single_pass_on_a_cold_sweep(monkeypatch, cold_memo):
     """Every point of every float64 series pass of a cold run_all() gets, from
-    struve_m_float_points, struve_m_float's value and bar bit for bit, and None where
-    that gives None."""
+    struve_m_float_points, struve_m_float's value and bar bit for bit, and NaN where
+    that gives None. The passes hold 8,906 points: the 63 closed-form misses at
+    nu = +-1/2 and x <= 8 do not join them."""
     seen = []
     points = series.struve_m_float_points
 
     def recording(nu, x, cfg, order):
-        got = points(nu, x, cfg, order)
-        seen.extend(zip(nu.tolist(), x.tolist(), [order] * len(got), got))
-        return got
+        value, abs_err = points(nu, x, cfg, order)
+        seen.extend(zip(nu.tolist(), x.tolist(), [order] * len(nu), value.tolist(),
+                        abs_err.tolist()))
+        return value, abs_err
 
     monkeypatch.setattr(series, "struve_m_float_points", recording)
     run_all()
-    assert len(seen) == 8969
-    for nu, x, order, got in seen:
-        assert got == series.struve_m_float(EvalPoint(nu, x), SERIES_DEFAULTS, order), (
-            nu, x, order)
+    assert len(seen) == 8906
+    for nu, x, order, value, abs_err in seen:
+        fv = series.struve_m_float(EvalPoint(nu, x), SERIES_DEFAULTS, order)
+        if fv is None:
+            assert math.isnan(value) and math.isnan(abs_err), (nu, x, order)
+        else:
+            assert (value.hex(), abs_err.hex()) == (fv.value.hex(), fv.abs_err.hex()), (
+                nu, x, order)
+
+
+#: 40 log-spaced x in [8.05, 1e4] next to nu = -1/2.
+_NEAR_HALF_XS = np.geomspace(8.05, 1e4, 40).tolist()
+
+
+@pytest.mark.parametrize("nu", [-0.4995, -0.4999, -0.5 + 1e-9])
+def test_automatic_values_next_to_minus_half_raise_nowhere_past_x_cancel_max(nu):
+    """Next to nu = -1/2 the tail bound of quadrature charges e^(-xt) <= e^(-x) on the
+    node range's last stretch [1 - delta, 1], so from x = 8.05 to 1e4 automatic M, M'
+    and calM each give a finite value and bar: quadrature converges where it did not
+    (nu + 1/2 = 5e-4), and where it still stalls the fallbacks serve."""
+    for x in _NEAR_HALF_XS:
+        for fn in (struve_m, struve_m_prime, calm):
+            fv = fn(EvalPoint(nu, x))
+            assert math.isfinite(fv.value) and math.isfinite(fv.abs_err), (fn.__name__, x)
+
+
+@pytest.mark.parametrize("nu", [-0.4995, -0.4999, -0.5 + 1e-9])
+def test_automatic_values_next_to_minus_half_hold_their_bars(nu):
+    """At five of those x, up to 646, automatic M, calM and M' lie within their bars of
+    mpmath at 60 + x/2.3 digits (fewer digits make the reference wrong past x ~ 100);
+    M' from the raising recurrence, which needs no order below -1/2."""
+    for x in _NEAR_HALF_XS[:25:6]:
+        dps = int(60 + x / 2.3)
+        m_ref, c_ref = _mpmath_m(nu, x, dps)
+        m_prime_ref = _mpmath_m_prime(nu, x, m_ref, dps)
+        for fn, ref in ((struve_m, m_ref), (calm, c_ref), (struve_m_prime, m_prime_ref)):
+            fv = fn(EvalPoint(nu, x))
+            assert float(abs(fv.value - ref)) <= fv.abs_err, (fn.__name__, x, fv)
+
+
+@given(st.lists(st.floats(min_value=-0.5, max_value=40.0, exclude_min=True), min_size=1,
+                max_size=30))
+@example([-0.5 + 1e-15, -0.49, 0.0, 0.3, 1.0, 39.5, 40.0])
+def test_calm_at_zero_points_equal_the_scalar_gamma_ratio(nu):
+    """calM's x = 0 value as an array expression, _calm_at_zero_points, is
+    _calm_at_zero's value and bar bit for bit at every order, and an array read at
+    x = 0 serves exactly that."""
+    value, abs_err = routes._calm_at_zero_points(np.array(nu))
+    for i, v in enumerate(nu):
+        want = routes._calm_at_zero(v)
+        assert (value[i].hex(), abs_err[i].hex()) == (want.value.hex(), want.abs_err.hex())
+    got = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).read("calm", nu, 0.0)
+    assert not got.errors
+    for i, v in enumerate(nu):
+        want = calm(EvalPoint(v, 0.0))
+        assert (got.value[i], got.abs_err[i]) == (want.value, want.abs_err), v
 
 
 def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
@@ -398,10 +460,9 @@ def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_m
     batches, singles = [], []
     points_pass, single = quadrature.calm_dx_points, quadrature.calm_dx_orders
 
-    def recording(pts, orders, *cfg):
-        pts = list(pts)
-        batches.append((tuple(orders), [(p.nu, p.x) for p in pts]))
-        return points_pass(pts, orders, *cfg)
+    def recording(nu, x, orders, *cfg):
+        batches.append((tuple(orders), list(zip(nu.tolist(), x.tolist()))))
+        return points_pass(nu, x, orders, *cfg)
 
     monkeypatch.setattr(quadrature, "calm_dx_points", recording)
     monkeypatch.setattr(quadrature, "calm_dx_orders",
@@ -432,19 +493,20 @@ def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_m
 
 
 def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_memo):
-    """Next to nu = -1/2 a sweep's batch stalls: calM, M and M' at (-0.4995, 9).
+    """Next to nu = -1/2 a sweep's batch stalls: calM, M and M' at (-0.4999, 9).
     Their points return their stalls from the batch, and the memo then takes the
     single call's fallback (the escalated series, the M' recurrence), so every value
     it serves equals the automatic single call bit for bit, method included. M' at
     (-0.4999, 3) never reaches quadrature: in the band next to -1/2 the recurrence
-    serves it at once."""
+    serves it at once. At nu = -0.4995 quadrature converges, since its tail bound
+    charges e^(-xt)."""
     outcomes = {}
     points = quadrature.calm_dx_points
 
-    def recording(pts, orders, *cfg):
-        pts = list(pts)
-        got = points(pts, orders, *cfg)
-        outcomes.update(((p.nu, p.x, tuple(orders)), out) for p, out in zip(pts, got))
+    def recording(nu, x, orders, *cfg):
+        got = points(nu, x, orders, *cfg)
+        outcomes.update(((a, b, tuple(orders)), got.errors.get(i)) for i, (a, b) in
+                        enumerate(zip(nu.tolist(), x.tolist())))
         return got
 
     monkeypatch.setattr(quadrature, "calm_dx_points", recording)
@@ -456,14 +518,17 @@ def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_mem
     grid = GridSpec(nu_values=(-0.4999, -0.4995), x_values=(3.0, 9.0))
     report = sweep_case(replace(CATALOG["bound0"], margin_fn=read_all), grid)
     assert report.points_tested == 4
-    for key in ((-0.4995, 9.0, (0,)), (-0.4995, 9.0, (0, 1))):
+    for key in ((-0.4999, 9.0, (0,)), (-0.4999, 9.0, (0, 1))):
         assert isinstance(outcomes[key], NonConvergenceError), key
+    for key in ((-0.4995, 9.0, (0,)), (-0.4995, 9.0, (0, 1))):
+        assert outcomes[key] is None, key
     assert (-0.4999, 3.0, (0, 1)) not in outcomes
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for nu, x in itertools.product(grid.nu_values, grid.x_values):
         for kind, single in reads.items():
             assert getattr(ev, kind)(nu, x) == single(EvalPoint(nu, x)), (kind, nu, x)
-    assert ev.m(-0.4995, 9.0).method is ev.calm(-0.4995, 9.0).method is Method.SERIES
+    assert ev.m(-0.4999, 9.0).method is ev.calm(-0.4999, 9.0).method is Method.SERIES
+    assert ev.m(-0.4995, 9.0).method is Method.QUADRATURE
 
 
 def test_invalid_reads_raise_at_the_read_inside_a_sweep(cold_memo):
@@ -607,7 +672,7 @@ def test_memo_matches_unmemoized(cold_memo, series_cfg, quad_cfg):
             (m, -0.5, 2.0), (m, 0.5, 2.0), (cm, 0.5, 2.0), (m_prime, -0.5, 2.0),
             (m_prime, 0.5, 2.0),  # closed forms
             (cm, 1.0, 0.0), (m, -0.4995, 3.0), (cm, -0.4995, 3.0),  # gamma ratio, band
-            (m, -0.4995, 9.0), (cm, -0.4995, 9.0), (m_prime, -0.4999, 3.0),  # stalls
+            (m, -0.4999, 9.0), (cm, -0.4999, 9.0), (m_prime, -0.4999, 3.0),  # stalls
             (cm, 80.0, 1e-4), (m, -0.75, 5.0)):  # rescale overflow, below -1/2
         want = route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
         assert read(nu, x) == want and read(nu, x) == want, (route.__name__, nu, x)
@@ -644,9 +709,10 @@ def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
     and their array read are."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     p = EvalPoint(nu, x)
-    vals = [v.item() for v in inequalities._neg_m_derivatives(
-        inequalities.Reads(ev), np.array([nu]), np.array([x]))]
-    assert len(vals) == 7 and min(vals) > 0.0
+    scale, sums = inequalities._neg_m_derivatives(
+        inequalities.Reads(ev), np.array([nu]), np.array([x]))
+    vals = [(scale * s).item() for s in sums]
+    assert len(vals) == 7 and min(vals) > 0.0 and min(s.item() for s in sums) > 0.0
     # vals[n] = (-1)^n d^n(-M)/dx^n
     if nu == -0.5:
         checks = (-m_at_neg_half(x), m_prime_at_neg_half(x), -m_second_at_neg_half(x))

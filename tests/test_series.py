@@ -4,12 +4,15 @@ the normalized-form conversion."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from struvekit import quadrature, series
 from struvekit.core import EvalPoint, FuncValue, Method, SeriesConfig
 from struvekit.errors import CancellationError, DomainError
+from struvekit.gammafuncs import log_gamma, log_half
 from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m, m_from_calm,
                               m_prime_from_calm, struve_l, struve_m_float,
                               struve_m_float_points, struve_m_series)
@@ -164,9 +167,81 @@ _FLOAT_PASS_POINTS = st.lists(st.tuples(
 @example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 1)
 def test_array_float_pass_equals_the_single_pass(points, order):
     """struve_m_float_points gives at every point struve_m_float's value and bar bit
-    for bit, and None where that gives None: the points it does not certify (0.1,
-    7.9 and -0.9, 4 above) and those whose terms overflow or underflow."""
+    for bit, and NaN for both where that gives None: the points it does not certify
+    (0.1, 7.9 and -0.9, 4 above) and those whose terms overflow or underflow."""
     nu, x = zip(*points)
-    got = struve_m_float_points(nu, x, SeriesConfig(), order)
-    for p, fv in zip(points, got):
-        assert fv == struve_m_float(EvalPoint(*p), SeriesConfig(), order), p
+    value, abs_err = struve_m_float_points(nu, x, SeriesConfig(), order)
+    assert value.shape == abs_err.shape == (len(points),)
+    for p, v, e in zip(points, value.tolist(), abs_err.tolist()):
+        fv = struve_m_float(EvalPoint(*p), SeriesConfig(), order)
+        if fv is None:
+            assert math.isnan(v) and math.isnan(e), p
+        else:
+            assert fv.method is Method.SERIES
+            assert (v.hex(), e.hex()) == (fv.value.hex(), fv.abs_err.hex()), p
+
+
+def _scalar_outcome(fn):
+    """fn()'s value and bar as hex strings, or the type and message of what it raised."""
+    try:
+        fv = fn()
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc), str(exc)
+    return fv.value.hex(), fv.abs_err.hex()
+
+
+#: Orders in (-1/2, 40] and arguments in [5e-324, X_MAX], subnormal ones included.
+_CONVERSION_POINTS = st.lists(st.tuples(
+    st.floats(min_value=-0.5, max_value=40.0, exclude_min=True),
+    st.one_of(st.floats(min_value=5e-324, max_value=quadrature.X_MAX),
+              st.floats(min_value=5e-324, max_value=1e-300)),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.sampled_from([1e308, -1e308]))),
+    min_size=1, max_size=30)
+
+#: Where the factor's exp overflows (calm_from_m at large order and tiny x, m_from_calm
+#: at nu = 161 and 200, x = 1e4), where nu/x overflows (tiny x), where the value
+#: overflows (c = 1e308), and ordinary points.
+_CONVERSION_EDGES = [(40.0, 1e-300, 0.5, 1e-16, -0.1), (0.3, 5e-324, 1.0, 1e-16, 2.0),
+                     (161.0, 1e4, 1e-4, 1e-18, -1e-6), (200.0, 1e4, 1e-4, 1e-18, -1e-6),
+                     (2.0, 1e-310, 0.2, 1e-17, -0.5), (1.0, 5e-324, 0.9, 1e-16, -0.4),
+                     (3.0, 2.0, 1e308, 1e290, -1e308), (0.0, 1e-320, 1.1, 1e-16, -1.0),
+                     (-0.49, 7.0, 2.0, 1e-15, -0.3), (12.0, 30.0, 0.03, 1e-17, -1e-3)]
+
+
+@given(_CONVERSION_POINTS)
+@example(_CONVERSION_EDGES)
+def test_array_conversions_equal_the_scalar_functions(points):
+    """calm_from_m_points, m_from_calm_points and m_prime_from_calm_points give every
+    value and bar of calm_from_m, m_from_calm and m_prime_from_calm bit for bit where
+    they give a number, and NaN (value and bar) where the scalar function raises, so
+    that those points take the scalar path and raise its error. They leave to it
+    only the points where it takes another branch: the factor's exp past LOG_MAX,
+    nu/x past float64, a value that is not finite."""
+    nu, x, c, c_err, c1 = (np.array(a) for a in zip(*points))
+    c1_err = 0.5 * c_err
+    arrays = {
+        "calm_from_m": series.calm_from_m_points(nu, x, c, c_err),
+        "m_from_calm": series.m_from_calm_points(nu, x, c, c_err),
+        "m_prime_from_calm": series.m_prime_from_calm_points(nu, x, c, c_err, c1, c1_err)}
+    for i, (a, b) in enumerate(zip(nu.tolist(), x.tolist())):
+        p = EvalPoint(a, b)
+        fv = FuncValue(c.item(i), c_err.item(i), Method.QUADRATURE)
+        fv1 = FuncValue(c1.item(i), c1_err.item(i), Method.QUADRATURE)
+        scalar = {"calm_from_m": lambda: calm_from_m(p, fv),
+                  "m_from_calm": lambda: m_from_calm(p, fv),
+                  "m_prime_from_calm": lambda: m_prime_from_calm(p, fv, fv1)}
+        log_power, log_gam = a * log_half(b), log_gamma(a + 0.5)
+        exp_args = {"calm_from_m": a * series._log_two_over(b) + log_gam,
+                    "m_from_calm": log_power - log_gam, "m_prime_from_calm": log_power - log_gam}
+        for name, (value, abs_err) in arrays.items():
+            want = _scalar_outcome(scalar[name])
+            v, e = value.item(i), abs_err.item(i)
+            if math.isnan(v):
+                assert math.isnan(e), (name, points[i])
+                served = isinstance(want[0], str) and all(math.isfinite(float.fromhex(w)) for w in want)
+                assert not (served and exp_args[name] < 700.0 and abs(a / b) < 1e300
+                            and max(abs(c.item(i)), abs(c1.item(i))) < 1e300), (name, points[i])
+            else:
+                assert (v.hex(), e.hex()) == want, (name, points[i])
