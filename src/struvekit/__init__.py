@@ -8,7 +8,7 @@ residual checks for every identity the function satisfies and a sweep
 harness that verifies a catalog of inequalities with explicit margins.
 """
 
-from .core import (EvalPoint, FuncValue, Method, QuadConfig, SeriesConfig,
+from .core import (EvalPoint, FuncValue, Method, QuadConfig, SeriesConfig, Values,
                    QUAD_DEFAULTS, SERIES_DEFAULTS)
 from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      EmptyDomainError, NonConvergenceError, PoleError,
@@ -32,7 +32,7 @@ from .inequalities import (CATALOG, EXTRA_CASES, GridSpec, InequalityCase,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalPoint", "FuncValue", "Method", "QuadConfig", "SeriesConfig",
+    "EvalPoint", "FuncValue", "Method", "QuadConfig", "SeriesConfig", "Values",
     "QUAD_DEFAULTS", "SERIES_DEFAULTS",
     "StruveKitError", "DomainError", "PoleError", "ConvergenceDomainError",
     "NonConvergenceError", "CancellationError", "EmptyDomainError",

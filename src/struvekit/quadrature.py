@@ -26,6 +26,9 @@ the step; the error estimate is twice the difference between the last
 two refinements plus an analytic bound on the truncated node tail, so a
 near-boundary nu whose endpoint mass the fixed node range cannot see
 fails loudly instead of silently.
+The tail bound charges e^(-xt) <= e^(-x) on the last stretch [1 - delta, 1]
+beyond the outermost node, so that next to nu = -1/2 (where the endpoint mass
+is large) refinement converges at larger x.
 The requested abs_tol is met whenever double precision can represent it;
 when the result is so large that abs_tol sits below its roundoff floor,
 refinement stops at machine precision and the reported abs_err stays
@@ -34,8 +37,10 @@ honest rather than claiming the impossible.
 The node tables serve every point and the exp() argument is per point, so
 calm_dx_points and calm_dnu_points refine points at any mix of (nu, x) with
 one exp() matrix per level, bit for bit _refine at each point, each with its
-own tails, tolerances, error estimates and stopping level; the sweep memo
-batches its quadrature misses through them. _refine serves lone points (the
+own tails, tolerances, error estimates and stopping level. They return arrays,
+one row of signed, scaled values and bars per order, NaN at the points that
+stall, with those points' errors; the sweep memo batches its quadrature misses
+through them. _refine serves lone points (the
 single-call route chain, and a batch of one), where a one-point batch's array
 bookkeeping would cost several times the refinement. Lone points freeze at level 4, so _refine
 takes levels 0-4 in one pass over their joined nodes: one exp(), one kernel
@@ -247,15 +252,11 @@ def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
     raise _stall(name, nu, x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
 
 
-def _sign(n: int, m: int) -> float:
-    """(-1)^(n+m), the sign of the order pair's derivative."""
-    return -1.0 if (n + m) % 2 else 1.0
-
-
 def _values(ns: tuple[int, ...], ms: tuple[int, ...], sums, errs) -> list[FuncValue]:
     """The signed, scaled FuncValues of the frozen sums and errors per order."""
-    return [FuncValue(_sign(n, m) * TWO_OVER_SQRT_PI * s, TWO_OVER_SQRT_PI * err,
-                      Method.QUADRATURE) for n, m, s, err in zip(ns, ms, sums, errs)]
+    return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * TWO_OVER_SQRT_PI * s,
+                      TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
+            for n, m, s, err in zip(ns, ms, sums, errs)]
 
 
 def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
@@ -292,7 +293,7 @@ def _refine_points(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple
             got = _refine_batch(nu[batch], x[batch], ns, ms, abs_tols[batch], max_level,
                                 name, sums[batch], errs[batch])
             stalls.update((start + i, exc) for i, exc in got.items())
-    sign = np.array([_sign(n, m) for n, m in zip(ns, ms)])
+    sign = np.array([-1.0 if (n + m) % 2 else 1.0 for n, m in zip(ns, ms)])
     value, abs_err = (sign * TWO_OVER_SQRT_PI) * sums, TWO_OVER_SQRT_PI * errs
     value[list(stalls)] = abs_err[list(stalls)] = math.nan
     return Values(value.T, abs_err.T, stalls)

@@ -24,9 +24,12 @@ chain's head (_m_head, _calm_head, _m_prime_head), _tail the step's value or, af
 a stall, the fallback; _auto runs them for a single call. :data:`memo` keeps the
 automatic values per (SeriesConfig, QuadConfig) pair, one store per function kind,
 for the sweeps and the identities. Its array read, Memo.read, answers its misses in
-three bulk steps: one float64 series pass (series.struve_m_float_points, the single
-pass bit for bit), one quadrature points pass per order set over what the heads
-leave to it, and per point the step or the fallback.
+bulk and stays in arrays: one float64 series pass (series.struve_m_float_points), one
+quadrature points pass per order set over what the series does not serve, and the
+chains' conversions (calM's rescale and overflow guard, M and M' from calM, calM at
+x = 0) as array expressions, each bit for bit its scalar function. Only the points
+the arrays cannot serve (closed forms, domain errors, the band next to nu = -1/2, a
+conversion that overflows, a stall) take _auto or _tail one at a time.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -218,24 +221,21 @@ _ARRAY_READS = 256
 
 
 class _Chain(NamedTuple):
-    """An automatic chain, split at its quadrature step."""
+    """An automatic chain, split at its quadrature step: its head (None for the probes'
+    kinds); the order of its float64 series pass; its calM orders, and whether they
+    are nu-orders; the step's value at p from the point's orders c (FuncValues), and
+    points_step, the step at every point of arrays from the orders' values and bars
+    (orders x points), NaN where step serves or raises; the function of M whose x > 0
+    it needs, or ""; the fallback after a stalled quadrature, given the configs and M
+    as m(nu, x) or None, or None to raise."""
 
-    #: Its head, or None.
     head: Callable | None
-    #: The order of its float64 series pass, or None.
     order: int | None
-    #: Its calM orders, and whether they are nu-orders.
     orders: tuple
     dnu: bool
-    #: The step's value at p from the point's orders c, a list of FuncValues.
     step: Callable
-    #: The step at every point of arrays, from the orders' values and bars (orders x
-    #: points): its values and bars, NaN where step serves or raises.
     points_step: Callable
-    #: The function of M whose x > 0 it needs, or "".
     m_of: str
-    #: The fallback after a stalled quadrature, given the configs and M as m(nu, x)
-    #: or None, or None to raise.
     after: Callable | None
 
 
@@ -306,9 +306,8 @@ def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
     x = 0). They follow _head: the closed forms, the domain errors, the band next to
     nu = -1/2 where the escalated series or the M' recurrence serves, and x past
     quadrature.X_MAX stay out of bulk."""
-    with np.errstate(invalid="ignore"):
-        bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
-                & (x > 0.0 if _CHAINS[kind].m_of else x >= 0.0))
+    bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
+            & (x > 0.0 if _CHAINS[kind].m_of else x >= 0.0))
     none = np.zeros(nu.shape, bool)
     if _CHAINS[kind].head is None:
         return bulk, none, none
@@ -487,12 +486,13 @@ class Memo:
             batch = quadrature.calm_dnu_points if chain.dnu else quadrature.calm_dx_points
             c = batch(nu[at], x[at], chain.orders, self.quad_cfg)
             value[at], abs_err[at] = chain.points_step(nu[at], x[at], c.value, c.abs_err)
-            for j in np.flatnonzero(np.isnan(value[at].reshape(at.size, -1)[:, 0])).tolist():
+            for j in np.flatnonzero(np.isnan(c.value[0] if chain.head is None
+                                             else value[at])).tolist():
                 p = EvalPoint(nu.item(at[j]), x.item(at[j]))
                 got = c.errors.get(j) or [FuncValue(v, e, Method.QUADRATURE) for v, e in zip(
                     c.value[:, j].tolist(), c.abs_err[:, j].tolist())]
-                settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg, self.quad_cfg,
-                                      self.m))
+                settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg,
+                                           self.quad_cfg, self.m))
         for i in np.flatnonzero(per_point).tolist():
             settle(i, lambda: _auto(kind, EvalPoint(*keys[i]), self.series_cfg,
                                     self.quad_cfg, self.m))
