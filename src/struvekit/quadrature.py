@@ -76,7 +76,7 @@ from . import series
 from .core import QUAD_DEFAULTS, EvalPoint, FuncValue, Method, QuadConfig, Values
 from .errors import CancellationError, DomainError, NonConvergenceError
 from .gammafuncs import (EPS, LN2, LOG_MAX, LOG_SQRT_PI, TINY, TWO_OVER_SQRT_PI,
-                         exp_rounded, log_gamma, log_half)
+                         exp_points, exp_rounded, log_gamma, log_half)
 
 
 #: Half-width of the node range in the double-exponential variable u.
@@ -312,10 +312,7 @@ def _refine_batch(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple[
     """
     pw = nu - 0.5
     log_rows = {w: [_log_tail_bound(w, m) for m in ms] for w in set(pw.tolist())}
-    log_tails = np.array([log_rows[w] for w in pw.tolist()]) - x[:, None]
-    tails = np.zeros(log_tails.shape)
-    near = np.flatnonzero(log_tails > -746.0)  # below, math.exp gives 0
-    tails.flat[near] = [math.exp(v) for v in log_tails.flat[near].tolist()]
+    tails = exp_points(np.array([log_rows[w] for w in pw.tolist()]) - x[:, None])
     pw, x_col = pw[:, None], x[:, None]
     errs.fill(math.inf)
     frozen = np.zeros(sums.shape, bool)
