@@ -104,15 +104,16 @@ def exp_points(log_value: np.ndarray) -> np.ndarray:
                      for v in np.ravel(log_value).tolist()]).reshape(np.shape(log_value))
 
 
-def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0) -> tuple[float, float]:
+def exp_rounded(log_value: float, a: float, b: float, c: float = 0.0,
+                exp=math.exp) -> tuple[float, float]:
     """exp(L) for L = log_value, summed from the terms a, b and c, and a bound on
     its absolute rounding. L's absolute rounding follows the size of its terms, not
     |L|: at nu = 32, x = 31, nu log(x/2) and lgamma(nu+1/2) are each about 85 while
     L is about 8. So the bound is 2.5 (1 + |a| + |b| + |c|) eps exp(L), plus the
     smallest subnormal, which covers a subnormal exp(L) that keeps only part of its
-    digits. On arrays, exp_points serves, so that the result is inf where
-    math.exp would raise OverflowError."""
-    value = exp_points(log_value) if isinstance(log_value, np.ndarray) else math.exp(log_value)
+    digits. Arrays take exp=exp_points, which gives inf where math.exp would raise
+    OverflowError."""
+    value = exp(log_value)
     return value, 2.5 * (1.0 + abs(a) + abs(b) + abs(c)) * EPS * value + TINY
 
 

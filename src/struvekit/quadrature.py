@@ -212,8 +212,8 @@ def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
     abs_tol is unattainable and halving would only burn nodes, so the
     honest abs_err can then exceed abs_tol. NonConvergenceError names the
     first order still open at max_level: genuinely unresolved endpoint
-    mass, not a big integrand. Returns the frozen sums and errors per order,
-    unsigned and unscaled (_values signs and scales them).
+    mass, not a big integrand. Returns the frozen (sum, error) of each order,
+    unsigned and unscaled.
     """
     pw = nu - 0.5
     tails = [math.exp(_log_tail_bound(pw, m, x)) for m in ms]
@@ -247,16 +247,18 @@ def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
                                            or improvable <= 8.0 * EPS * abs(s)):
                             frozen[i] = (s, err)
                 if None not in frozen:
-                    return tuple(zip(*frozen))
+                    return frozen
     i = frozen.index(None)
     raise _stall(name, nu, x, ns[i] or ms[i], abs_tols[i], errs[i], tails[i])
 
 
-def _values(ns: tuple[int, ...], ms: tuple[int, ...], sums, errs) -> list[FuncValue]:
-    """The signed, scaled FuncValues of the frozen sums and errors per order."""
+def _orders(p: EvalPoint, ns: tuple[int, ...], ms: tuple[int, ...],
+            abs_tols: tuple[float, ...], max_level: int, name: str) -> list[FuncValue]:
+    """_refine at p: the signed, scaled FuncValue of each order."""
+    frozen = _refine(p.nu, p.x, ns, ms, abs_tols, max_level, name)
     return [FuncValue((-1.0 if (n + m) % 2 else 1.0) * TWO_OVER_SQRT_PI * s,
                       TWO_OVER_SQRT_PI * err, Method.QUADRATURE)
-            for n, m, s, err in zip(ns, ms, sums, errs)]
+            for n, m, (s, err) in zip(ns, ms, frozen)]
 
 
 def _stall(name: str, nu: float, x: float, order: int, abs_tol: float,
@@ -282,8 +284,8 @@ def _refine_points(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple
     sums, errs, stalls = np.zeros(shape), np.zeros(shape), {}
     if nu.size == 1:
         try:
-            sums[0], errs[0] = _refine(nu.item(), x.item(), ns, ms, tuple(abs_tols[0].tolist()),
-                                       max_level, name)
+            sums[0], errs[0] = zip(*_refine(nu.item(), x.item(), ns, ms,
+                                            tuple(abs_tols[0].tolist()), max_level, name))
         except NonConvergenceError as exc:
             stalls[0] = exc
     else:
@@ -388,9 +390,7 @@ def calm_dx_orders(p: EvalPoint, ns: Iterable[int],
     d^n/dx^n calM_nu(x) = (-1)^n (2/sqrt(pi)) int t^n (1-t^2)^(nu-1/2) e^(-xt) dt.
     Every value and abs_err equals the single-order result bit for bit.
     """
-    check_point(p)
-    ns, ms, *rest = _dx_args(ns, cfg)
-    return _values(ns, ms, *_refine(p.nu, p.x, ns, ms, *rest))
+    return _orders(check_point(p), *_dx_args(ns, cfg))
 
 
 def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
@@ -405,9 +405,7 @@ def calm_dnu_orders(p: EvalPoint, ms: Iterable[int],
     converges; the error then says so and quotes the tail bound (3.4e6 at
     nu = -0.49898, x = 0.179, m = 6).
     """
-    check_point(p)
-    ns, ms, *rest = _dnu_args(p.nu, ms, cfg)
-    return _values(ns, ms, *_refine(p.nu, p.x, ns, ms, *rest))
+    return _orders(check_point(p), *_dnu_args(p.nu, ms, cfg))
 
 
 def _points(nu, x) -> tuple[np.ndarray, np.ndarray]:

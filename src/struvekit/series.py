@@ -357,7 +357,7 @@ def calm_from_m_points(nu, x, value, abs_err) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         power = nu * per_value(_log_two_over, x)
         log_gam = per_value(log_gamma, nu + 0.5)
-        factor, rounding = exp_rounded(power + log_gam, power, log_gam)
+        factor, rounding = exp_rounded(power + log_gam, power, log_gam, 0.0, exp_points)
         return _finite(-value * factor, abs_err * factor + rounding * np.abs(value))
 
 
@@ -397,7 +397,8 @@ def m_from_calm_points(nu, x, c, c_err) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         log_power = nu * per_value(log_half, x)
         log_gam = per_value(log_gamma, nu + 0.5)
-        factor, factor_err = exp_rounded((log_power - 0.0) - log_gam, log_power, 0.0, log_gam)
+        factor, factor_err = exp_rounded((log_power - 0.0) - log_gam, log_power, 0.0, log_gam,
+                                         exp_points)
         return _finite(-(factor * c), factor * c_err + factor_err * np.abs(c) + TINY)
 
 

@@ -492,6 +492,38 @@ def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_m
     assert batches == []
 
 
+def test_array_read_takes_the_scalar_step_where_a_conversion_overflows(monkeypatch,
+                                                                      cold_memo):
+    """Where the array form of a step is NaN, the read takes the scalar step on the
+    point's quadrature values: M at nu = 161, x = 1e4 (the factor's exp overflows, the
+    log-space branch serves), M and M' at nu = 200 (M overflows: the same
+    CancellationError) and M' at tiny x (nu/x overflows: the tiny-x branch serves).
+    Every value, bar and error equals the single call's."""
+    tails = []
+    tail = routes._tail
+    monkeypatch.setattr(routes, "_tail", lambda kind, p, *args: tails.append(
+        (kind, p.nu, p.x)) or tail(kind, p, *args))
+    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    points = {"m": ([161.0, 200.0, 1.0], [1e4, 1e4, 2.0]),
+              "m_prime": ([161.0, 200.0, 2.0, 1.0], [1e4, 1e4, 1e-310, 5e-324])}
+    reads = {kind: ev.read(kind, nu, x) for kind, (nu, x) in points.items()}
+    assert sorted(tails) == sorted([("m", 161.0, 1e4), ("m", 200.0, 1e4),
+                                    ("m_prime", 161.0, 1e4), ("m_prime", 200.0, 1e4),
+                                    ("m_prime", 2.0, 1e-310), ("m_prime", 1.0, 5e-324)])
+    for kind, (nu, x) in points.items():
+        got = reads[kind]
+        for i, (a, b) in enumerate(zip(nu, x)):
+            single = struve_m if kind == "m" else struve_m_prime
+            try:
+                want = single(EvalPoint(a, b))
+            except CancellationError as exc:
+                assert (type(got.errors[i]), str(got.errors[i])) == (type(exc), str(exc))
+                assert math.isnan(got.value[i]) and math.isnan(got.abs_err[i])
+            else:
+                assert i not in got.errors
+                assert (got.value[i], got.abs_err[i]) == (want.value, want.abs_err), (a, b)
+
+
 def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_memo):
     """Next to nu = -1/2 a sweep's batch stalls: calM, M and M' at (-0.4999, 9).
     Their points return their stalls from the batch, and the memo then takes the
