@@ -296,7 +296,10 @@ def _ratio(ev, nu, x):
     (e^(-x) underflows past x ~ 745), the closed forms' exact ratio -(x + 1/2)."""
     m_prime = ev.m_prime(nu, x).value
     m = ev.m(nu, x).value
-    edge = (nu == -0.5) & (m == 0.0)
+    edge = m == 0.0
+    if not edge.any():
+        return x * m_prime / m
+    edge &= nu == -0.5
     return np.where(edge, -(x + 0.5), x * m_prime / np.where(edge, 1.0, m))
 
 
@@ -414,7 +417,7 @@ def _margin_gammaineq_right(ev, nu, x, y=None):
 
 def _margin_remark2_turan(ev, nu, x, y=None):
     val = per_value(lambda v: math.exp(2.0 * log_gamma(v + 1.5)
-                                        - log_gamma(v + 1.0) - log_gamma(v + 2.0)), nu)
+                                       - log_gamma(v + 1.0) - log_gamma(v + 2.0)), nu)
     return _rel(val, 2.0 / math.pi)
 
 

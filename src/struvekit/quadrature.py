@@ -198,7 +198,7 @@ def _level_kernel(level: int, ns: tuple[int, ...], ms: tuple[int, ...],
 
 
 def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
-            abs_tols: tuple[float, ...], max_level: int, name: str) -> tuple[tuple, tuple]:
+            abs_tols: tuple[float, ...], max_level: int, name: str) -> list[tuple[float, float]]:
     """Dyadic tanh-sinh refinement of every order pair (n, m) of ns, ms:
     (-1)^(n+m) (2/sqrt(pi)) int_0^1 (1-t^2)^(nu-1/2) t^n log(1/(1-t^2))^m e^(-xt) dt.
 

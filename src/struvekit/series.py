@@ -397,7 +397,7 @@ def m_from_calm_points(nu, x, c, c_err) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         log_power = nu * per_value(log_half, x)
         log_gam = per_value(log_gamma, nu + 0.5)
-        factor, factor_err = exp_rounded((log_power - 0.0) - log_gam, log_power, 0.0, log_gam,
+        factor, factor_err = exp_rounded(log_power - log_gam, log_power, 0.0, log_gam,
                                          exp_points)
         return _finite(-(factor * c), factor * c_err + factor_err * np.abs(c) + TINY)
 
