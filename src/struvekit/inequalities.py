@@ -429,11 +429,11 @@ def _margin_remark2_ratio(ev, nu, x, y=None):
 
 
 def _margin_sign_m(ev, nu, x, y=None):
-    # sign M = -sign calM for nu > -1/2, and calM does not underflow where
-    # M does; the closed edge nu = -1/2 keeps M's closed form
+    # sign M = -sign calM for nu > -1/2, where calM does not underflow; at nu = -1/2,
+    # -M = sqrt(2/pi) x^(-1/2) e^(-x) has the sign of its factors before e^(-x)
     above = nu > -0.5
     return _rel(np.where(above, ev.calm(np.where(above, nu, math.nan), x).value,
-                         -ev.m(np.where(above, math.nan, nu), x).value), 0.0)
+                         math.sqrt(2.0 / math.pi) / np.sqrt(x)), 0.0)
 
 
 def _sign_margin(value, abs_err):

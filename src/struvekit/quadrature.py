@@ -51,14 +51,13 @@ The route serves x up to X_MAX, the limit a scan of its error bars against
 the integral's asymptotic series set (see X_MAX).
 
 The cross-Turanian double integral uses these nodes on both axes; its
-kernel (t^2 - s^2)^2 expands into three 1-D moments per axis, so a level
-costs one column over its new nodes, not a product over every node pair.
-It stops at level 3 at the earliest (at 4 or 5 on perfbench's identity_grid),
-so it too takes levels 0-4 in one pass over their joined nodes: one exp(),
-cosh() and sinh() and one (1, t^2, t^4) basis, then per level the product of
-its slices of the weights and the basis, the same 2 x n by n x 3 product a
-per-level pass takes, so every bit is kept. Only a re-centring recomputes
-moments, through _centred_moments.
+kernel (t^2 - s^2)^2 expands into three 1-D moments per axis in u = t^2 - c,
+so a level costs one column over its new nodes, not a product over every node
+pair. It stops at level 3 at the earliest (at 4 or 5 on perfbench's
+identity_grid), so it too takes levels 0-4 in one pass over their joined nodes:
+one exp(), cosh() and sinh(), then one np.add.reduceat for the node sums of
+every level of the span. The centre c starts at level 0's weighted mean of t^2;
+a later re-centring recomputes each span read so far with one reduction.
 
 Node/weight tables and kernel rows per refinement level are computed
 once and shared immutably (safe under concurrent readers).
@@ -67,6 +66,7 @@ once and shared immutably (safe under concurrent readers).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterable
 
@@ -474,17 +474,15 @@ def m_deriv(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     return series.m_prime_from_calm(p, *calm_dx_orders(p, (0, 1), cfg))
 
 
-def _centred_moments(columns: list[tuple[np.ndarray, np.ndarray]],
-                     shift: float) -> np.ndarray:
-    """Rows (sum w, sum w u, sum w u^2), u = t^2 - shift, of the cosh and sinh
-    weights w over columns [(t^2, weights) per level from 0], refined as in
-    _refine: the moments of a re-centred double integral, or of one level past
-    a re-centring."""
-    for level, (t2, ab) in enumerate(columns):
-        u = t2 - shift
-        new = ab @ np.stack((np.ones_like(u), u, u * u), axis=1)
-        moments = new if level == 0 else 0.5 * moments + 0.5 ** level * new
-    return moments
+def _span_sums(starts: list[int], t2: np.ndarray, rows: np.ndarray,
+               centre: float) -> list[list[float]]:
+    """Each level's node sums (A0, B0, U1, V1, U2, V2) over a span, from one reduction
+    at the level starts: sums of the cosh and sinh weights rows[:2], then of their
+    products with u = t^2 - centre and with u^2, which overwrite rows[2:]."""
+    u = t2 - centre
+    np.multiply(rows[:2], u, out=rows[2:4])
+    np.multiply(rows[2:4], u, out=rows[4:])
+    return np.add.reduceat(rows, starts, axis=1).T.tolist()
 
 
 def _overflow(p: EvalPoint) -> CancellationError:
@@ -508,9 +506,10 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
     The product-rule sum sum_ij a_i b_j (t_i^2 - t_j^2)^2 (a the cosh, b the
     sinh weights) takes linear time from 1-D moments: with u = t^2 - c,
     A0 = sum a, U_k = sum a u^k, B0 = sum b, V_k = sum b u^k, it equals
-    A0 V2 - 2 U1 V1 + U2 B0. The centre c is kept at the a-weighted mean of
-    t^2 (re-centred whenever U1 V1 grows), so U1 is near zero and the other
-    two terms, both nonnegative, carry a cancellation-free sum. cfg.abs_tol
+    A0 V2 - 2 U1 V1 + U2 B0. The centre c starts at the a-weighted mean of t^2
+    over level 0's nodes and moves back to it whenever U1 V1 grows, so U1 is near
+    zero and the other two terms, both nonnegative, carry a cancellation-free
+    sum; the moments through a level are its step times the node sums. cfg.abs_tol
     acts relative to the estimate. CancellationError when D (~ e^(2x))
     overflows float64. Where cosh(x) overflows but the bound
     pref (B(1/2, nu-1/2)/2)^2 cosh(x) sinh(x) on D lies below the smallest
@@ -543,8 +542,8 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
         # else cosh(x t) overflows too at the level-0 nodes where t rounds to 1, so level
         # 0's moments would not be finite either
         raise _overflow(p) from None
-    columns = []  # (t^2, weights) per level, for a re-centring
-    shift = prev = 0.0
+    seen, raw = [], []  # (level starts, t^2, weight rows) per span; sums per level
+    prev = 0.0
     joined = min(_JOINED_LAST, cfg.max_level)
     spans = [(0, joined)] + [(level, level) for level in range(joined + 1, cfg.max_level + 1)]
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
@@ -552,25 +551,25 @@ def turanian_il_double_integral(p: EvalPoint, cfg: QuadConfig = QUAD_DEFAULTS) -
             t, lg1mt2, lgw = _level_nodes(first, last)
             col = np.exp(pw * lg1mt2 + lgw)
             xt, t2 = p.x * t, t * t
-            ab = np.stack((col * np.cosh(xt), col * np.sinh(xt)))
-            basis = np.stack((np.ones_like(t2), t2, t2 * t2), axis=1)
-            stop = 0
+            rows = np.empty((6, len(t)))
+            np.multiply(col, np.cosh(xt), out=rows[0])
+            np.multiply(col, np.sinh(xt), out=rows[1])
+            starts = list(itertools.accumulate(
+                (len(_level_nodes(level)[0]) for level in range(first, last)), initial=0))
+            seen.append((starts, t2, rows))
+            if first == 0:  # the a-weighted mean of t^2 over level 0's nodes
+                a = rows[0, :starts[1]]
+                centre = float(a @ t2[:starts[1]]) / max(float(a.sum()), TINY)
+            raw += _span_sums(starts, t2, rows, centre)
             for level in range(first, last + 1):
-                start, stop = stop, stop + len(_level_nodes(level)[0])
-                columns.append((t2[start:stop], ab[:, start:stop]))
-                new = (ab[:, start:stop] @ basis[start:stop] if shift == 0.0
-                       else _centred_moments(columns[-1:], shift)).ravel().tolist()
-                if level == 0:
-                    moments = new
-                else:
-                    h = 0.5 ** level
-                    moments = [0.5 * m + h * n for m, n in zip(moments, new)]
-                a0, u1, u2, b0, v1, v2 = moments
+                sums = raw[0] if level == 0 else [s + n for s, n in zip(sums, raw[level])]
+                a0, b0, u1, v1, u2, v2 = (0.5 ** level * s for s in sums)
                 if 4.0 * abs(u1 * v1) > a0 * v2 + u2 * b0:
                     # the centre is off the a-weighted mean of t^2: move it there
-                    shift += u1 / a0
-                    moments = _centred_moments(columns, shift).ravel().tolist()
-                    a0, u1, u2, b0, v1, v2 = moments
+                    centre += u1 / a0
+                    raw = [new for span in seen for new in _span_sums(*span, centre)]
+                    sums = [sum(new) for new in zip(*raw[:level + 1])]
+                    a0, b0, u1, v1, u2, v2 = (0.5 ** level * s for s in sums)
                 d = a0 * v2 - 2.0 * u1 * v1 + u2 * b0
                 size = a0 * v2 + 2.0 * abs(u1 * v1) + u2 * b0
                 if not math.isfinite(size * pref):

@@ -119,12 +119,24 @@ STRUVE_L_TABLE = {
 
 # the positive double integral D(nu, x) from the cross-term analysis
 DOUBLE_INTEGRAL_TABLE = {
-    (1.0, 1.0): 0.201975209649926374,
-    (1.5, 2.0): 0.600618460360956179,
-    (3.0, 0.5): 1.6290219277808341e-7,
-    (1.0, 30.0): 2.244490415415707959062e+24,     # mass at t -> 1
+    (1.0, 1.0): 0.2019752096499263736164,
+    (1.5, 2.0): 0.600618460360956179285,
+    (3.0, 0.5): 1.629021927780834099813e-7,
+    (1.0, 30.0): 2.244490415415707959063e+24,     # mass at t -> 1
     (20.0, 0.05): 3.624954655514746281503e-106,   # log prefactor -229
     (24.06, 2.4e-05): 2.274431405384814451733e-293,  # prefactor rounding ~200 eps
+    # the points of test_double_integral_moments_match_tensor_sum and the corners of
+    # perfbench's identity_grid
+    (0.55, 30.0): 2.334438651693919031985e+25,
+    (6.5, 30.0): 3.776646138918078044632e+22,
+    (46.0, 220.0): 2.091223263061810827408e+182,
+    (26.285, 0.519): 2.091552911075885689428e-89,
+    (169.6, 192.9): 4.249950291505579312449e+100,
+    (139.5, 286.3): 2.03892883443920656541e+214,
+    (0.55, 0.05): 0.009594264748188304695857,
+    (20.0, 30.0): 56845411215125283.48558,
+    # moments about t^2 = 0 overflow at level 0; centred ones do not
+    (0.5234135767924081, 352.779288606644): 1.011078244351272706794e+305,
 }
 
 # (nu, z) -> 1Psi1[(1/2,1/2); (nu+1,1/2) | z]
@@ -210,7 +222,7 @@ def _regenerate() -> None:
 
     mp.mp.dps = 60
 
-    def d_val(nu, x):
+    def d_at(nu, x):
         # the corrected relation (nu + 1/2) cross = (nu - 1/2) D - 2 I_nu L_nu that
         # identities.crossterm_double_integral_residual states, with
         # cross = I_{nu-1} L_{nu+1} + I_{nu+1} L_{nu-1} - 2 I_nu L_nu; a nested
@@ -221,6 +233,14 @@ def _regenerate() -> None:
         cross = i_lo * l_hi + i_hi * l_lo - 2 * i_md * l_md
         half = mp.mpf(1) / 2
         return ((nu + half) * cross + 2 * i_md * l_md) / (nu - half)
+
+    def d_val(nu, x):
+        # the products of I and L grow like e^(2x) and cancel: 60 + x/2.3 digits,
+        # checked against 40 more
+        digits = 60 + int(x / 2.3)
+        low, high = (mp.workdps(digits + extra)(d_at)(nu, x) for extra in (0, 40))
+        assert abs(low / high - 1) < mp.mpf(10) ** -30, (nu, x)
+        return high
 
     emit("DOUBLE_INTEGRAL_TABLE",
          [(k, d_val(*k)) for k in DOUBLE_INTEGRAL_TABLE])

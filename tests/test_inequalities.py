@@ -532,15 +532,17 @@ def test_rel_is_the_normalized_margin_of_a_ge_b():
 def test_minus_half_edge_past_the_underflow_of_m(cold_memo):
     """At nu = -1/2 past x ~ 745 the closed-form M and M' underflow to 0. quot3_left
     and quot3_right then take the closed forms' exact ratio x M'/M = -(x + 1/2)
-    instead of recording 0/0 as a ZeroDivisionError, and neg_m_cm reads the signs of
-    -M's derivatives from their all-positive sums, not from the underflowed values
-    (an exact-zero, inconclusive margin)."""
+    instead of recording 0/0 as a ZeroDivisionError, neg_m_cm reads the signs of
+    -M's derivatives from their all-positive sums, and sign_m reads the sign of -M from
+    its positive factor sqrt(2/pi) x^(-1/2), not from the underflowed values (an
+    exact-zero, inconclusive margin)."""
     grid = GridSpec(nu_values=(-0.5,), x_values=(1.0, 800.0, 2e4))
     reports = {cid: sweep_case(CATALOG[cid], grid)
-               for cid in ("quot3_left", "quot3_right", "neg_m_cm")}
+               for cid in ("quot3_left", "quot3_right", "neg_m_cm", "sign_m")}
     for report in reports.values():
         assert report.points_tested == 3 and not report.errors and not report.violations
-    assert reports["neg_m_cm"].min_margin == 1.0 and not reports["neg_m_cm"].inconclusive
+    for cid in ("neg_m_cm", "sign_m"):
+        assert reports[cid].min_margin == 1.0 and not reports[cid].inconclusive
     ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     nu, x = np.array([-0.5, -0.5]), np.array([800.0, 2e4])
     assert (ev.m(nu, x).value == 0.0).all()

@@ -99,39 +99,40 @@ def _tensor_double_sum(p: EvalPoint, level: int) -> float:
     return math.exp(log_pref) * float(a @ diff @ b)
 
 
-def _double_integral_stop_level(p: EvalPoint, monkeypatch) -> int:
-    """The level where turanian_il_double_integral(p) stops: the deepest level whose
-    nodes it reads. A first call builds every node table it needs, so the second
-    reads tables only, through calls whose first argument is a level it refines."""
-    turanian_il_double_integral(p)
-    levels = []
-    nodes = quadrature._level_nodes
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_level_nodes",
-                      lambda level, *args: levels.append(level) or nodes(level, *args))
-        turanian_il_double_integral(p)
-    return max(levels)
+def _double_integral_stop_level(p: EvalPoint, monkeypatch=None) -> int:
+    """The level where turanian_il_double_integral(p) stops: the smallest max_level at
+    which it returns (below it, it raises NonConvergenceError; from it on, it refines
+    the same levels). Builds every node table it needs and patches nothing, so a
+    monkeypatch passed in is not used."""
+    for max_level in range(3, 13):
+        try:
+            turanian_il_double_integral(p, QuadConfig(max_level=max_level))
+            return max_level
+        except NonConvergenceError:
+            pass
+    raise AssertionError(f"{p} does not converge by level 12")
 
 
-# (nu, x, stop level); levels 0-4 form one joined pass, and a re-centring moves the
-# moments of every level refined so far (at (20, 0.05) the centre never moves)
+# (nu, x, stop level); levels 0-4 form one joined pass, its moments centred from the
+# start at level 0's a-weighted mean of t^2, and a re-centring recomputes the sums of
+# every span read so far
 @pytest.mark.parametrize("key", [
-    (1.0, 1.0, 4),          # stops in the joined span, re-centred at level 0
-    (0.55, 30.0, 5),        # re-centred at level 0
+    (1.0, 1.0, 4),          # stops in the joined span, never re-centred
+    (0.55, 30.0, 5),        # never re-centred
     (6.5, 30.0, 5),         # re-centred at level 1
-    (20.0, 0.05, 5),        # never re-centred: slices of the span's (1, t^2, t^4) rows
-    (46.0, 220.0, 6),       # re-centred at levels 0 and 1
+    (20.0, 0.05, 5),        # never re-centred
+    (46.0, 220.0, 6),       # re-centred at level 1
     (26.285, 0.519, 5),     # re-centred at level 1
     (169.6, 192.9, 6),      # re-centred at level 4, the last of the joined span
-    (139.5, 286.3, 7)])     # re-centred at levels 0, 2 and 3
-def test_double_integral_moments_match_tensor_sum(key, monkeypatch):
+    (139.5, 286.3, 7)])     # re-centred at levels 2 and 3, within the joined span
+def test_double_integral_moments_match_tensor_sum(key):
     """The linear-time moment pass returns the tensor sum over the same
     nodes, at the level where it stopped, to rounding. At (46, 220) the
     integrand peaks between the level-0 nodes, so the moments must be
     re-centred to stay free of cancellation."""
     nu, x, stop = key
     p = EvalPoint(nu, x)
-    assert _double_integral_stop_level(p, monkeypatch) == stop
+    assert _double_integral_stop_level(p) == stop
     fv = turanian_il_double_integral(p)
     assert rel_err(fv.value, _tensor_double_sum(p, stop)) < 1e-13
 
@@ -152,6 +153,22 @@ def test_double_integral_refines_levels_0_to_4_in_one_pass(key, stop, monkeypatc
     turanian_il_double_integral(p)
     assert sizes == {name: [joined] + later for name in sizes}
     assert joined == 337
+
+
+def test_double_integral_is_centred_before_its_first_moments():
+    """At (0.5234135767924081, 352.779288606644) the level-0 moments about t^2 = 0
+    overflow float64 in a0 v2 + u2 b0. D centres them at level 0's a-weighted mean of
+    t^2 before it forms them, so it is finite and within its bar of the reference."""
+    key = (0.5234135767924081, 352.779288606644)
+    t, lg1mt2, lgw = quadrature._level_nodes(0)
+    col = np.exp((key[0] - 1.5) * lg1mt2 + lgw)
+    rows = np.empty((6, len(t)))
+    rows[0], rows[1] = col * np.cosh(key[1] * t), col * np.sinh(key[1] * t)
+    a0, b0, _, _, u2, v2 = quadrature._span_sums([0], t * t, rows, 0.0)[0]
+    assert a0 * v2 + u2 * b0 == math.inf
+    fv = turanian_il_double_integral(EvalPoint(*key))
+    assert math.isfinite(fv.value)
+    assert abs(fv.value - DOUBLE_INTEGRAL_TABLE[key]) <= fv.abs_err
 
 
 @pytest.mark.parametrize("x", [700.0, 800.0])
