@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      NonConvergenceError, PoleError)
-from .gammafuncs import EPS, SQRT_PI, exp_rounded, gamma, gamma_ratio, log_gamma
+from .gammafuncs import (EPS, SQRT_PI, exp_points, exp_rounded, gamma, gamma_ratio,
+                         log_gamma, per_value)
 
 #: Alternating sums are refused when sum|term| / |sum term| exceeds this.
 CONDITION_LIMIT = 1e8
@@ -220,8 +221,12 @@ def bilateral_bounds(p: EvalPoint) -> tuple[float, float]:
         raise DomainError("the bilateral bounds require nu > -1/2")
     if p.x < 0.0:
         raise DomainError("the bilateral bounds require x >= 0")
-    gr = gamma_ratio(p.nu + 0.5, p.nu + 1.0)
-    rate = gamma_ratio(p.nu + 1.0, p.nu + 1.5) / SQRT_PI
-    lower = gr * math.exp(-rate * p.x)
-    upper = gr - (-math.expm1(-p.x)) / (SQRT_PI * (p.nu + 0.5))
-    return lower, upper
+    return tuple(map(float, bilateral_bounds_points(p.nu, p.x)))
+
+
+def bilateral_bounds_points(nu, x):
+    """bilateral_bounds at every point of the arrays, unchecked: the gamma ratios per
+    distinct order, exp per point and expm1 per distinct x, from math."""
+    gr = per_value(lambda v: gamma_ratio(v + 0.5, v + 1.0), nu)
+    rate = per_value(lambda v: gamma_ratio(v + 1.0, v + 1.5), nu) / SQRT_PI
+    return gr * exp_points(-rate * x), gr - (-per_value(math.expm1, -x)) / (SQRT_PI * (nu + 0.5))

@@ -8,10 +8,10 @@ followed by the Bernoulli-number tail. Ratios of gamma values are always
 formed in log space so they stay finite long after gamma itself would
 overflow. The log-space helpers every route shares sit here too: log_half,
 log(x/2) down to the smallest subnormal x; exp_rounded, exp(L) with the
-rounding of the terms L was summed from; and power_gamma, (x/2)^p / Gamma(a),
-the prefactor of the M <-> calM normalization and of the recurrences. per_value
-and exp_points apply math's functions over arrays (numpy's log and exp may round
-differently), so that the array forms of those conversions keep every bit.
+rounding of the terms L was summed from; and power_gamma, (x/2)^p / Gamma(a), the
+prefactor of the M <-> calM normalization and of the recurrences. per_value and
+exp_points apply math's functions over arrays (numpy's may round differently), so
+that array forms such as power_gamma_points keep every bit.
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def power_gamma(power: float, x: float, a: float, log_c: float = 0.0) -> tuple[f
     except OverflowError:  # math.exp raises past log(DBL_MAX)
         raise CancellationError(f"(x/2)^{power:g} / gamma({a:g}) at x = {x:g} overflows "
                                 "float64") from None
+
+
+def power_gamma_points(power, x, a, log_c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """power_gamma at every point of the arrays, bit for bit (logs per distinct value, exp
+    per point); inf from LOG_MAX on, where power_gamma may raise CancellationError."""
+    log_power, log_gam = power * per_value(log_half, x), per_value(log_gamma, a)
+    return exp_rounded((log_power - log_c) - log_gam, log_power, log_c, log_gam, exp_points)
 
 
 def digamma(z: float) -> float:

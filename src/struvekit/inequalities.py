@@ -35,12 +35,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import foxwright, routes
-from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
-                   SeriesConfig)
+from .core import QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig, SeriesConfig
 from .errors import DomainError, EmptyDomainError
 from .gammafuncs import (LN2, LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
                          gamma_ratio_h, gamma_ratio_h_prime, log_gamma, per_value,
-                         power_gamma)
+                         power_gamma, power_gamma_points)
 from .series import struve_m_series
 
 #: Normalized margins within this band of zero are inconclusive, not
@@ -62,17 +61,11 @@ class InequalityCase:
     y > 0; :meth:`domain` is the predicate derived from these fields, and
     :func:`default_grid` spans the same range.
 
-    ``margin_fn(ev, nu, x, y=None)`` is one numpy expression over the
-    sweep's in-domain points: nu, x and y are equal-length arrays of them in
-    grid order. It returns the normalized margin at each, which the executor
-    reports as it is: ``_rel(a, b)`` of the claim's two sides,
-    ``(a - b) / max(|a|, |b|, 1e-300)`` for the claim a >= b, so positive
-    means the claim holds; a claim with several parts returns their _min.
-    It reads function values from ev, the sweep's :class:`Reads`, as arrays,
-    one read per function kind (``ev.m(np.stack((nu - 1.0, nu, nu + 1.0)),
-    x)``); ``ev.each`` and ``ev.derived`` run scalar functions per point. A
-    point where a read raised is recorded with its error, and so is a point
-    whose margin is not finite.
+    ``margin_fn(ev, nu, x, y=None)`` is one numpy expression over the sweep's
+    in-domain points, equal-length arrays of them in grid order, that returns the
+    normalized margin at each, positive where the claim holds (see "margin
+    evaluators" below). A point where a read raised is recorded with its error, and
+    so is a point whose margin is not finite.
     """
 
     id: str
@@ -193,23 +186,26 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # margin evaluators
 #
-# Signature: fn(ev, nu, x, y=None) -> array, the normalized margin at every point
-# of the coordinate arrays: _rel(a, b) of the claim a >= b, the _min of those of
-# its parts for a claim with several, negated where the claim reverses (bound1,
-# FX2). A sign claim v > 0 is _rel(v, 0.0), +-1 unless v is 0, except where the
-# value's error bar can make its sign uncertain (cm_probe_x, cm_probe_nu):
-# _sign_margin grades those. ev is the sweep's Reads: ev.calm(nu, x) and its
-# siblings read the automatic values as arrays, one read per function kind, with
-# leading axes for neighbouring orders or arguments; a NaN coordinate reads
-# nothing, which is how a margin skips the points a read does not serve.
-# ev.each runs math's exp, expm1, sinh and hypot, Python's ** and the scalar
-# routes per point (numpy's would move bits), per_value a function of the order.
+# Signature: fn(ev, nu, x, y=None) -> array, the normalized margin at every point of
+# the coordinate arrays, which the executor reports as it is: _rel(a, b) of the claim
+# a >= b, (a - b) / max(|a|, |b|, 1e-300), the _min of those of its parts for a claim
+# with several, negated where the claim reverses (bound1, FX2). A sign claim v > 0 is
+# _rel(v, 0.0), +-1 unless v is 0, except where the value's error bar can make its
+# sign uncertain (cm_probe_x, cm_probe_nu): _sign_margin grades those. ev is the
+# sweep's Reads: ev.calm(nu, x) and its siblings read the automatic values as arrays,
+# one read per function kind, with leading axes for neighbouring orders or arguments
+# (ev.m(np.stack((nu - 1.0, nu, nu + 1.0)), x)); a NaN coordinate reads nothing,
+# which is how a margin skips the points a read does not serve. ev.each maps math's
+# exp, expm1, sinh and hypot, Python's pow and the scalar routes over the points in
+# one pass (numpy's would move bits), per_value a function of the order. The Theorem
+# 4 bounds (foxwright.bilateral_bounds_points) and FX31's coefficient
+# (power_gamma_points) are array twins of scalar functions, bit for bit.
 # ---------------------------------------------------------------------------
 
 
 class Reads:
-    """A sweep's reads of the routes.Memo of its config pair: Memo.read's arrays, and
-    per point (the last axis of every read) the first error a read or each raised."""
+    """A sweep's reads of the routes.Memo of its config pair: Memo.read's arrays, each's
+    map, and per point (the last axis of every read) the first error either raised."""
 
     __slots__ = ("memo", "series_cfg", "errors")
 
@@ -231,27 +227,25 @@ class Reads:
     calm_dx = partialmethod(_read, "calm_dx")
     calm_dnu = partialmethod(_read, "calm_dnu")
 
-    def derived(self, fn, nu, x) -> np.ndarray:
-        """each over memo.derived(fn, nu, x): fn(memo, nu, x) once per point."""
-        return self.each(partial(self.memo.derived, fn), nu, x)
-
     def each(self, fn, *args) -> np.ndarray:
-        """fn at every point of the broadcast args: its values (stacked first where it
+        """fn mapped once over the broadcast args: its values (stacked first where it
         returns several), NaN where it raised a routes.RECORDED error, kept for the point."""
         shape = np.broadcast(*args).shape
+        calls = map(fn, *(np.broadcast_to(a, shape).ravel().tolist() for a in args))
         got, errors = [], {}
-        for i, point in enumerate(zip(*(np.broadcast_to(a, shape).ravel().tolist()
-                                        for a in args))):
+        while True:
             try:
-                got.append(fn(*point))
+                got.extend(calls)  # a raise keeps the items before it, and the map resumes
+                break
             except routes.RECORDED as exc:
+                errors[len(got)] = exc
                 got.append(None)
-                errors[i] = exc
         self._note(errors, shape)
         blank = np.full(np.shape(next((v for v in got if v is not None), 0.0)), math.nan)
-        values = np.array([blank if v is None else v for v in got], float)
-        return np.moveaxis(values.reshape(shape + blank.shape), -1, 0) if blank.ndim else (
-            values.reshape(shape))
+        for i in errors:
+            got[i] = blank
+        values = np.array(got, float).reshape(shape + blank.shape)
+        return np.moveaxis(values, -1, 0) if blank.ndim else values
 
 
 def _rel(a, b):
@@ -377,18 +371,17 @@ def _margin_quot3_right(ev, nu, x, y=None):
     return _rel(_quot3_root(nu, x, 1.0), _ratio(ev, nu, x))
 
 
-def _fx31_coef(nu, x):
-    return power_gamma(nu - 1.0, x, nu + 1.5, LOG_SQRT_PI)[0]
-
-
 def _ratio_derivative_analytic(ev, nu, x):
     """d/dx [x M'/M] through the quadratic identity for the Turanian:
     x [ (1 + nu^2/x^2) M^2 - (M')^2 + (nu+1/2) (x/2)^(nu-1) M
         / (sqrt(pi) gamma(nu+3/2)) ] / M^2."""
     m = ev.m(nu, x).value
     md = ev.m_prime(nu, x).value
-    coef = (nu + 0.5) * ev.each(_fx31_coef, nu, x)
-    bracket = (1.0 + ev.each(pow, nu / x, 2.0)) * m * m - md * md + coef * m
+    coef = power_gamma_points(nu - 1.0, x, nu + 1.5, LOG_SQRT_PI)[0]
+    if (over := coef == math.inf).any():  # power_gamma raises there, or serves just below
+        coef = np.where(over, ev.each(power_gamma, np.where(over, nu - 1.0, math.nan), x,
+                                      nu + 1.5, LOG_SQRT_PI)[0], coef)
+    bracket = (1.0 + ev.each(pow, nu / x, 2.0)) * m * m - md * md + (nu + 0.5) * coef * m
     return x * bracket / (m * m)
 
 
@@ -396,12 +389,8 @@ def _margin_fx31(ev, nu, x, y=None):
     return _rel(x / (nu + 0.5), _ratio_derivative_analytic(ev, nu, x))
 
 
-def _bilateral(ev, nu, x):
-    return foxwright.bilateral_bounds(EvalPoint(nu, x))
-
-
 def _margin_theorem4(ev, nu, x, y=None):
-    lower, upper = ev.derived(_bilateral, nu, x)
+    lower, upper = foxwright.bilateral_bounds_points(nu, x)
     c = ev.calm(nu, x).value
     return _min(_rel(c, lower), _rel(upper, c))
 
@@ -496,13 +485,13 @@ def _neg_m_derivatives(ev, nu, x):
     scale = np.where(half, math.sqrt(2.0 / math.pi) * np.exp(-x),
                      np.exp(-calm_nu * LN2 - per_value(log_gamma, calm_nu + 0.5)))
     falling = list(itertools.accumulate((nu - i for i in range(6)), operator.mul, initial=1.0))
-    sums = []
+    powers, x_half = [x ** (nu - k) for k in range(7)], x[half]
+    powers_half, sums = [x_half ** (-0.5 - k) for k in range(7)], []
     for n in range(7):
-        leibniz = sum(math.comb(n, k) * falling[k] * x ** (nu - k) * dx[n - k]
-                      for k in range(n + 1))
-        elementary = sum(math.comb(n, k) * _RISING_HALF[k] * x ** (-0.5 - k)
-                         for k in range(n + 1))
-        sums.append(np.where(half, elementary, (-1.0) ** n * leibniz))
+        sums.append((-1.0) ** n * sum(math.comb(n, k) * falling[k] * powers[k] * dx[n - k]
+                                      for k in range(n + 1)))
+        sums[n][half] = sum(math.comb(n, k) * _RISING_HALF[k] * powers_half[k]
+                            for k in range(n + 1))
     return scale, sums
 
 
@@ -672,14 +661,14 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     start = time.perf_counter()
     axes, skipped = _domain_axes(case, grid)
     cols = [c.ravel() for c in np.meshgrid(*map(np.array, axes), indexing="ij")]
-    coords = [c.tolist() for c in cols]
     size = math.prod(map(len, axes))
     ev = Reads(routes.memo(series_cfg, quad_cfg))
     with np.errstate(all="ignore"):
         margins = np.broadcast_to(case.margin_fn(ev, *cols) if size else (), size)
+    points = np.stack(cols, -1)  # read by flat index
     errors = ev.errors
     for i in np.flatnonzero(~np.isfinite(margins)).tolist():
-        errors.setdefault(i, _arithmetic_error(case, ev.memo, [c[i] for c in coords]))
+        errors.setdefault(i, _arithmetic_error(case, ev.memo, points[i]))
     tested = np.ones(size, bool)
     tested[list(errors)] = False
     kept = np.flatnonzero(tested)
@@ -687,30 +676,30 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     low = kept[np.argmin(margin)] if kept.size else None
 
     def listed(where):
-        return tuple((tuple(c[i] for c in coords), m) for i, m in zip(
-            kept[where].tolist(), margin[where].tolist()))
+        return tuple(zip(map(tuple, points[kept[where]].tolist()), margin[where].tolist()))
 
+    failed = sorted(errors)
     return VerificationReport(
         case_id=case.id,
         points_tested=kept.size,
         points_skipped=skipped + len(errors),
         min_margin=None if low is None else float(margins[low]),
-        argmin=None if low is None else tuple(c[low] for c in coords),
+        argmin=None if low is None else tuple(points[low].tolist()),
         violations=listed(margin < -INCONCLUSIVE_BAND),
         inconclusive=listed(np.abs(margin) <= INCONCLUSIVE_BAND),
-        errors=tuple((tuple(c[i] for c in coords), f"{type(exc).__name__}: {exc}")
-                     for i, exc in sorted(errors.items())),
+        errors=tuple(zip(map(tuple, points[failed].tolist()),
+                         (f"{type(errors[i]).__name__}: {errors[i]}" for i in failed))),
         wall_time=time.perf_counter() - start,
     )
 
 
-def _arithmetic_error(case: InequalityCase, memo: routes.Memo, point: tuple) -> ArithmeticError:
+def _arithmetic_error(case: InequalityCase, memo: routes.Memo, point) -> ArithmeticError:
     """ZeroDivisionError or OverflowError, for the first floating-point fault of the
-    margin run again at point alone, its reads now hits (a fault in a branch that
-    np.where discards counts too)."""
+    margin run again at point (a coordinate array) alone, its reads now hits (a fault in
+    a branch that np.where discards counts too)."""
     with np.errstate(all="raise", under="ignore"):
         try:
-            case.margin_fn(Reads(memo), *(np.array([v]) for v in point))
+            case.margin_fn(Reads(memo), *point[:, None])
         except FloatingPointError as exc:
             if "divide" in str(exc):
                 return ZeroDivisionError("float division by zero")

@@ -37,6 +37,7 @@ CancellationError rather than return an infinite value.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections.abc import Callable
@@ -335,11 +336,12 @@ def _calm_at_zero_points(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _keep(store: dict, got: dict, size: int) -> None:
     """Add got to store, dropping its oldest entries past size (pop: another thread
-    may drop one first)."""
+    may drop one first, or change the store in a garbage collection inside the walk)."""
     store.update(got)
-    if len(store) > size:
-        for key in list(itertools.islice(store, len(store) - size)):
-            store.pop(key, None)
+    while len(store) > size:
+        with contextlib.suppress(RuntimeError):  # changed during the walk: walk again
+            for key in list(itertools.islice(store, len(store) - size)):
+                store.pop(key, None)
 
 
 class _Rows:
@@ -372,9 +374,8 @@ class Memo:
     call. ``memo.calm(nu, x)`` reads one point: an lru_cache answers its repeats, and a
     miss builds its FuncValue from the store's entry, else runs the single call's
     chain. :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest error-free
-    reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the
-    point from its coordinates or the memo's reads (the Theorem 4 bounds, the
-    identities' first-kind parts); fn, a module-level function, is part of the key."""
+    reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the point
+    (the identities' first-kind parts); fn, a module-level function, is part of the key."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
                  "derived", "stores", "arrays")

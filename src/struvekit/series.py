@@ -37,9 +37,10 @@ import numpy as np
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
 from .gammafuncs import (EPS, LN2, LOG_MAX, TINY, exp_points, exp_rounded, log_gamma,
-                         log_half, per_value, power_gamma)
+                         log_half, per_value, power_gamma, power_gamma_points)
 
 _TWO_OVER_MAX = 2.0 / sys.float_info.max
+_LOG_GAMMA_3_2 = log_gamma(1.5)
 
 #: Largest argument at which the auto router tries the float64 pass of
 #: the merged series; beyond it the cancellation is too deep to certify.
@@ -125,7 +126,7 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
         if p.nu == -1.0:
             return FuncValue(2.0 / math.pi, 0.0, Method.SERIES)
         return FuncValue(math.inf, 0.0, Method.SERIES)
-    value, err = _positive_series(p, cfg, 1.0, (p.nu + 1.0) * log_half(p.x), log_gamma(1.5),
+    value, err = _positive_series(p, cfg, 1.0, (p.nu + 1.0) * log_half(p.x), _LOG_GAMMA_3_2,
                                   log_gamma(p.nu + 1.5))
     return FuncValue(value, err, Method.SERIES)
 
@@ -154,7 +155,7 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
     q = 0.25 * x * x
     lx = log_half(x)
     log_i = nu * lx - log_gamma(nu + 1.0)
-    log_l = (nu + 1.0) * lx - log_gamma(1.5) - log_gamma(nu + 1.5)
+    log_l = (nu + 1.0) * lx - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
     if max(log_i, log_l) > 709.0:  # math.exp raises past 709.78
         raise _overflow(nu, x)
     i_term, l_term = math.exp(log_i), math.exp(log_l)
@@ -165,28 +166,28 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
     # term n weighs a n + b: 1 for M, its power of x over x for M'
     a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
     wi, wl = b_i * i_term, b_l * l_term
+    rel_tol = cfg.rel_tol
     total = carry = smax = 0.0
     for n in range(cfg.max_terms):
         y = -wi - carry  # compensated, as in _positive_series
         t = total + y
         carry = (t - total) - y
-        total = t
         y = wl - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        smax += abs(wi) + wl
+        total = t + y
+        carry = (total - t) - y
+        smax += (wi if wi >= 0.0 else -wi) + wl
         if smax > 1e307:
             raise _overflow(nu, x)
-        i_term *= q / ((n + 1.0) * (n + nu + 1.0))
-        l_term *= q / ((n + 1.5) * (n + nu + 1.5))
-        w = a * (n + 1) + b_i
-        wi, wl = w * i_term, (a * (n + 1) + b_l) * l_term
+        k, s = n + 1.0, n + nu  # exact, and each s + c rounds as n + nu + c does
+        i_term *= q / (k * (s + 1.0))
+        l_term *= q / ((k + 0.5) * (s + 1.5))
+        w = a * k + b_i
+        wi, wl = w * i_term, (a * k + b_l) * l_term
         # stop once both next terms are negligible and the weighted term
         # ratio, falling from here on, is below 1/2 (tail < twice the next)
-        if wi < cfg.rel_tol * abs(total) > wl and q / ((n + 2.0) * (n + nu + 2.0)) * (
-                (w + a) / w) < 0.5:
-            err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
+        if wi < rel_tol * (total if total >= 0.0 else -total) > wl and q / (
+                (k + 1.0) * (s + 2.0)) * ((w + a) / w) < 0.5:
+            err = 2.0 * (wi + wl) + (2.0 * k * EPS + lead_err) * smax
             scale = max(abs(total), smax * 1e-18)
             if err > 1e-12 * scale:
                 return None, smax, scale
@@ -240,7 +241,7 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
     value, abs_err = np.full(nu.size, math.nan), np.full(nu.size, math.nan)
     lx = per_value(log_half, x)
     log_i = nu * lx - per_value(log_gamma, nu + 1.0)
-    log_l = ((nu + 1.0) * lx - log_gamma(1.5)) - per_value(log_gamma, nu + 1.5)
+    log_l = ((nu + 1.0) * lx - _LOG_GAMMA_3_2) - per_value(log_gamma, nu + 1.5)
     live = np.flatnonzero(np.maximum(log_i, log_l) <= 709.0)  # math.exp raises past 709.78
     nu, x, log_i, log_l = nu[live], x[live], log_i[live], log_l[live]
     i_term, l_term = exp_points(log_i), exp_points(log_l)
@@ -391,14 +392,11 @@ def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
 
 def m_from_calm_points(nu, x, c, c_err) -> tuple[np.ndarray, np.ndarray]:
     """m_from_calm at every point of the arrays, nu > -1/2 and x > 0, from calM's values
-    c and bars c_err: its value and bar bit for bit (logs per distinct argument and
-    order, exp per point, from math); NaN where they are not finite or exp(L) may
-    overflow, where m_from_calm takes its log-space branch or raises."""
+    c and bars c_err: its value and bar bit for bit (the factor from power_gamma_points);
+    NaN where they are not finite or the factor may overflow, where m_from_calm takes
+    its log-space branch or raises."""
     with np.errstate(all="ignore"):
-        log_power = nu * per_value(log_half, x)
-        log_gam = per_value(log_gamma, nu + 0.5)
-        factor, factor_err = exp_rounded(log_power - log_gam, log_power, 0.0, log_gam,
-                                         exp_points)
+        factor, factor_err = power_gamma_points(nu, x, nu + 0.5)
         return _finite(-(factor * c), factor * c_err + factor_err * np.abs(c) + TINY)
 
 

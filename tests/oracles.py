@@ -9,7 +9,8 @@ by definitions independent of the package under test:
   FX31 slope differentiates x M_nu'/M_nu with M_nu' = M_{nu-1} - (nu/x) M_nu.
 * The cross-term double integral D from the corrected relation
   (nu + 1/2) cross = (nu - 1/2) D - 2 I_nu L_nu over mpmath's besseli and
-  struvel at 60 digits.
+  struvel at 60 + x/2.3 digits (checked against 40 more), at the decimal
+  keys; DOUBLE_INTEGRAL_BAR_MISSES at the binary floats of its keys.
 * The Fox-Wright values by direct nsum of
   sum_n gamma(1/2 + n/2) / gamma(nu + 1 + n/2) * z^n / n!.
 * Gamma-function helpers straight from mpmath.
@@ -139,6 +140,12 @@ DOUBLE_INTEGRAL_TABLE = {
     (0.5234135767924081, 352.779288606644): 1.011078244351272706794e+305,
 }
 
+# D where its bar misses its quadrature error, at the floats of the key themselves:
+# D grows like e^(2x), and the decimal repr of x moves it by 3.4e-14 relative here
+DOUBLE_INTEGRAL_BAR_MISSES = {
+    (0.5013186950227101, 351.8120029434722): 2.601229833235242054378e+305,
+}
+
 # (nu, z) -> 1Psi1[(1/2,1/2); (nu+1,1/2) | z]
 FOX_WRIGHT_TABLE = {
     (0.0, -1.0): 0.9851700705266023088124,
@@ -244,6 +251,9 @@ def _regenerate() -> None:
 
     emit("DOUBLE_INTEGRAL_TABLE",
          [(k, d_val(*k)) for k in DOUBLE_INTEGRAL_TABLE])
+    # d_at reads str() of its arguments: exact for these mpf at 60 digits and more
+    emit("DOUBLE_INTEGRAL_BAR_MISSES",
+         [(k, d_val(*map(mp.mpf, k))) for k in DOUBLE_INTEGRAL_BAR_MISSES])
 
     def psi11(nu, z):
         nu, z = mp.mpf(str(nu)), mp.mpf(str(z))

@@ -4,17 +4,20 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from struvekit import routes
 from struvekit.core import EvalPoint, Method, SeriesConfig
 from struvekit.errors import (CancellationError, ConvergenceDomainError,
                               DomainError, PoleError)
-from struvekit.foxwright import (FoxWrightParams, bilateral_bounds,
+from struvekit.foxwright import (FoxWrightParams, bilateral_bounds, bilateral_bounds_points,
                                  calm_via_fox_wright, fox_wright_eval,
                                  fx4_conditions, fx4_margins,
                                  norm_form_params, psi_m)
-from struvekit.gammafuncs import gamma, gamma_ratio
+from struvekit.gammafuncs import SQRT_PI, gamma, gamma_ratio
 
 from conftest import rel_err
 from oracles import CALM_TABLE, FOX_WRIGHT_TABLE
@@ -187,6 +190,28 @@ def test_bilateral_bounds_bracket_reference_values():
         lower, upper = bilateral_bounds(EvalPoint(nu, x))
         assert lower <= want * (1.0 + 1e-12), (nu, x)
         assert want <= upper * (1.0 + 1e-12) + 1e-12, (nu, x)
+
+
+def _bilateral_reference(nu, x):
+    """The Theorem 4 bounds in math's scalar arithmetic, operation for operation."""
+    gr = gamma_ratio(nu + 0.5, nu + 1.0)
+    rate = gamma_ratio(nu + 1.0, nu + 1.5) / SQRT_PI
+    return gr * math.exp(-rate * x), gr - (-math.expm1(-x)) / (SQRT_PI * (nu + 0.5))
+
+
+@given(st.lists(st.tuples(st.floats(min_value=-0.4999, max_value=1e3),
+                          st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e4))),
+                min_size=1, max_size=8))
+@example([(-0.4999, 0.0), (-0.4999, 1e-300), (0.3, 1.0), (80.0, 1e4), (1e3, 1e4)])
+def test_bilateral_bounds_points_equal_the_scalar_bounds(points):
+    """bilateral_bounds_points gives bilateral_bounds at every point, and both the
+    scalar formula's bits, with repeated orders and arguments among the points."""
+    nu, x = map(np.array, zip(*(points + points[:1])))
+    lower, upper = bilateral_bounds_points(nu, x)
+    for i, (v, w) in enumerate(points + points[:1]):
+        want = [b.hex() for b in _bilateral_reference(v, w)]
+        assert [b.hex() for b in bilateral_bounds(EvalPoint(v, w))] == want
+        assert [lower[i].hex(), upper[i].hex()] == want
 
 
 def test_bilateral_bounds_domain():

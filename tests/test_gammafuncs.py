@@ -3,15 +3,16 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from struvekit.errors import CancellationError
-from struvekit.gammafuncs import (EULER_GAMMA, LOG_SQRT_PI, SQRT_PI, digamma, gamma,
-                                  gamma_ratio, gamma_ratio_f, gamma_ratio_g,
-                                  gamma_ratio_h, gamma_ratio_h_prime,
-                                  log_gamma, power_gamma, trigamma)
+from struvekit.gammafuncs import (EULER_GAMMA, LN2, LOG_MAX, LOG_SQRT_PI, SQRT_PI, digamma,
+                                  gamma, gamma_ratio, gamma_ratio_f, gamma_ratio_g,
+                                  gamma_ratio_h, gamma_ratio_h_prime, log_gamma, log_half,
+                                  power_gamma, power_gamma_points, trigamma)
 
 from conftest import rel_err
 from oracles import DIGAMMA_TABLE, GAMMA_TABLE, TRIGAMMA_TABLE
@@ -59,6 +60,40 @@ def test_power_gamma_within_its_charge(power, x, a, log_c):
 def test_power_gamma_overflow_is_a_struvekit_error():
     with pytest.raises(CancellationError):
         power_gamma(161.0, 1e4, 161.5)
+
+
+#: power, x and a of one point: x down to the smallest subnormal, powers and gamma
+#: arguments that take (x/2)^power / gamma(a) past float64 either way.
+_POWER_GAMMA_POINT = st.tuples(
+    st.floats(min_value=-1.0, max_value=400.0),
+    st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+              st.floats(min_value=1e-300, max_value=1e5)),
+    st.floats(min_value=1e-3, max_value=400.0))
+
+
+@given(st.lists(_POWER_GAMMA_POINT, min_size=1, max_size=8),
+       st.sampled_from([0.0, LOG_SQRT_PI, LN2]))
+# overflow; a log in [LOG_MAX, log(DBL_MAX)], where math.exp still serves; underflow
+@example([(161.0, 1e4, 161.5), (2.0, 2.0 * math.exp(709.781 / 2.0), 1.0),
+          (300.0, 1e-300, 2.0)], 0.0)
+def test_power_gamma_points_equal_the_scalar_function(points, log_c):
+    """power_gamma_points gives power_gamma's value and bar at every point, bit for
+    bit, with repeated arguments and orders among the points; inf where the log of
+    the value reaches LOG_MAX, which covers every point where power_gamma raises
+    CancellationError."""
+    power, x, a = map(np.array, zip(*(points + points[:1])))
+    value, err = power_gamma_points(power, x, a, log_c)
+    for i, (p, xi, ai) in enumerate(points + points[:1]):
+        log_value = (p * log_half(xi) - log_c) - log_gamma(ai)
+        try:
+            want = power_gamma(p, xi, ai, log_c)
+        except CancellationError:
+            assert value[i] == err[i] == math.inf and log_value >= LOG_MAX
+            continue
+        if log_value >= LOG_MAX:
+            assert value[i] == err[i] == math.inf
+        else:
+            assert (value[i].hex(), err[i].hex()) == (want[0].hex(), want[1].hex())
 
 
 def test_gamma_ratio_handles_large_arguments():

@@ -14,9 +14,9 @@ import pytest
 
 from struvekit import foxwright, inequalities, quadrature, routes, series
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
-                            QuadConfig, SeriesConfig)
-from struvekit.errors import DomainError, EmptyDomainError
-from struvekit.gammafuncs import log_gamma
+                            QuadConfig, SeriesConfig, Values)
+from struvekit.errors import CancellationError, DomainError, EmptyDomainError
+from struvekit.gammafuncs import LOG_SQRT_PI, log_gamma, power_gamma
 from struvekit.inequalities import (CATALOG, EXTRA_CASES, INCONCLUSIVE_BAND,
                                     GridSpec, Reads, _ratio_derivative_analytic, _rel,
                                     _sign_margin, default_grid, lookup,
@@ -420,9 +420,9 @@ def test_a_non_finite_margin_is_recorded_as_the_error_of_its_arithmetic(cold_mem
 
 
 def test_warm_sweep_reads_derived_values_from_the_memo(monkeypatch, cold_memo):
-    """A cold run_all() computes the Theorem 4 bounds once per point, through
-    memo.derived, and every automatic value once. A warm run_all() reads them all
-    back: it runs no chain and calls bilateral_bounds at no point."""
+    """A cold run_all() computes every automatic value once, and the Theorem 4
+    bounds as arrays: it calls bilateral_bounds at no point. A warm run_all() reads
+    the values back: it runs no chain and calls bilateral_bounds at no point."""
     calls = Counter()
 
     def count(owner, name):
@@ -432,7 +432,7 @@ def test_warm_sweep_reads_derived_values_from_the_memo(monkeypatch, cold_memo):
     count(foxwright, "bilateral_bounds")
     count(routes.Memo, "_compute")
     run_all()
-    assert calls["bilateral_bounds"] == 625 and calls["_compute"] > 0
+    assert calls["bilateral_bounds"] == 0 and calls["_compute"] > 0
     calls.clear()
     run_all()
     assert calls == {}
@@ -458,6 +458,97 @@ def test_fx31_reads_m_and_m_prime_only_at_its_own_points(cold_memo):
     sweep_case(CATALOG["FX31"], default_grid("FX31"))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     assert len(ev.stores["m"]) == len(ev.stores["m_prime"]) == 625
+
+
+def test_fx31_custom_grid_past_the_overflow_of_its_terms(cold_memo):
+    """FX31 on nu in {100, 150, 200} x x in {2e3, 5e3, 9e3, 1e4} tests one point. Ten
+    margins overflow in their arithmetic, and at (200, 9e3) and (200, 1e4) M itself
+    overflows: those points are skipped with exactly these errors, in grid order."""
+    report = sweep_case(CATALOG["FX31"], GridSpec(nu_values=(100.0, 150.0, 200.0),
+                                                  x_values=(2e3, 5e3, 9e3, 1e4)))
+    assert (report.points_tested, report.points_skipped) == (1, 11)
+    assert report.argmin == (100.0, 2000.0) and report.min_margin == 1.000000005004039
+    overflow = "OverflowError: overflow encountered in multiply"
+    assert list(report.errors) == [((100.0, x), overflow) for x in (5e3, 9e3, 1e4)] + [
+        ((150.0, x), overflow) for x in (2e3, 5e3, 9e3, 1e4)] + [
+        ((200.0, x), overflow) for x in (2e3, 5e3)] + [
+        ((200.0, x), f"CancellationError: M at (nu=200, x={x:g}) overflows float64")
+        for x in (9e3, 1e4)]
+
+
+def test_fx31_records_the_overflow_of_its_coefficient_where_no_read_failed():
+    """Where (x/2)^(nu-1) / (sqrt(pi) gamma(nu+3/2)) overflows and the reads of M and
+    M' give values, the point keeps power_gamma's CancellationError; the other points
+    take the array coefficient, equal to power_gamma's."""
+    class FiniteReads(Reads):
+        __slots__ = ()
+
+        def m(self, nu, x):
+            return Values(np.full(np.shape(x), -2.0), np.zeros(np.shape(x)), {})
+
+        m_prime = m
+
+    nu, x = np.array([0.6, 170.0, 3.0]), np.array([1.0, 1e4, 2.0])
+    reads = FiniteReads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
+    slope = _ratio_derivative_analytic(reads, nu, x)
+    assert list(reads.errors) == [1] and isinstance(reads.errors[1], CancellationError)
+    assert str(reads.errors[1]) == "(x/2)^169 / gamma(171.5) at x = 10000 overflows float64"
+    for i in (0, 2):
+        coef = (nu[i] + 0.5) * power_gamma(nu[i] - 1.0, x[i], nu[i] + 1.5, LOG_SQRT_PI)[0]
+        want = x[i] * ((1.0 + (nu[i] / x[i]) ** 2) * 4.0 - 4.0 + coef * -2.0) / 4.0
+        assert slope[i] == want
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+@pytest.mark.parametrize("raising", [(0,), (3,), (6,), (0, 3, 6), ()])
+def test_each_maps_once_and_records_each_raising_point(cold_memo, raising, outputs):
+    """Reads.each runs fn once per point, in order, in one map that resumes past a
+    point raising a routes.RECORDED error: that point reads NaN (in every output) and
+    keeps its error at its flat index, and every other point keeps its value exactly."""
+    xs = np.linspace(0.25, 3.25, 7)
+    calls = []
+
+    def fn(v):
+        calls.append(v)
+        if len(calls) - 1 in raising:
+            raise CancellationError(f"at {v}")
+        return math.exp(v) if outputs == 1 else (math.exp(v), math.sinh(v))
+
+    reads = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
+    got = reads.each(fn, xs)
+    assert calls == xs.tolist()
+    assert list(reads.errors) == list(raising)
+    assert [str(reads.errors[i]) for i in raising] == [f"at {xs[i]}" for i in raising]
+    rows = [got] if outputs == 1 else list(got)
+    assert all(row.shape == xs.shape for row in rows) and len(rows) == outputs
+    for i, v in enumerate(xs.tolist()):
+        want = [math.exp(v), math.sinh(v)][:outputs]
+        assert [row[i] for row in rows] == want if i not in raising else all(
+            math.isnan(row[i]) for row in rows)
+
+
+def test_each_keeps_the_first_error_per_point_along_the_last_axis(cold_memo):
+    """Over broadcast (2, 3) points each records an error at the index of its point
+    along the last axis, the first there winning; an error each does not record
+    propagates."""
+    reads = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
+
+    def fn(a, b):
+        if a + b in (2.0, 12.0, 13.0):
+            raise ZeroDivisionError(f"{a} {b}")
+        return a + b
+
+    got = reads.each(fn, np.array([[0.0], [10.0]]), np.array([1.0, 2.0, 3.0]))
+    assert np.isnan(got[[0, 1, 1], [1, 1, 2]]).all() and got[0, 0] == 1.0
+    assert {i: str(e) for i, e in reads.errors.items()} == {1: "0.0 2.0", 2: "10.0 3.0"}
+
+    def other(v):
+        if v == 2.0:
+            raise ValueError("not recorded")
+        return v
+
+    with pytest.raises(ValueError, match="not recorded"):
+        reads.each(other, np.array([1.0, 2.0, 3.0]))
 
 
 def test_run_all_with_narrow_grid_synthesizes_empty_reports():

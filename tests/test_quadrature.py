@@ -20,7 +20,7 @@ from struvekit.quadrature import (calm, calm_dnu, calm_dnu_orders, calm_dnu_poin
                                   m_from_quadrature, turanian_il_double_integral)
 
 from conftest import large_x_calm_dx, rel_err
-from oracles import (CALM_DNU_TABLE, CALM_DX_TABLE, CALM_TABLE,
+from oracles import (CALM_DNU_TABLE, CALM_DX_TABLE, CALM_TABLE, DOUBLE_INTEGRAL_BAR_MISSES,
                      DOUBLE_INTEGRAL_TABLE, MPRIME_TABLE, M_TABLE)
 
 
@@ -80,6 +80,16 @@ def test_double_integral_table(key, want):
 
 @pytest.mark.parametrize("key,want", list(DOUBLE_INTEGRAL_TABLE.items()))
 def test_double_integral_bar_covers_reference(key, want):
+    fv = turanian_il_double_integral(EvalPoint(*key))
+    assert abs(fv.value - want) <= fv.abs_err, (key, fv.value - want, fv.abs_err)
+
+
+@pytest.mark.xfail(strict=True, reason="near nu = 1/2 at large x the stop level's estimate "
+                   "2|d - prev| is smaller than D's discretization error")
+@pytest.mark.parametrize("key,want", list(DOUBLE_INTEGRAL_BAR_MISSES.items()))
+def test_double_integral_bar_covers_its_quadrature_error(key, want):
+    """At (0.5013186950227101, 351.8120029434722) D is 1.72e-14 relative off the
+    reference at the key's floats, 1.35 times its bar."""
     fv = turanian_il_double_integral(EvalPoint(*key))
     assert abs(fv.value - want) <= fv.abs_err, (key, fv.value - want, fv.abs_err)
 

@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -730,6 +731,11 @@ def test_memo_is_one_per_config_pair(cold_memo):
     assert ev.calm(0.3, 9.0) is tight and loose.calm(0.3, 9.0) is coarse
 
 
+def _bounds(memo, nu, x):
+    """The Theorem 4 bounds at (nu, x), as memo.derived calls a function."""
+    return bilateral_bounds(EvalPoint(nu, x))
+
+
 @pytest.mark.parametrize("nu, x", [(-0.5, 0.7), (-0.5, 12.0), (-0.3, 0.7), (-0.3, 12.0),
                                    (0.0, 2.0)])
 def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
@@ -738,7 +744,7 @@ def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
     elsewhere) agree with independent evaluations: orders 0-2 with the closed forms
     at nu = -1/2, orders 0-1 with the automatic M and M' elsewhere. memo.derived(fn,
     nu, x) is fn(memo, nu, x), computed once and then read, as the Theorem 4 bounds
-    and their array read are."""
+    and their read through Reads.each are."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     p = EvalPoint(nu, x)
     scale, sums = inequalities._neg_m_derivatives(
@@ -753,9 +759,9 @@ def test_derived_values_equal_the_direct_computation(cold_memo, nu, x):
     for n, want in enumerate(checks):
         assert rel_err(vals[n], want) < 1e-12, (n, vals[n], want)
     if nu > -0.5:
-        got = ev.derived(inequalities._bilateral, nu, x)
-        assert got == bilateral_bounds(p) and ev.derived(inequalities._bilateral, nu, x) is got
-        lower, upper = inequalities.Reads(ev).derived(inequalities._bilateral, [nu, nu], x)
+        got = ev.derived(_bounds, nu, x)
+        assert got == bilateral_bounds(p) and ev.derived(_bounds, nu, x) is got
+        lower, upper = inequalities.Reads(ev).each(partial(ev.derived, _bounds), [nu, nu], x)
         assert (lower.tolist(), upper.tolist()) == ([got[0]] * 2, [got[1]] * 2)
         assert ev.derived.cache_info().currsize == 1
 
@@ -765,7 +771,7 @@ def test_a_derived_read_that_raises_caches_nothing(cold_memo):
     Reads the point keeps the error and reads NaN, and the other points their values."""
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     reads = inequalities.Reads(ev)
-    lower, upper = reads.derived(inequalities._bilateral, [-0.7, 0.7], 0.7)
+    lower, upper = reads.each(partial(ev.derived, _bounds), [-0.7, 0.7], 0.7)
     assert list(reads.errors) == [0] and isinstance(reads.errors[0], DomainError)
     assert math.isnan(lower[0]) and math.isnan(upper[0])
     assert (lower[1], upper[1]) == bilateral_bounds(EvalPoint(0.7, 0.7))
