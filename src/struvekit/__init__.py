@@ -2,8 +2,8 @@
 
 M_nu(x) = L_nu(x) - I_nu(x) and its normalized companion
 calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x), evaluated by three
-independent routes (merged power series, double-exponential quadrature
-of the finite-interval representation, and a Fox-Wright series), with
+routes (merged power series, double-exponential quadrature of the
+finite-interval representation, and a Fox-Wright recoding of the series), with
 residual checks for every identity the function satisfies and a sweep
 harness that verifies a catalog of inequalities with explicit margins.
 """

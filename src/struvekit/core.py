@@ -93,3 +93,19 @@ class QuadConfig:
 
 SERIES_DEFAULTS = SeriesConfig()
 QUAD_DEFAULTS = QuadConfig()
+
+#: Margins within this band of zero are inconclusive: noise must not make counterexamples.
+INCONCLUSIVE_BAND = 1e-9
+
+#: Floor of a margin's scale max(|a|, |b|): two zero sides divide by it, not by 0.
+_SCALE_FLOOR = 1e-300
+
+
+def rel_margin(a, b, err=None):
+    """Normalized margin of the claim a >= b: (a - b) / max(|a|, |b|, _SCALE_FLOOR), in
+    [-2, 2] for finite sides, positive where the claim holds, 0 where both sides are. A bar
+    err joins the scale as err / INCONCLUSIVE_BAND: a difference it can flip is graded."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    if err is not None:
+        scale = np.maximum(scale, err / INCONCLUSIVE_BAND)
+    return (a - b) / np.maximum(scale, _SCALE_FLOOR)

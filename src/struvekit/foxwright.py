@@ -8,8 +8,7 @@ The general object is
                  * z^n / n!
 
 convergent for all bounded z when the index
-epsilon = 1 + sum(beta) - sum(alpha) is positive. The normalized form has
-the third independent evaluation route
+epsilon = 1 + sum(beta) - sum(alpha) is positive. The normalized form is
 
     calM_nu(x) = (Gamma(nu+1/2)/sqrt(pi)) * 1Psi1[(1/2,1/2);(nu+1,1/2) | -x]
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
+from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig, rel_margin
 from .errors import (CancellationError, ConvergenceDomainError, DomainError,
                      NonConvergenceError, PoleError)
 from .gammafuncs import (EPS, SQRT_PI, exp_points, exp_rounded, gamma, gamma_ratio,
@@ -168,9 +167,10 @@ def fox_wright_eval(params: FoxWrightParams, z: float,
 def calm_via_fox_wright(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     """Normalized form by the Fox-Wright route. nu > -1/2, x >= 0.
 
-    Multiplies the 1Psi1 value at z = -x by Gamma(nu+1/2)/sqrt(pi). This
-    is the third independent evaluation route; its cancellation guard
-    inherits from fox_wright_eval. CancellationError where the factor (from
+    Multiplies the 1Psi1 value at z = -x by Gamma(nu+1/2)/sqrt(pi): the merged
+    series' Taylor expansion in x coded a second time, not a representation
+    independent of it (ROADMAP item 12 plans the third route). Its cancellation
+    guard inherits from fox_wright_eval. CancellationError where the factor (from
     nu = 171.6 on) or a term of the sum overflows float64.
     """
     if p.nu <= -0.5:
@@ -192,20 +192,14 @@ def calm_via_fox_wright(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> Fu
 def fx4_conditions(params: FoxWrightParams) -> tuple[bool, bool]:
     """Truth values of the two coefficient conditions psi_1 > psi_2 and
     psi_1^2 < psi_2 psi_0 that gate the bilateral exponential bound."""
-    m = fx4_margins(params)
-    return m[0] > 0.0, m[1] > 0.0
+    return tuple(m > 0.0 for m in fx4_margins(params))
 
 
 def fx4_margins(params: FoxWrightParams) -> tuple[float, float]:
-    """Signed, normalized margins of the two coefficient conditions
-    (positive means the condition holds): (psi_1 - psi_2, psi_2 psi_0 - psi_1^2),
-    each divided by the larger side's magnitude."""
-    p0 = psi_m(params, 0)
-    p1 = psi_m(params, 1)
-    p2 = psi_m(params, 2)
-    first = (p1 - p2) / max(abs(p1), abs(p2), 1e-300)
-    second = (p2 * p0 - p1 * p1) / max(abs(p2 * p0), p1 * p1, 1e-300)
-    return first, second
+    """The rel_margin of each coefficient condition, psi_1 >= psi_2 and
+    psi_2 psi_0 >= psi_1^2 (positive means the condition holds)."""
+    p0, p1, p2 = (psi_m(params, m) for m in range(3))
+    return float(rel_margin(p1, p2)), float(rel_margin(p2 * p0, p1 * p1))
 
 
 def bilateral_bounds(p: EvalPoint) -> tuple[float, float]:

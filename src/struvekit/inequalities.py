@@ -2,12 +2,13 @@
 
 Every claim about the second-kind function, its normalized form, and the
 associated gamma-function ratios is registered here as an
-:class:`InequalityCase`: the order range the claim is stated on plus a
-margin evaluator returning the normalized margin, oriented so that a
-positive margin means the claim holds. The range is declared once per case
+:class:`InequalityCase`: the order range the claim is stated on plus a sides
+function returning the claim's parts as (a, b) pairs, each read as a >= b; one
+rule (:meth:`InequalityCase.margin`) turns them into the normalized margin,
+positive where the claim holds. The range is declared once per case
 (a lower edge, open or closed, and an optional closed upper edge); the
 case's domain predicate and its default sweep grid are both derived from
-it. The executor runs the margin once over a grid's in-domain points, as
+it. The executor runs the sides once over a grid's in-domain points, as
 arrays whose reads (:class:`Reads`) the config pair's routes memo answers in
 bulk, and classifies each point in grid order as satisfied, inconclusive
 (within ``+-1e-9`` of zero), or a violation.
@@ -28,31 +29,25 @@ import math
 import operator
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, partialmethod
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import foxwright, routes
-from .core import QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig, SeriesConfig
+from .core import (INCONCLUSIVE_BAND, QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
+                   SeriesConfig, rel_margin)
 from .errors import DomainError, EmptyDomainError
 from .gammafuncs import (LN2, LOG_SQRT_PI, SQRT_PI, TWO_OVER_SQRT_PI, gamma_ratio,
                          gamma_ratio_h, gamma_ratio_h_prime, log_gamma, per_value,
                          power_gamma, power_gamma_points)
 from .series import struve_m_series
 
-#: Normalized margins within this band of zero are inconclusive, not
-#: violations: numerical noise must not manufacture counterexamples.
-INCONCLUSIVE_BAND = 1e-9
-
-#: Floor of a margin's scale max(|a|, |b|): two zero sides divide by it, not by 0.
-_SCALE_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """A named claim on an order range, with a margin evaluator.
+    """A named claim on an order range, with its sides.
 
     The claim is stated for orders above ``nu_lo`` (from ``nu_lo`` on when
     ``lo_closed``) up to and including ``nu_hi``, or without an upper edge
@@ -61,15 +56,16 @@ class InequalityCase:
     y > 0; :meth:`domain` is the predicate derived from these fields, and
     :func:`default_grid` spans the same range.
 
-    ``margin_fn(ev, nu, x, y=None)`` is one numpy expression over the sweep's
-    in-domain points, equal-length arrays of them in grid order, that returns the
-    normalized margin at each, positive where the claim holds (see "margin
-    evaluators" below). A point where a read raised is recorded with its error, and
-    so is a point whose margin is not finite.
+    ``sides(ev, nu, x, y=None)`` is one numpy expression over the sweep's in-domain
+    points, equal-length arrays of them in grid order, that returns the claim's parts
+    as pairs (a, b), each read as a >= b, or (a, b, err) where err bars a sign (see
+    "sides functions" below). :meth:`margin` is the only rule that turns them into a
+    verdict. A point where a read raised is recorded with its error, and so is a point
+    whose margin is not finite.
     """
 
     id: str
-    margin_fn: Callable[..., float]
+    sides: Callable[..., list]
     nu_lo: float
     lo_closed: bool = False
     nu_hi: Optional[float] = None
@@ -94,16 +90,26 @@ class InequalityCase:
     def _y_ok(self, y: Optional[float]) -> bool:
         return not self.needs_y or (y is not None and y > 0.0)
 
-    def flipped(self) -> "InequalityCase":
-        """Self-test fixture: the same case claiming the opposite sign.
+    def margin(self, ev, nu, x, y=None):
+        """The normalized margin at every point: the smallest rel_margin of the claim's
+        pairs (Python's min, but NaN where a pair's is), positive where every part holds."""
+        first, *rest = (rel_margin(*pair) for pair in self.sides(ev, nu, x, y))
+        for part in rest:
+            first = np.where((part < first) | np.isnan(part), part, first)
+        return first
 
-        Running a flipped case against a grid where the original passes
-        must produce violations; that is how the harness proves it can
-        fail (the executor is not trusted until it has rejected
-        something).
-        """
-        orig = self.margin_fn
-        return replace(self, id=self.id + "_flipped", margin_fn=lambda *args: -orig(*args))
+    def flipped(self) -> "InequalityCase":
+        """Self-test fixture: the same case claiming the opposite sign. Swept where the
+        original passes, it must produce violations: that is how the harness proves it can
+        fail (the executor is not trusted until it has rejected something)."""
+        return _Flipped(**{**vars(self), "id": self.id + "_flipped"})
+
+
+class _Flipped(InequalityCase):
+    """A case whose margin is its sides' margin negated at every point."""
+
+    def margin(self, *args):
+        return -super().margin(*args)
 
 
 @dataclass(frozen=True)
@@ -184,22 +190,21 @@ def report_from_json_dict(data: dict) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# margin evaluators
+# sides functions
 #
-# Signature: fn(ev, nu, x, y=None) -> array, the normalized margin at every point of
-# the coordinate arrays, which the executor reports as it is: _rel(a, b) of the claim
-# a >= b, (a - b) / max(|a|, |b|, 1e-300), the _min of those of its parts for a claim
-# with several, negated where the claim reverses (bound1, FX2). A sign claim v > 0 is
-# _rel(v, 0.0), +-1 unless v is 0, except where the value's error bar can make its
-# sign uncertain (cm_probe_x, cm_probe_nu): _sign_margin grades those. ev is the
-# sweep's Reads: ev.calm(nu, x) and its siblings read the automatic values as arrays,
-# one read per function kind, with leading axes for neighbouring orders or arguments
-# (ev.m(np.stack((nu - 1.0, nu, nu + 1.0)), x)); a NaN coordinate reads nothing,
-# which is how a margin skips the points a read does not serve. ev.each maps math's
-# exp, expm1, sinh and hypot, Python's pow and the scalar routes over the points in
-# one pass (numpy's would move bits), per_value a function of the order. The Theorem
-# 4 bounds (foxwright.bilateral_bounds_points) and FX31's coefficient
-# (power_gamma_points) are array twins of scalar functions, bit for bit.
+# Signature: fn(ev, nu, x, y=None) -> list of pairs (a, b), scalars or arrays, each the
+# claim a >= b at every point of the coordinate arrays; InequalityCase.margin forms the
+# verdict. A claim that reverses below an order (bound1, FX2) swaps its pair there. A sign
+# claim v > 0 is the pair (v, 0.0), +-1 unless v is 0, or (v, 0.0, err) where the value's
+# error bar can make its sign uncertain (cm_probe_x, cm_probe_nu): rel_margin grades
+# those into the inconclusive band. ev is the sweep's Reads: ev.calm(nu, x) and its
+# siblings read the automatic values as arrays, one read per function kind, with leading
+# axes for neighbouring orders or arguments (ev.m(np.stack((nu - 1.0, nu, nu + 1.0)), x));
+# a NaN coordinate reads nothing, which is how a sides function skips the points a read
+# does not serve. ev.each maps math's exp, expm1, sinh and hypot, Python's pow and the
+# scalar routes over the points in one pass (numpy's would move bits), per_value a
+# function of the order. The Theorem 4 bounds (foxwright.bilateral_bounds_points) and
+# FX31's coefficient (power_gamma_points) are array twins of scalar functions, bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -248,26 +253,13 @@ class Reads:
         return np.moveaxis(values, -1, 0) if blank.ndim else values
 
 
-def _rel(a, b):
-    """Normalized margin of the claim a >= b: (a - b) / max(|a|, |b|, _SCALE_FLOOR),
-    in [-2, 2] for finite sides, positive where the claim holds, 0 where both sides are."""
-    return (a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), _SCALE_FLOOR)
-
-
-def _min(first, *rest):
-    """Python's min(first, *rest) at every point, but NaN where a part is NaN."""
-    for part in rest:
-        first = np.where((part < first) | np.isnan(part), part, first)
-    return first
-
-
 def _gr(nu):
     """gamma(nu+1/2)/gamma(nu+1), the x -> 0 value of the normalized form."""
     return per_value(lambda v: gamma_ratio(v + 0.5, v + 1.0), nu)
 
 
-def _margin_bound0(ev, nu, x, y=None):
-    return _rel(_gr(nu), ev.calm(nu, x).value)
+def _sides_bound0(ev, nu, x, y=None):
+    return [(_gr(nu), ev.calm(nu, x).value)]
 
 
 def _turanian_parts(ev, nu, x):
@@ -275,14 +267,13 @@ def _turanian_parts(ev, nu, x):
     return m_md * m_md, m_lo * m_hi
 
 
-def _margin_ineqturan_lower(ev, nu, x, y=None):
-    sq, prod = _turanian_parts(ev, nu, x)
-    return _rel(sq, prod)
+def _sides_ineqturan_lower(ev, nu, x, y=None):
+    return [_turanian_parts(ev, nu, x)]
 
 
-def _margin_ineqturan_upper(ev, nu, x, y=None):
+def _sides_ineqturan_upper(ev, nu, x, y=None):
     sq, prod = _turanian_parts(ev, nu, x)
-    return _rel(sq / (nu + 0.5), sq - prod)
+    return [(sq / (nu + 0.5), sq - prod)]
 
 
 def _ratio(ev, nu, x):
@@ -297,65 +288,73 @@ def _ratio(ev, nu, x):
     return np.where(edge, -(x + 0.5), x * m_prime / np.where(edge, 1.0, m))
 
 
-def _margin_quot1(ev, nu, x, y=None):
-    return _rel(nu, _ratio(ev, nu, x))
+def _sides_quot1(ev, nu, x, y=None):
+    return [(nu, _ratio(ev, nu, x))]
 
 
-def _margin_quot2_left(ev, nu, x, y=None):
-    return _rel(_ratio(ev, nu, x), -ev.each(math.hypot, x, nu))
+def _sides_quot2_left(ev, nu, x, y=None):
+    return [(_ratio(ev, nu, x), -ev.each(math.hypot, x, nu))]
 
 
-def _margin_quot2_right(ev, nu, x, y=None):
-    return _rel(ev.each(math.hypot, x, nu), _ratio(ev, nu, x))
+def _sides_quot2_right(ev, nu, x, y=None):
+    return [(ev.each(math.hypot, x, nu), _ratio(ev, nu, x))]
 
 
-def _margin_fx1(ev, nu, x, y=None):
+def _sides_fx1(ev, nu, x, y=None):
     lhs, at_x, at_y = ev.calm(nu, np.stack((x + y, x, y))).value
-    return _rel(lhs, at_x * at_y / _gr(nu))
+    return [(lhs, at_x * at_y / _gr(nu))]
 
 
-def _margin_bound1(ev, nu, x, y=None):
+def _reversed_below(edge, nu, a, b):
+    """The pair of a claim a >= b that reverses below the order edge: (b, a) there."""
+    above = nu >= edge
+    return np.where(above, a, b), np.where(above, b, a)
+
+
+def _sides_bound1(ev, nu, x, y=None):
     c = ev.calm(nu, x).value
     gr = _gr(nu)
     # (1 - e^(-x))/x is 1 to within x; at a subnormal x the product would round first
     base = np.where(x < sys.float_info.min, gr, gr * -ev.each(math.expm1, -x) / x)
-    return np.where(nu >= 0.5, 1.0, -1.0) * _rel(c, base)
+    return [_reversed_below(0.5, nu, c, base)]
 
 
-def _margin_fx2(ev, nu, x, y=None):
+def _sides_fx2(ev, nu, x, y=None):
     lo, hi, half, twice = ev.calm(
         np.stack((nu - 1.0, nu + 1.0, np.full(np.shape(nu), 0.5), 2.0 * nu - 0.5)), x).value
-    return np.where(nu >= 1.5, 1.0, -1.0) * _rel(half * twice, lo * hi)
+    return [_reversed_below(1.5, nu, half * twice, lo * hi)]
 
 
-def _margin_fx3(ev, nu, x, y=None):
+def _sides_fx3(ev, nu, x, y=None):
     # past expo = 700 the exponential side exceeds any normalized-form value by
-    # hundreds of orders of magnitude: the margin saturates at 1, evaluating nothing
+    # hundreds of orders of magnitude: the pair saturates at (1, 0), evaluating nothing
     expo = x * x / (4.0 * (nu + 1.0))
     saturated = expo > 700.0
     lhs = ev.calm(np.where(saturated, math.nan, nu), x).value
     rhs = (_gr(nu) * ev.each(math.exp, np.where(saturated, math.nan, expo))
            - (4.0 / (SQRT_PI * (2.0 * nu + 1.0)))
            * ev.each(math.sinh, np.where(saturated, math.nan, x / (2.0 * nu + 3.0))))
-    return np.where(saturated, 1.0, _rel(rhs, lhs))
+    return [(np.where(saturated, 1.0, rhs), np.where(saturated, 0.0, lhs))]
 
 
 def _fx3_raw_at(series_cfg, nu, x):
     expo = x * x / (4.0 * (nu + 1.0))
     if expo > 700.0:
-        return 1.0
+        return 1.0, 0.0
     lhs = -struve_m_series(EvalPoint(nu, x), series_cfg).value
     i_bound = power_gamma(nu, x, nu + 1.0)[0] * math.exp(expo)
     l_bound = 2.0 * power_gamma(nu, x, nu + 1.5, LOG_SQRT_PI)[0] \
         * math.sinh(x / (2.0 * nu + 3.0))
-    return _rel(i_bound - l_bound, lhs)
+    return i_bound - l_bound, lhs
 
 
-def _margin_fx3_raw(ev, nu, x, y=None):
+def _sides_fx3_raw(ev, nu, x, y=None):
     """Series-route form of the combined bound on -M_nu for orders in (-1, -1/2], where
     the normalized form has no integral representation. Genuinely violated; kept to
     document the failure."""
-    return ev.each(partial(_fx3_raw_at, ev.series_cfg), nu, x)
+    # where every point raised, each returns one NaN row: it stands for both sides
+    return [np.broadcast_to(ev.each(partial(_fx3_raw_at, ev.series_cfg), nu, x),
+                            (2,) + np.shape(nu))]
 
 
 def _quot3_root(nu, x, side):
@@ -363,12 +362,12 @@ def _quot3_root(nu, x, side):
     return 0.5 * (-1.0 + side * np.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
 
 
-def _margin_quot3_left(ev, nu, x, y=None):
-    return _rel(_ratio(ev, nu, x), _quot3_root(nu, x, -1.0))
+def _sides_quot3_left(ev, nu, x, y=None):
+    return [(_ratio(ev, nu, x), _quot3_root(nu, x, -1.0))]
 
 
-def _margin_quot3_right(ev, nu, x, y=None):
-    return _rel(_quot3_root(nu, x, 1.0), _ratio(ev, nu, x))
+def _sides_quot3_right(ev, nu, x, y=None):
+    return [(_quot3_root(nu, x, 1.0), _ratio(ev, nu, x))]
 
 
 def _ratio_derivative_analytic(ev, nu, x):
@@ -385,65 +384,57 @@ def _ratio_derivative_analytic(ev, nu, x):
     return x * bracket / (m * m)
 
 
-def _margin_fx31(ev, nu, x, y=None):
-    return _rel(x / (nu + 0.5), _ratio_derivative_analytic(ev, nu, x))
+def _sides_fx31(ev, nu, x, y=None):
+    return [(x / (nu + 0.5), _ratio_derivative_analytic(ev, nu, x))]
 
 
-def _margin_theorem4(ev, nu, x, y=None):
+def _sides_theorem4(ev, nu, x, y=None):
     lower, upper = foxwright.bilateral_bounds_points(nu, x)
     c = ev.calm(nu, x).value
-    return _min(_rel(c, lower), _rel(upper, c))
+    return [(c, lower), (upper, c)]
 
 
-def _margin_gammaineq_left(ev, nu, x, y=None):
-    return _rel(TWO_OVER_SQRT_PI, per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu))
+def _sides_gammaineq_left(ev, nu, x, y=None):
+    return [(TWO_OVER_SQRT_PI, per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu))]
 
 
-def _margin_gammaineq_right(ev, nu, x, y=None):
-    return _rel(per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu),
-                np.sqrt(2.0 / (math.pi * (nu + 1.0))))
+def _sides_gammaineq_right(ev, nu, x, y=None):
+    return [(per_value(lambda v: gamma_ratio(v + 1.5, v + 2.0), nu),
+             np.sqrt(2.0 / (math.pi * (nu + 1.0))))]
 
 
-def _margin_remark2_turan(ev, nu, x, y=None):
+def _sides_remark2_turan(ev, nu, x, y=None):
     val = per_value(lambda v: math.exp(2.0 * log_gamma(v + 1.5)
                                        - log_gamma(v + 1.0) - log_gamma(v + 2.0)), nu)
-    return _rel(val, 2.0 / math.pi)
+    return [(val, 2.0 / math.pi)]
 
 
-def _margin_remark2_ratio(ev, nu, x, y=None):
+def _sides_remark2_ratio(ev, nu, x, y=None):
     g = _gr(nu)
     upper = TWO_OVER_SQRT_PI * (nu + 1.0) / (nu + 0.5)
     lower = math.sqrt(2.0 / math.pi) * np.sqrt(nu + 1.0) / (nu + 0.5)
-    return _min(_rel(upper, g), _rel(g, lower))
+    return [(upper, g), (g, lower)]
 
 
-def _margin_sign_m(ev, nu, x, y=None):
+def _sides_sign_m(ev, nu, x, y=None):
     # sign M = -sign calM for nu > -1/2, where calM does not underflow; at nu = -1/2,
     # -M = sqrt(2/pi) x^(-1/2) e^(-x) has the sign of its factors before e^(-x)
     above = nu > -0.5
-    return _rel(np.where(above, ev.calm(np.where(above, nu, math.nan), x).value,
-                         math.sqrt(2.0 / math.pi) / np.sqrt(x)), 0.0)
-
-
-def _sign_margin(value, abs_err):
-    """Normalized margin of a single positivity claim: close to +-1 when
-    the sign is numerically certain, and graded into the inconclusive
-    band once the value drops below its reported error bar."""
-    return value / np.maximum(np.maximum(np.abs(value), abs_err / INCONCLUSIVE_BAND),
-                              _SCALE_FLOOR)
+    return [(np.where(above, ev.calm(np.where(above, nu, math.nan), x).value,
+                      math.sqrt(2.0 / math.pi) / np.sqrt(x)), 0.0)]
 
 
 def _alternating_signs(read):
-    """The min over orders n of _sign_margin of (-1)^n times the read's order-n value."""
-    return _min(*(_sign_margin((-1.0) ** n * value, err)
-                  for n, (value, err) in enumerate(zip(read.value, read.abs_err))))
+    """The sign claims (-1)^n value_n > 0 of the read's orders n, each with its bar."""
+    return [((-1.0) ** n * value, 0.0, err)
+            for n, (value, err) in enumerate(zip(read.value, read.abs_err))]
 
 
-def _margin_cm_probe_x(ev, nu, x, y=None):
+def _sides_cm_probe_x(ev, nu, x, y=None):
     return _alternating_signs(ev.calm_dx(nu, x))
 
 
-def _margin_cm_probe_nu(ev, nu, x, y=None):
+def _sides_cm_probe_nu(ev, nu, x, y=None):
     return _alternating_signs(ev.calm_dnu(nu, x))
 
 
@@ -451,14 +442,14 @@ def _margin_cm_probe_nu(ev, nu, x, y=None):
 _LOGCONVEX_X = np.array([[1.0], [1.5], [1.25]])
 
 
-def _margin_logconvex_x(ev, nu, x, y=None):
+def _sides_logconvex_x(ev, nu, x, y=None):
     c, c_far, c_mid = ev.calm(nu, x * _LOGCONVEX_X).value
-    return _rel(c * c_far, c_mid * c_mid)
+    return [(c * c_far, c_mid * c_mid)]
 
 
-def _margin_logconvex_nu(ev, nu, x, y=None):
+def _sides_logconvex_nu(ev, nu, x, y=None):
     c, c_far, c_mid = ev.calm(np.stack((nu, nu + 1.0, nu + 0.5)), x).value
-    return _rel(c * c_far, c_mid * c_mid)
+    return [(c * c_far, c_mid * c_mid)]
 
 
 #: (1/2)_k, the rising factorial, for k = 0..6.
@@ -495,17 +486,16 @@ def _neg_m_derivatives(ev, nu, x):
     return scale, sums
 
 
-def _margin_neg_m_cm(ev, nu, x, y=None):
+def _sides_neg_m_cm(ev, nu, x, y=None):
     """Sign alternation of the first seven derivatives of -M_nu for
     nu in [-1/2, 0]."""
     # every summand of a derivative is positive by construction, so the sign
     # of each order is certain and a per-order +-1 margin is honest
-    return _min(*(_rel(s, 0.0) for s in _neg_m_derivatives(ev, nu, x)[1]))
+    return [(s, 0.0) for s in _neg_m_derivatives(ev, nu, x)[1]]
 
 
-def _margin_h_negative_derivative(ev, nu, x, y=None):
-    return _min(_rel(per_value(gamma_ratio_h, nu), 0.0),
-                _rel(0.0, per_value(gamma_ratio_h_prime, nu)))
+def _sides_h_negative_derivative(ev, nu, x, y=None):
+    return [(per_value(gamma_ratio_h, nu), 0.0), (0.0, per_value(gamma_ratio_h_prime, nu))]
 
 
 # ---------------------------------------------------------------------------
@@ -514,64 +504,64 @@ def _margin_h_negative_derivative(ev, nu, x, y=None):
 
 
 CATALOG: dict[str, InequalityCase] = {c.id: c for c in (
-    InequalityCase("bound0", _margin_bound0, -0.5,
+    InequalityCase("bound0", _sides_bound0, -0.5,
                    note="normalized form stays below its value at zero argument"),
-    InequalityCase("ineqturan_lower", _margin_ineqturan_lower, 0.5,
+    InequalityCase("ineqturan_lower", _sides_ineqturan_lower, 0.5,
                    note="Turan-type difference is positive"),
-    InequalityCase("ineqturan_upper", _margin_ineqturan_upper, 0.5,
+    InequalityCase("ineqturan_upper", _sides_ineqturan_upper, 0.5,
                    note="Turan-type difference is below M^2/(nu+1/2)"),
-    InequalityCase("quot1", _margin_quot1, -0.5,
+    InequalityCase("quot1", _sides_quot1, -0.5,
                    note="logarithmic-derivative ratio stays below nu"),
-    InequalityCase("quot2_left", _margin_quot2_left, 0.5,
+    InequalityCase("quot2_left", _sides_quot2_left, 0.5,
                    note="ratio above -sqrt(x^2+nu^2)"),
-    InequalityCase("quot2_right", _margin_quot2_right, 0.5,
+    InequalityCase("quot2_right", _sides_quot2_right, 0.5,
                    note="ratio below sqrt(x^2+nu^2)"),
-    InequalityCase("FX1", _margin_fx1, -0.5, needs_y=True,
+    InequalityCase("FX1", _sides_fx1, -0.5, needs_y=True,
                    note="normalized form is super-multiplicative after rescaling"),
-    InequalityCase("bound1", _margin_bound1, -0.5,
+    InequalityCase("bound1", _sides_bound1, -0.5,
                    note="comparison with the order-1/2 profile; reverses at nu=1/2"),
-    InequalityCase("FX2", _margin_fx2, 0.5,
+    InequalityCase("FX2", _sides_fx2, 0.5,
                    note="order-averaged product comparison; reverses at nu=3/2"),
-    InequalityCase("FX3", _margin_fx3, -0.5,
+    InequalityCase("FX3", _sides_fx3, -0.5,
                    note="combined exponential/sinh upper bound"),
-    InequalityCase("quot3_left", _margin_quot3_left, -0.5, lo_closed=True, nu_hi=0.0,
+    InequalityCase("quot3_left", _sides_quot3_left, -0.5, lo_closed=True, nu_hi=0.0,
                    note="quadratic-root lower bound for the ratio"),
-    InequalityCase("quot3_right", _margin_quot3_right, -0.5, lo_closed=True, nu_hi=0.0,
+    InequalityCase("quot3_right", _sides_quot3_right, -0.5, lo_closed=True, nu_hi=0.0,
                    note="quadratic-root upper bound for the ratio"),
-    InequalityCase("FX31", _margin_fx31, 0.5,
+    InequalityCase("FX31", _sides_fx31, 0.5,
                    note="derivative of x M'/M stays below x/(nu+1/2)"),
-    InequalityCase("theorem4_bilateral", _margin_theorem4, -0.5,
+    InequalityCase("theorem4_bilateral", _sides_theorem4, -0.5,
                    note="exponential-decay bracket for the normalized form"),
-    InequalityCase("gammaineq_left", _margin_gammaineq_left, -0.5, any_x=True,
+    InequalityCase("gammaineq_left", _sides_gammaineq_left, -0.5, any_x=True,
                    note="gamma ratio below 2/sqrt(pi)"),
-    InequalityCase("gammaineq_right", _margin_gammaineq_right, -0.5, any_x=True,
+    InequalityCase("gammaineq_right", _sides_gammaineq_right, -0.5, any_x=True,
                    note="gamma ratio above sqrt(2/(pi(nu+1)))"),
-    InequalityCase("remark1", _margin_fx2, 0.5,
+    InequalityCase("remark1", _sides_fx2, 0.5,
                    note="second-kind product bound, reverses at nu=3/2; it is FX2 after "
                         "scaling by 2^(2nu) gamma(nu-1/2) gamma(nu+3/2) x^(-2nu) > 0"),
-    InequalityCase("remark2_turan_gamma", _margin_remark2_turan, -0.5, any_x=True,
+    InequalityCase("remark2_turan_gamma", _sides_remark2_turan, -0.5, any_x=True,
                    note="Turan-type gamma-function form of the ratio bound"),
-    InequalityCase("remark2_ratio", _margin_remark2_ratio, -0.5, any_x=True,
+    InequalityCase("remark2_ratio", _sides_remark2_ratio, -0.5, any_x=True,
                    note="two-sided bound on gamma(nu+1/2)/gamma(nu+1)"),
-    InequalityCase("sign_m", _margin_sign_m, -0.5, lo_closed=True,
+    InequalityCase("sign_m", _sides_sign_m, -0.5, lo_closed=True,
                    note="second-kind function is negative"),
-    InequalityCase("cm_probe_x", _margin_cm_probe_x, -0.5,
+    InequalityCase("cm_probe_x", _sides_cm_probe_x, -0.5,
                    note="derivative signs alternate in x through order 6"),
-    InequalityCase("cm_probe_nu", _margin_cm_probe_nu, -0.5,
+    InequalityCase("cm_probe_nu", _sides_cm_probe_nu, -0.5,
                    note="derivative signs alternate in nu through order 4"),
-    InequalityCase("logconvex_x", _margin_logconvex_x, -0.5,
+    InequalityCase("logconvex_x", _sides_logconvex_x, -0.5,
                    note="midpoint log-convexity in x"),
-    InequalityCase("logconvex_nu", _margin_logconvex_nu, -0.5,
+    InequalityCase("logconvex_nu", _sides_logconvex_nu, -0.5,
                    note="midpoint log-convexity in nu"),
-    InequalityCase("neg_m_cm", _margin_neg_m_cm, -0.5, lo_closed=True, nu_hi=0.0,
+    InequalityCase("neg_m_cm", _sides_neg_m_cm, -0.5, lo_closed=True, nu_hi=0.0,
                    note="-M derivative signs alternate for nu in [-1/2, 0]"),
-    InequalityCase("h_negative_derivative", _margin_h_negative_derivative, -1.0,
+    InequalityCase("h_negative_derivative", _sides_h_negative_derivative, -1.0,
                    nu_hi=20.0, any_x=True,
                    note="digamma-difference witness is positive and decreasing"),
 )}
 
 EXTRA_CASES: dict[str, InequalityCase] = {c.id: c for c in (
-    InequalityCase("FX3_raw", _margin_fx3_raw, -1.0, nu_hi=-0.5,
+    InequalityCase("FX3_raw", _sides_fx3_raw, -1.0, nu_hi=-0.5,
                    note="series-route extension of the combined bound to orders in "
                         "(-1, -1/2]; violated - the underlying sinh lower bound "
                         "fails there"),
@@ -664,7 +654,7 @@ def sweep_case(case: InequalityCase, grid: GridSpec,
     size = math.prod(map(len, axes))
     ev = Reads(routes.memo(series_cfg, quad_cfg))
     with np.errstate(all="ignore"):
-        margins = np.broadcast_to(case.margin_fn(ev, *cols) if size else (), size)
+        margins = np.broadcast_to(case.margin(ev, *cols) if size else (), size)
     points = np.stack(cols, -1)  # read by flat index
     errors = ev.errors
     for i in np.flatnonzero(~np.isfinite(margins)).tolist():
@@ -699,7 +689,7 @@ def _arithmetic_error(case: InequalityCase, memo: routes.Memo, point) -> Arithme
     a branch that np.where discards counts too)."""
     with np.errstate(all="raise", under="ignore"):
         try:
-            case.margin_fn(Reads(memo), *point[:, None])
+            case.margin(Reads(memo), *point[:, None])
         except FloatingPointError as exc:
             if "divide" in str(exc):
                 return ZeroDivisionError("float division by zero")

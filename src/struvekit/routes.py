@@ -1,11 +1,11 @@
-"""Top-level evaluators that dispatch among the independent routes.
+"""Top-level evaluators that dispatch among the evaluation routes.
 
-Three genuinely independent computations are available for the second-kind
-function and its normalized form: the merged power series, tanh-sinh
-quadrature of the integral representation, and the Fox-Wright series. An
-explicit method runs exactly that route, so cross-route comparisons stay
-honest. The automatic route for M and calM stops at the first of these
-that can certify its value:
+Three routes are available for the second-kind function and its normalized form:
+the merged power series, tanh-sinh quadrature of the integral representation, and
+the Fox-Wright series, the merged series' Taylor expansion coded a second time, so
+not an independent one (ROADMAP item 12 plans a third: the large-x asymptotic
+series). An explicit method runs exactly that route. The automatic route for M and
+calM stops at the first of these that can certify its value:
 
 1. the elementary expression at nu = +-1/2, or for calM at x = 0 the gamma ratio;
 2. the float64 merged series at x <= X_CANCEL_MAX, if it certifies 1e-12 relative;

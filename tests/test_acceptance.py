@@ -179,7 +179,7 @@ def test_criterion_8_gamma_ratio_family():
     for nu in map(float, nus):
         for case_id in ("gammaineq_left", "gammaineq_right",
                         "remark2_turan_gamma", "remark2_ratio"):
-            assert CATALOG[case_id].margin_fn(None, nu, 1.0) > 0.0, (case_id, nu)
+            assert CATALOG[case_id].margin(None, nu, 1.0) > 0.0, (case_id, nu)
         h_values.append(gamma_ratio_h(nu))
     assert all(h > 0.0 for h in h_values)
     assert all(b < a for a, b in zip(h_values, h_values[1:]))

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package keeps a name nothing reads, or
-reads another module's private names.
+reads another module's private names, and the rule of the catalog's verdicts
+has one home.
 
 No linter runs with the suite, so these AST checks stand in for its
 unused-import and dead-code rules: every module-level import and every
@@ -108,3 +109,60 @@ def test_per_point_caches_live_in_the_config_scoped_memo():
     that ignores the config or outlives a test's monkeypatches."""
     found = {(module, name) for module, tree in TREES.items() for name in _module_caches(tree)}
     assert found == MODULE_CACHES
+
+
+#: The rule that turns a pair of sides into a normalized margin, and the functions
+#: that may apply it: the case method, which forms every catalog verdict, and the
+#: Fox-Wright coefficient conditions.
+RULE = "rel_margin"
+RULE_SITES = {"inequalities.InequalityCase.margin", "foxwright.fx4_margins"}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) for every function, methods as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _sides_functions():
+    """The catalog's sides functions and every module function they reach by name."""
+    tree = TREES["inequalities"]
+    functions = dict(_functions(tree))
+    todo = [node.args[1].id for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _called_name(node) == "InequalityCase" and isinstance(node.args[1], ast.Name)]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)]
+    assert len(seen) > 26  # the catalog's 25 sides functions, FX3_raw's and helpers
+    return {name: functions[name] for name in seen}
+
+
+def _is_where(node):
+    return isinstance(node, ast.Call) and _called_name(node) == "where"
+
+
+def test_the_verdict_rule_has_one_home():
+    """Sides functions return pairs; only InequalityCase.margin (and fx4_margins, for
+    the coefficient conditions) calls rel_margin. No sides function or helper it
+    reaches orients a claim by an np.where(...) sign multiplier: a claim that reverses
+    swaps its pair instead."""
+    sites = {f"{module}.{name}" for module, tree in TREES.items()
+             for name, fn in _functions(tree)
+             if any(isinstance(n, ast.Call) and _called_name(n) == RULE for n in ast.walk(fn))}
+    assert sites == RULE_SITES
+    multipliers = sorted(name for name, fn in _sides_functions().items()
+                         for n in ast.walk(fn) if isinstance(n, ast.BinOp)
+                         and isinstance(n.op, ast.Mult) and (_is_where(n.left) or _is_where(n.right)))
+    assert multipliers == []

@@ -546,10 +546,10 @@ def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_mem
     reads = {"calm": calm, "m": struve_m, "m_prime": struve_m_prime}
 
     def read_all(ev, nu, x, y=None):
-        return sum(getattr(ev, kind)(nu, x).value for kind in reads)
+        return [(sum(getattr(ev, kind)(nu, x).value for kind in reads), 0.0)]
 
     grid = GridSpec(nu_values=(-0.4999, -0.4995), x_values=(3.0, 9.0))
-    report = sweep_case(replace(CATALOG["bound0"], margin_fn=read_all), grid)
+    report = sweep_case(replace(CATALOG["bound0"], sides=read_all), grid)
     assert report.points_tested == 4
     for key in ((-0.4999, 9.0, (0,)), (-0.4999, 9.0, (0, 1))):
         assert isinstance(outcomes[key], NonConvergenceError), key
@@ -569,10 +569,10 @@ def test_invalid_reads_raise_at_the_read_inside_a_sweep(cold_memo):
     DomainError at the read, as the single call does, instead of joining a
     batch: calM at x < 0, and M' at x = 0."""
     def reads(ev, nu, x, y=None):
-        return ev.calm(nu, x).value + ev.m_prime(nu, x).value
+        return [(ev.calm(nu, x).value + ev.m_prime(nu, x).value, 0.0)]
 
     grid = GridSpec(nu_values=(0.3,), x_values=(-1.0, 0.0, 9.0))
-    report = sweep_case(replace(CATALOG["bound0"], margin_fn=reads, any_x=True), grid)
+    report = sweep_case(replace(CATALOG["bound0"], sides=reads, any_x=True), grid)
     want = []
     for x in grid.x_values:
         try:
