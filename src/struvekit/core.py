@@ -36,7 +36,7 @@ class EvalPoint:
 @dataclass(frozen=True, slots=True)
 class FuncValue:
     """A computed value with an honest absolute-error estimate. Slotted:
-    the sweep memo holds thousands and reads ``value`` on every hit."""
+    the memo's single reads hold thousands and read ``value`` on every hit."""
 
     value: float
     abs_err: float

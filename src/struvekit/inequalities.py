@@ -30,7 +30,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial, partialmethod
+from functools import cache, partial, partialmethod
 from typing import Callable, Optional
 
 import numpy as np
@@ -601,12 +601,13 @@ _X_DEFAULT = _geo(1e-3, 30.0, 25)
 _NU_GRID_TOP = 20.0
 
 
+@cache
 def default_grid(case_id: str) -> GridSpec:
     """The standard sweep grid for a case: 25 orders log-spaced across
     its order range (open edges approached to distance 1e-2, closed edges
     included, ending at the upper edge or at nu = 20 when there is none),
     25 arguments log-spaced in [1e-3, 30]; a two-argument case uses a
-    10 x 10 x 6 (x, y, nu) grid."""
+    10 x 10 x 6 (x, y, nu) grid. Built once per case (a GridSpec is frozen)."""
     case = lookup(case_id)
     hi = _NU_GRID_TOP if case.nu_hi is None else case.nu_hi
     if case.needs_y:

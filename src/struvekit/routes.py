@@ -22,14 +22,13 @@ replaces m_deriv in step 3's band, nu < _QUAD_NU_MIN at x <= X_CANCEL_MAX.
 Each chain is split at its quadrature step: _head takes the closed form or the
 chain's head (_m_head, _calm_head, _m_prime_head), _tail the step's value or, after
 a stall, the fallback; _auto runs them for a single call. :data:`memo` keeps the
-automatic values per (SeriesConfig, QuadConfig) pair, one store per function kind,
-for the sweeps and the identities. Its array read, Memo.read, answers its misses in
-bulk and stays in arrays: one float64 series pass (series.struve_m_float_points), one
-quadrature points pass per order set over what the series does not serve, and the
-chains' conversions (calM's rescale and overflow guard, M and M' from calM, calM at
-x = 0) as array expressions, each bit for bit its scalar function. Only the points
-the arrays cannot serve (closed forms, domain errors, the band next to nu = -1/2, a
-conversion that overflows, a stall) take _auto or _tail one at a time.
+automatic values per (SeriesConfig, QuadConfig) pair, one store per function kind:
+sorted keys nu + 1j x with rows of value, bar and method, which its array read,
+Memo.read, searches with np.searchsorted. The misses take the bulk steps as arrays
+(one float64 series pass, one quadrature points pass per order set, the chains'
+conversions), each bit for bit its scalar function; only the points the arrays
+cannot serve (closed forms, domain errors, the band next to nu = -1/2, a conversion
+that overflows, a stall) take _auto or _tail one at a time.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -40,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -344,38 +344,20 @@ def _keep(store: dict, got: dict, size: int) -> None:
                 store.pop(key, None)
 
 
-class _Rows:
-    """The rows of one bulk computation, to which the store's entries point: per point
-    (nu, x) of index its row of value and abs_err (one per order, for calm_dx and
-    calm_dnu) and its method."""
-
-    __slots__ = ("index", "value", "abs_err", "method")
-
-    def __init__(self, keys: list, value: np.ndarray, abs_err: np.ndarray,
-                 method: np.ndarray) -> None:
-        self.index = dict(zip(keys, range(len(keys))))
-        self.value, self.abs_err, self.method = value, abs_err, method
-
-    def funcvalue(self, key: tuple):
-        """key's FuncValue, or for calm_dx and calm_dnu its tuple of one per order."""
-        i = self.index[key]
-        value, abs_err, method = self.value[i].tolist(), self.abs_err[i].tolist(), self.method[i]
-        if isinstance(value, list):
-            return tuple(FuncValue(v, e, method) for v, e in zip(value, abs_err))
-        return FuncValue(value, abs_err, method)
+#: One kind's memo store: its sorted keys nu + 1j x and, aligned to them, each key's
+#: value and abs_err (a row of one per order for the probes), method and insertion serial.
+_Store = namedtuple("_Store", "keys value abs_err method serial")
 
 
 class Memo:
     """Automatic-route M, M', calM and the sign probes' quadrature derivatives (calm_dx:
-    calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair, one store per
-    kind, ``memo.stores[kind]``: a dict on (nu, x) that keeps its newest _MEMO_SIZE
-    entries and no exception. An entry is the _Rows of the bulk computation that gave
-    the point, or the FuncValue (a tuple of them for calm_dx and calm_dnu) of a single
-    call. ``memo.calm(nu, x)`` reads one point: an lru_cache answers its repeats, and a
-    miss builds its FuncValue from the store's entry, else runs the single call's
-    chain. :meth:`read` reads arrays, and ``memo.arrays`` keeps its newest error-free
-    reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the point
-    (the identities' first-kind parts); fn, a module-level function, is part of the key."""
+    calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair. Each kind's
+    store, ``memo.stores[kind]``, is a _Store of the newest _MEMO_SIZE points that
+    :meth:`read` computed without error; a writer replaces it whole. ``memo.arrays``
+    keeps the newest error-free reads whole. ``memo.calm(nu, x)`` reads one point: its
+    lru_cache, else the store's row, else the single call's chain; it writes no store.
+    derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the point (the
+    identities' first-kind parts); fn, a module-level function, is part of the key."""
 
     __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
                  "derived", "stores", "arrays")
@@ -383,19 +365,25 @@ class Memo:
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
         self.series_cfg, self.quad_cfg = series_cfg, quad_cfg
-        self.stores, self.arrays = {kind: {} for kind in _CHAINS}, {}
+        self.stores = {kind: _Store(np.empty(0, complex), *np.empty((2, 0) + (
+            () if chain.head else (len(chain.orders),))), np.empty(0, object), np.empty(0, int))
+            for kind, chain in _CHAINS.items()}
+        self.arrays = {}
         for kind in _CHAINS:
             setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._single, kind)))
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
 
     def _single(self, kind: str, nu: float, x: float):
-        """memo.kind(nu, x) past its lru_cache: from the store's entry, else the single
-        call's chain, kept in the store."""
-        entry = self.stores[kind].get((nu, x))
-        if entry is None:
-            entry = _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
-            _keep(self.stores[kind], {(nu, x): entry}, _MEMO_SIZE)
-        return entry.funcvalue((nu, x)) if type(entry) is _Rows else entry
+        """memo.kind(nu, x) past its lru_cache: the store's row, else the single call's
+        chain. A FuncValue, or for calm_dx and calm_dnu a tuple of one per order."""
+        store = self.stores[kind]
+        if len(store.keys):  # single reads alone leave it empty: no search then
+            i = min(store.keys.searchsorted(complex(nu, x)), len(store.keys) - 1)
+            if store.keys[i] == complex(nu, x):
+                fvs = tuple(FuncValue(v, e, store.method[i]) for v, e in zip(
+                    store.value[i].ravel().tolist(), store.abs_err[i].ravel().tolist()))
+                return fvs if store.value.ndim > 1 else fvs[0]
+        return _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
 
     def read(self, kind: str, nu, x) -> Values:
         """kind at every point of the broadcast nu and x arrays; a NaN coordinate reads
@@ -404,55 +392,66 @@ class Memo:
         whole = (kind, nu.shape, nu.tobytes(), x.tobytes())
         if (values := self.arrays.get(whole)) is not None:
             return values
-        keys = list(zip(nu.ravel().tolist(), x.ravel().tolist()))
-        got = list(map(self.stores[kind].get, keys))
-        missing = list(dict.fromkeys(k for k, entry in zip(keys, got) if entry is None
-                                     and k[0] == k[0] and k[1] == k[1]))
-        failed, fresh = {}, {}
-        if missing:
-            rows, raised = self._compute(kind, missing)
-            failed = {missing[i]: exc for i, exc in raised.items()}
-            fresh = {k: rows for k in missing if k not in failed}
-            _keep(self.stores[kind], fresh, _MEMO_SIZE)
-        orders = () if _CHAINS[kind].head else (len(_CHAINS[kind].orders),)
-        value, abs_err = np.full((len(keys),) + orders, math.nan), np.full(
-            (len(keys),) + orders, math.nan)
-        errors, groups = {}, {}
-        for i, (key, entry) in enumerate(zip(keys, got)):
-            entry = entry or fresh.get(key)
-            if type(entry) is _Rows:
-                groups.setdefault(entry, []).append(i)
-            elif entry is None:
-                if key in failed:
-                    errors[i] = failed[key]
-            elif orders:  # a single call's FuncValues
-                value[i], abs_err[i] = [fv.value for fv in entry], [fv.abs_err for fv in entry]
-            else:
-                value[i], abs_err[i] = entry.value, entry.abs_err
-        for rows, at in groups.items():
-            index = [rows.index[keys[i]] for i in at]
-            value[at], abs_err[at] = rows.value[index], rows.abs_err[index]
-        for array in (value, abs_err):  # read-only: memo.arrays hands it to every later read
-            array.flags.writeable = False
-        values = Values(*(np.moveaxis(a.reshape(nu.shape + orders), -1, 0) if orders
-                          else a.reshape(nu.shape) for a in (value, abs_err)), errors)
+        shape, nu, x = nu.shape, nu.ravel(), x.ravel()
+        key = nu.astype(complex)
+        key.imag = x
+        store = self.stores[kind]
+        value, abs_err = np.full((2, len(key)) + store.value.shape[1:], math.nan)
+        hit, errors = np.zeros(len(key), bool), {}
+        if len(store.keys):
+            at = np.minimum(store.keys.searchsorted(key), len(store.keys) - 1)
+            hit = store.keys[at] == key
+            value[hit], abs_err[hit] = store.value[at[hit]], store.abs_err[at[hit]]
+        miss = np.flatnonzero(~hit & (nu == nu) & (x == x))
+        if len(miss):
+            # each distinct miss once, at its first point (+-0.0 are one key, as in a dict)
+            order = miss[np.argsort(key[miss], kind="stable")]
+            first = np.ones(len(order), bool)
+            first[1:] = key[order[1:]] != key[order[:-1]]
+            row = np.empty(len(key), np.intp)
+            row[order] = np.cumsum(first) - 1
+            fresh = order[first]
+            got, got_err, method, raised = self._compute(kind, nu[fresh], x[fresh])
+            value[miss], abs_err[miss] = got[row[miss]], got_err[row[miss]]
+            failed = np.zeros(len(fresh), bool)
+            failed[list(raised)] = True
+            for i in miss[failed[row[miss]]].tolist():
+                value[i] = abs_err[i] = math.nan
+                errors[i] = raised[row[i]]
+            self._add(kind, key[fresh], got, got_err, method, keep=~failed)
+        value.flags.writeable = abs_err.flags.writeable = False  # memo.arrays shares them
+        values = Values(*(np.moveaxis(a.reshape(shape + a.shape[1:]), -1, 0) if a.ndim > 1
+                          else a.reshape(shape) for a in (value, abs_err)), errors)
         if not errors:
             _keep(self.arrays, {whole: values}, _ARRAY_READS)
         return values
 
-    def _compute(self, kind: str, keys: list) -> tuple[_Rows, dict]:
-        """kind at each distinct (nu, x) of keys: their _Rows, and the RECORDED errors
-        raised, by row. The points _plan picks take the bulk steps: one float64 series
-        pass (struve_m_float_points), one quadrature points pass over what it does not
-        certify, and the chain's conversions as array expressions. The rest take _auto
-        per point, and so does the chain's tail where the arrays cannot serve it: a
-        step whose array form is NaN (it overflows or raises), or a stall's fallback."""
+    def _add(self, kind: str, *rows: np.ndarray, keep: np.ndarray) -> None:
+        """Merge the keep rows of new keys, values, bars and methods into kind's store as
+        it is now, keeping its newest _MEMO_SIZE keys and, for a key another thread added
+        since the read, the row it added."""
+        store = self.stores[kind]
+        start = store.serial.max(initial=-1) + 1
+        merged = [np.concatenate(pair) for pair in zip(store, [r[keep] for r in rows] + [
+            np.arange(start, start + keep.sum())])]
+        order = merged[0].argsort(kind="stable")
+        first = np.ones(len(order), bool)
+        first[1:] = merged[0][order[1:]] != merged[0][order[:-1]]
+        order = order[first]
+        if len(order) > _MEMO_SIZE:
+            serial = merged[-1][order]
+            order = order[serial >= np.partition(serial, -_MEMO_SIZE)[-_MEMO_SIZE]]
+        self.stores[kind] = _Store(*(a[order] for a in merged))
+
+    def _compute(self, kind: str, nu: np.ndarray, x: np.ndarray) -> tuple:
+        """kind at each point (nu[i], x[i]): rows of value, abs_err and method, and the
+        RECORDED errors raised, by row. _plan's points take one float64 series pass
+        (struve_m_float_points), one quadrature points pass over what it does not
+        certify and the chain's conversions, as arrays; the rest, and a tail the arrays
+        cannot serve (a NaN step, a stall's fallback), take _auto or _tail per point."""
         chain = _CHAINS[kind]
-        nu, x = np.array(keys).T
-        shape = (len(keys),) + (() if chain.head else (len(chain.orders),))
-        value, abs_err = np.full(shape, math.nan), np.full(shape, math.nan)
-        method = np.full(len(keys), Method.QUADRATURE, object)
-        errors = {}
+        value, abs_err = np.full((2, len(nu)) + self.stores[kind].value.shape[1:], math.nan)
+        method, errors = np.full(len(nu), Method.QUADRATURE, object), {}
 
         def settle(i, run):
             try:
@@ -495,9 +494,9 @@ class Memo:
                 settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg,
                                            self.quad_cfg, self.m))
         for i in np.flatnonzero(per_point).tolist():
-            settle(i, lambda: _auto(kind, EvalPoint(*keys[i]), self.series_cfg,
+            settle(i, lambda: _auto(kind, EvalPoint(nu.item(i), x.item(i)), self.series_cfg,
                                     self.quad_cfg, self.m))
-        return _Rows(keys, value, abs_err, method), errors
+        return value, abs_err, method, errors
 
 
 #: memo(series_cfg, quad_cfg) returns the one Memo of that config pair. It outlives

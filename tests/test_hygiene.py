@@ -72,9 +72,10 @@ def test_no_module_reads_another_modules_private_names():
 
 
 #: The module-level function caches the package may keep: quadrature's node and
-#: kernel tables, which depend on no evaluation config, and the per-config memo.
+#: kernel tables and the catalog's default grids, which depend on no evaluation
+#: config, and the per-config memo.
 MODULE_CACHES = {("quadrature", "_level_nodes"), ("quadrature", "_level_kernel"),
-                 ("routes", "memo")}
+                 ("routes", "memo"), ("inequalities", "default_grid")}
 
 _CACHE_DECORATORS = {"lru_cache", "cache"}
 
@@ -104,9 +105,10 @@ def _module_caches(tree):
 
 def test_per_point_caches_live_in_the_config_scoped_memo():
     """No module keeps a module-level function cache beyond the node and kernel
-    tables and routes.memo: a value computed at a point is cached in the memo of
-    its config pair, which the cold_memo fixture clears, never in a global cache
-    that ignores the config or outlives a test's monkeypatches."""
+    tables, the catalog's default grids and routes.memo: a value computed at a point
+    is cached in the memo of its config pair, which the cold_memo fixture clears,
+    never in a global cache that ignores the config or outlives a test's
+    monkeypatches."""
     found = {(module, name) for module, tree in TREES.items() for name in _module_caches(tree)}
     assert found == MODULE_CACHES
 

@@ -204,8 +204,8 @@ def test_residual_suite_matches_the_public_residuals():
 def test_residual_suite_computes_each_input_once(cold_memo, monkeypatch):
     """Per point: three automatic M chains (orders nu-1, nu, nu+1), one M'
     chain and six first-kind series calls (I and L at the same orders), all
-    kept in the one memo of the config pair passed. A repeated call reads
-    every one of them back."""
+    kept in the single-read caches of the one memo of the config pair passed,
+    and none in its array stores. A repeated call reads every one of them back."""
     calls = {"m": 0, "m_prime": 0, "series": 0}
     auto = routes._auto
 
@@ -225,8 +225,9 @@ def test_residual_suite_computes_each_input_once(cold_memo, monkeypatch):
     assert calls == {"m": 3 * 4, "m_prime": 4, "series": 6 * 4}
     assert routes.memo.cache_info().currsize == 1
     ev = routes.memo(*OTHER_CONFIGS)
-    sizes = {kind: len(ev.stores[kind]) for kind in ("m", "m_prime")}
+    sizes = {kind: getattr(ev, kind).cache_info().currsize for kind in ("m", "m_prime")}
     assert sizes == {"m": 3 * 4, "m_prime": 4}
+    assert not any(len(store.keys) for store in ev.stores.values())
     assert ev.derived.cache_info().currsize == 4
     calls.update(dict.fromkeys(calls, 0))
     residual_suite((0.6, 2.0), (0.5, 5.0), *OTHER_CONFIGS, include_cross_term=True)

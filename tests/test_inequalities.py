@@ -386,8 +386,8 @@ def test_argmin_ties_go_to_the_first_point_in_grid_order(cold_memo, xs, argmin):
 
 def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(monkeypatch, cold_memo):
     """An exception the sweep does not record propagates out of it. The values the
-    margin read stay in the memo: a single read then builds each from the store, equal
-    to the single call's, and runs no chain."""
+    margin read stay in the memo: a single read then takes each from its store row,
+    equal to the single call's, and runs no chain."""
     def boom(ev, nu, x, y=None):
         ev.calm(nu, x)
         raise RuntimeError("boom")
@@ -396,7 +396,9 @@ def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(monkeypatch, cold_m
     with pytest.raises(RuntimeError, match="boom"):
         sweep_case(replace(CATALOG["bound0"], sides=boom), grid)
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    assert set(ev.stores["calm"]) == {(0.3, x) for x in grid.x_values}
+    keys = ev.stores["calm"].keys
+    assert list(zip(keys.real.tolist(), keys.imag.tolist())) == [(0.3, x) for x in sorted(
+        grid.x_values)]
     want = {x: routes.calm(EvalPoint(0.3, x)) for x in grid.x_values}
     monkeypatch.setattr(routes, "_auto", None)
     for x in grid.x_values:
@@ -494,11 +496,15 @@ def test_fx31_slope_matches_the_reference(nu, x):
 
 
 def test_fx31_reads_m_and_m_prime_only_at_its_own_points(cold_memo):
-    """A sweep of FX31 alone leaves one M and one M' entry per grid point (625
-    each), so its margin reads no other point."""
-    sweep_case(CATALOG["FX31"], default_grid("FX31"))
+    """A sweep of FX31 alone leaves one M and one M' key per grid point (625 each)
+    in the stores, so its margin reads no other point."""
+    grid = default_grid("FX31")
+    sweep_case(CATALOG["FX31"], grid)
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    assert len(ev.stores["m"]) == len(ev.stores["m_prime"]) == 625
+    want = sorted(itertools.product(grid.nu_values, grid.x_values))
+    for kind in ("m", "m_prime"):
+        keys = ev.stores[kind].keys
+        assert list(zip(keys.real.tolist(), keys.imag.tolist())) == want
 
 
 def test_fx31_custom_grid_past_the_overflow_of_its_terms(cold_memo):
@@ -690,7 +696,7 @@ def test_fx3_saturates_where_its_exponential_side_overflows():
     ev = Reads(routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     assert CATALOG["FX3"].sides(ev, -0.49, 60.0) == [(1.0, 0.0)]
     assert CATALOG["FX3"].margin(ev, -0.49, 60.0) == 1.0
-    assert not ev.memo.stores["calm"]
+    assert len(ev.memo.stores["calm"].keys) == 0
 
 
 def test_rel_margin_grades_a_sign_below_its_bar():

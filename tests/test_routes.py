@@ -811,3 +811,100 @@ def test_concurrent_sweeps_share_the_memo(monkeypatch, cold_memo):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == [] and len(got) == 18
     assert all(reports == want for reports in got)
+
+
+def _single_or_error(kind, nu, x):
+    """kind at (nu, x) by the single call's chain: its values and bars as float lists
+    (one per order for the probes), or the RECORDED error it raised."""
+    try:
+        fv = routes._auto(kind, EvalPoint(nu, x), SERIES_DEFAULTS, QUAD_DEFAULTS)
+    except routes.RECORDED as exc:
+        return exc
+    fvs = fv if isinstance(fv, tuple) else (fv,)
+    return [f.value for f in fvs], [f.abs_err for f in fvs]
+
+
+def _bits(values) -> list:
+    return np.asarray(values, float).ravel().view(np.int64).tolist()
+
+
+_READ_NU = st.one_of(st.sampled_from([-0.5, 0.5, -0.49898, -0.0, 0.0, -1.0, 20.0, math.nan]),
+                     st.floats(min_value=-1.2, max_value=25.0))
+_READ_X = st.one_of(st.sampled_from([-0.0, 0.0, 0.179, -1.0, 1e-310, 9.0, 30.0, math.nan]),
+                    st.floats(min_value=0.0, max_value=40.0))
+#: Reads drawn with repeats, in any order, from up to six distinct points.
+_READ_POINTS = st.lists(st.tuples(_READ_NU, _READ_X), min_size=1, max_size=6).flatmap(
+    lambda pts: st.lists(st.sampled_from(pts), min_size=1, max_size=2 * len(pts)))
+
+
+@pytest.mark.parametrize("kind", list(routes._CHAINS))
+@given(points=_READ_POINTS)
+@example(points=[(math.nan, 1.0), (0.3, math.nan), (math.nan, math.nan)])
+@example(points=[(-0.49898, 0.179), (0.3, -0.0), (0.3, 0.0), (-0.0, 2.0), (0.0, 2.0),
+                 (-0.49898, 0.179), (-0.7, 1.0), (0.5, 3.0), (1.0, -1.0)])
+def test_array_read_equals_single_calls_point_by_point(kind, points):
+    """Memo.read on a cold memo against the single call's chain at each point: values
+    and bars bit for bit, and at exactly the points where the single call raises the
+    same error type and text. A repeated point reads its first occurrence (+-0.0 are one
+    key, as in a dict), a NaN coordinate reads NaN and no error, and an all-NaN read
+    of an empty store reads nothing. The store then holds each point that did not
+    raise once, and a single read takes its row: the same bits again."""
+    nu, x = (np.array(axis, float) for axis in zip(*points))
+    ev = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    got = ev.read(kind, nu, x)
+    value, abs_err = (np.moveaxis(a, 0, -1).reshape(len(points), -1) for a in got[:2])
+    first = {}
+    for i, key in enumerate(points):
+        first.setdefault(key, i)  # keyed as in a dict: -0.0 equals 0.0
+    want = {i: _single_or_error(kind, *points[i]) for i in set(first.values())}
+    kept = set()
+    for i, key in enumerate(points):
+        if math.isnan(key[0]) or math.isnan(key[1]):
+            assert i not in got.errors and np.isnan(value[i]).all(), key
+            continue
+        ref = want[first[key]]
+        if isinstance(ref, Exception):
+            assert type(got.errors[i]) is type(ref) and str(got.errors[i]) == str(ref), key
+            assert np.isnan(value[i]).all() and np.isnan(abs_err[i]).all(), key
+            continue
+        assert i not in got.errors, key
+        assert (_bits(value[i]), _bits(abs_err[i])) == (_bits(ref[0]), _bits(ref[1])), key
+        kept.add(points[first[key]])
+    store = ev.stores[kind]
+    assert sorted(zip(store.keys.real.tolist(), store.keys.imag.tolist())) == sorted(kept)
+    for key in kept:
+        fv = getattr(ev, kind)(*key)
+        fvs = fv if isinstance(fv, tuple) else (fv,)
+        ref = want[first[key]]
+        assert (_bits([f.value for f in fvs]), _bits([f.abs_err for f in fvs])) == (
+            _bits(ref[0]), _bits(ref[1])), key
+
+
+def test_a_full_store_keeps_its_newest_points(monkeypatch):
+    """With room for 8 points, reads of three blocks of 4 leave the last two blocks in
+    the store, and a block larger than the store keeps 8 of its points. Every read,
+    of evicted points too, still equals the single calls."""
+    monkeypatch.setattr(routes, "_MEMO_SIZE", 8)
+    monkeypatch.setattr(routes, "_ARRAY_READS", 0)  # every read goes to the store
+    ev = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
+    blocks = [[(nu, x) for x in (0.5, 3.0, 9.0, 20.0)] for nu in (0.3, 1.0, 2.5)]
+
+    def check(points):
+        got = ev.read("calm", *zip(*points))
+        assert not got.errors
+        for i, p in enumerate(points):
+            ref = calm(EvalPoint(*p))
+            assert (got.value[i], got.abs_err[i]) == (ref.value, ref.abs_err), p
+
+    def stored():
+        keys = ev.stores["calm"].keys
+        return set(zip(keys.real.tolist(), keys.imag.tolist()))
+
+    for block in blocks:
+        check(block)
+    assert stored() == set(blocks[1] + blocks[2])
+    check(blocks[0] + blocks[2])
+    assert stored() == set(blocks[2] + blocks[0])
+    check([(4.0, x) for x in (0.5, 1.0, 2.0, 3.0, 5.0, 9.0, 12.0, 15.0, 20.0, 25.0)])
+    assert len(stored()) == 8 and len(set(ev.stores["calm"].serial.tolist())) == 8
+    check(blocks[1])
