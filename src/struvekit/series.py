@@ -13,6 +13,9 @@ the termwise derivative M_nu' and measures its condition. struve_m_series
 re-runs the M algorithm elsewhere on arbitrary-precision floats sized from
 the measured condition, and refuses (CancellationError) beyond ~80 working
 digits; the automatic router asks for it only where quadrature cannot serve.
+Those passes are mpmath's only use, so mpmath is imported at the first one:
+importing the package loads no mpmath, and the first escalation in a process
+also pays the import (21-35 ms on a loaded 2-vCPU machine, numpy loaded).
 
 The module owns the normalization M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2):
 calm_from_m, and m_from_calm and m_prime_from_calm, through which every route
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
@@ -198,6 +200,8 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
 
 def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, float]:
     """Escalated-precision pass over the merged series. Returns (value, rel_trunc)."""
+    import mpmath as mp  # here, not at module level: see the module docstring
+
     with mp.workdps(digits):
         nu = mp.mpf(p.nu)
         x = mp.mpf(p.x)
@@ -289,7 +293,8 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
     measured condition number makes float64 untrustworthy. nu > -1, x >= 0.
 
     Raises CancellationError when even the escalated path would need more
-    than 80 working digits (use the quadrature route there).
+    than 80 working digits (use the quadrature route there). The first
+    escalation in a process imports mpmath.
     """
     certified, smax, scale = _merged_float(p, cfg)
     if certified is not None:

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package keeps a name nothing reads, or
-reads another module's private names, and the rule of the catalog's verdicts
-has one home.
+reads another module's private names, the rule of the catalog's verdicts
+has one home, and no np.unique call loads numpy.ma.
 
 No linter runs with the suite, so these AST checks stand in for its
 unused-import and dead-code rules: every module-level import and every
@@ -168,3 +168,17 @@ def test_the_verdict_rule_has_one_home():
                          for n in ast.walk(fn) if isinstance(n, ast.BinOp)
                          and isinstance(n.op, ast.Mult) and (_is_where(n.left) or _is_where(n.right)))
     assert multipliers == []
+
+
+#: np.unique's keywords that take its path without numpy.ma: a bare call tests
+#: np.ma.is_masked, and importing numpy.ma costs a fresh interpreter 14-17 ms.
+UNIQUE_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
+
+
+def test_unique_calls_do_not_import_numpy_ma():
+    """Every np.unique call in the package asks for an index, inverse or counts."""
+    bare = sorted(f"{module}:{node.lineno}" for module, tree in TREES.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and _called_name(node) == "unique"
+                  and not {k.arg for k in node.keywords} & UNIQUE_KEYWORDS)
+    assert bare == []

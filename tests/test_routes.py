@@ -1,14 +1,18 @@
 """Route dispatch: automatic selection, explicit routes, cross-route agreement."""
 
 import itertools
+import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -282,6 +286,40 @@ def test_default_sweep_never_escalates_to_mpmath(monkeypatch, cold_memo):
                         lambda *args: passes.append(args) or merged_mp(*args))
     run_all()
     assert passes == []
+
+
+_LAZY_IMPORTS = """
+import json, sys
+import struvekit
+from struvekit import EvalPoint
+loaded = lambda: sorted(name for name in ("mpmath", "numpy.ma") if name in sys.modules)
+seen = [loaded()]
+struvekit.run_all()
+seen.append(loaded())
+struvekit.residual_suite((1.3,), (2.0,), include_cross_term=True)
+seen.append(loaded())
+fv = struvekit.struve_m(EvalPoint(-0.4995, 3.0))
+print(json.dumps([seen, loaded(), repr(fv.value), repr(fv.abs_err), fv.method.value]))
+"""
+
+
+def test_only_an_escalation_imports_mpmath():
+    """A fresh interpreter imports neither mpmath nor numpy.ma (which a bare
+    np.unique loads) for import struvekit, run_all() or residual_suite: mpmath
+    comes in at the first escalated series pass, whose value, bar and method
+    equal those of the same call here."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen, escalated, value, abs_err, method = json.loads(done.stdout)
+    assert seen == [[], [], []]
+    assert escalated == ["mpmath"]
+    want = struve_m(EvalPoint(-0.4995, 3.0))
+    assert want.method is Method.SERIES
+    assert (value, abs_err, method) == (repr(want.value), repr(want.abs_err), want.method.value)
 
 
 def test_default_sweep_bounds_quadrature_derivative_calls(monkeypatch, cold_memo):
