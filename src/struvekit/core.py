@@ -36,7 +36,7 @@ class EvalPoint:
 @dataclass(frozen=True, slots=True)
 class FuncValue:
     """A computed value with an honest absolute-error estimate. Slotted:
-    the memo's single reads hold thousands and read ``value`` on every hit."""
+    every single call makes one, and its callers read ``value`` at once."""
 
     value: float
     abs_err: float

@@ -11,9 +11,10 @@ raises CancellationError. Nothing here rearranges the identity being tested
 to produce its own inputs; in particular the ODE residual gets its second
 derivative from differentiated quadrature, not from the ODE itself.
 
-The residuals of nu > 1/2 read M_{nu-1}, M_nu, M_{nu+1} and M_nu' through
-``routes.memo(series_cfg, quad_cfg)``, and the first-kind parts of the
-Turanian through its ``derived`` cache, so the residuals at one point share
+The residuals of nu > 1/2 read (M_{nu-1}, M_nu, M_{nu+1}, M_nu') from the
+automatic single calls and the first-kind parts of the Turanian from the
+first-kind series, each as one tuple through the ``derived`` cache of
+``routes.memo(series_cfg, quad_cfg)``, so the residuals at one point share
 one evaluation of each input and a repeated call reads them back.
 """
 
@@ -106,14 +107,21 @@ def _require_turanian_domain(p: EvalPoint, name: str) -> None:
         raise DomainError(f"{name} requires nu > 1/2 and x > 0")
 
 
+def _neighbors(ev: routes.Memo, nu: float, x: float) -> tuple[float, float, float, float]:
+    """(M_{nu-1}, M_nu, M_{nu+1}, M_nu') by the automatic single calls at the memo's
+    configs, read through ev.derived."""
+    cfgs = ev.series_cfg, ev.quad_cfg
+    m_lo, m_md, m_hi = (routes.struve_m(EvalPoint(nu + k, x), None, *cfgs).value
+                        for k in (-1.0, 0.0, 1.0))
+    return m_lo, m_md, m_hi, routes.struve_m_prime(EvalPoint(nu, x), None, *cfgs).value
+
+
 def _neighbor_values(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
                      name: str) -> tuple[float, float, float, float]:
-    """(M_{nu-1}, M_nu, M_{nu+1}, M_nu') from the config pair's memo; off nu > 1/2,
-    x > 0 a DomainError names the caller."""
+    """_neighbors at p from the config pair's memo; off nu > 1/2, x > 0 a DomainError
+    names the caller."""
     _require_turanian_domain(p, name)
-    ev = routes.memo(series_cfg, quad_cfg)
-    m_lo, m_md, m_hi = (ev.m(p.nu + k, p.x).value for k in (-1.0, 0.0, 1.0))
-    return m_lo, m_md, m_hi, ev.m_prime(p.nu, p.x).value
+    return routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
 
 
 def recurrence_residuals(p: EvalPoint,

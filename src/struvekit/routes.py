@@ -21,14 +21,15 @@ replaces m_deriv in step 3's band, nu < _QUAD_NU_MIN at x <= X_CANCEL_MAX.
 
 Each chain is split at its quadrature step: _head takes the closed form or the
 chain's head (_m_head, _calm_head, _m_prime_head), _tail the step's value or, after
-a stall, the fallback; _auto runs them for a single call. :data:`memo` keeps the
-automatic values per (SeriesConfig, QuadConfig) pair, one store per function kind:
-sorted keys nu + 1j x with rows of value, bar and method, which its array read,
-Memo.read, searches with np.searchsorted. The misses take the bulk steps as arrays
-(one float64 series pass, one quadrature points pass per order set, the chains'
-conversions), each bit for bit its scalar function; only the points the arrays
-cannot serve (closed forms, domain errors, the band next to nu = -1/2, a conversion
-that overflows, a stall) take _auto or _tail one at a time.
+a stall, the fallback; _auto runs them for a single call, which caches nothing and
+reads M, where its chain needs it (the M' recurrence), by the single call too.
+:data:`memo` keeps the automatic values of array reads per (SeriesConfig, QuadConfig)
+pair, one store per function kind: sorted keys nu + 1j x with rows of value, bar and
+method, which its array read, Memo.read, searches with np.searchsorted. The misses
+take the bulk steps as arrays (one float64 series pass, one quadrature points pass
+per order set, the chains' conversions), each bit for bit its scalar function; only
+the points the arrays cannot serve (closed forms, domain errors, the band next to
+nu = -1/2, a conversion that overflows, a stall) take _auto or _tail one at a time.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -110,11 +111,9 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-            m) -> FuncValue | None:
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig) -> FuncValue | None:
     """Automatic M up to its quadrature step: the series where quadrature does not
-    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None. Each
-    head takes M as m(nu, x), or None for the single call's."""
+    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None."""
     if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
         return series.struve_m_series(p, series_cfg)
     return series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
@@ -140,8 +139,7 @@ def calm(p: EvalPoint, method: Method | None = None,
     return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
 
 
-def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-               m) -> FuncValue | None:
+def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig) -> FuncValue | None:
     """Automatic calM up to its quadrature step: _m_head's, rescaled."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
@@ -153,7 +151,7 @@ def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
     # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
     if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
         return None
-    fv = _m_head(p, series_cfg, quad_cfg, m)
+    fv = _m_head(p, series_cfg, quad_cfg)
     return fv and series.calm_from_m(p, fv)
 
 
@@ -185,8 +183,8 @@ def struve_m_prime(p: EvalPoint, method: Method | None = None,
     return quadrature.m_deriv(p, quad_cfg)
 
 
-def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-                  m) -> FuncValue | None:
+def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig,
+                  quad_cfg: QuadConfig) -> FuncValue | None:
     """Automatic M' up to its quadrature step: the certified float64 value of the
     termwise derivative, else in the band quadrature leaves to the series (nu below
     _QUAD_NU_MIN, x <= X_CANCEL_MAX) the recurrence over M, else None."""
@@ -196,18 +194,17 @@ def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
     # differentiated quadrature lies outside its bar there (3.8x at nu = -0.499, x in
     # [4, 8]); the recurrence over the escalated-series M holds its bar
     return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(
-        p, series_cfg, quad_cfg, m)
+        p, series_cfg, quad_cfg)
 
 
-def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-                           m=None) -> FuncValue:
+def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
+                           quad_cfg: QuadConfig) -> FuncValue:
     """M_nu'(x) = M_{nu+1} + (nu/x) M_nu + (x/2)^nu / (sqrt(pi) gamma(nu+3/2)) from the
-    automatic M values m(nu, x) (default: the single call), where m_deriv stalls or lies
-    outside its bar. The bar sums the input bars, the last term's exp(L) rounding and
-    eps times the magnitudes of the three terms."""
-    m = m or (lambda nu, x: struve_m(EvalPoint(nu, x), None, series_cfg, quad_cfg))
-    hi = m(p.nu + 1.0, p.x)
-    here = m(p.nu, p.x)
+    automatic M values, where m_deriv stalls or lies outside its bar. The bar sums the
+    input bars, the last term's exp(L) rounding and eps times the magnitudes of the
+    three terms."""
+    hi = struve_m(EvalPoint(p.nu + 1.0, p.x), None, series_cfg, quad_cfg)
+    here = struve_m(p, None, series_cfg, quad_cfg)
     last, last_err = power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)
     mid = (p.nu / p.x) * here.value
     err = (hi.abs_err + abs(p.nu / p.x) * here.abs_err + last_err
@@ -227,8 +224,8 @@ class _Chain(NamedTuple):
     are nu-orders; the step's value at p from the point's orders c (FuncValues), and
     points_step, the step at every point of arrays from the orders' values and bars
     (orders x points), NaN where step serves or raises; the function of M whose x > 0
-    it needs, or ""; the fallback after a stalled quadrature, given the configs and M
-    as m(nu, x) or None, or None to raise."""
+    it needs, or ""; the fallback after a stalled quadrature, given the configs, or None
+    to raise."""
 
     head: Callable | None
     order: int | None
@@ -243,9 +240,9 @@ class _Chain(NamedTuple):
 _CHAINS = {
     "m": _Chain(_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
                 lambda nu, x, c, e: series.m_from_calm_points(nu, x, c[0], e[0]),
-                "m_from_quadrature", lambda p, cfg, q, m: series.struve_m_series(p, cfg)),
+                "m_from_quadrature", lambda p, cfg, q: series.struve_m_series(p, cfg)),
     "calm": _Chain(_calm_head, 0, (0,), False, lambda p, c: c[0],
-                   lambda nu, x, c, e: (c[0], e[0]), "", lambda p, cfg, q, m:
+                   lambda nu, x, c, e: (c[0], e[0]), "", lambda p, cfg, q:
                    series.calm_from_m(p, series.struve_m_series(p, cfg))),
     "m_prime": _Chain(_m_prime_head, 1, (0, 1), False,
                       lambda p, c: series.m_prime_from_calm(p, *c),
@@ -262,20 +259,20 @@ _CHAINS = {
 RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 
-def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-          m) -> FuncValue | tuple | None:
+def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig,
+          quad_cfg: QuadConfig) -> FuncValue | tuple | None:
     """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
     the chain's head; else None, once the quadrature step accepts p."""
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
     head = _CHAINS[kind].head
-    if head and (fv := head(p, series_cfg, quad_cfg, m)) is not None:
+    if head and (fv := head(p, series_cfg, quad_cfg)) is not None:
         return fv
     quadrature.check_point(p, _CHAINS[kind].m_of)
     return None
 
 
-def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m):
+def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
     """kind at p from its quadrature outcome got: the step's value, or after a stall
     (got is the NonConvergenceError) the chain's fallback."""
     chain = _CHAINS[kind]
@@ -283,13 +280,13 @@ def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: Quad
         return chain.step(p, got)
     if chain.after is None:
         raise NonConvergenceError(*got.args)  # afresh: a batch's error keeps no frames
-    return chain.after(p, series_cfg, quad_cfg, m)
+    return chain.after(p, series_cfg, quad_cfg)
 
 
-def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig, m=None):
+def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
     """The automatic chain of kind at p, one point: _head, the quadrature step at p's
-    orders, then _tail. The chain reads M through m(nu, x) (default: the single call)."""
-    fv = _head(kind, p, series_cfg, quad_cfg, m)
+    orders, then _tail."""
+    fv = _head(kind, p, series_cfg, quad_cfg)
     if fv is not None:
         return fv
     chain = _CHAINS[kind]
@@ -298,7 +295,7 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
             p, chain.orders, quad_cfg)
     except NonConvergenceError as exc:
         got = exc
-    return _tail(kind, p, got, series_cfg, quad_cfg, m)
+    return _tail(kind, p, got, series_cfg, quad_cfg)
 
 
 def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
@@ -354,13 +351,12 @@ class Memo:
     calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair. Each kind's
     store, ``memo.stores[kind]``, is a _Store of the newest _MEMO_SIZE points that
     :meth:`read` computed without error; a writer replaces it whole. ``memo.arrays``
-    keeps the newest error-free reads whole. ``memo.calm(nu, x)`` reads one point: its
-    lru_cache, else the store's row, else the single call's chain; it writes no store.
-    derived(fn, nu, x) holds fn(memo, nu, x), a value derived at the point (the
-    identities' first-kind parts); fn, a module-level function, is part of the key."""
+    keeps the newest error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x),
+    a value derived at one point (the identities' inputs: the neighbouring M values
+    and M', and the first-kind parts); fn, a module-level function, is part of the
+    key."""
 
-    __slots__ = ("series_cfg", "quad_cfg", "m", "m_prime", "calm", "calm_dx", "calm_dnu",
-                 "derived", "stores", "arrays")
+    __slots__ = ("series_cfg", "quad_cfg", "derived", "stores", "arrays")
 
     def __init__(self, series_cfg: SeriesConfig, quad_cfg: QuadConfig, /) -> None:
         # positional-only, so that memo's cache key is always the config pair
@@ -369,21 +365,7 @@ class Memo:
             () if chain.head else (len(chain.orders),))), np.empty(0, object), np.empty(0, int))
             for kind, chain in _CHAINS.items()}
         self.arrays = {}
-        for kind in _CHAINS:
-            setattr(self, kind, lru_cache(maxsize=_MEMO_SIZE)(partial(self._single, kind)))
         self.derived = lru_cache(maxsize=_MEMO_SIZE)(lambda fn, nu, x: fn(self, nu, x))
-
-    def _single(self, kind: str, nu: float, x: float):
-        """memo.kind(nu, x) past its lru_cache: the store's row, else the single call's
-        chain. A FuncValue, or for calm_dx and calm_dnu a tuple of one per order."""
-        store = self.stores[kind]
-        if len(store.keys):  # single reads alone leave it empty: no search then
-            i = min(store.keys.searchsorted(complex(nu, x)), len(store.keys) - 1)
-            if store.keys[i] == complex(nu, x):
-                fvs = tuple(FuncValue(v, e, store.method[i]) for v, e in zip(
-                    store.value[i].ravel().tolist(), store.abs_err[i].ravel().tolist()))
-                return fvs if store.value.ndim > 1 else fvs[0]
-        return _auto(kind, EvalPoint(nu, x), self.series_cfg, self.quad_cfg, self.m)
 
     def read(self, kind: str, nu, x) -> Values:
         """kind at every point of the broadcast nu and x arrays; a NaN coordinate reads
@@ -492,10 +474,10 @@ class Memo:
                 got = c.errors.get(j) or [FuncValue(v, e, Method.QUADRATURE) for v, e in zip(
                     c.value[:, j].tolist(), c.abs_err[:, j].tolist())]
                 settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg,
-                                           self.quad_cfg, self.m))
+                                           self.quad_cfg))
         for i in np.flatnonzero(per_point).tolist():
             settle(i, lambda: _auto(kind, EvalPoint(nu.item(i), x.item(i)), self.series_cfg,
-                                    self.quad_cfg, self.m))
+                                    self.quad_cfg))
         return value, abs_err, method, errors
 
 

@@ -223,14 +223,19 @@ def test_flipped_margin_is_negated_pointwise():
     assert case.flipped().margin(ev, 1.0, 2.0) == -margin
 
 
-def _remark1_m_form(nu, x, ev):
+def _m(nu, x):
+    """The automatic single call's M_nu(x)."""
+    return routes.struve_m(EvalPoint(nu, x)).value
+
+
+def _remark1_m_form(nu, x):
     """remark1's margin as the paper states it, on M: the reference that
     the FX2 form it now shares must reproduce."""
-    lhs = ev.m(nu - 1.0, x).value * ev.m(nu + 1.0, x).value
+    lhs = _m(nu - 1.0, x) * _m(nu + 1.0, x)
     log_coef = (0.5 * math.log(2.0) + log_gamma(2.0 * nu)
                 - 0.5 * math.log(math.pi * x)
                 - log_gamma(nu - 0.5) - log_gamma(nu + 1.5))
-    rhs = math.expm1(-x) * math.exp(log_coef) * ev.m(2.0 * nu - 0.5, x).value
+    rhs = math.expm1(-x) * math.exp(log_coef) * _m(2.0 * nu - 0.5, x)
     orient = 1.0 if nu >= 1.5 else -1.0
     return orient * (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
 
@@ -245,8 +250,7 @@ def test_remark1_is_fx2_after_scaling():
             == (fx2.nu_lo, fx2.lo_closed, fx2.nu_hi))
     ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
     for nu, x in itertools.product(SMALL.nu_values, SMALL.x_values):
-        assert abs(remark1.margin(ev, nu, x) - _remark1_m_form(nu, x, ev.memo)) <= 1e-12, (
-            nu, x)
+        assert abs(remark1.margin(ev, nu, x) - _remark1_m_form(nu, x)) <= 1e-12, (nu, x)
 
 
 #: Entry points whose configs the sweep must hand over: every public
@@ -384,10 +388,9 @@ def test_argmin_ties_go_to_the_first_point_in_grid_order(cold_memo, xs, argmin):
             x for x in xs if x in (9.0, 1.0)]
 
 
-def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(monkeypatch, cold_memo):
+def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(cold_memo):
     """An exception the sweep does not record propagates out of it. The values the
-    margin read stay in the memo: a single read then takes each from its store row,
-    equal to the single call's, and runs no chain."""
+    margin read stay in the memo's store, each row the single call's."""
     def boom(ev, nu, x, y=None):
         ev.calm(nu, x)
         raise RuntimeError("boom")
@@ -395,15 +398,13 @@ def test_a_margin_raising_an_unrecorded_error_ends_the_sweep(monkeypatch, cold_m
     grid = GridSpec(nu_values=(0.3,), x_values=(0.5, 9.0, 20.0))
     with pytest.raises(RuntimeError, match="boom"):
         sweep_case(replace(CATALOG["bound0"], sides=boom), grid)
-    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    keys = ev.stores["calm"].keys
-    assert list(zip(keys.real.tolist(), keys.imag.tolist())) == [(0.3, x) for x in sorted(
-        grid.x_values)]
-    want = {x: routes.calm(EvalPoint(0.3, x)) for x in grid.x_values}
-    monkeypatch.setattr(routes, "_auto", None)
-    for x in grid.x_values:
-        assert ev.calm(0.3, x) == want[x]
-    assert ev.calm(0.3, 20.0).method is Method.QUADRATURE
+    store = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS).stores["calm"]
+    assert list(zip(store.keys.real.tolist(), store.keys.imag.tolist())) == [
+        (0.3, x) for x in sorted(grid.x_values)]
+    want = [routes.calm(EvalPoint(0.3, x)) for x in sorted(grid.x_values)]
+    assert list(zip(store.value.tolist(), store.abs_err.tolist(), store.method.tolist())) == [
+        (fv.value, fv.abs_err, fv.method) for fv in want]
+    assert store.method[-1] is Method.QUADRATURE
 
 
 def test_a_non_finite_margin_is_recorded_as_the_error_of_its_arithmetic(cold_memo):
@@ -488,10 +489,9 @@ def test_fx31_slope_matches_the_reference(nu, x):
     negative on the default grid, so the margin stays in [1, 2]. The identity
     cancels (to 6e-9 relative at (0.51, 30)), so the tolerance follows the size of
     its terms, x ((1 + nu^2/x^2) M^2 + M'^2) / M^2."""
-    ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    m, md = ev.m(nu, x).value, ev.m_prime(nu, x).value
+    m, md = _m(nu, x), routes.struve_m_prime(EvalPoint(nu, x)).value
     size = x * ((1.0 + (nu / x) ** 2) * m * m + md * md) / (m * m)
-    got = _ratio_derivative_analytic(Reads(ev), nu, x)
+    got = _ratio_derivative_analytic(Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)), nu, x)
     assert abs(got - FX31_SLOPE_TABLE[nu, x]) <= 1e-12 * size
 
 

@@ -25,7 +25,7 @@ from struvekit.closedforms import (calm_at_pos_half, m_at_neg_half,
                                    m_at_pos_half, m_prime_at_neg_half,
                                    m_prime_at_pos_half, m_second_at_neg_half)
 from struvekit import routes
-from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, Method,
+from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue, Method,
                             QuadConfig, SeriesConfig)
 from struvekit.errors import (CancellationError, DomainError, NonConvergenceError,
                               StruveKitError)
@@ -246,6 +246,20 @@ def test_stalled_derivative_quadrature_falls_back_to_the_recurrence(nu, x):
     assert abs(got.value - float(_mpmath_m_prime(nu, x, m_ref))) <= got.abs_err, got
 
 
+def _served(ev, kind, nu, x):
+    """kind at the one point (nu, x) as ev.read serves it, with the method its store
+    row keeps: a FuncValue, or for the probes a tuple of one per order. The read's
+    error is raised."""
+    got = ev.read(kind, nu, x)
+    if got.errors:
+        raise got.errors[0]
+    store = ev.stores[kind]
+    method = store.method[store.keys.tolist().index(complex(nu, x))]
+    fvs = tuple(FuncValue(v, e, method) for v, e in zip(
+        np.ravel(got.value).tolist(), np.ravel(got.abs_err).tolist()))
+    return fvs if len(fvs) > 1 else fvs[0]
+
+
 def test_derivative_next_to_minus_half_comes_from_the_recurrence():
     """Within 0.01 of nu = -1/2 differentiated quadrature lies outside its bar
     (10 of these 12 points, up to 3.8x), so below x = 8 automatic M' is the
@@ -260,7 +274,7 @@ def test_derivative_next_to_minus_half_comes_from_the_recurrence():
             ref = (mpmath.struvel(n - 1, z) - mpmath.besseli(n - 1, z)
                    - n / z * (mpmath.struvel(n, z) - mpmath.besseli(n, z)))
         got = struve_m_prime(EvalPoint(nu, x))
-        assert got.method is Method.SERIES and ev.m_prime(nu, x) == got, x
+        assert got.method is Method.SERIES and _served(ev, "m_prime", nu, x) == got, x
         assert ev.read("m_prime", nu, [x]).value[0] == got.value, x
         worst = max(worst, float(abs(got.value - ref)) / got.abs_err)
     assert worst <= 0.06
@@ -473,22 +487,24 @@ def test_memo_derivatives_match_point_passes(monkeypatch, cold_memo):
         ev = routes.memo(SERIES_DEFAULTS, quad_cfg)
         for x in xs + (2.0,):
             p = EvalPoint(1.5, x)
-            assert ev.calm_dx(1.5, x) == tuple(quadrature.calm_dx_orders(p, range(7), quad_cfg))
-            assert ev.calm_dnu(1.5, x) == tuple(
+            assert _served(ev, "calm_dx", 1.5, x) == tuple(
+                quadrature.calm_dx_orders(p, range(7), quad_cfg))
+            assert _served(ev, "calm_dnu", 1.5, x) == tuple(
                 quadrature.calm_dnu_orders(p, range(5), quad_cfg))
         got = ev.read("calm_dx", 1.5, xs)
         assert got.value.shape == got.abs_err.shape == (7, len(xs)) and not got.errors
         for i, x in enumerate(xs):
-            assert [(fv.value, fv.abs_err) for fv in ev.calm_dx(1.5, x)] == list(
+            assert [(fv.value, fv.abs_err) for fv in quadrature.calm_dx_orders(
+                EvalPoint(1.5, x), range(7), quad_cfg)] == list(
                 zip(got.value[:, i].tolist(), got.abs_err[:, i].tolist()))
     assert list(stalls.errors) == [0, 1] and np.isnan(stalls.value).all()
     for got in stalls.errors.values():
         assert isinstance(got, NonConvergenceError) and re.search(stalled, str(got))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
-    for read in (ev.calm_dnu, routes.memo(SERIES_DEFAULTS, QuadConfig()).calm_dnu,
-                 routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).calm_dnu):
+    for lone in (ev, routes.memo(SERIES_DEFAULTS, QuadConfig()),
+                 routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS)):
         with pytest.raises(NonConvergenceError, match=stalled):
-            read(-0.49898, 0.179)
+            _served(lone, "calm_dnu", -0.49898, 0.179)
 
 
 def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_memo):
@@ -597,9 +613,10 @@ def test_sweep_batch_stalls_take_the_single_call_fallbacks(monkeypatch, cold_mem
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     for nu, x in itertools.product(grid.nu_values, grid.x_values):
         for kind, single in reads.items():
-            assert getattr(ev, kind)(nu, x) == single(EvalPoint(nu, x)), (kind, nu, x)
-    assert ev.m(-0.4999, 9.0).method is ev.calm(-0.4999, 9.0).method is Method.SERIES
-    assert ev.m(-0.4995, 9.0).method is Method.QUADRATURE
+            assert _served(ev, kind, nu, x) == single(EvalPoint(nu, x)), (kind, nu, x)
+    assert (_served(ev, "m", -0.4999, 9.0).method is _served(ev, "calm", -0.4999, 9.0).method
+            is Method.SERIES)
+    assert _served(ev, "m", -0.4995, 9.0).method is Method.QUADRATURE
 
 
 def test_invalid_reads_raise_at_the_read_inside_a_sweep(cold_memo):
@@ -706,7 +723,7 @@ def test_normalized_form_rejects_negative_arguments_alike(cold_memo, nu):
     with pytest.raises(DomainError, match=message):
         calm(EvalPoint(nu, -1.0))
     with pytest.raises(DomainError, match=message):
-        ev.calm(nu, -1.0)
+        _served(ev, "calm", nu, -1.0)
     got = ev.read("calm", nu, [-1.0])
     assert isinstance(got.errors[0], DomainError) and re.search(message, str(got.errors[0]))
 
@@ -736,8 +753,8 @@ def test_memo_matches_unmemoized(cold_memo, series_cfg, quad_cfg):
     branch of the chains; an invalid read raises what the single call raises."""
     ev = routes.memo(series_cfg, quad_cfg)
     assert (ev.series_cfg, ev.quad_cfg) == (series_cfg, quad_cfg)
-    m, m_prime, cm = (ev.m, struve_m), (ev.m_prime, struve_m_prime), (ev.calm, calm)
-    for (read, route), nu, x in (
+    m, m_prime, cm = ("m", struve_m), ("m_prime", struve_m_prime), ("calm", calm)
+    for (kind, route), nu, x in (
             (m, 1.0, 2.0), (m, 0.3, 5.0), (m_prime, 1.5, 2.0), (m_prime, 0.3, 9.0),
             (cm, 1.0, 2.0), (cm, 0.3, 5.0),
             (m, -0.5, 2.0), (m, 0.5, 2.0), (cm, 0.5, 2.0), (m_prime, -0.5, 2.0),
@@ -746,12 +763,13 @@ def test_memo_matches_unmemoized(cold_memo, series_cfg, quad_cfg):
             (m, -0.4999, 9.0), (cm, -0.4999, 9.0), (m_prime, -0.4999, 3.0),  # stalls
             (cm, 80.0, 1e-4), (m, -0.75, 5.0)):  # rescale overflow, below -1/2
         want = route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
-        assert read(nu, x) == want and read(nu, x) == want, (route.__name__, nu, x)
-    for (read, route), nu, x in ((m, 1.0, -1.0), (m_prime, 1.0, 0.0), (cm, -0.5, 1.0)):
+        assert _served(ev, kind, nu, x) == want and _served(ev, kind, nu, x) == want, (
+            route.__name__, nu, x)
+    for (kind, route), nu, x in ((m, 1.0, -1.0), (m_prime, 1.0, 0.0), (cm, -0.5, 1.0)):
         with pytest.raises(StruveKitError) as single:
             route(EvalPoint(nu, x), None, series_cfg, quad_cfg)
         with pytest.raises(StruveKitError) as memoized:
-            read(nu, x)
+            _served(ev, kind, nu, x)
         assert (type(memoized.value), str(memoized.value)) == (
             type(single.value), str(single.value)), (route.__name__, nu, x)
 
@@ -763,10 +781,10 @@ def test_memo_is_one_per_config_pair(cold_memo):
     assert routes.memo(SeriesConfig(), QuadConfig()) is ev
     loose = routes.memo(SERIES_DEFAULTS, QuadConfig(abs_tol=1e-6, max_level=3))
     assert loose is not ev
-    tight, coarse = ev.calm(0.3, 9.0), loose.calm(0.3, 9.0)
+    tight, coarse = _served(ev, "calm", 0.3, 9.0), _served(loose, "calm", 0.3, 9.0)
     assert tight.method is coarse.method is Method.QUADRATURE
     assert tight.abs_err < coarse.abs_err
-    assert ev.calm(0.3, 9.0) is tight and loose.calm(0.3, 9.0) is coarse
+    assert _served(ev, "calm", 0.3, 9.0) == tight and _served(loose, "calm", 0.3, 9.0) == coarse
 
 
 def _bounds(memo, nu, x):
@@ -886,7 +904,7 @@ def test_array_read_equals_single_calls_point_by_point(kind, points):
     same error type and text. A repeated point reads its first occurrence (+-0.0 are one
     key, as in a dict), a NaN coordinate reads NaN and no error, and an all-NaN read
     of an empty store reads nothing. The store then holds each point that did not
-    raise once, and a single read takes its row: the same bits again."""
+    raise once, in a row of the same bits again."""
     nu, x = (np.array(axis, float) for axis in zip(*points))
     ev = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     got = ev.read(kind, nu, x)
@@ -911,10 +929,9 @@ def test_array_read_equals_single_calls_point_by_point(kind, points):
     store = ev.stores[kind]
     assert sorted(zip(store.keys.real.tolist(), store.keys.imag.tolist())) == sorted(kept)
     for key in kept:
-        fv = getattr(ev, kind)(*key)
-        fvs = fv if isinstance(fv, tuple) else (fv,)
+        i = store.keys.tolist().index(complex(*key))
         ref = want[first[key]]
-        assert (_bits([f.value for f in fvs]), _bits([f.abs_err for f in fvs])) == (
+        assert (_bits(store.value[i]), _bits(store.abs_err[i])) == (
             _bits(ref[0]), _bits(ref[1])), key
 
 
