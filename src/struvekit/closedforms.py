@@ -61,15 +61,6 @@ def m_second_at_neg_half(x: float) -> float:
     return m * (1.0 + 0.5 / x) ** 2 + 0.5 * m / (x * x)
 
 
-def m_second_at_pos_half(x: float) -> float:
-    """Second derivative at order +1/2. M/x^2 divides by x twice: x * x is
-    subnormal, and rounds, below x ~ 1.5e-154."""
-    m = m_at_pos_half(x)
-    mp1 = m_prime_at_pos_half(x)
-    a = _SQRT_2_OVER_PI * math.exp(-x) / math.sqrt(x)   # = -M_{-1/2}(x)
-    return -0.5 * mp1 / x + 0.5 * m / x / x + a * (1.0 + 0.5 / x)
-
-
 def calm_at_pos_half(x: float) -> float:
     """Normalized form at nu = 1/2: (2/sqrt(pi)) (1 - e^(-x)) / x; value at
     x = 0, and at a subnormal x, is the continuous limit 2/sqrt(pi)."""

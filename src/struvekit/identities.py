@@ -2,14 +2,16 @@
 satisfies in this toolkit.
 
 Each evaluator computes its inputs by the independent evaluation routes
-(quadrature derivatives, merged series, elementary expressions at
-nu = +-1/2), writes the identity as terms that sum to zero, and returns
+(quadrature derivatives, merged series, elementary expressions at the half
+orders), writes the identity as terms that sum to zero, and returns
 through _residual the residual |sum of terms| with the scale max |term|,
 so callers can assess the residual relatively (residual over scale). A
 residual is finite: where a term leaves the float64 range the evaluator
 raises CancellationError. Nothing here rearranges the identity being tested
-to produce its own inputs; in particular the ODE residual gets its second
-derivative from differentiated quadrature, not from the ODE itself.
+to produce its own inputs. The ODE residual checks calM's own equation,
+x calM'' + (2 nu + 1) calM' - x calM = -2/sqrt(pi), for nu > -1/2, with calM''
+from differentiated quadrature, not from the ODE itself; at nu = -1/2 it
+checks M's, x^2 M'' + x M' - (x^2 + 1/4) M = 0, from the elementary expressions.
 
 The residuals of nu > 1/2 read (M_{nu-1}, M_nu, M_{nu+1}, M_nu') from the
 automatic single calls and the first-kind parts of the Turanian from the
@@ -27,7 +29,7 @@ from . import closedforms, routes, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                    SeriesConfig)
 from .errors import CancellationError, DomainError
-from .gammafuncs import LOG_SQRT_PI, power_gamma
+from .gammafuncs import LOG_SQRT_PI, TWO_OVER_SQRT_PI, power_gamma
 from .quadrature import calm_dx_orders, turanian_il_double_integral
 
 
@@ -62,44 +64,35 @@ def _g_term(p: EvalPoint) -> float:
 
 def ode_residual(p: EvalPoint,
                  quad_cfg: QuadConfig = QUAD_DEFAULTS) -> IdentityResidual:
-    """Residual of x^2 M'' + x M' - (x^2 + nu^2) M = x^(nu+1) / (sqrt(pi) 2^(nu-1) gamma(nu+1/2)).
+    """Residual of the second-kind differential equation. nu >= -1/2, x > 0.
 
-    nu >= -1/2, x > 0. At nu = +-1/2 the three derivatives come from the
-    elementary expressions; elsewhere M, M', M'' are assembled from the
-    normalized form and its first two quadrature derivatives through the
-    product rule, which keeps the test independent of the ODE itself. M'' is
-    -(x/2)^(nu-2) (nu (nu-1) calM + 2 nu x calM' + x^2 calM'') / (4 gamma(nu+1/2)).
+    For nu > -1/2 it is calM's own equation,
+
+        x calM'' + (2 nu + 1) calM' - x calM = -2/sqrt(pi),
+
+    which integrating calM_nu(x) = (2/sqrt(pi)) int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt
+    by parts gives (DLMF 11.5.4); calM and its first two x-derivatives come from
+    one differentiated-quadrature pass, which keeps the test independent of the
+    equation itself. At nu = -1/2, where calM is not defined, it is M's equation
+    x^2 M'' + x M' - (x^2 + 1/4) M = 0 from the elementary expressions.
     """
     if p.nu < -0.5:
         raise DomainError("ode_residual requires nu >= -1/2")
     if p.x <= 0.0:
         raise DomainError("ode_residual requires x > 0")
+    if p.nu > -0.5:
+        c0, c1, c2 = (c.value for c in calm_dx_orders(p, range(3), quad_cfg))
+        return _residual("ode_second_kind", p, p.x * c2, (2.0 * p.nu + 1.0) * c1,
+                         -p.x * c0, TWO_OVER_SQRT_PI)
     try:
-        if p.nu == -0.5:
-            m = closedforms.m_at_neg_half(p.x)
-            m1 = closedforms.m_prime_at_neg_half(p.x)
-            m2 = closedforms.m_second_at_neg_half(p.x)
-        elif p.nu == 0.5:
-            m = closedforms.m_at_pos_half(p.x)
-            m1 = closedforms.m_prime_at_pos_half(p.x)
-            m2 = closedforms.m_second_at_pos_half(p.x)
-        else:
-            c0, c1, c2 = calm_dx_orders(p, range(3), quad_cfg)
-            m = series.m_from_calm(p, c0).value
-            m1 = series.m_prime_from_calm(p, c0, c1).value
-            m2 = -0.25 * power_gamma(p.nu - 2.0, p.x, p.nu + 0.5)[0] * (
-                p.nu * (p.nu - 1.0) * c0.value + 2.0 * p.nu * p.x * c1.value
-                + p.x * p.x * c2.value)
-    except (OverflowError, ZeroDivisionError):  # at nu = +-1/2: x^-2 overflows, x * x is 0
+        m = closedforms.m_at_neg_half(p.x)
+        m1 = closedforms.m_prime_at_neg_half(p.x)
+        m2 = closedforms.m_second_at_neg_half(p.x)
+    except (OverflowError, ZeroDivisionError):  # x^-2 overflows, or x * x is 0
         raise CancellationError(f"M'' at (nu={p.nu:g}, x={p.x:g}) leaves the float64 "
                                 "range") from None
-    # 4 (x/2)^(nu+1) / (sqrt(pi) gamma(nu+1/2)); 1/gamma(0) = 0: homogeneous at -1/2
-    rhs = 0.0 if p.nu == -0.5 else 4.0 * power_gamma(p.nu + 1.0, p.x, p.nu + 0.5,
-                                                      LOG_SQRT_PI)[0]
-    t_zeroth = (p.x * p.x + p.nu * p.nu) * m
-    # x (x M''), not (x * x) M'': x * x is subnormal below x ~ 1.5e-154, where M'' at
-    # nu = 1/2 is of order x^-1.5
-    return _residual("ode_second_kind", p, p.x * (p.x * m2), p.x * m1, -t_zeroth, -rhs)
+    return _residual("ode_second_kind", p, p.x * (p.x * m2), p.x * m1,
+                     -((p.x * p.x + 0.25) * m))
 
 
 def _require_turanian_domain(p: EvalPoint, name: str) -> None:

@@ -358,8 +358,12 @@ def _sides_fx3_raw(ev, nu, x, y=None):
 
 
 def _quot3_root(nu, x, side):
-    """The root (-1 + side sqrt(1 + 4 (x^2 + nu^2))) / 2, side = +-1."""
-    return 0.5 * (-1.0 + side * np.sqrt(1.0 + 4.0 * (x * x + nu * nu)))
+    """The root (-1 + side sqrt(1 + 4 r)) / 2 of y^2 + y = r, r = x^2 + nu^2,
+    side = +-1; the + root as 2 r / (1 + sqrt(1 + 4 r)), which does not cancel
+    where r is small."""
+    r = x * x + nu * nu
+    s = np.sqrt(1.0 + 4.0 * r)
+    return 2.0 * r / (1.0 + s) if side > 0 else 0.5 * (-1.0 - s)
 
 
 def _sides_quot3_left(ev, nu, x, y=None):

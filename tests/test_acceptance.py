@@ -51,8 +51,10 @@ def test_criterion_1_closed_forms_recovered_by_both_routes():
 
 
 def test_criterion_2_three_route_agreement():
-    """The three independent routes for the normalized form agree pairwise
-    within their reported error bars and within 1e-9 absolute."""
+    """The three routes for the normalized form agree pairwise within their
+    reported error bars and within 1e-9 absolute. Only series and quadrature
+    are independent: the Fox-Wright route's 1Psi1 series is calM's Taylor
+    series at x = 0, which recodes the merged series."""
     for nu in AGREEMENT_NU:
         for x in AGREEMENT_X:
             p = EvalPoint(nu, x)

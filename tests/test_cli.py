@@ -478,16 +478,28 @@ def test_verify_second_argument_alone_selects_a_custom_grid(runner):
 
 
 def test_identities_report_every_point_that_evaluates(runner):
-    """M'' at (0.6, 1e-300) overflows float64: that point is named on stderr
-    and the command exits 2, while the other 8 points report their rows."""
+    """At x = 400 the Turanian's first-kind parts overflow float64 at all three
+    orders: those points are named on stderr and the command exits 2, while the
+    other 6 points report their rows."""
+    result = runner.invoke(main, [
+        "identities", "--nu-min", "1", "--nu-max", "8", "--nu-steps", "3",
+        "--x-min", "1", "--x-max", "400", "--x-steps", "3", "--format", "json"])
+    assert result.exit_code == EXIT_USAGE
+    for nu in ("1", "2.82843", "8"):
+        assert f"at (nu={nu}, x=400)" in _all_text(result)
+    rows = json.loads(result.stdout)
+    assert len(rows) == 6 * 8
+    assert 400.0 not in {r["x"] for r in rows}
+
+
+def test_identities_hold_down_to_x_1e_300(runner):
+    """calM's equation stays in float64 at x = 1e-300, where M's refused: every
+    point of this grid reports its 8 rows."""
     result = runner.invoke(main, [
         "identities", "--nu-min", "0.6", "--nu-max", "8", "--nu-steps", "3",
         "--x-min", "1e-300", "--x-max", "1", "--x-steps", "3", "--format", "json"])
-    assert result.exit_code == EXIT_USAGE
-    assert "at (nu=0.6, x=1e-300)" in _all_text(result)
-    rows = json.loads(result.stdout)
-    assert len(rows) == 8 * 8
-    assert (0.6, 1e-300) not in {(r["nu"], r["x"]) for r in rows}
+    assert result.exit_code == EXIT_OK, _all_text(result)
+    assert len(json.loads(result.stdout)) == 9 * 8
 
 
 @pytest.mark.parametrize("fn", ["I", "L"])

@@ -29,8 +29,8 @@ def test_ode_residual_small_on_samples():
 
 
 def test_ode_residual_at_half_orders():
-    """The elementary-expression branch satisfies the differential equation
-    to machine accuracy."""
+    """M's equation from the elementary expressions at nu = -1/2, and calM's
+    from quadrature at nu = 1/2, hold to machine accuracy."""
     for nu in (-0.5, 0.5):
         for x in (0.2, 1.0, 5.0, 15.0):
             r = ode_residual(EvalPoint(nu, x))
@@ -44,27 +44,29 @@ def test_residual_is_the_sum_of_terms_over_the_largest():
         _residual("id", EvalPoint(1.0, 1.0), math.inf, 1.0)
 
 
-@pytest.mark.parametrize("nu, x", [(-0.5, 1e-130), (-0.5, 1e-300), (-0.5, 5e-324),
-                                   (0.5, 1e-300)])
+@pytest.mark.parametrize("nu, x", [(-0.5, 1e-130), (-0.5, 1e-300), (-0.5, 5e-324)])
 def test_ode_residual_refuses_where_the_elementary_m2_leaves_float64(nu, x):
-    """At nu = +-1/2 and tiny x the elementary M'' overflows (x^-2.5 at -1/2) or
-    divides by x * x = 0. Each of these once returned an infinite residual or
-    raised a bare OverflowError or ZeroDivisionError."""
+    """At nu = -1/2 and tiny x the elementary M'' overflows (x^-2.5) or divides by
+    x * x = 0. Each of these once returned an infinite residual or raised a bare
+    OverflowError or ZeroDivisionError."""
     with pytest.raises(CancellationError):
         ode_residual(EvalPoint(nu, x))
 
 
+@pytest.mark.parametrize("nu", [0.6, 0.5])
+def test_ode_residual_holds_where_m_second_leaves_float64(nu):
+    """calM's equation holds at x = 1e-300, where M'' is of order x^(nu-2): the
+    M form once refused both points with a CancellationError."""
+    assert ode_residual(EvalPoint(nu, 1e-300)).relative <= 1e-8
+
+
 def test_ode_residual_at_half_order_and_subnormal_square():
-    """Below x ~ 1.5e-154, x * x is subnormal and rounds; M'' at nu = 1/2 and the
-    residual's x^2 M'' term divide and multiply by x twice instead. On 400
-    log-spaced x in [1e-300, 1e-100] the ODE then holds to 1e-8 relative wherever
-    its terms are finite (it once read 0.147 at x = 3e-162); elsewhere it refuses."""
+    """On 400 log-spaced x in [1e-300, 1e-100], where x * x is subnormal or 0, the
+    ODE at nu = 1/2 holds to 1e-8 relative at every x. The M form divided by
+    x * x: it once read 0.147 at x = 3e-162, and refused below that."""
     for k in range(400):
         x = 10.0 ** (-300.0 + 200.0 * k / 399)
-        try:
-            r = ode_residual(EvalPoint(0.5, x))
-        except CancellationError:
-            continue
+        r = ode_residual(EvalPoint(0.5, x))
         assert math.isfinite(r.relative) and r.relative <= 1e-8, (x, r.relative)
     assert ode_residual(EvalPoint(0.5, 3e-162)).relative <= 1e-8
 

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -688,6 +689,18 @@ def test_minus_half_edge_past_the_underflow_of_m(cold_memo):
     root = inequalities._quot3_root(nu, x, -1.0)
     assert CATALOG["quot3_left"].margin(ev, nu, x).tolist() == rel_margin(
         -(x + 0.5), root).tolist()
+
+
+@pytest.mark.parametrize("x", [1e-3, 1e-5])
+def test_quot3_right_bound_is_the_exact_root_where_it_is_small(x):
+    """At nu = 0 the + root (-1 + sqrt(1 + 4 x^2)) / 2 is about x^2; written that way
+    it cancels, and missed the exact root by 6.2e-11 relative at x = 1e-3 and by
+    8.3e-8 at x = 1e-5."""
+    ev = Reads(routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS))
+    [(bound, _)] = CATALOG["quot3_right"].sides(ev, np.array([0.0]), np.array([x]))
+    with mpmath.workdps(50):
+        exact = (mpmath.sqrt(1 + 4 * mpmath.mpf(x) ** 2) - 1) / 2
+        assert abs(bound[0] - exact) <= 1e-15 * exact, float(abs(bound[0] / exact - 1))
 
 
 def test_fx3_saturates_where_its_exponential_side_overflows():
