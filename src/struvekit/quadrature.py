@@ -40,9 +40,9 @@ one exp() matrix per level, bit for bit _refine at each point, each with its
 own tails, tolerances, error estimates and stopping level. They return arrays,
 one row of signed, scaled values and bars per order, NaN at the points that
 stall, with those points' errors; the sweep memo batches its quadrature misses
-through them. _refine serves lone points (the
-single-call route chain, and a batch of one), where a one-point batch's array
-bookkeeping would cost several times the refinement. Lone points freeze at level 4, so _refine
+through them, a batch of one included. _refine serves single calls (the route
+chain's lone points), where a one-point batch's array bookkeeping would cost
+several times the refinement. Lone points freeze at level 4, so _refine
 takes levels 0-4 in one pass over their joined nodes: one exp(), one kernel
 product, then numpy's pairwise sum over each level's slice, which sees the
 values of a per-level pass in the same order and so keeps every bit.
@@ -278,23 +278,15 @@ def _refine_points(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple
                    abs_tols: np.ndarray, max_level: int, name: str) -> Values:
     """_refine at every point (nu[i], x[i]) with its row of abs_tols: the signed, scaled
     values and bars, one row per order (orders x points), NaN at the points that stall
-    and their errors by index. Batches hold at most _BATCH_CELLS points x orders; a
-    lone point takes _refine itself (see the module docstring)."""
+    and their errors by index. Batches hold at most _BATCH_CELLS points x orders."""
     shape = (nu.size, len(ns))
     sums, errs, stalls = np.zeros(shape), np.zeros(shape), {}
-    if nu.size == 1:
-        try:
-            sums[0], errs[0] = zip(*_refine(nu.item(), x.item(), ns, ms,
-                                            tuple(abs_tols[0].tolist()), max_level, name))
-        except NonConvergenceError as exc:
-            stalls[0] = exc
-    else:
-        step = max(1, _BATCH_CELLS // max(len(ns), 1))
-        for start in range(0, nu.size, step):
-            batch = slice(start, start + step)
-            got = _refine_batch(nu[batch], x[batch], ns, ms, abs_tols[batch], max_level,
-                                name, sums[batch], errs[batch])
-            stalls.update((start + i, exc) for i, exc in got.items())
+    step = max(1, _BATCH_CELLS // max(len(ns), 1))
+    for start in range(0, nu.size, step):
+        batch = slice(start, start + step)
+        got = _refine_batch(nu[batch], x[batch], ns, ms, abs_tols[batch], max_level,
+                            name, sums[batch], errs[batch])
+        stalls.update((start + i, exc) for i, exc in got.items())
     sign = np.array([-1.0 if (n + m) % 2 else 1.0 for n, m in zip(ns, ms)])
     value, abs_err = (sign * TWO_OVER_SQRT_PI) * sums, TWO_OVER_SQRT_PI * errs
     value[list(stalls)] = abs_err[list(stalls)] = math.nan

@@ -25,11 +25,13 @@ a stall, the fallback; _auto runs them for a single call, which caches nothing a
 reads M, where its chain needs it (the M' recurrence), by the single call too.
 :data:`memo` keeps the automatic values of array reads per (SeriesConfig, QuadConfig)
 pair, one store per function kind: sorted keys nu + 1j x with rows of value, bar and
-method, which its array read, Memo.read, searches with np.searchsorted. The misses
-take the bulk steps as arrays (one float64 series pass, one quadrature points pass
-per order set, the chains' conversions), each bit for bit its scalar function; only
-the points the arrays cannot serve (closed forms, domain errors, the band next to
-nu = -1/2, a conversion that overflows, a stall) take _auto or _tail one at a time.
+method, which its array read, Memo.read, searches with np.searchsorted. The misses,
+each distinct one once (np.unique), take the bulk steps as arrays (one float64
+series pass, one quadrature points pass per order set, however few points, the
+chains' conversions), each bit for bit its scalar function; only the points the
+arrays cannot serve (closed forms, calM's x = 0 among them, domain errors, the band
+next to nu = -1/2, a conversion that overflows, a stall) take _auto or _tail one at
+a time.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -38,7 +40,6 @@ CancellationError rather than return an infinite value.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -51,7 +52,7 @@ from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
                    Method, QuadConfig, SeriesConfig, Values)
 from .errors import CancellationError, DomainError, NonConvergenceError, StruveKitError
-from .gammafuncs import EPS, LOG_SQRT_PI, exp_points, log_gamma, per_value, power_gamma
+from .gammafuncs import EPS, LOG_SQRT_PI, log_gamma, per_value, power_gamma
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -300,15 +301,15 @@ def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfi
 
 def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
     """The masks of a bulk computation over the points (nu[i], x[i]): (bulk, the points
-    its array steps serve; passes, those of its float64 series pass; zero, calM's
-    x = 0). They follow _head: the closed forms, the domain errors, the band next to
-    nu = -1/2 where the escalated series or the M' recurrence serves, and x past
-    quadrature.X_MAX stay out of bulk."""
+    its array steps serve; passes, those of its float64 series pass). They follow
+    _head: the closed forms (calM's x = 0 among them), the domain errors, the band
+    next to nu = -1/2 where the escalated series or the M' recurrence serves, and x
+    past quadrature.X_MAX stay out of bulk."""
     bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
-            & (x > 0.0 if _CHAINS[kind].m_of else x >= 0.0))
+            & (x > 0.0 if _CHAINS[kind].head else x >= 0.0))
     none = np.zeros(nu.shape, bool)
     if _CHAINS[kind].head is None:
-        return bulk, none, none
+        return bulk, none
     bulk &= nu != 0.5
     band = (nu < _QUAD_NU_MIN) & (x > 0.0) & (x <= series.X_CANCEL_MAX)
     passes = bulk & (x > 0.0) & (x <= series.X_CANCEL_MAX)
@@ -321,24 +322,7 @@ def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
         band &= guard
         passes &= guard
     bulk &= ~band
-    return bulk, passes & bulk, bulk & (x == 0.0)
-
-
-def _calm_at_zero_points(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_calm_at_zero's values and bars at every order of the array, bit for bit."""
-    lg_a, lg_b = per_value(log_gamma, nu + 0.5), per_value(log_gamma, nu + 1.0)
-    value = exp_points(lg_a - lg_b)
-    return value, 8.0 * 4.6 * EPS * (np.abs(lg_a) + np.abs(lg_b) + 1.0) * value
-
-
-def _keep(store: dict, got: dict, size: int) -> None:
-    """Add got to store, dropping its oldest entries past size (pop: another thread
-    may drop one first, or change the store in a garbage collection inside the walk)."""
-    store.update(got)
-    while len(store) > size:
-        with contextlib.suppress(RuntimeError):  # changed during the walk: walk again
-            for key in list(itertools.islice(store, len(store) - size)):
-                store.pop(key, None)
+    return bulk, passes & bulk
 
 
 #: One kind's memo store: its sorted keys nu + 1j x and, aligned to them, each key's
@@ -350,8 +334,9 @@ class Memo:
     """Automatic-route M, M', calM and the sign probes' quadrature derivatives (calm_dx:
     calM's x-orders 0-6, calm_dnu: its nu-orders 0-4) at one config pair. Each kind's
     store, ``memo.stores[kind]``, is a _Store of the newest _MEMO_SIZE points that
-    :meth:`read` computed without error; a writer replaces it whole. ``memo.arrays``
-    keeps the newest error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x),
+    :meth:`read` computed without error, one row per key (np.unique keeps the first);
+    a writer replaces it whole. ``memo.arrays`` keeps the newest _ARRAY_READS
+    error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x),
     a value derived at one point (the identities' inputs: the neighbouring M values
     and M', and the first-kind parts); fn, a module-level function, is part of the
     key."""
@@ -387,25 +372,24 @@ class Memo:
         miss = np.flatnonzero(~hit & (nu == nu) & (x == x))
         if len(miss):
             # each distinct miss once, at its first point (+-0.0 are one key, as in a dict)
-            order = miss[np.argsort(key[miss], kind="stable")]
-            first = np.ones(len(order), bool)
-            first[1:] = key[order[1:]] != key[order[:-1]]
-            row = np.empty(len(key), np.intp)
-            row[order] = np.cumsum(first) - 1
-            fresh = order[first]
+            _, first, row = np.unique(key[miss], return_index=True, return_inverse=True)
+            fresh = miss[first]
             got, got_err, method, raised = self._compute(kind, nu[fresh], x[fresh])
-            value[miss], abs_err[miss] = got[row[miss]], got_err[row[miss]]
+            value[miss], abs_err[miss] = got[row], got_err[row]
             failed = np.zeros(len(fresh), bool)
             failed[list(raised)] = True
-            for i in miss[failed[row[miss]]].tolist():
-                value[i] = abs_err[i] = math.nan
-                errors[i] = raised[row[i]]
+            for j in np.flatnonzero(failed[row]).tolist():
+                errors[miss.item(j)] = raised[row.item(j)]
             self._add(kind, key[fresh], got, got_err, method, keep=~failed)
         value.flags.writeable = abs_err.flags.writeable = False  # memo.arrays shares them
         values = Values(*(np.moveaxis(a.reshape(shape + a.shape[1:]), -1, 0) if a.ndim > 1
                           else a.reshape(shape) for a in (value, abs_err)), errors)
         if not errors:
-            _keep(self.arrays, {whole: values}, _ARRAY_READS)
+            self.arrays[whole] = values
+            while len(self.arrays) > _ARRAY_READS:  # drop the oldest read
+                # another thread may drop it first, or change the dict during the walk
+                with contextlib.suppress(RuntimeError):
+                    self.arrays.pop(next(iter(self.arrays), None), None)
         return values
 
     def _add(self, kind: str, *rows: np.ndarray, keep: np.ndarray) -> None:
@@ -416,10 +400,7 @@ class Memo:
         start = store.serial.max(initial=-1) + 1
         merged = [np.concatenate(pair) for pair in zip(store, [r[keep] for r in rows] + [
             np.arange(start, start + keep.sum())])]
-        order = merged[0].argsort(kind="stable")
-        first = np.ones(len(order), bool)
-        first[1:] = merged[0][order[1:]] != merged[0][order[:-1]]
-        order = order[first]
+        order = np.unique(merged[0], return_index=True)[1]
         if len(order) > _MEMO_SIZE:
             serial = merged[-1][order]
             order = order[serial >= np.partition(serial, -_MEMO_SIZE)[-_MEMO_SIZE]]
@@ -436,17 +417,15 @@ class Memo:
         method, errors = np.full(len(nu), Method.QUADRATURE, object), {}
 
         def settle(i, run):
+            # a probe's point gets here only to raise: off the domain, or after a stall
             try:
                 fv = run()
             except RECORDED as exc:
                 errors[i] = exc
                 return
-            if chain.head:
-                value[i], abs_err[i], method[i] = fv.value, fv.abs_err, fv.method
-            else:
-                value[i], abs_err[i] = [f.value for f in fv], [f.abs_err for f in fv]
+            value[i], abs_err[i], method[i] = fv.value, fv.abs_err, fv.method
 
-        bulk, passes, zero = _plan(kind, nu, x)
+        bulk, passes = _plan(kind, nu, x)
         per_point = ~bulk
         if passes.any():
             at = np.flatnonzero(passes)
@@ -459,10 +438,6 @@ class Memo:
             method[served] = Method.SERIES
             per_point[served] = np.isnan(value[served])
             bulk[served] = False
-        if zero.any():
-            value[zero], abs_err[zero] = _calm_at_zero_points(nu[zero])
-            method[zero] = Method.CLOSED_FORM
-            bulk &= ~zero
         if bulk.any():
             at = np.flatnonzero(bulk)
             batch = quadrature.calm_dnu_points if chain.dnu else quadrature.calm_dx_points

@@ -542,3 +542,15 @@ def test_eval_serves_points_one_route_cannot(runner, args):
     result = runner.invoke(main, ["eval", *args, "--format", "json"])
     assert result.exit_code == EXIT_OK, _all_text(result)
     assert math.isfinite(json.loads(result.output)["value"])
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["verify", "--nu-steps", "0"], "grid axes need at least one step"),
+    (["table", "--nu-min", "200", "--nu-max", "200", "--nu-steps", "1", "--x-min", "1e4",
+      "--x-max", "1e4", "--x-steps", "1"], "M at (nu=200, x=10000) overflows float64"),
+])
+def test_grid_commands_exit_2_with_the_reason(runner, args, reason):
+    """A grid axis with no step, and a table point where M leaves float64."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_USAGE, _all_text(result)
+    assert reason in _all_text(result)

@@ -126,6 +126,19 @@ def test_gamma_pole_in_parameters_raises():
         psi_m(FoxWrightParams(upper=((-1.0, 1.0),), lower=((1.0, 1.0),)), 0)
 
 
+@pytest.mark.parametrize("z", [0.5, -1.0, 2.0])
+def test_negative_gamma_arguments_carry_their_sign(z):
+    """The upper parameter -0.3 makes the first term's gamma argument negative, so
+    that term is summed from log|gamma(-0.3)| with gamma's sign. The sum lies within
+    its bar of a 50-digit sum of gamma(-0.3 + n/2) / gamma(1 + n/2) z^n / n!."""
+    got = fox_wright_eval(FoxWrightParams(upper=((-0.3, 0.5),), lower=((1.0, 0.5),)), z)
+    with mpmath.workdps(50):
+        a, zz = mpmath.mpf("-0.3"), mpmath.mpf(z)
+        want = mpmath.nsum(lambda n: mpmath.gamma(a + n / 2) / mpmath.gamma(1 + n / 2)
+                           * zz ** n / mpmath.factorial(n), [0, mpmath.inf])
+        assert abs(got.value - want) <= got.abs_err, (got, want)
+
+
 def test_alternating_cancellation_refused_at_large_x():
     """At large x the alternating sum loses too many digits and must refuse
     rather than return a polluted value."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from struvekit.errors import CancellationError
+from struvekit.errors import CancellationError, DomainError, PoleError
 from struvekit.gammafuncs import (EULER_GAMMA, LN2, LOG_MAX, LOG_SQRT_PI, SQRT_PI, digamma,
                                   gamma, gamma_ratio, gamma_ratio_f, gamma_ratio_g,
                                   gamma_ratio_h, gamma_ratio_h_prime, log_gamma, log_half,
@@ -134,3 +134,19 @@ def test_domain_rejection():
         gamma_ratio_h(-1.0)
     with pytest.raises(DomainError):
         gamma_ratio_f(-1.2)
+
+
+@pytest.mark.parametrize("fn, z, error, reason", [
+    (gamma, 0.0, PoleError, "gamma has a pole at z = 0"),
+    (gamma, -3.0, PoleError, "gamma has a pole at z = -3"),
+    (log_gamma, 0.0, DomainError, r"log_gamma requires z > 0"),
+    (log_gamma, -2.5, DomainError, r"log_gamma requires z > 0"),
+    (digamma, 0.0, DomainError, r"digamma requires z > 0"),
+    (digamma, -0.5, DomainError, r"digamma requires z > 0"),
+    (trigamma, 0.0, DomainError, r"trigamma requires z > 0"),
+    (trigamma, -5e-324, DomainError, r"trigamma requires z > 0"),
+])
+def test_gamma_helpers_refuse_poles_and_nonpositive_arguments(fn, z, error, reason):
+    """gamma refuses its poles; the log and polygamma helpers, every z <= 0."""
+    with pytest.raises(error, match=reason):
+        fn(z)

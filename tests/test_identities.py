@@ -8,7 +8,7 @@ import pytest
 from struvekit import routes, series
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                             SeriesConfig)
-from struvekit.errors import CancellationError, DomainError
+from struvekit.errors import CancellationError, DomainError, NonConvergenceError
 from struvekit.identities import (_residual, closed_forms, crossterm_double_integral_residual,
                                   decomposition_residual, ode_residual,
                                   recurrence_residuals, residual_suite,
@@ -244,3 +244,26 @@ def test_recurrences_hold_where_m_underflows():
     got = {r.id: r.relative for r in recurrence_residuals(EvalPoint(math.sqrt(4.8), 1e-150))}
     assert got["recurrence_three_term"] <= 1e-8, got
     assert got["recurrence_derivative_sum"] <= 1e-8, got
+
+
+@pytest.mark.parametrize("nu, x, reason", [
+    (-0.5000001, 1.0, "ode_residual requires nu >= -1/2"),
+    (-3.0, 1.0, "ode_residual requires nu >= -1/2"),
+    (1.0, 0.0, "ode_residual requires x > 0"),
+    (-0.5, 0.0, "ode_residual requires x > 0"),
+    (1.0, -1.0, "ode_residual requires x > 0"),
+])
+def test_ode_residual_refuses_points_off_its_domain(nu, x, reason):
+    with pytest.raises(DomainError, match=reason):
+        ode_residual(EvalPoint(nu, x))
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason="calM's order-0 "
+                   "x-quadrature stalls next to nu = -1/2 (the endpoint mass lies beyond the "
+                   "node range), though routes.calm serves these points by series; ROADMAP "
+                   "item 7's Gauss-Jacobi x-orders would mend it")
+def test_ode_residual_holds_next_to_the_lowest_order():
+    """calM has a value at these points (2076.216 at (-0.4999, 1)), so its equation
+    should read a small residual rather than refuse them."""
+    for nu, x in ((-0.4999, 1.0), (-0.4995, 1.0), (-0.4995, 5.0)):
+        assert ode_residual(EvalPoint(nu, x)).relative <= 1e-8, (nu, x)

@@ -448,13 +448,8 @@ def test_automatic_values_next_to_minus_half_hold_their_bars(nu):
                 max_size=30))
 @example([-0.5 + 1e-15, -0.49, 0.0, 0.3, 1.0, 39.5, 40.0])
 def test_calm_at_zero_points_equal_the_scalar_gamma_ratio(nu):
-    """calM's x = 0 value as an array expression, _calm_at_zero_points, is
-    _calm_at_zero's value and bar bit for bit at every order, and an array read at
-    x = 0 serves exactly that."""
-    value, abs_err = routes._calm_at_zero_points(np.array(nu))
-    for i, v in enumerate(nu):
-        want = routes._calm_at_zero(v)
-        assert (value[i].hex(), abs_err[i].hex()) == (want.value.hex(), want.abs_err.hex())
+    """An array read of calM at x = 0 serves the single call's value and bar, the
+    gamma ratio, at every order."""
     got = routes.Memo(SERIES_DEFAULTS, QUAD_DEFAULTS).read("calm", nu, 0.0)
     assert not got.errors
     for i, v in enumerate(nu):
@@ -963,3 +958,18 @@ def test_a_full_store_keeps_its_newest_points(monkeypatch):
     check([(4.0, x) for x in (0.5, 1.0, 2.0, 3.0, 5.0, 9.0, 12.0, 15.0, 20.0, 25.0)])
     assert len(stored()) == 8 and len(set(ev.stores["calm"].serial.tolist())) == 8
     check(blocks[1])
+
+
+@pytest.mark.parametrize("form, x, reason", [
+    (m_at_neg_half, 0.0, "closed forms require x > 0"),
+    (m_at_pos_half, -1.0, "closed forms require x > 0"),
+    (m_prime_at_neg_half, 0.0, "closed forms require x > 0"),
+    (m_prime_at_pos_half, -5e-324, "closed forms require x > 0"),
+    (m_second_at_neg_half, -1.0, "closed forms require x > 0"),
+    (m_at_pos_half, math.nan, "closed forms require x > 0"),
+    (calm_at_pos_half, -5e-324, "the normalized form requires x >= 0"),
+])
+def test_closed_forms_refuse_arguments_off_their_domain(form, x, reason):
+    """The elementary expressions take x > 0, calM's x >= 0."""
+    with pytest.raises(DomainError, match=reason):
+        form(x)

@@ -245,3 +245,14 @@ def test_array_conversions_equal_the_scalar_functions(points):
                             and max(abs(c.item(i)), abs(c1.item(i))) < 1e300), (name, points[i])
             else:
                 assert (v.hex(), e.hex()) == want, (name, points[i])
+
+
+@pytest.mark.parametrize("fn, x, reason", [
+    (bessel_i, -1.0, "bessel_i requires x >= 0"),
+    (bessel_i, -5e-324, "bessel_i requires x >= 0"),
+    (struve_l, -1.0, "struve_l requires x >= 0"),
+    (struve_l, -5e-324, "struve_l requires x >= 0"),
+])
+def test_first_kind_series_refuse_negative_arguments(fn, x, reason):
+    with pytest.raises(DomainError, match=reason):
+        fn(EvalPoint(1.0, x))
