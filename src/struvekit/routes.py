@@ -19,19 +19,18 @@ that stalls the recurrence M' = M_{nu+1} + (nu/x) M_nu + (x/2)^nu /
 (sqrt(pi) gamma(nu+3/2)) over the automatic M values. The recurrence also
 replaces m_deriv in step 3's band, nu < _QUAD_NU_MIN at x <= X_CANCEL_MAX.
 
-Each chain is split at its quadrature step: _head takes the closed form or the
-chain's head (_m_head, _calm_head, _m_prime_head), _tail the step's value or, after
-a stall, the fallback; _auto runs them for a single call, which caches nothing and
-reads M, where its chain needs it (the M' recurrence), by the single call too.
-:data:`memo` keeps the automatic values of array reads per (SeriesConfig, QuadConfig)
-pair, one store per function kind: sorted keys nu + 1j x with rows of value, bar and
-method, which its array read, Memo.read, searches with np.searchsorted. The misses,
-each distinct one once (np.unique), take the bulk steps as arrays (one float64
-series pass, one quadrature points pass per order set, however few points, the
-chains' conversions), each bit for bit its scalar function; only the points the
-arrays cannot serve (closed forms, calM's x = 0 among them, domain errors, the band
-next to nu = -1/2, a conversion that overflows, a stall) take _auto or _tail one at
-a time.
+_auto runs a chain for a single call, which caches nothing and reads M, where its
+chain needs it (the M' recurrence), by the single call too: the closed form, the
+chain's head (_m_head, _calm_head, _m_prime_head), the quadrature step, and after a
+stall the fallback. :data:`memo` keeps the automatic values of array reads per
+(SeriesConfig, QuadConfig) pair, one store per function kind: sorted keys nu + 1j x
+with rows of value, bar and method, which its array read, Memo.read, searches with
+np.searchsorted. The misses, each distinct one once (np.unique), take the bulk steps
+as arrays (one float64 series pass, one quadrature points pass per order set, however
+few points, the chains' conversions), each bit for bit its scalar function; only the
+points the arrays cannot serve (closed forms, calM's x = 0 among them, domain errors,
+the band next to nu = -1/2, a conversion that overflows, a stall) take _auto from its
+start, one at a time. A sign probe's stall keeps the batch's error.
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -43,7 +42,7 @@ import contextlib
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -220,13 +219,13 @@ _ARRAY_READS = 256
 
 
 class _Chain(NamedTuple):
-    """An automatic chain, split at its quadrature step: its head (None for the probes'
+    """An automatic chain: its head before the quadrature step (None for the probes'
     kinds); the order of its float64 series pass; its calM orders, and whether they
     are nu-orders; the step's value at p from the point's orders c (FuncValues), and
     points_step, the step at every point of arrays from the orders' values and bars
-    (orders x points), NaN where step serves or raises; the function of M whose x > 0
-    it needs, or ""; the fallback after a stalled quadrature, given the configs, or None
-    to raise."""
+    (orders x points), NaN where step takes another branch or raises, or the quadrature
+    stalls; the function of M whose x > 0 it needs, or ""; the fallback after a stalled
+    quadrature, given the configs, or None to raise."""
 
     head: Callable | None
     order: int | None
@@ -260,51 +259,33 @@ _CHAINS = {
 RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 
-def _head(kind: str, p: EvalPoint, series_cfg: SeriesConfig,
-          quad_cfg: QuadConfig) -> FuncValue | tuple | None:
-    """kind at p up to its quadrature step: the closed form (x > 0, any x for calM) or
-    the chain's head; else None, once the quadrature step accepts p."""
+def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
+    """The automatic chain of kind at p, one point: the closed form (x > 0, any x for
+    calM), the chain's head, the quadrature step at p's orders, and after a stall the
+    chain's fallback, or the stall where it has none."""
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
-    head = _CHAINS[kind].head
-    if head and (fv := head(p, series_cfg, quad_cfg)) is not None:
-        return fv
-    quadrature.check_point(p, _CHAINS[kind].m_of)
-    return None
-
-
-def _tail(kind: str, p: EvalPoint, got, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
-    """kind at p from its quadrature outcome got: the step's value, or after a stall
-    (got is the NonConvergenceError) the chain's fallback."""
     chain = _CHAINS[kind]
-    if not isinstance(got, NonConvergenceError):
-        return chain.step(p, got)
-    if chain.after is None:
-        raise NonConvergenceError(*got.args)  # afresh: a batch's error keeps no frames
-    return chain.after(p, series_cfg, quad_cfg)
-
-
-def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
-    """The automatic chain of kind at p, one point: _head, the quadrature step at p's
-    orders, then _tail."""
-    fv = _head(kind, p, series_cfg, quad_cfg)
-    if fv is not None:
+    if chain.head and (fv := chain.head(p, series_cfg, quad_cfg)) is not None:
         return fv
-    chain = _CHAINS[kind]
+    quadrature.check_point(p, chain.m_of)
     try:
         got = (quadrature.calm_dnu_orders if chain.dnu else quadrature.calm_dx_orders)(
             p, chain.orders, quad_cfg)
-    except NonConvergenceError as exc:
-        got = exc
-    return _tail(kind, p, got, series_cfg, quad_cfg)
+    except NonConvergenceError:
+        if chain.after is None:
+            raise
+    else:
+        return chain.step(p, got)
+    return chain.after(p, series_cfg, quad_cfg)  # outside the except: no chained stall
 
 
 def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
     """The masks of a bulk computation over the points (nu[i], x[i]): (bulk, the points
     its array steps serve; passes, those of its float64 series pass). They follow
-    _head: the closed forms (calM's x = 0 among them), the domain errors, the band
-    next to nu = -1/2 where the escalated series or the M' recurrence serves, and x
-    past quadrature.X_MAX stay out of bulk."""
+    _auto up to its quadrature step: the closed forms (calM's x = 0 among them), the
+    domain errors, the band next to nu = -1/2 where the escalated series or the M'
+    recurrence serves, and x past quadrature.X_MAX stay out of bulk."""
     bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
             & (x > 0.0 if _CHAINS[kind].head else x >= 0.0))
     none = np.zeros(nu.shape, bool)
@@ -410,21 +391,12 @@ class Memo:
         """kind at each point (nu[i], x[i]): rows of value, abs_err and method, and the
         RECORDED errors raised, by row. _plan's points take one float64 series pass
         (struve_m_float_points), one quadrature points pass over what it does not
-        certify and the chain's conversions, as arrays; the rest, and a tail the arrays
-        cannot serve (a NaN step, a stall's fallback), take _auto or _tail per point."""
+        certify and the chain's conversions, as arrays; the rest, and a chain's point
+        whose array step is NaN (a conversion that overflows, a stall), take _auto from
+        its start per point. A probe's stall keeps the batch's error."""
         chain = _CHAINS[kind]
         value, abs_err = np.full((2, len(nu)) + self.stores[kind].value.shape[1:], math.nan)
         method, errors = np.full(len(nu), Method.QUADRATURE, object), {}
-
-        def settle(i, run):
-            # a probe's point gets here only to raise: off the domain, or after a stall
-            try:
-                fv = run()
-            except RECORDED as exc:
-                errors[i] = exc
-                return
-            value[i], abs_err[i], method[i] = fv.value, fv.abs_err, fv.method
-
         bulk, passes = _plan(kind, nu, x)
         per_point = ~bulk
         if passes.any():
@@ -443,16 +415,18 @@ class Memo:
             batch = quadrature.calm_dnu_points if chain.dnu else quadrature.calm_dx_points
             c = batch(nu[at], x[at], chain.orders, self.quad_cfg)
             value[at], abs_err[at] = chain.points_step(nu[at], x[at], c.value, c.abs_err)
-            for j in np.flatnonzero(np.isnan(c.value[0] if chain.head is None
-                                             else value[at])).tolist():
-                p = EvalPoint(nu.item(at[j]), x.item(at[j]))
-                got = c.errors.get(j) or [FuncValue(v, e, Method.QUADRATURE) for v, e in zip(
-                    c.value[:, j].tolist(), c.abs_err[:, j].tolist())]
-                settle(at.item(j), partial(_tail, kind, p, got, self.series_cfg,
-                                           self.quad_cfg))
+            if chain.after is None:  # a probe's stall is its error: nothing to refine
+                errors.update((at.item(j), exc) for j, exc in c.errors.items())
+            else:
+                per_point[at] = np.isnan(value[at])
         for i in np.flatnonzero(per_point).tolist():
-            settle(i, lambda: _auto(kind, EvalPoint(nu.item(i), x.item(i)), self.series_cfg,
-                                    self.quad_cfg))
+            try:
+                fv = _auto(kind, EvalPoint(nu.item(i), x.item(i)), self.series_cfg,
+                           self.quad_cfg)
+            except RECORDED as exc:  # a probe's point gets here only off the domain
+                errors[i] = exc
+            else:
+                value[i], abs_err[i], method[i] = fv.value, fv.abs_err, fv.method
         return value, abs_err, method, errors
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from struvekit import routes
 from struvekit.core import EvalPoint, Method, SeriesConfig
 from struvekit.errors import (CancellationError, ConvergenceDomainError,
-                              DomainError, PoleError)
+                              DomainError, NonConvergenceError, PoleError)
 from struvekit.foxwright import (FoxWrightParams, bilateral_bounds, bilateral_bounds_points,
                                  calm_via_fox_wright, fox_wright_eval,
                                  fx4_conditions, fx4_margins,
@@ -106,6 +106,12 @@ def test_overflow_is_refused():
         except CancellationError:
             continue
         assert math.isfinite(fv.value) and math.isfinite(fv.abs_err), p
+
+
+def test_term_budget_too_small_raises():
+    """Thirty terms do not settle the normalized form's series at z = -20."""
+    with pytest.raises(NonConvergenceError, match="^series did not settle within 30 terms$"):
+        fox_wright_eval(norm_form_params(1.0), -20.0, SeriesConfig(max_terms=30))
 
 
 def test_convergence_index_gate():

@@ -84,6 +84,14 @@ def test_double_integral_bar_covers_reference(key, want):
     assert abs(fv.value - want) <= fv.abs_err, (key, fv.value - want, fv.abs_err)
 
 
+def test_double_integral_refuses_an_overflowing_prefactor():
+    """At nu = 500, x = 1000 the prefactor's log passes LOG_MAX and cosh(x) overflows:
+    D is refused, not returned infinite."""
+    with pytest.raises(CancellationError, match=re.escape(
+            "cross-Turanian double integral at (nu=500, x=1000) overflows float64")):
+        turanian_il_double_integral(EvalPoint(500.0, 1000.0))
+
+
 @pytest.mark.xfail(strict=True, reason="near nu = 1/2 at large x the stop level's estimate "
                    "2|d - prev| is smaller than D's discretization error")
 @pytest.mark.parametrize("key,want", list(DOUBLE_INTEGRAL_BAR_MISSES.items()))

@@ -354,9 +354,9 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
     per array read with a quadrature miss: (0,) for M and calM (9), (0, 1) for M' (3),
     x-orders 0-6 (2) and nu-orders 0-4 (1) for the probes. It makes no one-point pass,
     and its 12 float64 series passes are array passes. A chain step runs per point
-    only at the 75 closed-form misses (nu = +-1/2), and no chain tail runs per point:
-    the conversions of every other miss are array expressions. A second run_all()
-    makes no series pass and no quadrature pass at all."""
+    only at the 75 closed-form misses (nu = +-1/2): the conversions of every other
+    miss are array expressions. A second run_all() makes no series pass and no
+    quadrature pass at all."""
     points, batches, chains = [], [], []
 
     def record(module, name, log, entry):
@@ -372,7 +372,6 @@ def test_default_sweep_batches_every_quadrature_miss(monkeypatch, cold_memo):
                lambda nu, x, orders, *cfg, name=name: (name, tuple(orders), len(nu)))
     record(series, "struve_m_float_points", batches, lambda nu, *args: ("series", len(nu)))
     record(routes, "_auto", chains, lambda kind, p, *args: (kind, p.nu))
-    record(routes, "_tail", chains, lambda kind, p, *args: ("tail", kind))
     run_all()
     assert points == []
     quad = [entry for entry in batches if entry[0] != "series"]
@@ -544,22 +543,22 @@ def test_array_read_keeps_input_order_and_batches_its_misses(monkeypatch, cold_m
 
 def test_array_read_takes_the_scalar_step_where_a_conversion_overflows(monkeypatch,
                                                                       cold_memo):
-    """Where the array form of a step is NaN, the read takes the scalar step on the
-    point's quadrature values: M at nu = 161, x = 1e4 (the factor's exp overflows, the
-    log-space branch serves), M and M' at nu = 200 (M overflows: the same
-    CancellationError) and M' at tiny x (nu/x overflows: the tiny-x branch serves).
-    Every value, bar and error equals the single call's."""
-    tails = []
-    tail = routes._tail
-    monkeypatch.setattr(routes, "_tail", lambda kind, p, *args: tails.append(
-        (kind, p.nu, p.x)) or tail(kind, p, *args))
+    """Where the array form of a step is NaN, the read takes the single call's chain
+    from its start: M at nu = 161, x = 1e4 (the factor's exp overflows, the log-space
+    branch serves), M and M' at nu = 200 (M overflows: the same CancellationError) and
+    M' at tiny x (nu/x overflows: the tiny-x branch serves). Every value, bar and error
+    equals the single call's."""
+    chains = []
+    auto = routes._auto
+    monkeypatch.setattr(routes, "_auto", lambda kind, p, *args: chains.append(
+        (kind, p.nu, p.x)) or auto(kind, p, *args))
     ev = routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS)
     points = {"m": ([161.0, 200.0, 1.0], [1e4, 1e4, 2.0]),
               "m_prime": ([161.0, 200.0, 2.0, 1.0], [1e4, 1e4, 1e-310, 5e-324])}
     reads = {kind: ev.read(kind, nu, x) for kind, (nu, x) in points.items()}
-    assert sorted(tails) == sorted([("m", 161.0, 1e4), ("m", 200.0, 1e4),
-                                    ("m_prime", 161.0, 1e4), ("m_prime", 200.0, 1e4),
-                                    ("m_prime", 2.0, 1e-310), ("m_prime", 1.0, 5e-324)])
+    assert sorted(chains) == sorted([("m", 161.0, 1e4), ("m", 200.0, 1e4),
+                                     ("m_prime", 161.0, 1e4), ("m_prime", 200.0, 1e4),
+                                     ("m_prime", 2.0, 1e-310), ("m_prime", 1.0, 5e-324)])
     for kind, (nu, x) in points.items():
         got = reads[kind]
         for i, (a, b) in enumerate(zip(nu, x)):
@@ -893,6 +892,8 @@ _READ_POINTS = st.lists(st.tuples(_READ_NU, _READ_X), min_size=1, max_size=6).fl
 @example(points=[(math.nan, 1.0), (0.3, math.nan), (math.nan, math.nan)])
 @example(points=[(-0.49898, 0.179), (0.3, -0.0), (0.3, 0.0), (-0.0, 2.0), (0.0, 2.0),
                  (-0.49898, 0.179), (-0.7, 1.0), (0.5, 3.0), (1.0, -1.0)])
+@example(points=[(161.0, 1e4), (200.0, 1e4), (2.0, 1e-310), (1.0, 5e-324), (-0.4999, 9.0),
+                 (-0.4999, 9.0)])
 def test_array_read_equals_single_calls_point_by_point(kind, points):
     """Memo.read on a cold memo against the single call's chain at each point: values
     and bars bit for bit, and at exactly the points where the single call raises the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from struvekit import quadrature, series
 from struvekit.core import EvalPoint, FuncValue, Method, SeriesConfig
-from struvekit.errors import CancellationError, DomainError
+from struvekit.errors import CancellationError, DomainError, NonConvergenceError
 from struvekit.gammafuncs import log_gamma, log_half
 from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m, m_from_calm,
                               m_prime_from_calm, struve_l, struve_m_float,
@@ -71,6 +71,22 @@ def test_first_kind_limits_at_zero_argument(fn, nu, want):
 def test_cancellation_refused_when_uncertifiable():
     with pytest.raises(CancellationError):
         struve_m_series(EvalPoint(1.0, 500.0))
+
+
+@pytest.mark.parametrize("fn, p, cfg, error, message", [
+    (struve_m_series, EvalPoint(2.0, 1e300), SeriesConfig(), CancellationError,
+     "M series at (nu=2, x=1e+300) overflows float64; use the quadrature route"),
+    (bessel_i, EvalPoint(0.0, 60.0), SeriesConfig(max_terms=30), NonConvergenceError,
+     "series for (nu=0, x=60) did not settle in 60 terms"),
+    (struve_l, EvalPoint(0.0, 60.0), SeriesConfig(max_terms=30), NonConvergenceError,
+     "series for (nu=0, x=60) did not settle in 60 terms"),
+])
+def test_series_error_exits_name_their_cause(fn, p, cfg, error, message):
+    """A leading term past float64 and a term budget too small for x raise with the
+    point and the cause."""
+    with pytest.raises(error) as info:
+        fn(p, cfg)
+    assert str(info.value) == message
 
 
 def test_domain_rejections():
