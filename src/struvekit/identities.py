@@ -13,11 +13,11 @@ x calM'' + (2 nu + 1) calM' - x calM = -2/sqrt(pi), for nu > -1/2, with calM''
 from differentiated quadrature, not from the ODE itself; at nu = -1/2 it
 checks M's, x^2 M'' + x M' - (x^2 + 1/4) M = 0, from the elementary expressions.
 
-The residuals of nu > 1/2 read (M_{nu-1}, M_nu, M_{nu+1}, M_nu') from the
-automatic single calls and the first-kind parts of the Turanian from the
-first-kind series, each as one tuple through the ``derived`` cache of
-``routes.memo(series_cfg, quad_cfg)``, so the residuals at one point share
-one evaluation of each input and a repeated call reads them back.
+Every input of every residual (calM's x-orders 0-2, M at nu-1, nu and nu+1 with M_nu',
+the Turanian's first-kind parts and the double integral D) is read through the
+``derived`` cache of ``routes.memo(series_cfg, quad_cfg)``, so the residuals at one point
+share one evaluation of each input and a repeated call reads them back. A private
+function holds each formula; it takes the inputs residuals share and reads the rest.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ def _g_term(p: EvalPoint) -> float:
     return power_gamma(p.nu, p.x, p.nu + 1.5, LOG_SQRT_PI)[0]
 
 
+def _ode_orders(ev: routes.Memo, nu: float, x: float) -> tuple[float, float, float]:
+    """calM's x-orders 0-2 by one quadrature pass at the memo's quad config."""
+    return tuple(c.value for c in calm_dx_orders(EvalPoint(nu, x), range(3), ev.quad_cfg))
+
+
 def ode_residual(p: EvalPoint,
                  quad_cfg: QuadConfig = QUAD_DEFAULTS) -> IdentityResidual:
     """Residual of the second-kind differential equation. nu >= -1/2, x > 0.
@@ -80,8 +85,12 @@ def ode_residual(p: EvalPoint,
         raise DomainError("ode_residual requires nu >= -1/2")
     if p.x <= 0.0:
         raise DomainError("ode_residual requires x > 0")
+    return _ode(routes.memo(SERIES_DEFAULTS, quad_cfg), p)
+
+
+def _ode(ev: routes.Memo, p: EvalPoint) -> IdentityResidual:
     if p.nu > -0.5:
-        c0, c1, c2 = (c.value for c in calm_dx_orders(p, range(3), quad_cfg))
+        c0, c1, c2 = ev.derived(_ode_orders, p.nu, p.x)
         return _residual("ode_second_kind", p, p.x * c2, (2.0 * p.nu + 1.0) * c1,
                          -p.x * c0, TWO_OVER_SQRT_PI)
     try:
@@ -109,14 +118,6 @@ def _neighbors(ev: routes.Memo, nu: float, x: float) -> tuple[float, float, floa
     return m_lo, m_md, m_hi, routes.struve_m_prime(EvalPoint(nu, x), None, *cfgs).value
 
 
-def _neighbor_values(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
-                     name: str) -> tuple[float, float, float, float]:
-    """_neighbors at p from the config pair's memo; off nu > 1/2, x > 0 a DomainError
-    names the caller."""
-    _require_turanian_domain(p, name)
-    return routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
-
-
 def recurrence_residuals(p: EvalPoint,
                          series_cfg: SeriesConfig = SERIES_DEFAULTS,
                          quad_cfg: QuadConfig = QUAD_DEFAULTS
@@ -131,11 +132,14 @@ def recurrence_residuals(p: EvalPoint,
         lower_order:     x M_nu' + nu M_nu = x M_{nu-1}
         raise_order:     M_{nu+1} = M_nu' - (nu / x) M_nu - g
     """
-    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg,
-                                             "recurrence_residuals")
-    g = _g_term(p)
-    mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
+    _require_turanian_domain(p, "recurrence_residuals")
+    m = routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
+    return _recurrences(p, m, _g_term(p))
 
+
+def _recurrences(p: EvalPoint, neighbors: tuple, g: float) -> tuple[IdentityResidual, ...]:
+    m_lo, m_md, m_hi, m_d = neighbors
+    mid = 2.0 * p.nu * m_md / p.x  # not (2 nu/x) M: that is inf * 0 where M underflows
     return (
         _residual("recurrence_three_term", p, m_lo, -m_hi, -mid, -g),
         _residual("recurrence_derivative_sum", p, m_lo, m_hi, -2.0 * m_d, g),
@@ -149,7 +153,8 @@ def turanian(p: EvalPoint,
              quad_cfg: QuadConfig = QUAD_DEFAULTS) -> float:
     """The Turan-type quantity Delta_M = M_nu^2 - M_{nu-1} M_{nu+1},
     nu > 1/2, x > 0. Positive on that domain."""
-    m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg, "turanian")
+    _require_turanian_domain(p, "turanian")
+    m_lo, m_md, m_hi, _ = routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
     return m_md * m_md - m_lo * m_hi
 
 
@@ -202,12 +207,17 @@ def turanian_quadratic_identity(p: EvalPoint,
     which follows from eliminating M_{nu+1} between the recurrence
     relations. nu > 1/2, x > 0.
     """
-    m_lo, m_md, m_hi, m_d = _neighbor_values(p, series_cfg, quad_cfg,
-                                             "turanian_quadratic_identity")
+    _require_turanian_domain(p, "turanian_quadratic_identity")
+    m = routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
+    return _quadratic(p, m, _g_term(p))
+
+
+def _quadratic(p: EvalPoint, neighbors: tuple, g: float) -> IdentityResidual:
+    m_lo, m_md, m_hi, m_d = neighbors
     nu_m = p.nu * m_md / p.x
     t_sq = m_md * m_md + nu_m * nu_m  # (1 + nu^2/x^2) M^2, finite where M underflows
     return _residual("turanian_quadratic", p, m_md * m_md, -(m_lo * m_hi), -t_sq,
-                     m_d * m_d, -(_g_term(p) * m_lo))
+                     m_d * m_d, -(g * m_lo))
 
 
 def closed_forms(x: float) -> tuple[float, float]:
@@ -222,9 +232,14 @@ def decomposition_residual(p: EvalPoint,
     """Residual of Delta_M = delta_i + delta_l + delta_il, where the left
     side comes from the automatic routes and the parts from independent
     first-kind series. nu > 1/2, x > 0."""
-    m_lo, m_md, m_hi, _ = _neighbor_values(p, series_cfg, quad_cfg,
-                                           "decomposition_residual")
-    d_i, d_l, d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)
+    _require_turanian_domain(p, "decomposition_residual")
+    ev = routes.memo(series_cfg, quad_cfg)
+    return _decomposed(p, ev.derived(_neighbors, p.nu, p.x),
+                       ev.derived(_decomposition, p.nu, p.x))
+
+
+def _decomposed(p: EvalPoint, neighbors: tuple, parts: tuple) -> IdentityResidual:
+    (m_lo, m_md, m_hi, _), (d_i, d_l, d_il) = neighbors, parts
     return _residual("turanian_decomposition", p, m_md * m_md - m_lo * m_hi,
                      -d_i, -d_l, -d_il)
 
@@ -247,9 +262,18 @@ def crossterm_double_integral_residual(p: EvalPoint,
     discrepancy stays visible; the corrected relation is verified
     separately in the test suite.
     """
-    d_il = routes.memo(series_cfg, quad_cfg).derived(_decomposition, p.nu, p.x)[2]
-    d = turanian_il_double_integral(p, quad_cfg).value
-    return _residual("turanian_cross_vs_double_integral", p, d_il, -d)
+    ev = routes.memo(series_cfg, quad_cfg)
+    return _cross(ev, p, ev.derived(_decomposition, p.nu, p.x)[2])
+
+
+def _double_integral(ev: routes.Memo, nu: float, x: float) -> float:
+    """The double integral D at the memo's quad config, read through ev.derived."""
+    return turanian_il_double_integral(EvalPoint(nu, x), ev.quad_cfg).value
+
+
+def _cross(ev: routes.Memo, p: EvalPoint, d_il: float) -> IdentityResidual:
+    return _residual("turanian_cross_vs_double_integral", p, d_il,
+                     -ev.derived(_double_integral, p.nu, p.x))
 
 
 #: Order values of the standard identity-residual grid.
@@ -275,14 +299,16 @@ def residual_suite(nu_values: tuple[float, ...] = STANDARD_NU,
     if any(nu <= 0.5 for nu in nu_values) or any(x <= 0.0 for x in x_values):
         raise DomainError("identity residuals need orders above 1/2 (recurrences and the "
                           "decomposition are undefined at or below it) and x > 0")
-    out: list[IdentityResidual] = []
+    ev, out = routes.memo(series_cfg, quad_cfg), []
     for nu in nu_values:
         for x in x_values:
             p = EvalPoint(nu, x)
-            out.append(ode_residual(p, quad_cfg))
-            out.extend(recurrence_residuals(p, series_cfg, quad_cfg))
-            out.append(turanian_quadratic_identity(p, series_cfg, quad_cfg))
-            out.append(decomposition_residual(p, series_cfg, quad_cfg))
+            out.append(_ode(ev, p))
+            m, g = ev.derived(_neighbors, nu, x), _g_term(p)
+            out.extend(_recurrences(p, m, g))
+            out.append(_quadratic(p, m, g))
+            parts = ev.derived(_decomposition, nu, x)
+            out.append(_decomposed(p, m, parts))
             if include_cross_term:
-                out.append(crossterm_double_integral_residual(p, series_cfg, quad_cfg))
+                out.append(_cross(ev, p, parts[2]))
     return out

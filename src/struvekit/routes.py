@@ -317,10 +317,9 @@ class Memo:
     store, ``memo.stores[kind]``, is a _Store of the newest _MEMO_SIZE points that
     :meth:`read` computed without error, one row per key (np.unique keeps the first);
     a writer replaces it whole. ``memo.arrays`` keeps the newest _ARRAY_READS
-    error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x),
-    a value derived at one point (the identities' inputs: the neighbouring M values
-    and M', and the first-kind parts); fn, a module-level function, is part of the
-    key."""
+    error-free reads whole. derived(fn, nu, x) holds fn(memo, nu, x), a value derived
+    at one point (every input of the identity residuals, listed in ``identities``);
+    fn, a module-level function, is part of the key."""
 
     __slots__ = ("series_cfg", "quad_cfg", "derived", "stores", "arrays")
 

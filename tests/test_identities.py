@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from struvekit import routes, series
+from struvekit import identities, routes, series
 from struvekit.core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, QuadConfig,
                             SeriesConfig)
 from struvekit.errors import CancellationError, DomainError, NonConvergenceError
@@ -14,7 +14,8 @@ from struvekit.identities import (_residual, closed_forms, crossterm_double_inte
                                   recurrence_residuals, residual_suite,
                                   turanian, turanian_decomposition,
                                   turanian_quadratic_identity)
-from struvekit.quadrature import turanian_il_double_integral
+from struvekit.gammafuncs import TWO_OVER_SQRT_PI
+from struvekit.quadrature import calm_dx_orders, turanian_il_double_integral
 from struvekit.series import bessel_i, struve_l, struve_m_series
 
 from oracles import DOUBLE_INTEGRAL_TABLE
@@ -205,11 +206,13 @@ def test_residual_suite_matches_the_public_residuals():
 
 def test_residual_suite_computes_each_input_once(cold_memo, monkeypatch):
     """Per point: three automatic M chains (orders nu-1, nu, nu+1), one M'
-    chain and six first-kind series calls (I and L at the same orders), kept
-    as two tuples in the derived cache of the one memo of the config pair
-    passed, and none in its array stores. A repeated call reads every one of
-    them back."""
-    calls = {"m": 0, "m_prime": 0, "series": 0}
+    chain, six first-kind series calls (I and L at the same orders), one
+    calM x-order pass for the ODE and one double integral, kept as four
+    entries in the derived cache of the one memo of the config pair passed,
+    and none in its array stores. A repeated call reads every one of them
+    back."""
+    calls = {"m": 0, "m_prime": 0, "series": 0, "calm_dx_orders": 0,
+             "turanian_il_double_integral": 0}
     auto = routes._auto
 
     def counted_auto(kind, *args, **kwargs):
@@ -223,16 +226,71 @@ def test_residual_suite_computes_each_input_once(cold_memo, monkeypatch):
             calls["series"] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(series, name, counted)
+    for name in ("calm_dx_orders", "turanian_il_double_integral"):
+        fn = getattr(identities, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(identities, name, counted)
 
     residual_suite((0.6, 2.0), (0.5, 5.0), *OTHER_CONFIGS, include_cross_term=True)
-    assert calls == {"m": 3 * 4, "m_prime": 4, "series": 6 * 4}
+    assert calls == {"m": 3 * 4, "m_prime": 4, "series": 6 * 4, "calm_dx_orders": 4,
+                     "turanian_il_double_integral": 4}
     assert routes.memo.cache_info().currsize == 1
     ev = routes.memo(*OTHER_CONFIGS)
     assert not any(len(store.keys) for store in ev.stores.values())
-    assert ev.derived.cache_info().currsize == 2 * 4
+    assert ev.derived.cache_info().currsize == 4 * 4
     calls.update(dict.fromkeys(calls, 0))
     residual_suite((0.6, 2.0), (0.5, 5.0), *OTHER_CONFIGS, include_cross_term=True)
-    assert calls == {"m": 0, "m_prime": 0, "series": 0}
+    assert calls == dict.fromkeys(calls, 0)
+
+
+#: A point of perfbench's identity grid where both calM's x-orders 0-2 and D differ
+#: in their bits between the default configs and OTHER_CONFIGS.
+CONFIG_SENSITIVE_POINT = EvalPoint(4.151815531485128, 13.485043397071292)
+
+
+def test_cached_inputs_follow_the_config(cold_memo):
+    """The ODE residual and the cross-term residual read calM's x-orders and D
+    from the derived cache of their own config pair's memo: after a call at the
+    defaults, a call at OTHER_CONFIGS returns what the direct quadratures give
+    at OTHER_CONFIGS, not the defaults' cached entry."""
+    p = CONFIG_SENSITIVE_POINT
+
+    def direct(series_cfg, quad_cfg):
+        c0, c1, c2 = (c.value for c in calm_dx_orders(p, range(3), quad_cfg))
+        ode = _residual("ode_second_kind", p, p.x * c2, (2.0 * p.nu + 1.0) * c1,
+                        -p.x * c0, TWO_OVER_SQRT_PI)
+        cross = _residual("turanian_cross_vs_double_integral", p,
+                          turanian_decomposition(p, series_cfg)[2],
+                          -turanian_il_double_integral(p, quad_cfg).value)
+        return ode, cross
+
+    want = {cfgs: direct(*cfgs) for cfgs in [(SERIES_DEFAULTS, QUAD_DEFAULTS), OTHER_CONFIGS]}
+    (ode_a, cross_a), (ode_b, cross_b) = want.values()
+    assert ode_a != ode_b and cross_a != cross_b
+    for (series_cfg, quad_cfg), (ode, cross) in want.items():
+        assert ode_residual(p, quad_cfg) == ode
+        assert crossterm_double_integral_residual(p, series_cfg, quad_cfg) == cross
+
+
+@pytest.mark.parametrize("call, p, error", [
+    (ode_residual, EvalPoint(-0.4999, 1.0), NonConvergenceError),
+    (crossterm_double_integral_residual, EvalPoint(500.0, 1000.0), CancellationError),
+])
+def test_a_raising_input_caches_nothing(cold_memo, call, p, error):
+    """An input that raises leaves no entry in derived, so a repeated call
+    computes it again and raises the same error. At (-0.4999, 1) calM's
+    order-0 quadrature stalls (ROADMAP item 7); at (500, 1000) the first-kind
+    series overflow float64."""
+    texts = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            call(p)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+    assert routes.memo(SERIES_DEFAULTS, QUAD_DEFAULTS).derived.cache_info().currsize == 0
 
 
 @pytest.mark.xfail(strict=True, reason="the recurrences read M, which underflows at "
