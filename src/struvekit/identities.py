@@ -152,10 +152,12 @@ def turanian(p: EvalPoint,
              series_cfg: SeriesConfig = SERIES_DEFAULTS,
              quad_cfg: QuadConfig = QUAD_DEFAULTS) -> float:
     """The Turan-type quantity Delta_M = M_nu^2 - M_{nu-1} M_{nu+1},
-    nu > 1/2, x > 0. Positive on that domain."""
+    nu > 1/2, x > 0. Positive on that domain; CancellationError where it overflows."""
     _require_turanian_domain(p, "turanian")
     m_lo, m_md, m_hi, _ = routes.memo(series_cfg, quad_cfg).derived(_neighbors, p.nu, p.x)
-    return m_md * m_md - m_lo * m_hi
+    if math.isfinite(value := m_md * m_md - m_lo * m_hi):
+        return value
+    raise CancellationError(f"turanian at (nu={p.nu:g}, x={p.x:g}) overflows float64")
 
 
 def turanian_decomposition(p: EvalPoint,
@@ -262,6 +264,7 @@ def crossterm_double_integral_residual(p: EvalPoint,
     discrepancy stays visible; the corrected relation is verified
     separately in the test suite.
     """
+    _require_turanian_domain(p, "crossterm_double_integral_residual")
     ev = routes.memo(series_cfg, quad_cfg)
     return _cross(ev, p, ev.derived(_decomposition, p.nu, p.x)[2])
 

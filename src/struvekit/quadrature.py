@@ -1,6 +1,7 @@
 """Tanh-sinh quadrature route for the normalized form and its derivatives. The
 module computes calM only: its M and M' wrappers, m_from_quadrature and m_deriv,
-convert through series.m_from_calm and series.m_prime_from_calm.
+convert through series.m_from_calm and series.m_prime_from_calm. With calm and the
+orders functions they are the quadrature step of the automatic chains in routes.
 
 For nu > -1/2 the normalized form has the integral representation
 
@@ -45,7 +46,8 @@ chain's lone points), where a one-point batch's array bookkeeping would cost
 several times the refinement. Lone points freeze at level 4, so _refine
 takes levels 0-4 in one pass over their joined nodes: one exp(), one kernel
 product, then numpy's pairwise sum over each level's slice, which sees the
-values of a per-level pass in the same order and so keeps every bit.
+values of a per-level pass in the same order and so keeps every bit. Both
+refinements take each level's sum, error and freeze test from _step.
 
 The route serves x up to X_MAX, the limit a scan of its error bars against
 the integral's asymptotic series set (see X_MAX).
@@ -197,6 +199,18 @@ def _level_kernel(level: int, ns: tuple[int, ...], ms: tuple[int, ...],
     return kernel
 
 
+def _step(prev, col, level: int, tail, abs_tol):
+    """One level of an order's refinement, on floats or arrays: from prev (the sum through
+    the level before) and col (the level's new node sum), the sum through it, its error
+    (improvable part, twice the difference plus the tail, plus 32 eps of the sum) and, from
+    level 2, whether it may freeze: 2/sqrt(pi) err <= abs_tol or improvable <= 8 eps |s|."""
+    s = 0.5 * prev + 0.5 ** level * col
+    improvable = 2.0 * abs(s - prev) + tail
+    err = improvable + 32.0 * EPS * abs(s)
+    return s, err, level >= 2 and ((TWO_OVER_SQRT_PI * err <= abs_tol)
+                                   | (improvable <= 8.0 * EPS * abs(s)))
+
+
 def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
             abs_tols: tuple[float, ...], max_level: int, name: str) -> list[tuple[float, float]]:
     """Dyadic tanh-sinh refinement of every order pair (n, m) of ns, ms:
@@ -205,15 +219,10 @@ def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
     One exp() column per span of levels (0.._JOINED_LAST joined, then one level
     each) serves all orders through the span's kernel rows; each level's sum is
     numpy's pairwise sum over its slice, so every bit is that of a pass per level.
-    Each order keeps its own tail bound and error estimate and freezes at the
-    first level where its scaled err meets its abs_tol, or
-    where the improvable part (refinement difference plus truncated tail)
-    reaches the double-precision noise floor of its sum: below that floor
-    abs_tol is unattainable and halving would only burn nodes, so the
-    honest abs_err can then exceed abs_tol. NonConvergenceError names the
-    first order still open at max_level: genuinely unresolved endpoint
-    mass, not a big integrand. Returns the frozen (sum, error) of each order,
-    unsigned and unscaled.
+    Each order keeps its own tail bound and error estimate and freezes at the first
+    level where _step allows it. NonConvergenceError names the first order still
+    open at max_level: genuinely unresolved endpoint mass, not a big integrand.
+    Returns the frozen (sum, error) of each order, unsigned and unscaled.
     """
     pw = nu - 0.5
     tails = [math.exp(_log_tail_bound(pw, m, x)) for m in ms]
@@ -236,16 +245,10 @@ def _refine(nu: float, x: float, ns: tuple[int, ...], ms: tuple[int, ...],
                 if level == 0:
                     sums = cols
                     continue
-                h = 0.5 ** level
                 for i, c in enumerate(cols):
-                    s = 0.5 * sums[i] + h * c
-                    improvable = 2.0 * abs(s - sums[i]) + tails[i]
-                    sums[i] = s
                     if frozen[i] is None:
-                        errs[i] = err = improvable + 32.0 * EPS * abs(s)
-                        if level >= 2 and (TWO_OVER_SQRT_PI * err <= abs_tols[i]
-                                           or improvable <= 8.0 * EPS * abs(s)):
-                            frozen[i] = (s, err)
+                        sums[i], errs[i], done = _step(sums[i], c, level, tails[i], abs_tols[i])
+                        frozen[i] = (sums[i], errs[i]) if done else None
                 if None not in frozen:
                     return frozen
     i = frozen.index(None)
@@ -322,16 +325,12 @@ def _refine_batch(nu: np.ndarray, x: np.ndarray, ns: tuple[int, ...], ms: tuple[
                 sums[live] = cols
                 continue
             prev = sums[live]
-            s = 0.5 * prev + 0.5 ** level * cols
-            improvable = 2.0 * np.abs(s - prev) + tails[live]
-            err = improvable + 32.0 * EPS * np.abs(s)
+            s, err, done = _step(prev, cols, level, tails[live], abs_tols[live])
             open_ = ~frozen[live]
             # a frozen order keeps the sum and error it froze with
             sums[live] = np.where(open_, s, prev)
             errs[live] = np.where(open_, err, errs[live])
-            if level >= 2:
-                frozen[live] |= open_ & ((TWO_OVER_SQRT_PI * err <= abs_tols[live])
-                                         | (improvable <= 8.0 * EPS * np.abs(s)))
+            frozen[live] |= open_ & done
             live = live[~frozen[live].all(axis=1)]
             if not live.size:
                 break

@@ -21,16 +21,13 @@ replaces m_deriv in step 3's band, nu < _QUAD_NU_MIN at x <= X_CANCEL_MAX.
 
 _auto runs a chain for a single call, which caches nothing and reads M, where its
 chain needs it (the M' recurrence), by the single call too: the closed form, the
-chain's head (_m_head, _calm_head, _m_prime_head), the quadrature step, and after a
-stall the fallback. :data:`memo` keeps the automatic values of array reads per
-(SeriesConfig, QuadConfig) pair, one store per function kind: sorted keys nu + 1j x
-with rows of value, bar and method, which its array read, Memo.read, searches with
-np.searchsorted. The misses, each distinct one once (np.unique), take the bulk steps
-as arrays (one float64 series pass, one quadrature points pass per order set, however
-few points, the chains' conversions), each bit for bit its scalar function; only the
-points the arrays cannot serve (closed forms, calM's x = 0 among them, domain errors,
-the band next to nu = -1/2, a conversion that overflows, a stall) take _auto from its
-start, one at a time. A sign probe's stall keeps the batch's error.
+chain's head (_m_head, _calm_head, _m_prime_head), the quadrature step, which is the
+explicit quadrature route (quadrature.m_from_quadrature, calm, m_deriv, and for the
+sign probes calm_dx_orders or calm_dnu_orders), and after a stall the fallback.
+:data:`memo` keeps the automatic values of array reads per (SeriesConfig, QuadConfig)
+pair (see Memo); its misses take the chains' bulk steps as arrays, each bit for bit
+its scalar function, and _auto from its start where the arrays cannot serve them
+(see Memo._compute).
 
 Where M' overflows float64 (small order and tiny x) the routes raise
 CancellationError rather than return an infinite value.
@@ -220,12 +217,12 @@ _ARRAY_READS = 256
 
 class _Chain(NamedTuple):
     """An automatic chain: its head before the quadrature step (None for the probes'
-    kinds); the order of its float64 series pass; its calM orders, and whether they
-    are nu-orders; the step's value at p from the point's orders c (FuncValues), and
-    points_step, the step at every point of arrays from the orders' values and bars
-    (orders x points), NaN where step takes another branch or raises, or the quadrature
-    stalls; the function of M whose x > 0 it needs, or ""; the fallback after a stalled
-    quadrature, given the configs, or None to raise."""
+    kinds); the order of its float64 series pass; its calM orders, and whether they are
+    nu-orders; step, the explicit quadrature route at p given the quad config, read from
+    the module at call time (a tuple of FuncValues for the probes), and points_step, its
+    conversions at every point of arrays from the orders' values and bars (orders x
+    points), NaN where step takes another branch or raises, or the quadrature stalls;
+    the fallback after a stalled quadrature, given the configs, or None to raise."""
 
     head: Callable | None
     order: int | None
@@ -233,26 +230,26 @@ class _Chain(NamedTuple):
     dnu: bool
     step: Callable
     points_step: Callable
-    m_of: str
     after: Callable | None
 
 
 _CHAINS = {
-    "m": _Chain(_m_head, 0, (0,), False, lambda p, c: series.m_from_calm(p, c[0]),
+    "m": _Chain(_m_head, 0, (0,), False, lambda p, q: quadrature.m_from_quadrature(p, q),
                 lambda nu, x, c, e: series.m_from_calm_points(nu, x, c[0], e[0]),
-                "m_from_quadrature", lambda p, cfg, q: series.struve_m_series(p, cfg)),
-    "calm": _Chain(_calm_head, 0, (0,), False, lambda p, c: c[0],
-                   lambda nu, x, c, e: (c[0], e[0]), "", lambda p, cfg, q:
-                   series.calm_from_m(p, series.struve_m_series(p, cfg))),
-    "m_prime": _Chain(_m_prime_head, 1, (0, 1), False,
-                      lambda p, c: series.m_prime_from_calm(p, *c),
+                lambda p, cfg, q: series.struve_m_series(p, cfg)),
+    "calm": _Chain(_calm_head, 0, (0,), False, lambda p, q: quadrature.calm(p, q),
+                   lambda nu, x, c, e: (c[0], e[0]),
+                   lambda p, cfg, q: calm(p, Method.SERIES, cfg, q)),
+    "m_prime": _Chain(_m_prime_head, 1, (0, 1), False, lambda p, q: quadrature.m_deriv(p, q),
                       lambda nu, x, c, e: series.m_prime_from_calm_points(nu, x, c[0], e[0],
                                                                           c[1], e[1]),
-                      "m_deriv", _m_prime_by_recurrence),
-    "calm_dx": _Chain(None, None, tuple(range(7)), False, lambda p, c: tuple(c),
-                      lambda nu, x, c, e: (c.T, e.T), "", None),
-    "calm_dnu": _Chain(None, None, tuple(range(5)), True, lambda p, c: tuple(c),
-                       lambda nu, x, c, e: (c.T, e.T), "", None),
+                      _m_prime_by_recurrence),
+    "calm_dx": _Chain(None, None, tuple(range(7)), False,
+                      lambda p, q: tuple(quadrature.calm_dx_orders(p, range(7), q)),
+                      lambda nu, x, c, e: (c.T, e.T), None),
+    "calm_dnu": _Chain(None, None, tuple(range(5)), True,
+                       lambda p, q: tuple(quadrature.calm_dnu_orders(p, range(5), q)),
+                       lambda nu, x, c, e: (c.T, e.T), None),
 }
 
 #: The errors a sweep records at a point, a read's or a margin's.
@@ -261,22 +258,18 @@ RECORDED = (StruveKitError, OverflowError, ZeroDivisionError)
 
 def _auto(kind: str, p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig):
     """The automatic chain of kind at p, one point: the closed form (x > 0, any x for
-    calM), the chain's head, the quadrature step at p's orders, and after a stall the
-    chain's fallback, or the stall where it has none."""
+    calM), the chain's head, the chain's explicit quadrature route, and after a stall
+    the chain's fallback, or the stall where it has none."""
     if p.nu in (-0.5, 0.5) and (kind, p.nu) in _CLOSED_FORMS and (p.x > 0.0 or kind == "calm"):
         return _closed_form(kind, p)
     chain = _CHAINS[kind]
     if chain.head and (fv := chain.head(p, series_cfg, quad_cfg)) is not None:
         return fv
-    quadrature.check_point(p, chain.m_of)
     try:
-        got = (quadrature.calm_dnu_orders if chain.dnu else quadrature.calm_dx_orders)(
-            p, chain.orders, quad_cfg)
+        return chain.step(p, quad_cfg)
     except NonConvergenceError:
         if chain.after is None:
             raise
-    else:
-        return chain.step(p, got)
     return chain.after(p, series_cfg, quad_cfg)  # outside the except: no chained stall
 
 

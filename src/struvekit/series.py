@@ -161,6 +161,9 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
     if max(log_i, log_l) > 709.0:  # math.exp raises past 709.78
         raise _overflow(nu, x)
     i_term, l_term = math.exp(log_i), math.exp(log_l)
+    if not (i_term or l_term):  # the pass would only add zeros
+        raise CancellationError(f"M series at (nu={nu:g}, x={x:g}) underflows float64: both "
+                                "leading terms are 0; use the quadrature route")
     # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result;
     # a subnormal x/2 (log x - log 2 above) adds a rounding of L that this leaves out
     lead_err = ((abs(log_i) + abs(log_l) + 2.0) * EPS
@@ -185,9 +188,9 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
         l_term *= q / ((k + 0.5) * (s + 1.5))
         w = a * k + b_i
         wi, wl = w * i_term, (a * k + b_l) * l_term
-        # stop once both next terms are negligible and the weighted term
-        # ratio, falling from here on, is below 1/2 (tail < twice the next)
-        if wi < rel_tol * (total if total >= 0.0 else -total) > wl and q / (
+        # stop once both next terms are negligible (or 0, with an underflowed bound) and
+        # the weighted term ratio, falling from here on, is below 1/2 (tail < twice the next)
+        if wi <= rel_tol * (total if total >= 0.0 else -total) >= wl and q / (
                 (k + 1.0) * (s + 2.0)) * ((w + a) / w) < 0.5:
             err = 2.0 * (wi + wl) + (2.0 * k * EPS + lead_err) * smax
             scale = max(abs(total), smax * 1e-18)
@@ -224,7 +227,7 @@ def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
                    order: int = 0) -> FuncValue | None:
     """One float64 pass of the merged series for M_nu(x) (order 0) or M_nu'(x)
     (order 1): the value where its measured condition certifies 1e-12 relative
-    error; None elsewhere, and where the pass does not settle or overflows.
+    error; None elsewhere, and where the pass does not settle, overflows or underflows.
     nu > -1, x >= 0 (x > 0 for order 1)."""
     try:
         return _merged_float(p, cfg, order)[0]
@@ -236,11 +239,11 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
                           order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """struve_m_float at every (nu[i], x[i]), nu > -1 and x > 0, from one float64 pass
     over all the points: its value and bar arrays, NaN where it gives None (the pass
-    does not certify, overflows or runs out of terms). _merged_float's operations run
-    per point, in its order, on arrays (numpy's +, -, *, / and abs round as Python's),
-    with the logs per distinct argument and order and the lead terms per point from
-    math, so every value and bar is struve_m_float's bit for bit. A point is read as
-    it stops."""
+    does not certify, overflows, underflows or runs out of terms). _merged_float's
+    operations run per point, in its order, on arrays (numpy's +, -, *, / and abs
+    round as Python's), with the logs per distinct argument and order and the lead
+    terms per point from math, so every value and bar is struve_m_float's bit for bit.
+    A point is read as it stops."""
     nu, x = np.asarray(nu, float), np.asarray(x, float)
     value, abs_err = np.full(nu.size, math.nan), np.full(nu.size, math.nan)
     lx = per_value(log_half, x)
@@ -256,16 +259,14 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
         a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
         wi, wl = b_i * i_term, b_l * l_term
         total = carry = smax = np.zeros(live.size)
-        open_ = np.ones(live.size, bool)
+        open_ = i_term + l_term > 0.0  # where both lead terms are 0, _merged_float raises
         for n in range(cfg.max_terms):
             y = -wi - carry  # compensated, as in _merged_float
             t = total + y
             carry = (t - total) - y
-            total = t
             y = wl - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
+            total = t + y
+            carry = (total - t) - y
             smax = smax + (np.abs(wi) + wl)
             i_term = i_term * (q / ((n + 1.0) * (n + nu + 1.0)))
             l_term = l_term * (q / ((n + 1.5) * (n + nu + 1.5)))
@@ -273,7 +274,7 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
             wi, wl = w * i_term, (a * (n + 1) + b_l) * l_term
             bound = cfg.rel_tol * np.abs(total)
             over = open_ & (smax > 1e307)
-            stop = open_ & ~over & (wi < bound) & (bound > wl) & (
+            stop = open_ & ~over & (wi <= bound) & (bound >= wl) & (
                 q / ((n + 2.0) * (n + nu + 2.0)) * ((w + a) / w) < 0.5)
             if stop.any():
                 err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
@@ -320,7 +321,7 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
             break
         digits = needed
     noise = smax * 10.0 ** (10 - digits)
-    abs_err = abs(mp_value) * max(rel_trunc, 1e-14) + noise
+    abs_err = max(abs(mp_value) * max(rel_trunc, 1e-14) + noise, TINY)  # a subnormal rounds
     return FuncValue(mp_value, abs_err, Method.SERIES)
 
 
@@ -338,14 +339,16 @@ def _log_two_over(x: float) -> float:
 
 
 def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
-    """Normalized form calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x).
-
-    Requires nu > -1/2 (gamma factor finite) and x > 0.
-    """
+    """Normalized form calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x), nu > -1/2 (gamma
+    factor finite) and x > 0; CancellationError where the factor overflows float64."""
     _check_normalized(p)
     power = p.nu * _log_two_over(p.x)
     log_gam = log_gamma(p.nu + 0.5)
-    factor, rounding = exp_rounded(power + log_gam, power, log_gam)
+    try:
+        factor, rounding = exp_rounded(power + log_gam, power, log_gam)
+    except OverflowError:
+        raise CancellationError(f"the factor from M to calM at (nu={p.nu:g}, x={p.x:g}) "
+                                "overflows float64; use the quadrature route") from None
     return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
 
 

@@ -537,8 +537,8 @@ def test_module_entry_point_runs_from_source():
     ["--nu", "1", "--x", "1e-320"],
 ])
 def test_eval_serves_points_one_route_cannot(runner, args):
-    """Each of these points stalls or never settles on one route; the
-    automatic chain answers from another one."""
+    """Each of these points stalls on quadrature or underflows in the float64
+    series; the automatic chain answers from the other route."""
     result = runner.invoke(main, ["eval", *args, "--format", "json"])
     assert result.exit_code == EXIT_OK, _all_text(result)
     assert math.isfinite(json.loads(result.output)["value"])

@@ -325,3 +325,21 @@ def test_ode_residual_holds_next_to_the_lowest_order():
     should read a small residual rather than refuse them."""
     for nu, x in ((-0.4999, 1.0), (-0.4995, 1.0), (-0.4995, 5.0)):
         assert ode_residual(EvalPoint(nu, x)).relative <= 1e-8, (nu, x)
+
+
+def test_turanian_raises_where_it_overflows():
+    """At (500, 1000) both products of Delta_M overflow float64, so their difference
+    would be NaN; the Turanian refuses the point under its own name, as the
+    quadratic identity does."""
+    p = EvalPoint(500.0, 1000.0)
+    with pytest.raises(CancellationError, match=r"^turanian at \(nu=500, x=1000\) overflows"):
+        turanian(p)
+    with pytest.raises(CancellationError, match="turanian_quadratic"):
+        turanian_quadratic_identity(p)
+
+
+@pytest.mark.parametrize("nu, x", [(-0.4999, 1.0), (0.5, 1.0), (1.0, 0.0)])
+def test_crossterm_residual_names_itself_off_its_domain(nu, x):
+    with pytest.raises(DomainError) as info:
+        crossterm_double_integral_residual(EvalPoint(nu, x))
+    assert str(info.value) == "crossterm_double_integral_residual requires nu > 1/2 and x > 0"

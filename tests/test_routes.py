@@ -282,9 +282,10 @@ def test_derivative_next_to_minus_half_comes_from_the_recurrence():
 
 @pytest.mark.parametrize("nu, x", [(1e6, 1.0), (1.0, 1e-320)])
 def test_underflowing_values_come_from_quadrature(nu, x):
-    """The float64 series never settles where its terms underflow; the
-    chain answers from quadrature, whose bar covers the underflow (a
-    reference below 5e-324 rounds to 0 and so counts as within it)."""
+    """The float64 series certifies nothing where its terms underflow (it stops
+    there, or refuses where both leading terms are 0); the chain answers from
+    quadrature, whose bar covers the underflow (a reference below 5e-324 rounds
+    to 0 and so counts as within it)."""
     got = struve_m(EvalPoint(nu, x))
     assert got.method is Method.QUADRATURE
     assert math.isfinite(got.value) and got.abs_err > 0.0
@@ -647,6 +648,47 @@ def test_escalation_reuses_the_float_pass(monkeypatch):
         got = fn(p)
         assert got.method is Method.SERIES and len(passes) == 1, (fn.__name__, nu, x)
         assert got == fn(p, method=Method.SERIES)
+
+
+#: Points the automatic chains of M, calM and M' leave to quadrature: past the
+#: float64 series' reach, where it does not certify (1, 7.9), and calM's overflow
+#: guard point (80, 1e-4).
+_QUADRATURE_SERVED = [(1.0, 7.9), (80.0, 1e-4)] + [
+    (nu, x) for nu in (0.3, 1.0, 20.0) for x in (8.1, 12.0, 1e3)]
+
+
+def test_quadrature_step_is_the_explicit_route(monkeypatch):
+    """Where quadrature serves the automatic chain, the chain calls the explicit
+    quadrature route first, and its value, bar and method equal those of an explicit
+    quadrature request."""
+    calls = []
+    for name in ("m_from_quadrature", "calm", "m_deriv"):
+        route = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name, partial(
+            lambda route, *args: calls.append(route.__name__) or route(*args), route))
+    for fn, route in ((struve_m, "m_from_quadrature"), (calm, "calm"),
+                      (struve_m_prime, "m_deriv")):
+        for nu, x in _QUADRATURE_SERVED:
+            p = EvalPoint(nu, x)
+            calls.clear()
+            got = fn(p)
+            # m_from_quadrature calls calm in turn
+            assert got.method is Method.QUADRATURE and calls[:1] == [route], (fn.__name__, nu, x)
+            assert got == fn(p, method=Method.QUADRATURE), (fn.__name__, nu, x)
+
+
+@pytest.mark.parametrize("fn, nu, x, message", [
+    (struve_m_prime, 1.0, 0.0, "m_deriv requires x > 0"),
+    *((fn, 1.0, 2e4, "quadrature route requires x <= 10000: past it its error bars are "
+       "not certified") for fn in (struve_m, calm, struve_m_prime)),
+])
+def test_automatic_chain_raises_the_quadrature_route_error(fn, nu, x, message):
+    """Off the quadrature route's domain the automatic chain raises that route's own
+    error, text included."""
+    for method in (None, Method.QUADRATURE):
+        with pytest.raises(DomainError) as info:
+            fn(EvalPoint(nu, x), method=method)
+        assert str(info.value) == message, method
 
 
 @pytest.mark.parametrize("nu", [-0.4999, -0.4988, -0.49, 0.0, 1.0, 20.0, 1e6])

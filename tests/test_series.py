@@ -171,6 +171,51 @@ def test_tight_tolerance_config_respected():
     assert rel_err(fv.value, M_TABLE[(1.0, 1.0)]) < 1e-8
 
 
+#: Points where the merged series' terms underflow: both leading terms are 0 at the
+#: first three, and at (100, 0.057) they are subnormal and the next ones reach 0.
+_UNDERFLOWING = [(100.0, 1e-3), (50.0, 1e-5), (5.0, 1e-150), (100.0, 0.057)]
+
+
+@pytest.mark.parametrize("nu, x", _UNDERFLOWING[:3])
+def test_merged_series_refuses_where_both_leading_terms_underflow(nu, x):
+    """The explicit route names the underflow instead of running out of terms, and
+    the float64 pass, in one point or many, leaves the point to quadrature."""
+    with pytest.raises(CancellationError) as info:
+        struve_m_series(EvalPoint(nu, x))
+    assert str(info.value) == (f"M series at (nu={nu:g}, x={x:g}) underflows float64: both "
+                               "leading terms are 0; use the quadrature route")
+    for order in (0, 1):
+        assert struve_m_float(EvalPoint(nu, x), SeriesConfig(), order) is None
+        value, abs_err = struve_m_float_points([nu, 1.0], [x, 2.0], SeriesConfig(), order)
+        assert math.isnan(value[0]) and math.isnan(abs_err[0]), order
+        assert not math.isnan(value[1]), order
+
+
+def test_merged_series_stops_where_its_terms_underflow():
+    """At (100, 0.057) the leading terms are subnormal and the next ones underflow
+    to 0: the float64 pass stops there and leaves the point uncertified, and the
+    escalated value, -3.259e-313, holds its bar, which the smallest subnormal floors."""
+    p = EvalPoint(100.0, 0.057)
+    certified, smax, _ = series._merged_float(p, SeriesConfig())
+    assert certified is None and 0.0 < smax < 1e-300
+    got = struve_m_series(p)
+    assert got.method is Method.SERIES and got.abs_err > 0.0
+    with mp.workdps(60):
+        ref = mp.struvel(100, mp.mpf(0.057)) - mp.besseli(100, mp.mpf(0.057))
+    assert abs(got.value - float(ref)) <= got.abs_err
+
+
+def test_normalized_form_refuses_where_its_factor_overflows():
+    """At (1, 1e-310) the escalated M is the subnormal -x/2, and the factor
+    2 gamma(3/2) / x from M to calM passes float64: the conversion raises
+    CancellationError, not Python's OverflowError."""
+    p = EvalPoint(1.0, 1e-310)
+    m = struve_m_series(p)
+    assert m.value == -5e-311 and m.abs_err > 0.0
+    with pytest.raises(CancellationError, match=r"^the factor from M to calM at \(nu=1, "):
+        calm_from_m(p, m)
+
+
 #: Orders in (-1, 40] and arguments in [5e-324, X_CANCEL_MAX], subnormal ones included.
 _FLOAT_PASS_POINTS = st.lists(st.tuples(
     st.floats(min_value=-1.0, max_value=40.0, exclude_min=True),
@@ -181,6 +226,8 @@ _FLOAT_PASS_POINTS = st.lists(st.tuples(
 @given(_FLOAT_PASS_POINTS, st.sampled_from([0, 1]))
 @example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 0)
 @example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 1)
+@example(_UNDERFLOWING + [(10.0, 1e-3), (1.0, 2.0)], 0)
+@example(_UNDERFLOWING + [(10.0, 1e-3), (1.0, 2.0)], 1)
 def test_array_float_pass_equals_the_single_pass(points, order):
     """struve_m_float_points gives at every point struve_m_float's value and bar bit
     for bit, and NaN for both where that gives None: the points it does not certify
