@@ -4,8 +4,9 @@ Three routes are available for the second-kind function and its normalized form:
 the merged power series, tanh-sinh quadrature of the integral representation, and
 the Fox-Wright series, the merged series' Taylor expansion coded a second time, so
 not an independent one (ROADMAP item 12 plans a third: the large-x asymptotic
-series). An explicit method runs exactly that route. The automatic route for M and
-calM stops at the first of these that can certify its value:
+series). The series sums S = calM / calM(0), and M, M' and calM are its views
+(series.m_view, calm_view). An explicit method runs exactly that route. The
+automatic route for M and calM stops at the first of these that can certify its value:
 
 1. the elementary expression at nu = +-1/2, or for calM at x = 0 the gamma ratio;
 2. the float64 merged series at x <= X_CANCEL_MAX, if it certifies 1e-12 relative;
@@ -48,7 +49,7 @@ from . import closedforms, foxwright, quadrature, series
 from .core import (QUAD_DEFAULTS, SERIES_DEFAULTS, EvalPoint, FuncValue,
                    Method, QuadConfig, SeriesConfig, Values)
 from .errors import CancellationError, DomainError, NonConvergenceError, StruveKitError
-from .gammafuncs import EPS, LOG_SQRT_PI, log_gamma, per_value, power_gamma
+from .gammafuncs import EPS, LOG_SQRT_PI, power_gamma
 
 #: Within 0.01 of nu = -1/2 endpoint rounding outgrows quadrature's error
 #: bar (8x measured); below X_CANCEL_MAX the escalated series serves there.
@@ -79,16 +80,6 @@ def _finite(fv: FuncValue, p: EvalPoint) -> FuncValue:
     raise CancellationError(f"the value at (nu={p.nu:g}, x={p.x:g}) overflows float64")
 
 
-def _calm_at_zero(nu: float) -> FuncValue:
-    """calM_nu(0) = gamma(nu+1/2)/gamma(nu+1), formed in log space. Log-gamma rounding
-    dominates: mpmath scans over nu in (-1/2, 1e6] reached 4.8 eps (|lgamma(nu+1/2)| +
-    |lgamma(nu+1)| + 1) relative, and the bar reports 8 x 4.6 eps of that form."""
-    lg_a, lg_b = log_gamma(nu + 0.5), log_gamma(nu + 1.0)
-    value = math.exp(lg_a - lg_b)
-    err = 8.0 * 4.6 * EPS * (abs(lg_a) + abs(lg_b) + 1.0) * value
-    return FuncValue(value, err, Method.CLOSED_FORM)
-
-
 def struve_m(p: EvalPoint, method: Method | None = None,
              series_cfg: SeriesConfig = SERIES_DEFAULTS,
              quad_cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
@@ -108,12 +99,15 @@ def struve_m(p: EvalPoint, method: Method | None = None,
     return series.struve_m_series(p, series_cfg)
 
 
-def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig) -> FuncValue | None:
-    """Automatic M up to its quadrature step: the series where quadrature does not
-    serve p, else the certified float64 value at x <= X_CANCEL_MAX, else None."""
+def _m_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig,
+            view: Callable = series.m_view) -> FuncValue | None:
+    """Automatic M (calM with calM's view) up to its quadrature step: the series where
+    quadrature does not serve p, else the certified float64 value at x <= X_CANCEL_MAX,
+    else None."""
     if not (p.nu >= _QUAD_NU_MIN or (p.nu > -0.5 and p.x > series.X_CANCEL_MAX)):
-        return series.struve_m_series(p, series_cfg)
-    return series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
+        return view(p, series.merged_series(p, series_cfg))
+    s = series.struve_m_float(p, series_cfg) if p.x <= series.X_CANCEL_MAX else None
+    return s and view(p, s)
 
 
 def calm(p: EvalPoint, method: Method | None = None,
@@ -121,9 +115,9 @@ def calm(p: EvalPoint, method: Method | None = None,
          quad_cfg: QuadConfig = QUAD_DEFAULTS) -> FuncValue:
     """Normalized form calM_nu(x), nu > -1/2, x >= 0.
 
-    method=None walks the automatic chain of the module docstring; the
-    series steps are rescaled by the exact power-gamma factor, which
-    degenerates at x = 0 (hence the gamma ratio there).
+    method=None walks the automatic chain of the module docstring; its series
+    steps and the explicit series route are calM_nu(0) times the series' sum, and
+    at x = 0 the chain returns that gamma ratio itself.
     """
     if method is None:
         return _auto("calm", p, series_cfg, quad_cfg)
@@ -133,23 +127,19 @@ def calm(p: EvalPoint, method: Method | None = None,
         return quadrature.calm(p, quad_cfg)
     if method is Method.FOX_WRIGHT:
         return foxwright.calm_via_fox_wright(p, series_cfg)
-    return series.calm_from_m(p, series.struve_m_series(p, series_cfg))
+    return series.calm_view(p, series.merged_series(p, series_cfg))
 
 
 def _calm_head(p: EvalPoint, series_cfg: SeriesConfig, quad_cfg: QuadConfig) -> FuncValue | None:
-    """Automatic calM up to its quadrature step: _m_head's, rescaled."""
+    """Automatic calM up to its quadrature step: the gamma ratio at x = 0, else
+    _m_head's in calM's view."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x < 0.0:
         raise DomainError("the normalized form requires x >= 0")
     if p.x == 0.0:
-        return _calm_at_zero(p.nu)
-    # the series->normalized rescale factor 2^nu gamma(nu+1/2) x^-nu can overflow at
-    # large order and tiny argument (NaN at nu = 0 once 2/x does); quadrature has no such factor
-    if not p.nu * math.log(2.0 / p.x) + log_gamma(p.nu + 0.5) <= 700.0:
-        return None
-    fv = _m_head(p, series_cfg, quad_cfg)
-    return fv and series.calm_from_m(p, fv)
+        return series.calm_at_zero(p.nu)
+    return _m_head(p, series_cfg, quad_cfg, series.calm_view)
 
 
 def struve_m_prime(p: EvalPoint, method: Method | None = None,
@@ -187,11 +177,11 @@ def _m_prime_head(p: EvalPoint, series_cfg: SeriesConfig,
     _QUAD_NU_MIN, x <= X_CANCEL_MAX) the recurrence over M, else None."""
     if not (p.nu > -0.5 and 0.0 < p.x <= series.X_CANCEL_MAX):
         return None
-    fv = series.struve_m_float(p, series_cfg, 1)
+    if (s := series.struve_m_float(p, series_cfg, 1)) is not None:
+        return _finite(series.m_view(p, s), p)
     # differentiated quadrature lies outside its bar there (3.8x at nu = -0.499, x in
     # [4, 8]); the recurrence over the escalated-series M holds its bar
-    return fv if fv is not None or p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(
-        p, series_cfg, quad_cfg)
+    return None if p.nu >= _QUAD_NU_MIN else _m_prime_by_recurrence(p, series_cfg, quad_cfg)
 
 
 def _m_prime_by_recurrence(p: EvalPoint, series_cfg: SeriesConfig,
@@ -217,7 +207,8 @@ _ARRAY_READS = 256
 
 class _Chain(NamedTuple):
     """An automatic chain: its head before the quadrature step (None for the probes'
-    kinds); the order of its float64 series pass; its calM orders, and whether they are
+    kinds); the order of its float64 series pass, and view, the series' view at every
+    point of arrays from the pass's sums and bars; its calM orders, and whether they are
     nu-orders; step, the explicit quadrature route at p given the quad config, read from
     the module at call time (a tuple of FuncValues for the probes), and points_step, its
     conversions at every point of arrays from the orders' values and bars (orders x
@@ -226,6 +217,7 @@ class _Chain(NamedTuple):
 
     head: Callable | None
     order: int | None
+    view: Callable | None
     orders: tuple
     dnu: bool
     step: Callable
@@ -234,20 +226,23 @@ class _Chain(NamedTuple):
 
 
 _CHAINS = {
-    "m": _Chain(_m_head, 0, (0,), False, lambda p, q: quadrature.m_from_quadrature(p, q),
+    "m": _Chain(_m_head, 0, series.m_view_points, (0,), False,
+                lambda p, q: quadrature.m_from_quadrature(p, q),
                 lambda nu, x, c, e: series.m_from_calm_points(nu, x, c[0], e[0]),
                 lambda p, cfg, q: series.struve_m_series(p, cfg)),
-    "calm": _Chain(_calm_head, 0, (0,), False, lambda p, q: quadrature.calm(p, q),
+    "calm": _Chain(_calm_head, 0, series.calm_view_points, (0,), False,
+                   lambda p, q: quadrature.calm(p, q),
                    lambda nu, x, c, e: (c[0], e[0]),
                    lambda p, cfg, q: calm(p, Method.SERIES, cfg, q)),
-    "m_prime": _Chain(_m_prime_head, 1, (0, 1), False, lambda p, q: quadrature.m_deriv(p, q),
+    "m_prime": _Chain(_m_prime_head, 1, series.m_view_points, (0, 1), False,
+                      lambda p, q: quadrature.m_deriv(p, q),
                       lambda nu, x, c, e: series.m_prime_from_calm_points(nu, x, c[0], e[0],
                                                                           c[1], e[1]),
                       _m_prime_by_recurrence),
-    "calm_dx": _Chain(None, None, tuple(range(7)), False,
+    "calm_dx": _Chain(None, None, None, tuple(range(7)), False,
                       lambda p, q: tuple(quadrature.calm_dx_orders(p, range(7), q)),
                       lambda nu, x, c, e: (c.T, e.T), None),
-    "calm_dnu": _Chain(None, None, tuple(range(5)), True,
+    "calm_dnu": _Chain(None, None, None, tuple(range(5)), True,
                        lambda p, q: tuple(quadrature.calm_dnu_orders(p, range(5), q)),
                        lambda nu, x, c, e: (c.T, e.T), None),
 }
@@ -281,20 +276,11 @@ def _plan(kind: str, nu: np.ndarray, x: np.ndarray):
     recurrence serves, and x past quadrature.X_MAX stay out of bulk."""
     bulk = (np.isfinite(nu) & np.isfinite(x) & (nu > -0.5) & (x <= quadrature.X_MAX)
             & (x > 0.0 if _CHAINS[kind].head else x >= 0.0))
-    none = np.zeros(nu.shape, bool)
     if _CHAINS[kind].head is None:
-        return bulk, none
+        return bulk, np.zeros(nu.shape, bool)
     bulk &= nu != 0.5
     band = (nu < _QUAD_NU_MIN) & (x > 0.0) & (x <= series.X_CANCEL_MAX)
     passes = bulk & (x > 0.0) & (x <= series.X_CANCEL_MAX)
-    if kind == "calm":  # _calm_head's overflow guard sends the rest to quadrature
-        at = np.flatnonzero(passes | (bulk & band))
-        with np.errstate(invalid="ignore"):
-            guard = none.copy()
-            guard[at] = nu[at] * per_value(lambda v: math.log(2.0 / v), x[at]) + per_value(
-                log_gamma, nu[at] + 0.5) <= 700.0
-        band &= guard
-        passes &= guard
     bulk &= ~band
     return bulk, passes & bulk
 
@@ -382,10 +368,11 @@ class Memo:
     def _compute(self, kind: str, nu: np.ndarray, x: np.ndarray) -> tuple:
         """kind at each point (nu[i], x[i]): rows of value, abs_err and method, and the
         RECORDED errors raised, by row. _plan's points take one float64 series pass
-        (struve_m_float_points), one quadrature points pass over what it does not
-        certify and the chain's conversions, as arrays; the rest, and a chain's point
-        whose array step is NaN (a conversion that overflows, a stall), take _auto from
-        its start per point. A probe's stall keeps the batch's error."""
+        (struve_m_float_points) in the chain's view, one quadrature points pass over
+        what it does not certify and the chain's conversions, as arrays; the rest, and
+        a chain's point whose array step is NaN (a view or conversion that overflows, a
+        stall), take _auto from its start per point. A probe's stall keeps the batch's
+        error."""
         chain = _CHAINS[kind]
         value, abs_err = np.full((2, len(nu)) + self.stores[kind].value.shape[1:], math.nan)
         method, errors = np.full(len(nu), Method.QUADRATURE, object), {}
@@ -393,12 +380,10 @@ class Memo:
         per_point = ~bulk
         if passes.any():
             at = np.flatnonzero(passes)
-            got, got_err = series.struve_m_float_points(nu[at], x[at], self.series_cfg,
-                                                        chain.order)
-            served = at[~np.isnan(got)]
-            if kind == "calm":
-                got, got_err = series.calm_from_m_points(nu[at], x[at], got, got_err)
-            value[at], abs_err[at] = got, got_err
+            s, s_err = series.struve_m_float_points(nu[at], x[at], self.series_cfg,
+                                                    chain.order)
+            served = at[~np.isnan(s)]
+            value[at], abs_err[at] = chain.view(nu[at], x[at], s, s_err)
             method[served] = Method.SERIES
             per_point[served] = np.isnan(value[served])
             bulk[served] = False

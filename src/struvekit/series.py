@@ -1,47 +1,53 @@
 """Power-series route for I_nu, L_nu and their difference M_nu = L_nu - I_nu.
 
-Both ascending series share the shape sum_n (x/2)^(2n+p) / (G1(n) G2(n)).
-Terms are generated by closed-form term ratios (one multiply per term, no
-per-term gamma calls) and accumulated with compensated summation.
+Both ascending series share the shape sum_n (x/2)^(2n+p) / (G1(n) G2(n))
+(https://dlmf.nist.gov/10.25.E2, https://dlmf.nist.gov/11.2.E2). Terms are
+generated by closed-form term ratios (one multiply per term, no per-term gamma
+calls) and accumulated with compensated summation.
 
-M_nu is the cancellation-prone case: I_nu grows like e^x while M_nu decays
-algebraically (or exponentially at nu = +-1/2), so the merged alternating
-series has condition number ~ 2 I_nu(x) / |M_nu(x)|. The float64 pass
-measures it, and struve_m_float certifies its value only where that gives
-1e-12 relative error; weighting each term by (2n+p)/x, the same pass sums
-the termwise derivative M_nu' and measures its condition. struve_m_series
-re-runs the M algorithm elsewhere on arbitrary-precision floats sized from
-the measured condition, and refuses (CancellationError) beyond ~80 working
-digits; the automatic router asks for it only where quadrature cannot serve.
-Those passes are mpmath's only use, so mpmath is imported at the first one:
-importing the package loads no mpmath, and the first escalation in a process
-also pays the import (21-35 ms on a loaded 2-vCPU machine, numpy loaded).
+The merged series is summed in normalized form, S_nu(x) = -Gamma(nu+1) (2/x)^nu
+M_nu(x) = sum_n (i_n - l_n): i_0 = 1, l_0 = (x/2) Gamma(nu+1) / (Gamma(3/2)
+Gamma(nu+3/2)), and each next term by the ratio q/((n+1)(n+nu+1)) or
+q/((n+3/2)(n+nu+3/2)), q = x^2/4. No term carries (x/2)^nu, so S neither underflows
+nor overflows at small x, whatever the order; S(0) = 1. M, M' and calM are views of
+the sum: m_view gives M = -(x/2)^nu S / Gamma(nu+1) through power_gamma (M may
+underflow there), and M' from the termwise derivative (nu/x) S + S' (i_n weighted
+by (2n+nu)/x, l_n by (2n+nu+1)/x); calm_view gives calM = calM_nu(0) S, with the
+ratio calM_nu(0) = Gamma(nu+1/2)/Gamma(nu+1) of calm_at_zero, which also serves
+calM at x = 0. The Fox-Wright route's 1Psi1 series of calM at z = -x is
+calM_nu(0) S term by term (even terms calM_nu(0) i_n, odd ones -calM_nu(0) l_n):
+it recodes this Taylor series, not an independent representation.
 
-The module owns the normalization M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2):
-calm_from_m, and m_from_calm and m_prime_from_calm, through which every route
-that computes calM (quadrature, Fox-Wright) returns M and M'.
+The sum cancels: I_nu grows like e^x while M_nu decays algebraically (or
+exponentially at nu = +-1/2), so its condition number is ~ 2 I_nu(x) / |M_nu(x)|.
+The float64 pass measures it, and struve_m_float certifies a sum only where that
+gives 1e-12 relative error. merged_series re-runs the sum elsewhere on
+arbitrary-precision floats sized from the measured condition, and refuses
+(CancellationError) beyond ~80 working digits; the automatic router asks for it
+only where quadrature cannot serve. Those passes are mpmath's only use, so mpmath
+is imported at the first one: importing the package loads no mpmath, and the
+first escalation in a process also pays the import (21-35 ms on a loaded 2-vCPU
+machine, numpy loaded). m_from_calm and m_prime_from_calm turn the calM of the
+other routes (quadrature, Fox-Wright) into M and M'.
 
 The array forms serve the sweep memo's bulk reads and keep every bit of the
 scalar functions: struve_m_float_points, one float64 pass over many points
-(value and bar arrays, NaN where struve_m_float gives None), and
-calm_from_m_points, m_from_calm_points and m_prime_from_calm_points, NaN at the
-points where the scalar function takes another branch or raises, which the
-caller leaves to it.
+(value and bar arrays, NaN where struve_m_float gives None), and the views'
+and conversions' *_points forms, NaN at the points where the scalar function
+takes another branch or raises, which the caller leaves to it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .core import SERIES_DEFAULTS, EvalPoint, FuncValue, Method, SeriesConfig
 from .errors import CancellationError, DomainError, NonConvergenceError
-from .gammafuncs import (EPS, LN2, LOG_MAX, TINY, exp_points, exp_rounded, log_gamma,
-                         log_half, per_value, power_gamma, power_gamma_points)
+from .gammafuncs import (EPS, LN2, LOG_MAX, SQRT_PI, TINY, exp_points, exp_rounded,
+                         log_gamma, log_half, per_value, power_gamma, power_gamma_points)
 
-_TWO_OVER_MAX = 2.0 / sys.float_info.max
 _LOG_GAMMA_3_2 = log_gamma(1.5)
 
 #: Largest argument at which the auto router tries the float64 pass of
@@ -133,56 +139,54 @@ def struve_l(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
     return FuncValue(value, err, Method.SERIES)
 
 
-def _overflow(nu: float, x: float) -> CancellationError:
-    return CancellationError(f"M series at (nu={nu:g}, x={x:g}) overflows float64; "
-                             "use the quadrature route")
+def calm_at_zero(nu: float) -> FuncValue:
+    """calM_nu(0) = gamma(nu+1/2)/gamma(nu+1), nu > -1/2, formed in log space: calM at
+    x = 0 and the factor of calm_view. Log-gamma rounding dominates: mpmath scans over
+    nu in (-1/2, 1e6] reached 2.5 (|lgamma(nu+1/2)| + |lgamma(nu+1)|) + 6.4 eps relative
+    (1.3 (|lgamma(nu+1/2)| + |lgamma(nu+1)|) eps past nu = 10), and the bar reports
+    2.5 (|lgamma(nu+1/2)| + |lgamma(nu+1)| + 8) eps."""
+    if nu <= -0.5:
+        raise DomainError("the normalized form requires nu > -1/2")
+    lg_a, lg_b = log_gamma(nu + 0.5), log_gamma(nu + 1.0)
+    value = math.exp(lg_a - lg_b)
+    return FuncValue(value, 2.5 * EPS * (abs(lg_a) + abs(lg_b) + 8.0) * value,
+                     Method.CLOSED_FORM)
 
 
 def _merged_float(p: EvalPoint, cfg: SeriesConfig,
                   order: int = 0) -> tuple[FuncValue | None, float, float]:
-    """One float64 pass over the merged M series (order 0) or its termwise
-    x-derivative (order 1: i_n weighted by (2n+nu)/x, l_n by (2n+nu+1)/x,
-    and the magnitude sum and tail bound taken over the weighted terms),
-    terms in increasing powers of x: -i_0, +l_0, -i_1, ... Returns (the sum
-    with its error bar, or None where the bar exceeds 1e-12 relative; the
-    magnitude sum; the scale the bar is relative to). nu > -1, x >= 0."""
+    """One float64 pass over S (order 0) or over (nu/x) S + S' (order 1: i_n weighted
+    by (2n+nu)/x, l_n by (2n+nu+1)/x, and the magnitude sum and tail bound taken over
+    the weighted terms), terms in increasing powers of x: +i_0, -l_0, +i_1, ...
+    Returns (the sum with its error bar, or None where the bar exceeds 1e-12
+    relative; the magnitude sum; the scale the bar is relative to). nu > -1, x >= 0."""
     nu, x = p.nu, p.x
     if nu <= -1.0:
         raise DomainError("struve_m_series requires nu > -1 (I-series domain)")
     if x < 0.0 or order and x == 0.0:
         raise DomainError(f"struve_m_series requires x {'>' if order else '>='} 0")
-    if x == 0.0:
-        limit = 0.0 if nu > 0.0 else -1.0 if nu == 0.0 else -math.inf
-        return FuncValue(limit, 0.0, Method.SERIES), 0.0, 0.0
     q = 0.25 * x * x
-    lx = log_half(x)
-    log_i = nu * lx - log_gamma(nu + 1.0)
-    log_l = (nu + 1.0) * lx - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
-    if max(log_i, log_l) > 709.0:  # math.exp raises past 709.78
-        raise _overflow(nu, x)
-    i_term, l_term = math.exp(log_i), math.exp(log_l)
-    if not (i_term or l_term):  # the pass would only add zeros
-        raise CancellationError(f"M series at (nu={nu:g}, x={x:g}) underflows float64: both "
-                                "leading terms are 0; use the quadrature route")
-    # exp(L) rounds by about |L| eps relative, and by up to all of a subnormal result;
-    # a subnormal x/2 (log x - log 2 above) adds a rounding of L that this leaves out
-    lead_err = ((abs(log_i) + abs(log_l) + 2.0) * EPS
-                if min(i_term, l_term, 0.5 * x) >= sys.float_info.min else math.inf)
-    # term n weighs a n + b: 1 for M, its power of x over x for M'
+    lg1, lg2 = log_gamma(nu + 1.0), log_gamma(nu + 1.5)
+    i_term, l_term = 1.0, x * math.exp(lg1 - lg2) / SQRT_PI
+    # every l_n carries l_0's rounding: the two log-gammas', exp's and the products'
+    lead = (abs(lg1) + abs(lg2) + 2.0) * EPS
+    # term n weighs a n + b: 1 for S, its power of x over x for (nu/x) S + S'
     a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
     wi, wl = b_i * i_term, b_l * l_term
     rel_tol = cfg.rel_tol
-    total = carry = smax = 0.0
+    total = carry = smax = lsum = 0.0
     for n in range(cfg.max_terms):
-        y = -wi - carry  # compensated, as in _positive_series
+        y = wi - carry  # compensated, as in _positive_series
         t = total + y
         carry = (t - total) - y
-        y = wl - carry
+        y = -wl - carry
         total = t + y
         carry = (total - t) - y
         smax += (wi if wi >= 0.0 else -wi) + wl
+        lsum += wl
         if smax > 1e307:
-            raise _overflow(nu, x)
+            raise CancellationError(f"M series at (nu={nu:g}, x={x:g}) overflows float64; "
+                                    "use the quadrature route")
         k, s = n + 1.0, n + nu  # exact, and each s + c rounds as n + nu + c does
         i_term *= q / (k * (s + 1.0))
         l_term *= q / ((k + 0.5) * (s + 1.5))
@@ -192,7 +196,7 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
         # the weighted term ratio, falling from here on, is below 1/2 (tail < twice the next)
         if wi <= rel_tol * (total if total >= 0.0 else -total) >= wl and q / (
                 (k + 1.0) * (s + 2.0)) * ((w + a) / w) < 0.5:
-            err = 2.0 * (wi + wl) + (2.0 * k * EPS + lead_err) * smax
+            err = 2.0 * (wi + wl) + 2.0 * k * EPS * smax + lead * lsum
             scale = max(abs(total), smax * 1e-18)
             if err > 1e-12 * scale:
                 return None, smax, scale
@@ -202,18 +206,18 @@ def _merged_float(p: EvalPoint, cfg: SeriesConfig,
 
 
 def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, float]:
-    """Escalated-precision pass over the merged series. Returns (value, rel_trunc)."""
+    """Escalated-precision pass over S. Returns (value, rel_trunc)."""
     import mpmath as mp  # here, not at module level: see the module docstring
 
     with mp.workdps(digits):
         nu = mp.mpf(p.nu)
         x = mp.mpf(p.x)
         q = (x / 2) ** 2
-        i_term = (x / 2) ** nu / mp.gamma(nu + 1)
-        l_term = (x / 2) ** (nu + 1) / (mp.gamma(mp.mpf(1.5)) * mp.gamma(nu + mp.mpf(1.5)))
+        i_term = mp.mpf(1)
+        l_term = x * mp.gamma(nu + 1) / (mp.sqrt(mp.pi) * mp.gamma(nu + mp.mpf(1.5)))
         total = mp.mpf(0)
         for n in range(cfg.max_terms):
-            total += l_term - i_term
+            total += i_term - l_term
             i_term *= q / ((n + 1) * (n + nu + 1))
             l_term *= q / ((n + mp.mpf(1.5)) * (n + nu + mp.mpf(1.5)))
             nxt = max(i_term, l_term)
@@ -225,10 +229,11 @@ def _merged_mp(p: EvalPoint, cfg: SeriesConfig, digits: int) -> tuple[float, flo
 
 def struve_m_float(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS,
                    order: int = 0) -> FuncValue | None:
-    """One float64 pass of the merged series for M_nu(x) (order 0) or M_nu'(x)
-    (order 1): the value where its measured condition certifies 1e-12 relative
-    error; None elsewhere, and where the pass does not settle, overflows or underflows.
-    nu > -1, x >= 0 (x > 0 for order 1)."""
+    """One float64 pass of the merged series in normalized form: S_nu(x) (order 0) or
+    (nu/x) S + S' (order 1), which m_view turns into M_nu(x) and M_nu'(x) and
+    calm_view S into calM_nu(x). The sum where its measured condition certifies
+    1e-12 relative error; None elsewhere, and where the pass does not settle or
+    overflows. nu > -1, x >= 0 (x > 0 for order 1)."""
     try:
         return _merged_float(p, cfg, order)[0]
     except (CancellationError, NonConvergenceError):
@@ -239,35 +244,30 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
                           order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """struve_m_float at every (nu[i], x[i]), nu > -1 and x > 0, from one float64 pass
     over all the points: its value and bar arrays, NaN where it gives None (the pass
-    does not certify, overflows, underflows or runs out of terms). _merged_float's
-    operations run per point, in its order, on arrays (numpy's +, -, *, / and abs
-    round as Python's), with the logs per distinct argument and order and the lead
-    terms per point from math, so every value and bar is struve_m_float's bit for bit.
-    A point is read as it stops."""
+    does not certify, overflows or runs out of terms). _merged_float's operations run
+    per point, in its order, on arrays (numpy's +, -, *, / and abs round as Python's),
+    with the log-gammas per distinct order and the exp per point from math, so every
+    value and bar is struve_m_float's bit for bit. A point is read as it stops."""
     nu, x = np.asarray(nu, float), np.asarray(x, float)
-    value, abs_err = np.full(nu.size, math.nan), np.full(nu.size, math.nan)
-    lx = per_value(log_half, x)
-    log_i = nu * lx - per_value(log_gamma, nu + 1.0)
-    log_l = ((nu + 1.0) * lx - _LOG_GAMMA_3_2) - per_value(log_gamma, nu + 1.5)
-    live = np.flatnonzero(np.maximum(log_i, log_l) <= 709.0)  # math.exp raises past 709.78
-    nu, x, log_i, log_l = nu[live], x[live], log_i[live], log_l[live]
-    i_term, l_term = exp_points(log_i), exp_points(log_l)
-    lead_err = np.where(np.minimum(np.minimum(i_term, l_term), 0.5 * x) >= sys.float_info.min,
-                        (np.abs(log_i) + np.abs(log_l) + 2.0) * EPS, math.inf)
+    value, abs_err = np.full((2, nu.size), math.nan)
+    lg1, lg2 = per_value(log_gamma, nu + 1.0), per_value(log_gamma, nu + 1.5)
+    lead = (np.abs(lg1) + np.abs(lg2) + 2.0) * EPS
     with np.errstate(all="ignore"):  # Python's float operations do not warn
         q = 0.25 * x * x
+        i_term, l_term = np.ones(nu.size), x * exp_points(lg1 - lg2) / SQRT_PI
         a, b_i, b_l = (2.0 / x, nu / x, (nu + 1.0) / x) if order else (0.0, 1.0, 1.0)
         wi, wl = b_i * i_term, b_l * l_term
-        total = carry = smax = np.zeros(live.size)
-        open_ = i_term + l_term > 0.0  # where both lead terms are 0, _merged_float raises
+        total = carry = smax = lsum = np.zeros(nu.size)
+        open_ = np.ones(nu.size, bool)
         for n in range(cfg.max_terms):
-            y = -wi - carry  # compensated, as in _merged_float
+            y = wi - carry  # compensated, as in _merged_float
             t = total + y
             carry = (t - total) - y
-            y = wl - carry
+            y = -wl - carry
             total = t + y
             carry = (total - t) - y
             smax = smax + (np.abs(wi) + wl)
+            lsum = lsum + wl
             i_term = i_term * (q / ((n + 1.0) * (n + nu + 1.0)))
             l_term = l_term * (q / ((n + 1.5) * (n + nu + 1.5)))
             w = a * (n + 1) + b_i
@@ -277,26 +277,20 @@ def struve_m_float_points(nu, x, cfg: SeriesConfig = SERIES_DEFAULTS,
             stop = open_ & ~over & (wi <= bound) & (bound >= wl) & (
                 q / ((n + 2.0) * (n + nu + 2.0)) * ((w + a) / w) < 0.5)
             if stop.any():
-                err = 2.0 * (wi + wl) + (2 * (n + 1) * EPS + lead_err) * smax
+                err = 2.0 * (wi + wl) + 2 * (n + 1) * EPS * smax + lead * lsum
                 ok = stop & ~(err > 1e-12 * np.maximum(np.abs(total), smax * 1e-18))
-                value[live[ok]], abs_err[live[ok]] = total[ok], err[ok]
+                value[ok], abs_err[ok] = total[ok], err[ok]
             open_ &= ~(stop | over)
             if not open_.any():
                 break
     return value, abs_err
 
 
-def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
-    """Modified Struve function of the second kind M_nu(x) = L_nu(x) - I_nu(x).
-
-    Merged termwise summation of the two ascending series in increasing
-    powers of x, compensated; escalates internal precision when the
-    measured condition number makes float64 untrustworthy. nu > -1, x >= 0.
-
-    Raises CancellationError when even the escalated path would need more
-    than 80 working digits (use the quadrature route there). The first
-    escalation in a process imports mpmath.
-    """
+def merged_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
+    """S_nu(x) by the merged series: the float64 pass where its measured condition
+    certifies it, else escalated internal precision; nu > -1, x >= 0. CancellationError
+    where that would need more than 80 working digits (use the quadrature route there).
+    The first escalation in a process imports mpmath."""
     certified, smax, scale = _merged_float(p, cfg)
     if certified is not None:
         return certified
@@ -321,35 +315,45 @@ def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncVa
             break
         digits = needed
     noise = smax * 10.0 ** (10 - digits)
-    abs_err = max(abs(mp_value) * max(rel_trunc, 1e-14) + noise, TINY)  # a subnormal rounds
-    return FuncValue(mp_value, abs_err, Method.SERIES)
+    return FuncValue(mp_value, abs(mp_value) * max(rel_trunc, 1e-14) + noise, Method.SERIES)
+
+
+def m_view(p: EvalPoint, s: FuncValue) -> FuncValue:
+    """M_nu(x) = -(x/2)^nu S / gamma(nu+1) from the sum s of S, or M_nu'(x) from that of
+    (nu/x) S + S', as m_from_calm forms M: the factor's rounding (at least 2.5 eps, which
+    covers the product's) and the smallest subnormal join s's bar, so M may underflow
+    to -0.0. At x = 0, M's limit. CancellationError where the factor overflows float64;
+    inf where the product does (M' at small order and tiny x)."""
+    if p.x == 0.0:
+        return FuncValue(0.0 if p.nu > 0.0 else -1.0 if p.nu == 0.0 else -math.inf, 0.0,
+                         s.method)
+    factor, factor_err = power_gamma(p.nu, p.x, p.nu + 1.0)
+    return FuncValue(-(factor * s.value),
+                     factor * s.abs_err + factor_err * abs(s.value) + TINY, s.method)
+
+
+def calm_view(p: EvalPoint, s: FuncValue) -> FuncValue:
+    """calM_nu(x) = calM_nu(0) S from the sum s of S, nu > -1/2: the bar charges s's bar
+    through the ratio and the ratio's (calm_at_zero's, at least 20 eps relative), which
+    covers the product's rounding."""
+    ratio = calm_at_zero(p.nu)
+    return FuncValue(ratio.value * s.value,
+                     ratio.value * s.abs_err + ratio.abs_err * abs(s.value), s.method)
+
+
+def struve_m_series(p: EvalPoint, cfg: SeriesConfig = SERIES_DEFAULTS) -> FuncValue:
+    """Modified Struve function of the second kind M_nu(x) = L_nu(x) - I_nu(x): m_view
+    of merged_series. nu > -1, x >= 0; CancellationError where merged_series refuses
+    or M overflows."""
+    return m_view(p, merged_series(p, cfg))
 
 
 def _check_normalized(p: EvalPoint) -> None:
-    """DomainError off nu > -1/2, x > 0, where M and calM convert."""
+    """DomainError off nu > -1/2, x > 0, where calM converts to M."""
     if p.nu <= -0.5:
         raise DomainError("the normalized form requires nu > -1/2")
     if p.x <= 0.0:
         raise DomainError("the normalized-form factor requires x > 0")
-
-
-def _log_two_over(x: float) -> float:
-    """log(2/x), x > 0; below x = 2/DBL_MAX, where 2/x overflows, log 2 - log x."""
-    return math.log(2.0 / x) if x > _TWO_OVER_MAX else LN2 - math.log(x)
-
-
-def calm_from_m(p: EvalPoint, m: FuncValue) -> FuncValue:
-    """Normalized form calM_nu(x) = -2^nu gamma(nu+1/2) x^(-nu) M_nu(x), nu > -1/2 (gamma
-    factor finite) and x > 0; CancellationError where the factor overflows float64."""
-    _check_normalized(p)
-    power = p.nu * _log_two_over(p.x)
-    log_gam = log_gamma(p.nu + 0.5)
-    try:
-        factor, rounding = exp_rounded(power + log_gam, power, log_gam)
-    except OverflowError:
-        raise CancellationError(f"the factor from M to calM at (nu={p.nu:g}, x={p.x:g}) "
-                                "overflows float64; use the quadrature route") from None
-    return FuncValue(-m.value * factor, m.abs_err * factor + rounding * abs(m.value), m.method)
 
 
 def _finite(value: np.ndarray, abs_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,16 +362,27 @@ def _finite(value: np.ndarray, abs_err: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(bad, math.nan, value), np.where(bad, math.nan, abs_err)
 
 
-def calm_from_m_points(nu, x, value, abs_err) -> tuple[np.ndarray, np.ndarray]:
-    """calm_from_m at every point of the arrays, nu > -1/2 and x > 0: its value and bar
-    bit for bit (logs per distinct argument and order, exp per point, from math); NaN
-    where they are not finite or the factor's exp may overflow, where calm_from_m
-    serves or raises."""
+def _m_points(nu, x, y, y_err, a) -> tuple[np.ndarray, np.ndarray]:
+    """-(x/2)^nu y / gamma(a) and its bar at every point of the arrays, x > 0, bit for bit
+    as m_view (a = nu + 1) and m_from_calm (a = nu + 1/2) form them from power_gamma;
+    NaN where either is not finite or the factor may overflow."""
     with np.errstate(all="ignore"):
-        power = nu * per_value(_log_two_over, x)
-        log_gam = per_value(log_gamma, nu + 0.5)
-        factor, rounding = exp_rounded(power + log_gam, power, log_gam, 0.0, exp_points)
-        return _finite(-value * factor, abs_err * factor + rounding * np.abs(value))
+        factor, factor_err = power_gamma_points(nu, x, a)
+        return _finite(-(factor * y), factor * y_err + factor_err * np.abs(y) + TINY)
+
+
+def m_view_points(nu, x, s, s_err) -> tuple[np.ndarray, np.ndarray]:
+    """m_view at every point of the arrays from the sums s and their bars s_err;
+    NaN where m_view raises or overflows."""
+    return _m_points(nu, x, s, s_err, nu + 1.0)
+
+
+def calm_view_points(nu, x, s, s_err) -> tuple[np.ndarray, np.ndarray]:
+    """calm_view at every point of the arrays, nu > -1/2, from the sums s and their bars
+    s_err: its value and bar bit for bit (calm_at_zero per distinct order)."""
+    ratio = per_value(lambda v: calm_at_zero(v).value, nu)
+    ratio_err = per_value(lambda v: calm_at_zero(v).abs_err, nu)
+    return ratio * s, ratio * s_err + ratio_err * np.abs(s)
 
 
 def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
@@ -389,7 +404,7 @@ def _scaled(p: EvalPoint, y: float, y_err: float) -> tuple[float, float]:
 
 
 def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
-    """Inverse of calm_from_m: M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2).
+    """M_nu(x) = -(x/2)^nu calM_nu(x) / gamma(nu+1/2) from calM_nu(x).
     nu > -1/2, x > 0; CancellationError where M overflows float64."""
     _check_normalized(p)
     value, err = _scaled(p, c.value, c.abs_err)
@@ -400,12 +415,8 @@ def m_from_calm(p: EvalPoint, c: FuncValue) -> FuncValue:
 
 def m_from_calm_points(nu, x, c, c_err) -> tuple[np.ndarray, np.ndarray]:
     """m_from_calm at every point of the arrays, nu > -1/2 and x > 0, from calM's values
-    c and bars c_err: its value and bar bit for bit (the factor from power_gamma_points);
-    NaN where they are not finite or the factor may overflow, where m_from_calm takes
-    its log-space branch or raises."""
-    with np.errstate(all="ignore"):
-        factor, factor_err = power_gamma_points(nu, x, nu + 0.5)
-        return _finite(-(factor * c), factor * c_err + factor_err * np.abs(c) + TINY)
+    c and bars c_err; NaN where m_from_calm takes its log-space branch or raises."""
+    return _m_points(nu, x, c, c_err, nu + 0.5)
 
 
 def m_prime_from_calm_points(nu, x, c, c_err, c1, c1_err) -> tuple[np.ndarray, np.ndarray]:

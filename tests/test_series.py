@@ -1,5 +1,5 @@
-"""Series route: first-kind functions, the merged difference series, and
-the normalized-form conversion."""
+"""Series route: first-kind functions, the merged difference series in normalized
+form, and its views M, M' and calM."""
 
 import math
 
@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from struvekit import quadrature, series
+from struvekit import quadrature, routes, series
 from struvekit.core import EvalPoint, FuncValue, Method, SeriesConfig
 from struvekit.errors import CancellationError, DomainError, NonConvergenceError
 from struvekit.gammafuncs import log_gamma, log_half
-from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_from_m, m_from_calm,
-                              m_prime_from_calm, struve_l, struve_m_float,
-                              struve_m_float_points, struve_m_series)
+from struvekit.series import (X_CANCEL_MAX, bessel_i, calm_view, m_from_calm,
+                              m_prime_from_calm, m_view, merged_series, struve_l,
+                              struve_m_float, struve_m_float_points, struve_m_series)
 
 from conftest import rel_err
 from oracles import BESSEL_I_TABLE, CALM_TABLE, M_TABLE, STRUVE_L_TABLE
@@ -149,7 +149,7 @@ def test_normalized_conversion_round_trip(key):
     nu, x = key
     p = EvalPoint(nu, x)
     m = struve_m_series(p)
-    c = calm_from_m(p, m)
+    c = calm_view(p, merged_series(p))
     back = m_from_calm(p, c)
     assert rel_err(back.value, m.value) < 1e-14
     assert rel_err(c.value, CALM_TABLE[key]) < 1e-12
@@ -171,49 +171,56 @@ def test_tight_tolerance_config_respected():
     assert rel_err(fv.value, M_TABLE[(1.0, 1.0)]) < 1e-8
 
 
-#: Points where the merged series' terms underflow: both leading terms are 0 at the
-#: first three, and at (100, 0.057) they are subnormal and the next ones reach 0.
-_UNDERFLOWING = [(100.0, 1e-3), (50.0, 1e-5), (5.0, 1e-150), (100.0, 0.057)]
+#: Points where M is subnormal or underflows: the old M-form sum's leading terms
+#: (x/2)^nu / gamma(nu+1) were 0 or subnormal there, or the factor from M to calM
+#: overflowed float64 (1, 1e-310); S stays of order one.
+_M_UNDERFLOWS = [(100.0, 0.057), (100.0, 1e-3), (50.0, 1e-5), (5.0, 1e-150), (3.0, 1e-300),
+                 (1.0, 1e-310)]
 
 
-@pytest.mark.parametrize("nu, x", _UNDERFLOWING[:3])
-def test_merged_series_refuses_where_both_leading_terms_underflow(nu, x):
-    """The explicit route names the underflow instead of running out of terms, and
-    the float64 pass, in one point or many, leaves the point to quadrature."""
-    with pytest.raises(CancellationError) as info:
-        struve_m_series(EvalPoint(nu, x))
-    assert str(info.value) == (f"M series at (nu={nu:g}, x={x:g}) underflows float64: both "
-                               "leading terms are 0; use the quadrature route")
-    for order in (0, 1):
-        assert struve_m_float(EvalPoint(nu, x), SeriesConfig(), order) is None
-        value, abs_err = struve_m_float_points([nu, 1.0], [x, 2.0], SeriesConfig(), order)
-        assert math.isnan(value[0]) and math.isnan(abs_err[0]), order
-        assert not math.isnan(value[1]), order
+@pytest.mark.parametrize("nu, x", _M_UNDERFLOWS + [(1.0, 1e-320), (80.0, 1e-4)])
+def test_series_serves_where_m_is_subnormal_or_underflows(nu, x):
+    """The float64 pass certifies S there, and explicit and automatic series calM and M
+    lie within their bars of mpmath at 60 digits: M is -3.259e-313 at (100, 0.057) and
+    -0.0 with a subnormal bar where it underflows."""
+    p = EvalPoint(nu, x)
+    with mp.workdps(60):
+        n, z = mp.mpf(nu), mp.mpf(x)
+        m_ref = mp.struvel(n, z) - mp.besseli(n, z)
+        c_ref = -mp.mpf(2) ** n * mp.gamma(n + 0.5) * z ** -n * m_ref
+    assert struve_m_float(p) is not None
+    for fn, ref in ((routes.calm, c_ref), (routes.struve_m, m_ref)):
+        for method in (None, Method.SERIES):
+            got = fn(p, method)
+            assert got.method is Method.SERIES, (fn.__name__, method)
+            assert abs(mp.mpf(got.value) - ref) <= got.abs_err, (fn.__name__, method, got, ref)
 
 
 def test_merged_series_stops_where_its_terms_underflow():
-    """At (100, 0.057) the leading terms are subnormal and the next ones underflow
-    to 0: the float64 pass stops there and leaves the point uncertified, and the
-    escalated value, -3.259e-313, holds its bar, which the smallest subnormal floors."""
-    p = EvalPoint(100.0, 0.057)
+    """At (3, 1e-300) q = x^2/4 underflows to 0, so every term past i_0 and l_0 is 0:
+    the float64 pass stops after one term and certifies S = 1 - l_0, and M, about
+    -1e-902, underflows to -0.0 with two smallest subnormals for its bar."""
+    p = EvalPoint(3.0, 1e-300)
     certified, smax, _ = series._merged_float(p, SeriesConfig())
-    assert certified is None and 0.0 < smax < 1e-300
-    got = struve_m_series(p)
-    assert got.method is Method.SERIES and got.abs_err > 0.0
-    with mp.workdps(60):
-        ref = mp.struvel(100, mp.mpf(0.057)) - mp.besseli(100, mp.mpf(0.057))
-    assert abs(got.value - float(ref)) <= got.abs_err
-
-
-def test_normalized_form_refuses_where_its_factor_overflows():
-    """At (1, 1e-310) the escalated M is the subnormal -x/2, and the factor
-    2 gamma(3/2) / x from M to calM passes float64: the conversion raises
-    CancellationError, not Python's OverflowError."""
-    p = EvalPoint(1.0, 1e-310)
+    assert certified is not None and certified.value == 1.0 and smax == 1.0
     m = struve_m_series(p)
-    assert m.value == -5e-311 and m.abs_err > 0.0
-    with pytest.raises(CancellationError, match=r"^the factor from M to calM at \(nu=1, "):
-        calm_from_m(p, m)
+    assert (math.copysign(1.0, m.value), m.value, m.abs_err) == (-1.0, 0.0, 1e-323)
+
+
+@pytest.mark.parametrize("nu, x", [(-0.9126019639227583, 1e-250),
+                                   (29.612701657083825, 16.729358481658828)])
+def test_m_holds_its_bar_where_the_leading_exponentials_rounded_outside_it(nu, x):
+    """The M-form sum's leading terms exp(L) rounded beyond their charge, which took
+    L's size, not its terms': series M lay 1.18x outside its bar at the first point
+    and 1.17x at the second. In S, i_0 = 1 is exact and l_0's bar takes the size of
+    its log-gammas, and explicit and automatic M lie within their bars of mpmath at
+    50 digits."""
+    p = EvalPoint(nu, x)
+    with mp.workdps(50):
+        n, z = mp.mpf(p.nu), mp.mpf(p.x)
+        ref = mp.struvel(n, z) - mp.besseli(n, z)
+    for got in (routes.struve_m(p), routes.struve_m(p, Method.SERIES)):
+        assert abs(mp.mpf(got.value) - ref) <= got.abs_err, (got, ref)
 
 
 #: Orders in (-1, 40] and arguments in [5e-324, X_CANCEL_MAX], subnormal ones included.
@@ -226,12 +233,12 @@ _FLOAT_PASS_POINTS = st.lists(st.tuples(
 @given(_FLOAT_PASS_POINTS, st.sampled_from([0, 1]))
 @example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 0)
 @example([(0.1, 7.9), (2.0, 5e-324), (-0.9, 4.0), (30.0, 1e-3), (1.0, 2.0)], 1)
-@example(_UNDERFLOWING + [(10.0, 1e-3), (1.0, 2.0)], 0)
-@example(_UNDERFLOWING + [(10.0, 1e-3), (1.0, 2.0)], 1)
+@example(_M_UNDERFLOWS + [(10.0, 1e-3), (1.0, 2.0)], 0)
+@example(_M_UNDERFLOWS + [(10.0, 1e-3), (1.0, 2.0)], 1)
 def test_array_float_pass_equals_the_single_pass(points, order):
     """struve_m_float_points gives at every point struve_m_float's value and bar bit
     for bit, and NaN for both where that gives None: the points it does not certify
-    (0.1, 7.9 and -0.9, 4 above) and those whose terms overflow or underflow."""
+    (0.1, 7.9 and -0.9, 4 above) and those whose sum overflows."""
     nu, x = zip(*points)
     value, abs_err = struve_m_float_points(nu, x, SeriesConfig(), order)
     assert value.shape == abs_err.shape == (len(points),)
@@ -263,9 +270,9 @@ _CONVERSION_POINTS = st.lists(st.tuples(
     st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.sampled_from([1e308, -1e308]))),
     min_size=1, max_size=30)
 
-#: Where the factor's exp overflows (calm_from_m at large order and tiny x, m_from_calm
-#: at nu = 161 and 200, x = 1e4), where nu/x overflows (tiny x), where the value
-#: overflows (c = 1e308), and ordinary points.
+#: Where the factor's exp overflows (m_from_calm and m_view at nu = 161 and 200, x =
+#: 1e4), where nu/x overflows (tiny x), where the value overflows (c = 1e308), where it
+#: underflows (large order and tiny x), and ordinary points.
 _CONVERSION_EDGES = [(40.0, 1e-300, 0.5, 1e-16, -0.1), (0.3, 5e-324, 1.0, 1e-16, 2.0),
                      (161.0, 1e4, 1e-4, 1e-18, -1e-6), (200.0, 1e4, 1e-4, 1e-18, -1e-6),
                      (2.0, 1e-310, 0.2, 1e-17, -0.5), (1.0, 5e-324, 0.9, 1e-16, -0.4),
@@ -276,27 +283,28 @@ _CONVERSION_EDGES = [(40.0, 1e-300, 0.5, 1e-16, -0.1), (0.3, 5e-324, 1.0, 1e-16,
 @given(_CONVERSION_POINTS)
 @example(_CONVERSION_EDGES)
 def test_array_conversions_equal_the_scalar_functions(points):
-    """calm_from_m_points, m_from_calm_points and m_prime_from_calm_points give every
-    value and bar of calm_from_m, m_from_calm and m_prime_from_calm bit for bit where
-    they give a number, and NaN (value and bar) where the scalar function raises, so
-    that those points take the scalar path and raise its error. They leave to it
+    """m_view_points, calm_view_points, m_from_calm_points and m_prime_from_calm_points
+    give every value and bar of m_view, calm_view, m_from_calm and m_prime_from_calm bit
+    for bit where they give a number, and NaN (value and bar) where the scalar function
+    raises, so that those points take the scalar path and raise its error. They leave to it
     only the points where it takes another branch: the factor's exp past LOG_MAX,
     nu/x past float64, a value that is not finite."""
     nu, x, c, c_err, c1 = (np.array(a) for a in zip(*points))
     c1_err = 0.5 * c_err
     arrays = {
-        "calm_from_m": series.calm_from_m_points(nu, x, c, c_err),
+        "m_view": series.m_view_points(nu, x, c, c_err),
+        "calm_view": series.calm_view_points(nu, x, c, c_err),
         "m_from_calm": series.m_from_calm_points(nu, x, c, c_err),
         "m_prime_from_calm": series.m_prime_from_calm_points(nu, x, c, c_err, c1, c1_err)}
     for i, (a, b) in enumerate(zip(nu.tolist(), x.tolist())):
         p = EvalPoint(a, b)
         fv = FuncValue(c.item(i), c_err.item(i), Method.QUADRATURE)
         fv1 = FuncValue(c1.item(i), c1_err.item(i), Method.QUADRATURE)
-        scalar = {"calm_from_m": lambda: calm_from_m(p, fv),
+        scalar = {"m_view": lambda: m_view(p, fv), "calm_view": lambda: calm_view(p, fv),
                   "m_from_calm": lambda: m_from_calm(p, fv),
                   "m_prime_from_calm": lambda: m_prime_from_calm(p, fv, fv1)}
         log_power, log_gam = a * log_half(b), log_gamma(a + 0.5)
-        exp_args = {"calm_from_m": a * series._log_two_over(b) + log_gam,
+        exp_args = {"m_view": log_power - log_gamma(a + 1.0), "calm_view": 0.0,
                     "m_from_calm": log_power - log_gam, "m_prime_from_calm": log_power - log_gam}
         for name, (value, abs_err) in arrays.items():
             want = _scalar_outcome(scalar[name])
